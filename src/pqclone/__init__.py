@@ -67,6 +67,7 @@ from .signalling import (
     TallyTable,
     analytic_no_signal_certificate,
     channel_accuracy,
+    column_law,
     group_verify,
     guess_rule,
     materialize_illegal_output,

@@ -1,16 +1,14 @@
 """Command-line front end: feasibility checks, machine dumps, signalling runs.
 
 Exit codes: 0 on success (and feasible verdicts), 2 when the requested
-cloning is infeasible, 1 on any other error. The PQCM_THREADS environment
-variable caps trial parallelism; outputs are byte-identical for a fixed
-seed regardless of its value.
+cloning is infeasible, 1 on any other error. ``signal-test`` outputs are
+byte-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -184,9 +182,8 @@ def cmd_signal_test(args) -> int:
     if run.out is None:
         raise PqcloneError("no output directory (set 'out' in config or pass --out)")
 
-    threads = int(os.environ.get("PQCM_THREADS", "1"))
     protocol = config_mod.build_protocol(run, base_dir)
-    tally, stats = signalling.run_protocol(protocol, threads=threads)
+    tally, stats = signalling.run_protocol(protocol)
     certificate = signalling.analytic_no_signal_certificate(
         protocol.bob_states, AliceBasis.computational(protocol.n), protocol.a2_basis
     )

@@ -25,6 +25,7 @@ import numpy as np
 from . import qcore
 from .errors import (
     ConditioningError,
+    ConfigError,
     DimensionError,
     FeasibilityError,
     LabelError,
@@ -116,17 +117,22 @@ def _check_independent(states: Sequence[Ket]) -> None:
         )
 
 
+def _check_copies(m: int) -> None:
+    if m < 2:
+        raise ConfigError(f"copy count must be at least 2, got {m}")
+
+
 def feasibility_matrix(
     states: Sequence[Ket], m: int, gammas: Sequence[float]
 ) -> HermitianOperator:
     """X - D X^(M) D, whose positive semidefiniteness decides clonability."""
     states = tuple(states)
-    if m < 2:
-        raise ValueError("copy count must be at least 2")
+    _check_copies(m)
     if len(gammas) != len(states):
-        raise ValueError("need one efficiency per state")
-    if any(g < 0 or g > 1 for g in gammas):
-        raise ValueError("efficiencies must lie in [0, 1]")
+        raise ConfigError("need one efficiency per state")
+    bad = [g for g in gammas if not 0.0 <= g <= 1.0]  # also catches nan
+    if bad:
+        raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
     _check_independent(states)
     gram = qcore.gram_matrix(states).entries
     gram_m = gram**m
@@ -141,6 +147,9 @@ def max_uniform_gamma(states: Sequence[Ket], m: int, tol: float = 1e-9) -> float
     given gamma implies feasibility at every smaller gamma.
     """
     states = tuple(states)
+    _check_copies(m)
+    if not tol > 0:  # also catches nan; a zero or negative tol never ends
+        raise ConfigError(f"bisection tolerance must be positive, got {tol!r}")
     _check_independent(states)
     gram = qcore.gram_matrix(states).entries
     gram_m = gram**m
@@ -154,6 +163,8 @@ def max_uniform_gamma(states: Sequence[Ket], m: int, tol: float = 1e-9) -> float
         return hi
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
+        if not lo < mid < hi:  # tol below float resolution: no further progress
+            break
         if feasible(mid):
             lo = mid
         else:

@@ -9,17 +9,28 @@ A single all-success group selects that candidate's column; anything else
 lands in the junk column. Tallying columns per basis choice estimates the
 conditional probabilities that decide whether the channel carries
 information.
+
+``column_law`` gives the exact probability of every (Alice outcome, Bob
+cell) pair for both of Alice's settings. Protocol and channel runs sample
+that table directly: draws come in fixed-size blocks, each from its own
+counter-based stream keyed by (seed, phase, setting, block), so a run's
+output is a pure function of its seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import qcore
+
+# The signal-test benchmark (bench/run.py) resolves alice_measure,
+# apply_machine, illegal_clone, group_verify, SeededRng, run_protocol,
+# run_channel, stats_from_tally and analytic_no_signal_certificate as
+# attributes of this module, and the per-pair Born-rule reference in the
+# tests uses the first five: keep all of them reachable here.
 from .entangle import (
     AliceBasis,
     SharedState,
@@ -27,7 +38,13 @@ from .entangle import (
     build_shared_state,
     induced_ensemble,
 )
-from .errors import CapacityError, ConfigError, DimensionError, LabelError
+from .errors import (
+    CapacityError,
+    ConditioningError,
+    ConfigError,
+    DimensionError,
+    LabelError,
+)
 from .pqcm import (
     CloneOutput,
     IllegalClonerSpec,
@@ -44,9 +61,34 @@ _PHASE_CHANNEL = 1
 _PHASE_VOTE = 2
 _PHASE_MESSAGE = 3
 
+# Stream ids pack (phase, setting, index) into one 64-bit Philox key word.
+_PHASE_BITS = 20
+_SETTING_BITS = 4
+_INDEX_BITS = 40
+
+# Draws per counter-based stream. Every block of a run has its own key, so
+# counts do not depend on the order blocks are drawn in, and tallying holds
+# only one block of uniforms in memory at a time.
+SAMPLE_BLOCK = 1 << 16
+
+# Roundoff band below zero that column_law clips to zero; any entry lower
+# than -LAW_TOL means the law was not computed accurately and is an error.
+LAW_TOL = 1e-12
+
 
 def _stream_id(phase: int, setting: int, index: int) -> int:
-    return (phase << 44) | (setting << 40) | index
+    for name, value, bits in (
+        ("phase", phase, _PHASE_BITS),
+        ("setting", setting, _SETTING_BITS),
+        ("index", index, _INDEX_BITS),
+    ):
+        if not 0 <= value < 1 << bits:
+            raise ConfigError(
+                f"stream {name} {value} does not fit its {bits}-bit field"
+            )
+    return (
+        (phase << (_SETTING_BITS + _INDEX_BITS)) | (setting << _INDEX_BITS) | index
+    )
 
 
 def group_sizes(mu: int, n_groups: int) -> list[int]:
@@ -273,61 +315,173 @@ class RunContext:
 
     shared: SharedState
     bases: tuple  # (A1, A2)
+    ensembles: tuple  # Bob's induced preparation ensemble per basis
     candidates: tuple  # B_1 .. B_{N+1}
     all_states: tuple  # B_1 .. B_{2N}
 
 
 def prepare_context(config: ProtocolConfig) -> RunContext:
     shared = build_shared_state(config.bob_states)
-    a1 = AliceBasis.computational(config.n)
-    ens2 = induced_ensemble(shared, config.a2_basis)
-    second_set = tuple(m[0] for m in ens2.members)
+    bases = (AliceBasis.computational(config.n), config.a2_basis)
+    ensembles = tuple(induced_ensemble(shared, basis) for basis in bases)
+    second_set = tuple(m[0] for m in ensembles[1].members)
     return RunContext(
         shared=shared,
-        bases=(a1, config.a2_basis),
+        bases=bases,
+        ensembles=ensembles,
         candidates=config.bob_states + (second_set[0],),
         all_states=config.bob_states + second_set,
     )
 
 
-def _run_one_pair(
-    config: ProtocolConfig, ctx: RunContext, setting: int, rng: SeededRng
-) -> tuple[int, int | None]:
-    """One shared pair: Alice measures, the cloner runs, Bob classifies.
+def _exact_copy_law(single: Ket, candidates: Sequence[Ket], mu: int) -> np.ndarray:
+    """Column law of mu exact copies of ``single``: [P(col 1..K), P(PHI)].
 
-    Returns (input row 0-based, column), column None when the cloner
-    reported failure and the pair is discarded.
+    Group j is all-success with probability |<c_j|single>|^(2 g_j),
+    independently of the other groups, so column l needs group l to succeed
+    and every other group to fail.
     """
-    outcome, bob_state = alice_measure(ctx.shared, ctx.bases[setting], rng)
-    row = setting * config.n + outcome
-    if isinstance(config.machine, IllegalClonerSpec):
-        out = illegal_clone(config.machine, row + 1, ctx.all_states, rng)
-    else:
-        success, ket = apply_machine(config.machine, bob_state, rng)
-        if not success:
-            return row, None
-        out = CloneOutput.joint_state(ket, config.mu, config.n)
-    column = group_verify(out, ctx.candidates, config.mu, rng)
-    return row, column
+    sizes = group_sizes(mu, len(candidates))
+    hit = np.array(
+        [
+            min(abs(qcore.inner_product(c, single)) ** 2, 1.0) ** g
+            for c, g in zip(candidates, sizes)
+        ]
+    )
+    miss = 1.0 - hit
+    cols = np.array(
+        [hit[l] * np.prod(np.delete(miss, l)) for l in range(len(candidates))]
+    )
+    return np.append(cols, 1.0 - cols.sum())
 
 
-def _tally_range(
-    config: ProtocolConfig, ctx: RunContext, setting: int, start: int, stop: int
-) -> tuple[np.ndarray, int, int]:
-    n = config.n
-    counts = np.zeros((2 * n, n + 2), dtype=np.int64)
-    classified = 0
-    discards = 0
-    for t in range(start, stop):
-        rng = SeededRng(config.seed, _stream_id(_PHASE_PROTOCOL, setting, t))
-        row, column = _run_one_pair(config, ctx, setting, rng)
-        if column is None:
-            discards += 1
+def _legal_rows(
+    machine: PqcmMachine, members: tuple, candidates: tuple, mu: int
+) -> np.ndarray:
+    """Law rows of a Kraus machine: one row per Alice outcome, N+3 cells.
+
+    The success branch Phi_m = sqrt(p_m) A psi_m is split into one tensor
+    factor per verification group. Tests on distinct factors commute, so
+    P(only group l all-succeeds) follows by inclusion-exclusion from
+    P(every group in T all-succeeds) = ||(x_{j in T} <c_j|^(x g_j)) Phi_m||^2.
+    """
+    k = len(candidates)
+    clone_dim = machine.dim
+    sizes = group_sizes(mu, k)
+    probs = np.array([p for _, p in members])
+    inputs = np.stack([np.sqrt(p) * ket.amplitudes for ket, p in members])
+    phi = inputs @ machine.kraus_success.T
+    success = np.sum(np.abs(phi) ** 2, axis=1)
+    phi = phi.reshape((len(members),) + tuple(clone_dim**g for g in sizes))
+    bras = [
+        qcore.tensor_power(c, g).amplitudes.conj() for c, g in zip(candidates, sizes)
+    ]
+    only = np.zeros((len(members), k))
+    for subset in range(1, 1 << k):
+        groups = [j for j in range(k) if subset >> j & 1]
+        amp = phi
+        for j in reversed(groups):  # highest axis first keeps lower axes in place
+            amp = np.tensordot(amp, bras[j], axes=([j + 1], [0]))
+        p_all = np.sum(np.abs(amp.reshape(len(members), -1)) ** 2, axis=1)
+        sign = 1.0 if len(groups) % 2 else -1.0
+        only[:, groups] += sign * p_all[:, None]
+    rows = np.empty((len(members), k + 2))
+    rows[:, :k] = only
+    rows[:, k] = success - only.sum(axis=1)  # PHI
+    rows[:, k + 1] = probs - success  # discarded cloner failures
+    return rows
+
+
+def _illegal_rows(
+    spec: IllegalClonerSpec, setting: int, members: tuple, ctx: RunContext, mu: int
+) -> np.ndarray:
+    """Law rows of the label-aware cloner; it never reports failure.
+
+    Each input label yields exact copies of one clonable state per branch,
+    mixed by the branch weights, and the junk branch lands in PHI.
+    """
+    n = len(members)
+    k = len(ctx.candidates)
+    copy_law = {
+        label: _exact_copy_law(ctx.all_states[label - 1], ctx.candidates, mu)
+        for label in spec.clonable_labels
+    }
+    rows = np.zeros((n, k + 2))
+    for m, (_, p) in enumerate(members):
+        label = setting * n + m + 1
+        if label in spec.clonable_labels:
+            rows[m, : k + 1] = p * copy_law[label]
             continue
-        col_idx = n + 1 if column == PHI else column - 1
-        counts[row, col_idx] += 1
-        classified += 1
-    return counts, classified, discards
+        weights = spec.branch_probabilities(label)
+        for w, clonable in zip(weights, spec.clonable_labels):
+            rows[m, : k + 1] += p * w * copy_law[clonable]
+        rows[m, k] += p * weights[-1]
+    return rows
+
+
+def _clip_law(raw: np.ndarray) -> np.ndarray:
+    """Clip roundoff in [-LAW_TOL, 0) to zero; anything lower is an error."""
+    low = float(raw.min())
+    if not low >= -LAW_TOL:
+        raise ConditioningError(
+            f"column law entry {low:.3e} lies below -{LAW_TOL:.0e}; "
+            "the machine is too ill-conditioned for an accurate law"
+        )
+    law = np.clip(raw, 0.0, None)
+    law.setflags(write=False)
+    return law
+
+
+def column_law(config: ProtocolConfig) -> np.ndarray:
+    """Exact probability of every protocol outcome, per Alice setting.
+
+    Entry [s, m, c] is P(Alice outcome m, Bob's cell c | setting s), with
+    setting 0 the label basis A1 and 1 the alternate basis A2. Cells
+    0..N are columns B_1..B_{N+1}, cell N+1 is PHI, and cell N+2 is a
+    cloner failure that Bob discards. Each setting sums to 1. Alice's row
+    law comes from ``induced_ensemble``; the cells of a row from the
+    machine's success branch (legal) or from the closed product form of
+    exact copies (illegal).
+    """
+    ctx = prepare_context(config)
+    n = config.n
+    raw = np.empty((2, n, n + 3))
+    for setting, ensemble in enumerate(ctx.ensembles):
+        if isinstance(config.machine, IllegalClonerSpec):
+            raw[setting] = _illegal_rows(
+                config.machine, setting, ensemble.members, ctx, config.mu
+            )
+        else:
+            raw[setting] = _legal_rows(
+                config.machine, ensemble.members, ctx.candidates, config.mu
+            )
+    return _clip_law(raw)
+
+
+def _cumulative(cells: np.ndarray) -> np.ndarray:
+    """Cumulative table for inverse-CDF sampling of one setting's cells.
+
+    Dividing by the total makes the last cell with nonzero mass end at
+    exactly 1.0, so no uniform draw in [0, 1) can land in a zero-mass cell.
+    """
+    cum = np.cumsum(cells.ravel())
+    return cum / cum[-1]
+
+
+def _blocks(draws: int) -> list[tuple[int, int]]:
+    """(block index, size) of the blocks that cover ``draws`` draws."""
+    return [
+        (block, min(SAMPLE_BLOCK, draws - start))
+        for block, start in enumerate(range(0, draws, SAMPLE_BLOCK))
+    ]
+
+
+def _block_cells(
+    cum: np.ndarray, seed: int, phase: int, setting: int, block: int, size: int
+) -> np.ndarray:
+    """Cell indices of one block of draws, from that block's own stream."""
+    rng = SeededRng(seed, _stream_id(phase, setting, block))
+    return np.searchsorted(cum, rng.uniforms(size), side="right")
 
 
 def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
@@ -351,55 +505,38 @@ def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
     return worst
 
 
-def run_protocol(
-    config: ProtocolConfig, threads: int = 1
-) -> tuple[TallyTable, SignalStats]:
-    """Estimate the empirical tally and signalling statistics for one config.
+def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
+    """Sample the tally and signalling statistics for one config.
 
-    Each shared pair owns a counter-based random stream keyed by (seed,
-    setting, trial index), and all accumulation is integer counting, so
-    results are bit-identical for a fixed seed no matter how trials are
-    scheduled across threads.
+    ``config.trials`` pairs per setting are drawn from ``column_law`` in
+    blocks of SAMPLE_BLOCK, each block from its own stream keyed by (seed,
+    setting, block index), so the result is bit-identical for a fixed seed.
     """
-    ctx = prepare_context(config)
+    law = column_law(config)
     n = config.n
     counts = np.zeros((2 * n, n + 2), dtype=np.int64)
-    classified = [0, 0]
-    discards = [0, 0]
-
-    jobs: list[tuple[int, int, int]] = []
-    chunk = max(1, -(-config.trials // max(1, threads)))
+    discards = []
     for setting in (0, 1):
-        for start in range(0, config.trials, chunk):
-            jobs.append((setting, start, min(start + chunk, config.trials)))
-
-    if threads > 1 and len(jobs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_tally_range, config, ctx, setting, start, stop)
-                for setting, start, stop in jobs
-            ]
-            parts = [f.result() for f in futures]
-    else:
-        parts = [
-            _tally_range(config, ctx, setting, start, stop)
-            for setting, start, stop in jobs
-        ]
-    for (setting, _, _), (part_counts, part_classified, part_discards) in zip(
-        jobs, parts
-    ):
-        counts += part_counts
-        classified[setting] += part_classified
-        discards[setting] += part_discards
+        cum = _cumulative(law[setting])
+        hits = np.zeros(cum.size, dtype=np.int64)
+        for block, size in _blocks(config.trials):
+            cells = _block_cells(
+                cum, config.seed, _PHASE_PROTOCOL, setting, block, size
+            )
+            hits += np.bincount(cells, minlength=cum.size)
+        hits = hits.reshape(n, n + 3)
+        counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
+        discards.append(int(hits[:, n + 2].sum()))
 
     tally = TallyTable(
         n=n,
         counts=counts,
-        classified=tuple(classified),
+        classified=tuple(config.trials - d for d in discards),
         discards=tuple(discards),
         trials=(config.trials, config.trials),
     )
-    stats = stats_from_tally(tally, analytic_leakage(ctx.candidates, config.mu))
+    candidates = prepare_context(config).candidates
+    stats = stats_from_tally(tally, analytic_leakage(candidates, config.mu))
     return tally, stats
 
 
@@ -517,20 +654,31 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     """Send a bit string through the cloner channel and decode by blocks.
 
     Every message bit consumes ``pairs_per_bit`` shared pairs measured in
-    the basis encoding that bit; cloner failures become abstentions.
+    the basis encoding that bit; cloner failures become abstentions. The
+    k-th pair sent in setting s is draw k of that setting's block streams.
     """
-    ctx = prepare_context(config)
-
-    def stream() -> Iterable[tuple[int, int | None]]:
-        for block_idx, bit in enumerate(message_bits):
-            for pair in range(config.pairs_per_bit):
-                index = block_idx * config.pairs_per_bit + pair
-                rng = SeededRng(config.seed, _stream_id(_PHASE_CHANNEL, bit, index))
-                _, column = _run_one_pair(config, ctx, bit, rng)
-                yield bit, None if column is None else guess_rule(column, config.n)
-
+    bits = np.asarray(message_bits, dtype=np.int64)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ConfigError("message bits must be 0 or 1")
+    law = column_law(config)
+    n = config.n
+    sent = np.repeat(bits, config.pairs_per_bit)
+    cells = np.empty(sent.size, dtype=np.intp)
+    for setting in (0, 1):
+        where = np.flatnonzero(sent == setting)
+        cum = _cumulative(law[setting])
+        for block, size in _blocks(where.size):
+            start = block * SAMPLE_BLOCK
+            cells[where[start : start + size]] = _block_cells(
+                cum, config.seed, _PHASE_CHANNEL, setting, block, size
+            )
+    # cells of a row are columns B_1..B_{N+1}, then PHI and discard (abstain)
+    guess = [guess_rule(col, n) for col in range(1, n + 2)] + [None, None]
+    guesses = np.array(guess, dtype=object)[cells % (n + 3)]
     vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0, 0))
-    return channel_accuracy(stream(), config.pairs_per_bit, vote_rng)
+    return channel_accuracy(
+        zip(sent.tolist(), guesses.tolist()), config.pairs_per_bit, vote_rng
+    )
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:

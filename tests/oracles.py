@@ -2,11 +2,15 @@
 
 Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
-hand-built matrix, independent-Bernoulli group statistics) so that a test
-never validates code against itself.
+hand-built matrix, independent-Bernoulli group statistics, pair-by-pair
+Born-rule trajectories) so that a test never validates code against itself.
 """
 
 import numpy as np
+
+from pqclone import signalling
+from pqclone.pqcm import CloneOutput, IllegalClonerSpec
+from pqclone.qcore import SeededRng
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -95,3 +99,44 @@ def two_sample_sigma(p1: float, n1: int, p2: float, n2: int) -> float:
     """Pooled standard error for the difference of two proportions."""
     pooled = (p1 * n1 + p2 * n2) / (n1 + n2)
     return np.sqrt(max(pooled * (1.0 - pooled), 0.0) * (1.0 / n1 + 1.0 / n2))
+
+
+def run_one_pair(config, ctx, setting: int, rng: SeededRng):
+    """One shared pair: Alice measures, the cloner runs, Bob classifies.
+
+    Returns (input row 0-based, column), column None when the cloner
+    reported failure and the pair is discarded. Each stage samples the
+    Born rule on explicit states, independently of ``column_law``.
+    """
+    outcome, bob_state = signalling.alice_measure(ctx.shared, ctx.bases[setting], rng)
+    row = setting * config.n + outcome
+    if isinstance(config.machine, IllegalClonerSpec):
+        out = signalling.illegal_clone(config.machine, row + 1, ctx.all_states, rng)
+    else:
+        success, ket = signalling.apply_machine(config.machine, bob_state, rng)
+        if not success:
+            return row, None
+        out = CloneOutput.joint_state(ket, config.mu, config.n)
+    column = signalling.group_verify(out, ctx.candidates, config.mu, rng)
+    return row, column
+
+
+def trajectory_tally(config, setting: int, trials: int, seed: int) -> np.ndarray:
+    """Counts of ``trials`` pair trajectories, laid out like one setting of
+    ``column_law``: rows are Alice outcomes, cells are columns B_1..B_{N+1},
+    then PHI, then discarded cloner failures.
+    """
+    ctx = signalling.prepare_context(config)
+    n = config.n
+    counts = np.zeros((n, n + 3), dtype=np.int64)
+    for t in range(trials):
+        rng = SeededRng(seed, 2 * t + setting)
+        row, column = run_one_pair(config, ctx, setting, rng)
+        if column is None:
+            cell = n + 2
+        elif column == signalling.PHI:
+            cell = n + 1
+        else:
+            cell = column - 1
+        counts[row - setting * n, cell] += 1
+    return counts

@@ -27,8 +27,10 @@ from pqclone.qcore import (
 )
 from pqclone.signalling import (
     PHI,
+    SAMPLE_BLOCK,
     ProtocolConfig,
     analytic_no_signal_certificate,
+    column_law,
     group_verify,
     materialize_illegal_output,
     random_message,
@@ -103,6 +105,7 @@ def test_criterion_3_legal_machines_never_signal():
     rng = SeededRng(901)
     mu = 4
     worst_z = 0.0
+    worst_exact = 0.0
     for instance in range(20):
         n = 2 + instance % 2
         states = well_conditioned_set(n, rng)
@@ -128,9 +131,18 @@ def test_criterion_3_legal_machines_never_signal():
             states, AliceBasis.computational(n), a2
         )
         assert certificate <= 1e-12
+        # exact: Bob's column law, discard mass included, ignores Alice's basis
+        law = column_law(config)
+        exact_gap = float(np.max(np.abs(law[0].sum(axis=0) - law[1].sum(axis=0))))
+        assert exact_gap <= 1e-12, f"instance {instance}: exact gap {exact_gap}"
+        worst_exact = max(worst_exact, exact_gap)
         if sigma > 0:
             worst_z = max(worst_z, diff / sigma)
-    report(3, f"20 instances, worst |p1_a2 - p1_a1| = {worst_z:.2f} sigma")
+    report(
+        3,
+        f"20 instances, worst |p1_a2 - p1_a1| = {worst_z:.2f} sigma, "
+        f"worst exact A1/A2 column-law gap = {worst_exact:.1e}",
+    )
 
 
 def test_criterion_4_channel_demonstration():
@@ -292,6 +304,9 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
+    # three full sampler blocks plus a remainder per setting; PQCM_THREADS is
+    # no longer read, and the runs that set it show that it changes nothing
+    trials = 3 * SAMPLE_BLOCK + 1_500
     outputs = []
     for name, threads in (("t1", None), ("t1b", None), ("t3", "3"), ("t8", "8")):
         if threads is None:
@@ -304,7 +319,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
                 "signal-test",
                 str(CONFIGS / "illegal_n2.json"),
                 "--trials",
-                "1500",
+                str(trials),
                 "--out",
                 str(out_dir),
             ]
@@ -318,4 +333,4 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
         )
     for other in outputs[1:]:
         assert other == outputs[0]
-    report(8, f"{len(outputs)} runs byte-identical across thread settings")
+    report(8, f"{len(outputs)} runs of {trials} trials byte-identical")

@@ -177,6 +177,37 @@ class TestCliFeasibility:
         assert ":2:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--max-uniform", "--tol", "0"],
+            ["--max-uniform", "--tol=-1e-3"],
+            ["--gamma", "nan"],
+            ["--gamma", "inf"],
+            ["--gamma", "1.5"],
+            ["--gamma", "-0.25"],
+            ["-M", "1"],
+            ["-M", "1", "--max-uniform"],
+        ],
+    )
+    def test_bad_input_exits_1_with_one_line(self, extra, capsys):
+        code = cli.main(
+            ["feasibility", str(CONFIGS / "states_overlap_n2.txt")] + extra
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_tol_below_float_resolution_terminates(self, capsys):
+        code = cli.main(
+            ["feasibility", str(CONFIGS / "states_overlap_n2.txt"), "-M", "2",
+             "--max-uniform", "--tol", "1e-300"]
+        )
+        assert code == 0
+        gamma = float(capsys.readouterr().out.split("gamma_max: ")[1].split()[0])
+        assert gamma == pytest.approx(0.58578644, abs=1e-8)
+
+
 class TestCliConstruct:
     def test_orthogonal_machine_dump(self, tmp_path, capsys):
         out = tmp_path / "machine.json"
@@ -211,6 +242,21 @@ class TestCliConstruct:
         err = capsys.readouterr().err
         assert code == 2
         assert "min_eigenvalue" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "extra", [["--gamma", "nan"], ["--gamma", "2"], ["-M", "1", "--gamma", "0.5"]]
+    )
+    def test_bad_input_exits_1_with_one_line(self, tmp_path, extra, capsys):
+        out = tmp_path / "machine.json"
+        code = cli.main(
+            ["construct", str(CONFIGS / "states_overlap_n2.txt"), "--out", str(out)]
+            + extra
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
 
 

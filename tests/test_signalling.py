@@ -13,11 +13,17 @@ from pqclone.pqcm import (
 )
 from pqclone.qcore import Ket, SeededRng, random_ket
 from pqclone.signalling import (
+    _PHASE_PROTOCOL,
     PHI,
+    SAMPLE_BLOCK,
     ProtocolConfig,
+    _block_cells,
+    _blocks,
+    _cumulative,
     analytic_leakage,
     analytic_no_signal_certificate,
     channel_accuracy,
+    column_law,
     group_sizes,
     group_verify,
     guess_rule,
@@ -199,11 +205,29 @@ class TestRunProtocol:
         np.testing.assert_array_equal(tally_a.counts, tally_b.counts)
         assert stats_a.p1_a2 == stats_b.p1_a2
 
-    def test_thread_schedule_invariance(self):
-        cfg = legal_config(trials=1_200)
-        tally_serial, _ = run_protocol(cfg, threads=1)
-        tally_pool, _ = run_protocol(cfg, threads=4)
-        np.testing.assert_array_equal(tally_serial.counts, tally_pool.counts)
+    def test_block_order_invariance(self):
+        # each block of draws has its own stream, so drawing the blocks of a
+        # multi-block run in reverse order reproduces the run's counts
+        trials = 3 * SAMPLE_BLOCK + 1_234
+        cfg = legal_config(trials=trials)
+        tally, _ = run_protocol(cfg)
+        law = column_law(cfg)
+        n = cfg.n
+        blocks = _blocks(trials)
+        assert len(blocks) == 4
+        for setting in (0, 1):
+            cum = _cumulative(law[setting])
+            hits = np.zeros(cum.size, dtype=np.int64)
+            for block, size in reversed(blocks):
+                cells = _block_cells(
+                    cum, cfg.seed, _PHASE_PROTOCOL, setting, block, size
+                )
+                hits += np.bincount(cells, minlength=cum.size)
+            hits = hits.reshape(n, n + 3)
+            np.testing.assert_array_equal(
+                hits[:, : n + 2], tally.counts[setting * n : (setting + 1) * n]
+            )
+            assert hits[:, n + 2].sum() == tally.discards[setting]
 
     def test_legal_machine_does_not_signal(self):
         tally, stats = run_protocol(legal_config(trials=8_000))
