@@ -60,6 +60,7 @@ from .qcore import (
     trace_distance,
 )
 from .signalling import (
+    ABSTAIN,
     PHI,
     ChannelResult,
     ProtocolConfig,

@@ -91,6 +91,18 @@ def pairs_to_ket(pairs) -> Ket:
     return Ket.normalized(arr)
 
 
+_INT_FIELDS = ("mu", "trials", "pairs_per_bit", "seed", "message_bits")
+# (field, accepted types, description) of every non-integer field
+_TYPED_FIELDS = (
+    ("machine", dict, "a JSON object"),
+    ("a2", dict, "a JSON object"),
+    ("bob_states", (list, type(None)), "a list of states"),
+    ("states_file", (str, type(None)), "a path string"),
+    ("format", str, "a string"),
+    ("out", (str, type(None)), "a path string"),
+)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Plain-data mirror of one signal-test configuration."""
@@ -108,6 +120,16 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
+        for name, kinds, what in _TYPED_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if (self.bob_states is None) == (self.states_file is None):
             raise ConfigError("provide exactly one of bob_states or states_file")
         if self.format not in FORMATS:

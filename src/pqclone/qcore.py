@@ -158,7 +158,10 @@ class SeededRng:
     _gen: Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._gen = Generator(Philox(key=[self.seed, self.stream_id]))
+        # an explicit uint64 key: numpy turns a plain list holding a value
+        # >= 2**63 into float64, which rounds the key and aliases seeds
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        self._gen = Generator(Philox(key=key))
 
     def random(self) -> float:
         return float(self._gen.random())

@@ -14,13 +14,16 @@ information.
 cell) pair for both of Alice's settings. Protocol and channel runs sample
 that table directly: draws come in fixed-size blocks, each from its own
 counter-based stream keyed by (seed, phase, setting, block), so a run's
-output is a pure function of its seed.
+output is a pure function of its seed. A ``ProtocolConfig`` builds its law
+and its ``RunContext`` once, on first use, and every stage of a run reads
+those same read-only values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .pqcm import (
 from .qcore import Ket, SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
+ABSTAIN = -1  # channel vote of a pair that gives no verdict
 
 _PHASE_PROTOCOL = 0
 _PHASE_CHANNEL = 1
@@ -308,6 +312,18 @@ class ProtocolConfig:
     def n(self) -> int:
         return len(self.bob_states)
 
+    # Derived values live on the instance, not in a module-level memo, so a
+    # fresh config (or a dataclasses.replace copy) always builds its own.
+    @cached_property
+    def context(self) -> RunContext:
+        """``prepare_context(self)``, built on first use."""
+        return prepare_context(self)
+
+    @cached_property
+    def law(self) -> np.ndarray:
+        """``column_law(self)``, built on first use; the array is read-only."""
+        return column_law(self)
+
 
 @dataclass(frozen=True)
 class RunContext:
@@ -443,7 +459,7 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     machine's success branch (legal) or from the closed product form of
     exact copies (illegal).
     """
-    ctx = prepare_context(config)
+    ctx = config.context
     n = config.n
     raw = np.empty((2, n, n + 3))
     for setting, ensemble in enumerate(ctx.ensembles):
@@ -512,7 +528,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
     blocks of SAMPLE_BLOCK, each block from its own stream keyed by (seed,
     setting, block index), so the result is bit-identical for a fixed seed.
     """
-    law = column_law(config)
+    law = config.law
     n = config.n
     counts = np.zeros((2 * n, n + 2), dtype=np.int64)
     discards = []
@@ -535,8 +551,8 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
         discards=tuple(discards),
         trials=(config.trials, config.trials),
     )
-    candidates = prepare_context(config).candidates
-    stats = stats_from_tally(tally, analytic_leakage(candidates, config.mu))
+    leakage = analytic_leakage(config.context.candidates, config.mu)
+    stats = stats_from_tally(tally, leakage)
     return tally, stats
 
 
@@ -601,53 +617,53 @@ class ChannelResult:
 
 
 def channel_accuracy(
-    pair_results: Iterable[tuple[int, int | None]],
-    pairs_per_bit: int,
-    rng: SeededRng,
+    sent: np.ndarray, votes: np.ndarray, pairs_per_bit: int, rng: SeededRng
 ) -> ChannelResult:
-    """Majority-vote decoding of consecutive blocks of per-pair guesses.
+    """Majority-vote decoding of consecutive blocks of per-pair votes.
 
-    ``pair_results`` yields (sent bit, guess) with guess in {0, 1, None};
-    abstentions carry no vote. Blocks with no votes or a tie are decided
-    by a fair coin and counted in ``coin_flip_blocks``.
+    ``sent`` holds each pair's message bit and ``votes`` its vote: 0, 1 or
+    ABSTAIN, which carries no vote. Every ``pairs_per_bit`` consecutive
+    pairs form one block. Blocks with no votes or a tie are decided by a
+    fair coin, one uniform each in block order, and counted in
+    ``coin_flip_blocks``.
     """
     if pairs_per_bit < 1:
         raise ConfigError("pairs_per_bit must be at least 1")
-    sent: list[int] = []
-    decoded: list[int] = []
-    coin_flips = 0
-    block: list[tuple[int, int | None]] = []
-    for item in pair_results:
-        block.append(item)
-        if len(block) < pairs_per_bit:
-            continue
-        bits = {b for b, _ in block}
-        if len(bits) != 1:
-            raise ConfigError("a voting block must carry a single sent bit")
-        votes = [g for _, g in block if g is not None]
-        ones = sum(votes)
-        zeros = len(votes) - ones
-        if ones > zeros:
-            verdict = 1
-        elif zeros > ones:
-            verdict = 0
-        else:
-            verdict = int(rng.random() < 0.5)
-            coin_flips += 1
-        sent.append(block[0][0])
-        decoded.append(verdict)
-        block = []
-    if block:
+    sent = np.asarray(sent, dtype=np.int64)
+    votes = np.asarray(votes, dtype=np.int64)
+    if sent.ndim != 1 or sent.shape != votes.shape:
+        raise ConfigError("sent bits and votes must be 1-D and of equal length")
+    if sent.size % pairs_per_bit:
         raise ConfigError("pair stream length must be a multiple of pairs_per_bit")
-    if not sent:
+    if sent.size == 0:
         raise ConfigError("no complete blocks to decode")
-    hits = sum(int(s == d) for s, d in zip(sent, decoded))
+    if np.any((sent != 0) & (sent != 1)):
+        raise ConfigError("sent bits must be 0 or 1")
+    if np.any((votes < ABSTAIN) | (votes > 1)):
+        raise ConfigError(f"votes must be 0, 1 or {ABSTAIN} (abstain)")
+    sent = sent.reshape(-1, pairs_per_bit)
+    votes = votes.reshape(-1, pairs_per_bit)
+    if np.any(sent != sent[:, :1]):
+        raise ConfigError("a voting block must carry a single sent bit")
+    ones = np.count_nonzero(votes == 1, axis=1)
+    zeros = np.count_nonzero(votes == 0, axis=1)
+    decoded = (ones > zeros).astype(np.int64)
+    ties = np.flatnonzero(ones == zeros)
+    decoded[ties] = rng.uniforms(ties.size) < 0.5
+    bits = sent[:, 0]
     return ChannelResult(
-        accuracy=hits / len(sent),
-        sent=tuple(sent),
-        decoded=tuple(decoded),
-        coin_flip_blocks=coin_flips,
+        accuracy=int(np.count_nonzero(bits == decoded)) / bits.size,
+        sent=tuple(bits.tolist()),
+        decoded=tuple(decoded.tolist()),
+        coin_flip_blocks=int(ties.size),
     )
+
+
+def _vote_table(n: int) -> np.ndarray:
+    """Channel vote of every law cell: ``guess_rule`` on columns
+    B_1..B_{N+1}, ABSTAIN on PHI and on discarded cloner failures."""
+    guesses = [guess_rule(col, n) for col in range(1, n + 2)] + [None, None]
+    return np.array([ABSTAIN if g is None else g for g in guesses], dtype=np.int64)
 
 
 def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelResult:
@@ -660,7 +676,7 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     bits = np.asarray(message_bits, dtype=np.int64)
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigError("message bits must be 0 or 1")
-    law = column_law(config)
+    law = config.law
     n = config.n
     sent = np.repeat(bits, config.pairs_per_bit)
     cells = np.empty(sent.size, dtype=np.intp)
@@ -672,19 +688,15 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
             cells[where[start : start + size]] = _block_cells(
                 cum, config.seed, _PHASE_CHANNEL, setting, block, size
             )
-    # cells of a row are columns B_1..B_{N+1}, then PHI and discard (abstain)
-    guess = [guess_rule(col, n) for col in range(1, n + 2)] + [None, None]
-    guesses = np.array(guess, dtype=object)[cells % (n + 3)]
+    votes = _vote_table(n)[cells % (n + 3)]
     vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0, 0))
-    return channel_accuracy(
-        zip(sent.tolist(), guesses.tolist()), config.pairs_per_bit, vote_rng
-    )
+    return channel_accuracy(sent, votes, config.pairs_per_bit, vote_rng)
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
     """Deterministic uniformly random bit string for channel demos."""
     rng = SeededRng(seed, _stream_id(_PHASE_MESSAGE, 0, 0))
-    return tuple(int(rng.random() < 0.5) for _ in range(n_bits))
+    return tuple((rng.uniforms(n_bits) < 0.5).astype(np.int64).tolist())
 
 
 def analytic_no_signal_certificate(

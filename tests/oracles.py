@@ -3,12 +3,14 @@
 Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
 hand-built matrix, independent-Bernoulli group statistics, pair-by-pair
-Born-rule trajectories) so that a test never validates code against itself.
+Born-rule trajectories, per-pair majority voting) so that a test never
+validates code against itself.
 """
 
 import numpy as np
 
 from pqclone import signalling
+from pqclone.errors import ConfigError
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
 from pqclone.qcore import SeededRng
 
@@ -140,3 +142,52 @@ def trajectory_tally(config, setting: int, trials: int, seed: int) -> np.ndarray
             cell = column - 1
         counts[row - setting * n, cell] += 1
     return counts
+
+
+def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
+    """Majority-vote decoding, one (sent bit, guess) pair at a time.
+
+    ``pair_results`` yields (sent bit, guess) with guess in {0, 1, None};
+    None carries no vote. A block with no votes or a tie is decided by one
+    ``rng.random() < 0.5`` draw, in block order. Returns (accuracy, sent,
+    decoded, coin-flip blocks).
+    """
+    if pairs_per_bit < 1:
+        raise ConfigError("pairs_per_bit must be at least 1")
+    sent, decoded = [], []
+    coin_flips = 0
+    block = []
+    for item in pair_results:
+        block.append(item)
+        if len(block) < pairs_per_bit:
+            continue
+        bits = {b for b, _ in block}
+        if len(bits) != 1:
+            raise ConfigError("a voting block must carry a single sent bit")
+        votes = [g for _, g in block if g is not None]
+        ones = sum(votes)
+        zeros = len(votes) - ones
+        if ones > zeros:
+            verdict = 1
+        elif zeros > ones:
+            verdict = 0
+        else:
+            verdict = int(rng.random() < 0.5)
+            coin_flips += 1
+        sent.append(block[0][0])
+        decoded.append(verdict)
+        block = []
+    if block:
+        raise ConfigError("pair stream length must be a multiple of pairs_per_bit")
+    if not sent:
+        raise ConfigError("no complete blocks to decode")
+    hits = sum(int(s == d) for s, d in zip(sent, decoded))
+    return hits / len(sent), tuple(sent), tuple(decoded), coin_flips
+
+
+def random_message_by_draws(seed: int, n_bits: int) -> tuple:
+    """The channel demo's message, one ``random()`` draw per bit."""
+    rng = SeededRng(
+        seed, signalling._stream_id(signalling._PHASE_MESSAGE, 0, 0)
+    )
+    return tuple(int(rng.random() < 0.5) for _ in range(n_bits))

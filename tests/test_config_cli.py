@@ -1,12 +1,14 @@
 """State files, config round-trips, CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pqclone import cli
+from pqclone import cli, signalling
+from pqclone import config as config_mod
 from pqclone.config import (
     RunConfig,
     build_protocol,
@@ -96,6 +98,10 @@ class TestRunConfig:
                 mu=4, trials=1, pairs_per_bit=1, seed=0,
                 machine={"kind": "illegal"},
             )
+
+    def test_largest_seed_accepted(self):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        assert RunConfig.from_dict({**data, "seed": 2**64 - 1}).seed == 2**64 - 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -314,3 +320,78 @@ class TestCliSignalTest:
     def test_bad_usage_exits_1(self, capsys):
         assert cli.main(["feasibility"]) == 1
         assert cli.main(["no-such-command"]) == 1
+
+    # One case per typed field. A mistyped value must stop at the config:
+    # further in it raises a traceback, or (seed 1.5) runs as seed 1.
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("mu", "x"),
+            ("trials", 2.0),
+            ("pairs_per_bit", "3"),
+            ("message_bits", "x"),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("machine", "legal"),
+            ("a2", "fourier"),
+            ("bob_states", "x"),
+            ("states_file", 3),
+            ("format", ["json"]),
+            ("out", 5),
+        ],
+    )
+    def test_mistyped_field_exits_1_with_one_line(self, tmp_path, capsys, field, value):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data[field] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field} must ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_one_law_per_run(self, tmp_path, monkeypatch):
+        built = []
+        column_law = signalling.column_law
+
+        def counting_law(config):
+            built.append(config)
+            return column_law(config)
+
+        protocols = []
+        build_protocol = config_mod.build_protocol
+
+        def keeping_build(*args):
+            protocols.append(build_protocol(*args))
+            return protocols[-1]
+
+        monkeypatch.setattr(signalling, "column_law", counting_law)
+        monkeypatch.setattr(config_mod, "build_protocol", keeping_build)
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        (protocol,) = protocols
+        # run_protocol and run_channel share one law
+        assert len(built) == 1 and built[0] is protocol
+
+        law = protocol.law
+        assert protocol.law is law and len(built) == 1
+        assert not law.flags.writeable
+        with pytest.raises(ValueError):
+            law[0, 0, 0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            protocol.law = law.copy()
+
+        # no memo crosses instances: a copy or a rebuild builds its own law
+        copy = dataclasses.replace(protocol)
+        np.testing.assert_array_equal(copy.law, law)
+        assert copy.law is not law and len(built) == 2
+        rebuilt = build_protocol(RunConfig.load(CONFIGS / "legal_n2.json"), CONFIGS)
+        np.testing.assert_array_equal(rebuilt.law, law)
+        assert len(built) == 3

@@ -329,6 +329,13 @@ class TestSeededRng:
     def test_streams_differ(self):
         assert not np.array_equal(SeededRng(7, 0).uniforms(5), SeededRng(7, 1).uniforms(5))
 
+    @pytest.mark.parametrize("low, high", [(0, 2**64 - 1), (2**63, 2**63 + 1)])
+    def test_seeds_above_2_63_keep_their_own_stream(self, low, high):
+        # a key rounded through float64 would alias these seed pairs
+        assert not np.array_equal(
+            SeededRng(low, 2).uniforms(5), SeededRng(high, 2).uniforms(5)
+        )
+
     def test_choice_skips_zero_probability(self):
         rng = SeededRng(115)
         probs = np.array([0.0, 1.0, 0.0])

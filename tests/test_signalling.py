@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqclone.entangle import AliceBasis
 from pqclone.errors import ConfigError
@@ -14,6 +16,7 @@ from pqclone.pqcm import (
 from pqclone.qcore import Ket, SeededRng, random_ket
 from pqclone.signalling import (
     _PHASE_PROTOCOL,
+    ABSTAIN,
     PHI,
     SAMPLE_BLOCK,
     ProtocolConfig,
@@ -35,7 +38,9 @@ from pqclone.signalling import (
 )
 
 from oracles import (
+    channel_accuracy_by_pairs,
     exact_copy_column_distribution,
+    random_message_by_draws,
     three_sigma_binomial,
     two_sample_sigma,
 )
@@ -253,21 +258,23 @@ class TestRunProtocol:
 
 class TestChannel:
     def test_majority_vote_blocks(self):
-        stream = [(0, 0), (0, 0), (0, 1), (1, 1), (1, None), (1, 1)]
-        result = channel_accuracy(stream, 3, SeededRng(406))
+        sent = np.array([0, 0, 0, 1, 1, 1])
+        votes = np.array([0, 0, 1, 1, ABSTAIN, 1])
+        result = channel_accuracy(sent, votes, 3, SeededRng(406))
         assert result.decoded == (0, 1)
         assert result.accuracy == 1.0
         assert result.coin_flip_blocks == 0
 
     def test_all_abstain_block_is_coin_flip(self):
-        stream = [(1, None)] * 4
-        result = channel_accuracy(stream, 4, SeededRng(407))
+        sent = np.full(4, 1)
+        votes = np.full(4, ABSTAIN)
+        result = channel_accuracy(sent, votes, 4, SeededRng(407))
         assert result.coin_flip_blocks == 1
         assert result.decoded[0] in (0, 1)
 
     def test_mixed_bits_in_block_rejected(self):
         with pytest.raises(ConfigError):
-            channel_accuracy([(0, 0), (1, 0)], 2, SeededRng(408))
+            channel_accuracy(np.array([0, 1]), np.array([0, 0]), 2, SeededRng(408))
 
     def test_illegal_channel_decodes_reliably(self):
         cfg = illegal_config(trials=1, pairs_per_bit=25)
@@ -288,6 +295,97 @@ class TestChannel:
             result.accuracy, len(message), expected, stats.classified[0]
         )
         assert abs(result.accuracy - expected) <= 3 * sigma + 1e-9
+
+
+@st.composite
+def vote_streams(draw):
+    """(pairs_per_bit, sent, votes, seed) with tie and all-abstain blocks."""
+    pairs_per_bit = draw(st.integers(1, 6))
+    sent, votes = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["any", "tie", "abstain"]))
+        if kind == "abstain":
+            block = [ABSTAIN] * pairs_per_bit
+        elif kind == "tie":
+            half = draw(st.integers(0, pairs_per_bit // 2))
+            block = [0] * half + [1] * half + [ABSTAIN] * (pairs_per_bit - 2 * half)
+            block = draw(st.permutations(block))
+        else:
+            block = draw(
+                st.lists(
+                    st.sampled_from([ABSTAIN, 0, 1]),
+                    min_size=pairs_per_bit,
+                    max_size=pairs_per_bit,
+                )
+            )
+        sent += [draw(st.integers(0, 1))] * pairs_per_bit
+        votes += block
+    return pairs_per_bit, sent, votes, draw(st.integers(0, 2**64 - 1))
+
+
+# Fixed example order keeps the suite deterministic.
+PROPERTY = settings(deadline=None, max_examples=200, derandomize=True)
+
+
+class TestChannelOracle:
+    """The array decoder against the per-pair reference in ``oracles``."""
+
+    @PROPERTY
+    @given(vote_streams())
+    def test_decoder_matches_per_pair_reference(self, stream):
+        pairs_per_bit, sent, votes, seed = stream
+        result = channel_accuracy(
+            np.array(sent), np.array(votes), pairs_per_bit, SeededRng(seed, 2)
+        )
+        guesses = [None if v == ABSTAIN else v for v in votes]
+        reference = channel_accuracy_by_pairs(
+            zip(sent, guesses), pairs_per_bit, SeededRng(seed, 2)
+        )
+        assert (
+            result.accuracy,
+            result.sent,
+            result.decoded,
+            result.coin_flip_blocks,
+        ) == reference
+
+    @PROPERTY
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
+    def test_random_message_matches_per_draw_reference(self, seed, n_bits):
+        assert random_message(seed, n_bits) == random_message_by_draws(seed, n_bits)
+
+    @pytest.mark.parametrize(
+        "sent, votes, pairs_per_bit",
+        [
+            ([0, 0, 1, 0], [0, 0, 1, 1], 2),  # mixed bits in the second block
+            ([0, 0, 0], [0, 1, 0], 2),  # length not a multiple of pairs_per_bit
+            ([], [], 3),  # no blocks
+            ([2, 2], [0, 1], 2),  # a bit other than 0 or 1
+            ([0, 0], [0, 2], 2),  # a vote other than 0, 1 or ABSTAIN
+            ([0, 0], [0], 1),  # lengths differ
+            ([0], [0], 0),  # no pairs per bit
+        ],
+        ids=[
+            "mixed-bits",
+            "ragged",
+            "empty",
+            "non-binary-bit",
+            "bad-vote",
+            "length-mismatch",
+            "zero-pairs-per-bit",
+        ],
+    )
+    def test_bad_streams_rejected(self, sent, votes, pairs_per_bit):
+        with pytest.raises(ConfigError):
+            channel_accuracy(
+                np.array(sent, dtype=np.int64),
+                np.array(votes, dtype=np.int64),
+                pairs_per_bit,
+                SeededRng(413),
+            )
+
+    def test_run_channel_rejects_non_binary_message(self):
+        with pytest.raises(ConfigError):
+            run_channel(illegal_config(trials=1, pairs_per_bit=3), (0, 2, 1))
 
 
 class TestCertificate:
