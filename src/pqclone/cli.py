@@ -114,7 +114,6 @@ def cmd_feasibility(args) -> int:
         gamma = pqcm.max_uniform_gamma(states, m, tol=args.tol)
         gammas = [gamma] * len(states)
         report["gamma_max"] = gamma
-        report["bisection_tol"] = args.tol
     else:
         gammas = args.gamma if args.gamma else [1.0] * len(states)
         if len(gammas) == 1:
@@ -132,7 +131,7 @@ def cmd_feasibility(args) -> int:
     print(f"feasible: {feasible}")
     print(f"min_eigenvalue: {min_eig!r}")
     if args.max_uniform:
-        print(f"gamma_max: {report['gamma_max']!r} (tol {args.tol!r})")
+        print(f"gamma_max: {report['gamma_max']!r}")
     if args.out:
         _dump_json(report, Path(args.out))
     return EXIT_OK if feasible else EXIT_INFEASIBLE
@@ -232,9 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--gamma", type=float, action="append", help="efficiency (repeat per state)"
     )
     p_feas.add_argument(
-        "--max-uniform", action="store_true", help="bisect for the largest uniform gamma"
+        "--max-uniform",
+        action="store_true",
+        help="largest feasible uniform gamma, in closed form",
     )
-    p_feas.add_argument("--tol", type=float, default=1e-9)
+    p_feas.add_argument(
+        "--tol", type=float, default=1e-9, help="ignored; must be positive"
+    )
     p_feas.add_argument("--out", help="also write a JSON report here")
     p_feas.set_defaults(func=cmd_feasibility)
 

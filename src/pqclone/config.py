@@ -182,6 +182,30 @@ def _resolve_states(config: RunConfig, base_dir: Path) -> tuple[Ket, ...]:
     return tuple(pairs_to_ket(p) for p in config.bob_states)
 
 
+def _real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _complex(pair, what: str) -> complex:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{what} must be an [re, im] pair, got {pair!r}")
+    return complex(_real(pair[0], what), _real(pair[1], what))
+
+
+def _required(spec: dict, key: str, what: str):
+    if key not in spec:
+        raise ConfigError(f"{what} needs a {key!r} entry")
+    return spec[key]
+
+
 def _resolve_a2(config: RunConfig, bob_states: tuple) -> entangle.AliceBasis:
     spec = config.a2
     kind = spec.get("kind")
@@ -189,12 +213,33 @@ def _resolve_a2(config: RunConfig, bob_states: tuple) -> entangle.AliceBasis:
     if kind == "fourier":
         return entangle.AliceBasis.fourier(n)
     if kind == "vectors":
-        vectors = tuple(pairs_to_ket(v) for v in spec["vectors"])
-        return entangle.AliceBasis(vectors, "A2")
+        vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
+        return entangle.AliceBasis(tuple(pairs_to_ket(v) for v in vectors), "A2")
     if kind == "target":
-        target = pairs_to_ket(spec["state"])
+        target = pairs_to_ket(_required(spec, "state", "a2"))
         return entangle.target_to_basis(target, bob_states)
     raise ConfigError(f"unknown a2 kind {kind!r}")
+
+
+def _resolve_coefficients(spec: dict) -> dict:
+    """Illegal-cloner branch amplitudes: label -> (c array, d)."""
+    entries = spec.get("coefficients") or {}
+    if not isinstance(entries, dict):
+        raise ConfigError(f"machine coefficients must be an object, got {entries!r}")
+    coefficients = {}
+    for key, entry in entries.items():
+        what = f"machine coefficients[{key!r}]"
+        try:
+            label = int(key)
+        except ValueError:
+            raise ConfigError(f"{what}: label is not an integer") from None
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{what} must be an object, got {entry!r}")
+        c_pairs = _list(_required(entry, "c", what), f"{what}.c")
+        c = np.array([_complex(pair, f"{what}.c entry") for pair in c_pairs])
+        d = _complex(_required(entry, "d", what), f"{what}.d")
+        coefficients[label] = (c, d)
+    return coefficients
 
 
 def _resolve_machine(config: RunConfig, bob_states: tuple):
@@ -205,26 +250,29 @@ def _resolve_machine(config: RunConfig, bob_states: tuple):
         labels = spec.get("clonable_labels")
         if labels is None:
             labels = list(range(1, n + 2))
-        coefficients = {}
-        for key, entry in (spec.get("coefficients") or {}).items():
-            c = np.array([complex(re, im) for re, im in entry["c"]])
-            d = complex(entry["d"][0], entry["d"][1])
-            coefficients[int(key)] = (c, d)
+        for label in _list(labels, "machine clonable_labels"):
+            if isinstance(label, bool) or not isinstance(label, int):
+                raise ConfigError(
+                    f"machine clonable_labels must hold integers, got {label!r}"
+                )
         return pqcm.IllegalClonerSpec(
             clonable_labels=tuple(labels),
             copies=config.mu,
             total_labels=2 * n,
-            coefficients=coefficients or None,
+            coefficients=_resolve_coefficients(spec) or None,
         )
     if kind == "legal":
         if "gammas" in spec:
-            gammas = [float(g) for g in spec["gammas"]]
+            gammas = [
+                _real(g, "machine gammas entry")
+                for g in _list(spec["gammas"], "machine gammas")
+            ]
         else:
             gamma = spec.get("uniform_gamma", "max")
             if gamma == "max":
                 gamma = pqcm.max_uniform_gamma(bob_states, config.mu)
-                gamma *= float(spec.get("gamma_scale", 1.0))
-            gammas = [float(gamma)] * n
+                gamma *= _real(spec.get("gamma_scale", 1.0), "machine gamma_scale")
+            gammas = [_real(gamma, "machine uniform_gamma")] * n
         return pqcm.construct_machine(bob_states, config.mu, gammas)
     raise ConfigError(f"unknown machine kind {kind!r}")
 

@@ -143,33 +143,25 @@ def feasibility_matrix(
 def max_uniform_gamma(states: Sequence[Ket], m: int, tol: float = 1e-9) -> float:
     """Largest uniform efficiency keeping the feasibility matrix PSD.
 
-    Bisection on [0, 1] is exact up to ``tol`` because feasibility at a
-    given gamma implies feasibility at every smaller gamma.
+    The Gram matrix X of an independent set is positive definite, so for
+    any factorization X = L L^H the condition X - gamma X^(M) >= 0 is
+    equivalent to I - gamma L^-1 X^(M) L^-H >= 0, and the largest such
+    gamma is min(1, 1 / lambda_max(L^-1 X^(M) L^-H)) in closed form. The
+    factor used is L = X^(1/2), from the eigendecomposition of X; every
+    factor gives the same spectrum. ``tol`` is accepted for compatibility
+    and otherwise ignored; it must be positive.
     """
     states = tuple(states)
     _check_copies(m)
-    if not tol > 0:  # also catches nan; a zero or negative tol never ends
-        raise ConfigError(f"bisection tolerance must be positive, got {tol!r}")
+    if not tol > 0:  # also catches nan
+        raise ConfigError(f"tolerance must be positive, got {tol!r}")
     _check_independent(states)
     gram = qcore.gram_matrix(states).entries
-    gram_m = gram**m
-
-    def feasible(gamma: float) -> bool:
-        mat = HermitianOperator.from_matrix(gram - gamma * gram_m)
-        return qcore.is_psd(mat)
-
-    lo, hi = 0.0, 1.0
-    if feasible(hi):
-        return hi
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if not lo < mid < hi:  # tol below float resolution: no further progress
-            break
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    vals, vecs = np.linalg.eigh(gram)
+    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T  # L^-1 = L^-H = X^(-1/2)
+    whitened = inv_sqrt @ gram**m @ inv_sqrt
+    lam_max = float(np.linalg.eigvalsh((whitened + whitened.conj().T) / 2.0)[-1])
+    return min(1.0, 1.0 / lam_max)
 
 
 def construct_machine(
@@ -199,7 +191,7 @@ def construct_machine(
             f"state matrix condition number {singulars[0] / singulars[-1]:.3e} "
             f"exceeds {COND_LIMIT:.0e}"
         )
-    c_mat = _state_matrix([qcore.tensor_power(s, m) for s in states])
+    c_mat = np.column_stack([qcore.tensor_power(s, m).amplitudes for s in states])
     d_vec = np.sqrt(np.asarray(gammas))
     a_op = (c_mat * d_vec[None, :]) @ np.linalg.pinv(b_mat)
 
@@ -215,12 +207,9 @@ def construct_machine(
 
     clone_residual = max(
         float(
-            np.linalg.norm(
-                a_op @ s.amplitudes
-                - np.sqrt(g) * qcore.tensor_power(s, m).amplitudes
-            )
+            np.linalg.norm(a_op @ s.amplitudes - np.sqrt(g) * power)
         )
-        for s, g in zip(states, gammas)
+        for s, g, power in zip(states, gammas, c_mat.T)
     )
     trace_residual = float(
         np.max(np.abs(a_op.conj().T @ a_op + f_op.conj().T @ f_op - np.eye(n)))

@@ -207,8 +207,8 @@ def tensor_power(state: Ket, m: int) -> Ket:
         raise CapacityError(f"tensor dimension {state.dim}**{m} exceeds cap {MAX_DIM}")
     out = state.amplitudes
     for _ in range(m - 1):
-        out = np.kron(out, state.amplitudes)
-    return Ket(out)
+        out = np.multiply.outer(out, state.amplitudes)
+    return Ket(out.reshape(-1))
 
 
 def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:

@@ -291,8 +291,11 @@ class ProtocolConfig:
                     f"machine produces {self.machine.copies} copies, "
                     f"config wants {self.mu}"
                 )
-            if self.machine.dim != n:
-                raise ConfigError("machine dimension does not match state count")
+            if self.machine.dim != n or len(self.machine.clonable) != n:
+                raise ConfigError(
+                    "machine dimension and clonable set size must match "
+                    f"the state count {n}"
+                )
         elif isinstance(self.machine, IllegalClonerSpec):
             if self.machine.copies != self.mu:
                 raise ConfigError(
@@ -376,34 +379,59 @@ def _legal_rows(
 ) -> np.ndarray:
     """Law rows of a Kraus machine: one row per Alice outcome, N+3 cells.
 
-    The success branch Phi_m = sqrt(p_m) A psi_m is split into one tensor
-    factor per verification group. Tests on distinct factors commute, so
-    P(only group l all-succeeds) follows by inclusion-exclusion from
-    P(every group in T all-succeeds) = ||(x_{j in T} <c_j|^(x g_j)) Phi_m||^2.
+    Every cell is a quadratic form in N x N matrices; no N^mu-dimensional
+    vector is built. The machine is A = C D B^-1, with B the matrix of the
+    clonable states |B_i>, C that of their mu-fold powers and
+    D = diag(sqrt(gamma_i)). So the success branch of outcome m is
+
+        Phi_m = sqrt(p_m) A psi_m = sum_i beta_{m,i} |B_i>^(x mu),
+        beta_m = sqrt(p_m) D B^-1 psi_m,
+
+    and P(success | m) p_m = ||Phi_m||^2 = beta_m^H X^(o mu) beta_m, with
+    X = B^H B the Gram matrix and o the entrywise (Hadamard) power.
+
+    Group j holds g_j clone factors and tests them against candidate c_j.
+    With o_{j,i} = <c_j|B_i>, the projector P_j = |c_j><c_j|^(x g_j) and
+    its complement I - P_j have, on the vectors |B_i>^(x g_j), the Gram
+    kernels
+
+        H_j = outer(conj(o_j)^g_j, o_j^g_j)    (hit)
+        Q_j = X^(o g_j) - H_j                  (miss).
+
+    Tests on distinct factors commute, and "only group l all-succeeds" is
+    the product projector P_l (x) prod_{j != l} (I - P_j). Its expectation
+    on Phi_m factorizes over the groups, entry by entry in (i, i'):
+
+        P(column l, m) = beta_m^H (H_l o prod_{j != l} Q_j) beta_m.
+
+    Each kernel is a Hadamard product of PSD matrices, hence PSD, so every
+    cell is computed directly and nonnegative up to roundoff. PHI takes the
+    remaining success mass and the discard cell takes p_m - success.
     """
     k = len(candidates)
-    clone_dim = machine.dim
-    sizes = group_sizes(mu, k)
+    sizes = np.array(group_sizes(mu, k))
+    states = np.array([s.amplitudes for s in machine.clonable]).T
     probs = np.array([p for _, p in members])
-    inputs = np.stack([np.sqrt(p) * ket.amplitudes for ket, p in members])
-    phi = inputs @ machine.kraus_success.T
-    success = np.sum(np.abs(phi) ** 2, axis=1)
-    phi = phi.reshape((len(members),) + tuple(clone_dim**g for g in sizes))
-    bras = [
-        qcore.tensor_power(c, g).amplitudes.conj() for c, g in zip(candidates, sizes)
-    ]
-    only = np.zeros((len(members), k))
-    for subset in range(1, 1 << k):
-        groups = [j for j in range(k) if subset >> j & 1]
-        amp = phi
-        for j in reversed(groups):  # highest axis first keeps lower axes in place
-            amp = np.tensordot(amp, bras[j], axes=([j + 1], [0]))
-        p_all = np.sum(np.abs(amp.reshape(len(members), -1)) ** 2, axis=1)
-        sign = 1.0 if len(groups) % 2 else -1.0
-        only[:, groups] += sign * p_all[:, None]
+    inputs = np.array([ket.amplitudes for ket, _ in members]).T
+    beta = (
+        np.linalg.solve(states, inputs)
+        * np.sqrt(machine.gammas)[:, None]
+        * np.sqrt(probs)[None, :]
+    )
+    gram = states.conj().T @ states
+    overlaps = np.array([c.amplitudes for c in candidates]).conj() @ states
+    powers = overlaps ** sizes[:, None]
+    hits = powers.conj()[:, :, None] * powers[:, None, :]
+    misses = gram ** sizes[:, None, None] - hits
+    others = [[j for j in range(k) if j != l] for l in range(k)]
+    kernels = np.concatenate(
+        [hits * misses[others].prod(axis=1), (gram**mu)[None]]  # last: success
+    )
+    forms = np.einsum("im,cij,jm->mc", beta.conj(), kernels, beta).real
+    success = forms[:, k]
     rows = np.empty((len(members), k + 2))
-    rows[:, :k] = only
-    rows[:, k] = success - only.sum(axis=1)  # PHI
+    rows[:, :k] = forms[:, :k]
+    rows[:, k] = success - forms[:, :k].sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
 
@@ -461,16 +489,17 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     """
     ctx = config.context
     n = config.n
-    raw = np.empty((2, n, n + 3))
-    for setting, ensemble in enumerate(ctx.ensembles):
-        if isinstance(config.machine, IllegalClonerSpec):
-            raw[setting] = _illegal_rows(
-                config.machine, setting, ensemble.members, ctx, config.mu
-            )
-        else:
-            raw[setting] = _legal_rows(
-                config.machine, ensemble.members, ctx.candidates, config.mu
-            )
+    if isinstance(config.machine, IllegalClonerSpec):
+        raw = np.stack(
+            [
+                _illegal_rows(config.machine, setting, ensemble.members, ctx, config.mu)
+                for setting, ensemble in enumerate(ctx.ensembles)
+            ]
+        )
+    else:
+        members = ctx.ensembles[0].members + ctx.ensembles[1].members
+        raw = _legal_rows(config.machine, members, ctx.candidates, config.mu)
+        raw = raw.reshape(2, n, n + 3)
     return _clip_law(raw)
 
 

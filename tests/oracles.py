@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
-hand-built matrix, independent-Bernoulli group statistics, pair-by-pair
-Born-rule trajectories, per-pair majority voting) so that a test never
+hand-built matrix, independent-Bernoulli group statistics, contraction of
+an explicit Kraus success branch, pair-by-pair Born-rule trajectories,
+per-pair majority voting) so that a test never
 validates code against itself.
 """
 
@@ -59,6 +60,30 @@ def two_state_gamma_by_bisection(s: float, m: int, tol: float = 1e-9) -> float:
     return lo
 
 
+def gamma_by_bisection(states: np.ndarray, m: int, tol: float = 1e-12) -> float:
+    """Largest uniform gamma with X - gamma X^(M) PSD, by direct bisection.
+
+    ``states`` holds the kets as columns; X = B^H B is built here and the
+    PSD test is the sign of the smallest eigenvalue, with no tolerance.
+    """
+    gram = states.conj().T @ states
+    gram_m = gram**m
+
+    def feasible(gamma: float) -> bool:
+        return np.linalg.eigvalsh(gram - gamma * gram_m)[0] >= 0.0
+
+    lo, hi = 0.0, 1.0
+    if feasible(hi):
+        return hi
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def two_state_gamma_closed_form(s: float, m: int) -> float:
     return (1.0 - s) / (1.0 - s**m)
 
@@ -91,6 +116,48 @@ def exact_copy_column_distribution(
         cols[l] = group_p[l] * others
     cols[-1] = 1.0 - cols[:-1].sum()
     return cols
+
+
+def contracted_legal_rows(
+    kraus_success: np.ndarray, members, candidates, mu: int
+) -> np.ndarray:
+    """Law rows of a Kraus machine by contracting its explicit success branch.
+
+    Phi_m = sqrt(p_m) A psi_m is reshaped into one tensor factor per
+    verification group. Tests on distinct factors commute, so
+    P(only group l all-succeeds) follows by inclusion-exclusion from
+    P(every group in T all-succeeds) = ||(x_{j in T} <c_j|^(x g_j)) Phi_m||^2.
+    Rows are laid out like one setting of ``column_law``: columns
+    B_1..B_K, then PHI, then discarded cloner failures.
+    """
+    k = len(candidates)
+    clone_dim = kraus_success.shape[1]
+    sizes = split_sizes(mu, k)
+    probs = np.array([p for _, p in members])
+    inputs = np.stack([np.sqrt(p) * ket.amplitudes for ket, p in members])
+    phi = inputs @ kraus_success.T
+    success = np.sum(np.abs(phi) ** 2, axis=1)
+    phi = phi.reshape((len(members),) + tuple(clone_dim**g for g in sizes))
+    bras = []
+    for c, g in zip(candidates, sizes):
+        bra = np.ones(1, dtype=np.complex128)
+        for _ in range(g):
+            bra = np.kron(bra, c.amplitudes.conj())
+        bras.append(bra)
+    only = np.zeros((len(members), k))
+    for subset in range(1, 1 << k):
+        groups = [j for j in range(k) if subset >> j & 1]
+        amp = phi
+        for j in reversed(groups):  # highest axis first keeps lower axes in place
+            amp = np.tensordot(amp, bras[j], axes=([j + 1], [0]))
+        p_all = np.sum(np.abs(amp.reshape(len(members), -1)) ** 2, axis=1)
+        sign = 1.0 if len(groups) % 2 else -1.0
+        only[:, groups] += sign * p_all[:, None]
+    rows = np.empty((len(members), k + 2))
+    rows[:, :k] = only
+    rows[:, k] = success - only.sum(axis=1)  # PHI
+    rows[:, k + 1] = probs - success  # discarded cloner failures
+    return rows
 
 
 def three_sigma_binomial(p: float, n: int) -> float:

@@ -6,7 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqclone import qcore
-from pqclone.entangle import AliceBasis, build_shared_state, induced_ensemble
+from pqclone.entangle import (
+    AliceBasis,
+    build_shared_state,
+    induced_ensemble,
+    target_to_basis,
+)
 from pqclone.errors import ConditioningError, ConfigError
 from pqclone.pqcm import IllegalClonerSpec, construct_machine, max_uniform_gamma
 from pqclone.qcore import Ket, SeededRng, random_ket
@@ -14,12 +19,17 @@ from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
     _clip_law,
+    _legal_rows,
     _stream_id,
     column_law,
     prepare_context,
 )
 
-from oracles import exact_copy_column_distribution, trajectory_tally
+from oracles import (
+    contracted_legal_rows,
+    exact_copy_column_distribution,
+    trajectory_tally,
+)
 
 KET0 = Ket.basis_state(2, 0)
 KET1 = Ket.basis_state(2, 1)
@@ -34,9 +44,14 @@ def _haar_basis(n: int, rng: SeededRng) -> AliceBasis:
 
 
 @st.composite
-def legal_instances(draw):
-    """Random legal machine: N = 2..3, M = N+1..5 copies, Haar A2."""
-    n = draw(st.integers(2, 3))
+def legal_instances(draw, max_n=3, target_a2=False):
+    """Random legal machine: N = 2..max_n, M = N+1..5 copies, Haar A2.
+
+    With ``target_a2`` the A2 basis may instead steer Bob into a random
+    target or into one of his own states, which makes candidate N+1 equal
+    to candidate 1.
+    """
+    n = draw(st.integers(2, max_n))
     mu = draw(st.integers(n + 1, 5))
     rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
     frac = draw(st.floats(0.05, 0.95))
@@ -46,9 +61,15 @@ def legal_instances(draw):
         machine = construct_machine(states, mu, [gamma] * n)
     except ConditioningError:
         assume(False)
+    a2_kind = draw(st.sampled_from(["haar", "target", "own"])) if target_a2 else "haar"
+    if a2_kind == "haar":
+        a2_basis = _haar_basis(n, rng)
+    else:
+        target = random_ket(n, rng) if a2_kind == "target" else states[0]
+        a2_basis = target_to_basis(target, states)
     return ProtocolConfig(
         bob_states=states,
-        a2_basis=_haar_basis(n, rng),
+        a2_basis=a2_basis,
         mu=mu,
         trials=1,
         pairs_per_bit=1,
@@ -105,6 +126,24 @@ class TestLawProperties:
         )
         # a legal machine never fills column N+1, in any row
         assert law[:, :, n].max() <= 1e-12
+
+    @PROPERTY
+    @given(legal_instances(max_n=4, target_a2=True))
+    def test_gram_rows_match_contracted_success_branch(self, config):
+        # Gram-form rows against inclusion-exclusion on the explicit N^mu
+        # success branch A psi_m; the appended member has probability 0
+        ctx = prepare_context(config)
+        placeholder = ((Ket.basis_state(config.n, 0), 0.0),)
+        for ensemble in ctx.ensembles:
+            members = ensemble.members + placeholder
+            np.testing.assert_allclose(
+                _legal_rows(config.machine, members, ctx.candidates, config.mu),
+                contracted_legal_rows(
+                    config.machine.kraus_success, members, ctx.candidates, config.mu
+                ),
+                rtol=0,
+                atol=1e-12,
+            )
 
     @PROPERTY
     @given(illegal_instances())

@@ -354,6 +354,45 @@ class TestCliSignalTest:
         assert err.startswith(f"error: {field} must ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    # One case per malformed value inside "machine" or "a2"; each used to
+    # end in a raw ValueError, TypeError, KeyError or IndexError.
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("legal_n2.json", "machine", {"kind": "legal", "uniform_gamma": "x"}),
+            ("legal_n2.json", "machine", {"kind": "legal", "gamma_scale": "x"}),
+            ("legal_n2.json", "machine", {"kind": "legal", "gammas": ["x", 0.1]}),
+            ("legal_n2.json", "a2", {"kind": "vectors", "vectors": 3}),
+            ("legal_n2.json", "a2", {"kind": "target"}),
+            (
+                "illegal_n2.json",
+                "machine",
+                {
+                    "kind": "illegal",
+                    "coefficients": {
+                        "4": {"c": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]], "d": "x"}
+                    },
+                },
+            ),
+        ],
+        ids=["uniform_gamma", "gamma_scale", "gammas", "vectors", "target", "d"],
+    )
+    def test_malformed_nested_value_exits_1_with_one_line(
+        self, tmp_path, capsys, name, field, value
+    ):
+        data = json.loads((CONFIGS / name).read_text())
+        data["out"] = str(tmp_path / "out")
+        data.pop("states_file", None)
+        data["bob_states"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]]]
+        data[field] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []
         column_law = signalling.column_law

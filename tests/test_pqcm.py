@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pqclone import qcore
 from pqclone.errors import (
+    ConditioningError,
     FeasibilityError,
     LabelError,
     NormalizationError,
@@ -31,6 +34,7 @@ from pqclone.qcore import (
 )
 
 from oracles import (
+    gamma_by_bisection,
     three_sigma_binomial,
     two_state_feasibility_min_eig,
     two_state_gamma_by_bisection,
@@ -125,6 +129,26 @@ class TestMaxUniformGamma:
             gammas = [max_uniform_gamma(states, m) for m in (2, 3, 4, 5)]
             for earlier, later in zip(gammas, gammas[1:]):
                 assert later <= earlier + 1e-8
+
+
+class TestClosedFormGamma:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_bisection_and_is_constructible(self, n, m, seed):
+        states = [random_ket(n, SeededRng(seed, i)) for i in range(n)]
+        gamma = max_uniform_gamma(states, m)
+        mat = np.column_stack([s.amplitudes for s in states])
+        assert abs(gamma - gamma_by_bisection(mat, m)) <= 1e-8
+        # the boundary itself is feasible: a machine exists at exactly gamma
+        try:
+            machine = construct_machine(states, m, [gamma] * n)
+        except ConditioningError:
+            assume(False)
+        assert machine.gammas == (gamma,) * n
 
 
 class TestConstructMachine:

@@ -119,6 +119,16 @@ class TestTensor:
             atol=1e-14,
         )
 
+    def test_tensor_power_equals_kron_chain_exactly(self):
+        rng = SeededRng(103)
+        for dim in (2, 3, 4):
+            k = random_ket(dim, rng)
+            for m in range(1, 6):
+                chain = k.amplitudes
+                for _ in range(m - 1):
+                    chain = np.kron(chain, k.amplitudes)
+                np.testing.assert_array_equal(tensor_power(k, m).amplitudes, chain)
+
 
 class TestGramAndRank:
     def test_orthonormal_pair(self):
