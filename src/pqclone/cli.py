@@ -95,8 +95,8 @@ def _stats_record(
         "leakage": stats.leakage,
         "no_signal_certificate": certificate,
         "channel_accuracy": channel.accuracy,
-        "channel_blocks": len(channel.sent),
-        "channel_coin_flip_blocks": channel.coin_flip_blocks,
+        "channel_bits": len(channel.sent),
+        "channel_coin_flips": channel.coin_flips,
         "channel_pairs_per_bit": run.pairs_per_bit,
     }
     labels = [f"b{j}" for j in range(1, stats.n + 2)] + ["phi"]
@@ -208,7 +208,7 @@ def cmd_signal_test(args) -> int:
         f"p0_a1={stats.p0_a1!r} p1_a1={stats.p1_a1!r} "
         f"p0_a2={stats.p0_a2!r} p1_a2={stats.p1_a2!r}"
     )
-    print(f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} blocks")
+    print(f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits")
     print(f"no_signal_certificate: {certificate!r}")
     print(f"wrote: {tally_path} {stats_path}")
     return EXIT_OK

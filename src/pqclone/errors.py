@@ -45,10 +45,6 @@ class ConditioningError(PqcloneError):
     """A state set is too close to dependence for a numerically meaningful machine."""
 
 
-class UnsupportedInputError(PqcloneError):
-    """Amplification was requested for a state the machine cannot clone exactly."""
-
-
 class LabelError(PqcloneError):
     """A preparation label is outside the valid range."""
 

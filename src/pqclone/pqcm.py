@@ -31,7 +31,6 @@ from .errors import (
     LabelError,
     NormalizationError,
     RankError,
-    UnsupportedInputError,
 )
 from .qcore import HermitianOperator, Ket, SeededRng
 
@@ -249,37 +248,6 @@ def apply_machine(
         return True, Ket.normalized(success_branch)
     fail_branch = machine.kraus_fail @ state.amplitudes
     return False, Ket.normalized(fail_branch)
-
-
-def amplify(
-    machine_1to2: PqcmMachine, state: Ket, target_copies: int, rng: SeededRng
-) -> tuple[bool, CloneOutput | None]:
-    """Grow one exact clone into ``target_copies`` by repeated 1-to-2 cloning.
-
-    Each application consumes one fresh attempt on a held copy and adds a
-    copy on success, so reaching mu copies takes mu - 1 successes and
-    happens with probability gamma^(mu-1). Any failure aborts. Defined
-    only for inputs the machine clones exactly.
-    """
-    if machine_1to2.copies != 2:
-        raise ValueError("amplification needs a 1-to-2 machine")
-    if target_copies < 1:
-        raise ValueError("target copy count must be positive")
-    match = None
-    for idx, s in enumerate(machine_1to2.clonable):
-        if abs(abs(qcore.inner_product(s, state)) - 1.0) < 1e-9:
-            match = idx
-            break
-    if match is None:
-        raise UnsupportedInputError(
-            "amplification is defined only for the machine's clonable states"
-        )
-    gamma = machine_1to2.gammas[match]
-    for _ in range(target_copies - 1):
-        if rng.random() >= gamma:
-            return False, None
-    single = machine_1to2.clonable[match]
-    return True, CloneOutput.exact_copies(match + 1, single, target_copies)
 
 
 @dataclass(frozen=True)

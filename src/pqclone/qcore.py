@@ -149,8 +149,9 @@ class SeededRng:
     """Counter-based random stream keyed by (seed, stream_id).
 
     Identical keys give identical draw sequences regardless of platform,
-    thread count, or construction order. One instance per trial; never
-    shared.
+    thread count, or construction order, within one numpy version: numpy
+    does not promise stable distribution streams across versions (NEP 19).
+    One instance per stream; never shared.
     """
 
     seed: int
@@ -179,6 +180,24 @@ class SeededRng:
         edges[-1] = max(edges[-1], 1.0)
         return int(np.searchsorted(edges, self._gen.random(), side="right"))
 
+    def multinomial(
+        self, n: int, probabilities: np.ndarray, size: int | None = None
+    ) -> np.ndarray:
+        """int64 counts of ``n`` i.i.d. draws over the cells of a probability
+        vector; with ``size``, that many consecutive draws, one per row.
+
+        Only cells of positive mass are drawn over, renormalized: numpy gives
+        its last cell whatever count the others leave, so roundoff would
+        otherwise put counts in a trailing zero-mass cell.
+        """
+        probabilities = np.asarray(probabilities, dtype=float)
+        support = np.flatnonzero(probabilities > 0)
+        mass = probabilities[support]
+        shape = probabilities.shape if size is None else (size,) + probabilities.shape
+        counts = np.zeros(shape, dtype=np.int64)
+        counts[..., support] = self._gen.multinomial(n, mass / mass.sum(), size)
+        return counts
+
 
 # ---------------------------------------------------------------------------
 # elementary operations
@@ -191,16 +210,8 @@ def inner_product(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def tensor(a: Ket, b: Ket) -> Ket:
-    """Kronecker product; the left factor is the slow (row-major) index."""
-    out_dim = a.dim * b.dim
-    if out_dim > MAX_DIM:
-        raise CapacityError(f"tensor dimension {out_dim} exceeds cap {MAX_DIM}")
-    return Ket(np.kron(a.amplitudes, b.amplitudes))
-
-
 def tensor_power(state: Ket, m: int) -> Ket:
-    """|state>^(x m) with the same index convention as ``tensor``."""
+    """|state>^(x m); the leftmost factor is the slow (row-major) index."""
     if m < 1:
         raise DimensionError("tensor power needs m >= 1")
     if state.dim**m > MAX_DIM:
@@ -227,11 +238,6 @@ def hermitian_eigenvalues(m: HermitianOperator) -> np.ndarray:
     return np.linalg.eigvalsh(m.entries)
 
 
-def hermitian_eigensystem(m: HermitianOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues ascending, eigenvector columns)."""
-    return np.linalg.eigh(m.entries)
-
-
 def rank_with_tolerance(states: Sequence[Ket], tol: float = RANK_TOL) -> int:
     """Linear-independence count: Gram eigenvalues above tol * largest."""
     if tol <= 0:
@@ -245,27 +251,6 @@ def is_psd(m: HermitianOperator, tol: float = PSD_TOL) -> bool:
     return bool(hermitian_eigenvalues(m)[0] >= -tol)
 
 
-def partial_trace(
-    rho: HermitianOperator, dims: tuple[int, int], keep: str
-) -> HermitianOperator:
-    """Reduced density matrix of a bipartite operator.
-
-    ``dims`` = (dA, dB) with rho.dim == dA * dB; ``keep`` selects the
-    surviving subsystem, 'A' or 'B'. Trace is preserved.
-    """
-    d_a, d_b = dims
-    if rho.dim != d_a * d_b:
-        raise DimensionError(f"cannot factor dim {rho.dim} as {d_a} x {d_b}")
-    tensor4 = rho.entries.reshape(d_a, d_b, d_a, d_b)
-    if keep == "B":
-        reduced = np.einsum("ijil->jl", tensor4)
-    elif keep == "A":
-        reduced = np.einsum("ijkj->ik", tensor4)
-    else:
-        raise ValueError("keep must be 'A' or 'B'")
-    return HermitianOperator.from_matrix(reduced)
-
-
 def _check_orthonormal(basis: Sequence[Ket], dim: int, tol: float = 1e-9) -> np.ndarray:
     if len(basis) != dim:
         raise BasisError(f"{len(basis)} basis vectors cannot span dimension {dim}")
@@ -276,21 +261,6 @@ def _check_orthonormal(basis: Sequence[Ket], dim: int, tol: float = 1e-9) -> np.
     if np.max(np.abs(overlap - np.eye(dim))) > tol:
         raise BasisError("basis is not orthonormal within tolerance")
     return mat
-
-
-def born_measure(state: Ket, basis: Sequence[Ket], rng: SeededRng) -> tuple[int, Ket]:
-    """Projective measurement of a full system in an orthonormal basis.
-
-    Returns the sampled outcome index and the post-measurement state
-    (the basis vector itself). Outcome k occurs with probability
-    |<basis_k|state>|^2.
-    """
-    mat = _check_orthonormal(basis, state.dim)
-    amps = mat.conj().T @ state.amplitudes
-    probs = np.abs(amps) ** 2
-    probs /= probs.sum()
-    outcome = rng.choice(probs)
-    return outcome, basis[outcome]
 
 
 def measure_subsystem(
@@ -329,23 +299,3 @@ def trace_distance(rho: HermitianOperator, sigma: HermitianOperator) -> float:
         raise DimensionError("trace distance needs equal dimensions")
     diff = HermitianOperator.from_matrix(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(diff))))
-
-
-# ---------------------------------------------------------------------------
-# random-state helpers (tests, demos, instance generation)
-
-
-def random_ket(dim: int, rng: SeededRng) -> Ket:
-    """A ket with independent complex-normal amplitudes, normalized."""
-    re = rng.normals(dim)
-    im = rng.normals(dim)
-    return Ket.normalized(re + 1j * im)
-
-
-def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = (rng.normals(dim * dim) + 1j * rng.normals(dim * dim)).reshape(dim, dim)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases.conj()

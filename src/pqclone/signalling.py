@@ -11,12 +11,14 @@ conditional probabilities that decide whether the channel carries
 information.
 
 ``column_law`` gives the exact probability of every (Alice outcome, Bob
-cell) pair for both of Alice's settings. Protocol and channel runs sample
-that table directly: draws come in fixed-size blocks, each from its own
-counter-based stream keyed by (seed, phase, setting, block), so a run's
-output is a pure function of its seed. A ``ProtocolConfig`` builds its law
-and its ``RunContext`` once, on first use, and every stage of a run reads
-those same read-only values.
+cell) pair for both of Alice's settings. Pairs are i.i.d., so protocol
+and channel runs draw only counts from that table: one multinomial per
+setting for the tally, and one (0-votes, 1-votes, abstentions) multinomial
+per message bit for the channel. Every setting and phase has its own
+counter-based stream keyed by (seed, phase, setting), so a run's output is
+a pure function of its seed, and its cost does not grow with the number of
+pairs. A ``ProtocolConfig`` builds its law and its ``RunContext`` once, on
+first use, and every stage of a run reads those same read-only values.
 """
 
 from __future__ import annotations
@@ -41,13 +43,7 @@ from .entangle import (
     build_shared_state,
     induced_ensemble,
 )
-from .errors import (
-    CapacityError,
-    ConditioningError,
-    ConfigError,
-    DimensionError,
-    LabelError,
-)
+from .errors import ConditioningError, ConfigError, DimensionError
 from .pqcm import (
     CloneOutput,
     IllegalClonerSpec,
@@ -58,41 +54,31 @@ from .pqcm import (
 from .qcore import Ket, SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
-ABSTAIN = -1  # channel vote of a pair that gives no verdict
 
 _PHASE_PROTOCOL = 0
 _PHASE_CHANNEL = 1
 _PHASE_VOTE = 2
 _PHASE_MESSAGE = 3
 
-# Stream ids pack (phase, setting, index) into one 64-bit Philox key word.
-_PHASE_BITS = 20
+# Stream ids pack (phase, setting) into one 64-bit Philox key word.
+_PHASE_BITS = 60
 _SETTING_BITS = 4
-_INDEX_BITS = 40
-
-# Draws per counter-based stream. Every block of a run has its own key, so
-# counts do not depend on the order blocks are drawn in, and tallying holds
-# only one block of uniforms in memory at a time.
-SAMPLE_BLOCK = 1 << 16
 
 # Roundoff band below zero that column_law clips to zero; any entry lower
 # than -LAW_TOL means the law was not computed accurately and is an error.
 LAW_TOL = 1e-12
 
 
-def _stream_id(phase: int, setting: int, index: int) -> int:
+def _stream_id(phase: int, setting: int) -> int:
     for name, value, bits in (
         ("phase", phase, _PHASE_BITS),
         ("setting", setting, _SETTING_BITS),
-        ("index", index, _INDEX_BITS),
     ):
         if not 0 <= value < 1 << bits:
             raise ConfigError(
                 f"stream {name} {value} does not fit its {bits}-bit field"
             )
-    return (
-        (phase << (_SETTING_BITS + _INDEX_BITS)) | (setting << _INDEX_BITS) | index
-    )
+    return (phase << _SETTING_BITS) | setting
 
 
 def group_sizes(mu: int, n_groups: int) -> list[int]:
@@ -279,10 +265,12 @@ class ProtocolConfig:
         n = len(bob_states)
         if self.mu < n + 1:
             raise ConfigError(f"mu must be at least N+1 = {n + 1}, got {self.mu}")
-        if self.trials < 1:
-            raise ConfigError("need at least one trial")
-        if self.pairs_per_bit < 1:
-            raise ConfigError("pairs_per_bit must be at least 1")
+        # numpy's multinomial takes n < 2**63, and every int64 count stays at
+        # most 2**62, so counts of one setting sum without overflow
+        for name in ("trials", "pairs_per_bit"):
+            value = getattr(self, name)
+            if not 1 <= value <= 2**62:
+                raise ConfigError(f"{name} must lie in [1, 2**62], got {value}")
         if self.a2_basis.dim != n:
             raise ConfigError("alternate basis dimension does not match state count")
         if isinstance(self.machine, PqcmMachine):
@@ -503,32 +491,6 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     return _clip_law(raw)
 
 
-def _cumulative(cells: np.ndarray) -> np.ndarray:
-    """Cumulative table for inverse-CDF sampling of one setting's cells.
-
-    Dividing by the total makes the last cell with nonzero mass end at
-    exactly 1.0, so no uniform draw in [0, 1) can land in a zero-mass cell.
-    """
-    cum = np.cumsum(cells.ravel())
-    return cum / cum[-1]
-
-
-def _blocks(draws: int) -> list[tuple[int, int]]:
-    """(block index, size) of the blocks that cover ``draws`` draws."""
-    return [
-        (block, min(SAMPLE_BLOCK, draws - start))
-        for block, start in enumerate(range(0, draws, SAMPLE_BLOCK))
-    ]
-
-
-def _block_cells(
-    cum: np.ndarray, seed: int, phase: int, setting: int, block: int, size: int
-) -> np.ndarray:
-    """Cell indices of one block of draws, from that block's own stream."""
-    rng = SeededRng(seed, _stream_id(phase, setting, block))
-    return np.searchsorted(cum, rng.uniforms(size), side="right")
-
-
 def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
     """Worst-case probability that exact copies miss their own column.
 
@@ -553,23 +515,18 @@ def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
 def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
     """Sample the tally and signalling statistics for one config.
 
-    ``config.trials`` pairs per setting are drawn from ``column_law`` in
-    blocks of SAMPLE_BLOCK, each block from its own stream keyed by (seed,
-    setting, block index), so the result is bit-identical for a fixed seed.
+    The tally of ``config.trials`` i.i.d. pairs per setting is one
+    multinomial draw over that setting's ``column_law`` cells, from a stream
+    keyed by (seed, setting), so the result is bit-identical for a fixed
+    seed and does not depend on the order the settings are drawn in.
     """
     law = config.law
     n = config.n
     counts = np.zeros((2 * n, n + 2), dtype=np.int64)
     discards = []
     for setting in (0, 1):
-        cum = _cumulative(law[setting])
-        hits = np.zeros(cum.size, dtype=np.int64)
-        for block, size in _blocks(config.trials):
-            cells = _block_cells(
-                cum, config.seed, _PHASE_PROTOCOL, setting, block, size
-            )
-            hits += np.bincount(cells, minlength=cum.size)
-        hits = hits.reshape(n, n + 3)
+        rng = SeededRng(config.seed, _stream_id(_PHASE_PROTOCOL, setting))
+        hits = rng.multinomial(config.trials, law[setting].ravel()).reshape(n, n + 3)
         counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
         discards.append(int(hits[:, n + 2].sum()))
 
@@ -608,8 +565,11 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     p0_a2, se0_a2 = rate_and_err(1, slice(0, n))
     p1_a2, se1_a2 = rate_and_err(1, slice(n, n + 1))
 
-    correct = int(tally.counts[0:n, 0:n].sum() + tally.counts[n : 2 * n, n].sum())
-    decided = int(tally.counts[:, 0 : n + 1].sum())
+    # sum each setting in int64, then combine as Python ints: the counts of
+    # both settings together can exceed int64
+    a1, a2 = tally.counts[:n], tally.counts[n:]
+    correct = int(a1[:, :n].sum()) + int(a2[:, n].sum())
+    decided = int(a1[:, : n + 1].sum()) + int(a2[:, : n + 1].sum())
     accuracy = correct / decided if decided else 0.5
 
     return SignalStats(
@@ -642,89 +602,73 @@ class ChannelResult:
     accuracy: float
     sent: tuple
     decoded: tuple
-    coin_flip_blocks: int  # blocks decided by coin flip (all-abstain or tie)
+    coin_flips: int  # bits decided by coin flip (a tie, all-abstain included)
 
 
 def channel_accuracy(
     sent: np.ndarray, votes: np.ndarray, pairs_per_bit: int, rng: SeededRng
 ) -> ChannelResult:
-    """Majority-vote decoding of consecutive blocks of per-pair votes.
+    """Majority-vote decoding of per-bit vote counts.
 
-    ``sent`` holds each pair's message bit and ``votes`` its vote: 0, 1 or
-    ABSTAIN, which carries no vote. Every ``pairs_per_bit`` consecutive
-    pairs form one block. Blocks with no votes or a tie are decided by a
-    fair coin, one uniform each in block order, and counted in
-    ``coin_flip_blocks``.
+    ``sent`` holds the message bits, and row k of ``votes`` the (0-votes,
+    1-votes, abstentions) of bit k's ``pairs_per_bit`` pairs. A bit decodes
+    to 1 when its 1-votes outnumber its 0-votes. Ties, all-abstain bits
+    included, are decided by a fair coin, one uniform each in bit order,
+    and counted in ``coin_flips``.
     """
     if pairs_per_bit < 1:
         raise ConfigError("pairs_per_bit must be at least 1")
     sent = np.asarray(sent, dtype=np.int64)
     votes = np.asarray(votes, dtype=np.int64)
-    if sent.ndim != 1 or sent.shape != votes.shape:
-        raise ConfigError("sent bits and votes must be 1-D and of equal length")
-    if sent.size % pairs_per_bit:
-        raise ConfigError("pair stream length must be a multiple of pairs_per_bit")
+    if sent.ndim != 1 or votes.shape != (sent.size, 3):
+        raise ConfigError("need one row of (0-votes, 1-votes, abstentions) per bit")
     if sent.size == 0:
-        raise ConfigError("no complete blocks to decode")
+        raise ConfigError("no message bits to decode")
     if np.any((sent != 0) & (sent != 1)):
         raise ConfigError("sent bits must be 0 or 1")
-    if np.any((votes < ABSTAIN) | (votes > 1)):
-        raise ConfigError(f"votes must be 0, 1 or {ABSTAIN} (abstain)")
-    sent = sent.reshape(-1, pairs_per_bit)
-    votes = votes.reshape(-1, pairs_per_bit)
-    if np.any(sent != sent[:, :1]):
-        raise ConfigError("a voting block must carry a single sent bit")
-    ones = np.count_nonzero(votes == 1, axis=1)
-    zeros = np.count_nonzero(votes == 0, axis=1)
+    if np.any(votes < 0) or np.any(votes.sum(axis=1) != pairs_per_bit):
+        raise ConfigError("vote counts must be nonnegative and sum to pairs_per_bit")
+    zeros, ones = votes[:, 0], votes[:, 1]
     decoded = (ones > zeros).astype(np.int64)
     ties = np.flatnonzero(ones == zeros)
     decoded[ties] = rng.uniforms(ties.size) < 0.5
-    bits = sent[:, 0]
     return ChannelResult(
-        accuracy=int(np.count_nonzero(bits == decoded)) / bits.size,
-        sent=tuple(bits.tolist()),
+        accuracy=int(np.count_nonzero(sent == decoded)) / sent.size,
+        sent=tuple(sent.tolist()),
         decoded=tuple(decoded.tolist()),
-        coin_flip_blocks=int(ties.size),
+        coin_flips=int(ties.size),
     )
 
 
-def _vote_table(n: int) -> np.ndarray:
-    """Channel vote of every law cell: ``guess_rule`` on columns
-    B_1..B_{N+1}, ABSTAIN on PHI and on discarded cloner failures."""
-    guesses = [guess_rule(col, n) for col in range(1, n + 2)] + [None, None]
-    return np.array([ABSTAIN if g is None else g for g in guesses], dtype=np.int64)
-
-
 def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelResult:
-    """Send a bit string through the cloner channel and decode by blocks.
+    """Send a bit string through the cloner channel and decode it bit by bit.
 
     Every message bit consumes ``pairs_per_bit`` shared pairs measured in
-    the basis encoding that bit; cloner failures become abstentions. The
-    k-th pair sent in setting s is draw k of that setting's block streams.
+    the basis encoding that bit. Columns B_1..B_N vote 0, column B_{N+1}
+    votes 1 (``guess_rule``), and PHI and cloner failures abstain, so a
+    bit's votes are one multinomial draw from its setting's vote law. The
+    bits of one setting take consecutive draws from that setting's stream,
+    in message order.
     """
     bits = np.asarray(message_bits, dtype=np.int64)
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigError("message bits must be 0 or 1")
     law = config.law
     n = config.n
-    sent = np.repeat(bits, config.pairs_per_bit)
-    cells = np.empty(sent.size, dtype=np.intp)
+    votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):
-        where = np.flatnonzero(sent == setting)
-        cum = _cumulative(law[setting])
-        for block, size in _blocks(where.size):
-            start = block * SAMPLE_BLOCK
-            cells[where[start : start + size]] = _block_cells(
-                cum, config.seed, _PHASE_CHANNEL, setting, block, size
-            )
-    votes = _vote_table(n)[cells % (n + 3)]
-    vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0, 0))
-    return channel_accuracy(sent, votes, config.pairs_per_bit, vote_rng)
+        cells = law[setting].sum(axis=0)
+        vote_law = np.array([cells[:n].sum(), cells[n], cells[n + 1 :].sum()])
+        where = np.flatnonzero(bits == setting)
+        rng = SeededRng(config.seed, _stream_id(_PHASE_CHANNEL, setting))
+        votes[where] = rng.multinomial(config.pairs_per_bit, vote_law, where.size)
+    vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0))
+    return channel_accuracy(bits, votes, config.pairs_per_bit, vote_rng)
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
     """Deterministic uniformly random bit string for channel demos."""
-    rng = SeededRng(seed, _stream_id(_PHASE_MESSAGE, 0, 0))
+    rng = SeededRng(seed, _stream_id(_PHASE_MESSAGE, 0))
     return tuple((rng.uniforms(n_bits) < 0.5).astype(np.int64).tolist())
 
 
@@ -741,73 +685,3 @@ def analytic_no_signal_certificate(
     rho_a = induced_ensemble(shared, basis_a).average_density()
     rho_b = induced_ensemble(shared, basis_b).average_density()
     return qcore.trace_distance(rho_a, rho_b)
-
-
-# ---------------------------------------------------------------------------
-# explicit joint-state realization of the illegal cloner's output
-
-
-def materialize_illegal_output(
-    spec: IllegalClonerSpec, input_label: int, all_states: Sequence[Ket]
-) -> tuple[CloneOutput, tuple[Ket, ...]]:
-    """Build the output decomposition as one explicit joint ket.
-
-    Branches are kept exactly decoherent: each clonable branch lives
-    behind its own orthogonal flag level, every clone factor gains one
-    extra level reserved for junk, and the junk branch puts all clones in
-    that level so each projective test fails with certainty. Measuring
-    the result clone by clone therefore reproduces the branch-sampling
-    statistics. Returns the joint record plus the candidate kets embedded
-    into the enlarged clone space.
-    """
-    all_states = tuple(all_states)
-    if len(all_states) != spec.total_labels:
-        raise LabelError(
-            f"expected {spec.total_labels} preparation states, got {len(all_states)}"
-        )
-    if not 1 <= input_label <= spec.total_labels:
-        raise LabelError(f"label {input_label} outside 1..{spec.total_labels}")
-    candidates = tuple(all_states[l - 1] for l in spec.clonable_labels)
-    n = candidates[0].dim
-    k = len(candidates)
-    clone_dim = n + 1
-    lead_dim = k + 1
-    total_dim = lead_dim * clone_dim**spec.copies
-    if total_dim > qcore.MAX_DIM:
-        raise CapacityError(
-            f"materialized dimension {total_dim} exceeds cap {qcore.MAX_DIM}"
-        )
-
-    amps = np.zeros(k + 1, dtype=np.complex128)
-    if input_label in spec.clonable_labels:
-        amps[spec.clonable_labels.index(input_label)] = 1.0
-    elif input_label in spec.coefficients:
-        c_arr, junk_amp = spec.coefficients[input_label]
-        amps[:k] = c_arr
-        amps[k] = junk_amp
-    else:
-        amps[k] = 1.0  # default: pure junk
-
-    embedded = []
-    for cand in candidates:
-        padded = np.zeros(clone_dim, dtype=np.complex128)
-        padded[:n] = cand.amplitudes
-        embedded.append(Ket(padded))
-    junk_level = np.zeros(clone_dim, dtype=np.complex128)
-    junk_level[n] = 1.0
-
-    vec = np.zeros(total_dim, dtype=np.complex128)
-    block = clone_dim**spec.copies
-    for flag in range(lead_dim):
-        if amps[flag] == 0:
-            continue
-        factor = embedded[flag].amplitudes if flag < k else junk_level
-        product = factor
-        for _ in range(spec.copies - 1):
-            product = np.kron(product, factor)
-        vec[flag * block : (flag + 1) * block] = amps[flag] * product
-
-    out = CloneOutput.joint_state(
-        Ket.normalized(vec), spec.copies, clone_dim, lead_dim=lead_dim
-    )
-    return out, tuple(embedded)

@@ -1,0 +1,223 @@
+"""Born-rule building blocks that only the tests use.
+
+Random states and unitaries for instance generation, explicit tensor
+products and partial traces, a full-system Born measurement, the
+illegal cloner's output materialized as one joint ket, and a memoized
+replay of ``signalling.group_verify``'s sequential collapse on such a ket.
+The library computes laws in closed form; these are the explicit
+constructions it is checked against.
+"""
+
+from typing import Sequence
+
+import numpy as np
+
+from pqclone.errors import CapacityError, DimensionError, LabelError
+from pqclone.pqcm import CloneOutput, IllegalClonerSpec
+from pqclone.qcore import (
+    MAX_DIM,
+    HermitianOperator,
+    Ket,
+    SeededRng,
+    _check_orthonormal,
+)
+from pqclone.signalling import PHI, _measure_clone, group_sizes
+
+
+def random_ket(dim: int, rng: SeededRng) -> Ket:
+    """A ket with independent complex-normal amplitudes, normalized."""
+    re = rng.normals(dim)
+    im = rng.normals(dim)
+    return Ket.normalized(re + 1j * im)
+
+
+def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
+    """Haar-random unitary via QR of a complex Ginibre matrix."""
+    z = (rng.normals(dim * dim) + 1j * rng.normals(dim * dim)).reshape(dim, dim)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases.conj()
+
+
+def tensor(a: Ket, b: Ket) -> Ket:
+    """Kronecker product; the left factor is the slow (row-major) index."""
+    out_dim = a.dim * b.dim
+    if out_dim > MAX_DIM:
+        raise CapacityError(f"tensor dimension {out_dim} exceeds cap {MAX_DIM}")
+    return Ket(np.kron(a.amplitudes, b.amplitudes))
+
+
+def partial_trace(
+    rho: HermitianOperator, dims: tuple[int, int], keep: str
+) -> HermitianOperator:
+    """Reduced density matrix of a bipartite operator.
+
+    ``dims`` = (dA, dB) with rho.dim == dA * dB; ``keep`` selects the
+    surviving subsystem, 'A' or 'B'. Trace is preserved.
+    """
+    d_a, d_b = dims
+    if rho.dim != d_a * d_b:
+        raise DimensionError(f"cannot factor dim {rho.dim} as {d_a} x {d_b}")
+    tensor4 = rho.entries.reshape(d_a, d_b, d_a, d_b)
+    if keep == "B":
+        reduced = np.einsum("ijil->jl", tensor4)
+    elif keep == "A":
+        reduced = np.einsum("ijkj->ik", tensor4)
+    else:
+        raise ValueError("keep must be 'A' or 'B'")
+    return HermitianOperator.from_matrix(reduced)
+
+
+def born_measure(state: Ket, basis: Sequence[Ket], rng: SeededRng) -> tuple[int, Ket]:
+    """Projective measurement of a full system in an orthonormal basis.
+
+    Returns the sampled outcome index and the post-measurement state
+    (the basis vector itself). Outcome k occurs with probability
+    |<basis_k|state>|^2.
+    """
+    mat = _check_orthonormal(basis, state.dim)
+    amps = mat.conj().T @ state.amplitudes
+    probs = np.abs(amps) ** 2
+    probs /= probs.sum()
+    outcome = rng.choice(probs)
+    return outcome, basis[outcome]
+
+
+def materialize_illegal_output(
+    spec: IllegalClonerSpec, input_label: int, all_states: Sequence[Ket]
+) -> tuple[CloneOutput, tuple[Ket, ...]]:
+    """Build the output decomposition as one explicit joint ket.
+
+    Branches are kept exactly decoherent: each clonable branch lives
+    behind its own orthogonal flag level, every clone factor gains one
+    extra level reserved for junk, and the junk branch puts all clones in
+    that level so each projective test fails with certainty. Measuring
+    the result clone by clone therefore reproduces the branch-sampling
+    statistics. Returns the joint record plus the candidate kets embedded
+    into the enlarged clone space.
+    """
+    all_states = tuple(all_states)
+    if len(all_states) != spec.total_labels:
+        raise LabelError(
+            f"expected {spec.total_labels} preparation states, got {len(all_states)}"
+        )
+    if not 1 <= input_label <= spec.total_labels:
+        raise LabelError(f"label {input_label} outside 1..{spec.total_labels}")
+    candidates = tuple(all_states[l - 1] for l in spec.clonable_labels)
+    n = candidates[0].dim
+    k = len(candidates)
+    clone_dim = n + 1
+    lead_dim = k + 1
+    total_dim = lead_dim * clone_dim**spec.copies
+    if total_dim > MAX_DIM:
+        raise CapacityError(
+            f"materialized dimension {total_dim} exceeds cap {MAX_DIM}"
+        )
+
+    amps = np.zeros(k + 1, dtype=np.complex128)
+    if input_label in spec.clonable_labels:
+        amps[spec.clonable_labels.index(input_label)] = 1.0
+    elif input_label in spec.coefficients:
+        c_arr, junk_amp = spec.coefficients[input_label]
+        amps[:k] = c_arr
+        amps[k] = junk_amp
+    else:
+        amps[k] = 1.0  # default: pure junk
+
+    embedded = []
+    for cand in candidates:
+        padded = np.zeros(clone_dim, dtype=np.complex128)
+        padded[:n] = cand.amplitudes
+        embedded.append(Ket(padded))
+    junk_level = np.zeros(clone_dim, dtype=np.complex128)
+    junk_level[n] = 1.0
+
+    vec = np.zeros(total_dim, dtype=np.complex128)
+    block = clone_dim**spec.copies
+    for flag in range(lead_dim):
+        if amps[flag] == 0:
+            continue
+        factor = embedded[flag].amplitudes if flag < k else junk_level
+        product = factor
+        for _ in range(spec.copies - 1):
+            product = np.kron(product, factor)
+        vec[flag * block : (flag + 1) * block] = amps[flag] * product
+
+    out = CloneOutput.joint_state(
+        Ket.normalized(vec), spec.copies, clone_dim, lead_dim=lead_dim
+    )
+    return out, tuple(embedded)
+
+
+class _Forced:
+    """A stand-in stream whose one draw forces a clone test's outcome."""
+
+    def __init__(self, success: bool):
+        self.draw = -1.0 if success else 2.0  # below / above any probability
+
+    def random(self) -> float:
+        return self.draw
+
+
+class CollapseTree:
+    """``group_verify`` on one joint ket, memoized per outcome prefix.
+
+    The joint path of ``group_verify`` tests clone after clone, one
+    ``rng.random()`` draw each, and collapses the ket after every test. The
+    next test's success probability depends only on the outcomes so far,
+    so a run of mu clones has at most 2^mu prefixes. Each prefix's
+    collapsed ket and success probability are computed once, with the same
+    arithmetic as ``_measure_clone``, so ``verdict`` reaches the same
+    column as ``group_verify`` from the same stream.
+    """
+
+    def __init__(self, clones: CloneOutput, candidates: Sequence[Ket], mu: int):
+        if clones.kind != "joint" or clones.copies != mu:
+            raise ValueError("need a joint clone record of mu copies")
+        self.clones = clones
+        self.mu = mu
+        self.sizes = group_sizes(mu, len(candidates))
+        self.onto = [
+            c.amplitudes for c, size in zip(candidates, self.sizes) for _ in range(size)
+        ]
+        self.kets = {(): clones.state.amplitudes}  # prefix -> collapsed ket
+        self.thresholds = {}  # prefix -> success probability of the next test
+
+    def _threshold(self, prefix: tuple) -> float:
+        if prefix not in self.thresholds:
+            clones, idx = self.clones, len(prefix)
+            pre = clones.lead_dim * clones.clone_dim**idx
+            post = clones.clone_dim ** (self.mu - idx - 1)
+            block = self.kets[prefix].reshape(pre, clones.clone_dim, post)
+            amp = np.einsum("d,pdq->pq", self.onto[idx].conj(), block)
+            self.thresholds[prefix] = min(float(np.real(np.vdot(amp, amp))), 1.0)
+        return self.thresholds[prefix]
+
+    def _child(self, prefix: tuple, success: bool) -> tuple:
+        child = prefix + (success,)
+        if child not in self.kets:
+            clones, idx = self.clones, len(prefix)
+            _, self.kets[child] = _measure_clone(
+                self.kets[prefix],
+                clones.lead_dim,
+                clones.clone_dim,
+                self.mu,
+                idx,
+                self.onto[idx],
+                _Forced(success),
+            )
+        return child
+
+    def verdict(self, rng: SeededRng) -> int:
+        """The column ``group_verify`` returns for this ket and stream."""
+        prefix = ()
+        for u in rng.uniforms(self.mu):
+            prefix = self._child(prefix, bool(u < self._threshold(prefix)))
+        winners = []
+        start = 0
+        for l, size in enumerate(self.sizes):
+            if all(prefix[start : start + size]):
+                winners.append(l)
+            start += size
+        return winners[0] + 1 if len(winners) == 1 else PHI

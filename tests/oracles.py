@@ -254,7 +254,5 @@ def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
 
 def random_message_by_draws(seed: int, n_bits: int) -> tuple:
     """The channel demo's message, one ``random()`` draw per bit."""
-    rng = SeededRng(
-        seed, signalling._stream_id(signalling._PHASE_MESSAGE, 0, 0)
-    )
+    rng = SeededRng(seed, signalling._stream_id(signalling._PHASE_MESSAGE, 0))
     return tuple(int(rng.random() < 0.5) for _ in range(n_bits))

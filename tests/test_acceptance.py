@@ -7,7 +7,7 @@ the whole suite is deterministic.
 import numpy as np
 import pytest
 
-from pqclone import cli, qcore
+from pqclone import cli
 from pqclone.entangle import AliceBasis
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
@@ -21,23 +21,21 @@ from pqclone.qcore import (
     Ket,
     SeededRng,
     is_psd,
-    random_ket,
     rank_with_tolerance,
     tensor_power,
 )
 from pqclone.signalling import (
     PHI,
-    SAMPLE_BLOCK,
     ProtocolConfig,
     analytic_no_signal_certificate,
     column_law,
     group_verify,
-    materialize_illegal_output,
     random_message,
     run_channel,
     run_protocol,
 )
 
+from born import CollapseTree, haar_unitary, materialize_illegal_output, random_ket
 from test_config_cli import CONFIGS
 from oracles import (
     two_sample_sigma,
@@ -111,7 +109,7 @@ def test_criterion_3_legal_machines_never_signal():
         states = well_conditioned_set(n, rng)
         gamma = 0.8 * max_uniform_gamma(states, mu)
         machine = construct_machine(states, mu, [gamma] * n)
-        a2 = AliceBasis.from_unitary(qcore.haar_unitary(n, rng))
+        a2 = AliceBasis.from_unitary(haar_unitary(n, rng))
         config = ProtocolConfig(
             bob_states=tuple(states),
             a2_basis=a2,
@@ -272,10 +270,14 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
             coefficients={4: (c, d)},
         )
         joint, embedded = materialize_illegal_output(spec, 4, all_states)
+        # group_verify's sequential collapse, memoized per outcome prefix;
+        # the first 1 000 trials also run group_verify itself and must agree
+        collapse = CollapseTree(joint, embedded, mu)
         freq = np.zeros((2, 4))
         for t in range(trials):
-            rng = SeededRng(seed, t)
-            col = group_verify(joint, embedded, mu, rng)
+            col = collapse.verdict(SeededRng(seed, t))
+            if t < 1_000:
+                assert col == group_verify(joint, embedded, mu, SeededRng(seed, t))
             freq[0, 3 if col == PHI else col - 1] += 1
             rng = SeededRng(seed + 1, t)
             out = illegal_clone(spec, 4, all_states, rng)
@@ -304,9 +306,9 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
-    # three full sampler blocks plus a remainder per setting; PQCM_THREADS is
-    # no longer read, and the runs that set it show that it changes nothing
-    trials = 3 * SAMPLE_BLOCK + 1_500
+    # PQCM_THREADS is no longer read, and the runs that set it show that it
+    # changes nothing
+    trials = 198_108
     outputs = []
     for name, threads in (("t1", None), ("t1b", None), ("t3", "3"), ("t8", "8")):
         if threads is None:

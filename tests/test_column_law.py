@@ -5,7 +5,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pqclone import qcore
 from pqclone.entangle import (
     AliceBasis,
     build_shared_state,
@@ -14,7 +13,7 @@ from pqclone.entangle import (
 )
 from pqclone.errors import ConditioningError, ConfigError
 from pqclone.pqcm import IllegalClonerSpec, construct_machine, max_uniform_gamma
-from pqclone.qcore import Ket, SeededRng, random_ket
+from pqclone.qcore import Ket, SeededRng
 from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
@@ -25,6 +24,7 @@ from pqclone.signalling import (
     prepare_context,
 )
 
+from born import haar_unitary, random_ket
 from oracles import (
     contracted_legal_rows,
     exact_copy_column_distribution,
@@ -40,7 +40,7 @@ PROPERTY = settings(deadline=None, max_examples=40, derandomize=True)
 
 
 def _haar_basis(n: int, rng: SeededRng) -> AliceBasis:
-    return AliceBasis.from_unitary(qcore.haar_unitary(n, rng))
+    return AliceBasis.from_unitary(haar_unitary(n, rng))
 
 
 @st.composite
@@ -258,14 +258,13 @@ def test_law_matches_born_rule_trajectories(case):
 
 class TestStreamId:
     def test_fields_pack_without_overlap(self):
-        assert _stream_id(0, 0, 2**40 - 1) == 2**40 - 1
-        assert _stream_id(0, 15, 0) == 15 << 40
-        assert _stream_id(2**20 - 1, 15, 2**40 - 1) == 2**64 - 1
+        assert _stream_id(0, 15) == 15
+        assert _stream_id(1, 0) == 16
+        assert _stream_id(2**60 - 1, 15) == 2**64 - 1
 
     @pytest.mark.parametrize(
-        "phase, setting, index",
-        [(0, 0, 2**40), (0, 16, 0), (2**20, 0, 0), (0, 0, -1), (-1, 0, 0)],
+        "phase, setting", [(0, 16), (2**60, 0), (0, -1), (-1, 0)]
     )
-    def test_overflowing_field_rejected(self, phase, setting, index):
+    def test_overflowing_field_rejected(self, phase, setting):
         with pytest.raises(ConfigError):
-            _stream_id(phase, setting, index)
+            _stream_id(phase, setting)

@@ -18,7 +18,9 @@ from pqclone.config import (
 )
 from pqclone.errors import ConfigError
 from pqclone.pqcm import IllegalClonerSpec, PqcmMachine
-from pqclone.qcore import Ket, SeededRng, random_ket
+from pqclone.qcore import Ket, SeededRng
+
+from born import random_ket
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -392,6 +394,36 @@ class TestCliSignalTest:
         assert code == 1
         assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    # Counts are drawn, not pairs, so any count up to 2**62 runs at once;
+    # above it, numpy or the int64 tally could overflow.
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["--trials", str(2**62)], 0),
+            (["--trials", str(2**62 + 1)], 1),
+            (["--pairs-per-bit", str(2**62)], 0),
+            (["--pairs-per-bit", str(2**62 + 1)], 1),
+            (["--trials", str(10**15), "--pairs-per-bit", str(10**12)], 0),
+        ],
+        ids=["trials-cap", "trials-above-cap", "pairs-cap", "pairs-above-cap", "1e15"],
+    )
+    def test_counts_capped_at_2_62(self, tmp_path, capsys, args, code):
+        out_dir = tmp_path / "out"
+        assert cli.main(
+            ["signal-test", str(CONFIGS / "illegal_n2.json"), "--out", str(out_dir)]
+            + args
+        ) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and "2**62" in err
+            assert len(err.splitlines()) == 1
+            assert not out_dir.exists()
+        else:
+            # the illegal cloner never reports failure: every pair is classified
+            stats = json.loads((out_dir / "stats.json").read_text())
+            trials = stats["trials_per_setting"]
+            assert stats["classified_a1"] == stats["classified_a2"] == trials
 
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []

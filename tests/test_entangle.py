@@ -17,11 +17,10 @@ from pqclone.qcore import (
     Ket,
     SeededRng,
     inner_product,
-    partial_trace,
-    random_ket,
     trace_distance,
 )
 
+from born import haar_unitary, partial_trace, random_ket
 from oracles import three_sigma_binomial
 
 KET0 = Ket.basis_state(2, 0)
@@ -29,7 +28,7 @@ KET1 = Ket.basis_state(2, 1)
 
 
 def random_basis(n: int, rng: SeededRng) -> AliceBasis:
-    return AliceBasis.from_unitary(qcore.haar_unitary(n, rng))
+    return AliceBasis.from_unitary(haar_unitary(n, rng))
 
 
 def orthonormal_span(states) -> np.ndarray:

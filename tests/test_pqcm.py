@@ -1,4 +1,4 @@
-"""Feasibility analysis, machine construction, amplification, illegal cloner."""
+"""Feasibility analysis, machine construction, illegal cloner."""
 
 import numpy as np
 import pytest
@@ -12,11 +12,9 @@ from pqclone.errors import (
     LabelError,
     NormalizationError,
     RankError,
-    UnsupportedInputError,
 )
 from pqclone.pqcm import (
     IllegalClonerSpec,
-    amplify,
     apply_machine,
     construct_machine,
     feasibility_matrix,
@@ -29,10 +27,10 @@ from pqclone.qcore import (
     hermitian_eigenvalues,
     inner_product,
     is_psd,
-    random_ket,
     tensor_power,
 )
 
+from born import random_ket
 from oracles import (
     gamma_by_bisection,
     three_sigma_binomial,
@@ -261,36 +259,6 @@ class TestApplyMachine:
         trials = 50_000
         wins = sum(apply_machine(machine, probe, rng)[0] for _ in range(trials))
         assert abs(wins / trials - analytic) < three_sigma_binomial(analytic, trials)
-
-
-class TestAmplify:
-    def test_unit_gamma_always_succeeds(self):
-        machine = construct_machine([KET0, KET1], 2, [1.0, 1.0])
-        rng = SeededRng(307)
-        for _ in range(50):
-            success, record = amplify(machine, KET0, 7, rng)
-            assert success
-            assert record.copies == 7
-            assert record.label == 1
-
-    def test_product_law(self):
-        machine = construct_machine([KET0, KET1], 2, [0.5, 0.5])
-        rng = SeededRng(308)
-        trials = 100_000
-        wins = sum(amplify(machine, KET1, 4, rng)[0] for _ in range(trials))
-        assert abs(wins / trials - 0.125) < three_sigma_binomial(0.125, trials)
-
-    def test_single_copy_trivial(self):
-        machine = construct_machine([KET0, KET1], 2, [0.25, 0.25])
-        rng = SeededRng(309)
-        success, record = amplify(machine, KET0, 1, rng)
-        assert success and record.copies == 1
-
-    def test_nonclonable_input_rejected(self):
-        machine = construct_machine([KET0, KET1], 2, [0.5, 0.5])
-        rng = SeededRng(310)
-        with pytest.raises(UnsupportedInputError):
-            amplify(machine, Ket.normalized([1, 1]), 4, rng)
 
 
 class TestIllegalCloner:

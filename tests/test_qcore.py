@@ -17,21 +17,17 @@ from pqclone.qcore import (
     HermitianOperator,
     Ket,
     SeededRng,
-    born_measure,
     gram_matrix,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
     inner_product,
     is_psd,
     measure_subsystem,
-    partial_trace,
-    random_ket,
     rank_with_tolerance,
-    tensor,
     tensor_power,
     trace_distance,
 )
 
+from born import born_measure, haar_unitary, partial_trace, random_ket, tensor
 from oracles import char_poly_roots, three_sigma_binomial
 
 KET0 = Ket.basis_state(2, 0)
@@ -185,19 +181,11 @@ class TestEigendecomposition:
         rng = SeededRng(105)
         raw = (rng.normals(16) + 1j * rng.normals(16)).reshape(4, 4)
         m = HermitianOperator.from_matrix(raw + raw.conj().T)
-        u = qcore.haar_unitary(4, rng)
+        u = haar_unitary(4, rng)
         rotated = HermitianOperator.from_matrix(u @ m.entries @ u.conj().T)
         np.testing.assert_allclose(
             hermitian_eigenvalues(m), hermitian_eigenvalues(rotated), atol=1e-8
         )
-
-    def test_reconstruction_residual(self):
-        rng = SeededRng(106)
-        raw = (rng.normals(36) + 1j * rng.normals(36)).reshape(6, 6)
-        m = HermitianOperator.from_matrix(raw + raw.conj().T)
-        vals, vecs = hermitian_eigensystem(m)
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.linalg.norm(rebuilt - m.entries) <= 1e-8 * np.linalg.norm(m.entries)
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(HermiticityError):
@@ -350,6 +338,26 @@ class TestSeededRng:
         rng = SeededRng(115)
         probs = np.array([0.0, 1.0, 0.0])
         assert all(rng.choice(probs) == 1 for _ in range(100))
+
+    def test_multinomial_skips_zero_mass_cells(self):
+        # these cells sum to exactly 1.0, yet numpy alone leaves the trailing
+        # zero cell a roundoff share of about 50 counts at this n; the
+        # wrapper must leave it exactly empty
+        probs = [0.11040378794601367, 0.29989663307842795, 0.28749343780306735,
+                 0.15526188267530527, 0.14694425849718568, 0.0]
+        for seed in range(20):
+            counts = SeededRng(116, seed).multinomial(10**18, [0.0] + probs)
+            assert counts[0] == 0 and counts[-1] == 0
+            assert counts.dtype == np.int64 and counts.sum() == 10**18
+
+    def test_multinomial_rows_are_consecutive_draws(self):
+        probs = np.array([0.2, 0.0, 0.5, 0.3])
+        rows = SeededRng(117, 1).multinomial(1_000, probs, 6)
+        rng = SeededRng(117, 1)
+        np.testing.assert_array_equal(
+            rows, [rng.multinomial(1_000, probs) for _ in range(6)]
+        )
+        assert SeededRng(117, 1).multinomial(5, probs, 0).shape == (0, 4)
 
 
 class TestEnsemble:

@@ -1,10 +1,14 @@
 """Protocol harness: classification, tallies, channel decoding, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pqclone import config as config_mod
+from pqclone import signalling
 from pqclone.entangle import AliceBasis
 from pqclone.errors import ConfigError
 from pqclone.pqcm import (
@@ -13,16 +17,14 @@ from pqclone.pqcm import (
     construct_machine,
     max_uniform_gamma,
 )
-from pqclone.qcore import Ket, SeededRng, random_ket
+from pqclone.qcore import Ket, SeededRng
 from pqclone.signalling import (
+    _PHASE_CHANNEL,
     _PHASE_PROTOCOL,
-    ABSTAIN,
     PHI,
-    SAMPLE_BLOCK,
     ProtocolConfig,
-    _block_cells,
-    _blocks,
-    _cumulative,
+    TallyTable,
+    _stream_id,
     analytic_leakage,
     analytic_no_signal_certificate,
     channel_accuracy,
@@ -30,13 +32,14 @@ from pqclone.signalling import (
     group_sizes,
     group_verify,
     guess_rule,
-    materialize_illegal_output,
     random_message,
     run_channel,
     run_protocol,
     stats_from_tally,
 )
 
+from born import haar_unitary, materialize_illegal_output, random_ket
+from test_config_cli import REPO
 from oracles import (
     channel_accuracy_by_pairs,
     exact_copy_column_distribution,
@@ -49,6 +52,19 @@ KET0 = Ket.basis_state(2, 0)
 KET1 = Ket.basis_state(2, 1)
 PLUS = Ket.normalized([1, 1])
 MINUS = Ket.normalized([1, -1])
+
+# The two demo configs and the benchmark's wide legal config
+DEMO_CONFIGS = {
+    "illegal_n2": REPO / "configs" / "illegal_n2.json",
+    "legal_n2": REPO / "configs" / "legal_n2.json",
+    "legal_n3_wide": REPO / "bench" / "legal_n3_wide.json",
+}
+
+
+def demo_protocol(name, **changes):
+    path = DEMO_CONFIGS[name]
+    run = dataclasses.replace(config_mod.RunConfig.load(path), **changes)
+    return config_mod.build_protocol(run, path.parent)
 
 
 def illegal_config(trials=20_000, mu=48, seed=42, coefficients=None, pairs_per_bit=200):
@@ -210,29 +226,71 @@ class TestRunProtocol:
         np.testing.assert_array_equal(tally_a.counts, tally_b.counts)
         assert stats_a.p1_a2 == stats_b.p1_a2
 
-    def test_block_order_invariance(self):
-        # each block of draws has its own stream, so drawing the blocks of a
-        # multi-block run in reverse order reproduces the run's counts
-        trials = 3 * SAMPLE_BLOCK + 1_234
-        cfg = legal_config(trials=trials)
+    def test_setting_order_invariance(self):
+        # each setting draws from its own stream, so drawing A2 before A1
+        # reproduces the run's counts
+        cfg = legal_config(trials=10**9)
         tally, _ = run_protocol(cfg)
         law = column_law(cfg)
         n = cfg.n
-        blocks = _blocks(trials)
-        assert len(blocks) == 4
-        for setting in (0, 1):
-            cum = _cumulative(law[setting])
-            hits = np.zeros(cum.size, dtype=np.int64)
-            for block, size in reversed(blocks):
-                cells = _block_cells(
-                    cum, cfg.seed, _PHASE_PROTOCOL, setting, block, size
-                )
-                hits += np.bincount(cells, minlength=cum.size)
-            hits = hits.reshape(n, n + 3)
+        for setting in (1, 0):
+            rng = SeededRng(cfg.seed, _stream_id(_PHASE_PROTOCOL, setting))
+            hits = rng.multinomial(cfg.trials, law[setting].ravel()).reshape(n, n + 3)
             np.testing.assert_array_equal(
                 hits[:, : n + 2], tally.counts[setting * n : (setting + 1) * n]
             )
             assert hits[:, n + 2].sum() == tally.discards[setting]
+
+    @pytest.mark.parametrize(
+        "name, zero_cells", [("illegal_n2", 13), ("legal_n2", 6), ("legal_n3_wide", 12)]
+    )
+    def test_zero_mass_cells_get_no_counts(self, name, zero_cells):
+        cfg = demo_protocol(name, trials=10**12)
+        tally, _ = run_protocol(cfg)
+        law = cfg.law
+        n = cfg.n
+        assert np.count_nonzero(law == 0.0) == zero_cells
+        for setting in (0, 1):
+            rows = slice(setting * n, (setting + 1) * n)
+            counts = tally.counts[rows]
+            assert np.all(counts[law[setting][:, : n + 2] == 0.0] == 0)
+            if not law[setting][:, n + 2].any():
+                assert tally.discards[setting] == 0
+            assert counts.sum() == tally.classified[setting]
+            assert tally.classified[setting] + tally.discards[setting] == 10**12
+
+    @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+    def test_counts_fit_the_law(self, name):
+        # every cell expecting at least 5 counts lies within 5 sigma of
+        # trials * p; discards count as one cell per setting
+        trials = 10**9
+        cfg = demo_protocol(name, trials=trials, seed=600)
+        tally, _ = run_protocol(cfg)
+        n = cfg.n
+        for setting in (0, 1):
+            law = cfg.law[setting]
+            prob = np.append(law[:, : n + 2].ravel(), law[:, n + 2].sum())
+            observed = np.append(
+                tally.counts[setting * n : (setting + 1) * n].ravel(),
+                tally.discards[setting],
+            )
+            mean = trials * prob
+            fit = mean >= 5.0
+            z = (observed[fit] - mean[fit]) / np.sqrt(mean[fit] * (1.0 - prob[fit]))
+            assert np.abs(z).max() <= 5.0, f"{name} A{setting + 1}: z = {z}"
+
+    def test_settings_sum_without_int64_overflow(self):
+        # at the 2**62 cap, the decided pairs of both settings reach 2**63
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 0] = counts[2, 0] = 2**62  # A2 pairs all land in column B1
+        tally = TallyTable(
+            n=2,
+            counts=counts,
+            classified=(2**62, 2**62),
+            discards=(0, 0),
+            trials=(2**62, 2**62),
+        )
+        assert stats_from_tally(tally, 0.0).accuracy == 0.5
 
     def test_legal_machine_does_not_signal(self):
         tally, stats = run_protocol(legal_config(trials=8_000))
@@ -258,23 +316,19 @@ class TestRunProtocol:
 
 class TestChannel:
     def test_majority_vote_blocks(self):
-        sent = np.array([0, 0, 0, 1, 1, 1])
-        votes = np.array([0, 0, 1, 1, ABSTAIN, 1])
+        # per-pair votes (0, 0, 1) and (1, abstain, 1) as per-bit counts
+        sent = np.array([0, 1])
+        votes = np.array([[2, 1, 0], [0, 2, 1]])
         result = channel_accuracy(sent, votes, 3, SeededRng(406))
         assert result.decoded == (0, 1)
         assert result.accuracy == 1.0
-        assert result.coin_flip_blocks == 0
+        assert result.coin_flips == 0
 
     def test_all_abstain_block_is_coin_flip(self):
-        sent = np.full(4, 1)
-        votes = np.full(4, ABSTAIN)
-        result = channel_accuracy(sent, votes, 4, SeededRng(407))
-        assert result.coin_flip_blocks == 1
+        votes = np.array([[0, 0, 4]])
+        result = channel_accuracy(np.array([1]), votes, 4, SeededRng(407))
+        assert result.coin_flips == 1
         assert result.decoded[0] in (0, 1)
-
-    def test_mixed_bits_in_block_rejected(self):
-        with pytest.raises(ConfigError):
-            channel_accuracy(np.array([0, 1]), np.array([0, 0]), 2, SeededRng(408))
 
     def test_illegal_channel_decodes_reliably(self):
         cfg = illegal_config(trials=1, pairs_per_bit=25)
@@ -282,6 +336,44 @@ class TestChannel:
         result = run_channel(cfg, message)
         assert result.sent == message
         assert result.accuracy == 1.0
+
+    @pytest.mark.parametrize("name", ["illegal_n2", "legal_n2"])
+    def test_zero_mass_votes_never_drawn(self, name):
+        # illegal: A1 never votes 1 and A2 never votes 0, so even 10**12
+        # pairs per bit decode every bit exactly; legal: no pair ever votes 1
+        cfg = demo_protocol(name, pairs_per_bit=10**12)
+        message = random_message(cfg.seed, 64)
+        result = run_channel(cfg, message)
+        assert result.coin_flips == 0
+        if name == "illegal_n2":
+            assert result.decoded == message
+        else:
+            assert result.decoded == (0,) * len(message)
+
+    def test_bits_of_a_setting_draw_consecutively(self, monkeypatch):
+        # bit k's votes are the next draw of its setting's stream, whatever
+        # the bits of the other setting
+        drawn = []
+        decode = signalling.channel_accuracy
+
+        def keeping_decode(sent, votes, pairs_per_bit, rng):
+            drawn.append(votes)
+            return decode(sent, votes, pairs_per_bit, rng)
+
+        monkeypatch.setattr(signalling, "channel_accuracy", keeping_decode)
+        cfg = legal_config(pairs_per_bit=7)
+        message = (1, 0, 0, 1, 1, 0, 1)
+        run_channel(cfg, message)
+        streams = [
+            SeededRng(cfg.seed, _stream_id(_PHASE_CHANNEL, setting))
+            for setting in (0, 1)
+        ]
+        n = cfg.n
+        for bit, votes in zip(message, drawn[0]):
+            cells = cfg.law[bit].sum(axis=0)
+            vote_law = [cells[:n].sum(), cells[n], cells[n + 1 :].sum()]
+            expected = streams[bit].multinomial(7, vote_law)
+            np.testing.assert_array_equal(votes, expected)
 
     def test_single_pair_blocks_decompose(self):
         # pairs_per_bit = 1, all-zero message: per-block accuracy is
@@ -299,21 +391,24 @@ class TestChannel:
 
 @st.composite
 def vote_streams(draw):
-    """(pairs_per_bit, sent, votes, seed) with tie and all-abstain blocks."""
+    """(pairs_per_bit, sent, votes, seed) with tie and all-abstain blocks.
+
+    Per-pair votes are 0, 1 or None (an abstention).
+    """
     pairs_per_bit = draw(st.integers(1, 6))
     sent, votes = [], []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(["any", "tie", "abstain"]))
         if kind == "abstain":
-            block = [ABSTAIN] * pairs_per_bit
+            block = [None] * pairs_per_bit
         elif kind == "tie":
             half = draw(st.integers(0, pairs_per_bit // 2))
-            block = [0] * half + [1] * half + [ABSTAIN] * (pairs_per_bit - 2 * half)
+            block = [0] * half + [1] * half + [None] * (pairs_per_bit - 2 * half)
             block = draw(st.permutations(block))
         else:
             block = draw(
                 st.lists(
-                    st.sampled_from([ABSTAIN, 0, 1]),
+                    st.sampled_from([None, 0, 1]),
                     min_size=pairs_per_bit,
                     max_size=pairs_per_bit,
                 )
@@ -328,24 +423,31 @@ PROPERTY = settings(deadline=None, max_examples=200, derandomize=True)
 
 
 class TestChannelOracle:
-    """The array decoder against the per-pair reference in ``oracles``."""
+    """The count decoder against the per-pair reference in ``oracles``."""
 
     @PROPERTY
     @given(vote_streams())
     def test_decoder_matches_per_pair_reference(self, stream):
         pairs_per_bit, sent, votes, seed = stream
+        blocks = [
+            votes[start : start + pairs_per_bit]
+            for start in range(0, len(votes), pairs_per_bit)
+        ]
+        counts = [[block.count(v) for v in (0, 1, None)] for block in blocks]
         result = channel_accuracy(
-            np.array(sent), np.array(votes), pairs_per_bit, SeededRng(seed, 2)
+            np.array(sent[::pairs_per_bit]),
+            np.array(counts),
+            pairs_per_bit,
+            SeededRng(seed, 2),
         )
-        guesses = [None if v == ABSTAIN else v for v in votes]
         reference = channel_accuracy_by_pairs(
-            zip(sent, guesses), pairs_per_bit, SeededRng(seed, 2)
+            zip(sent, votes), pairs_per_bit, SeededRng(seed, 2)
         )
         assert (
             result.accuracy,
             result.sent,
             result.decoded,
-            result.coin_flip_blocks,
+            result.coin_flips,
         ) == reference
 
     @PROPERTY
@@ -356,16 +458,14 @@ class TestChannelOracle:
     @pytest.mark.parametrize(
         "sent, votes, pairs_per_bit",
         [
-            ([0, 0, 1, 0], [0, 0, 1, 1], 2),  # mixed bits in the second block
-            ([0, 0, 0], [0, 1, 0], 2),  # length not a multiple of pairs_per_bit
-            ([], [], 3),  # no blocks
-            ([2, 2], [0, 1], 2),  # a bit other than 0 or 1
-            ([0, 0], [0, 2], 2),  # a vote other than 0, 1 or ABSTAIN
-            ([0, 0], [0], 1),  # lengths differ
-            ([0], [0], 0),  # no pairs per bit
+            ([0, 0], [[2, 0, 0], [1, 0, 0]], 2),  # a bit's counts miss a pair
+            ([], np.zeros((0, 3)), 3),  # no bits
+            ([2], [[1, 1, 0]], 2),  # a bit other than 0 or 1
+            ([0], [[3, -1, 0]], 2),  # a negative vote count
+            ([0, 1], [[1, 0, 0]], 1),  # one count row for two bits
+            ([0], [[0, 0, 0]], 0),  # no pairs per bit
         ],
         ids=[
-            "mixed-bits",
             "ragged",
             "empty",
             "non-binary-bit",
@@ -400,16 +500,12 @@ class TestCertificate:
     def test_random_nonorthogonal_states(self):
         rng = SeededRng(409)
         states = tuple(random_ket(3, rng) for _ in range(3))
-        from pqclone.qcore import haar_unitary
-
         basis_a = AliceBasis.computational(3)
         basis_b = AliceBasis.from_unitary(haar_unitary(3, rng))
         assert analytic_no_signal_certificate(states, basis_a, basis_b) <= 1e-12
 
     def test_two_alternate_bases(self):
         rng = SeededRng(410)
-        from pqclone.qcore import haar_unitary
-
         states = tuple(random_ket(3, rng) for _ in range(3))
         b1 = AliceBasis.from_unitary(haar_unitary(3, rng))
         b2 = AliceBasis.fourier(3)
