@@ -111,7 +111,7 @@ def cmd_feasibility(args) -> int:
     m = args.copies
     report: dict = {"n_states": len(states), "dim": states[0].dim, "copies": m}
     if args.max_uniform:
-        gamma = pqcm.max_uniform_gamma(states, m, tol=args.tol)
+        gamma = pqcm.max_uniform_gamma(states, m)
         gammas = [gamma] * len(states)
         report["gamma_max"] = gamma
     else:
@@ -234,9 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-uniform",
         action="store_true",
         help="largest feasible uniform gamma, in closed form",
-    )
-    p_feas.add_argument(
-        "--tol", type=float, default=1e-9, help="ignored; must be positive"
     )
     p_feas.add_argument("--out", help="also write a JSON report here")
     p_feas.set_defaults(func=cmd_feasibility)

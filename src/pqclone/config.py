@@ -134,8 +134,11 @@ class RunConfig:
             raise ConfigError("provide exactly one of bob_states or states_file")
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
-        if self.message_bits < 1:
-            raise ConfigError("message_bits must be at least 1")
+        # the channel demo holds a few arrays of message_bits entries
+        if not 1 <= self.message_bits <= 2**20:
+            raise ConfigError(
+                f"message_bits must lie in [1, 2**20], got {self.message_bits}"
+            )
 
     def to_dict(self) -> dict:
         data = asdict(self)

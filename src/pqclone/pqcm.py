@@ -139,7 +139,7 @@ def feasibility_matrix(
     return HermitianOperator.from_matrix(gram - (d[:, None] * gram_m) * d[None, :])
 
 
-def max_uniform_gamma(states: Sequence[Ket], m: int, tol: float = 1e-9) -> float:
+def max_uniform_gamma(states: Sequence[Ket], m: int) -> float:
     """Largest uniform efficiency keeping the feasibility matrix PSD.
 
     The Gram matrix X of an independent set is positive definite, so for
@@ -147,13 +147,10 @@ def max_uniform_gamma(states: Sequence[Ket], m: int, tol: float = 1e-9) -> float
     equivalent to I - gamma L^-1 X^(M) L^-H >= 0, and the largest such
     gamma is min(1, 1 / lambda_max(L^-1 X^(M) L^-H)) in closed form. The
     factor used is L = X^(1/2), from the eigendecomposition of X; every
-    factor gives the same spectrum. ``tol`` is accepted for compatibility
-    and otherwise ignored; it must be positive.
+    factor gives the same spectrum.
     """
     states = tuple(states)
     _check_copies(m)
-    if not tol > 0:  # also catches nan
-        raise ConfigError(f"tolerance must be positive, got {tol!r}")
     _check_independent(states)
     gram = qcore.gram_matrix(states).entries
     vals, vecs = np.linalg.eigh(gram)
@@ -299,12 +296,18 @@ class IllegalClonerSpec:
         object.__setattr__(self, "coefficients", coeffs)
 
     def branch_probabilities(self, label: int) -> np.ndarray:
-        """|c|^2 per clonable branch plus the junk weight, for one input label."""
+        """|c|^2 per clonable branch plus the junk weight, for one input label.
+
+        A clonable label is its own branch with certainty.
+        """
         if label in self.coefficients:
             c_arr, d_val = self.coefficients[label]
             return np.concatenate([np.abs(c_arr) ** 2, [abs(d_val) ** 2]])
         probs = np.zeros(len(self.clonable_labels) + 1)
-        probs[-1] = 1.0  # default: pure junk
+        if label in self.clonable_labels:
+            probs[self.clonable_labels.index(label)] = 1.0
+        else:
+            probs[-1] = 1.0  # default: pure junk
         return probs
 
 

@@ -10,6 +10,14 @@ lands in the junk column. Tallying columns per basis choice estimates the
 conditional probabilities that decide whether the channel carries
 information.
 
+Two rules are defined once here and read everywhere else. ``group_hits``
+gives the probability that each verification group all-succeeds on exact
+copies of a state; the exact-copy column laws (and through them the
+illegal cloner's law) and the analytic leakage bound come from it.
+``cell_votes`` gives Bob's vote for each cell (B_1..B_N vote 0, B_{N+1}
+votes 1, PHI and discards abstain); the channel's vote law, the bit
+statistics of a tally and ``guess_rule`` all read it.
+
 ``column_law`` gives the exact probability of every (Alice outcome, Bob
 cell) pair for both of Alice's settings. Pairs are i.i.d., so protocol
 and channel runs draw only counts from that table: one multinomial per
@@ -24,7 +32,7 @@ first use, and every stage of a run reads those same read-only values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +62,7 @@ from .pqcm import (
 from .qcore import Ket, SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
+ABSTAIN = 2  # Bob's vote for PHI and discarded pairs: no verdict
 
 _PHASE_PROTOCOL = 0
 _PHASE_CHANNEL = 1
@@ -187,18 +196,41 @@ def group_verify(
     return PHI
 
 
-def guess_rule(column: int, n: int) -> int | None:
-    """Bob's decoding: columns 1..N mean bit 0, column N+1 means bit 1.
+@lru_cache
+def cell_votes(n: int) -> np.ndarray:
+    """Bob's vote for every cell of a law row: the one decoding rule.
 
-    The junk column gives no verdict (None, an abstention).
+    Cells 0..N-1 (columns B_1..B_N) vote 0, cell N (column B_{N+1}) votes 1,
+    and cells N+1 (PHI) and N+2 (a discarded cloner failure) abstain. A
+    vote indexes the (0-votes, 1-votes, abstentions) triple, so an
+    abstention is ``ABSTAIN`` = 2. The array is read-only.
     """
-    if column == PHI:
-        return None
-    if 1 <= column <= n:
-        return 0
-    if column == n + 1:
-        return 1
-    raise ConfigError(f"column {column} outside 1..{n + 1}")
+    votes = np.full(n + 3, ABSTAIN)
+    votes[:n] = 0
+    votes[n] = 1
+    votes.setflags(write=False)
+    return votes
+
+
+def _vote_totals(cells: np.ndarray, n: int) -> np.ndarray:
+    """[0-votes, 1-votes, abstentions] totals of one law row's cells.
+
+    ``cells`` holds B_1..B_{N+1}, PHI and, optionally, the discard cell;
+    each is added, in cell order, to the total of its ``cell_votes`` vote.
+    """
+    return np.bincount(cell_votes(n)[: cells.size], weights=cells, minlength=3)
+
+
+def guess_rule(column: int, n: int) -> int | None:
+    """Bob's vote for one column, read from ``cell_votes``.
+
+    Columns 1..N mean bit 0, column N+1 means bit 1, and the junk column
+    gives no verdict (None, an abstention).
+    """
+    if not 0 <= column <= n + 1:
+        raise ConfigError(f"column {column} outside 1..{n + 1}")
+    vote = int(cell_votes(n)[n + 1 if column == PHI else column - 1])
+    return None if vote == ABSTAIN else vote
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,25 +373,30 @@ def prepare_context(config: ProtocolConfig) -> RunContext:
     )
 
 
-def _exact_copy_law(single: Ket, candidates: Sequence[Ket], mu: int) -> np.ndarray:
-    """Column law of mu exact copies of ``single``: [P(col 1..K), P(PHI)].
+@lru_cache
+def _others(k: int) -> np.ndarray:
+    """Row l lists every group index except l; the array is read-only."""
+    others = np.array([[j for j in range(k) if j != l] for l in range(k)], dtype=int)
+    others.setflags(write=False)
+    return others
 
-    Group j is all-success with probability |<c_j|single>|^(2 g_j),
-    independently of the other groups, so column l needs group l to succeed
-    and every other group to fail.
+
+def group_hits(candidates: Sequence[Ket], states: Sequence[Ket], mu: int) -> np.ndarray:
+    """hit[j, i]: probability that group j all-succeeds on mu copies of states[i].
+
+    Group j tests its g_j clones against candidate c_j, each independently
+    with probability |<c_j|s_i>|^2, clipped at 1 so that a state's test
+    against itself succeeds with certainty.
     """
-    sizes = group_sizes(mu, len(candidates))
-    hit = np.array(
-        [
-            min(abs(qcore.inner_product(c, single)) ** 2, 1.0) ** g
-            for c, g in zip(candidates, sizes)
-        ]
-    )
-    miss = 1.0 - hit
-    cols = np.array(
-        [hit[l] * np.prod(np.delete(miss, l)) for l in range(len(candidates))]
-    )
-    return np.append(cols, 1.0 - cols.sum())
+    sizes = np.array(group_sizes(mu, len(candidates)))
+    bras = np.array([c.amplitudes for c in candidates]).conj()
+    kets = np.array([s.amplitudes for s in states]).T
+    return np.minimum(np.abs(bras @ kets) ** 2, 1.0) ** sizes[:, None]
+
+
+def _stay(hit: np.ndarray) -> np.ndarray:
+    """stay[l, i] = prod_{j != l} (1 - hit[j, i]): every group but l fails."""
+    return (1.0 - hit)[_others(hit.shape[0])].prod(axis=1)
 
 
 def _legal_rows(
@@ -411,9 +448,8 @@ def _legal_rows(
     powers = overlaps ** sizes[:, None]
     hits = powers.conj()[:, :, None] * powers[:, None, :]
     misses = gram ** sizes[:, None, None] - hits
-    others = [[j for j in range(k) if j != l] for l in range(k)]
     kernels = np.concatenate(
-        [hits * misses[others].prod(axis=1), (gram**mu)[None]]  # last: success
+        [hits * misses[_others(k)].prod(axis=1), (gram**mu)[None]]  # last: success
     )
     forms = np.einsum("im,cij,jm->mc", beta.conj(), kernels, beta).real
     success = forms[:, k]
@@ -425,30 +461,30 @@ def _legal_rows(
 
 
 def _illegal_rows(
-    spec: IllegalClonerSpec, setting: int, members: tuple, ctx: RunContext, mu: int
+    spec: IllegalClonerSpec, members: tuple, ctx: RunContext, mu: int
 ) -> np.ndarray:
-    """Law rows of the label-aware cloner; it never reports failure.
+    """Law rows of the label-aware cloner over the 2N members, N+3 cells each.
 
-    Each input label yields exact copies of one clonable state per branch,
-    mixed by the branch weights, and the junk branch lands in PHI.
+    Member m carries label m+1. Each branch of its output is either mu
+    exact copies of one clonable state or junk, and the row mixes the
+    branches' column laws by the label's branch weights. The groups test
+    exact copies independently, so column l needs group l to all-succeed
+    and every other group to fail, and PHI takes the rest; junk always
+    lands in PHI. The device never reports failure, so the discard cell
+    is 0.
     """
-    n = len(members)
     k = len(ctx.candidates)
-    copy_law = {
-        label: _exact_copy_law(ctx.all_states[label - 1], ctx.candidates, mu)
-        for label in spec.clonable_labels
-    }
-    rows = np.zeros((n, k + 2))
-    for m, (_, p) in enumerate(members):
-        label = setting * n + m + 1
-        if label in spec.clonable_labels:
-            rows[m, : k + 1] = p * copy_law[label]
-            continue
-        weights = spec.branch_probabilities(label)
-        for w, clonable in zip(weights, spec.clonable_labels):
-            rows[m, : k + 1] += p * w * copy_law[clonable]
-        rows[m, k] += p * weights[-1]
-    return rows
+    clonable = [ctx.all_states[label - 1] for label in spec.clonable_labels]
+    hit = group_hits(ctx.candidates, clonable, mu)
+    branch_laws = np.zeros((len(clonable) + 1, k + 2))  # junk branch last
+    branch_laws[:-1, :k] = (hit * _stay(hit)).T
+    branch_laws[:-1, k] = 1.0 - branch_laws[:-1, :k].sum(axis=1)
+    branch_laws[-1, k] = 1.0
+    weights = np.array(
+        [spec.branch_probabilities(m + 1) for m in range(len(members))]
+    )
+    probs = np.array([p for _, p in members])
+    return probs[:, None] * (weights @ branch_laws)
 
 
 def _clip_law(raw: np.ndarray) -> np.ndarray:
@@ -472,44 +508,30 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     0..N are columns B_1..B_{N+1}, cell N+1 is PHI, and cell N+2 is a
     cloner failure that Bob discards. Each setting sums to 1. Alice's row
     law comes from ``induced_ensemble``; the cells of a row from the
-    machine's success branch (legal) or from the closed product form of
-    exact copies (illegal).
+    machine's success branch (legal) or from the branch-weighted exact-copy
+    laws (illegal). Both build one row per member of the 2N-member list
+    A1 then A2, reshaped per setting.
     """
     ctx = config.context
     n = config.n
+    members = ctx.ensembles[0].members + ctx.ensembles[1].members
     if isinstance(config.machine, IllegalClonerSpec):
-        raw = np.stack(
-            [
-                _illegal_rows(config.machine, setting, ensemble.members, ctx, config.mu)
-                for setting, ensemble in enumerate(ctx.ensembles)
-            ]
-        )
+        raw = _illegal_rows(config.machine, members, ctx, config.mu)
     else:
-        members = ctx.ensembles[0].members + ctx.ensembles[1].members
         raw = _legal_rows(config.machine, members, ctx.candidates, config.mu)
-        raw = raw.reshape(2, n, n + 3)
-    return _clip_law(raw)
+    return _clip_law(raw.reshape(2, n, n + 3))
 
 
 def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
     """Worst-case probability that exact copies miss their own column.
 
     For exact copies of candidate l, group l always succeeds, so the only
-    losses are ties: some other group j all-succeeding, each with
-    probability |<B_j|B_l>|^(2 g_j).
+    losses are ties: some other group j all-succeeding, with probability
+    hit[j, l]. The bound is 1 - min_l prod_{j != l} (1 - hit[j, l]).
     """
     candidates = tuple(candidates)
-    sizes = group_sizes(mu, len(candidates))
-    worst = 0.0
-    for l, cand in enumerate(candidates):
-        stay = 1.0
-        for j, other in enumerate(candidates):
-            if j == l:
-                continue
-            overlap = abs(qcore.inner_product(other, cand)) ** 2
-            stay *= 1.0 - overlap ** sizes[j]
-        worst = max(worst, 1.0 - stay)
-    return worst
+    stay = _stay(group_hits(candidates, candidates, mu))
+    return float(1.0 - stay.diagonal().min())
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
@@ -555,21 +577,25 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
         rows = tally.counts[setting * n : (setting + 1) * n]
         p_col[setting] = rows.sum(axis=0) / total
 
-    def rate_and_err(setting: int, cols: slice) -> tuple[float, float]:
+    # P(vote | setting); setting s sends bit s
+    rates = [_vote_totals(p_col[setting], n) for setting in (0, 1)]
+
+    def rate_and_err(setting: int, vote: int) -> tuple[float, float]:
         total = tally.classified[setting]
-        p = float(p_col[setting, cols].sum())
+        p = float(rates[setting][vote])
         return p, float(np.sqrt(max(p * (1.0 - p), 0.0) / total))
 
-    p0_a1, se0_a1 = rate_and_err(0, slice(0, n))
-    p1_a1, se1_a1 = rate_and_err(0, slice(n, n + 1))
-    p0_a2, se0_a2 = rate_and_err(1, slice(0, n))
-    p1_a2, se1_a2 = rate_and_err(1, slice(n, n + 1))
+    p0_a1, se0_a1 = rate_and_err(0, 0)
+    p1_a1, se1_a1 = rate_and_err(0, 1)
+    p0_a2, se0_a2 = rate_and_err(1, 0)
+    p1_a2, se1_a2 = rate_and_err(1, 1)
 
-    # sum each setting in int64, then combine as Python ints: the counts of
-    # both settings together can exceed int64
-    a1, a2 = tally.counts[:n], tally.counts[n:]
-    correct = int(a1[:, :n].sum()) + int(a2[:, n].sum())
-    decided = int(a1[:, : n + 1].sum()) + int(a2[:, : n + 1].sum())
+    # exact int64 vote counts per setting, each within 2**62; the settings
+    # combine as Python ints, since both together can exceed int64
+    is_vote = cell_votes(n)[: n + 2, None] == np.arange(3)
+    votes = tally.counts.reshape(2, n, n + 2).sum(axis=1) @ is_vote
+    correct = sum(int(votes[s, s]) for s in (0, 1))
+    decided = sum(int(votes[s, :ABSTAIN].sum()) for s in (0, 1))
     accuracy = correct / decided if decided else 0.5
 
     return SignalStats(
@@ -644,8 +670,8 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     """Send a bit string through the cloner channel and decode it bit by bit.
 
     Every message bit consumes ``pairs_per_bit`` shared pairs measured in
-    the basis encoding that bit. Columns B_1..B_N vote 0, column B_{N+1}
-    votes 1 (``guess_rule``), and PHI and cloner failures abstain, so a
+    the basis encoding that bit. Each cell votes as ``cell_votes`` says
+    (B_1..B_N for 0, B_{N+1} for 1, PHI and cloner failures abstain), so a
     bit's votes are one multinomial draw from its setting's vote law. The
     bits of one setting take consecutive draws from that setting's stream,
     in message order.
@@ -657,8 +683,7 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     n = config.n
     votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):
-        cells = law[setting].sum(axis=0)
-        vote_law = np.array([cells[:n].sum(), cells[n], cells[n + 1 :].sum()])
+        vote_law = _vote_totals(law[setting].sum(axis=0), n)
         where = np.flatnonzero(bits == setting)
         rng = SeededRng(config.seed, _stream_id(_PHASE_CHANNEL, setting))
         votes[where] = rng.multinomial(config.pairs_per_bit, vote_law, where.size)

@@ -2,10 +2,10 @@
 
 Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
-hand-built matrix, independent-Bernoulli group statistics, contraction of
-an explicit Kraus success branch, pair-by-pair Born-rule trajectories,
-per-pair majority voting) so that a test never
-validates code against itself.
+hand-built matrix, independent-Bernoulli group statistics, projectors
+applied to an explicit Kraus success branch or joint clone ket,
+pair-by-pair Born-rule trajectories, per-pair majority voting) so that a
+test never validates code against itself.
 """
 
 import numpy as np
@@ -118,17 +118,49 @@ def exact_copy_column_distribution(
     return cols
 
 
+def _group_bras(candidates, sizes) -> list:
+    """<c_j|^(x g_j) per verification group, as one flat vector each."""
+    bras = []
+    for c, g in zip(candidates, sizes):
+        bra = np.ones(1, dtype=np.complex128)
+        for _ in range(g):
+            bra = np.kron(bra, c.amplitudes.conj())
+        bras.append(bra)
+    return bras
+
+
+def _only_group_masses(phi: np.ndarray, bras: list) -> np.ndarray:
+    """P(only group l all-succeeds), unnormalized, per row of ``phi``.
+
+    ``phi`` has one leading row axis and one axis per verification group.
+    Tests on distinct factors commute, so the result follows by
+    inclusion-exclusion from
+    P(every group in T all-succeeds) = ||(x_{j in T} <c_j|^(x g_j)) phi||^2.
+    """
+    k = len(bras)
+    rows = phi.shape[0]
+    only = np.zeros((rows, k))
+    for subset in range(1, 1 << k):
+        groups = [j for j in range(k) if subset >> j & 1]
+        amp = phi
+        for j in reversed(groups):  # highest axis first keeps lower axes in place
+            amp = np.tensordot(amp, bras[j], axes=([j + 1], [0]))
+        p_all = np.sum(np.abs(amp.reshape(rows, -1)) ** 2, axis=1)
+        sign = 1.0 if len(groups) % 2 else -1.0
+        only[:, groups] += sign * p_all[:, None]
+    return only
+
+
 def contracted_legal_rows(
     kraus_success: np.ndarray, members, candidates, mu: int
 ) -> np.ndarray:
     """Law rows of a Kraus machine by contracting its explicit success branch.
 
     Phi_m = sqrt(p_m) A psi_m is reshaped into one tensor factor per
-    verification group. Tests on distinct factors commute, so
-    P(only group l all-succeeds) follows by inclusion-exclusion from
-    P(every group in T all-succeeds) = ||(x_{j in T} <c_j|^(x g_j)) Phi_m||^2.
-    Rows are laid out like one setting of ``column_law``: columns
-    B_1..B_K, then PHI, then discarded cloner failures.
+    verification group, and the group projectors are applied to it by
+    inclusion-exclusion. Rows are laid out like one setting of
+    ``column_law``: columns B_1..B_K, then PHI, then discarded cloner
+    failures.
     """
     k = len(candidates)
     clone_dim = kraus_success.shape[1]
@@ -138,26 +170,26 @@ def contracted_legal_rows(
     phi = inputs @ kraus_success.T
     success = np.sum(np.abs(phi) ** 2, axis=1)
     phi = phi.reshape((len(members),) + tuple(clone_dim**g for g in sizes))
-    bras = []
-    for c, g in zip(candidates, sizes):
-        bra = np.ones(1, dtype=np.complex128)
-        for _ in range(g):
-            bra = np.kron(bra, c.amplitudes.conj())
-        bras.append(bra)
-    only = np.zeros((len(members), k))
-    for subset in range(1, 1 << k):
-        groups = [j for j in range(k) if subset >> j & 1]
-        amp = phi
-        for j in reversed(groups):  # highest axis first keeps lower axes in place
-            amp = np.tensordot(amp, bras[j], axes=([j + 1], [0]))
-        p_all = np.sum(np.abs(amp.reshape(len(members), -1)) ** 2, axis=1)
-        sign = 1.0 if len(groups) % 2 else -1.0
-        only[:, groups] += sign * p_all[:, None]
+    only = _only_group_masses(phi, _group_bras(candidates, sizes))
     rows = np.empty((len(members), k + 2))
     rows[:, :k] = only
     rows[:, k] = success - only.sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
+
+
+def projected_column_law(clones: CloneOutput, candidates, mu: int) -> np.ndarray:
+    """[P(col 1..K), P(PHI)] of a joint clone record, without sampling.
+
+    The group projectors are applied to the explicit joint ket by
+    inclusion-exclusion, and the leading (flag) register is summed out.
+    """
+    sizes = split_sizes(mu, len(candidates))
+    phi = clones.state.amplitudes.reshape(
+        (clones.lead_dim,) + tuple(clones.clone_dim**g for g in sizes)
+    )
+    only = _only_group_masses(phi, _group_bras(candidates, sizes)).sum(axis=0)
+    return np.append(only, 1.0 - only.sum())
 
 
 def three_sigma_binomial(p: float, n: int) -> float:

@@ -38,6 +38,7 @@ from pqclone.signalling import (
 from born import CollapseTree, haar_unitary, materialize_illegal_output, random_ket
 from test_config_cli import CONFIGS
 from oracles import (
+    projected_column_law,
     two_sample_sigma,
     two_state_gamma_by_bisection,
     two_state_gamma_closed_form,
@@ -262,6 +263,7 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
     c = np.sqrt([0.3, 0.3, 0.3])
     d = np.sqrt(0.1)
     worst_z = 0.0
+    worst_exact = 0.0
     for mu, trials, seed in ((6, 40_000, 910), (7, 20_000, 911)):
         spec = IllegalClonerSpec(
             clonable_labels=(1, 2, 3),
@@ -269,6 +271,29 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
             total_labels=4,
             coefficients={4: (c, d)},
         )
+        default_spec = IllegalClonerSpec(
+            clonable_labels=(1, 2, 3), copies=mu, total_labels=4
+        )
+        # exact: the group projectors applied to the materialized joint ket
+        # give label 4's row of the library's law, divided by its p
+        for exact_spec in (spec, default_spec):
+            config = ProtocolConfig(
+                bob_states=(KET0, KET1),
+                a2_basis=AliceBasis.fourier(2),
+                mu=mu,
+                trials=1,
+                pairs_per_bit=1,
+                machine=exact_spec,
+                seed=0,
+            )
+            p = config.context.ensembles[1].members[1][1]
+            row = column_law(config)[1, 1, :4] / p
+            joint, embedded = materialize_illegal_output(exact_spec, 4, all_states)
+            projected = projected_column_law(joint, embedded, mu)
+            gap = float(np.max(np.abs(projected - row)))
+            assert gap <= 1e-12, f"mu={mu}: {projected} vs {row}"
+            worst_exact = max(worst_exact, gap)
+
         joint, embedded = materialize_illegal_output(spec, 4, all_states)
         # group_verify's sequential collapse, memoized per outcome prefix;
         # the first 1 000 trials also run group_verify itself and must agree
@@ -292,9 +317,6 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
                 worst_z = max(worst_z, gap / sigma)
 
         # the default pure-junk output materializes to the junk column exactly
-        default_spec = IllegalClonerSpec(
-            clonable_labels=(1, 2, 3), copies=mu, total_labels=4
-        )
         joint_junk, embedded_junk = materialize_illegal_output(
             default_spec, 4, all_states
         )
@@ -302,7 +324,11 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
         assert all(
             group_verify(joint_junk, embedded_junk, mu, rng) == PHI for _ in range(50)
         )
-    report(7, f"mu in {{6, 7}}, worst column gap = {worst_z:.2f} sigma")
+    report(
+        7,
+        f"mu in {{6, 7}}, worst column gap = {worst_z:.2f} sigma, "
+        f"worst exact projection gap = {worst_exact:.1e}",
+    )
 
 
 def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):

@@ -188,8 +188,6 @@ class TestCliFeasibility:
     @pytest.mark.parametrize(
         "extra",
         [
-            ["--max-uniform", "--tol", "0"],
-            ["--max-uniform", "--tol=-1e-3"],
             ["--gamma", "nan"],
             ["--gamma", "inf"],
             ["--gamma", "1.5"],
@@ -206,14 +204,14 @@ class TestCliFeasibility:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    def test_tol_below_float_resolution_terminates(self, capsys):
+    def test_tol_is_an_unknown_argument(self, capsys):
+        # gamma_max is a closed form, so there is no tolerance to set
         code = cli.main(
             ["feasibility", str(CONFIGS / "states_overlap_n2.txt"), "-M", "2",
-             "--max-uniform", "--tol", "1e-300"]
+             "--max-uniform", "--tol", "1e-9"]
         )
-        assert code == 0
-        gamma = float(capsys.readouterr().out.split("gamma_max: ")[1].split()[0])
-        assert gamma == pytest.approx(0.58578644, abs=1e-8)
+        assert code == 1
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 class TestCliConstruct:
@@ -424,6 +422,29 @@ class TestCliSignalTest:
             stats = json.loads((out_dir / "stats.json").read_text())
             trials = stats["trials_per_setting"]
             assert stats["classified_a1"] == stats["classified_a2"] == trials
+
+    # The channel demo holds arrays of message_bits entries, and far larger
+    # counts than the cap cannot be allocated at all.
+    @pytest.mark.parametrize(
+        "bits, code", [(2**20, 0), (2**20 + 1, 1)], ids=["cap", "above-cap"]
+    )
+    def test_message_bits_capped_at_2_20(self, tmp_path, capsys, bits, code):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["message_bits"] = bits
+        cfg = tmp_path / "bits.json"
+        cfg.write_text(json.dumps(data))
+        out_dir = tmp_path / "out"
+        assert cli.main(
+            ["signal-test", str(cfg), "--trials", "10", "--out", str(out_dir)]
+        ) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: message_bits ") and "2**20" in err
+            assert len(err.splitlines()) == 1
+            assert not out_dir.exists()
+        else:
+            stats = json.loads((out_dir / "stats.json").read_text())
+            assert stats["channel_bits"] == bits
 
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []

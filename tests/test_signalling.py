@@ -1,10 +1,11 @@
 """Protocol harness: classification, tallies, channel decoding, certificates."""
 
+import copy
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqclone import config as config_mod
@@ -38,7 +39,7 @@ from pqclone.signalling import (
     stats_from_tally,
 )
 
-from born import haar_unitary, materialize_illegal_output, random_ket
+from born import CollapseTree, haar_unitary, materialize_illegal_output, random_ket
 from test_config_cli import REPO
 from oracles import (
     channel_accuracy_by_pairs,
@@ -167,11 +168,18 @@ class TestGroupVerify:
         expected = exact_copy_column_distribution(
             PLUS.amplitudes, [c.amplitudes for c in candidates], mu
         )
+        # group_verify's sequential collapse, memoized per outcome prefix;
+        # the first 1 000 trials also run group_verify itself and must agree
+        collapse = CollapseTree(out, candidates, mu)
         rng = SeededRng(405)
         trials = 20_000
         counts = np.zeros(4)
-        for _ in range(trials):
-            col = group_verify(out, candidates, mu, rng)
+        for t in range(trials):
+            if t < 1_000:
+                direct = group_verify(out, candidates, mu, copy.deepcopy(rng))
+            col = collapse.verdict(rng)
+            if t < 1_000:
+                assert col == direct
             counts[3 if col == PHI else col - 1] += 1
         for k in range(4):
             assert abs(counts[k] / trials - expected[k]) < three_sigma_binomial(
@@ -189,6 +197,66 @@ class TestGuessRule:
 
     def test_phi_abstains(self):
         assert guess_rule(PHI, 5) is None
+
+    @pytest.mark.parametrize("column", [-1, 7])
+    def test_column_outside_range_rejected(self, column):
+        with pytest.raises(ConfigError):
+            guess_rule(column, 5)
+
+
+@st.composite
+def tallies(draw):
+    """A random tally for N = 2..4, each setting's counts within the 2**62 cap."""
+    n = draw(st.integers(2, 4))
+    cells = 2 * n * (n + 2)
+    high = draw(st.sampled_from([3, 1_000, 2**62 // (n * (n + 2))]))
+    counts = np.array(
+        draw(st.lists(st.integers(0, high), min_size=cells, max_size=cells)),
+        dtype=np.int64,
+    ).reshape(2 * n, n + 2)
+    classified = tuple(int(counts[s * n : (s + 1) * n].sum()) for s in (0, 1))
+    assume(min(classified) > 0)
+    discards = tuple(draw(st.integers(0, high)) for _ in (0, 1))
+    return TallyTable(
+        n=n,
+        counts=counts,
+        classified=classified,
+        discards=discards,
+        trials=tuple(c + d for c, d in zip(classified, discards)),
+    )
+
+
+class TestStatsFromTally:
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(tallies())
+    def test_bit_statistics_match_cell_by_cell_votes(self, tally):
+        # setting s sends bit s; every cell's count goes to guess_rule's vote
+        n = tally.n
+        votes = [[0, 0, 0], [0, 0, 0]]  # 0-votes, 1-votes, abstentions
+        for row in range(2 * n):
+            for cell in range(n + 2):
+                vote = guess_rule(PHI if cell == n + 1 else cell + 1, n)
+                votes[row // n][2 if vote is None else vote] += int(
+                    tally.counts[row, cell]
+                )
+        stats = stats_from_tally(tally, 0.0)
+        for s, (p0, p1) in enumerate(
+            ((stats.p0_a1, stats.p1_a1), (stats.p0_a2, stats.p1_a2))
+        ):
+            total = tally.classified[s]
+            assert sum(votes[s]) == total
+            assert p0 == pytest.approx(votes[s][0] / total, rel=0, abs=1e-12)
+            assert p1 == pytest.approx(votes[s][1] / total, rel=0, abs=1e-12)
+        for p, se, total in (
+            (stats.p0_a1, stats.stderr_p0_a1, tally.classified[0]),
+            (stats.p1_a1, stats.stderr_p1_a1, tally.classified[0]),
+            (stats.p0_a2, stats.stderr_p0_a2, tally.classified[1]),
+            (stats.p1_a2, stats.stderr_p1_a2, tally.classified[1]),
+        ):
+            assert se == np.sqrt(max(p * (1.0 - p), 0.0) / total)
+        correct = votes[0][0] + votes[1][1]
+        decided = sum(votes[0][:2]) + sum(votes[1][:2])
+        assert stats.accuracy == (correct / decided if decided else 0.5)
 
 
 class TestRunProtocol:
@@ -534,11 +602,17 @@ class TestMaterialization:
         out_joint, embedded = materialize_illegal_output(spec, 3, all_states)
         out_product = CloneOutput.exact_copies(3, PLUS, 6)
         candidates = (KET0, KET1, PLUS)
+        # the joint ket is tested as in test_joint_exact_copies_match_product_law
+        collapse = CollapseTree(out_joint, embedded, 6)
         rng = SeededRng(412)
         trials = 8_000
         freq = np.zeros((2, 4))
-        for _ in range(trials):
-            col = group_verify(out_joint, embedded, 6, rng)
+        for t in range(trials):
+            if t < 1_000:
+                direct = group_verify(out_joint, embedded, 6, copy.deepcopy(rng))
+            col = collapse.verdict(rng)
+            if t < 1_000:
+                assert col == direct
             freq[0, 3 if col == PHI else col - 1] += 1
             col = group_verify(out_product, candidates, 6, rng)
             freq[1, 3 if col == PHI else col - 1] += 1
@@ -548,14 +622,24 @@ class TestMaterialization:
             assert abs(freq[0, k] - freq[1, k]) <= 3 * sigma + 1e-12
 
     def test_leakage_bound_matches_column_law(self):
-        candidates = (KET0, KET1, PLUS)
-        mu = 12
-        bound = analytic_leakage(candidates, mu)
-        for own, single in enumerate(candidates):
+        # the bound is the worst own-column miss of exact copies: in the
+        # law's clonable rows exactly, and in the independent group law to
+        # its roundoff
+        cfg = illegal_config(mu=12)
+        candidates = cfg.context.candidates
+        bound = analytic_leakage(candidates, cfg.mu)
+        law = column_law(cfg)
+        members = cfg.context.ensembles[0].members + cfg.context.ensembles[1].members
+        misses = []
+        for own, single in enumerate(candidates):  # candidate own has label own+1
+            setting, m = divmod(own, cfg.n)
+            misses.append(1.0 - law[setting, m, own] / members[own][1])
             dist = exact_copy_column_distribution(
-                single.amplitudes, [c.amplitudes for c in candidates], mu
+                single.amplitudes, [c.amplitudes for c in candidates], cfg.mu
             )
-            assert 1.0 - dist[own] <= bound + 1e-12
+            assert abs(1.0 - dist[own] - misses[-1]) <= 1e-12
+        assert abs(bound - max(misses)) <= 1e-15
+        assert bound > 0.1  # PLUS ties with KET0 and KET1 at 12 copies
 
 
 class TestProtocolConfigValidation:
