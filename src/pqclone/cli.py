@@ -16,7 +16,6 @@ import numpy as np
 
 from . import config as config_mod
 from . import pqcm, qcore, signalling
-from .entangle import AliceBasis
 from .errors import FeasibilityError, PqcloneError
 
 EXIT_OK = 0
@@ -184,7 +183,7 @@ def cmd_signal_test(args) -> int:
     protocol = config_mod.build_protocol(run, base_dir)
     tally, stats = signalling.run_protocol(protocol)
     certificate = signalling.analytic_no_signal_certificate(
-        protocol.bob_states, AliceBasis.computational(protocol.n), protocol.a2_basis
+        *protocol.context.ensembles
     )
     message = signalling.random_message(run.seed, run.message_bits)
     channel = signalling.run_channel(protocol, message)

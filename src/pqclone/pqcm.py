@@ -5,9 +5,15 @@ two-outcome generalized measurement: a success operator A sending each
 |B_i> to sqrt(gamma_i) |B_i>^(x M), and a failure operator F with
 A*A + F*F = I. Such an A exists exactly when the Gram-matrix condition
 X - D X^(M) D >= 0 holds, with X the Gram matrix, X^(M) its entrywise
-M-th power, and D = diag(sqrt(gamma_i)). The machine is built explicitly
-as A = C D B^+ (B = input columns, C = M-fold product columns) and F as
-the principal square root of I - A*A.
+M-th power, and D = diag(sqrt(gamma_i)). The success operator is
+A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
+principal square root of I - A*A.
+
+Every check on a machine runs on N x N Gram-form matrices (derivation in
+``construct_machine``), so construction never builds an N^M-dimensional
+array. The explicit N^M x N operator A is built only when
+``kraus_success`` is first read, and its own clone residual is checked
+then.
 
 The module also models the deliberately nonphysical "illegal" cloner of
 the signalling argument: a label-aware device that claims to clone N+1
@@ -18,6 +24,7 @@ a random branch of the general output decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,12 +47,14 @@ _MACHINE_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class PqcmMachine:
-    """An explicit success/failure Kraus pair cloning a fixed state set."""
+    """A success/failure Kraus pair cloning a fixed state set.
+
+    The residuals are those of the Gram-form checks in ``construct_machine``.
+    """
 
     clonable: tuple  # of Ket, dimension N, linearly independent
     copies: int
     gammas: tuple  # of float, per-state success probabilities
-    kraus_success: np.ndarray  # shape (N**copies, N)
     kraus_fail: np.ndarray  # shape (N, N)
     clone_residual: float  # max_i ||A|B_i> - sqrt(g_i)|B_i>^(xM)||
     trace_residual: float  # max-entry |A*A + F*F - I|
@@ -53,6 +62,27 @@ class PqcmMachine:
     @property
     def dim(self) -> int:
         return self.clonable[0].dim
+
+    @cached_property
+    def kraus_success(self) -> np.ndarray:
+        """The explicit success operator A = C D B^+, shape (N**copies, N).
+
+        Built on first read, which checks its clone residual against the
+        same tolerance as construction; the array is read-only.
+        """
+        b_mat = _state_matrix(self.clonable)
+        c_mat = np.column_stack(
+            [qcore.tensor_power(s, self.copies).amplitudes for s in self.clonable]
+        )
+        target = c_mat * np.sqrt(np.asarray(self.gammas))[None, :]  # C D
+        a_op = target @ np.linalg.pinv(b_mat)
+        residual = float(np.max(np.linalg.norm(a_op @ b_mat - target, axis=0)))
+        if residual > _MACHINE_TOL:
+            raise FeasibilityError(
+                f"explicit success operator fails its clone check "
+                f"(residual {residual:.3e})"
+            )
+        return qcore._frozen(a_op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,13 +193,24 @@ def max_uniform_gamma(states: Sequence[Ket], m: int) -> float:
 def construct_machine(
     states: Sequence[Ket], m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
-    """Build the explicit success/failure Kraus pair for the given set.
+    """Build and verify the success/failure Kraus pair for the given set.
 
     Success operator A = C D B^+ with B the matrix of input columns,
     C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
-    failure operator F = principal square root of I - A*A. Raises
-    FeasibilityError when the Gram condition fails, ConditioningError when
-    the input set is numerically too close to dependence.
+    failure operator F = principal square root of I - A*A. Every check
+    runs on N x N matrices, from W = D B^+ and the Gram kernel
+    K = C*C = X^(o M):
+
+      * A*A = W* K W, and I - A*A must be PSD (trace preservation);
+      * A B - C D = C V with V = W B - D, so the clone residual of state i
+        is sqrt(v_i* K v_i);
+      * the trace residual is max |A*A + F*F - I|.
+
+    Both residuals must lie within ``_MACHINE_TOL``. The explicit A is
+    built, and its own clone residual checked, when ``kraus_success`` is
+    first read. Raises FeasibilityError when the Gram condition or a check
+    fails, ConditioningError when the input set is numerically too close
+    to dependence.
     """
     states = tuple(states)
     gammas = tuple(float(g) for g in gammas)
@@ -187,12 +228,13 @@ def construct_machine(
             f"state matrix condition number {singulars[0] / singulars[-1]:.3e} "
             f"exceeds {COND_LIMIT:.0e}"
         )
-    c_mat = np.column_stack([qcore.tensor_power(s, m).amplitudes for s in states])
     d_vec = np.sqrt(np.asarray(gammas))
-    a_op = (c_mat * d_vec[None, :]) @ np.linalg.pinv(b_mat)
+    w_mat = d_vec[:, None] * np.linalg.pinv(b_mat)  # A = C W
+    kernel = (b_mat.conj().T @ b_mat) ** m  # C*C = X^(o M)
+    success_gram = w_mat.conj().T @ kernel @ w_mat  # A*A
 
     n = states[0].dim
-    gap = np.eye(n) - a_op.conj().T @ a_op
+    gap = np.eye(n) - success_gram
     eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
     if eigvals[0] < -qcore.PSD_TOL:
         raise FeasibilityError(
@@ -201,14 +243,11 @@ def construct_machine(
         )
     f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
 
-    clone_residual = max(
-        float(
-            np.linalg.norm(a_op @ s.amplitudes - np.sqrt(g) * power)
-        )
-        for s, g, power in zip(states, gammas, c_mat.T)
-    )
+    v_mat = w_mat @ b_mat - np.diag(d_vec)  # A B - C D = C V
+    clone_sq = np.einsum("ji,jk,ki->i", v_mat.conj(), kernel, v_mat).real
+    clone_residual = float(np.sqrt(np.clip(clone_sq, 0.0, None).max()))
     trace_residual = float(
-        np.max(np.abs(a_op.conj().T @ a_op + f_op.conj().T @ f_op - np.eye(n)))
+        np.max(np.abs(success_gram + f_op.conj().T @ f_op - np.eye(n)))
     )
     if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
         raise FeasibilityError(
@@ -219,7 +258,6 @@ def construct_machine(
         clonable=states,
         copies=m,
         gammas=gammas,
-        kraus_success=qcore._frozen(a_op),
         kraus_fail=qcore._frozen(f_op),
         clone_residual=clone_residual,
         trace_residual=trace_residual,

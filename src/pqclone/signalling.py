@@ -59,7 +59,7 @@ from .pqcm import (
     apply_machine,
     illegal_clone,
 )
-from .qcore import Ket, SeededRng
+from .qcore import Ensemble, Ket, SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
 ABSTAIN = 2  # Bob's vote for PHI and discarded pairs: no verdict
@@ -697,16 +697,15 @@ def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
     return tuple((rng.uniforms(n_bits) < 0.5).astype(np.int64).tolist())
 
 
-def analytic_no_signal_certificate(
-    bob_states, basis_a: AliceBasis, basis_b: AliceBasis
-) -> float:
+def analytic_no_signal_certificate(ensemble_a: Ensemble, ensemble_b: Ensemble) -> float:
     """Trace distance between Bob's averaged states for two Alice bases.
 
-    The two Alice-averaged density matrices coincide identically, so the
-    returned value is numerical noise (at most ~1e-12): the certificate
-    that basis choice alone sends no information.
+    The ensembles are Bob's induced preparation ensembles for the two
+    bases (a run's ``RunContext.ensembles``). Their Alice-averaged density
+    matrices coincide identically, so the returned value is numerical noise
+    (at most ~1e-12): the certificate that basis choice alone sends no
+    information.
     """
-    shared = build_shared_state(tuple(bob_states))
-    rho_a = induced_ensemble(shared, basis_a).average_density()
-    rho_b = induced_ensemble(shared, basis_b).average_density()
-    return qcore.trace_distance(rho_a, rho_b)
+    return qcore.trace_distance(
+        ensemble_a.average_density(), ensemble_b.average_density()
+    )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pqclone import cli
-from pqclone.entangle import AliceBasis
+from pqclone.entangle import AliceBasis, build_shared_state, induced_ensemble
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
     IllegalClonerSpec,
@@ -126,8 +126,10 @@ def test_criterion_3_legal_machines_never_signal():
         )
         diff = abs(stats.p1_a2 - stats.p1_a1)
         assert diff <= 3.0 * sigma, f"instance {instance}: diff {diff}, sigma {sigma}"
+        shared = build_shared_state(states)
         certificate = analytic_no_signal_certificate(
-            states, AliceBasis.computational(n), a2
+            induced_ensemble(shared, AliceBasis.computational(n)),
+            induced_ensemble(shared, a2),
         )
         assert certificate <= 1e-12
         # exact: Bob's column law, discard mass included, ignores Alice's basis

@@ -227,6 +227,54 @@ class TestFeasibilityEquivalence:
             assert built == verdict
 
 
+def gram_form_success(states, m: int, gammas) -> np.ndarray:
+    """A*A of the machine for a square state set, from N x N matrices.
+
+    A = C D B^-1 and C*C = X^(o M), so A*A = B^-H D X^(o M) D B^-1, and
+    I - A*A is congruent to the feasibility matrix X - D X^(o M) D through B.
+    """
+    b_mat = np.column_stack([s.amplitudes for s in states])
+    w_mat = np.sqrt(gammas)[:, None] * np.linalg.inv(b_mat)
+    return w_mat.conj().T @ (b_mat.conj().T @ b_mat) ** m @ w_mat
+
+
+class TestGramFormEquivalence:
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        factors=st.lists(
+            st.one_of(st.just(1.0), st.floats(0.0, 1.6)), min_size=4, max_size=4
+        ),
+    )
+    def test_construction_feasibility_and_gram_gap_agree(self, n, m, seed, factors):
+        # per-state efficiencies up to and beyond the uniform boundary gamma_max
+        states = independent_set(n, SeededRng(seed))
+        gmax = max_uniform_gamma(states, m)
+        gammas = np.array([min(1.0, f * gmax) for f in factors[:n]])
+        feasible = is_psd(feasibility_matrix(states, m, gammas))
+        success_gram = gram_form_success(states, m, gammas)
+        gap_ok = np.linalg.eigvalsh(np.eye(n) - success_gram)[0] >= -qcore.PSD_TOL
+        try:
+            machine = construct_machine(states, m, gammas)
+        except FeasibilityError:
+            machine = None
+        assert (machine is not None) == feasible == gap_ok
+        if machine is None:
+            return
+        # the explicit N^M x N operator agrees with the Gram-form checks
+        a_op = machine.kraus_success
+        explicit_gram = a_op.conj().T @ a_op
+        np.testing.assert_allclose(explicit_gram, success_gram, rtol=0, atol=1e-12)
+        fail_gram = machine.kraus_fail.conj().T @ machine.kraus_fail
+        assert np.max(np.abs(explicit_gram + fail_gram - np.eye(n))) <= 1e-9
+        for s, g in zip(states, gammas):
+            expected = np.sqrt(g) * tensor_power(s, m).amplitudes
+            assert np.linalg.norm(a_op @ s.amplitudes - expected) <= 1e-9
+        assert machine.clone_residual <= 1e-9 and machine.trace_residual <= 1e-9
+
+
 class TestApplyMachine:
     def test_clonable_success_frequency(self):
         states = overlap_pair(SQ2)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pqclone import config as config_mod
 from pqclone import signalling
-from pqclone.entangle import AliceBasis
+from pqclone.entangle import AliceBasis, build_shared_state, induced_ensemble
 from pqclone.errors import ConfigError
 from pqclone.pqcm import (
     CloneOutput,
@@ -18,7 +18,7 @@ from pqclone.pqcm import (
     construct_machine,
     max_uniform_gamma,
 )
-from pqclone.qcore import Ket, SeededRng
+from pqclone.qcore import Ket, SeededRng, inner_product
 from pqclone.signalling import (
     _PHASE_CHANNEL,
     _PHASE_PROTOCOL,
@@ -136,17 +136,27 @@ class TestGroupVerify:
     def test_column_frequencies_match_independent_group_law(self):
         candidates = (KET0, KET1, PLUS)
         mu = 9
+        sizes = group_sizes(mu, len(candidates))
         rng = SeededRng(403)
         trials = 100_000
         for label, single in ((3, PLUS), (1, KET0)):
             expected = exact_copy_column_distribution(
                 single.amplitudes, [c.amplitudes for c in candidates], mu
             )
-            counts = np.zeros(4)
             out = CloneOutput.exact_copies(label, single, mu)
-            for _ in range(trials):
-                col = group_verify(out, candidates, mu, rng)
-                counts[3 if col == PHI else col - 1] += 1
+            # group_verify draws mu uniforms per trial; row t of one
+            # (trials, mu) draw holds trial t's, so the verdicts are the same
+            replay = copy.deepcopy(rng)
+            overlaps = [abs(inner_product(c, single)) ** 2 for c in candidates]
+            thresholds = np.repeat(overlaps, sizes)
+            hits = rng.uniforms(trials * mu).reshape(trials, mu) < thresholds
+            starts = np.cumsum([0] + sizes[:-1])
+            group_ok = np.logical_and.reduceat(hits, starts, axis=1)
+            one_winner = group_ok.sum(axis=1) == 1
+            cols = np.where(one_winner, group_ok.argmax(axis=1) + 1, PHI)
+            direct = [group_verify(out, candidates, mu, replay) for _ in range(1_000)]
+            assert cols[:1_000].tolist() == direct
+            counts = np.bincount(np.where(cols == PHI, 3, cols - 1), minlength=4)
             for k in range(4):
                 assert abs(counts[k] / trials - expected[k]) < three_sigma_binomial(
                     expected[k], trials
@@ -381,6 +391,18 @@ class TestRunProtocol:
         assert 0.0 < stats.discard_rate[0] < 1.0
         assert 0.0 < stats.discard_rate[1] < 1.0
 
+    def test_run_never_builds_the_explicit_success_operator(self):
+        # the law reads only the clonable set and the gammas, so a full run
+        # on the N=3, mu=8 config leaves the 6561 x 3 operator unbuilt
+        cfg = demo_protocol("legal_n3_wide")
+        run_protocol(cfg)
+        run_channel(cfg, random_message(cfg.seed, 40))
+        machine = cfg.machine
+        assert "kraus_success" not in machine.__dict__
+        kraus = machine.kraus_success  # built and checked on first read
+        assert kraus.shape == (3**8, 3) and not kraus.flags.writeable
+        assert machine.__dict__["kraus_success"] is kraus
+
 
 class TestChannel:
     def test_majority_vote_blocks(self):
@@ -556,10 +578,17 @@ class TestChannelOracle:
             run_channel(illegal_config(trials=1, pairs_per_bit=3), (0, 2, 1))
 
 
+def _certificate(states, basis_a, basis_b) -> float:
+    shared = build_shared_state(states)
+    return analytic_no_signal_certificate(
+        induced_ensemble(shared, basis_a), induced_ensemble(shared, basis_b)
+    )
+
+
 class TestCertificate:
     def test_bell_type_state(self):
         assert (
-            analytic_no_signal_certificate(
+            _certificate(
                 (KET0, KET1), AliceBasis.computational(2), AliceBasis.fourier(2)
             )
             <= 1e-12
@@ -570,14 +599,14 @@ class TestCertificate:
         states = tuple(random_ket(3, rng) for _ in range(3))
         basis_a = AliceBasis.computational(3)
         basis_b = AliceBasis.from_unitary(haar_unitary(3, rng))
-        assert analytic_no_signal_certificate(states, basis_a, basis_b) <= 1e-12
+        assert _certificate(states, basis_a, basis_b) <= 1e-12
 
     def test_two_alternate_bases(self):
         rng = SeededRng(410)
         states = tuple(random_ket(3, rng) for _ in range(3))
         b1 = AliceBasis.from_unitary(haar_unitary(3, rng))
         b2 = AliceBasis.fourier(3)
-        assert analytic_no_signal_certificate(states, b1, b2) <= 1e-12
+        assert _certificate(states, b1, b2) <= 1e-12
 
 
 class TestMaterialization:
