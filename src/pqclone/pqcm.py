@@ -9,11 +9,11 @@ M-th power, and D = diag(sqrt(gamma_i)). The success operator is
 A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
 principal square root of I - A*A.
 
-Every check on a machine runs on N x N Gram-form matrices (derivation in
+Every check on a machine runs on N x N matrices (derivation in
 ``construct_machine``), so construction never builds an N^M-dimensional
 array. The explicit N^M x N operator A is built only when
-``kraus_success`` is first read, and its own clone residual is checked
-then.
+``kraus_success`` is first read, and its own clone and trace residuals
+are checked then.
 
 The module also models the deliberately nonphysical "illegal" cloner of
 the signalling argument: a label-aware device that claims to clone N+1
@@ -49,7 +49,7 @@ _MACHINE_TOL = 1e-9
 class PqcmMachine:
     """A success/failure Kraus pair cloning a fixed state set.
 
-    The residuals are those of the Gram-form checks in ``construct_machine``.
+    The residuals are those of the N x N checks in ``construct_machine``.
     """
 
     clonable: tuple  # of Ket, dimension N, linearly independent
@@ -67,8 +67,9 @@ class PqcmMachine:
     def kraus_success(self) -> np.ndarray:
         """The explicit success operator A = C D B^+, shape (N**copies, N).
 
-        Built on first read, which checks its clone residual against the
-        same tolerance as construction; the array is read-only.
+        Built on first read, which checks its clone residual and, with
+        ``kraus_fail``, its trace residual against the same tolerance as
+        construction; the array is read-only.
         """
         b_mat = _state_matrix(self.clonable)
         c_mat = np.column_stack(
@@ -76,11 +77,14 @@ class PqcmMachine:
         )
         target = c_mat * np.sqrt(np.asarray(self.gammas))[None, :]  # C D
         a_op = target @ np.linalg.pinv(b_mat)
-        residual = float(np.max(np.linalg.norm(a_op @ b_mat - target, axis=0)))
-        if residual > _MACHINE_TOL:
+        clone = float(np.max(np.linalg.norm(a_op @ b_mat - target, axis=0)))
+        f_op = self.kraus_fail
+        total = a_op.conj().T @ a_op + f_op.conj().T @ f_op  # A*A + F*F
+        trace = float(np.max(np.abs(total - np.eye(self.dim))))
+        if clone > _MACHINE_TOL or trace > _MACHINE_TOL:
             raise FeasibilityError(
-                f"explicit success operator fails its clone check "
-                f"(residual {residual:.3e})"
+                f"explicit success operator fails its checks "
+                f"(clone residual {clone:.3e}, trace residual {trace:.3e})"
             )
         return qcore._frozen(a_op)
 
@@ -137,6 +141,34 @@ class CloneOutput:
 
 def _state_matrix(states: Sequence[Ket]) -> np.ndarray:
     return np.column_stack([s.amplitudes for s in states])
+
+
+def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
+    """An N x N factor R of the M-fold product columns: C = Q R, Q*Q = I.
+
+    Column i of C is b_i^(x M). If C_a = Q_a R_a and C_b = Q_b R_b, the
+    column-wise Kronecker product C_a (.) C_b equals
+    (Q_a x Q_b)(R_a (.) R_b), so its R factor is that of R_a (.) R_b.
+    Squaring from R_1 = B (Q_1 = I) reaches M in about log2(M) QR steps,
+    each of a matrix with N columns and at most dim^2 rows. Unlike a
+    factor of the Gram kernel X^(o M), which rounds away the small
+    eigenvalues of a nearly dependent set, R carries C's own rounding, so
+    R W is as accurate as the explicit C W.
+    """
+    n = b_mat.shape[1]
+
+    def qr_of_product(r_a, r_b):
+        product = np.einsum("ai,bi->abi", r_a, r_b).reshape(-1, n)  # R_a (.) R_b
+        return np.linalg.qr(product, mode="r")
+
+    factor, power = None, b_mat
+    while True:
+        if m & 1:
+            factor = power if factor is None else qr_of_product(factor, power)
+        m >>= 1
+        if not m:
+            return factor
+        power = qr_of_product(power, power)
 
 
 def _check_independent(states: Sequence[Ket]) -> None:
@@ -198,19 +230,20 @@ def construct_machine(
     Success operator A = C D B^+ with B the matrix of input columns,
     C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
     failure operator F = principal square root of I - A*A. Every check
-    runs on N x N matrices, from W = D B^+ and the Gram kernel
-    K = C*C = X^(o M):
+    runs on N x N matrices, from W = D B^+ and the factor C = Q R of
+    ``_product_factor`` (Q with orthonormal columns, never formed). Then
+    A = C W = Q G with G = R W, so:
 
-      * A*A = W* K W, and I - A*A must be PSD (trace preservation);
-      * A B - C D = C V with V = W B - D, so the clone residual of state i
-        is sqrt(v_i* K v_i);
+      * A*A = G*G, and I - A*A must be PSD (trace preservation);
+      * A B - C D = Q R V with V = W B - D, so the clone residual of state
+        i is the norm of column i of R V;
       * the trace residual is max |A*A + F*F - I|.
 
     Both residuals must lie within ``_MACHINE_TOL``. The explicit A is
-    built, and its own clone residual checked, when ``kraus_success`` is
-    first read. Raises FeasibilityError when the Gram condition or a check
-    fails, ConditioningError when the input set is numerically too close
-    to dependence.
+    built, and its own clone and trace residuals checked, when
+    ``kraus_success`` is first read. Raises FeasibilityError when the Gram
+    condition or a check fails, ConditioningError when the input set is
+    numerically too close to dependence.
     """
     states = tuple(states)
     gammas = tuple(float(g) for g in gammas)
@@ -230,8 +263,9 @@ def construct_machine(
         )
     d_vec = np.sqrt(np.asarray(gammas))
     w_mat = d_vec[:, None] * np.linalg.pinv(b_mat)  # A = C W
-    kernel = (b_mat.conj().T @ b_mat) ** m  # C*C = X^(o M)
-    success_gram = w_mat.conj().T @ kernel @ w_mat  # A*A
+    r_mat = _product_factor(b_mat, m)  # C = Q R
+    g_mat = r_mat @ w_mat  # A = Q G
+    success_gram = g_mat.conj().T @ g_mat  # A*A
 
     n = states[0].dim
     gap = np.eye(n) - success_gram
@@ -243,9 +277,8 @@ def construct_machine(
         )
     f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
 
-    v_mat = w_mat @ b_mat - np.diag(d_vec)  # A B - C D = C V
-    clone_sq = np.einsum("ji,jk,ki->i", v_mat.conj(), kernel, v_mat).real
-    clone_residual = float(np.sqrt(np.clip(clone_sq, 0.0, None).max()))
+    v_mat = w_mat @ b_mat - np.diag(d_vec)  # A B - C D = Q R V
+    clone_residual = float(np.max(np.linalg.norm(r_mat @ v_mat, axis=0)))
     trace_residual = float(
         np.max(np.abs(success_gram + f_op.conj().T @ f_op - np.eye(n)))
     )

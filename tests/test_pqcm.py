@@ -1,8 +1,10 @@
 """Feasibility analysis, machine construction, illegal cloner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqclone import qcore
@@ -169,6 +171,13 @@ class TestConstructMachine:
         )
         np.testing.assert_allclose(total, np.eye(2), atol=1e-9)
 
+    def test_explicit_operator_checked_with_failure_operator(self):
+        machine = construct_machine(overlap_pair(SQ2), 2, [0.5, 0.5])
+        assert machine.kraus_success.shape == (4, 2)
+        skewed = dataclasses.replace(machine, kraus_fail=1.01 * machine.kraus_fail)
+        with pytest.raises(FeasibilityError, match="trace residual"):
+            skewed.kraus_success
+
     def test_success_operator_is_trace_non_increasing(self):
         rng = SeededRng(301)
         states = independent_set(3, rng)
@@ -206,27 +215,6 @@ class TestConstructMachine:
             )
 
 
-class TestFeasibilityEquivalence:
-    def test_psd_verdict_matches_construction(self):
-        rng = SeededRng(303)
-        factors = [0.5, 0.95, 1.05, 1.3]
-        for trial in range(40):
-            n = 2 + trial % 2
-            states = independent_set(n, rng)
-            gmax = max_uniform_gamma(states, 2)
-            gamma = min(factors[trial % 4] * gmax, 1.0)
-            gammas = [gamma] * n
-            verdict = is_psd(feasibility_matrix(states, 2, gammas))
-            try:
-                machine = construct_machine(states, 2, gammas)
-                built = True
-                assert machine.clone_residual <= 1e-9
-                assert machine.trace_residual <= 1e-9
-            except FeasibilityError:
-                built = False
-            assert built == verdict
-
-
 def gram_form_success(states, m: int, gammas) -> np.ndarray:
     """A*A of the machine for a square state set, from N x N matrices.
 
@@ -238,7 +226,27 @@ def gram_form_success(states, m: int, gammas) -> np.ndarray:
     return w_mat.conj().T @ (b_mat.conj().T @ b_mat) ** m @ w_mat
 
 
-class TestGramFormEquivalence:
+def explicit_checks(states, m: int, gammas) -> tuple[float, float, float]:
+    """lambda_min(I - A*A), clone and trace residuals of the explicit pair.
+
+    A = C D B^+ is built as an N^M x N array and F as the principal root of
+    I - A*A, which is how machines were verified before the N x N checks.
+    """
+    b_mat = np.column_stack([s.amplitudes for s in states])
+    c_mat = np.column_stack([tensor_power(s, m).amplitudes for s in states])
+    target = c_mat * np.sqrt(gammas)[None, :]
+    a_op = target @ np.linalg.pinv(b_mat)
+    eye = np.eye(b_mat.shape[0])
+    success_gram = a_op.conj().T @ a_op
+    gap = eye - success_gram
+    vals, vecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+    f_op = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    clone = np.max(np.linalg.norm(a_op @ b_mat - target, axis=0))
+    trace = np.max(np.abs(success_gram + f_op.conj().T @ f_op - eye))
+    return float(vals[0]), float(clone), float(trace)
+
+
+class TestFeasibilityEquivalence:
     @settings(deadline=None, max_examples=80, derandomize=True)
     @given(
         n=st.integers(2, 4),
@@ -248,7 +256,11 @@ class TestGramFormEquivalence:
             st.one_of(st.just(1.0), st.floats(0.0, 1.6)), min_size=4, max_size=4
         ),
     )
-    def test_construction_feasibility_and_gram_gap_agree(self, n, m, seed, factors):
+    @example(n=2, m=2, seed=303, factors=[0.5] * 4)
+    @example(n=3, m=2, seed=303, factors=[0.95] * 4)
+    @example(n=2, m=2, seed=304, factors=[1.05] * 4)
+    @example(n=3, m=2, seed=304, factors=[1.3] * 4)
+    def test_psd_verdict_matches_construction(self, n, m, seed, factors):
         # per-state efficiencies up to and beyond the uniform boundary gamma_max
         states = independent_set(n, SeededRng(seed))
         gmax = max_uniform_gamma(states, m)
@@ -263,7 +275,7 @@ class TestGramFormEquivalence:
         assert (machine is not None) == feasible == gap_ok
         if machine is None:
             return
-        # the explicit N^M x N operator agrees with the Gram-form checks
+        # the explicit N^M x N operator agrees with the N x N checks
         a_op = machine.kraus_success
         explicit_gram = a_op.conj().T @ a_op
         np.testing.assert_allclose(explicit_gram, success_gram, rtol=0, atol=1e-12)
@@ -273,6 +285,46 @@ class TestGramFormEquivalence:
             expected = np.sqrt(g) * tensor_power(s, m).amplitudes
             assert np.linalg.norm(a_op @ s.amplitudes - expected) <= 1e-9
         assert machine.clone_residual <= 1e-9 and machine.trace_residual <= 1e-9
+
+    @pytest.mark.parametrize("gap_exponent", [6, 7, 8, 8.5])
+    def test_near_dependent_pairs_match_explicit_verification(self, gap_exponent):
+        # overlap 1 - 10^-k puts cond(B) near 1.4 * 10^(k/2): up to 2.5e4,
+        # just inside the rank tolerance, where forming the Gram kernel
+        # X^(o M) entrywise and undoing B twice loses ~cond(B)^2 * eps
+        states = overlap_pair(1.0 - 10.0**-gap_exponent)
+        tol = qcore.PSD_TOL
+        decided = 0
+        for m in (2, 3, 4, 6):
+            gmax = max_uniform_gamma(states, m)
+            for factor in (0.5, 1.0, 1.0 + 1e-9, 1.0 + 1e-6):
+                gammas = np.array([min(1.0, factor * gmax)] * 2)
+                lam, clone, trace = explicit_checks(states, m, gammas)
+                if min(abs(lam + tol), abs(trace - tol)) < 1e-11:
+                    continue  # on the tolerance edge to within rounding
+                decided += 1
+                expected = (
+                    is_psd(feasibility_matrix(states, m, gammas))
+                    and lam >= -tol
+                    and max(clone, trace) <= 1e-9
+                )
+                try:
+                    machine = construct_machine(states, m, gammas)
+                except FeasibilityError:
+                    machine = None
+                assert (machine is not None) == expected, (m, factor, lam)
+                if machine is not None:
+                    a_op = machine.kraus_success
+                    f_op = machine.kraus_fail
+                    total = a_op.conj().T @ a_op + f_op.conj().T @ f_op
+                    assert np.max(np.abs(total - np.eye(2))) <= 1e-9
+        assert decided >= 12
+
+    def test_pair_dependent_to_rounding_is_rejected(self):
+        states = overlap_pair(1.0 - 1e-12)
+        with pytest.raises(RankError):
+            max_uniform_gamma(states, 2)
+        with pytest.raises(RankError):
+            construct_machine(states, 2, [0.5, 0.5])
 
 
 class TestApplyMachine:
