@@ -3,11 +3,16 @@
 Exit codes: 0 on success (and feasible verdicts), 2 when the requested
 cloning is infeasible, 1 on any other error. ``signal-test`` outputs are
 byte-identical for a fixed seed.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused by every later call; parsing never changes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -175,8 +180,8 @@ def cmd_signal_test(args) -> int:
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    if overrides:
-        run = config_mod.RunConfig.from_dict({**run.to_dict(), **overrides})
+    # replace() re-runs RunConfig's checks on every overridden field
+    run = dataclasses.replace(run, **overrides)
     if run.out is None:
         raise PqcloneError("no output directory (set 'out' in config or pass --out)")
 
@@ -213,7 +218,9 @@ def cmd_signal_test(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = _Parser(
         prog="pqclone",
         description=(

@@ -10,6 +10,7 @@ so that parse(serialize(c)) == c exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -54,8 +55,11 @@ def parse_states_text(text: str, source: str = "<string>") -> list[Ket]:
             values = [float(t) for t in tokens]
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
-        amps = np.array(values[0::2]) + 1j * np.array(values[1::2])
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan input
+            amps = np.array(values[0::2]) + 1j * np.array(values[1::2])
+            norm = np.linalg.norm(amps)
+        if not np.isfinite(norm):
+            raise ConfigError(f"{source}:{lineno}: state norm is not finite")
         if norm < 1e-12:
             raise ConfigError(f"{source}:{lineno}: state has zero norm")
         states.append(Ket(amps / norm))
@@ -146,6 +150,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
@@ -181,13 +187,21 @@ def _resolve_states(config: RunConfig, base_dir: Path) -> tuple[Ket, ...]:
         path = Path(config.states_file)
         if not path.is_absolute():
             path = base_dir / path
-        return tuple(load_states(path))
-    return tuple(pairs_to_ket(p) for p in config.bob_states)
+        states = tuple(load_states(path))
+    else:
+        states = tuple(pairs_to_ket(p) for p in config.bob_states)
+    if len(states) < 2:
+        raise ConfigError(f"need at least two Bob states, got {len(states)}")
+    return states
 
 
 def _real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+    ):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 

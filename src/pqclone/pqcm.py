@@ -171,11 +171,19 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
         power = qr_of_product(power, power)
 
 
-def _check_independent(states: Sequence[Ket]) -> None:
-    if qcore.rank_with_tolerance(states) != len(states):
+def _check_independent(states: Sequence[Ket]) -> np.ndarray:
+    """The Gram matrix of ``states``, once their independence is checked.
+
+    The rank rule is ``qcore.rank_with_tolerance``'s: Gram eigenvalues
+    above ``RANK_TOL`` times the largest.
+    """
+    gram = qcore.gram_matrix(states)
+    eigs = qcore.hermitian_eigenvalues(gram)
+    if int(np.sum(eigs > qcore.RANK_TOL * eigs[-1])) != len(states):
         raise RankError(
             f"{len(states)} states of dimension {states[0].dim} are linearly dependent"
         )
+    return gram.entries
 
 
 def _check_copies(m: int) -> None:
@@ -194,8 +202,7 @@ def feasibility_matrix(
     bad = [g for g in gammas if not 0.0 <= g <= 1.0]  # also catches nan
     if bad:
         raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
-    _check_independent(states)
-    gram = qcore.gram_matrix(states).entries
+    gram = _check_independent(states)
     gram_m = gram**m
     d = np.sqrt(np.asarray(gammas, dtype=float))
     return HermitianOperator.from_matrix(gram - (d[:, None] * gram_m) * d[None, :])
@@ -213,8 +220,7 @@ def max_uniform_gamma(states: Sequence[Ket], m: int) -> float:
     """
     states = tuple(states)
     _check_copies(m)
-    _check_independent(states)
-    gram = qcore.gram_matrix(states).entries
+    gram = _check_independent(states)
     vals, vecs = np.linalg.eigh(gram)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T  # L^-1 = L^-H = X^(-1/2)
     whitened = inv_sqrt @ gram**m @ inv_sqrt
@@ -339,9 +345,11 @@ class IllegalClonerSpec:
 
     def __post_init__(self):
         labels = tuple(sorted(int(x) for x in self.clonable_labels))
+        if not labels:
+            raise LabelError("need at least one clonable label")
         if len(set(labels)) != len(labels):
             raise LabelError("clonable labels must be distinct")
-        if labels and (labels[0] < 1 or labels[-1] > self.total_labels):
+        if labels[0] < 1 or labels[-1] > self.total_labels:
             raise LabelError(
                 f"labels must lie in 1..{self.total_labels}, got {labels}"
             )

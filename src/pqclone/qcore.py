@@ -56,9 +56,12 @@ class Ket:
 
     @classmethod
     def normalized(cls, values) -> "Ket":
-        """Construct a unit-norm ket; raises on (near-)zero input."""
+        """Construct a unit-norm ket; raises on (near-)zero or non-finite input."""
         arr = np.asarray(values, dtype=np.complex128)
-        n = np.linalg.norm(arr)
+        with np.errstate(over="ignore"):
+            n = np.linalg.norm(arr)
+        if not np.isfinite(n):
+            raise NormalizationError("cannot normalize a vector of non-finite norm")
         if n < 1e-12:
             raise NormalizationError("cannot normalize a zero vector")
         return cls(arr / n)

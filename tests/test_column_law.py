@@ -1,5 +1,7 @@
 """The exact column law: properties, the Born-rule reference, stream keys."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -182,6 +184,38 @@ class TestLawProperties:
                 np.testing.assert_allclose(
                     law[setting, m, : n + 2], p * expected, rtol=0, atol=1e-12
                 )
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        extra_copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+    )
+    def test_legal_rows_blind_to_alice_basis_for_any_gammas(
+        self, n, extra_copies, seed, fractions
+    ):
+        # The legal law is linear in Bob's state, so A1 and A2 leave him the
+        # same cell marginals for every diagonal Gamma, infeasible ones up to
+        # 2 gamma_max included; the Gram condition only keeps cells >= 0. The
+        # stand-in carries just what _legal_rows reads: no Kraus pair is built.
+        rng = SeededRng(seed)
+        mu = n + extra_copies
+        states = tuple(random_ket(n, rng) for _ in range(n))
+        assume(np.linalg.cond(np.array([s.amplitudes for s in states])) < 1e3)
+        gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
+        stand_in = SimpleNamespace(clonable=states, gammas=gammas)
+        shared = build_shared_state(states)
+        a1, a2 = (
+            induced_ensemble(shared, basis)
+            for basis in (AliceBasis.computational(n), _haar_basis(n, rng))
+        )
+        candidates = states + (a2.members[0][0],)
+        a1_cells, a2_cells = (
+            _legal_rows(stand_in, ensemble.members, candidates, mu).sum(axis=0)
+            for ensemble in (a1, a2)
+        )
+        np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
 
     def test_clip_only_inside_roundoff_band(self):
         raw = np.array([[[0.5, -0.5 * LAW_TOL, 0.5]]])

@@ -1,11 +1,16 @@
 """State files, config round-trips, CLI subcommands and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqclone import cli, signalling
 from pqclone import config as config_mod
@@ -267,11 +272,7 @@ class TestCliConstruct:
 
 
 class TestCliSignalTest:
-    def run_demo(self, tmp_path, monkeypatch, fmt, out_name, trials="400", threads=None):
-        if threads is not None:
-            monkeypatch.setenv("PQCM_THREADS", threads)
-        else:
-            monkeypatch.delenv("PQCM_THREADS", raising=False)
+    def run_demo(self, tmp_path, fmt, out_name, trials="400"):
         out_dir = tmp_path / out_name
         code = cli.main(
             ["signal-test", str(CONFIGS / "illegal_n2.json"),
@@ -280,9 +281,9 @@ class TestCliSignalTest:
         assert code == 0
         return out_dir
 
-    def test_csv_and_json_agree_value_for_value(self, tmp_path, monkeypatch):
-        d_json = self.run_demo(tmp_path, monkeypatch, "json", "as_json")
-        d_csv = self.run_demo(tmp_path, monkeypatch, "csv", "as_csv")
+    def test_csv_and_json_agree_value_for_value(self, tmp_path):
+        d_json = self.run_demo(tmp_path, "json", "as_json")
+        d_csv = self.run_demo(tmp_path, "csv", "as_csv")
 
         tally_json = json.loads((d_json / "tally.json").read_text())
         csv_lines = (d_csv / "tally.csv").read_text().strip().splitlines()
@@ -302,9 +303,9 @@ class TestCliSignalTest:
             parsed = json.loads(stats_csv[key])
             assert parsed == value
 
-    def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
-        d1 = self.run_demo(tmp_path, monkeypatch, "json", "run1")
-        d2 = self.run_demo(tmp_path, monkeypatch, "json", "run2")
+    def test_reruns_are_byte_identical(self, tmp_path):
+        d1 = self.run_demo(tmp_path, "json", "run1")
+        d2 = self.run_demo(tmp_path, "json", "run2")
         for name in ("tally.json", "stats.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
@@ -487,3 +488,230 @@ class TestCliSignalTest:
         rebuilt = build_protocol(RunConfig.load(CONFIGS / "legal_n2.json"), CONFIGS)
         np.testing.assert_array_equal(rebuilt.law, law)
         assert len(built) == 3
+
+
+class TestSharedParser:
+    """``cli.main`` reuses one parser, so no call may leak into the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_gamma_values_do_not_carry_over(self, tmp_path, capsys):
+        states = str(CONFIGS / "states_overlap_n2.txt")
+        report = tmp_path / "report.json"
+
+        def gammas(*extra):
+            code = cli.main(["feasibility", states, "--out", str(report), *extra])
+            capsys.readouterr()
+            assert code in (0, 2)
+            return json.loads(report.read_text())["gammas"]
+
+        assert gammas("--gamma", "0.3") == [0.3, 0.3]
+        assert gammas("--gamma", "0.2", "--gamma", "0.4") == [0.2, 0.4]
+        assert gammas() == [1.0, 1.0]  # the default, not the last --gamma
+        assert gammas("--gamma", "0.5") == [0.5, 0.5]  # appends do not pile up
+        assert cli.build_parser().parse_args(["feasibility", states]).gamma is None
+
+    def test_run_after_usage_error_and_help_is_unchanged(self, tmp_path, capsys):
+        argv = ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "500",
+                "--out", str(tmp_path / "out")]
+        names = ("tally.json", "stats.json")
+
+        def run():
+            assert cli.main(argv) == 0
+            out = capsys.readouterr().out
+            return out, [(tmp_path / "out" / name).read_bytes() for name in names]
+
+        before = run()
+        assert cli.main(["signal-test", "--trials", "x"]) == 1
+        assert cli.main(["--help"]) == 0
+        capsys.readouterr()
+        assert run() == before
+
+    @pytest.mark.parametrize("name", ["illegal_n2.json", "legal_n2.json"])
+    def test_overrides_match_a_config_holding_them(self, tmp_path, capsys, name):
+        values = {"seed": 7, "trials": 500, "pairs_per_bit": 3, "format": "csv"}
+        data = json.loads((CONFIGS / name).read_text())
+        if "states_file" in data:
+            data["states_file"] = str(CONFIGS / data["states_file"])
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps({**data, **values, "out": str(tmp_path / "file")}))
+        assert cli.main(["signal-test", str(cfg)]) == 0
+        assert cli.main(
+            ["signal-test", str(CONFIGS / name), "--seed", "7", "--trials", "500",
+             "--pairs-per-bit", "3", "--format", "csv",
+             "--out", str(tmp_path / "flags")]
+        ) == 0
+        capsys.readouterr()
+        for out in ("tally.csv", "stats.csv"):
+            assert (tmp_path / "file" / out).read_bytes() == (
+                tmp_path / "flags" / out
+            ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "seed"), ("--trials", "0", "trials"),
+         ("--mu", "1", "copy count")],
+    )
+    def test_overrides_are_checked(self, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "out"
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), flag, value,
+             "--out", str(out_dir)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message} ") and len(err.splitlines()) == 1
+        assert not out_dir.exists()
+
+
+# Values that are wrong for some field: mistyped, non-finite, out of range.
+BAD_VALUES = [
+    None, True, "x", "", "max", [], {}, [[1.0]], [[1.0, 0.0, 0.0]], -1, 0, 1, 2.5,
+    float("nan"), float("inf"), -float("inf"), 1e308, 2**70, {"kind": "legal"},
+]
+BAD_TOKENS = ["nan", "inf", "-inf", "1e400", "1e308", "x", "0", "-1", "2.5", "1,"]
+
+
+def _mutate_tokens(draw, text: str) -> str:
+    lines = text.splitlines()
+    row = draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split() or [""]
+    col = draw(st.integers(0, len(tokens) - 1))
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if action == "replace":
+        tokens[col] = draw(st.sampled_from(BAD_TOKENS))
+    elif action == "drop":
+        del tokens[col]
+    else:
+        tokens.insert(col, draw(st.sampled_from(BAD_TOKENS)))
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def malformed_states_texts(draw):
+    name = draw(st.sampled_from(
+        ["states_orthogonal_n2.txt", "states_overlap_n2.txt", "states_legal_n2.txt"]
+    ))
+    text = (CONFIGS / name).read_text()
+    kind = draw(st.sampled_from(["truncate", "tokens", "lines"]))
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    if kind == "tokens":
+        return _mutate_tokens(draw, text)
+    data = [line for line in text.splitlines() if line.split("#")[0].strip()]
+    extra = draw(st.sampled_from(["", "1 0 0 0", "0 0 1 0", "1 0 1 0", "3", "1 0"]))
+    keep = draw(st.integers(0, len(data)))
+    return "\n".join(data[:keep] + [extra] * draw(st.integers(0, 2))) + "\n"
+
+
+@st.composite
+def malformed_config_texts(draw):
+    name = draw(st.sampled_from(["illegal_n2.json", "legal_n2.json"]))
+    data = json.loads((CONFIGS / name).read_text())
+    if "states_file" in data:
+        data["states_file"] = str(CONFIGS / data["states_file"])
+    kind = draw(st.sampled_from(
+        ["truncate", "top", "value", "missing", "extra", "nested", "amps"]
+    ))
+    if kind == "top":
+        return json.dumps(draw(st.sampled_from(BAD_VALUES)))
+    if kind == "value":
+        data[draw(st.sampled_from(sorted(data)))] = draw(st.sampled_from(BAD_VALUES))
+    elif kind == "missing":
+        del data[draw(st.sampled_from(sorted(data)))]
+    elif kind == "extra":
+        data[draw(st.sampled_from(["bogus", "tol", "threads"]))] = 1
+    elif kind == "nested":
+        spec = draw(st.sampled_from(["machine", "a2"]))
+        key = draw(st.sampled_from(
+            ["kind", "uniform_gamma", "gamma_scale", "gammas", "clonable_labels",
+             "coefficients", "vectors", "state"]
+        ))
+        data[spec] = {**data[spec], key: draw(st.sampled_from(BAD_VALUES))}
+    elif kind == "amps":
+        data.pop("states_file", None)
+        states = [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]]]
+        entry = states[draw(st.integers(0, 1))]
+        pair = draw(st.integers(0, 1))
+        entry[pair] = draw(st.sampled_from(
+            [[float("nan"), 0.0], [float("inf"), 0.0], [1e308, 1e308], [1.0],
+             [1.0, 0.0, 0.0], ["1", 0.0], 1.0]
+        ))
+        if draw(st.booleans()):
+            states.append(draw(st.sampled_from([[[1.0, 0.0]], [], states[0]])))
+        data["bob_states"] = states
+    text = json.dumps(data)
+    if kind == "truncate":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def assert_clean_exit(argv) -> None:
+    """Exit 0, 1 or 2; on exit 1, one line on stderr and no warning.
+
+    A warning would print further lines to stderr in a real process.
+    """
+    err = io.StringIO()
+    with contextlib.ExitStack() as stack:
+        caught = stack.enter_context(warnings.catch_warnings(record=True))
+        warnings.simplefilter("always")
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        err = err.getvalue()
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+        assert not caught, [str(w.message) for w in caught]
+
+
+def _illegal_config(**changes) -> str:
+    data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+    return json.dumps({**data, **changes})
+
+
+class TestCliFuzz:
+    """Malformed input files through ``cli.main``, all in this one process.
+
+    Every case shares the one parser. None may escape as an exception, and
+    exit 1 must come with exactly one line on stderr.
+    """
+
+    FUZZ = settings(deadline=None, max_examples=200, derandomize=True)
+
+    @FUZZ
+    @example(text="2\n1 0 nan 0\n0 0 1 0\n", command=["feasibility", "--max-uniform"])
+    @example(text="2\n1e308 0 1e308 0\n0 0 1 0\n", command=["construct", "--gamma", "0.5"])
+    @given(
+        text=malformed_states_texts(),
+        command=st.sampled_from(
+            [["feasibility", "--max-uniform"], ["feasibility", "--gamma", "0.5"],
+             ["construct", "--gamma", "0.5"]]
+        ),
+    )
+    def test_malformed_states_files(self, tmp_path_factory, text, command):
+        work = tmp_path_factory.mktemp("states")
+        states = work / "states.txt"
+        states.write_text(text)
+        argv = [command[0], str(states), *command[1:]]
+        if command[0] == "construct":
+            argv += ["--out", str(work / "machine.json")]
+        assert_clean_exit(argv)
+
+    @FUZZ
+    @example(text="null")
+    @example(text=_illegal_config(machine={"kind": "illegal", "clonable_labels": []}))
+    @example(text=_illegal_config(bob_states=[]))
+    @example(
+        text=_illegal_config(
+            bob_states=[[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        )
+    )
+    @given(text=malformed_config_texts())
+    def test_malformed_configs(self, tmp_path_factory, text):
+        work = tmp_path_factory.mktemp("config")
+        cfg = work / "config.json"
+        cfg.write_text(text)
+        assert_clean_exit(["signal-test", str(cfg), "--out", str(work / "out")])
