@@ -187,8 +187,9 @@ def cmd_signal_test(args) -> int:
 
     protocol = config_mod.build_protocol(run, base_dir)
     tally, stats = signalling.run_protocol(protocol)
+    context = protocol.context
     certificate = signalling.analytic_no_signal_certificate(
-        *protocol.context.ensembles
+        context.kets, context.probs
     )
     message = signalling.random_message(run.seed, run.message_bits)
     channel = signalling.run_channel(protocol, message)

@@ -9,7 +9,8 @@ second set of states, each a linear combination of the first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,16 +26,20 @@ class AliceBasis:
     """An orthonormal measurement basis on Alice's register.
 
     Label 'A1' is reserved for the exact computational basis; any other
-    orthonormal basis carries label 'A2'.
+    orthonormal basis carries label 'A2'. ``matrix`` holds the vectors as
+    columns, read-only. The computational and Fourier bases depend on N
+    only, so each is built and checked once per N.
     """
 
     vectors: tuple
     label: str
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = tuple(self.vectors)
         n = len(vectors)
-        qcore._check_orthonormal(vectors, n)
+        matrix = qcore._check_orthonormal(vectors, n)
+        matrix.setflags(write=False)
         if self.label not in ("A1", "A2"):
             raise BasisError(f"unknown basis label {self.label!r}")
         if self.label == "A1":
@@ -43,16 +48,19 @@ class AliceBasis:
                 if not np.array_equal(v.amplitudes, eye[m].astype(np.complex128)):
                     raise BasisError("label A1 requires the computational basis")
         object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
         return len(self.vectors)
 
     @classmethod
+    @lru_cache
     def computational(cls, n: int) -> "AliceBasis":
         return cls(tuple(Ket.basis_state(n, m) for m in range(n)), "A1")
 
     @classmethod
+    @lru_cache
     def fourier(cls, n: int) -> "AliceBasis":
         """Default alternate basis: a_m[k] = exp(2*pi*i*m*k/n)/sqrt(n)."""
         grid = np.arange(n)
@@ -99,35 +107,50 @@ def build_shared_state(bob_states) -> SharedState:
     return SharedState(Ket(joint / np.sqrt(n)), bob_states, n)
 
 
+def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's induced preparation ensembles, as arrays: the steering rule.
+
+    ``bob`` holds |B_n> as row n. For each basis s, row m of ``states[s]``
+    is the state Bob holds after Alice's outcome m, and ``probs[s, m]`` its
+    probability. Member m has unnormalized state sum_n <a_m|n> |B_n>, so
+    the rows are conj(a_m)^T B, one matrix product per basis, and its
+    probability is its squared norm divided by N. For A1 this is exactly
+    Bob's own states, each with probability 1/N. A member of (near-)zero
+    norm gets probability 0 and the placeholder state |0>.
+    """
+    n = bob.shape[0]
+    states = np.empty((len(bases), n, n), dtype=np.complex128)
+    probs = np.empty((len(bases), n))
+    for s, basis in enumerate(bases):
+        if basis.dim != n:
+            raise BasisError(f"basis dimension {basis.dim} does not match {n}")
+        if basis.label == "A1":
+            states[s] = bob
+            probs[s] = 1.0 / n
+            continue
+        raw = basis.matrix.T.conj() @ bob
+        norm_sq = np.einsum("mk,mk->m", raw.conj(), raw).real
+        live = norm_sq > 1e-24
+        states[s] = np.eye(1, n)  # |0>, kept by zero-probability members
+        states[s, live] = raw[live] / np.sqrt(norm_sq[live])[:, None]
+        prob = np.where(live, norm_sq / n, 0.0)
+        probs[s] = prob / prob.sum()
+    return states, probs
+
+
 def induced_ensemble(shared: SharedState, basis: AliceBasis) -> Ensemble:
     """Bob's preparation ensemble for a given choice of Alice basis.
 
-    Member m has unnormalized state sum_n <a_m|n> |B_n> and probability
-    equal to its squared norm divided by N. For A1 this is exactly
-    {(|B_n>, 1/N)}.
+    The members are those of ``induced_states``, as kets; under A1 they are
+    Bob's own kets, with probability 1/N each.
     """
-    n = shared.alice_dim
-    if basis.dim != n:
-        raise BasisError(f"basis dimension {basis.dim} does not match {n}")
+    bob = np.array([s.amplitudes for s in shared.bob_states])
+    states, probs = induced_states(bob, (basis,))
     if basis.label == "A1":
-        return Ensemble(tuple((s, 1.0 / n) for s in shared.bob_states))
-    bob_mat = np.column_stack([s.amplitudes for s in shared.bob_states])
-    members = []
-    for vec in basis.vectors:
-        weights = vec.amplitudes.conj()
-        raw = bob_mat @ weights
-        norm_sq = float(np.real(np.vdot(raw, raw)))
-        prob = norm_sq / n
-        if norm_sq > 1e-24:
-            state = Ket(raw / np.sqrt(norm_sq))
-        else:
-            # zero-probability member; placeholder keeps the ensemble total
-            state = Ket.basis_state(n, 0)
-            prob = 0.0
-        members.append((state, prob))
-    total = sum(p for _, p in members)
-    members = [(s, p / total) for s, p in members]
-    return Ensemble(tuple(members))
+        kets = shared.bob_states
+    else:
+        kets = tuple(Ket(row) for row in states[0])
+    return Ensemble(tuple(zip(kets, probs[0].tolist())))
 
 
 def alice_measure(

@@ -44,13 +44,7 @@ from . import qcore
 # run_channel, stats_from_tally and analytic_no_signal_certificate as
 # attributes of this module, and the per-pair Born-rule reference in the
 # tests uses the first five: keep all of them reachable here.
-from .entangle import (
-    AliceBasis,
-    SharedState,
-    alice_measure,
-    build_shared_state,
-    induced_ensemble,
-)
+from .entangle import AliceBasis, alice_measure, induced_states
 from .errors import ConditioningError, ConfigError, DimensionError
 from .pqcm import (
     CloneOutput,
@@ -59,7 +53,7 @@ from .pqcm import (
     apply_machine,
     illegal_clone,
 )
-from .qcore import Ensemble, Ket, SeededRng
+from .qcore import Ket, SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
 ABSTAIN = 2  # Bob's vote for PHI and discarded pairs: no verdict
@@ -213,12 +207,15 @@ def cell_votes(n: int) -> np.ndarray:
 
 
 def _vote_totals(cells: np.ndarray, n: int) -> np.ndarray:
-    """[0-votes, 1-votes, abstentions] totals of one law row's cells.
+    """[0-votes, 1-votes, abstentions] totals of each setting's law cells.
 
-    ``cells`` holds B_1..B_{N+1}, PHI and, optionally, the discard cell;
-    each is added, in cell order, to the total of its ``cell_votes`` vote.
+    Row s of ``cells`` holds setting s's B_1..B_{N+1}, PHI and, optionally,
+    the discard cell. One bincount adds each cell, in cell order, to row
+    s's total of its ``cell_votes`` vote.
     """
-    return np.bincount(cell_votes(n)[: cells.size], weights=cells, minlength=3)
+    votes = cell_votes(n)[: cells.shape[1]]
+    bins = np.append(votes, votes + 3)  # setting 1 counts in bins 3..5
+    return np.bincount(bins, weights=cells.ravel(), minlength=6).reshape(2, 3)
 
 
 def guess_rule(column: int, n: int) -> int | None:
@@ -295,6 +292,13 @@ class ProtocolConfig:
     def __post_init__(self):
         bob_states = tuple(self.bob_states)
         n = len(bob_states)
+        if n < 2:
+            raise DimensionError("need at least two Bob states")
+        for state in bob_states:
+            if state.dim != n:
+                raise DimensionError(
+                    f"Bob states must have dimension {n}, got {state.dim}"
+                )
         if self.mu < n + 1:
             raise ConfigError(f"mu must be at least N+1 = {n + 1}, got {self.mu}")
         # numpy's multinomial takes n < 2**63, and every int64 count stays at
@@ -348,29 +352,41 @@ class ProtocolConfig:
         return column_law(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunContext:
-    """Derived, reusable pieces of one protocol configuration."""
+    """Bob's side of one configuration, as the read-only arrays the law reads.
 
-    shared: SharedState
-    bases: tuple  # (A1, A2)
-    ensembles: tuple  # Bob's induced preparation ensemble per basis
-    candidates: tuple  # B_1 .. B_{N+1}
-    all_states: tuple  # B_1 .. B_{2N}
+    Every state is one row. Row m of ``kets[s]`` is the state Bob holds
+    after Alice's outcome m under setting s (0 for A1, 1 for A2), with
+    probability ``probs[s, m]``. ``preparations`` lists the 2N states
+    B_1..B_2N (A1's outcomes, then A2's), and ``candidates`` its first N+1,
+    B_1..B_{N+1}; both are views of ``kets``.
+    """
+
+    kets: np.ndarray  # (2, N, N)
+    probs: np.ndarray  # (2, N)
+    preparations: np.ndarray  # (2N, N)
+    candidates: np.ndarray  # (N+1, N)
 
 
 def prepare_context(config: ProtocolConfig) -> RunContext:
-    shared = build_shared_state(config.bob_states)
-    bases = (AliceBasis.computational(config.n), config.a2_basis)
-    ensembles = tuple(induced_ensemble(shared, basis) for basis in bases)
-    second_set = tuple(m[0] for m in ensembles[1].members)
-    return RunContext(
-        shared=shared,
-        bases=bases,
-        ensembles=ensembles,
-        candidates=config.bob_states + (second_set[0],),
-        all_states=config.bob_states + second_set,
-    )
+    """Bob's induced ensembles under A1 and A2, from ``induced_states``.
+
+    Candidate B_{N+1} is the state of A2's first outcome. When that outcome
+    has probability 0, no pair ever prepares it, so the run is refused.
+    """
+    n = config.n
+    bob = np.array([s.amplitudes for s in config.bob_states])
+    kets, probs = induced_states(bob, (AliceBasis.computational(n), config.a2_basis))
+    if probs[1, 0] == 0.0:
+        raise ConfigError(
+            f"candidate B{n + 1} is not prepared: Alice's first A2 outcome "
+            "has probability 0 for these Bob states"
+        )
+    kets.setflags(write=False)
+    probs.setflags(write=False)
+    preparations = kets.reshape(2 * n, n)
+    return RunContext(kets, probs, preparations, preparations[: n + 1])
 
 
 @lru_cache
@@ -381,17 +397,23 @@ def _others(k: int) -> np.ndarray:
     return others
 
 
-def group_hits(candidates: Sequence[Ket], states: Sequence[Ket], mu: int) -> np.ndarray:
+@lru_cache
+def _sizes(mu: int, n_groups: int) -> np.ndarray:
+    """``group_sizes`` as a read-only column, one row per group."""
+    sizes = np.array(group_sizes(mu, n_groups))[:, None]
+    sizes.setflags(write=False)
+    return sizes
+
+
+def group_hits(candidates: np.ndarray, states: np.ndarray, mu: int) -> np.ndarray:
     """hit[j, i]: probability that group j all-succeeds on mu copies of states[i].
 
-    Group j tests its g_j clones against candidate c_j, each independently
-    with probability |<c_j|s_i>|^2, clipped at 1 so that a state's test
-    against itself succeeds with certainty.
+    ``candidates`` and ``states`` hold one ket per row. Group j tests its
+    g_j clones against candidate c_j, each independently with probability
+    |<c_j|s_i>|^2, clipped at 1.
     """
-    sizes = np.array(group_sizes(mu, len(candidates)))
-    bras = np.array([c.amplitudes for c in candidates]).conj()
-    kets = np.array([s.amplitudes for s in states]).T
-    return np.minimum(np.abs(bras @ kets) ** 2, 1.0) ** sizes[:, None]
+    overlaps = candidates.conj() @ states.T
+    return np.minimum(np.abs(overlaps) ** 2, 1.0) ** _sizes(mu, candidates.shape[0])
 
 
 def _stay(hit: np.ndarray) -> np.ndarray:
@@ -400,9 +422,16 @@ def _stay(hit: np.ndarray) -> np.ndarray:
 
 
 def _legal_rows(
-    machine: PqcmMachine, members: tuple, candidates: tuple, mu: int
+    machine: PqcmMachine,
+    kets: np.ndarray,
+    probs: np.ndarray,
+    candidates: np.ndarray,
+    mu: int,
 ) -> np.ndarray:
     """Law rows of a Kraus machine: one row per Alice outcome, N+3 cells.
+
+    Row m is for the member of state ``kets[m]`` and probability
+    ``probs[m]``; ``candidates`` holds c_1..c_K as rows.
 
     Every cell is a quadratic form in N x N matrices; no N^mu-dimensional
     vector is built. The machine is A = C D B^-1, with B the matrix of the
@@ -433,27 +462,24 @@ def _legal_rows(
     cell is computed directly and nonnegative up to roundoff. PHI takes the
     remaining success mass and the discard cell takes p_m - success.
     """
-    k = len(candidates)
-    sizes = np.array(group_sizes(mu, k))
+    k = candidates.shape[0]
+    sizes = _sizes(mu, k)
     states = np.array([s.amplitudes for s in machine.clonable]).T
-    probs = np.array([p for _, p in members])
-    inputs = np.array([ket.amplitudes for ket, _ in members]).T
     beta = (
-        np.linalg.solve(states, inputs)
+        np.linalg.solve(states, kets.T)
         * np.sqrt(machine.gammas)[:, None]
         * np.sqrt(probs)[None, :]
     )
     gram = states.conj().T @ states
-    overlaps = np.array([c.amplitudes for c in candidates]).conj() @ states
-    powers = overlaps ** sizes[:, None]
+    powers = (candidates.conj() @ states) ** sizes
     hits = powers.conj()[:, :, None] * powers[:, None, :]
-    misses = gram ** sizes[:, None, None] - hits
+    misses = gram ** sizes[:, :, None] - hits
     kernels = np.concatenate(
         [hits * misses[_others(k)].prod(axis=1), (gram**mu)[None]]  # last: success
     )
     forms = np.einsum("im,cij,jm->mc", beta.conj(), kernels, beta).real
     success = forms[:, k]
-    rows = np.empty((len(members), k + 2))
+    rows = np.empty((len(probs), k + 2))
     rows[:, :k] = forms[:, :k]
     rows[:, k] = success - forms[:, :k].sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
@@ -461,29 +487,36 @@ def _legal_rows(
 
 
 def _illegal_rows(
-    spec: IllegalClonerSpec, members: tuple, ctx: RunContext, mu: int
+    spec: IllegalClonerSpec, probs: np.ndarray, ctx: RunContext, mu: int
 ) -> np.ndarray:
     """Law rows of the label-aware cloner over the 2N members, N+3 cells each.
 
-    Member m carries label m+1. Each branch of its output is either mu
-    exact copies of one clonable state or junk, and the row mixes the
-    branches' column laws by the label's branch weights. The groups test
-    exact copies independently, so column l needs group l to all-succeed
-    and every other group to fail, and PHI takes the rest; junk always
-    lands in PHI. The device never reports failure, so the discard cell
-    is 0.
+    Member m, of probability ``probs[m]``, carries label m+1. Each branch
+    of its output is either mu exact copies of one clonable state or junk,
+    and the row mixes the branches' column laws by the label's branch
+    weights. The groups test exact copies independently, so column l needs
+    group l to all-succeed and every other group to fail, and PHI takes
+    the rest; junk always lands in PHI. A clonable state that is itself
+    candidate l passes group l's tests with certainty, so its hit there is
+    exactly 1. The device never reports failure, so the discard cell is 0.
+    Raises ConfigError when a clonable label names a member of probability
+    0, whose state no pair prepares.
     """
-    k = len(ctx.candidates)
-    clonable = [ctx.all_states[label - 1] for label in spec.clonable_labels]
-    hit = group_hits(ctx.candidates, clonable, mu)
-    branch_laws = np.zeros((len(clonable) + 1, k + 2))  # junk branch last
+    k = ctx.candidates.shape[0]
+    labels = np.array(spec.clonable_labels)
+    unprepared = labels[probs[labels - 1] == 0.0]
+    if unprepared.size:
+        raise ConfigError(
+            f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
+        )
+    hit = group_hits(ctx.candidates, ctx.preparations[labels - 1], mu)
+    own = np.flatnonzero(labels <= k)
+    hit[labels[own] - 1, own] = 1.0
+    branch_laws = np.zeros((labels.size + 1, k + 2))  # junk branch last
     branch_laws[:-1, :k] = (hit * _stay(hit)).T
     branch_laws[:-1, k] = 1.0 - branch_laws[:-1, :k].sum(axis=1)
     branch_laws[-1, k] = 1.0
-    weights = np.array(
-        [spec.branch_probabilities(m + 1) for m in range(len(members))]
-    )
-    probs = np.array([p for _, p in members])
+    weights = np.array([spec.branch_probabilities(m + 1) for m in range(probs.size)])
     return probs[:, None] * (weights @ branch_laws)
 
 
@@ -507,29 +540,31 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     setting 0 the label basis A1 and 1 the alternate basis A2. Cells
     0..N are columns B_1..B_{N+1}, cell N+1 is PHI, and cell N+2 is a
     cloner failure that Bob discards. Each setting sums to 1. Alice's row
-    law comes from ``induced_ensemble``; the cells of a row from the
-    machine's success branch (legal) or from the branch-weighted exact-copy
-    laws (illegal). Both build one row per member of the 2N-member list
-    A1 then A2, reshaped per setting.
+    law is the context's member probabilities; the cells of a row come from
+    the machine's success branch (legal) or from the branch-weighted
+    exact-copy laws (illegal). Both build one row per member of the
+    2N-member list A1 then A2, reshaped per setting.
     """
     ctx = config.context
     n = config.n
-    members = ctx.ensembles[0].members + ctx.ensembles[1].members
+    probs = ctx.probs.reshape(2 * n)
     if isinstance(config.machine, IllegalClonerSpec):
-        raw = _illegal_rows(config.machine, members, ctx, config.mu)
+        raw = _illegal_rows(config.machine, probs, ctx, config.mu)
     else:
-        raw = _legal_rows(config.machine, members, ctx.candidates, config.mu)
+        raw = _legal_rows(
+            config.machine, ctx.preparations, probs, ctx.candidates, config.mu
+        )
     return _clip_law(raw.reshape(2, n, n + 3))
 
 
-def analytic_leakage(candidates: Sequence[Ket], mu: int) -> float:
+def analytic_leakage(candidates: np.ndarray, mu: int) -> float:
     """Worst-case probability that exact copies miss their own column.
 
-    For exact copies of candidate l, group l always succeeds, so the only
-    losses are ties: some other group j all-succeeding, with probability
-    hit[j, l]. The bound is 1 - min_l prod_{j != l} (1 - hit[j, l]).
+    ``candidates`` holds one ket per row. For exact copies of candidate l,
+    group l always succeeds, so the only losses are ties: some other group
+    j all-succeeding, with probability hit[j, l]. The bound is
+    1 - min_l prod_{j != l} (1 - hit[j, l]).
     """
-    candidates = tuple(candidates)
     stay = _stay(group_hits(candidates, candidates, mu))
     return float(1.0 - stay.diagonal().min())
 
@@ -567,35 +602,28 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
 def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     """Conditional column probabilities and bit rates from raw counts."""
     n = tally.n
-    p_col = np.zeros((2, n + 2))
     for setting in (0, 1):
-        total = tally.classified[setting]
-        if total == 0:
+        if tally.classified[setting] == 0:
             raise ConfigError(
                 f"no cloner successes for setting A{setting + 1}; cannot estimate"
             )
-        rows = tally.counts[setting * n : (setting + 1) * n]
-        p_col[setting] = rows.sum(axis=0) / total
+    # exact int64 column counts per setting, each within 2**62
+    columns = tally.counts.reshape(2, n, n + 2).sum(axis=1)
+    totals = np.array(tally.classified, dtype=float)
+    p_col = columns / totals[:, None]
 
-    # P(vote | setting); setting s sends bit s
-    rates = [_vote_totals(p_col[setting], n) for setting in (0, 1)]
+    # P(vote | setting), setting s sending bit s, and its standard error
+    rates = _vote_totals(p_col, n)
+    errors = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / totals[:, None])
+    (p0_a1, p1_a1, _), (p0_a2, p1_a2, _) = rates.tolist()
+    (se0_a1, se1_a1, _), (se0_a2, se1_a2, _) = errors.tolist()
 
-    def rate_and_err(setting: int, vote: int) -> tuple[float, float]:
-        total = tally.classified[setting]
-        p = float(rates[setting][vote])
-        return p, float(np.sqrt(max(p * (1.0 - p), 0.0) / total))
-
-    p0_a1, se0_a1 = rate_and_err(0, 0)
-    p1_a1, se1_a1 = rate_and_err(0, 1)
-    p0_a2, se0_a2 = rate_and_err(1, 0)
-    p1_a2, se1_a2 = rate_and_err(1, 1)
-
-    # exact int64 vote counts per setting, each within 2**62; the settings
-    # combine as Python ints, since both together can exceed int64
+    # exact int64 vote counts per setting; the settings combine as Python
+    # ints, since both together can exceed int64
     is_vote = cell_votes(n)[: n + 2, None] == np.arange(3)
-    votes = tally.counts.reshape(2, n, n + 2).sum(axis=1) @ is_vote
-    correct = sum(int(votes[s, s]) for s in (0, 1))
-    decided = sum(int(votes[s, :ABSTAIN].sum()) for s in (0, 1))
+    counts = (columns @ is_vote).tolist()
+    correct = counts[0][0] + counts[1][1]
+    decided = sum(counts[0][:ABSTAIN]) + sum(counts[1][:ABSTAIN])
     accuracy = correct / decided if decided else 0.5
 
     return SignalStats(
@@ -681,12 +709,14 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
         raise ConfigError("message bits must be 0 or 1")
     law = config.law
     n = config.n
+    vote_laws = _vote_totals(law.sum(axis=1), n)
     votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):
-        vote_law = _vote_totals(law[setting].sum(axis=0), n)
         where = np.flatnonzero(bits == setting)
         rng = SeededRng(config.seed, _stream_id(_PHASE_CHANNEL, setting))
-        votes[where] = rng.multinomial(config.pairs_per_bit, vote_law, where.size)
+        votes[where] = rng.multinomial(
+            config.pairs_per_bit, vote_laws[setting], where.size
+        )
     vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0))
     return channel_accuracy(bits, votes, config.pairs_per_bit, vote_rng)
 
@@ -697,15 +727,15 @@ def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
     return tuple((rng.uniforms(n_bits) < 0.5).astype(np.int64).tolist())
 
 
-def analytic_no_signal_certificate(ensemble_a: Ensemble, ensemble_b: Ensemble) -> float:
+def analytic_no_signal_certificate(kets: np.ndarray, probs: np.ndarray) -> float:
     """Trace distance between Bob's averaged states for two Alice bases.
 
-    The ensembles are Bob's induced preparation ensembles for the two
-    bases (a run's ``RunContext.ensembles``). Their Alice-averaged density
-    matrices coincide identically, so the returned value is numerical noise
-    (at most ~1e-12): the certificate that basis choice alone sends no
-    information.
+    ``kets[s]`` (one state per row) and ``probs[s]`` are Bob's induced
+    preparation ensemble for basis s, as in a run's ``RunContext``. The
+    averaged state of basis s is rho_s = sum_m p_m |m><m|, one matrix
+    product per basis. The two coincide identically, so the returned value
+    is numerical noise (at most ~1e-12): the certificate that basis choice
+    alone sends no information. It never sees the cloner.
     """
-    return qcore.trace_distance(
-        ensemble_a.average_density(), ensemble_b.average_density()
-    )
+    rho = (kets.transpose(0, 2, 1) * probs[:, None, :]) @ kets.conj()
+    return float(0.5 * np.abs(np.linalg.eigvalsh(rho[0] - rho[1])).sum())

@@ -4,16 +4,20 @@ Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
 hand-built matrix, independent-Bernoulli group statistics, projectors
 applied to an explicit Kraus success branch or joint clone ket,
+member-by-member steering, averaged density matrices built from kets,
 pair-by-pair Born-rule trajectories, per-pair majority voting) so that a
 test never validates code against itself.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from pqclone import signalling
+from pqclone import qcore, signalling
+from pqclone.entangle import AliceBasis, build_shared_state
 from pqclone.errors import ConfigError
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
-from pqclone.qcore import SeededRng
+from pqclone.qcore import Ket, SeededRng
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -88,6 +92,37 @@ def two_state_gamma_closed_form(s: float, m: int) -> float:
     return (1.0 - s) / (1.0 - s**m)
 
 
+def induced_members_by_kets(shared, basis) -> list:
+    """Bob's (state, probability) members for one Alice basis, one at a time.
+
+    Member m has unnormalized state sum_n <a_m|n> |B_n> and probability its
+    squared norm over N, renormalized; under A1 exactly (|B_n>, 1/N). A
+    member of squared norm at most 1e-24 gets probability 0 and the
+    placeholder |0>.
+    """
+    n = shared.alice_dim
+    if basis.label == "A1":
+        return [(s, 1.0 / n) for s in shared.bob_states]
+    bob_mat = np.column_stack([s.amplitudes for s in shared.bob_states])
+    members = []
+    for vec in basis.vectors:
+        raw = bob_mat @ vec.amplitudes.conj()
+        norm_sq = float(np.real(np.vdot(raw, raw)))
+        if norm_sq > 1e-24:
+            members.append((Ket(raw / np.sqrt(norm_sq)), norm_sq / n))
+        else:
+            members.append((Ket.basis_state(n, 0), 0.0))
+    total = sum(p for _, p in members)
+    return [(s, p / total) for s, p in members]
+
+
+def ensemble_certificate(ensemble_a, ensemble_b) -> float:
+    """Trace distance of two ``Ensemble``s' averaged density matrices."""
+    return qcore.trace_distance(
+        ensemble_a.average_density(), ensemble_b.average_density()
+    )
+
+
 def split_sizes(mu: int, n_groups: int) -> list:
     base, extra = divmod(mu, n_groups)
     return [base + 1] * extra + [base] * (n_groups - extra)
@@ -156,6 +191,7 @@ def contracted_legal_rows(
 ) -> np.ndarray:
     """Law rows of a Kraus machine by contracting its explicit success branch.
 
+    ``members`` lists (ket, probability) pairs and ``candidates`` kets.
     Phi_m = sqrt(p_m) A psi_m is reshaped into one tensor factor per
     verification group, and the group projectors are applied to it by
     inclusion-exclusion. Rows are laid out like one setting of
@@ -202,12 +238,30 @@ def two_sample_sigma(p1: float, n1: int, p2: float, n2: int) -> float:
     return np.sqrt(max(pooled * (1.0 - pooled), 0.0) * (1.0 / n1 + 1.0 / n2))
 
 
+def born_context(config) -> SimpleNamespace:
+    """The kets and shared state of the Born-rule reference.
+
+    They are read off the run's ``RunContext`` arrays: the shared state
+    pairs Alice's labels with A1's member states (Bob's own), ``bases`` is
+    (A1, A2), and ``all_states`` and ``candidates`` wrap the preparation
+    and candidate rows as kets.
+    """
+    ctx = config.context
+    return SimpleNamespace(
+        shared=build_shared_state(tuple(Ket(row) for row in ctx.kets[0])),
+        bases=(AliceBasis.computational(config.n), config.a2_basis),
+        all_states=tuple(Ket(row) for row in ctx.preparations),
+        candidates=tuple(Ket(row) for row in ctx.candidates),
+    )
+
+
 def run_one_pair(config, ctx, setting: int, rng: SeededRng):
     """One shared pair: Alice measures, the cloner runs, Bob classifies.
 
-    Returns (input row 0-based, column), column None when the cloner
-    reported failure and the pair is discarded. Each stage samples the
-    Born rule on explicit states, independently of ``column_law``.
+    ``ctx`` is ``born_context(config)``. Returns (input row 0-based,
+    column), column None when the cloner reported failure and the pair is
+    discarded. Each stage samples the Born rule on explicit states,
+    independently of ``column_law``.
     """
     outcome, bob_state = signalling.alice_measure(ctx.shared, ctx.bases[setting], rng)
     row = setting * config.n + outcome
@@ -227,7 +281,7 @@ def trajectory_tally(config, setting: int, trials: int, seed: int) -> np.ndarray
     ``column_law``: rows are Alice outcomes, cells are columns B_1..B_{N+1},
     then PHI, then discarded cloner failures.
     """
-    ctx = signalling.prepare_context(config)
+    ctx = born_context(config)
     n = config.n
     counts = np.zeros((n, n + 3), dtype=np.int64)
     for t in range(trials):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pqclone import cli
-from pqclone.entangle import AliceBasis, build_shared_state, induced_ensemble
+from pqclone.entangle import AliceBasis
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
     IllegalClonerSpec,
@@ -126,11 +126,8 @@ def test_criterion_3_legal_machines_never_signal():
         )
         diff = abs(stats.p1_a2 - stats.p1_a1)
         assert diff <= 3.0 * sigma, f"instance {instance}: diff {diff}, sigma {sigma}"
-        shared = build_shared_state(states)
-        certificate = analytic_no_signal_certificate(
-            induced_ensemble(shared, AliceBasis.computational(n)),
-            induced_ensemble(shared, a2),
-        )
+        context = config.context
+        certificate = analytic_no_signal_certificate(context.kets, context.probs)
         assert certificate <= 1e-12
         # exact: Bob's column law, discard mass included, ignores Alice's basis
         law = column_law(config)
@@ -288,7 +285,7 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
                 machine=exact_spec,
                 seed=0,
             )
-            p = config.context.ensembles[1].members[1][1]
+            p = config.context.probs[1, 1]
             row = column_law(config)[1, 1, :4] / p
             joint, embedded = materialize_illegal_output(exact_spec, 4, all_states)
             projected = projected_column_law(joint, embedded, mu)

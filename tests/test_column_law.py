@@ -11,6 +11,7 @@ from pqclone.entangle import (
     AliceBasis,
     build_shared_state,
     induced_ensemble,
+    induced_states,
     target_to_basis,
 )
 from pqclone.errors import ConditioningError, ConfigError
@@ -23,6 +24,7 @@ from pqclone.signalling import (
     _legal_rows,
     _stream_id,
     column_law,
+    group_sizes,
     prepare_context,
 )
 
@@ -30,6 +32,7 @@ from born import haar_unitary, random_ket
 from oracles import (
     contracted_legal_rows,
     exact_copy_column_distribution,
+    induced_members_by_kets,
     trajectory_tally,
 )
 
@@ -110,9 +113,74 @@ def illegal_instances(draw):
     )
 
 
+@st.composite
+def steering_cases(draw):
+    """Bob states and an A2 basis: Haar, a random target, or Fourier.
+
+    The ``one-ray`` kind puts Bob's states on one ray with Fourier phases,
+    |B_n> = exp(2 pi i k n / N) |v>; under the Fourier basis every outcome
+    but k then has probability 0 and the placeholder state.
+    """
+    n = draw(st.integers(2, 4))
+    rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["haar", "target", "fourier", "one-ray"]))
+    if kind == "one-ray":
+        ray = random_ket(n, rng).amplitudes
+        phases = np.exp(2j * np.pi * draw(st.integers(0, n - 1)) * np.arange(n) / n)
+        return tuple(Ket(phase * ray) for phase in phases), AliceBasis.fourier(n)
+    states = tuple(random_ket(n, rng) for _ in range(n))
+    if kind == "haar":
+        return states, _haar_basis(n, rng)
+    if kind == "target":
+        return states, target_to_basis(random_ket(n, rng), states)
+    return states, AliceBasis.fourier(n)
+
+
 def assert_is_distribution(law: np.ndarray) -> None:
     assert law.min() >= 0.0  # column_law clips only inside [-LAW_TOL, 0)
     np.testing.assert_allclose(law.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
+
+
+class TestRunContext:
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(steering_cases())
+    def test_arrays_match_member_by_member_steering(self, case):
+        # induced_states against the old per-member loop; induced_ensemble
+        # wraps it exactly, and a run's context holds its arrays
+        states, a2_basis = case
+        n = len(states)
+        bases = (AliceBasis.computational(n), a2_basis)
+        kets, probs = induced_states(np.array([s.amplitudes for s in states]), bases)
+        shared = build_shared_state(states)
+        for s, basis in enumerate(bases):
+            reference = induced_members_by_kets(shared, basis)
+            members = induced_ensemble(shared, basis).members
+            for m, ((ref_ket, ref_p), (ket, p)) in enumerate(zip(reference, members)):
+                assert np.abs(kets[s, m] - ref_ket.amplitudes).max() <= 1e-15
+                assert abs(probs[s, m] - ref_p) <= 1e-15
+                if ref_p == 0.0:
+                    assert probs[s, m] == 0.0
+                    np.testing.assert_array_equal(kets[s, m], np.eye(1, n)[0])
+                np.testing.assert_array_equal(ket.amplitudes, kets[s, m])
+                assert p == probs[s, m]
+        config = ProtocolConfig(
+            bob_states=states,
+            a2_basis=a2_basis,
+            mu=n + 1,
+            trials=1,
+            pairs_per_bit=1,
+            machine=IllegalClonerSpec(tuple(range(1, n + 2)), n + 1, 2 * n),
+            seed=0,
+        )
+        if probs[1, 0] == 0.0:  # candidate B_{N+1} is never prepared
+            with pytest.raises(ConfigError):
+                prepare_context(config)
+            return
+        ctx = prepare_context(config)
+        np.testing.assert_array_equal(ctx.kets, kets)
+        np.testing.assert_array_equal(ctx.probs, probs)
+        np.testing.assert_array_equal(ctx.preparations, kets.reshape(2 * n, n))
+        np.testing.assert_array_equal(ctx.candidates, kets.reshape(2 * n, n)[: n + 1])
 
 
 class TestLawProperties:
@@ -135,13 +203,16 @@ class TestLawProperties:
         # Gram-form rows against inclusion-exclusion on the explicit N^mu
         # success branch A psi_m; the appended member has probability 0
         ctx = prepare_context(config)
-        placeholder = ((Ket.basis_state(config.n, 0), 0.0),)
-        for ensemble in ctx.ensembles:
-            members = ensemble.members + placeholder
+        n = config.n
+        candidate_kets = [Ket(row) for row in ctx.candidates]
+        for kets, probs in zip(ctx.kets, ctx.probs):
+            kets = np.vstack([kets, np.eye(1, n)])
+            probs = np.append(probs, 0.0)
+            members = [(Ket(row), p) for row, p in zip(kets, probs)]
             np.testing.assert_allclose(
-                _legal_rows(config.machine, members, ctx.candidates, config.mu),
+                _legal_rows(config.machine, kets, probs, ctx.candidates, config.mu),
                 contracted_legal_rows(
-                    config.machine.kraus_success, members, ctx.candidates, config.mu
+                    config.machine.kraus_success, members, candidate_kets, config.mu
                 ),
                 rtol=0,
                 atol=1e-12,
@@ -159,14 +230,39 @@ class TestLawProperties:
 
     @PROPERTY
     @given(illegal_instances())
+    def test_illegal_law_signals_through_column_n_plus_1(self, config):
+        # The label-aware cloner's output depends on the label, not only on
+        # Bob's state. A1's clonable rows never fill column N+1, while A2's
+        # outcome 1 (label N+1, clonable) alone puts
+        # p(B_{N+1}) prod_{j<=N} (1 - |<B_j|B_{N+1}>|^(2 g_j)) there, so
+        # Bob's A1 and A2 cell marginals are at least that far apart.
+        law = column_law(config)
+        n = config.n
+        ctx = config.context
+        target = ctx.candidates[n]
+        overlaps = np.array(
+            [abs(np.vdot(b.amplitudes, target)) for b in config.bob_states]
+        )
+        sizes = np.array(group_sizes(config.mu, n + 1)[:n])
+        bound = ctx.probs[1, 0] * np.prod(1.0 - overlaps ** (2 * sizes))
+        marginals = law.sum(axis=1)
+        distance = 0.5 * np.abs(marginals[0] - marginals[1]).sum()
+        assert np.all(law[0, :, n] == 0.0)
+        assert law[1, :, n].sum() >= bound * (1.0 - 1e-9)
+        assert distance >= bound * (1.0 - 1e-9)
+        assert bound > 0.0 or overlaps.max() >= 1.0 - 1e-12
+
+    @PROPERTY
+    @given(illegal_instances())
     def test_illegal_rows_mix_exact_copy_laws(self, config):
         law = column_law(config)
         spec = config.machine
         ctx = prepare_context(config)
-        candidates = [c.amplitudes for c in ctx.candidates]
+        candidates = list(ctx.candidates)
         shared = build_shared_state(config.bob_states)
         n = config.n
-        for setting, basis in enumerate(ctx.bases):
+        bases = (AliceBasis.computational(n), config.a2_basis)
+        for setting, basis in enumerate(bases):
             for m, (_, p) in enumerate(induced_ensemble(shared, basis).members):
                 label = setting * n + m + 1
                 if label in spec.clonable_labels:
@@ -177,7 +273,7 @@ class TestLawProperties:
                 expected = np.zeros(n + 2)
                 expected[n + 1] = weights[-1]  # junk branch
                 for w, clonable in zip(weights, spec.clonable_labels):
-                    single = ctx.all_states[clonable - 1].amplitudes
+                    single = ctx.preparations[clonable - 1]
                     expected += w * exact_copy_column_distribution(
                         single, candidates, config.mu
                     )
@@ -205,15 +301,14 @@ class TestLawProperties:
         assume(np.linalg.cond(np.array([s.amplitudes for s in states])) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
         stand_in = SimpleNamespace(clonable=states, gammas=gammas)
-        shared = build_shared_state(states)
-        a1, a2 = (
-            induced_ensemble(shared, basis)
-            for basis in (AliceBasis.computational(n), _haar_basis(n, rng))
+        kets, probs = induced_states(
+            np.array([s.amplitudes for s in states]),
+            (AliceBasis.computational(n), _haar_basis(n, rng)),
         )
-        candidates = states + (a2.members[0][0],)
+        candidates = np.vstack([kets[0], kets[1, :1]])
         a1_cells, a2_cells = (
-            _legal_rows(stand_in, ensemble.members, candidates, mu).sum(axis=0)
-            for ensemble in (a1, a2)
+            _legal_rows(stand_in, kets[s], probs[s], candidates, mu).sum(axis=0)
+            for s in (0, 1)
         )
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
 

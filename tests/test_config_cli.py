@@ -447,6 +447,56 @@ class TestCliSignalTest:
             stats = json.loads((out_dir / "stats.json").read_text())
             assert stats["channel_bits"] == bits
 
+    # Bob states |1> and -|1>: Fourier outcome 1 steers Bob to
+    # (|1> - |1>)/sqrt(2) = 0, so candidate B3 would be a placeholder state
+    # that no pair prepares. Bob states |1>, |1>: outcome 2 has probability 0,
+    # and label 4 names it.
+    @pytest.mark.parametrize(
+        "second, labels, message",
+        [
+            ([[0.0, 0.0], [-1.0, 0.0]], [1, 2, 3], "candidate B3 is not prepared"),
+            ([[0.0, 0.0], [1.0, 0.0]], [1, 2, 4], "clonable label 4 names"),
+        ],
+        ids=["candidate", "clonable-label"],
+    )
+    def test_zero_probability_preparation_exits_1_with_one_line(
+        self, tmp_path, capsys, second, labels, message
+    ):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data["bob_states"] = [[[0.0, 0.0], [1.0, 0.0]], second]
+        data["machine"] = {"kind": "illegal", "clonable_labels": labels}
+        cfg = tmp_path / "unprepared.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    # The run context stacks Bob's states into an N x N array, so each of
+    # the N states must have dimension N.
+    @pytest.mark.parametrize(
+        "bob_states",
+        [
+            [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+            [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+        ],
+        ids=["both-dim-3", "ragged"],
+    )
+    def test_bob_state_dimension_must_match_count(self, tmp_path, capsys, bob_states):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data["bob_states"] = bob_states
+        cfg = tmp_path / "dims.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: Bob states must have dimension 2, got 3")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []
         column_law = signalling.column_law

@@ -10,15 +10,15 @@ from hypothesis import strategies as st
 
 from pqclone import config as config_mod
 from pqclone import signalling
-from pqclone.entangle import AliceBasis, build_shared_state, induced_ensemble
-from pqclone.errors import ConfigError
+from pqclone.entangle import AliceBasis, build_shared_state, induced_states
+from pqclone.errors import ConfigError, DimensionError
 from pqclone.pqcm import (
     CloneOutput,
     IllegalClonerSpec,
     construct_machine,
     max_uniform_gamma,
 )
-from pqclone.qcore import Ket, SeededRng, inner_product
+from pqclone.qcore import Ensemble, Ket, SeededRng, inner_product
 from pqclone.signalling import (
     _PHASE_CHANNEL,
     _PHASE_PROTOCOL,
@@ -43,7 +43,9 @@ from born import CollapseTree, haar_unitary, materialize_illegal_output, random_
 from test_config_cli import REPO
 from oracles import (
     channel_accuracy_by_pairs,
+    ensemble_certificate,
     exact_copy_column_distribution,
+    induced_members_by_kets,
     random_message_by_draws,
     three_sigma_binomial,
     two_sample_sigma,
@@ -579,10 +581,18 @@ class TestChannelOracle:
 
 
 def _certificate(states, basis_a, basis_b) -> float:
-    shared = build_shared_state(states)
-    return analytic_no_signal_certificate(
-        induced_ensemble(shared, basis_a), induced_ensemble(shared, basis_b)
+    # the array route, checked on the way against averaged density matrices
+    # of member-by-member ensembles
+    kets, probs = induced_states(
+        np.array([s.amplitudes for s in states]), (basis_a, basis_b)
     )
+    certificate = analytic_no_signal_certificate(kets, probs)
+    shared = build_shared_state(states)
+    reference = ensemble_certificate(
+        *(Ensemble(induced_members_by_kets(shared, b)) for b in (basis_a, basis_b))
+    )
+    assert abs(certificate - reference) <= 1e-15
+    return certificate
 
 
 class TestCertificate:
@@ -658,14 +668,12 @@ class TestMaterialization:
         candidates = cfg.context.candidates
         bound = analytic_leakage(candidates, cfg.mu)
         law = column_law(cfg)
-        members = cfg.context.ensembles[0].members + cfg.context.ensembles[1].members
+        probs = cfg.context.probs.ravel()
         misses = []
         for own, single in enumerate(candidates):  # candidate own has label own+1
             setting, m = divmod(own, cfg.n)
-            misses.append(1.0 - law[setting, m, own] / members[own][1])
-            dist = exact_copy_column_distribution(
-                single.amplitudes, [c.amplitudes for c in candidates], cfg.mu
-            )
+            misses.append(1.0 - law[setting, m, own] / probs[own])
+            dist = exact_copy_column_distribution(single, list(candidates), cfg.mu)
             assert abs(1.0 - dist[own] - misses[-1]) <= 1e-12
         assert abs(bound - max(misses)) <= 1e-15
         assert bound > 0.1  # PLUS ties with KET0 and KET1 at 12 copies
@@ -675,6 +683,24 @@ class TestProtocolConfigValidation:
     def test_mu_lower_bound(self):
         with pytest.raises(ConfigError):
             illegal_config(mu=2)
+
+    @pytest.mark.parametrize(
+        "bob_states",
+        [(Ket.basis_state(1, 0),), (KET0, Ket.basis_state(3, 1))],
+        ids=["one-state", "ragged"],
+    )
+    def test_bob_states_must_be_n_states_of_dimension_n(self, bob_states):
+        # the run context stacks them into an N x N array
+        with pytest.raises(DimensionError):
+            ProtocolConfig(
+                bob_states=bob_states,
+                a2_basis=AliceBasis.fourier(2),
+                mu=4,
+                trials=10,
+                pairs_per_bit=1,
+                machine=IllegalClonerSpec((1, 2, 3), 4, 4),
+                seed=1,
+            )
 
     def test_machine_copy_count_must_match(self):
         machine = construct_machine((KET0, KET1), 2, [1.0, 1.0])
