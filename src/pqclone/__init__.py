@@ -25,6 +25,7 @@ from .errors import (
     SpanError,
 )
 from .pqcm import (
+    FactoredSet,
     IllegalClonerSpec,
     construct_machine,
     feasibility_matrix,

@@ -114,8 +114,9 @@ def cmd_feasibility(args) -> int:
     states = config_mod.load_states(args.states_file)
     m = args.copies
     report: dict = {"n_states": len(states), "dim": states[0].dim, "copies": m}
+    legal = pqcm.FactoredSet.of(states, m)
     if args.max_uniform:
-        gamma = pqcm.max_uniform_gamma(states, m)
+        gamma = legal.gamma_max
         gammas = [gamma] * len(states)
         report["gamma_max"] = gamma
     else:
@@ -126,8 +127,7 @@ def cmd_feasibility(args) -> int:
             raise PqcloneError(
                 f"need 1 or {len(states)} gamma values, got {len(gammas)}"
             )
-    matrix = pqcm.feasibility_matrix(states, m, gammas)
-    min_eig = float(qcore.hermitian_eigenvalues(matrix)[0])
+    min_eig = float(np.linalg.eigvalsh(legal.feasibility_matrix(gammas))[0])
     feasible = bool(min_eig >= -qcore.PSD_TOL)
     report["gammas"] = [float(g) for g in gammas]
     report["min_eigenvalue"] = min_eig
@@ -148,11 +148,11 @@ def cmd_construct(args) -> int:
         gammas = gammas * len(states)
     if len(gammas) != len(states):
         raise PqcloneError(f"need 1 or {len(states)} gamma values, got {len(gammas)}")
+    legal = pqcm.FactoredSet.of(states, args.copies)
     try:
-        machine = pqcm.construct_machine(states, args.copies, gammas)
+        machine = legal.machine(gammas)
     except FeasibilityError as exc:
-        matrix = pqcm.feasibility_matrix(states, args.copies, gammas)
-        min_eig = float(qcore.hermitian_eigenvalues(matrix)[0])
+        min_eig = float(np.linalg.eigvalsh(legal.feasibility_matrix(gammas))[0])
         print(f"infeasible: {exc}", file=sys.stderr)
         print(f"min_eigenvalue: {min_eig!r}", file=sys.stderr)
         return EXIT_INFEASIBLE

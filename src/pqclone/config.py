@@ -279,6 +279,7 @@ def _resolve_machine(config: RunConfig, bob_states: tuple):
             coefficients=_resolve_coefficients(spec) or None,
         )
     if kind == "legal":
+        legal = pqcm.FactoredSet.of(bob_states, config.mu)
         if "gammas" in spec:
             gammas = [
                 _real(g, "machine gammas entry")
@@ -287,10 +288,10 @@ def _resolve_machine(config: RunConfig, bob_states: tuple):
         else:
             gamma = spec.get("uniform_gamma", "max")
             if gamma == "max":
-                gamma = pqcm.max_uniform_gamma(bob_states, config.mu)
+                gamma = legal.gamma_max
                 gamma *= _real(spec.get("gamma_scale", 1.0), "machine gamma_scale")
             gammas = [_real(gamma, "machine uniform_gamma")] * n
-        return pqcm.construct_machine(bob_states, config.mu, gammas)
+        return legal.machine(gammas)
     raise ConfigError(f"unknown machine kind {kind!r}")
 
 

@@ -9,11 +9,14 @@ M-th power, and D = diag(sqrt(gamma_i)). The success operator is
 A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
 principal square root of I - A*A.
 
-Every check on a machine runs on N x N matrices (derivation in
-``construct_machine``), so construction never builds an N^M-dimensional
-array. The explicit N^M x N operator A is built only when
-``kraus_success`` is first read, and its own clone and trace residuals
-are checked then.
+A ``FactoredSet`` checks and factors a state set once; the largest
+uniform efficiency, the Gram verdict and the Kraus pair are all read
+from it, and ``max_uniform_gamma``, ``feasibility_matrix`` and
+``construct_machine`` are one-shot entry points over it. Every check on
+a machine runs on N x N matrices (derivation in ``FactoredSet.machine``),
+so construction never builds an N^M-dimensional array. The explicit
+N^M x N operator A is built only when ``kraus_success`` is first read,
+and its own clone and trace residuals are checked then.
 
 The module also models the deliberately nonphysical "illegal" cloner of
 the signalling argument: a label-aware device that claims to clone N+1
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .qcore import HermitianOperator, Ket, SeededRng
 
-COND_LIMIT = 1e12
+COND_LIMIT = 1e12  # a backstop: the rank rule already caps cond(B) near 3.2e4
 _MACHINE_TOL = 1e-9
 
 
@@ -49,7 +52,7 @@ _MACHINE_TOL = 1e-9
 class PqcmMachine:
     """A success/failure Kraus pair cloning a fixed state set.
 
-    The residuals are those of the N x N checks in ``construct_machine``.
+    The residuals are those of the N x N checks in ``FactoredSet.machine``.
     """
 
     clonable: tuple  # of Ket, dimension N, linearly independent
@@ -71,7 +74,7 @@ class PqcmMachine:
         ``kraus_fail``, its trace residual against the same tolerance as
         construction; the array is read-only.
         """
-        b_mat = _state_matrix(self.clonable)
+        b_mat = qcore.state_matrix(self.clonable)
         c_mat = np.column_stack(
             [qcore.tensor_power(s, self.copies).amplitudes for s in self.clonable]
         )
@@ -139,10 +142,6 @@ class CloneOutput:
         )
 
 
-def _state_matrix(states: Sequence[Ket]) -> np.ndarray:
-    return np.column_stack([s.amplitudes for s in states])
-
-
 def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
     """An N x N factor R of the M-fold product columns: C = Q R, Q*Q = I.
 
@@ -171,19 +170,23 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
         power = qr_of_product(power, power)
 
 
-def _check_independent(states: Sequence[Ket]) -> np.ndarray:
-    """The Gram matrix of ``states``, once their independence is checked.
+def _check_independent(gram: np.ndarray, dim: int) -> None:
+    """Raise RankError unless the set with Gram matrix ``gram`` is independent.
 
-    The rank rule is ``qcore.rank_with_tolerance``'s: Gram eigenvalues
-    above ``RANK_TOL`` times the largest.
+    The rank rule is ``qcore.rank_with_tolerance``'s: every Gram eigenvalue
+    above ``RANK_TOL`` times the largest. The Gram eigenvalues are the
+    squared singular values of B, so the rule accepts only sets with
+    cond(B) < RANK_TOL^(-1/2), about 3.2e4, and ``COND_LIMIT`` is a
+    backstop behind it.
     """
-    gram = qcore.gram_matrix(states)
-    eigs = qcore.hermitian_eigenvalues(gram)
-    if int(np.sum(eigs > qcore.RANK_TOL * eigs[-1])) != len(states):
+    eigs = np.linalg.eigvalsh(gram)
+    if not eigs[0] > qcore.RANK_TOL * eigs[-1]:
+        ratio = eigs[0] / eigs[-1] if eigs[-1] > 0 else 0.0
         raise RankError(
-            f"{len(states)} states of dimension {states[0].dim} are linearly dependent"
+            f"{len(eigs)} states of dimension {dim} are dependent under the rank "
+            f"rule: Gram eigenvalue ratio {ratio:.2e} is not above RANK_TOL "
+            f"{qcore.RANK_TOL:.0e}"
         )
-    return gram.entries
 
 
 def _check_copies(m: int) -> None:
@@ -191,116 +194,159 @@ def _check_copies(m: int) -> None:
         raise ConfigError(f"copy count must be at least 2, got {m}")
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredSet:
+    """One factorization of an independent state set, for M copies.
+
+    It holds B (the states as columns), the Gram matrix X = B*B, the
+    pseudo-inverse B^+ from one thin SVD of B, and the N x N factor R of
+    the M-fold product columns C = Q R (``_product_factor``). ``gamma_max``,
+    ``feasibility_matrix`` and ``machine`` all read these, so a run that
+    needs the largest uniform efficiency and the machine built at it
+    checks and factors the set once. Build one with ``FactoredSet.of``.
+    """
+
+    states: tuple  # of Ket
+    copies: int
+    b_mat: np.ndarray  # B, shape (dim, N)
+    gram: np.ndarray  # X = B*B, shape (N, N)
+    pinv: np.ndarray  # B^+, shape (N, dim)
+    product_factor: np.ndarray  # R with C = Q R, shape (N, N)
+
+    @classmethod
+    def of(cls, states: Sequence[Ket], m: int) -> "FactoredSet":
+        """Check the set's independence and conditioning, and factor it.
+
+        Raises RankError when the set is dependent under the rank rule,
+        ConditioningError when cond(B) exceeds ``COND_LIMIT``.
+        """
+        states = tuple(states)
+        _check_copies(m)
+        b_mat = qcore.state_matrix(states)
+        gram = b_mat.conj().T @ b_mat
+        gram = (gram + gram.conj().T) / 2.0
+        _check_independent(gram, b_mat.shape[0])
+        u_mat, singulars, vh_mat = np.linalg.svd(b_mat, full_matrices=False)
+        if singulars[0] / singulars[-1] > COND_LIMIT:
+            raise ConditioningError(
+                f"state matrix condition number {singulars[0] / singulars[-1]:.3e} "
+                f"exceeds {COND_LIMIT:.0e}"
+            )
+        pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T
+        return cls(states, m, b_mat, gram, pinv, _product_factor(b_mat, m))
+
+    @property
+    def gamma_max(self) -> float:
+        """Largest uniform efficiency keeping the feasibility matrix PSD.
+
+        X - gamma X^(o M) >= 0 says |B v|^2 >= gamma |C v|^2 = gamma |R v|^2
+        for every v. B has full column rank, so v = B^+ u runs over all of C^N
+        as u runs over the range of B, and the condition is
+        |u|^2 >= gamma |K u|^2 with K = R B^+. The largest such gamma is
+        min(1, 1 / lambda_max(K K*)) in closed form. K K* = R X^-1 R* has
+        the spectrum of X^(-1/2) X^(o M) X^(-1/2), but K is formed from R
+        and one SVD of B, so no step squares cond(B).
+        """
+        k_mat = self.product_factor @ self.pinv
+        lam_max = float(np.linalg.eigvalsh(k_mat @ k_mat.conj().T)[-1])
+        return min(1.0, 1.0 / lam_max)
+
+    def feasibility_matrix(self, gammas: Sequence[float]) -> np.ndarray:
+        """X - D X^(o M) D, whose positive semidefiniteness decides clonability."""
+        if len(gammas) != len(self.states):
+            raise ConfigError("need one efficiency per state")
+        bad = [g for g in gammas if not 0.0 <= g <= 1.0]  # also catches nan
+        if bad:
+            raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
+        d = np.sqrt(np.asarray(gammas, dtype=float))
+        feas = self.gram - (d[:, None] * self.gram**self.copies) * d[None, :]
+        return (feas + feas.conj().T) / 2.0
+
+    def machine(self, gammas: Sequence[float]) -> PqcmMachine:
+        """Build and verify the success/failure Kraus pair for ``gammas``.
+
+        Success operator A = C D B^+ with B the matrix of input columns,
+        C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
+        failure operator F = principal square root of I - A*A. Every check
+        runs on N x N matrices, from W = D B^+ and the factor C = Q R
+        (Q with orthonormal columns, never formed). Then A = C W = Q G with
+        G = R W, so:
+
+          * A*A = G*G, and I - A*A must be PSD (trace preservation);
+          * A B - C D = Q R V with V = W B - D, so the clone residual of
+            state i is the norm of column i of R V;
+          * the trace residual is max |A*A + F*F - I|.
+
+        Both residuals must lie within ``_MACHINE_TOL``. The explicit A is
+        built, and its own clone and trace residuals checked, when
+        ``kraus_success`` is first read. Raises FeasibilityError when the
+        Gram condition or a check fails.
+        """
+        gammas = tuple(float(g) for g in gammas)
+        min_eig = float(np.linalg.eigvalsh(self.feasibility_matrix(gammas))[0])
+        if min_eig < -qcore.PSD_TOL:
+            raise FeasibilityError(
+                f"requested efficiencies are infeasible (min eigenvalue {min_eig:.3e})"
+            )
+
+        d_vec = np.sqrt(np.asarray(gammas))
+        w_mat = d_vec[:, None] * self.pinv  # A = C W
+        r_mat = self.product_factor  # C = Q R
+        g_mat = r_mat @ w_mat  # A = Q G
+        success_gram = g_mat.conj().T @ g_mat  # A*A
+
+        eye = np.eye(self.b_mat.shape[0])
+        gap = eye - success_gram
+        eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+        if eigvals[0] < -qcore.PSD_TOL:
+            raise FeasibilityError(
+                f"success operator exceeds trace preservation "
+                f"(min eigenvalue {eigvals[0]:.3e})"
+            )
+        f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+
+        v_mat = w_mat @ self.b_mat - np.diag(d_vec)  # A B - C D = Q R V
+        clone_residual = float(np.max(np.linalg.norm(r_mat @ v_mat, axis=0)))
+        trace_residual = float(
+            np.max(np.abs(success_gram + f_op.conj().T @ f_op - eye))
+        )
+        if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
+            raise FeasibilityError(
+                f"machine verification failed (clone residual {clone_residual:.3e}, "
+                f"trace residual {trace_residual:.3e})"
+            )
+        return PqcmMachine(
+            clonable=self.states,
+            copies=self.copies,
+            gammas=gammas,
+            kraus_fail=qcore._frozen(f_op),
+            clone_residual=clone_residual,
+            trace_residual=trace_residual,
+        )
+
+
 def feasibility_matrix(
     states: Sequence[Ket], m: int, gammas: Sequence[float]
 ) -> HermitianOperator:
     """X - D X^(M) D, whose positive semidefiniteness decides clonability."""
-    states = tuple(states)
-    _check_copies(m)
-    if len(gammas) != len(states):
-        raise ConfigError("need one efficiency per state")
-    bad = [g for g in gammas if not 0.0 <= g <= 1.0]  # also catches nan
-    if bad:
-        raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
-    gram = _check_independent(states)
-    gram_m = gram**m
-    d = np.sqrt(np.asarray(gammas, dtype=float))
-    return HermitianOperator.from_matrix(gram - (d[:, None] * gram_m) * d[None, :])
+    return HermitianOperator(FactoredSet.of(states, m).feasibility_matrix(gammas))
 
 
 def max_uniform_gamma(states: Sequence[Ket], m: int) -> float:
-    """Largest uniform efficiency keeping the feasibility matrix PSD.
-
-    The Gram matrix X of an independent set is positive definite, so for
-    any factorization X = L L^H the condition X - gamma X^(M) >= 0 is
-    equivalent to I - gamma L^-1 X^(M) L^-H >= 0, and the largest such
-    gamma is min(1, 1 / lambda_max(L^-1 X^(M) L^-H)) in closed form. The
-    factor used is L = X^(1/2), from the eigendecomposition of X; every
-    factor gives the same spectrum.
-    """
-    states = tuple(states)
-    _check_copies(m)
-    gram = _check_independent(states)
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T  # L^-1 = L^-H = X^(-1/2)
-    whitened = inv_sqrt @ gram**m @ inv_sqrt
-    lam_max = float(np.linalg.eigvalsh((whitened + whitened.conj().T) / 2.0)[-1])
-    return min(1.0, 1.0 / lam_max)
+    """Largest uniform efficiency keeping the feasibility matrix PSD
+    (closed form in ``FactoredSet.gamma_max``)."""
+    return FactoredSet.of(states, m).gamma_max
 
 
 def construct_machine(
     states: Sequence[Ket], m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
-    """Build and verify the success/failure Kraus pair for the given set.
-
-    Success operator A = C D B^+ with B the matrix of input columns,
-    C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
-    failure operator F = principal square root of I - A*A. Every check
-    runs on N x N matrices, from W = D B^+ and the factor C = Q R of
-    ``_product_factor`` (Q with orthonormal columns, never formed). Then
-    A = C W = Q G with G = R W, so:
-
-      * A*A = G*G, and I - A*A must be PSD (trace preservation);
-      * A B - C D = Q R V with V = W B - D, so the clone residual of state
-        i is the norm of column i of R V;
-      * the trace residual is max |A*A + F*F - I|.
-
-    Both residuals must lie within ``_MACHINE_TOL``. The explicit A is
-    built, and its own clone and trace residuals checked, when
-    ``kraus_success`` is first read. Raises FeasibilityError when the Gram
-    condition or a check fails, ConditioningError when the input set is
-    numerically too close to dependence.
+    """Build and verify the success/failure Kraus pair for the given set
+    (checks in ``FactoredSet.machine``). Raises RankError or
+    ConditioningError for a set too close to dependence, FeasibilityError
+    when the Gram condition or a check fails.
     """
-    states = tuple(states)
-    gammas = tuple(float(g) for g in gammas)
-    feas = feasibility_matrix(states, m, gammas)
-    min_eig = float(qcore.hermitian_eigenvalues(feas)[0])
-    if min_eig < -qcore.PSD_TOL:
-        raise FeasibilityError(
-            f"requested efficiencies are infeasible (min eigenvalue {min_eig:.3e})"
-        )
-
-    b_mat = _state_matrix(states)
-    singulars = np.linalg.svd(b_mat, compute_uv=False)
-    if singulars[0] / singulars[-1] > COND_LIMIT:
-        raise ConditioningError(
-            f"state matrix condition number {singulars[0] / singulars[-1]:.3e} "
-            f"exceeds {COND_LIMIT:.0e}"
-        )
-    d_vec = np.sqrt(np.asarray(gammas))
-    w_mat = d_vec[:, None] * np.linalg.pinv(b_mat)  # A = C W
-    r_mat = _product_factor(b_mat, m)  # C = Q R
-    g_mat = r_mat @ w_mat  # A = Q G
-    success_gram = g_mat.conj().T @ g_mat  # A*A
-
-    n = states[0].dim
-    gap = np.eye(n) - success_gram
-    eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-    if eigvals[0] < -qcore.PSD_TOL:
-        raise FeasibilityError(
-            f"success operator exceeds trace preservation "
-            f"(min eigenvalue {eigvals[0]:.3e})"
-        )
-    f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
-
-    v_mat = w_mat @ b_mat - np.diag(d_vec)  # A B - C D = Q R V
-    clone_residual = float(np.max(np.linalg.norm(r_mat @ v_mat, axis=0)))
-    trace_residual = float(
-        np.max(np.abs(success_gram + f_op.conj().T @ f_op - np.eye(n)))
-    )
-    if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
-        raise FeasibilityError(
-            f"machine verification failed (clone residual {clone_residual:.3e}, "
-            f"trace residual {trace_residual:.3e})"
-        )
-    return PqcmMachine(
-        clonable=states,
-        copies=m,
-        gammas=gammas,
-        kraus_fail=qcore._frozen(f_op),
-        clone_residual=clone_residual,
-        trace_residual=trace_residual,
-    )
+    return FactoredSet.of(states, m).machine(gammas)
 
 
 def apply_machine(

@@ -225,14 +225,19 @@ def tensor_power(state: Ket, m: int) -> Ket:
     return Ket(out.reshape(-1))
 
 
-def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:
-    """Matrix of pairwise inner products X[i,j] = <i|j>; Hermitian PSD."""
+def state_matrix(states: Sequence[Ket]) -> np.ndarray:
+    """The states as the columns of one matrix B."""
     if len(states) == 0:
         raise EmptyInputError("gram matrix of an empty state list")
     dims = {s.dim for s in states}
     if len(dims) != 1:
         raise DimensionError("gram matrix needs states of one dimension")
-    mat = np.column_stack([s.amplitudes for s in states])
+    return np.column_stack([s.amplitudes for s in states])
+
+
+def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:
+    """Matrix of pairwise inner products X[i,j] = <i|j>; Hermitian PSD."""
+    mat = state_matrix(states)
     return HermitianOperator.from_matrix(mat.conj().T @ mat)
 
 

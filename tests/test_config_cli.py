@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqclone import cli, signalling
+from pqclone import cli, pqcm, signalling
 from pqclone import config as config_mod
 from pqclone.config import (
     RunConfig,
@@ -181,6 +181,22 @@ class TestCliFeasibility:
         code = cli.main(["feasibility", str(bad), "-M", "2", "--max-uniform"])
         assert code == 1
         assert "dependent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["feasibility", "construct"])
+    def test_ill_conditioned_pair_reports_gram_ratio(self, tmp_path, capsys, command):
+        # (1, 0) and (1, 1e-5) are independent, with cond(B) about 2e5: past
+        # the rank rule's cond(B) < RANK_TOL^(-1/2), so rejected by it
+        states = tmp_path / "close.txt"
+        states.write_text("2\n1 0 0 0\n1 0 1e-5 0\n")
+        argv = [command, str(states), "-M", "2", "--gamma", "0.5"]
+        if command == "construct":
+            argv += ["--out", str(tmp_path / "machine.json")]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert "linearly dependent" not in err
+        assert "Gram eigenvalue ratio 2.50e-11 is not above RANK_TOL 1e-09" in err
 
     def test_parse_error_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -496,6 +512,24 @@ class TestCliSignalTest:
         assert err.startswith("error: Bob states must have dimension 2, got 3")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_one_factorization_per_legal_run(self, tmp_path, monkeypatch):
+        # gamma_max and the machine built at gamma_scale * gamma_max are read
+        # from one factored set: one rank check and one product factor
+        calls = []
+        for name in ("_check_independent", "_product_factor"):
+
+            def counting(*args, _name=name, _original=getattr(pqcm, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(pqcm, name, counting)
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert sorted(calls) == ["_check_independent", "_product_factor"]
 
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []

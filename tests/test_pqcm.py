@@ -35,6 +35,7 @@ from pqclone.qcore import (
 from born import random_ket
 from oracles import (
     gamma_by_bisection,
+    gamma_max_high_precision,
     three_sigma_binomial,
     two_state_feasibility_min_eig,
     two_state_gamma_by_bisection,
@@ -149,6 +150,47 @@ class TestClosedFormGamma:
         except ConditioningError:
             assume(False)
         assert machine.gammas == (gamma,) * n
+
+
+def near_dependent_set(n: int, cond: float, real: bool, rng: SeededRng) -> np.ndarray:
+    """n unit columns spanning dimension n, from B = U diag(s) V^H with
+    singular values s from 1 down to 1/cond; normalizing the columns moves
+    cond(B) somewhat."""
+
+    def unitary():
+        z = rng.normals(n * n).reshape(n, n)
+        if not real:
+            z = z + 1j * rng.normals(n * n).reshape(n, n)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    b_mat = (unitary() * np.geomspace(1.0, 1.0 / cond, n)) @ unitary().conj().T
+    return (b_mat / np.linalg.norm(b_mat, axis=0)).astype(complex)
+
+
+class TestGammaMaxAccuracy:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(2, 6),
+        log_cond=st.floats(0.0, 4.5),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=3, m=4, log_cond=4.3, real=True, seed=7)
+    @example(n=2, m=6, log_cond=4.5, real=False, seed=3)
+    def test_near_dependent_sets_match_50_digit_reference(
+        self, n, m, log_cond, real, seed
+    ):
+        # whitening by X^(-1/2) loses cond(B)^2 * eps (1e-7 at cond 3e4);
+        # K = R B^+ keeps the error near cond(B) * eps
+        b_mat = near_dependent_set(n, 10.0**log_cond, real, SeededRng(seed))
+        try:
+            gamma = max_uniform_gamma([Ket(col) for col in b_mat.T], m)
+        except RankError:
+            assume(False)
+        reference = gamma_max_high_precision(b_mat, m)
+        assert abs(gamma - reference) <= 1e-10 * reference
 
 
 class TestConstructMachine:
@@ -327,14 +369,29 @@ class TestFeasibilityEquivalence:
             construct_machine(states, 2, [0.5, 0.5])
 
 
+def success_verdicts(machine, state: Ket, seed: int, trials: int) -> np.ndarray:
+    """The success flags of ``trials`` apply_machine calls on one stream.
+
+    Each call draws one uniform and succeeds when it falls below
+    ||A|in>||^2, so one vector draw gives every verdict; the first 1 000
+    are replayed through ``apply_machine`` and must match exactly.
+    """
+    branch = machine.kraus_success @ state.amplitudes
+    p_success = min(float(np.real(np.vdot(branch, branch))), 1.0)
+    wins = SeededRng(seed).uniforms(trials) < p_success
+    rng = SeededRng(seed)
+    replay = [apply_machine(machine, state, rng)[0] for _ in range(1_000)]
+    assert replay == wins[:1_000].tolist()
+    return wins
+
+
 class TestApplyMachine:
     def test_clonable_success_frequency(self):
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])
-        rng = SeededRng(304)
         trials = 100_000
-        wins = sum(apply_machine(machine, states[0], rng)[0] for _ in range(trials))
-        assert abs(wins / trials - 0.5) < three_sigma_binomial(0.5, trials)
+        wins = success_verdicts(machine, states[0], 304, trials)
+        assert abs(wins.mean() - 0.5) < three_sigma_binomial(0.5, trials)
 
     def test_success_output_is_exact_copies(self):
         states = overlap_pair(SQ2)
@@ -355,10 +412,9 @@ class TestApplyMachine:
         analytic = float(
             np.linalg.norm(machine.kraus_success @ probe.amplitudes) ** 2
         )
-        rng = SeededRng(306)
         trials = 50_000
-        wins = sum(apply_machine(machine, probe, rng)[0] for _ in range(trials))
-        assert abs(wins / trials - analytic) < three_sigma_binomial(analytic, trials)
+        wins = success_verdicts(machine, probe, 306, trials)
+        assert abs(wins.mean() - analytic) < three_sigma_binomial(analytic, trials)
 
 
 class TestIllegalCloner:
@@ -390,12 +446,18 @@ class TestIllegalCloner:
             total_labels=4,
             coefficients={4: (c, 0.0)},
         )
-        rng = SeededRng(313)
         trials = 100_000
-        counts = np.zeros(4)
-        for _ in range(trials):
-            out = illegal_clone(spec, 4, self.all_states(), rng)
-            counts[out.label - 1] += 1
+        # illegal_clone picks its branch with one uniform, by SeededRng.choice
+        edges = np.cumsum(spec.branch_probabilities(4))
+        edges[-1] = max(edges[-1], 1.0)
+        branches = np.searchsorted(edges, SeededRng(313).uniforms(trials), side="right")
+        labels = spec.clonable_labels + (None,)  # the last branch is junk
+        rng = SeededRng(313)
+        replay = [
+            illegal_clone(spec, 4, self.all_states(), rng).label for _ in range(1_000)
+        ]
+        assert replay == [labels[b] for b in branches[:1_000]]
+        counts = np.bincount(branches, minlength=4)
         for l in range(3):
             assert abs(counts[l] / trials - 1 / 3) < three_sigma_binomial(1 / 3, trials)
 
