@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqclone import cli, pqcm, signalling
+from pqclone import cli, pqcm, qcore, signalling
 from pqclone import config as config_mod
 from pqclone.config import (
     RunConfig,
@@ -530,6 +530,37 @@ class TestCliSignalTest:
         )
         assert code == 0
         assert sorted(calls) == ["_check_independent", "_product_factor"]
+
+    def test_generators_per_run(self, tmp_path, monkeypatch):
+        # the argvs of the bench/run.py workloads: 2 protocol, 2 channel and
+        # 1 message stream draw; the vote stream only when a bit ties
+        workloads = [
+            (CONFIGS / "illegal_n2.json", 2000, 200),
+            (CONFIGS / "legal_n2.json", 2000, 50),
+            (REPO / "bench" / "legal_n3_wide.json", 600, 20),
+        ]
+        built = []
+        generator = qcore.Generator
+
+        def counting_generator(bit_generator):
+            built.append(bit_generator)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(qcore, "Generator", counting_generator)
+        seen = set()
+        for path, trials, pairs_per_bit in workloads:
+            for seed in (0, 57, 122):
+                built.clear()
+                code = cli.main(
+                    ["signal-test", str(path), "--seed", str(seed), "--trials",
+                     str(trials), "--pairs-per-bit", str(pairs_per_bit),
+                     "--format", "json", "--out", str(tmp_path)]
+                )
+                assert code == 0
+                stats = json.loads((tmp_path / "stats.json").read_text())
+                assert len(built) == 5 + (stats["channel_coin_flips"] > 0)
+                seen.add(len(built))
+        assert seen == {5, 6}  # these seeds cover both a tie and none
 
     def test_one_law_per_run(self, tmp_path, monkeypatch):
         built = []

@@ -1,12 +1,18 @@
 """Quantum primitive layer: states, operators, sampling, spectral analysis."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.random import Generator, Philox
 
 from pqclone import qcore
 from pqclone.errors import (
     BasisError,
     CapacityError,
+    ConfigError,
     DimensionError,
     EmptyInputError,
     HermiticityError,
@@ -358,6 +364,85 @@ class TestSeededRng:
             rows, [rng.multinomial(1_000, probs) for _ in range(6)]
         )
         assert SeededRng(117, 1).multinomial(5, probs, 0).shape == (0, 4)
+
+    KEY = st.integers(0, 2**64 - 1)
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        seed=KEY,
+        stream_id=KEY,
+        n=st.integers(0, 8),
+        probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=5),
+        size=st.integers(0, 4),
+    )
+    @example(seed=0, stream_id=0, n=3, probs=[0.5, 0.5], size=2)
+    @example(seed=2**63 - 1, stream_id=2**63, n=3, probs=[0.5, 0.5], size=2)
+    @example(seed=2**63, stream_id=2**63 - 1, n=3, probs=[0.5, 0.5], size=2)
+    @example(seed=2**64 - 1, stream_id=2**64 - 1, n=3, probs=[0.5, 0.5], size=2)
+    def test_draws_match_philox_keyed_directly(self, seed, stream_id, n, probs, size):
+        rng = SeededRng(seed, stream_id)
+        ref = Generator(Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
+        probs = np.array(probs)
+        np.testing.assert_array_equal(rng.uniforms(n), ref.random(n))
+        np.testing.assert_array_equal(rng.normals(n), ref.standard_normal(n))
+        edges = np.cumsum(probs / probs.sum())
+        edges[-1] = max(edges[-1], 1.0)
+        assert rng.choice(probs / probs.sum()) == np.searchsorted(
+            edges, ref.random(), side="right"
+        )
+        np.testing.assert_array_equal(
+            rng.multinomial(10**6, probs, size),
+            ref.multinomial(10**6, probs / probs.sum(), size),
+        )
+        assert rng.random() == ref.random()
+
+    def test_construction_draws_nothing(self, monkeypatch):
+        built = []
+        philox = qcore.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(qcore, "Philox", counting_philox)
+        rng = SeededRng(118, 5)
+        assert built == [] and "_gen" not in vars(rng)
+        first = rng.uniforms(3)
+        second = rng.uniforms(3)
+        assert len(built) == 1  # one generator, built on the first draw
+        np.testing.assert_array_equal(
+            np.concatenate([first, second]), SeededRng(118, 5).uniforms(6)
+        )
+
+    @pytest.mark.parametrize("draws", [0, 3])
+    def test_deepcopy_replays_the_same_draws(self, draws):
+        rng = SeededRng(119, 2)
+        if draws:
+            rng.uniforms(draws)
+        assert ("_gen" in vars(rng)) == bool(draws)
+        twin = copy.deepcopy(rng)
+        np.testing.assert_array_equal(twin.uniforms(5), rng.uniforms(5))
+        np.testing.assert_array_equal(twin.normals(4), rng.normals(4))
+
+    @pytest.mark.parametrize(
+        "seed, stream_id",
+        [(1.5, 0), (True, 0), (-1, 0), (2**64, 0), (0, 1.5), (0, False), (0, -1),
+         (0, 2**64), (np.uint64(1), 0), ("1", 0)],
+    )
+    def test_bad_key_rejected_at_construction(self, seed, stream_id):
+        with pytest.raises(ConfigError) as err:
+            SeededRng(seed, stream_id)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [np.inf, 1.0], [-np.inf, 1.0],
+         [0.0, 0.0, 0.0], []],
+    )
+    def test_multinomial_rejects_bad_probabilities(self, probs):
+        with pytest.raises(ConfigError) as err:
+            SeededRng(120).multinomial(10, probs)
+        assert "\n" not in str(err.value)
 
 
 class TestEnsemble:

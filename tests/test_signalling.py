@@ -416,6 +416,12 @@ class TestChannel:
         assert result.accuracy == 1.0
         assert result.coin_flips == 0
 
+    def test_tie_free_message_leaves_vote_stream_unbuilt(self):
+        rng = SeededRng(408)
+        result = channel_accuracy(np.array([0, 1]), np.array([[2, 1, 0], [0, 2, 1]]), 3, rng)
+        assert result.coin_flips == 0
+        assert "_gen" not in vars(rng)
+
     def test_all_abstain_block_is_coin_flip(self):
         votes = np.array([[0, 0, 4]])
         result = channel_accuracy(np.array([1]), votes, 4, SeededRng(407))
