@@ -243,6 +243,10 @@ class SeededRng:
         if np.count_nonzero(probabilities) != support.size:
             raise ConfigError("multinomial probabilities must be nonnegative numbers")
         mass = probabilities[support]
+        # scaling by a power of two is exact, so the renormalized cells are
+        # unchanged; one at least the cell count keeps a finite vector's sum
+        # (and every partial sum) within float range
+        mass *= 0.5 ** (mass.size - 1).bit_length()
         total = mass.sum()
         if not 0 < total < np.inf:
             raise ConfigError(

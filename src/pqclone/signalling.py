@@ -12,8 +12,9 @@ information.
 
 Two rules are defined once here and read everywhere else. ``group_hits``
 gives the probability that each verification group all-succeeds on exact
-copies of a state; the exact-copy column laws (and through them the
-illegal cloner's law) and the analytic leakage bound come from it.
+copies of a state. Both machines' laws mix exact-copy column laws built
+from it, the illegal cloner's by branch weights and a legal machine's by
+|beta|^2, and the analytic leakage bound reads their own-column stays.
 ``cell_votes`` gives Bob's vote for each cell (B_1..B_N vote 0, B_{N+1}
 votes 1, PHI and discards abstain); the channel's vote law, the bit
 statistics of a tally and ``guess_rule`` all read it.
@@ -320,6 +321,13 @@ class ProtocolConfig:
                     "machine dimension and clonable set size must match "
                     f"the state count {n}"
                 )
+            # the legal law takes the clonable states to be B_1..B_N
+            clonable = qcore.state_matrix(self.machine.clonable)
+            gap = np.abs(clonable - qcore.state_matrix(bob_states)).max()
+            if not gap <= 1e-12:
+                raise ConfigError(
+                    f"machine clones other states than Bob's (amplitude gap {gap:.1e})"
+                )
         elif isinstance(self.machine, IllegalClonerSpec):
             if self.machine.copies != self.mu:
                 raise ConfigError(
@@ -421,67 +429,55 @@ def _stay(hit: np.ndarray) -> np.ndarray:
     return (1.0 - hit)[_others(hit.shape[0])].prod(axis=1)
 
 
+def _own_stay(candidates: np.ndarray, mu: int) -> np.ndarray:
+    """stay[l] = prod_{j != l} (1 - hit[j, l]): mu exact copies of candidate
+    l reach column l, since group l passes on them and every other must fail.
+    """
+    return _stay(group_hits(candidates, candidates, mu)).diagonal()
+
+
 def _legal_rows(
-    machine: PqcmMachine,
-    kets: np.ndarray,
-    probs: np.ndarray,
-    candidates: np.ndarray,
-    mu: int,
+    machine: PqcmMachine, probs: np.ndarray, ctx: RunContext, mu: int
 ) -> np.ndarray:
-    """Law rows of a Kraus machine: one row per Alice outcome, N+3 cells.
+    """Law rows of a Kraus machine over the members, N+3 cells each.
 
-    Row m is for the member of state ``kets[m]`` and probability
-    ``probs[m]``; ``candidates`` holds c_1..c_K as rows.
-
-    Every cell is a quadratic form in N x N matrices; no N^mu-dimensional
-    vector is built. The machine is A = C D B^-1, with B the matrix of the
-    clonable states |B_i>, C that of their mu-fold powers and
-    D = diag(sqrt(gamma_i)). So the success branch of outcome m is
+    Member m has state ``ctx.preparations[m]`` and probability ``probs[m]``;
+    the first N members are A1's, the rest A2's. The clonable states |B_i>
+    are the candidates B_1..B_N. The machine is A = C D B^-1, with C the
+    matrix of their mu-fold powers and D = diag(sqrt(gamma_i)), so the
+    success branch of member m is
 
         Phi_m = sqrt(p_m) A psi_m = sum_i beta_{m,i} |B_i>^(x mu),
-        beta_m = sqrt(p_m) D B^-1 psi_m,
+        beta_m = sqrt(p_m) D B^-1 psi_m.
 
-    and P(success | m) p_m = ||Phi_m||^2 = beta_m^H X^(o mu) beta_m, with
-    X = B^H B the Gram matrix and o the entrywise (Hadamard) power.
+    An A1 member is B_n itself, so its beta is sqrt(p_n gamma_n) e_n; only
+    A2's members solve B beta = psi. "Only group l all-succeeds" is the
+    projector P_l (x) prod_{j != l} (I - P_j), with P_j = |B_j><B_j|^(x g_j)
+    for j <= N. The factor I - P_i annihilates |B_i>^(x g_i), so every term
+    of Phi_m but the i = l one vanishes, and so does every cross term:
 
-    Group j holds g_j clone factors and tests them against candidate c_j.
-    With o_{j,i} = <c_j|B_i>, the projector P_j = |c_j><c_j|^(x g_j) and
-    its complement I - P_j have, on the vectors |B_i>^(x g_j), the Gram
-    kernels
+        P(column l, m) = |beta_{m,l}|^2 prod_{j != l} (1 - hit[j, l]),
 
-        H_j = outer(conj(o_j)^g_j, o_j^g_j)    (hit)
-        Q_j = X^(o g_j) - H_j                  (miss).
-
-    Tests on distinct factors commute, and "only group l all-succeeds" is
-    the product projector P_l (x) prod_{j != l} (I - P_j). Its expectation
-    on Phi_m factorizes over the groups, entry by entry in (i, i'):
-
-        P(column l, m) = beta_m^H (H_l o prod_{j != l} Q_j) beta_m.
-
-    Each kernel is a Hadamard product of PSD matrices, hence PSD, so every
-    cell is computed directly and nonnegative up to roundoff. PHI takes the
-    remaining success mass and the discard cell takes p_m - success.
+    the exact-copy law of candidate l mixed by |beta_m|^2. Column N+1 is 0
+    for every member, since each term of Phi_m fails some group j <= N.
+    Coherence enters only through the success mass
+    ||Phi_m||^2 = beta_m^H X^(o mu) beta_m, with X = B^H B the Gram matrix
+    and o the entrywise power: PHI takes what the columns leave of it, and
+    the discard cell takes p_m - success.
     """
-    k = candidates.shape[0]
-    sizes = _sizes(mu, k)
-    states = np.array([s.amplitudes for s in machine.clonable]).T
-    beta = (
-        np.linalg.solve(states, kets.T)
-        * np.sqrt(machine.gammas)[:, None]
-        * np.sqrt(probs)[None, :]
-    )
+    k = ctx.candidates.shape[0]
+    n = k - 1
+    states = ctx.candidates[:n].T  # B: the clonable states as columns
+    beta = np.zeros((n, probs.size), dtype=complex)
+    beta[:, :n] = np.eye(n)
+    beta[:, n:] = np.linalg.solve(states, ctx.preparations[n:].T)
+    beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(probs)[None, :]
     gram = states.conj().T @ states
-    powers = (candidates.conj() @ states) ** sizes
-    hits = powers.conj()[:, :, None] * powers[:, None, :]
-    misses = gram ** sizes[:, :, None] - hits
-    kernels = np.concatenate(
-        [hits * misses[_others(k)].prod(axis=1), (gram**mu)[None]]  # last: success
-    )
-    forms = np.einsum("im,cij,jm->mc", beta.conj(), kernels, beta).real
-    success = forms[:, k]
-    rows = np.empty((len(probs), k + 2))
-    rows[:, :k] = forms[:, :k]
-    rows[:, k] = success - forms[:, :k].sum(axis=1)  # PHI
+    np.fill_diagonal(gram, 1.0)  # unit kets: X^(o mu) would scale roundoff by mu
+    success = np.einsum("im,ij,jm->m", beta.conj(), gram**mu, beta).real
+    rows = np.zeros((probs.size, k + 2))  # column N+1 stays 0
+    rows[:, :n] = (np.abs(beta) ** 2 * _own_stay(ctx.candidates, mu)[:n, None]).T
+    rows[:, k] = success - rows[:, :n].sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
 
@@ -551,9 +547,7 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     if isinstance(config.machine, IllegalClonerSpec):
         raw = _illegal_rows(config.machine, probs, ctx, config.mu)
     else:
-        raw = _legal_rows(
-            config.machine, ctx.preparations, probs, ctx.candidates, config.mu
-        )
+        raw = _legal_rows(config.machine, probs, ctx, config.mu)
     return _clip_law(raw.reshape(2, n, n + 3))
 
 
@@ -565,8 +559,7 @@ def analytic_leakage(candidates: np.ndarray, mu: int) -> float:
     j all-succeeding, with probability hit[j, l]. The bound is
     1 - min_l prod_{j != l} (1 - hit[j, l]).
     """
-    stay = _stay(group_hits(candidates, candidates, mu))
-    return float(1.0 - stay.diagonal().min())
+    return float(1.0 - _own_stay(candidates, mu).min())
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:

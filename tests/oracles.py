@@ -2,8 +2,8 @@
 
 Everything here is deliberately implemented from scratch against the
 underlying definitions (characteristic polynomials, bisection on a
-hand-built matrix, the closed-form gamma_max in 50-digit arithmetic,
-independent-Bernoulli group statistics, projectors
+hand-built matrix, the closed-form gamma_max and the legal column law in
+50-digit arithmetic, independent-Bernoulli group statistics, projectors
 applied to an explicit Kraus success branch or joint clone ket,
 member-by-member steering, averaged density matrices built from kets,
 pair-by-pair Born-rule trajectories, per-pair majority voting) so that a
@@ -239,6 +239,90 @@ def contracted_legal_rows(
     rows[:, k] = success - only.sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
+
+
+def high_precision_legal_law(
+    bob: np.ndarray, a2_matrix: np.ndarray, gammas, mu: int, dps: int = 50
+) -> np.ndarray:
+    """The legal column law at ``dps`` digits, as an array of mpmath numbers.
+
+    ``bob`` holds Bob's states as rows, ``a2_matrix`` the A2 basis vectors
+    as columns; their binary values, and those of ``gammas``, are taken
+    exactly. Everything after is in mpmath: Bob's states are normalized (a
+    unit ket is rarely a binary vector), A2's members follow the steering
+    rule (renormalized by their total; squared norm at most 1e-24 gives
+    probability 0), beta_m = sqrt(p_m) D B^-1 psi_m, and every cell is the
+    quadratic form beta_m^H (H_l o prod_{j != l} Q_j) beta_m in the N x N
+    hit and miss kernels of the verification groups. The entry layout is
+    that of ``column_law``.
+    """
+    import mpmath
+
+    def mp(z):
+        return mpmath.mpc(float(z.real), float(z.imag))
+
+    def inner(a, b):
+        return sum(mpmath.conj(x) * y for x, y in zip(a, b))
+
+    n = bob.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    with mpmath.workdps(dps):
+        kets = []
+        for row in bob:
+            ket = [mp(z) for z in row]
+            kets.append([z / mpmath.sqrt(inner(ket, ket).real) for z in ket])
+        members = [[(ket, mpmath.mpf(1) / n) for ket in kets]]
+        raw = [
+            [
+                sum(mpmath.conj(mp(a2_matrix[i, m])) * kets[i][d] for i in range(n))
+                for d in range(n)
+            ]
+            for m in range(n)
+        ]
+        norms = [inner(vec, vec).real for vec in raw]
+        live = [norm > mpmath.mpf("1e-24") for norm in norms]
+        total = sum(norm for norm, ok in zip(norms, live) if ok)
+        members.append(
+            [
+                ([z / mpmath.sqrt(norm) for z in vec], norm / total)
+                if ok
+                else ([mpmath.mpf(1)] + [mpmath.mpf(0)] * (n - 1), mpmath.mpf(0))
+                for vec, norm, ok in zip(raw, norms, live)
+            ]
+        )
+        b_mat = mpmath.matrix(kets).T  # the states as columns
+        candidates = kets + [members[1][0][0]]
+        sizes = split_sizes(mu, n + 1)
+        gram = {(i, j): inner(kets[i], kets[j]) for i, j in pairs}
+        over = [[inner(c, ket) for ket in kets] for c in candidates]
+
+        def hit(g, i, j):
+            return (mpmath.conj(over[g][i]) * over[g][j]) ** sizes[g]
+
+        kernels = []  # columns B_1..B_{N+1}, then the success mass
+        for l in range(n + 1):
+            kernel = {}
+            for i, j in pairs:
+                kernel[i, j] = hit(l, i, j)
+                for g in range(n + 1):
+                    if g != l:
+                        kernel[i, j] *= gram[i, j] ** sizes[g] - hit(g, i, j)
+            kernels.append(kernel)
+        kernels.append({(i, j): gram[i, j] ** mu for i, j in pairs})
+
+        law = np.empty((2, n, n + 3), dtype=object)
+        for s, setting in enumerate(members):
+            for m, (ket, p) in enumerate(setting):
+                solved = mpmath.lu_solve(b_mat, mpmath.matrix(ket))
+                beta = [
+                    mpmath.sqrt(p * float(g)) * solved[i] for i, g in enumerate(gammas)
+                ]
+                *cells, success = (
+                    sum(mpmath.conj(beta[i]) * k[i, j] * beta[j] for i, j in pairs).real
+                    for k in kernels
+                )
+                law[s, m] = cells + [success - sum(cells), p - success]
+    return law
 
 
 def projected_column_law(clones: CloneOutput, candidates, mu: int) -> np.ndarray:

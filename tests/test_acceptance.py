@@ -4,11 +4,13 @@ Every tolerance is pinned here. Monte Carlo criteria run on fixed seeds so
 the whole suite is deterministic.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pqclone import cli
-from pqclone.entangle import AliceBasis
+from pqclone.entangle import AliceBasis, induced_states, target_to_basis
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
     IllegalClonerSpec,
@@ -18,6 +20,7 @@ from pqclone.pqcm import (
     max_uniform_gamma,
 )
 from pqclone.qcore import (
+    PSD_TOL,
     Ket,
     SeededRng,
     is_psd,
@@ -27,6 +30,8 @@ from pqclone.qcore import (
 from pqclone.signalling import (
     PHI,
     ProtocolConfig,
+    RunContext,
+    _legal_rows,
     analytic_no_signal_certificate,
     column_law,
     group_verify,
@@ -361,3 +366,61 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
     for other in outputs[1:]:
         assert other == outputs[0]
     report(8, f"{len(outputs)} runs of {trials} trials byte-identical")
+
+
+def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
+    """``_legal_rows`` over A1 then A2 for any diagonal Gamma, and the probs.
+
+    The stand-in machine carries only the efficiencies, so Gamma may break
+    the Gram condition, where no Kraus pair exists.
+    """
+    n = len(states)
+    kets, probs = induced_states(
+        np.array([s.amplitudes for s in states]),
+        (AliceBasis.computational(n), a2_basis),
+    )
+    preparations = kets.reshape(2 * n, n)
+    ctx = RunContext(kets, probs, preparations, preparations[: n + 1])
+    stand_in = SimpleNamespace(gammas=np.asarray(gammas))
+    return _legal_rows(stand_in, probs.ravel(), ctx, mu), probs
+
+
+def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():
+    states = (KET0, Ket.normalized([0.5, np.sqrt(0.75)]))
+    n, mu = 2, 4
+    gamma_max = max_uniform_gamma(states, mu)
+
+    # (a) the law is linear in Bob's state, so A1 and A2 leave him the same
+    # cell marginals even at an infeasible Gamma, whose rows are no law
+    gammas = np.array([1.2, 1.5]) * gamma_max
+    assert not is_psd(feasibility_matrix(states, mu, gammas))
+    rows, _ = legal_rows_for_any_gammas(states, AliceBasis.fourier(n), mu, gammas)
+    assert rows.min() < -1e-3
+    gap = float(np.abs(rows[:n].sum(axis=0) - rows[n:].sum(axis=0)).max())
+    assert gap <= 1e-12
+
+    # (b) the discard mass of a unit input psi is psi^H (I - A*A) psi, least
+    # on the lowest eigenvector of I - A*A; steered into Bob as A2's first
+    # member, its law row's discard cell must be >= -tol exactly when the
+    # feasibility matrix X - D X^(o M) D is PSD (Duan & Guo)
+    b_mat = np.column_stack([s.amplitudes for s in states])
+    verdicts = []
+    for factor in (0.9, 1.1):
+        gammas = np.full(n, factor * gamma_max)
+        w_mat = np.sqrt(gammas)[:, None] * np.linalg.inv(b_mat)
+        gap_op = np.eye(n) - w_mat.conj().T @ (b_mat.conj().T @ b_mat) ** mu @ w_mat
+        eigvals, eigvecs = np.linalg.eigh(gap_op)
+        a2_basis = target_to_basis(Ket(eigvecs[:, 0]), states)
+        rows, probs = legal_rows_for_any_gammas(states, a2_basis, mu, gammas)
+        discards = rows[:, n + 2] / probs.ravel()
+        least = float(discards[n])
+        assert abs(least - eigvals[0]) <= 1e-12
+        assert discards.min() >= least - 1e-12  # no member discards less
+        feasible = is_psd(feasibility_matrix(states, mu, gammas))
+        assert (least >= -PSD_TOL) == feasible == (factor < 1.0)
+        verdicts.append(f"{factor} gamma_max: {least:+.3f}")
+    report(
+        9,
+        f"A1/A2 marginal gap {gap:.1e} at infeasible Gamma; "
+        f"least discard mass {', '.join(verdicts)}",
+    )

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqclone.entangle import (
@@ -14,13 +14,20 @@ from pqclone.entangle import (
     induced_states,
     target_to_basis,
 )
-from pqclone.errors import ConditioningError, ConfigError
-from pqclone.pqcm import IllegalClonerSpec, construct_machine, max_uniform_gamma
+from pqclone.errors import ConditioningError, ConfigError, RankError
+from pqclone.pqcm import (
+    FactoredSet,
+    IllegalClonerSpec,
+    construct_machine,
+    max_uniform_gamma,
+)
 from pqclone.qcore import Ket, SeededRng
 from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
+    RunContext,
     _clip_law,
+    _illegal_rows,
     _legal_rows,
     _stream_id,
     column_law,
@@ -32,6 +39,7 @@ from born import haar_unitary, random_ket
 from oracles import (
     contracted_legal_rows,
     exact_copy_column_distribution,
+    high_precision_legal_law,
     induced_members_by_kets,
     trajectory_tally,
 )
@@ -194,29 +202,34 @@ class TestLawProperties:
         np.testing.assert_allclose(
             law[0].sum(axis=0), law[1].sum(axis=0), rtol=0, atol=1e-12
         )
-        # a legal machine never fills column N+1, in any row
-        assert law[:, :, n].max() <= 1e-12
+        # a legal machine never fills column N+1, in any row, and an A1
+        # member (clonable state B_m) fills no classified column but its own:
+        # both are exact zeros of the law, not roundoff
+        assert np.all(law[:, :, n] == 0.0)
+        assert np.all(law[0, :, :n][~np.eye(n, dtype=bool)] == 0.0)
 
     @PROPERTY
     @given(legal_instances(max_n=4, target_a2=True))
     def test_gram_rows_match_contracted_success_branch(self, config):
-        # Gram-form rows against inclusion-exclusion on the explicit N^mu
-        # success branch A psi_m; the appended member has probability 0
+        # mixture-form rows against inclusion-exclusion on the explicit N^mu
+        # success branch A psi_m; the appended A2 member has probability 0
         ctx = prepare_context(config)
         n = config.n
-        candidate_kets = [Ket(row) for row in ctx.candidates]
-        for kets, probs in zip(ctx.kets, ctx.probs):
-            kets = np.vstack([kets, np.eye(1, n)])
-            probs = np.append(probs, 0.0)
-            members = [(Ket(row), p) for row, p in zip(kets, probs)]
-            np.testing.assert_allclose(
-                _legal_rows(config.machine, kets, probs, ctx.candidates, config.mu),
-                contracted_legal_rows(
-                    config.machine.kraus_success, members, candidate_kets, config.mu
-                ),
-                rtol=0,
-                atol=1e-12,
-            )
+        kets = np.vstack([ctx.preparations, np.eye(1, n)])
+        probs = np.append(ctx.probs.ravel(), 0.0)
+        members = [(Ket(row), p) for row, p in zip(kets, probs)]
+        stand_in = SimpleNamespace(preparations=kets, candidates=ctx.candidates)
+        np.testing.assert_allclose(
+            _legal_rows(config.machine, probs, stand_in, config.mu),
+            contracted_legal_rows(
+                config.machine.kraus_success,
+                members,
+                [Ket(row) for row in ctx.candidates],
+                config.mu,
+            ),
+            rtol=0,
+            atol=1e-12,
+        )
 
     @PROPERTY
     @given(illegal_instances())
@@ -293,24 +306,84 @@ class TestLawProperties:
     ):
         # The legal law is linear in Bob's state, so A1 and A2 leave him the
         # same cell marginals for every diagonal Gamma, infeasible ones up to
-        # 2 gamma_max included; the Gram condition only keeps cells >= 0. The
-        # stand-in carries just what _legal_rows reads: no Kraus pair is built.
+        # 2 gamma_max included; the Gram condition only keeps the discard cell
+        # >= 0. The stand-in carries just what _legal_rows reads: no Kraus pair
+        # is built.
         rng = SeededRng(seed)
         mu = n + extra_copies
         states = tuple(random_ket(n, rng) for _ in range(n))
         assume(np.linalg.cond(np.array([s.amplitudes for s in states])) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
-        stand_in = SimpleNamespace(clonable=states, gammas=gammas)
+        stand_in = SimpleNamespace(gammas=gammas)
         kets, probs = induced_states(
             np.array([s.amplitudes for s in states]),
             (AliceBasis.computational(n), _haar_basis(n, rng)),
         )
-        candidates = np.vstack([kets[0], kets[1, :1]])
-        a1_cells, a2_cells = (
-            _legal_rows(stand_in, kets[s], probs[s], candidates, mu).sum(axis=0)
-            for s in (0, 1)
-        )
+        preparations = kets.reshape(2 * n, n)
+        ctx = RunContext(kets, probs, preparations, preparations[: n + 1])
+        rows = _legal_rows(stand_in, probs.ravel(), ctx, mu)
+        a1_cells, a2_cells = rows[:n].sum(axis=0), rows[n:].sum(axis=0)
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(st.one_of(legal_instances(max_n=4), illegal_instances()))
+    def test_clip_never_touches_a_classified_cell(self, config):
+        # columns B_1..B_{N+1} are products of probabilities, never negative;
+        # only PHI and the discard cell, both differences, can carry roundoff
+        # below 0 for _clip_law to clip
+        n = config.n
+        ctx = config.context
+        legal = not isinstance(config.machine, IllegalClonerSpec)
+        raw = (_legal_rows if legal else _illegal_rows)(
+            config.machine, ctx.probs.ravel(), ctx, config.mu
+        )
+        assert raw[:, : n + 1].min() >= 0.0
+        np.testing.assert_array_equal(
+            column_law(config)[:, :, : n + 1], raw.reshape(2, n, n + 3)[:, :, : n + 1]
+        )
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 3),
+        extra_copies=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        log_spread=st.floats(-4.8, 0.0),
+        frac=st.floats(0.3, 1.0),
+    )
+    # cond(B) 3.0e4 and 2.6e4, at gamma_max
+    @example(n=2, extra_copies=5, seed=3, log_spread=-4.4, frac=1.0)
+    @example(n=3, extra_copies=1, seed=1, log_spread=-4.0, frac=1.0)
+    def test_legal_law_matches_50_digit_reference(
+        self, n, extra_copies, seed, log_spread, frac
+    ):
+        # states spread by 10**log_spread about one ray reach cond(B) up to
+        # the rank rule's limit (~3.2e4); the float law stays within LAW_TOL
+        # of the law computed at 50 digits from the same float inputs
+        rng = SeededRng(seed)
+        mu = n + extra_copies
+        ray = random_ket(n, rng).amplitudes
+        states = tuple(
+            Ket.normalized(ray + 10**log_spread * random_ket(n, rng).amplitudes)
+            for _ in range(n)
+        )
+        try:
+            legal = FactoredSet.of(states, mu)
+        except (RankError, ConditioningError):
+            assume(False)
+        config = ProtocolConfig(
+            bob_states=states,
+            a2_basis=_haar_basis(n, rng),
+            mu=mu,
+            trials=1,
+            pairs_per_bit=1,
+            machine=legal.machine([frac * legal.gamma_max] * n),
+            seed=0,
+        )
+        reference = high_precision_legal_law(
+            legal.b_mat.T, config.a2_basis.matrix, config.machine.gammas, mu
+        )
+        error = np.abs(column_law(config) - reference.astype(float)).max()
+        assert error <= LAW_TOL
 
     def test_clip_only_inside_roundoff_band(self):
         raw = np.array([[[0.5, -0.5 * LAW_TOL, 0.5]]])

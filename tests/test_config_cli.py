@@ -410,6 +410,28 @@ class TestCliSignalTest:
         assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_machine_on_other_states_exits_1_with_one_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # config files always build the machine on Bob's own states; a
+        # resolver that does not reaches the identity guard of the run
+        resolve = config_mod._resolve_machine
+
+        def on_other_states(config, bob_states):
+            other = (bob_states[0], Ket.normalized([0.6, 0.8]))
+            return resolve(config, other)
+
+        monkeypatch.setattr(config_mod, "_resolve_machine", on_other_states)
+        out = tmp_path / "out"
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: machine clones other states")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     # Counts are drawn, not pairs, so any count up to 2**62 runs at once;
     # above it, numpy or the int64 tally could overflow.
     @pytest.mark.parametrize(

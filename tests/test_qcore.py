@@ -444,6 +444,16 @@ class TestSeededRng:
             SeededRng(120).multinomial(10, probs)
         assert "\n" not in str(err.value)
 
+    def test_multinomial_draws_when_the_sum_overflows(self):
+        # finite cells whose float64 sum overflows draw like their ratios;
+        # an infinite cell is still refused
+        counts = SeededRng(121).multinomial(10, [1e308, 1e308])
+        np.testing.assert_array_equal(
+            counts, SeededRng(121).multinomial(10, [0.5, 0.5])
+        )
+        with pytest.raises(ConfigError):
+            SeededRng(121).multinomial(10, [1e308, np.inf])
+
 
 class TestEnsemble:
     def test_probabilities_must_sum_to_one(self):

@@ -686,6 +686,27 @@ class TestMaterialization:
 
 
 class TestProtocolConfigValidation:
+    # The legal law takes the clonable states to be Bob's B_1..B_N, so a
+    # machine built on other states, or on Bob's up to a phase, is refused.
+    @pytest.mark.parametrize(
+        "clonable",
+        [(KET0, Ket.normalized([0.6, 0.8])), (KET0, Ket(-KET1.amplitudes))],
+        ids=["other-state", "phase"],
+    )
+    def test_machine_must_clone_bob_states(self, clonable):
+        machine = construct_machine(clonable, 4, [0.4, 0.4])
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig(
+                bob_states=(KET0, KET1),
+                a2_basis=AliceBasis.fourier(2),
+                mu=4,
+                trials=10,
+                pairs_per_bit=1,
+                machine=machine,
+                seed=1,
+            )
+        assert "Bob's" in str(err.value) and "\n" not in str(err.value)
+
     def test_mu_lower_bound(self):
         with pytest.raises(ConfigError):
             illegal_config(mu=2)
