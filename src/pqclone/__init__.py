@@ -31,7 +31,7 @@ from .pqcm import (
     feasibility_matrix,
     max_uniform_gamma,
 )
-from .qcore import Ket, SeededRng
+from .qcore import SeededRng
 from .signalling import ProtocolConfig, column_law, run_channel, run_protocol
 
 __version__ = "0.1.0"

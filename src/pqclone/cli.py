@@ -113,7 +113,7 @@ def _stats_record(
 def cmd_feasibility(args) -> int:
     states = config_mod.load_states(args.states_file)
     m = args.copies
-    report: dict = {"n_states": len(states), "dim": states[0].dim, "copies": m}
+    report: dict = {"n_states": len(states), "dim": states.shape[1], "copies": m}
     legal = pqcm.FactoredSet.of(states, m)
     if args.max_uniform:
         gamma = legal.gamma_max

@@ -2,9 +2,10 @@
 
 A states file is hand-writable plain text: comments start with '#', the
 first data line is the dimension, and every following data line is one
-state as interleaved real/imaginary amplitude pairs. A run config is a
-JSON document of plain values; ``RunConfig`` mirrors it field for field
-so that parse(serialize(c)) == c exactly.
+state as interleaved real/imaginary amplitude pairs; it parses into one
+read-only ``(N, d)`` array of unit rows. A run config is a JSON document of
+plain values; ``RunConfig`` mirrors it field for field so that
+parse(serialize(c)) == c exactly.
 """
 
 from __future__ import annotations
@@ -16,17 +17,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import entangle, pqcm, signalling
-from .errors import ConfigError
-from .qcore import Ket
+from . import entangle, pqcm, qcore, signalling
+from .errors import ConfigError, DimensionError
 
 FORMATS = ("csv", "json")
 
 
-def parse_states_text(text: str, source: str = "<string>") -> list[Ket]:
-    """Parse a states file; errors carry the offending line number."""
+def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
+    """Parse a states file into unit rows; errors carry the line number."""
     dim: int | None = None
-    states: list[Ket] = []
+    states: list[np.ndarray] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,15 +62,15 @@ def parse_states_text(text: str, source: str = "<string>") -> list[Ket]:
             raise ConfigError(f"{source}:{lineno}: state norm is not finite")
         if norm < 1e-12:
             raise ConfigError(f"{source}:{lineno}: state has zero norm")
-        states.append(Ket(amps / norm))
+        states.append(amps / norm)
     if dim is None:
         raise ConfigError(f"{source}: no dimension line found")
     if not states:
         raise ConfigError(f"{source}: no states found")
-    return states
+    return qcore.state_set(states)
 
 
-def load_states(path: str | Path) -> list[Ket]:
+def load_states(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
         text = path.read_text()
@@ -79,20 +79,13 @@ def load_states(path: str | Path) -> list[Ket]:
     return parse_states_text(text, source=str(path))
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def ket_to_pairs(state: Ket) -> list[list[float]]:
-    return [_complex_to_pair(z) for z in state.amplitudes]
-
-
-def pairs_to_ket(pairs) -> Ket:
+def pairs_to_ket(pairs) -> np.ndarray:
+    """[re, im] amplitude pairs as a unit 1-D complex array."""
     try:
         arr = np.array([complex(re, im) for re, im in pairs])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed amplitude pairs: {exc}") from None
-    return Ket.normalized(arr)
+    return qcore.normalize(arr)
 
 
 _INT_FIELDS = ("mu", "trials", "pairs_per_bit", "seed", "message_bits")
@@ -182,17 +175,24 @@ class RunConfig:
         return cls.loads(text)
 
 
-def _resolve_states(config: RunConfig, base_dir: Path) -> tuple[Ket, ...]:
+def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
     if config.states_file is not None:
         path = Path(config.states_file)
         if not path.is_absolute():
             path = base_dir / path
-        states = tuple(load_states(path))
+        states = load_states(path)
     else:
-        states = tuple(pairs_to_ket(p) for p in config.bob_states)
-    if len(states) < 2:
-        raise ConfigError(f"need at least two Bob states, got {len(states)}")
-    return states
+        states = [pairs_to_ket(p) for p in config.bob_states]
+    n = len(states)
+    if n < 2:
+        raise ConfigError(f"need at least two Bob states, got {n}")
+    # the run stacks Bob's N states into one N x N array
+    for state in states:
+        if state.size != n:
+            raise DimensionError(
+                f"Bob states must have dimension {n}, got {state.size}"
+            )
+    return qcore.state_set(states)
 
 
 def _real(value, what: str) -> float:
@@ -223,7 +223,7 @@ def _required(spec: dict, key: str, what: str):
     return spec[key]
 
 
-def _resolve_a2(config: RunConfig, bob_states: tuple) -> entangle.AliceBasis:
+def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasis:
     spec = config.a2
     kind = spec.get("kind")
     n = len(bob_states)
@@ -231,7 +231,8 @@ def _resolve_a2(config: RunConfig, bob_states: tuple) -> entangle.AliceBasis:
         return entangle.AliceBasis.fourier(n)
     if kind == "vectors":
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
-        return entangle.AliceBasis(tuple(pairs_to_ket(v) for v in vectors), "A2")
+        columns = qcore.state_set([pairs_to_ket(v) for v in vectors]).T
+        return entangle.AliceBasis(columns, "A2")
     if kind == "target":
         target = pairs_to_ket(_required(spec, "state", "a2"))
         return entangle.target_to_basis(target, bob_states)
@@ -259,7 +260,7 @@ def _resolve_coefficients(spec: dict) -> dict:
     return coefficients
 
 
-def _resolve_machine(config: RunConfig, bob_states: tuple):
+def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
     spec = config.machine
     kind = spec.get("kind")
     n = len(bob_states)

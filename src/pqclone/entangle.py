@@ -4,107 +4,96 @@ Alice holds an N-dimensional register entangled with Bob's N-dimensional
 system so that the joint state is (1/sqrt(N)) sum_n |n>_A |B_n>. Measuring
 her register in the computational basis (A1) steers Bob into one of the
 |B_n>; measuring in any other orthonormal basis (A2) steers him into a
-second set of states, each a linear combination of the first.
+second set of states, each a linear combination of the first. Bob's states
+are one (N, N) array with |B_n> as row n, and a basis is one read-only
+unitary with its vectors as columns; only the Born-rule reference
+(``alice_measure``, ``induced_ensemble``) wraps single states in ``Ket``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import qcore
-from .errors import BasisError, DimensionError, RankError, SpanError
+from .errors import BasisError, DimensionError, SpanError
 from .qcore import Ensemble, Ket, SeededRng
 
 _SPAN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AliceBasis:
     """An orthonormal measurement basis on Alice's register.
 
-    Label 'A1' is reserved for the exact computational basis; any other
-    orthonormal basis carries label 'A2'. ``matrix`` holds the vectors as
-    columns, read-only. The computational and Fourier bases depend on N
-    only, so each is built and checked once per N.
+    ``matrix`` is one read-only unitary holding the basis vectors as
+    columns. Label 'A1' is reserved for the exact computational basis; any
+    other orthonormal basis carries label 'A2'. The computational and
+    Fourier bases depend on N only, so each is built and checked once per N.
     """
 
-    vectors: tuple
+    matrix: np.ndarray
     label: str
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vectors = tuple(self.vectors)
-        n = len(vectors)
-        matrix = qcore._check_orthonormal(vectors, n)
-        matrix.setflags(write=False)
+        matrix = qcore._frozen(self.matrix)
+        if matrix.ndim != 2 or matrix.size == 0:
+            raise BasisError(f"a basis is a matrix of columns, got {matrix.shape}")
+        qcore._check_orthonormal(matrix, matrix.shape[1])
         if self.label not in ("A1", "A2"):
             raise BasisError(f"unknown basis label {self.label!r}")
-        if self.label == "A1":
-            eye = np.eye(n)
-            for m, v in enumerate(vectors):
-                if not np.array_equal(v.amplitudes, eye[m].astype(np.complex128)):
-                    raise BasisError("label A1 requires the computational basis")
-        object.__setattr__(self, "vectors", vectors)
+        if self.label == "A1" and not np.array_equal(matrix, np.eye(len(matrix))):
+            raise BasisError("label A1 requires the computational basis")
         object.__setattr__(self, "matrix", matrix)
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return self.matrix.shape[0]
 
     @classmethod
     @lru_cache
     def computational(cls, n: int) -> "AliceBasis":
-        return cls(tuple(Ket.basis_state(n, m) for m in range(n)), "A1")
+        return cls(np.eye(n), "A1")
 
     @classmethod
     @lru_cache
     def fourier(cls, n: int) -> "AliceBasis":
         """Default alternate basis: a_m[k] = exp(2*pi*i*m*k/n)/sqrt(n)."""
         grid = np.arange(n)
-        vectors = tuple(
-            Ket(np.exp(2j * np.pi * m * grid / n) / np.sqrt(n)) for m in range(n)
-        )
-        return cls(vectors, "A2")
+        phases = 2j * np.pi * grid * grid[:, None] / n  # [k, m] = (2 pi m) k / n
+        return cls(np.exp(phases) / np.sqrt(n), "A2")
 
     @classmethod
     def from_unitary(cls, matrix: np.ndarray) -> "AliceBasis":
         """Basis from unitary columns; labeled A2."""
-        cols = tuple(Ket(matrix[:, m]) for m in range(matrix.shape[1]))
-        return cls(cols, "A2")
+        return cls(matrix, "A2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedState:
     """The entangled resource pairing Alice's labels with Bob's states."""
 
     joint: Ket
-    bob_states: tuple
+    bob_states: np.ndarray  # (N, N), one state per row
     alice_dim: int
 
 
-def build_shared_state(bob_states) -> SharedState:
-    """Construct (1/sqrt(N)) sum_n |n>_A |B_n> for the given Bob states.
+def build_shared_state(bob_states: np.ndarray) -> SharedState:
+    """Construct (1/sqrt(N)) sum_n |n>_A |B_n> for Bob's states, one per row.
 
     The Bob states must be normalized and of dimension N but need not be
     orthogonal or independent; the joint state has norm 1 regardless
     because Alice's labels are orthonormal.
     """
-    bob_states = tuple(bob_states)
-    n = len(bob_states)
+    bob_states = qcore.state_set(bob_states)
+    n, dim = bob_states.shape
     if n < 2:
         raise DimensionError("need at least two states to share")
-    for s in bob_states:
-        if s.dim != n:
-            raise DimensionError(
-                f"Bob states must have dimension {n}, got {s.dim}"
-            )
-    joint = np.zeros(n * n, dtype=np.complex128)
-    for idx, s in enumerate(bob_states):
-        joint[idx * n : (idx + 1) * n] = s.amplitudes
-    return SharedState(Ket(joint / np.sqrt(n)), bob_states, n)
+    if dim != n:
+        raise DimensionError(f"Bob states must have dimension {n}, got {dim}")
+    return SharedState(Ket(bob_states.reshape(-1) / np.sqrt(n)), bob_states, n)
 
 
 def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
@@ -141,16 +130,11 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
 def induced_ensemble(shared: SharedState, basis: AliceBasis) -> Ensemble:
     """Bob's preparation ensemble for a given choice of Alice basis.
 
-    The members are those of ``induced_states``, as kets; under A1 they are
-    Bob's own kets, with probability 1/N each.
+    The members are the rows of ``induced_states``, as kets; under A1 they
+    are Bob's own states, with probability 1/N each.
     """
-    bob = np.array([s.amplitudes for s in shared.bob_states])
-    states, probs = induced_states(bob, (basis,))
-    if basis.label == "A1":
-        kets = shared.bob_states
-    else:
-        kets = tuple(Ket(row) for row in states[0])
-    return Ensemble(tuple(zip(kets, probs[0].tolist())))
+    states, probs = induced_states(shared.bob_states, (basis,))
+    return Ensemble(tuple(zip(map(Ket, states[0]), probs[0].tolist())))
 
 
 def alice_measure(
@@ -158,30 +142,27 @@ def alice_measure(
 ) -> tuple[int, Ket]:
     """Measure Alice's register; return her outcome and Bob's conditional state."""
     n = shared.alice_dim
-    return qcore.measure_subsystem(shared.joint, (n, n), "A", basis.vectors, rng)
+    return qcore.measure_subsystem(shared.joint, (n, n), "A", basis.matrix, rng)
 
 
-def target_to_basis(target: Ket, bob_states) -> AliceBasis:
+def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
     """Alternate basis whose first outcome steers Bob into ``target``.
 
-    Writes target = sum_n c_n |B_n> and sets a_1[n] = conj(c_n)/||c||, so
-    the induced member-1 state equals the target up to global phase. The
-    remaining vectors are completed by modified Gram-Schmidt over the
-    computational basis in index order.
+    ``bob_states`` holds |B_n> as row n. Writes target = sum_n c_n |B_n>
+    and sets a_1[n] = conj(c_n)/||c||, so the induced member-1 state equals
+    the target up to global phase. The remaining vectors are completed by
+    modified Gram-Schmidt over the computational basis in index order.
     """
-    bob_states = tuple(bob_states)
     n = len(bob_states)
-    if target.dim != n:
-        raise DimensionError(f"target dimension {target.dim} does not match {n}")
-    if qcore.rank_with_tolerance(bob_states) != n:
-        raise RankError("Bob states must be linearly independent")
-    bob_mat = np.column_stack([s.amplitudes for s in bob_states])
-    coeffs = np.linalg.lstsq(bob_mat, target.amplitudes, rcond=None)[0]
-    residual = np.linalg.norm(bob_mat @ coeffs - target.amplitudes)
+    if target.shape != (n,):
+        raise DimensionError(f"target dimension {target.size} does not match {n}")
+    bob_mat = np.ascontiguousarray(bob_states.T)  # B: the states as columns
+    qcore.independent_gram(bob_mat)
+    coeffs = np.linalg.lstsq(bob_mat, target, rcond=None)[0]
+    residual = np.linalg.norm(bob_mat @ coeffs - target)
     if residual > _SPAN_TOL:
         raise SpanError(f"target lies outside the span (residual {residual:.2e})")
-    first = Ket.normalized(coeffs.conj())
-    vectors = [first.amplitudes]
+    vectors = [qcore.normalize(coeffs.conj())]
     for k in range(n):
         candidate = np.zeros(n, dtype=np.complex128)
         candidate[k] = 1.0
@@ -192,4 +173,4 @@ def target_to_basis(target: Ket, bob_states) -> AliceBasis:
             vectors.append(candidate / norm)
         if len(vectors) == n:
             break
-    return AliceBasis(tuple(Ket(v) for v in vectors), "A2")
+    return AliceBasis(np.column_stack(vectors), "A2")

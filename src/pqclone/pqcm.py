@@ -9,9 +9,10 @@ M-th power, and D = diag(sqrt(gamma_i)). The success operator is
 A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
 principal square root of I - A*A.
 
-A ``FactoredSet`` checks and factors a state set once; the largest
-uniform efficiency, the Gram verdict and the Kraus pair are all read
-from it, and ``max_uniform_gamma``, ``feasibility_matrix`` and
+A state set is one read-only ``(N, d)`` array, one state per row. A
+``FactoredSet`` checks and factors it once; the largest uniform
+efficiency, the Gram verdict and the Kraus pair are all read from it,
+and ``max_uniform_gamma``, ``feasibility_matrix`` and
 ``construct_machine`` are one-shot entry points over it. Every check on
 a machine runs on N x N matrices (derivation in ``FactoredSet.machine``),
 so construction never builds an N^M-dimensional array. The explicit
@@ -40,9 +41,8 @@ from .errors import (
     FeasibilityError,
     LabelError,
     NormalizationError,
-    RankError,
 )
-from .qcore import HermitianOperator, Ket, SeededRng
+from .qcore import Ket, SeededRng
 
 COND_LIMIT = 1e12  # a backstop: the rank rule already caps cond(B) near 3.2e4
 _MACHINE_TOL = 1e-9
@@ -55,7 +55,7 @@ class PqcmMachine:
     The residuals are those of the N x N checks in ``FactoredSet.machine``.
     """
 
-    clonable: tuple  # of Ket, dimension N, linearly independent
+    clonable: np.ndarray  # (N, dim), one state per row, linearly independent
     copies: int
     gammas: tuple  # of float, per-state success probabilities
     kraus_fail: np.ndarray  # shape (N, N)
@@ -64,7 +64,7 @@ class PqcmMachine:
 
     @property
     def dim(self) -> int:
-        return self.clonable[0].dim
+        return self.clonable.shape[1]
 
     @cached_property
     def kraus_success(self) -> np.ndarray:
@@ -74,9 +74,9 @@ class PqcmMachine:
         ``kraus_fail``, its trace residual against the same tolerance as
         construction; the array is read-only.
         """
-        b_mat = qcore.state_matrix(self.clonable)
+        b_mat = np.ascontiguousarray(self.clonable.T)
         c_mat = np.column_stack(
-            [qcore.tensor_power(s, self.copies).amplitudes for s in self.clonable]
+            [qcore.tensor_power(s, self.copies) for s in self.clonable]
         )
         target = c_mat * np.sqrt(np.asarray(self.gammas))[None, :]  # C D
         a_op = target @ np.linalg.pinv(b_mat)
@@ -170,30 +170,6 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
         power = qr_of_product(power, power)
 
 
-def _check_independent(gram: np.ndarray, dim: int) -> None:
-    """Raise RankError unless the set with Gram matrix ``gram`` is independent.
-
-    The rank rule is ``qcore.rank_with_tolerance``'s: every Gram eigenvalue
-    above ``RANK_TOL`` times the largest. The Gram eigenvalues are the
-    squared singular values of B, so the rule accepts only sets with
-    cond(B) < RANK_TOL^(-1/2), about 3.2e4, and ``COND_LIMIT`` is a
-    backstop behind it.
-    """
-    eigs = np.linalg.eigvalsh(gram)
-    if not eigs[0] > qcore.RANK_TOL * eigs[-1]:
-        ratio = eigs[0] / eigs[-1] if eigs[-1] > 0 else 0.0
-        raise RankError(
-            f"{len(eigs)} states of dimension {dim} are dependent under the rank "
-            f"rule: Gram eigenvalue ratio {ratio:.2e} is not above RANK_TOL "
-            f"{qcore.RANK_TOL:.0e}"
-        )
-
-
-def _check_copies(m: int) -> None:
-    if m < 2:
-        raise ConfigError(f"copy count must be at least 2, got {m}")
-
-
 @dataclass(frozen=True, eq=False)
 class FactoredSet:
     """One factorization of an independent state set, for M copies.
@@ -206,7 +182,7 @@ class FactoredSet:
     checks and factors the set once. Build one with ``FactoredSet.of``.
     """
 
-    states: tuple  # of Ket
+    states: np.ndarray  # (N, dim), one state per row, read-only
     copies: int
     b_mat: np.ndarray  # B, shape (dim, N)
     gram: np.ndarray  # X = B*B, shape (N, N)
@@ -214,18 +190,18 @@ class FactoredSet:
     product_factor: np.ndarray  # R with C = Q R, shape (N, N)
 
     @classmethod
-    def of(cls, states: Sequence[Ket], m: int) -> "FactoredSet":
+    def of(cls, states: np.ndarray, m: int) -> "FactoredSet":
         """Check the set's independence and conditioning, and factor it.
 
-        Raises RankError when the set is dependent under the rank rule,
+        ``states`` holds one state per row. Raises RankError when the set is
+        dependent under the rank rule (``qcore.independent_gram``),
         ConditioningError when cond(B) exceeds ``COND_LIMIT``.
         """
-        states = tuple(states)
-        _check_copies(m)
-        b_mat = qcore.state_matrix(states)
-        gram = b_mat.conj().T @ b_mat
-        gram = (gram + gram.conj().T) / 2.0
-        _check_independent(gram, b_mat.shape[0])
+        if m < 2:
+            raise ConfigError(f"copy count must be at least 2, got {m}")
+        states = qcore.state_set(states)
+        b_mat = np.ascontiguousarray(states.T)
+        gram = qcore.independent_gram(b_mat)
         u_mat, singulars, vh_mat = np.linalg.svd(b_mat, full_matrices=False)
         if singulars[0] / singulars[-1] > COND_LIMIT:
             raise ConditioningError(
@@ -326,20 +302,20 @@ class FactoredSet:
 
 
 def feasibility_matrix(
-    states: Sequence[Ket], m: int, gammas: Sequence[float]
-) -> HermitianOperator:
+    states: np.ndarray, m: int, gammas: Sequence[float]
+) -> np.ndarray:
     """X - D X^(M) D, whose positive semidefiniteness decides clonability."""
-    return HermitianOperator(FactoredSet.of(states, m).feasibility_matrix(gammas))
+    return FactoredSet.of(states, m).feasibility_matrix(gammas)
 
 
-def max_uniform_gamma(states: Sequence[Ket], m: int) -> float:
+def max_uniform_gamma(states: np.ndarray, m: int) -> float:
     """Largest uniform efficiency keeping the feasibility matrix PSD
     (closed form in ``FactoredSet.gamma_max``)."""
     return FactoredSet.of(states, m).gamma_max
 
 
 def construct_machine(
-    states: Sequence[Ket], m: int, gammas: Sequence[float]
+    states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
     """Build and verify the success/failure Kraus pair for the given set
     (checks in ``FactoredSet.machine``). Raises RankError or
@@ -439,17 +415,17 @@ class IllegalClonerSpec:
 def illegal_clone(
     spec: IllegalClonerSpec,
     input_label: int,
-    all_states: Sequence[Ket],
+    all_states: np.ndarray,
     rng: SeededRng,
 ) -> CloneOutput:
     """Run the label-aware cloner on one preparation.
 
-    Clonable labels yield mu exact copies with certainty. Unclonable
-    labels yield a sampled branch of the output decomposition: either mu
-    exact copies of some clonable state, or the junk marker orthogonal to
-    every candidate product.
+    ``all_states`` holds the preparation of label k as row k-1. Clonable
+    labels yield mu exact copies with certainty. Unclonable labels yield a
+    sampled branch of the output decomposition: either mu exact copies of
+    some clonable state, or the junk marker orthogonal to every candidate
+    product.
     """
-    all_states = tuple(all_states)
     if len(all_states) != spec.total_labels:
         raise LabelError(
             f"expected {spec.total_labels} preparation states, got {len(all_states)}"
@@ -460,11 +436,13 @@ def illegal_clone(
         )
     if input_label in spec.clonable_labels:
         return CloneOutput.exact_copies(
-            input_label, all_states[input_label - 1], spec.copies
+            input_label, Ket(all_states[input_label - 1]), spec.copies
         )
     probs = spec.branch_probabilities(input_label)
     branch = rng.choice(probs)
     if branch == len(spec.clonable_labels):
         return CloneOutput.junk(spec.copies)
     out_label = spec.clonable_labels[branch]
-    return CloneOutput.exact_copies(out_label, all_states[out_label - 1], spec.copies)
+    return CloneOutput.exact_copies(
+        out_label, Ket(all_states[out_label - 1]), spec.copies
+    )

@@ -1,17 +1,18 @@
 """Complex linear algebra and quantum primitives.
 
-States are dense complex vectors, operators are dense complex matrices.
-Everything is immutable after construction and safe to share across
-threads; randomness is isolated in single-owner ``SeededRng`` instances.
-Each is a Philox stream keyed directly by (seed, stream_id), with no
-OS-entropy draw, whose generator is built on its first draw.
+A state set is one read-only complex ``(N, d)`` array with one state per
+row, and a basis is a unitary matrix with the vectors as columns; ``Ket``
+and ``Ensemble`` serve only the per-pair Born-rule reference. Everything is
+immutable after construction and safe to share across threads; randomness
+is isolated in single-owner ``SeededRng`` instances. Each is a Philox
+stream keyed directly by (seed, stream_id), with no OS-entropy draw, whose
+generator is built on its first draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -23,20 +24,44 @@ from .errors import (
     ConfigError,
     DimensionError,
     EmptyInputError,
-    HermiticityError,
     NormalizationError,
+    RankError,
 )
 
 NORM_TOL = 1e-10
-HERM_TOL = 1e-10
 PSD_TOL = 1e-9
 RANK_TOL = 1e-9
 MAX_DIM = 2**24
 
 
 def _frozen(values, dtype=np.complex128) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
+    return arr
+
+
+def normalize(values) -> np.ndarray:
+    """``values`` as a unit complex vector; raises on a (near-)zero or infinite norm."""
+    arr = np.asarray(values, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        n = np.linalg.norm(arr)
+    if not np.isfinite(n):
+        raise NormalizationError("cannot normalize a vector of non-finite norm")
+    if n < 1e-12:
+        raise NormalizationError("cannot normalize a zero vector")
+    return arr / n
+
+
+def state_set(states) -> np.ndarray:
+    """A state set as one read-only complex ``(N, d)`` array, one state per row."""
+    try:
+        arr = _frozen(states)
+    except ValueError as exc:  # say, rows of different lengths
+        raise DimensionError(f"a state set must be an (N, d) array: {exc}") from None
+    if arr.size == 0:
+        raise EmptyInputError("a state set needs at least one nonempty state")
+    if arr.ndim != 2:
+        raise DimensionError(f"a state set is an (N, d) array, got shape {arr.shape}")
     return arr
 
 
@@ -56,65 +81,10 @@ class Ket:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
     @classmethod
     def normalized(cls, values) -> "Ket":
         """Construct a unit-norm ket; raises on (near-)zero or non-finite input."""
-        arr = np.asarray(values, dtype=np.complex128)
-        with np.errstate(over="ignore"):
-            n = np.linalg.norm(arr)
-        if not np.isfinite(n):
-            raise NormalizationError("cannot normalize a vector of non-finite norm")
-        if n < 1e-12:
-            raise NormalizationError("cannot normalize a zero vector")
-        return cls(arr / n)
-
-    @classmethod
-    def basis_state(cls, dim: int, index: int) -> "Ket":
-        if not 0 <= index < dim:
-            raise DimensionError(f"basis index {index} outside dimension {dim}")
-        arr = np.zeros(dim, dtype=np.complex128)
-        arr[index] = 1.0
-        return cls(arr)
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A dense complex Hermitian matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("operator entries must form a square matrix")
-        if np.max(np.abs(arr - arr.conj().T)) > HERM_TOL:
-            raise HermiticityError("matrix is not Hermitian within tolerance")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def from_matrix(cls, values) -> "HermitianOperator":
-        """Symmetrize away roundoff before the Hermiticity check."""
-        arr = np.asarray(values, dtype=np.complex128)
-        return cls((arr + arr.conj().T) / 2.0)
-
-    @classmethod
-    def projector(cls, state: Ket) -> "HermitianOperator":
-        v = state.amplitudes
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianOperator":
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
+        return cls(normalize(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,20 +106,8 @@ class Ensemble:
         object.__setattr__(self, "members", members)
 
     @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
     def dim(self) -> int:
         return self.members[0][0].dim
-
-    def average_density(self) -> HermitianOperator:
-        """The ensemble-averaged density matrix sum_m p_m |m><m|."""
-        rho = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for state, prob in self.members:
-            v = state.amplitudes
-            rho += prob * np.outer(v, v.conj())
-        return HermitianOperator.from_matrix(rho)
 
 
 class _FixedKey(ISeedSequence):
@@ -262,104 +220,82 @@ class SeededRng:
 # elementary operations
 
 
-def inner_product(a: Ket, b: Ket) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dim != b.dim:
-        raise DimensionError(f"inner product of dims {a.dim} and {b.dim}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
-def tensor_power(state: Ket, m: int) -> Ket:
-    """|state>^(x m); the leftmost factor is the slow (row-major) index."""
+def tensor_power(state: np.ndarray, m: int) -> np.ndarray:
+    """|state>^(x m) of a 1-D array; the leftmost factor is the slow index."""
     if m < 1:
         raise DimensionError("tensor power needs m >= 1")
-    if state.dim**m > MAX_DIM:
-        raise CapacityError(f"tensor dimension {state.dim}**{m} exceeds cap {MAX_DIM}")
-    out = state.amplitudes
+    dim = state.size
+    if dim**m > MAX_DIM:
+        raise CapacityError(f"tensor dimension {dim}**{m} exceeds cap {MAX_DIM}")
+    out = state
     for _ in range(m - 1):
-        out = np.multiply.outer(out, state.amplitudes)
-    return Ket(out.reshape(-1))
+        out = np.multiply.outer(out, state)
+    return out.reshape(-1)
 
 
-def state_matrix(states: Sequence[Ket]) -> np.ndarray:
-    """The states as the columns of one matrix B."""
-    if len(states) == 0:
-        raise EmptyInputError("gram matrix of an empty state list")
-    dims = {s.dim for s in states}
-    if len(dims) != 1:
-        raise DimensionError("gram matrix needs states of one dimension")
-    return np.column_stack([s.amplitudes for s in states])
+def independent_gram(b_mat: np.ndarray) -> np.ndarray:
+    """The Gram matrix X = B*B of the columns of B, checked by the rank rule.
+
+    The rank rule: every Gram eigenvalue lies above ``RANK_TOL`` times the
+    largest. The Gram eigenvalues are the squared singular values of B, so
+    the rule accepts only sets with cond(B) < RANK_TOL^(-1/2), about 3.2e4.
+    Raises RankError, naming the measured eigenvalue ratio, otherwise.
+    """
+    gram = b_mat.conj().T @ b_mat
+    gram = (gram + gram.conj().T) / 2.0
+    eigs = np.linalg.eigvalsh(gram)
+    if not eigs[0] > RANK_TOL * eigs[-1]:
+        ratio = eigs[0] / eigs[-1] if eigs[-1] > 0 else 0.0
+        raise RankError(
+            f"{len(eigs)} states of dimension {b_mat.shape[0]} are dependent under "
+            f"the rank rule: Gram eigenvalue ratio {ratio:.2e} is not above "
+            f"RANK_TOL {RANK_TOL:.0e}"
+        )
+    return gram
 
 
-def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:
-    """Matrix of pairwise inner products X[i,j] = <i|j>; Hermitian PSD."""
-    mat = state_matrix(states)
-    return HermitianOperator.from_matrix(mat.conj().T @ mat)
+def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:
+    """True when the smallest eigenvalue of a Hermitian matrix is >= -tol."""
+    return bool(np.linalg.eigvalsh(matrix)[0] >= -tol)
 
 
-def hermitian_eigenvalues(m: HermitianOperator) -> np.ndarray:
-    """Real spectrum in ascending order."""
-    return np.linalg.eigvalsh(m.entries)
-
-
-def rank_with_tolerance(states: Sequence[Ket], tol: float = RANK_TOL) -> int:
-    """Linear-independence count: Gram eigenvalues above tol * largest."""
-    if tol <= 0:
-        raise ValueError("rank tolerance must be positive")
-    eigs = hermitian_eigenvalues(gram_matrix(states))
-    return int(np.sum(eigs > tol * eigs[-1]))
-
-
-def is_psd(m: HermitianOperator, tol: float = PSD_TOL) -> bool:
-    """True when the smallest eigenvalue is >= -tol."""
-    return bool(hermitian_eigenvalues(m)[0] >= -tol)
-
-
-def _check_orthonormal(basis: Sequence[Ket], dim: int, tol: float = 1e-9) -> np.ndarray:
-    if len(basis) != dim:
-        raise BasisError(f"{len(basis)} basis vectors cannot span dimension {dim}")
-    mat = np.column_stack([b.amplitudes for b in basis])
-    if mat.shape[0] != dim:
+def _check_orthonormal(basis: np.ndarray, dim: int, tol: float = 1e-9) -> None:
+    """Raise BasisError unless ``basis`` is dim x dim with orthonormal columns."""
+    if basis.shape[1] != dim:
+        raise BasisError(f"{basis.shape[1]} basis vectors cannot span dimension {dim}")
+    if basis.shape[0] != dim:
         raise BasisError("basis vectors live in the wrong dimension")
-    overlap = mat.conj().T @ mat
+    overlap = basis.conj().T @ basis
     if np.max(np.abs(overlap - np.eye(dim))) > tol:
         raise BasisError("basis is not orthonormal within tolerance")
-    return mat
 
 
 def measure_subsystem(
     state: Ket,
     dims: tuple[int, int],
     subsystem: str,
-    basis: Sequence[Ket],
+    basis: np.ndarray,
     rng: SeededRng,
 ) -> tuple[int, Ket]:
     """Measure one factor of a bipartite pure state in an orthonormal basis.
 
-    Returns the sampled outcome and the normalized conditional state of
-    the untouched co-subsystem.
+    ``basis`` holds the basis vectors as columns. Returns the sampled
+    outcome and the normalized conditional state of the untouched
+    co-subsystem.
     """
     d_a, d_b = dims
     if state.dim != d_a * d_b:
         raise DimensionError(f"cannot factor dim {state.dim} as {d_a} x {d_b}")
     joint = state.amplitudes.reshape(d_a, d_b)
     if subsystem == "A":
-        mat = _check_orthonormal(basis, d_a)
-        conditionals = mat.conj().T @ joint  # row m: unnormalized co-state
+        _check_orthonormal(basis, d_a)
+        conditionals = basis.conj().T @ joint  # row m: unnormalized co-state
     elif subsystem == "B":
-        mat = _check_orthonormal(basis, d_b)
-        conditionals = (joint @ mat.conj()).T
+        _check_orthonormal(basis, d_b)
+        conditionals = (joint @ basis.conj()).T
     else:
         raise ValueError("subsystem must be 'A' or 'B'")
     probs = np.sum(np.abs(conditionals) ** 2, axis=1)
     probs /= probs.sum()
     outcome = rng.choice(probs)
     return outcome, Ket.normalized(conditionals[outcome])
-
-
-def trace_distance(rho: HermitianOperator, sigma: HermitianOperator) -> float:
-    """(1/2) sum |eig(rho - sigma)|: operational distinguishability."""
-    if rho.dim != sigma.dim:
-        raise DimensionError("trace distance needs equal dimensions")
-    diff = HermitianOperator.from_matrix(rho.entries - sigma.entries)
-    return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(diff))))

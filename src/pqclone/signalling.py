@@ -16,8 +16,8 @@ copies of a state. Both machines' laws mix exact-copy column laws built
 from it, the illegal cloner's by branch weights and a legal machine's by
 |beta|^2, and the analytic leakage bound reads their own-column stays.
 ``cell_votes`` gives Bob's vote for each cell (B_1..B_N vote 0, B_{N+1}
-votes 1, PHI and discards abstain); the channel's vote law, the bit
-statistics of a tally and ``guess_rule`` all read it.
+votes 1, PHI and discards abstain); the channel's vote law and the bit
+statistics of a tally both read it.
 
 ``column_law`` gives the exact probability of every (Alice outcome, Bob
 cell) pair for both of Alice's settings. Pairs are i.i.d., so protocol
@@ -26,12 +26,14 @@ setting for the tally, and one (0-votes, 1-votes, abstentions) multinomial
 per message bit for the channel. Every setting and phase has its own
 counter-based stream keyed by (seed, phase, setting), so a run's output is
 a pure function of its seed, and its cost does not grow with the number of
-pairs. A ``ProtocolConfig`` builds its law and its ``RunContext`` once, on
-first use, and every stage of a run reads those same read-only values.
+pairs. A ``ProtocolConfig`` holds Bob's states as one read-only ``(N, N)``
+array and builds its law and its ``RunContext`` once, on first use; every
+stage of a run reads those same read-only values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -44,7 +46,7 @@ from . import qcore
 # apply_machine, illegal_clone, group_verify, SeededRng, run_protocol,
 # run_channel, stats_from_tally and analytic_no_signal_certificate as
 # attributes of this module, and the per-pair Born-rule reference in the
-# tests uses the first five: keep all of them reachable here.
+# tests calls the first four here: keep all of them reachable here.
 from .entangle import AliceBasis, alice_measure, induced_states
 from .errors import ConditioningError, ConfigError, DimensionError
 from .pqcm import (
@@ -54,7 +56,7 @@ from .pqcm import (
     apply_machine,
     illegal_clone,
 )
-from .qcore import Ket, SeededRng
+from .qcore import SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
 ABSTAIN = 2  # Bob's vote for PHI and discarded pairs: no verdict
@@ -119,21 +121,21 @@ def _measure_clone(
 
 
 def group_verify(
-    clones: CloneOutput, candidates: Sequence[Ket], mu: int, rng: SeededRng
+    clones: CloneOutput, candidates: np.ndarray, mu: int, rng: SeededRng
 ) -> int:
     """Classify a cloner output into a candidate column or the junk column.
 
-    The mu claimed copies are split into one group per candidate (earlier
-    groups one larger when mu is not divisible). Every clone in group l is
-    tested by a binary projective measurement onto candidate l. The
-    verdict is column l (1-based) when group l alone is all-success, and
+    ``candidates`` holds one state per row. The mu claimed copies are split
+    into one group per candidate (earlier groups one larger when mu is not
+    divisible). Every clone in group l is tested by a binary projective
+    measurement onto candidate l. The verdict is column l (1-based) when
+    group l alone is all-success, and
     PHI when no group or more than one group is.
 
     Product-form outputs are tested clone by clone with independent
     draws; joint outputs are measured by sequential collapse; the junk
     marker fails every projection by construction.
     """
-    candidates = tuple(candidates)
     n_groups = len(candidates)
     if mu < n_groups:
         raise ConfigError(f"need at least {n_groups} copies, got {mu}")
@@ -147,10 +149,8 @@ def group_verify(
         return PHI
 
     if clones.kind == "copies":
-        single = clones.single
-        overlaps = np.array(
-            [abs(qcore.inner_product(c, single)) ** 2 for c in candidates]
-        )
+        single = clones.single.amplitudes
+        overlaps = [abs(complex(np.vdot(c, single))) ** 2 for c in candidates]
         thresholds = np.repeat(overlaps, sizes)
         hits = rng.uniforms(mu) < thresholds
         all_success = []
@@ -159,11 +159,11 @@ def group_verify(
             all_success.append(bool(np.all(hits[start : start + size])))
             start += size
     elif clones.kind == "joint":
-        for c in candidates:
-            if c.dim != clones.clone_dim:
-                raise DimensionError(
-                    f"candidate dim {c.dim} does not match clone dim {clones.clone_dim}"
-                )
+        if candidates.shape[1] != clones.clone_dim:
+            raise DimensionError(
+                f"candidate dim {candidates.shape[1]} does not match clone dim "
+                f"{clones.clone_dim}"
+            )
         vec = clones.state.amplitudes
         all_success = []
         clone_idx = 0
@@ -176,7 +176,7 @@ def group_verify(
                     clones.clone_dim,
                     mu,
                     clone_idx,
-                    candidates[l].amplitudes,
+                    candidates[l],
                     rng,
                 )
                 group_ok = group_ok and ok
@@ -217,18 +217,6 @@ def _vote_totals(cells: np.ndarray, n: int) -> np.ndarray:
     votes = cell_votes(n)[: cells.shape[1]]
     bins = np.append(votes, votes + 3)  # setting 1 counts in bins 3..5
     return np.bincount(bins, weights=cells.ravel(), minlength=6).reshape(2, 3)
-
-
-def guess_rule(column: int, n: int) -> int | None:
-    """Bob's vote for one column, read from ``cell_votes``.
-
-    Columns 1..N mean bit 0, column N+1 means bit 1, and the junk column
-    gives no verdict (None, an abstention).
-    """
-    if not 0 <= column <= n + 1:
-        raise ConfigError(f"column {column} outside 1..{n + 1}")
-    vote = int(cell_votes(n)[n + 1 if column == PHI else column - 1])
-    return None if vote == ABSTAIN else vote
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +266,15 @@ class SignalStats:
         object.__setattr__(self, "p_col", p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolConfig:
-    """Everything one signalling run needs, including its random seed."""
+    """Everything one signalling run needs, including its random seed.
 
-    bob_states: tuple
+    ``bob_states`` holds Bob's N unit states of dimension N as the rows of
+    one read-only array.
+    """
+
+    bob_states: np.ndarray
     a2_basis: AliceBasis
     mu: int
     trials: int
@@ -291,15 +283,16 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        bob_states = tuple(self.bob_states)
-        n = len(bob_states)
+        bob_states = qcore.state_set(self.bob_states)
+        n, dim = bob_states.shape
         if n < 2:
             raise DimensionError("need at least two Bob states")
-        for state in bob_states:
-            if state.dim != n:
-                raise DimensionError(
-                    f"Bob states must have dimension {n}, got {state.dim}"
-                )
+        if dim != n:
+            raise DimensionError(f"Bob states must have dimension {n}, got {dim}")
+        # the laws take unit states; a NaN norm fails this test too
+        norms = [math.sqrt(np.vdot(state, state).real) for state in bob_states]
+        if not all(abs(norm - 1.0) <= qcore.NORM_TOL for norm in norms):
+            raise ConfigError(f"Bob states must be unit vectors, got norms {norms}")
         if self.mu < n + 1:
             raise ConfigError(f"mu must be at least N+1 = {n + 1}, got {self.mu}")
         # numpy's multinomial takes n < 2**63, and every int64 count stays at
@@ -322,8 +315,7 @@ class ProtocolConfig:
                     f"the state count {n}"
                 )
             # the legal law takes the clonable states to be B_1..B_N
-            clonable = qcore.state_matrix(self.machine.clonable)
-            gap = np.abs(clonable - qcore.state_matrix(bob_states)).max()
+            gap = np.abs(self.machine.clonable - bob_states).max()
             if not gap <= 1e-12:
                 raise ConfigError(
                     f"machine clones other states than Bob's (amplitude gap {gap:.1e})"
@@ -345,7 +337,7 @@ class ProtocolConfig:
 
     @property
     def n(self) -> int:
-        return len(self.bob_states)
+        return self.bob_states.shape[0]
 
     # Derived values live on the instance, not in a module-level memo, so a
     # fresh config (or a dataclasses.replace copy) always builds its own.
@@ -368,13 +360,16 @@ class RunContext:
     after Alice's outcome m under setting s (0 for A1, 1 for A2), with
     probability ``probs[s, m]``. ``preparations`` lists the 2N states
     B_1..B_2N (A1's outcomes, then A2's), and ``candidates`` its first N+1,
-    B_1..B_{N+1}; both are views of ``kets``.
+    B_1..B_{N+1}; both are views of ``kets``. ``own_stay[l]`` is the
+    probability that mu exact copies of candidate l reach column l
+    (``_own_stay``); the legal law and the leakage bound both read it.
     """
 
     kets: np.ndarray  # (2, N, N)
     probs: np.ndarray  # (2, N)
     preparations: np.ndarray  # (2N, N)
     candidates: np.ndarray  # (N+1, N)
+    own_stay: np.ndarray  # (N+1,)
 
 
 def prepare_context(config: ProtocolConfig) -> RunContext:
@@ -384,8 +379,8 @@ def prepare_context(config: ProtocolConfig) -> RunContext:
     has probability 0, no pair ever prepares it, so the run is refused.
     """
     n = config.n
-    bob = np.array([s.amplitudes for s in config.bob_states])
-    kets, probs = induced_states(bob, (AliceBasis.computational(n), config.a2_basis))
+    bases = (AliceBasis.computational(n), config.a2_basis)
+    kets, probs = induced_states(config.bob_states, bases)
     if probs[1, 0] == 0.0:
         raise ConfigError(
             f"candidate B{n + 1} is not prepared: Alice's first A2 outcome "
@@ -394,7 +389,9 @@ def prepare_context(config: ProtocolConfig) -> RunContext:
     kets.setflags(write=False)
     probs.setflags(write=False)
     preparations = kets.reshape(2 * n, n)
-    return RunContext(kets, probs, preparations, preparations[: n + 1])
+    candidates = preparations[: n + 1]
+    own_stay = _own_stay(candidates, config.mu)  # a diagonal view: read-only
+    return RunContext(kets, probs, preparations, candidates, own_stay)
 
 
 @lru_cache
@@ -476,7 +473,7 @@ def _legal_rows(
     np.fill_diagonal(gram, 1.0)  # unit kets: X^(o mu) would scale roundoff by mu
     success = np.einsum("im,ij,jm->m", beta.conj(), gram**mu, beta).real
     rows = np.zeros((probs.size, k + 2))  # column N+1 stays 0
-    rows[:, :n] = (np.abs(beta) ** 2 * _own_stay(ctx.candidates, mu)[:n, None]).T
+    rows[:, :n] = (np.abs(beta) ** 2 * ctx.own_stay[:n, None]).T
     rows[:, k] = success - rows[:, :n].sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
@@ -551,15 +548,15 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     return _clip_law(raw.reshape(2, n, n + 3))
 
 
-def analytic_leakage(candidates: np.ndarray, mu: int) -> float:
+def analytic_leakage(own_stay: np.ndarray) -> float:
     """Worst-case probability that exact copies miss their own column.
 
-    ``candidates`` holds one ket per row. For exact copies of candidate l,
-    group l always succeeds, so the only losses are ties: some other group
-    j all-succeeding, with probability hit[j, l]. The bound is
+    ``own_stay`` is a run context's: for exact copies of candidate l, group
+    l always succeeds, so the only losses are ties, some other group j
+    all-succeeding with probability hit[j, l]. The bound is
     1 - min_l prod_{j != l} (1 - hit[j, l]).
     """
-    return float(1.0 - _own_stay(candidates, mu).min())
+    return float(1.0 - own_stay.min())
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
@@ -587,7 +584,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
         discards=tuple(discards),
         trials=(config.trials, config.trials),
     )
-    leakage = analytic_leakage(config.context.candidates, config.mu)
+    leakage = analytic_leakage(config.context.own_stay)
     stats = stats_from_tally(tally, leakage)
     return tally, stats
 

@@ -1,27 +1,140 @@
 """Born-rule building blocks that only the tests use.
 
-Random states and unitaries for instance generation, explicit tensor
-products and partial traces, a full-system Born measurement, the
-illegal cloner's output materialized as one joint ket, and a memoized
-replay of ``signalling.group_verify``'s sequential collapse on such a ket.
-The library computes laws in closed form; these are the explicit
-constructions it is checked against.
+Random states and unitaries for instance generation, computational basis
+kets, kets stacked into the library's ``(N, d)`` state arrays, config
+amplitude pairs, Hermitian operators with their spectra, Gram matrices,
+the rank count and trace distances, explicit tensor products and partial
+traces, a full-system Born measurement, the illegal cloner's output
+materialized as one joint ket, and a memoized replay of
+``signalling.group_verify``'s sequential collapse on such a ket.
+The library computes laws in closed form on state arrays; these are the
+explicit constructions it is checked against.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from pqclone.errors import CapacityError, DimensionError, LabelError
+from pqclone.errors import (
+    CapacityError,
+    DimensionError,
+    HermiticityError,
+    LabelError,
+)
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
 from pqclone.qcore import (
     MAX_DIM,
-    HermitianOperator,
+    RANK_TOL,
+    Ensemble,
     Ket,
     SeededRng,
     _check_orthonormal,
+    _frozen,
+    state_set,
 )
 from pqclone.signalling import PHI, _measure_clone, group_sizes
+
+HERM_TOL = 1e-10
+
+
+def basis_ket(dim: int, index: int) -> Ket:
+    """The computational basis state |index> of dimension ``dim``."""
+    if not 0 <= index < dim:
+        raise DimensionError(f"basis index {index} outside dimension {dim}")
+    arr = np.zeros(dim, dtype=np.complex128)
+    arr[index] = 1.0
+    return Ket(arr)
+
+
+def state_rows(kets: Sequence[Ket]) -> np.ndarray:
+    """Kets as one state set: an (N, d) array, one state per row."""
+    return np.array([k.amplitudes for k in kets])
+
+
+def ket_to_pairs(state: Ket) -> list[list[float]]:
+    """A ket's amplitudes as the [re, im] pairs of a run config."""
+    return [[float(np.real(z)), float(np.imag(z))] for z in state.amplitudes]
+
+
+@dataclass(frozen=True, eq=False)
+class HermitianOperator:
+    """A dense complex Hermitian matrix."""
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        arr = _frozen(self.entries)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise DimensionError("operator entries must form a square matrix")
+        if np.max(np.abs(arr - arr.conj().T)) > HERM_TOL:
+            raise HermiticityError("matrix is not Hermitian within tolerance")
+        object.__setattr__(self, "entries", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[0]
+
+    @classmethod
+    def from_matrix(cls, values) -> "HermitianOperator":
+        """Symmetrize away roundoff before the Hermiticity check."""
+        arr = np.asarray(values, dtype=np.complex128)
+        return cls((arr + arr.conj().T) / 2.0)
+
+    @classmethod
+    def projector(cls, state: Ket) -> "HermitianOperator":
+        v = state.amplitudes
+        return cls(np.outer(v, v.conj()))
+
+    @classmethod
+    def identity(cls, dim: int) -> "HermitianOperator":
+        return cls(np.eye(dim, dtype=np.complex128))
+
+    def trace(self) -> complex:
+        return complex(np.trace(self.entries))
+
+
+def inner_product(a: Ket, b: Ket) -> complex:
+    """<a|b>, conjugate-linear in the first argument."""
+    if a.dim != b.dim:
+        raise DimensionError(f"inner product of dims {a.dim} and {b.dim}")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:
+    """Matrix of pairwise inner products X[i,j] = <i|j>; Hermitian PSD."""
+    mat = state_set([s.amplitudes for s in states]).T  # the states as columns
+    return HermitianOperator.from_matrix(mat.conj().T @ mat)
+
+
+def hermitian_eigenvalues(m: HermitianOperator) -> np.ndarray:
+    """Real spectrum in ascending order."""
+    return np.linalg.eigvalsh(m.entries)
+
+
+def rank_with_tolerance(states: Sequence[Ket], tol: float = RANK_TOL) -> int:
+    """Linear-independence count: Gram eigenvalues above tol * largest."""
+    if tol <= 0:
+        raise ValueError("rank tolerance must be positive")
+    eigs = hermitian_eigenvalues(gram_matrix(states))
+    return int(np.sum(eigs > tol * eigs[-1]))
+
+
+def trace_distance(rho: HermitianOperator, sigma: HermitianOperator) -> float:
+    """(1/2) sum |eig(rho - sigma)|: operational distinguishability."""
+    if rho.dim != sigma.dim:
+        raise DimensionError("trace distance needs equal dimensions")
+    diff = HermitianOperator.from_matrix(rho.entries - sigma.entries)
+    return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(diff))))
+
+
+def average_density(ensemble: Ensemble) -> HermitianOperator:
+    """The ensemble-averaged density matrix sum_m p_m |m><m|."""
+    rho = np.zeros((ensemble.dim, ensemble.dim), dtype=np.complex128)
+    for state, prob in ensemble.members:
+        v = state.amplitudes
+        rho += prob * np.outer(v, v.conj())
+    return HermitianOperator.from_matrix(rho)
 
 
 def random_ket(dim: int, rng: SeededRng) -> Ket:
@@ -76,7 +189,8 @@ def born_measure(state: Ket, basis: Sequence[Ket], rng: SeededRng) -> tuple[int,
     (the basis vector itself). Outcome k occurs with probability
     |<basis_k|state>|^2.
     """
-    mat = _check_orthonormal(basis, state.dim)
+    mat = np.column_stack([b.amplitudes for b in basis])
+    _check_orthonormal(mat, state.dim)
     amps = mat.conj().T @ state.amplitudes
     probs = np.abs(amps) ** 2
     probs /= probs.sum()
@@ -85,8 +199,8 @@ def born_measure(state: Ket, basis: Sequence[Ket], rng: SeededRng) -> tuple[int,
 
 
 def materialize_illegal_output(
-    spec: IllegalClonerSpec, input_label: int, all_states: Sequence[Ket]
-) -> tuple[CloneOutput, tuple[Ket, ...]]:
+    spec: IllegalClonerSpec, input_label: int, all_states: np.ndarray
+) -> tuple[CloneOutput, np.ndarray]:
     """Build the output decomposition as one explicit joint ket.
 
     Branches are kept exactly decoherent: each clonable branch lives
@@ -94,18 +208,18 @@ def materialize_illegal_output(
     extra level reserved for junk, and the junk branch puts all clones in
     that level so each projective test fails with certainty. Measuring
     the result clone by clone therefore reproduces the branch-sampling
-    statistics. Returns the joint record plus the candidate kets embedded
-    into the enlarged clone space.
+    statistics. ``all_states`` holds the preparation of label k as row
+    k-1. Returns the joint record plus the candidate states embedded into
+    the enlarged clone space, one per row.
     """
-    all_states = tuple(all_states)
     if len(all_states) != spec.total_labels:
         raise LabelError(
             f"expected {spec.total_labels} preparation states, got {len(all_states)}"
         )
     if not 1 <= input_label <= spec.total_labels:
         raise LabelError(f"label {input_label} outside 1..{spec.total_labels}")
-    candidates = tuple(all_states[l - 1] for l in spec.clonable_labels)
-    n = candidates[0].dim
+    candidates = all_states[np.array(spec.clonable_labels) - 1]
+    n = candidates.shape[1]
     k = len(candidates)
     clone_dim = n + 1
     lead_dim = k + 1
@@ -125,11 +239,8 @@ def materialize_illegal_output(
     else:
         amps[k] = 1.0  # default: pure junk
 
-    embedded = []
-    for cand in candidates:
-        padded = np.zeros(clone_dim, dtype=np.complex128)
-        padded[:n] = cand.amplitudes
-        embedded.append(Ket(padded))
+    embedded = np.zeros((k, clone_dim), dtype=np.complex128)
+    embedded[:, :n] = candidates
     junk_level = np.zeros(clone_dim, dtype=np.complex128)
     junk_level[n] = 1.0
 
@@ -138,7 +249,7 @@ def materialize_illegal_output(
     for flag in range(lead_dim):
         if amps[flag] == 0:
             continue
-        factor = embedded[flag].amplitudes if flag < k else junk_level
+        factor = embedded[flag] if flag < k else junk_level
         product = factor
         for _ in range(spec.copies - 1):
             product = np.kron(product, factor)
@@ -147,7 +258,7 @@ def materialize_illegal_output(
     out = CloneOutput.joint_state(
         Ket.normalized(vec), spec.copies, clone_dim, lead_dim=lead_dim
     )
-    return out, tuple(embedded)
+    return out, embedded
 
 
 class _Forced:
@@ -172,15 +283,13 @@ class CollapseTree:
     column as ``group_verify`` from the same stream.
     """
 
-    def __init__(self, clones: CloneOutput, candidates: Sequence[Ket], mu: int):
+    def __init__(self, clones: CloneOutput, candidates: np.ndarray, mu: int):
         if clones.kind != "joint" or clones.copies != mu:
             raise ValueError("need a joint clone record of mu copies")
         self.clones = clones
         self.mu = mu
         self.sizes = group_sizes(mu, len(candidates))
-        self.onto = [
-            c.amplitudes for c, size in zip(candidates, self.sizes) for _ in range(size)
-        ]
+        self.onto = [c for c, size in zip(candidates, self.sizes) for _ in range(size)]
         self.kets = {(): clones.state.amplitudes}  # prefix -> collapsed ket
         self.thresholds = {}  # prefix -> success probability of the next test
 

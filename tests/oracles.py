@@ -6,19 +6,22 @@ hand-built matrix, the closed-form gamma_max and the legal column law in
 50-digit arithmetic, independent-Bernoulli group statistics, projectors
 applied to an explicit Kraus success branch or joint clone ket,
 member-by-member steering, averaged density matrices built from kets,
-pair-by-pair Born-rule trajectories, per-pair majority voting) so that a
-test never validates code against itself.
+pair-by-pair Born-rule trajectories, per-pair majority voting, a
+column-by-column vote rule) so that a test never validates code against
+itself.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from pqclone import qcore, signalling
+from pqclone import signalling
 from pqclone.entangle import AliceBasis, build_shared_state
 from pqclone.errors import ConfigError
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
 from pqclone.qcore import Ket, SeededRng
+
+from born import average_density, basis_ket, trace_distance
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -129,25 +132,23 @@ def induced_members_by_kets(shared, basis) -> list:
     """
     n = shared.alice_dim
     if basis.label == "A1":
-        return [(s, 1.0 / n) for s in shared.bob_states]
-    bob_mat = np.column_stack([s.amplitudes for s in shared.bob_states])
+        return [(Ket(s), 1.0 / n) for s in shared.bob_states]
+    bob_mat = np.column_stack(list(shared.bob_states))
     members = []
-    for vec in basis.vectors:
-        raw = bob_mat @ vec.amplitudes.conj()
+    for vec in basis.matrix.T:
+        raw = bob_mat @ vec.conj()
         norm_sq = float(np.real(np.vdot(raw, raw)))
         if norm_sq > 1e-24:
             members.append((Ket(raw / np.sqrt(norm_sq)), norm_sq / n))
         else:
-            members.append((Ket.basis_state(n, 0), 0.0))
+            members.append((basis_ket(n, 0), 0.0))
     total = sum(p for _, p in members)
     return [(s, p / total) for s, p in members]
 
 
 def ensemble_certificate(ensemble_a, ensemble_b) -> float:
     """Trace distance of two ``Ensemble``s' averaged density matrices."""
-    return qcore.trace_distance(
-        ensemble_a.average_density(), ensemble_b.average_density()
-    )
+    return trace_distance(average_density(ensemble_a), average_density(ensemble_b))
 
 
 def split_sizes(mu: int, n_groups: int) -> list:
@@ -181,12 +182,13 @@ def exact_copy_column_distribution(
 
 
 def _group_bras(candidates, sizes) -> list:
-    """<c_j|^(x g_j) per verification group, as one flat vector each."""
+    """<c_j|^(x g_j) per verification group (candidate c_j as row j), as one
+    flat vector each."""
     bras = []
     for c, g in zip(candidates, sizes):
         bra = np.ones(1, dtype=np.complex128)
         for _ in range(g):
-            bra = np.kron(bra, c.amplitudes.conj())
+            bra = np.kron(bra, c.conj())
         bras.append(bra)
     return bras
 
@@ -214,27 +216,26 @@ def _only_group_masses(phi: np.ndarray, bras: list) -> np.ndarray:
 
 
 def contracted_legal_rows(
-    kraus_success: np.ndarray, members, candidates, mu: int
+    kraus_success: np.ndarray, states, probs, candidates, mu: int
 ) -> np.ndarray:
     """Law rows of a Kraus machine by contracting its explicit success branch.
 
-    ``members`` lists (ket, probability) pairs and ``candidates`` kets.
-    Phi_m = sqrt(p_m) A psi_m is reshaped into one tensor factor per
-    verification group, and the group projectors are applied to it by
-    inclusion-exclusion. Rows are laid out like one setting of
-    ``column_law``: columns B_1..B_K, then PHI, then discarded cloner
-    failures.
+    Member m has state ``states[m]`` and probability ``probs[m]``, and
+    candidate j is ``candidates[j]``. Phi_m = sqrt(p_m) A psi_m is reshaped
+    into one tensor factor per verification group, and the group projectors
+    are applied to it by inclusion-exclusion. Rows are laid out like one
+    setting of ``column_law``: columns B_1..B_K, then PHI, then discarded
+    cloner failures.
     """
     k = len(candidates)
     clone_dim = kraus_success.shape[1]
     sizes = split_sizes(mu, k)
-    probs = np.array([p for _, p in members])
-    inputs = np.stack([np.sqrt(p) * ket.amplitudes for ket, p in members])
+    inputs = np.sqrt(probs)[:, None] * states
     phi = inputs @ kraus_success.T
     success = np.sum(np.abs(phi) ** 2, axis=1)
-    phi = phi.reshape((len(members),) + tuple(clone_dim**g for g in sizes))
+    phi = phi.reshape((len(probs),) + tuple(clone_dim**g for g in sizes))
     only = _only_group_masses(phi, _group_bras(candidates, sizes))
-    rows = np.empty((len(members), k + 2))
+    rows = np.empty((len(probs), k + 2))
     rows[:, :k] = only
     rows[:, k] = success - only.sum(axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
@@ -350,19 +351,19 @@ def two_sample_sigma(p1: float, n1: int, p2: float, n2: int) -> float:
 
 
 def born_context(config) -> SimpleNamespace:
-    """The kets and shared state of the Born-rule reference.
+    """The shared state, bases and state arrays of the Born-rule reference.
 
     They are read off the run's ``RunContext`` arrays: the shared state
     pairs Alice's labels with A1's member states (Bob's own), ``bases`` is
-    (A1, A2), and ``all_states`` and ``candidates`` wrap the preparation
-    and candidate rows as kets.
+    (A1, A2), and ``all_states`` and ``candidates`` are the preparation and
+    candidate rows.
     """
     ctx = config.context
     return SimpleNamespace(
-        shared=build_shared_state(tuple(Ket(row) for row in ctx.kets[0])),
+        shared=build_shared_state(ctx.kets[0]),
         bases=(AliceBasis.computational(config.n), config.a2_basis),
-        all_states=tuple(Ket(row) for row in ctx.preparations),
-        candidates=tuple(Ket(row) for row in ctx.candidates),
+        all_states=ctx.preparations,
+        candidates=ctx.candidates,
     )
 
 
@@ -453,3 +454,16 @@ def random_message_by_draws(seed: int, n_bits: int) -> tuple:
     """The channel demo's message, one ``random()`` draw per bit."""
     rng = SeededRng(seed, signalling._stream_id(signalling._PHASE_MESSAGE, 0))
     return tuple(int(rng.random() < 0.5) for _ in range(n_bits))
+
+
+def guess_rule(column: int, n: int) -> int | None:
+    """Bob's vote for one column, read from ``signalling.cell_votes``.
+
+    Columns 1..N mean bit 0, column N+1 means bit 1, and the junk column
+    gives no verdict (None, an abstention).
+    """
+    if not 0 <= column <= n + 1:
+        raise ConfigError(f"column {column} outside 1..{n + 1}")
+    cell = n + 1 if column == signalling.PHI else column - 1
+    vote = int(signalling.cell_votes(n)[cell])
+    return None if vote == signalling.ABSTAIN else vote

@@ -19,19 +19,13 @@ from pqclone.pqcm import (
     illegal_clone,
     max_uniform_gamma,
 )
-from pqclone.qcore import (
-    PSD_TOL,
-    Ket,
-    SeededRng,
-    is_psd,
-    rank_with_tolerance,
-    tensor_power,
-)
+from pqclone.qcore import PSD_TOL, Ket, SeededRng, is_psd, tensor_power
 from pqclone.signalling import (
     PHI,
     ProtocolConfig,
     RunContext,
     _legal_rows,
+    _own_stay,
     analytic_no_signal_certificate,
     column_law,
     group_verify,
@@ -40,7 +34,15 @@ from pqclone.signalling import (
     run_protocol,
 )
 
-from born import CollapseTree, haar_unitary, materialize_illegal_output, random_ket
+from born import (
+    CollapseTree,
+    basis_ket,
+    haar_unitary,
+    materialize_illegal_output,
+    random_ket,
+    rank_with_tolerance,
+    state_rows,
+)
 from test_config_cli import CONFIGS
 from oracles import (
     projected_column_law,
@@ -49,8 +51,8 @@ from oracles import (
     two_state_gamma_closed_form,
 )
 
-KET0 = Ket.basis_state(2, 0)
-KET1 = Ket.basis_state(2, 1)
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
 
 
 def report(criterion: int, detail: str) -> None:
@@ -59,7 +61,7 @@ def report(criterion: int, detail: str) -> None:
 
 def illegal_demo_config(trials: int, mu: int = 48, seed: int = 42, pairs_per_bit: int = 200):
     return ProtocolConfig(
-        bob_states=(KET0, KET1),
+        bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
         mu=mu,
         trials=trials,
@@ -112,12 +114,12 @@ def test_criterion_3_legal_machines_never_signal():
     worst_exact = 0.0
     for instance in range(20):
         n = 2 + instance % 2
-        states = well_conditioned_set(n, rng)
+        states = state_rows(well_conditioned_set(n, rng))
         gamma = 0.8 * max_uniform_gamma(states, mu)
         machine = construct_machine(states, mu, [gamma] * n)
         a2 = AliceBasis.from_unitary(haar_unitary(n, rng))
         config = ProtocolConfig(
-            bob_states=tuple(states),
+            bob_states=states,
             a2_basis=a2,
             mu=mu,
             trials=4_000,
@@ -156,7 +158,7 @@ def test_criterion_4_channel_demonstration():
     assert result.accuracy >= 0.99
 
     # legal: accuracy stays at coin-flip level over 1e4 blocks
-    states = (KET0, Ket.normalized([0.5, np.sqrt(0.75)]))
+    states = state_rows((KET0, Ket.normalized([0.5, np.sqrt(0.75)])))
     mu = 4
     gamma = 0.9 * max_uniform_gamma(states, mu)
     machine = construct_machine(states, mu, [gamma, gamma])
@@ -181,8 +183,8 @@ def test_criterion_4_channel_demonstration():
 
 def _machine_invariants_hold(machine, states, m) -> bool:
     for s, g in zip(states, machine.gammas):
-        expected = np.sqrt(g) * tensor_power(s, m).amplitudes
-        if np.linalg.norm(machine.kraus_success @ s.amplitudes - expected) > 1e-9:
+        expected = np.sqrt(g) * tensor_power(s, m)
+        if np.linalg.norm(machine.kraus_success @ s - expected) > 1e-9:
             return False
     total = (
         machine.kraus_success.conj().T @ machine.kraus_success
@@ -222,6 +224,7 @@ def test_criterion_5_feasibility_matches_construction_and_rank():
             k = n + 1
 
         independent = rank_with_tolerance(states) == k
+        states = state_rows(states)
         if not independent:
             dependents += 1
             with pytest.raises(RankError):
@@ -250,7 +253,7 @@ def test_criterion_5_feasibility_matches_construction_and_rank():
 def test_criterion_6_two_state_closed_form():
     worst = 0.0
     for s in (0.1, 0.5, 0.70710678, 0.9):
-        states = (KET0, Ket(np.array([s, np.sqrt(1 - s * s)], dtype=complex)))
+        states = np.array([[1.0, 0.0], [s, np.sqrt(1 - s * s)]], dtype=complex)
         for m in (2, 3, 4):
             closed = two_state_gamma_closed_form(s, m)
             oracle = two_state_gamma_by_bisection(s, m)
@@ -263,7 +266,7 @@ def test_criterion_6_two_state_closed_form():
 
 def test_criterion_7_materialized_joint_matches_branch_sampling():
     plus, minus = Ket.normalized([1, 1]), Ket.normalized([1, -1])
-    all_states = (KET0, KET1, plus, minus)
+    all_states = state_rows((KET0, KET1, plus, minus))
     c = np.sqrt([0.3, 0.3, 0.3])
     d = np.sqrt(0.1)
     worst_z = 0.0
@@ -282,7 +285,7 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
         # give label 4's row of the library's law, divided by its p
         for exact_spec in (spec, default_spec):
             config = ProtocolConfig(
-                bob_states=(KET0, KET1),
+                bob_states=all_states[:2],
                 a2_basis=AliceBasis.fourier(2),
                 mu=mu,
                 trials=1,
@@ -375,18 +378,16 @@ def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
     the Gram condition, where no Kraus pair exists.
     """
     n = len(states)
-    kets, probs = induced_states(
-        np.array([s.amplitudes for s in states]),
-        (AliceBasis.computational(n), a2_basis),
-    )
+    kets, probs = induced_states(states, (AliceBasis.computational(n), a2_basis))
     preparations = kets.reshape(2 * n, n)
-    ctx = RunContext(kets, probs, preparations, preparations[: n + 1])
+    candidates = preparations[: n + 1]
+    ctx = RunContext(kets, probs, preparations, candidates, _own_stay(candidates, mu))
     stand_in = SimpleNamespace(gammas=np.asarray(gammas))
     return _legal_rows(stand_in, probs.ravel(), ctx, mu), probs
 
 
 def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():
-    states = (KET0, Ket.normalized([0.5, np.sqrt(0.75)]))
+    states = state_rows((KET0, Ket.normalized([0.5, np.sqrt(0.75)])))
     n, mu = 2, 4
     gamma_max = max_uniform_gamma(states, mu)
 
@@ -403,14 +404,14 @@ def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():
     # on the lowest eigenvector of I - A*A; steered into Bob as A2's first
     # member, its law row's discard cell must be >= -tol exactly when the
     # feasibility matrix X - D X^(o M) D is PSD (Duan & Guo)
-    b_mat = np.column_stack([s.amplitudes for s in states])
+    b_mat = states.T
     verdicts = []
     for factor in (0.9, 1.1):
         gammas = np.full(n, factor * gamma_max)
         w_mat = np.sqrt(gammas)[:, None] * np.linalg.inv(b_mat)
         gap_op = np.eye(n) - w_mat.conj().T @ (b_mat.conj().T @ b_mat) ** mu @ w_mat
         eigvals, eigvecs = np.linalg.eigh(gap_op)
-        a2_basis = target_to_basis(Ket(eigvecs[:, 0]), states)
+        a2_basis = target_to_basis(eigvecs[:, 0], states)
         rows, probs = legal_rows_for_any_gammas(states, a2_basis, mu, gammas)
         discards = rows[:, n + 2] / probs.ravel()
         least = float(discards[n])

@@ -29,13 +29,14 @@ from pqclone.signalling import (
     _clip_law,
     _illegal_rows,
     _legal_rows,
+    _own_stay,
     _stream_id,
     column_law,
     group_sizes,
     prepare_context,
 )
 
-from born import haar_unitary, random_ket
+from born import basis_ket, haar_unitary, random_ket, state_rows
 from oracles import (
     contracted_legal_rows,
     exact_copy_column_distribution,
@@ -44,8 +45,8 @@ from oracles import (
     trajectory_tally,
 )
 
-KET0 = Ket.basis_state(2, 0)
-KET1 = Ket.basis_state(2, 1)
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
 
 # Fixed example order keeps the suite deterministic; the instances are still
 # drawn over the whole seed range.
@@ -68,7 +69,7 @@ def legal_instances(draw, max_n=3, target_a2=False):
     mu = draw(st.integers(n + 1, 5))
     rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
     frac = draw(st.floats(0.05, 0.95))
-    states = tuple(random_ket(n, rng) for _ in range(n))
+    states = state_rows([random_ket(n, rng) for _ in range(n)])
     try:
         gamma = frac * max_uniform_gamma(states, mu)
         machine = construct_machine(states, mu, [gamma] * n)
@@ -78,7 +79,7 @@ def legal_instances(draw, max_n=3, target_a2=False):
     if a2_kind == "haar":
         a2_basis = _haar_basis(n, rng)
     else:
-        target = random_ket(n, rng) if a2_kind == "target" else states[0]
+        target = random_ket(n, rng).amplitudes if a2_kind == "target" else states[0]
         a2_basis = target_to_basis(target, states)
     return ProtocolConfig(
         bob_states=states,
@@ -97,7 +98,7 @@ def illegal_instances(draw):
     n = draw(st.integers(2, 3))
     mu = draw(st.integers(n + 1, 12))
     rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
-    states = tuple(random_ket(n, rng) for _ in range(n))
+    states = state_rows([random_ket(n, rng) for _ in range(n)])
     coefficients = {}
     if draw(st.booleans()):
         for label in range(n + 2, 2 * n + 1):
@@ -135,12 +136,12 @@ def steering_cases(draw):
     if kind == "one-ray":
         ray = random_ket(n, rng).amplitudes
         phases = np.exp(2j * np.pi * draw(st.integers(0, n - 1)) * np.arange(n) / n)
-        return tuple(Ket(phase * ray) for phase in phases), AliceBasis.fourier(n)
-    states = tuple(random_ket(n, rng) for _ in range(n))
+        return phases[:, None] * ray, AliceBasis.fourier(n)
+    states = state_rows([random_ket(n, rng) for _ in range(n)])
     if kind == "haar":
         return states, _haar_basis(n, rng)
     if kind == "target":
-        return states, target_to_basis(random_ket(n, rng), states)
+        return states, target_to_basis(random_ket(n, rng).amplitudes, states)
     return states, AliceBasis.fourier(n)
 
 
@@ -158,7 +159,7 @@ class TestRunContext:
         states, a2_basis = case
         n = len(states)
         bases = (AliceBasis.computational(n), a2_basis)
-        kets, probs = induced_states(np.array([s.amplitudes for s in states]), bases)
+        kets, probs = induced_states(states, bases)
         shared = build_shared_state(states)
         for s, basis in enumerate(bases):
             reference = induced_members_by_kets(shared, basis)
@@ -217,15 +218,13 @@ class TestLawProperties:
         n = config.n
         kets = np.vstack([ctx.preparations, np.eye(1, n)])
         probs = np.append(ctx.probs.ravel(), 0.0)
-        members = [(Ket(row), p) for row, p in zip(kets, probs)]
-        stand_in = SimpleNamespace(preparations=kets, candidates=ctx.candidates)
+        stand_in = SimpleNamespace(
+            preparations=kets, candidates=ctx.candidates, own_stay=ctx.own_stay
+        )
         np.testing.assert_allclose(
             _legal_rows(config.machine, probs, stand_in, config.mu),
             contracted_legal_rows(
-                config.machine.kraus_success,
-                members,
-                [Ket(row) for row in ctx.candidates],
-                config.mu,
+                config.machine.kraus_success, kets, probs, ctx.candidates, config.mu
             ),
             rtol=0,
             atol=1e-12,
@@ -254,7 +253,7 @@ class TestLawProperties:
         ctx = config.context
         target = ctx.candidates[n]
         overlaps = np.array(
-            [abs(np.vdot(b.amplitudes, target)) for b in config.bob_states]
+            [abs(np.vdot(b, target)) for b in config.bob_states]
         )
         sizes = np.array(group_sizes(config.mu, n + 1)[:n])
         bound = ctx.probs[1, 0] * np.prod(1.0 - overlaps ** (2 * sizes))
@@ -311,16 +310,18 @@ class TestLawProperties:
         # is built.
         rng = SeededRng(seed)
         mu = n + extra_copies
-        states = tuple(random_ket(n, rng) for _ in range(n))
-        assume(np.linalg.cond(np.array([s.amplitudes for s in states])) < 1e3)
+        states = state_rows([random_ket(n, rng) for _ in range(n)])
+        assume(np.linalg.cond(states) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
         stand_in = SimpleNamespace(gammas=gammas)
         kets, probs = induced_states(
-            np.array([s.amplitudes for s in states]),
-            (AliceBasis.computational(n), _haar_basis(n, rng)),
+            states, (AliceBasis.computational(n), _haar_basis(n, rng))
         )
         preparations = kets.reshape(2 * n, n)
-        ctx = RunContext(kets, probs, preparations, preparations[: n + 1])
+        candidates = preparations[: n + 1]
+        ctx = RunContext(
+            kets, probs, preparations, candidates, _own_stay(candidates, mu)
+        )
         rows = _legal_rows(stand_in, probs.ravel(), ctx, mu)
         a1_cells, a2_cells = rows[:n].sum(axis=0), rows[n:].sum(axis=0)
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
@@ -362,9 +363,11 @@ class TestLawProperties:
         rng = SeededRng(seed)
         mu = n + extra_copies
         ray = random_ket(n, rng).amplitudes
-        states = tuple(
-            Ket.normalized(ray + 10**log_spread * random_ket(n, rng).amplitudes)
-            for _ in range(n)
+        states = state_rows(
+            [
+                Ket.normalized(ray + 10**log_spread * random_ket(n, rng).amplitudes)
+                for _ in range(n)
+            ]
         )
         try:
             legal = FactoredSet.of(states, mu)
@@ -397,7 +400,7 @@ class TestLawProperties:
 def _legal(states, mu, seed):
     gamma = 0.9 * max_uniform_gamma(states, mu)
     return ProtocolConfig(
-        bob_states=tuple(states),
+        bob_states=states,
         a2_basis=AliceBasis.fourier(len(states)),
         mu=mu,
         trials=1,
@@ -415,7 +418,7 @@ def _illegal_mixed(mu, seed):
         coefficients={4: (np.sqrt([0.3, 0.3, 0.3]), np.sqrt(0.1))},
     )
     return ProtocolConfig(
-        bob_states=(KET0, KET1),
+        bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
         mu=mu,
         trials=1,
@@ -426,12 +429,16 @@ def _illegal_mixed(mu, seed):
 
 
 LAW_VS_TRAJECTORY = {
-    "legal_n2_mu6": lambda: _legal((KET0, Ket.normalized([0.5, np.sqrt(0.75)])), 6, 61),
+    "legal_n2_mu6": lambda: _legal(
+        state_rows((KET0, Ket.normalized([0.5, np.sqrt(0.75)]))), 6, 61
+    ),
     "legal_n3_mu4": lambda: _legal(
-        (
-            Ket.basis_state(3, 0),
-            Ket.normalized([0.6, 0.8, 0.0]),
-            Ket.normalized([0.6, 0.0, 0.8]),
+        state_rows(
+            (
+                basis_ket(3, 0),
+                Ket.normalized([0.6, 0.8, 0.0]),
+                Ket.normalized([0.6, 0.0, 0.8]),
+            )
         ),
         4,
         62,

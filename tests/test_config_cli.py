@@ -14,18 +14,12 @@ from hypothesis import strategies as st
 
 from pqclone import cli, pqcm, qcore, signalling
 from pqclone import config as config_mod
-from pqclone.config import (
-    RunConfig,
-    build_protocol,
-    ket_to_pairs,
-    load_states,
-    parse_states_text,
-)
+from pqclone.config import RunConfig, build_protocol, load_states, parse_states_text
 from pqclone.errors import ConfigError
 from pqclone.pqcm import IllegalClonerSpec, PqcmMachine
 from pqclone.qcore import Ket, SeededRng
 
-from born import random_ket
+from born import ket_to_pairs, random_ket
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -36,11 +30,18 @@ class TestStatesFile:
         text = "# demo\n2\n1 0 0 0  # ket zero\n0 0 1 0\n"
         states = parse_states_text(text)
         assert len(states) == 2
-        np.testing.assert_allclose(states[0].amplitudes, [1, 0])
+        np.testing.assert_allclose(states[0], [1, 0])
 
     def test_normalizes_entries(self):
         states = parse_states_text("2\n3 0 4 0\n")
-        assert states[0].norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_states_are_one_read_only_array(self):
+        states = parse_states_text("3\n1 0 0 0 0 0\n0 0 3 0 0 4\n")
+        assert states.shape == (2, 3) and states.dtype == np.complex128
+        np.testing.assert_allclose(states[1], [0, 0.6, 0.8j], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            states[0, 0] = 0.0
 
     def test_wrong_token_count_reports_line(self):
         with pytest.raises(ConfigError, match=":3:"):
@@ -418,7 +419,7 @@ class TestCliSignalTest:
         resolve = config_mod._resolve_machine
 
         def on_other_states(config, bob_states):
-            other = (bob_states[0], Ket.normalized([0.6, 0.8]))
+            other = np.array([bob_states[0], Ket.normalized([0.6, 0.8]).amplitudes])
             return resolve(config, other)
 
         monkeypatch.setattr(config_mod, "_resolve_machine", on_other_states)
@@ -535,23 +536,41 @@ class TestCliSignalTest:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "vectors", [[], [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]], ids=["empty", "ragged"]
+    )
+    def test_a2_vectors_of_no_matrix_shape_exit_1_with_one_line(
+        self, tmp_path, capsys, vectors
+    ):
+        # the basis vectors are stacked into one matrix before any check
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data["a2"] = {"kind": "vectors", "vectors": vectors}
+        cfg = tmp_path / "vectors.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: a state set ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_one_factorization_per_legal_run(self, tmp_path, monkeypatch):
         # gamma_max and the machine built at gamma_scale * gamma_max are read
         # from one factored set: one rank check and one product factor
         calls = []
-        for name in ("_check_independent", "_product_factor"):
+        for module, name in ((qcore, "independent_gram"), (pqcm, "_product_factor")):
 
-            def counting(*args, _name=name, _original=getattr(pqcm, name)):
+            def counting(*args, _name=name, _original=getattr(module, name)):
                 calls.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(pqcm, name, counting)
+            monkeypatch.setattr(module, name, counting)
         code = cli.main(
             ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
              "--out", str(tmp_path)]
         )
         assert code == 0
-        assert sorted(calls) == ["_check_independent", "_product_factor"]
+        assert sorted(calls) == ["_product_factor", "independent_gram"]
 
     def test_generators_per_run(self, tmp_path, monkeypatch):
         # the argvs of the bench/run.py workloads: 2 protocol, 2 channel and
@@ -625,6 +644,44 @@ class TestCliSignalTest:
         rebuilt = build_protocol(RunConfig.load(CONFIGS / "legal_n2.json"), CONFIGS)
         np.testing.assert_array_equal(rebuilt.law, law)
         assert len(built) == 3
+
+    @pytest.mark.parametrize(
+        "path", [CONFIGS / "illegal_n2.json", CONFIGS / "legal_n2.json",
+                 REPO / "bench" / "legal_n3_wide.json"],
+        ids=["illegal_n2", "legal_n2", "legal_n3_wide"],
+    )
+    def test_warm_run_builds_no_ket(self, tmp_path, monkeypatch, path):
+        # state sets stay arrays from the parser to the law: once the
+        # per-N bases are cached, a run wraps no state in a Ket
+        argv = ["signal-test", str(path), "--trials", "400", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        built = []
+        post_init = Ket.__post_init__
+
+        def counting_post_init(ket):
+            built.append(ket)
+            post_init(ket)
+
+        monkeypatch.setattr(Ket, "__post_init__", counting_post_init)
+        assert cli.main(argv) == 0
+        assert built == []
+
+    def test_own_column_stays_once_per_legal_run(self, tmp_path, monkeypatch):
+        # the law and the leakage bound read one run context's stays
+        calls = []
+        group_hits = signalling.group_hits
+
+        def counting_hits(*args):
+            calls.append(args)
+            return group_hits(*args)
+
+        monkeypatch.setattr(signalling, "group_hits", counting_hits)
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
+             "--out", str(tmp_path)]
+        )
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestSharedParser:

@@ -5,7 +5,6 @@ import copy
 import numpy as np
 import pytest
 
-from pqclone import qcore
 from pqclone.entangle import (
     AliceBasis,
     alice_measure,
@@ -14,19 +13,24 @@ from pqclone.entangle import (
     target_to_basis,
 )
 from pqclone.errors import BasisError, DimensionError, RankError
-from pqclone.qcore import (
+from pqclone.qcore import Ket, SeededRng
+
+from born import (
     HermitianOperator,
-    Ket,
-    SeededRng,
+    average_density,
+    basis_ket,
+    haar_unitary,
     inner_product,
+    partial_trace,
+    random_ket,
+    rank_with_tolerance,
+    state_rows,
     trace_distance,
 )
-
-from born import haar_unitary, partial_trace, random_ket
 from oracles import three_sigma_binomial
 
-KET0 = Ket.basis_state(2, 0)
-KET1 = Ket.basis_state(2, 1)
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
 
 
 def random_basis(n: int, rng: SeededRng) -> AliceBasis:
@@ -54,39 +58,39 @@ class TestAliceBasis:
 
     def test_a1_must_be_computational(self):
         with pytest.raises(BasisError):
-            AliceBasis((Ket.normalized([1, 1]), Ket.normalized([1, -1])), "A1")
+            hadamard = state_rows((Ket.normalized([1, 1]), Ket.normalized([1, -1])))
+            AliceBasis(hadamard.T, "A1")
 
     def test_fourier_is_orthonormal(self):
-        basis = AliceBasis.fourier(4)
-        mat = np.column_stack([v.amplitudes for v in basis.vectors])
+        mat = AliceBasis.fourier(4).matrix
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-12)
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(BasisError):
-            AliceBasis((KET0, Ket.normalized([1, 1])), "A2")
+            AliceBasis(state_rows((KET0, Ket.normalized([1, 1]))).T, "A2")
 
 
 class TestBuildSharedState:
     def test_bell_state(self):
-        shared = build_shared_state([KET0, KET1])
+        shared = build_shared_state(state_rows([KET0, KET1]))
         np.testing.assert_allclose(
             shared.joint.amplitudes, np.array([1, 0, 0, 1]) / np.sqrt(2), atol=1e-12
         )
 
     def test_duplicate_states_give_product(self):
-        shared = build_shared_state([KET0, KET0])
+        shared = build_shared_state(state_rows([KET0, KET0]))
         plus = Ket.normalized([1, 1])
         np.testing.assert_allclose(
             shared.joint.amplitudes,
             np.kron(plus.amplitudes, KET0.amplitudes),
             atol=1e-12,
         )
-        assert shared.joint.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(shared.joint.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
     def test_reconstruction_from_definition(self):
         rng = SeededRng(200)
         states = [random_ket(3, rng) for _ in range(3)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         rebuilt = np.zeros(9, dtype=complex)
         for n, s in enumerate(states):
             label = np.zeros(3, dtype=complex)
@@ -97,21 +101,21 @@ class TestBuildSharedState:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionError):
-            build_shared_state([KET0, Ket.basis_state(3, 0)])
+            build_shared_state([KET0.amplitudes, basis_ket(3, 0).amplitudes])
 
 
 class TestInducedEnsemble:
     def test_a1_reproduces_bob_states_exactly(self):
         rng = SeededRng(201)
         states = [random_ket(3, rng) for _ in range(3)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         ens = induced_ensemble(shared, AliceBasis.computational(3))
         for n, (state, prob) in enumerate(ens.members):
-            assert state is states[n]
+            np.testing.assert_array_equal(state.amplitudes, states[n].amplitudes)
             assert prob == 1.0 / 3
 
     def test_fourier_on_bell_gives_plus_minus(self):
-        shared = build_shared_state([KET0, KET1])
+        shared = build_shared_state(state_rows([KET0, KET1]))
         ens = induced_ensemble(shared, AliceBasis.fourier(2))
         (s0, p0), (s1, p1) = ens.members
         assert p0 == pytest.approx(0.5, abs=1e-12)
@@ -123,7 +127,7 @@ class TestInducedEnsemble:
         rng = SeededRng(202)
         # two independent states plus one combination: rank 2 span in dim 3
         states = [random_ket(3, rng) for _ in range(3)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         ens = induced_ensemble(shared, random_basis(3, rng))
         span = orthonormal_span(states)
         for state, prob in ens.members:
@@ -136,7 +140,7 @@ class TestInducedEnsemble:
         rng = SeededRng(203)
         for n in (2, 3):
             states = [random_ket(n, rng) for _ in range(n)]
-            shared = build_shared_state(states)
+            shared = build_shared_state(state_rows(states))
             reduced = partial_trace(
                 HermitianOperator.projector(shared.joint), (n, n), "B"
             )
@@ -145,7 +149,7 @@ class TestInducedEnsemble:
                 AliceBasis.fourier(n),
                 random_basis(n, rng),
             ):
-                avg = induced_ensemble(shared, basis).average_density()
+                avg = average_density(induced_ensemble(shared, basis))
                 assert trace_distance(avg, reduced) <= 1e-12
 
 
@@ -159,8 +163,7 @@ def measured_outcomes(shared, basis, rng, trials: int) -> np.ndarray:
     """
     replay = copy.deepcopy(rng)
     n = shared.alice_dim
-    mat = np.column_stack([v.amplitudes for v in basis.vectors])
-    conditionals = mat.conj().T @ shared.joint.amplitudes.reshape(n, n)
+    conditionals = basis.matrix.conj().T @ shared.joint.amplitudes.reshape(n, n)
     probs = np.sum(np.abs(conditionals) ** 2, axis=1)
     probs /= probs.sum()
     edges = np.cumsum(probs)
@@ -173,7 +176,7 @@ def measured_outcomes(shared, basis, rng, trials: int) -> np.ndarray:
 
 class TestAliceMeasure:
     def test_a1_frequencies_on_bell(self):
-        shared = build_shared_state([KET0, KET1])
+        shared = build_shared_state(state_rows([KET0, KET1]))
         rng = SeededRng(204)
         trials = 100_000
         outcomes = measured_outcomes(shared, AliceBasis.computational(2), rng, trials)
@@ -183,7 +186,7 @@ class TestAliceMeasure:
     def test_a1_outcome_prepares_matching_state(self):
         rng = SeededRng(205)
         states = [random_ket(3, rng) for _ in range(3)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         basis = AliceBasis.computational(3)
         for _ in range(100):
             outcome, post = alice_measure(shared, basis, rng)
@@ -192,7 +195,7 @@ class TestAliceMeasure:
     def test_a2_frequencies_match_induced_probabilities(self):
         rng = SeededRng(206)
         states = [random_ket(3, rng) for _ in range(3)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         basis = random_basis(3, rng)
         expected = [p for _, p in induced_ensemble(shared, basis).members]
         trials = 100_000
@@ -208,39 +211,40 @@ class TestTargetToBasis:
         rng = SeededRng(207)
         states = [random_ket(3, rng) for _ in range(3)]
         # force independence for the solve
-        while qcore.rank_with_tolerance(states) != 3:
+        while rank_with_tolerance(states) != 3:
             states = [random_ket(3, rng) for _ in range(3)]
-        basis = target_to_basis(states[0], states)
-        first = basis.vectors[0].amplitudes
+        basis = target_to_basis(states[0].amplitudes, state_rows(states))
+        first = basis.matrix[:, 0]
         assert abs(abs(first[0]) - 1.0) < 1e-9
         np.testing.assert_allclose(np.abs(first[1:]), 0.0, atol=1e-9)
 
     def test_plus_target_on_computational_pair(self):
-        basis = target_to_basis(Ket.normalized([1, 1]), [KET0, KET1])
-        overlap = abs(np.vdot(basis.vectors[0].amplitudes, np.array([1, 1]) / np.sqrt(2)))
+        plus = Ket.normalized([1, 1]).amplitudes
+        basis = target_to_basis(plus, state_rows([KET0, KET1]))
+        overlap = abs(np.vdot(basis.matrix[:, 0], np.array([1, 1]) / np.sqrt(2)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_fidelity(self):
         rng = SeededRng(208)
         for _ in range(10):
             states = [random_ket(3, rng) for _ in range(3)]
-            if qcore.rank_with_tolerance(states) != 3:
+            if rank_with_tolerance(states) != 3:
                 continue
             target = random_ket(3, rng)
-            basis = target_to_basis(target, states)
-            shared = build_shared_state(states)
+            basis = target_to_basis(target.amplitudes, state_rows(states))
+            shared = build_shared_state(state_rows(states))
             induced = induced_ensemble(shared, basis).members[0][0]
             assert abs(inner_product(induced, target)) >= 1.0 - 1e-9
 
     def test_dependent_states_rejected(self):
         with pytest.raises(RankError):
-            target_to_basis(KET0, [KET0, KET0])
+            target_to_basis(KET0.amplitudes, state_rows([KET0, KET0]))
 
     def test_second_set_is_linearly_dependent_on_first(self):
         # every alternate-basis preparation stays inside the original span
         rng = SeededRng(209)
         states = [random_ket(4, rng) for _ in range(4)]
-        shared = build_shared_state(states)
+        shared = build_shared_state(state_rows(states))
         span = orthonormal_span(states)
         ens = induced_ensemble(shared, AliceBasis.fourier(4))
         for state, _ in ens.members:

@@ -23,16 +23,9 @@ from pqclone.pqcm import (
     illegal_clone,
     max_uniform_gamma,
 )
-from pqclone.qcore import (
-    Ket,
-    SeededRng,
-    hermitian_eigenvalues,
-    inner_product,
-    is_psd,
-    tensor_power,
-)
+from pqclone.qcore import Ket, SeededRng, is_psd, tensor_power
 
-from born import random_ket
+from born import basis_ket, inner_product, random_ket, state_rows
 from oracles import (
     gamma_by_bisection,
     gamma_max_high_precision,
@@ -42,34 +35,33 @@ from oracles import (
     two_state_gamma_closed_form,
 )
 
-KET0 = Ket.basis_state(2, 0)
-KET1 = Ket.basis_state(2, 1)
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
 SQ2 = 0.70710678
 
 
-def overlap_pair(s: float) -> tuple[Ket, Ket]:
-    """Two real unit vectors in dimension 2 with <a|b> = s."""
-    return KET0, Ket(np.array([s, np.sqrt(1 - s * s)], dtype=complex))
+def overlap_pair(s: float) -> np.ndarray:
+    """Two real unit vectors in dimension 2 with <a|b> = s, one per row."""
+    return np.array([[1.0, 0.0], [s, np.sqrt(1 - s * s)]], dtype=complex)
 
 
-def independent_set(n: int, rng: SeededRng, max_cond: float = 100.0):
+def independent_set(n: int, rng: SeededRng, max_cond: float = 100.0) -> np.ndarray:
     while True:
-        states = [random_ket(n, rng) for _ in range(n)]
-        mat = np.column_stack([s.amplitudes for s in states])
-        sing = np.linalg.svd(mat, compute_uv=False)
+        states = state_rows([random_ket(n, rng) for _ in range(n)])
+        sing = np.linalg.svd(states, compute_uv=False)
         if sing[-1] > 0 and sing[0] / sing[-1] <= max_cond:
             return states
 
 
 class TestFeasibilityMatrix:
     def test_orthogonal_at_unit_gamma_is_zero(self):
-        m = feasibility_matrix([KET0, KET1], 2, [1.0, 1.0])
-        np.testing.assert_allclose(m.entries, np.zeros((2, 2)), atol=1e-14)
+        m = feasibility_matrix(state_rows([KET0, KET1]), 2, [1.0, 1.0])
+        np.testing.assert_allclose(m, np.zeros((2, 2)), atol=1e-14)
         assert is_psd(m)
 
     def test_two_state_entries_match_hand_formula(self):
         for s, mm, gamma in [(0.3, 2, 0.4), (0.6, 3, 0.7), (0.9, 4, 0.2)]:
-            matrix = feasibility_matrix(overlap_pair(s), mm, [gamma, gamma]).entries
+            matrix = feasibility_matrix(overlap_pair(s), mm, [gamma, gamma])
             off = s - gamma * s**mm
             np.testing.assert_allclose(
                 matrix, [[1 - gamma, off], [off, 1 - gamma]], atol=1e-12
@@ -77,7 +69,7 @@ class TestFeasibilityMatrix:
 
     def test_boundary_min_eigenvalue(self):
         m = feasibility_matrix(overlap_pair(SQ2), 2, [0.585786, 0.585786])
-        assert abs(hermitian_eigenvalues(m)[0]) < 1e-6
+        assert abs(np.linalg.eigvalsh(m)[0]) < 1e-6
 
     def test_not_psd_above_boundary(self):
         gamma = two_state_gamma_by_bisection(SQ2, 2) + 1e-6
@@ -86,12 +78,12 @@ class TestFeasibilityMatrix:
 
     def test_dependent_states_rejected(self):
         with pytest.raises(RankError):
-            feasibility_matrix([KET0, KET0], 2, [0.5, 0.5])
+            feasibility_matrix(state_rows([KET0, KET0]), 2, [0.5, 0.5])
 
 
 class TestMaxUniformGamma:
     def test_orthogonal_states(self):
-        assert max_uniform_gamma([KET0, KET1], 2) == 1.0
+        assert max_uniform_gamma(state_rows([KET0, KET1]), 2) == 1.0
 
     def test_closed_form_case(self):
         assert max_uniform_gamma(overlap_pair(SQ2), 2) == pytest.approx(
@@ -123,9 +115,10 @@ class TestMaxUniformGamma:
         rng = SeededRng(300)
         for trial in range(12):
             n = 2 + trial % 3
-            states = [Ket.normalized(np.abs(rng.normals(n))) for _ in range(n)]
-            mat = np.column_stack([s.amplitudes for s in states])
-            if np.linalg.svd(mat, compute_uv=False)[-1] < 1e-3:
+            states = state_rows(
+                [Ket.normalized(np.abs(rng.normals(n))) for _ in range(n)]
+            )
+            if np.linalg.svd(states, compute_uv=False)[-1] < 1e-3:
                 continue
             gammas = [max_uniform_gamma(states, m) for m in (2, 3, 4, 5)]
             for earlier, later in zip(gammas, gammas[1:]):
@@ -140,10 +133,9 @@ class TestClosedFormGamma:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_bisection_and_is_constructible(self, n, m, seed):
-        states = [random_ket(n, SeededRng(seed, i)) for i in range(n)]
+        states = state_rows([random_ket(n, SeededRng(seed, i)) for i in range(n)])
         gamma = max_uniform_gamma(states, m)
-        mat = np.column_stack([s.amplitudes for s in states])
-        assert abs(gamma - gamma_by_bisection(mat, m)) <= 1e-8
+        assert abs(gamma - gamma_by_bisection(states.T, m)) <= 1e-8
         # the boundary itself is feasible: a machine exists at exactly gamma
         try:
             machine = construct_machine(states, m, [gamma] * n)
@@ -186,7 +178,7 @@ class TestGammaMaxAccuracy:
         # K = R B^+ keeps the error near cond(B) * eps
         b_mat = near_dependent_set(n, 10.0**log_cond, real, SeededRng(seed))
         try:
-            gamma = max_uniform_gamma([Ket(col) for col in b_mat.T], m)
+            gamma = max_uniform_gamma(b_mat.T, m)
         except RankError:
             assume(False)
         reference = gamma_max_high_precision(b_mat, m)
@@ -195,7 +187,7 @@ class TestGammaMaxAccuracy:
 
 class TestConstructMachine:
     def test_orthogonal_unit_gamma_is_deterministic(self):
-        machine = construct_machine([KET0, KET1], 2, [1.0, 1.0])
+        machine = construct_machine(state_rows([KET0, KET1]), 2, [1.0, 1.0])
         np.testing.assert_allclose(machine.kraus_fail, 0.0, atol=1e-10)
         assert machine.clone_residual < 1e-10
 
@@ -203,10 +195,8 @@ class TestConstructMachine:
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])
         for s, g in zip(states, machine.gammas):
-            expected = np.sqrt(g) * tensor_power(s, 2).amplitudes
-            assert (
-                np.linalg.norm(machine.kraus_success @ s.amplitudes - expected) < 1e-9
-            )
+            expected = np.sqrt(g) * tensor_power(s, 2)
+            assert np.linalg.norm(machine.kraus_success @ s - expected) < 1e-9
         total = (
             machine.kraus_success.conj().T @ machine.kraus_success
             + machine.kraus_fail.conj().T @ machine.kraus_fail
@@ -235,26 +225,24 @@ class TestConstructMachine:
 
     def test_dependent_states_rejected(self):
         with pytest.raises(RankError):
-            construct_machine([KET0, KET0], 2, [0.5, 0.5])
+            construct_machine(state_rows([KET0, KET0]), 2, [0.5, 0.5])
 
     def test_one_state_too_many_always_rejected(self):
         # N+1 states in dimension N can never be independent
         rng = SeededRng(302)
         for n in (2, 3):
-            states = [random_ket(n, rng) for _ in range(n + 1)]
+            states = state_rows([random_ket(n, rng) for _ in range(n + 1)])
             with pytest.raises(RankError):
                 construct_machine(states, 2, [0.1] * (n + 1))
 
     def test_embedded_subset_of_larger_space(self):
         # two independent states in dimension 3: machine acts on the span
-        states = [Ket.basis_state(3, 0), Ket.normalized([1, 1, 0])]
+        states = state_rows([basis_ket(3, 0), Ket.normalized([1, 1, 0])])
         gamma = 0.5 * max_uniform_gamma(states, 2)
         machine = construct_machine(states, 2, [gamma, gamma])
         for s, g in zip(states, machine.gammas):
-            expected = np.sqrt(g) * tensor_power(s, 2).amplitudes
-            assert (
-                np.linalg.norm(machine.kraus_success @ s.amplitudes - expected) < 1e-9
-            )
+            expected = np.sqrt(g) * tensor_power(s, 2)
+            assert np.linalg.norm(machine.kraus_success @ s - expected) < 1e-9
 
 
 def gram_form_success(states, m: int, gammas) -> np.ndarray:
@@ -263,7 +251,7 @@ def gram_form_success(states, m: int, gammas) -> np.ndarray:
     A = C D B^-1 and C*C = X^(o M), so A*A = B^-H D X^(o M) D B^-1, and
     I - A*A is congruent to the feasibility matrix X - D X^(o M) D through B.
     """
-    b_mat = np.column_stack([s.amplitudes for s in states])
+    b_mat = states.T
     w_mat = np.sqrt(gammas)[:, None] * np.linalg.inv(b_mat)
     return w_mat.conj().T @ (b_mat.conj().T @ b_mat) ** m @ w_mat
 
@@ -274,8 +262,8 @@ def explicit_checks(states, m: int, gammas) -> tuple[float, float, float]:
     A = C D B^+ is built as an N^M x N array and F as the principal root of
     I - A*A, which is how machines were verified before the N x N checks.
     """
-    b_mat = np.column_stack([s.amplitudes for s in states])
-    c_mat = np.column_stack([tensor_power(s, m).amplitudes for s in states])
+    b_mat = states.T
+    c_mat = np.column_stack([tensor_power(s, m) for s in states])
     target = c_mat * np.sqrt(gammas)[None, :]
     a_op = target @ np.linalg.pinv(b_mat)
     eye = np.eye(b_mat.shape[0])
@@ -324,8 +312,8 @@ class TestFeasibilityEquivalence:
         fail_gram = machine.kraus_fail.conj().T @ machine.kraus_fail
         assert np.max(np.abs(explicit_gram + fail_gram - np.eye(n))) <= 1e-9
         for s, g in zip(states, gammas):
-            expected = np.sqrt(g) * tensor_power(s, m).amplitudes
-            assert np.linalg.norm(a_op @ s.amplitudes - expected) <= 1e-9
+            expected = np.sqrt(g) * tensor_power(s, m)
+            assert np.linalg.norm(a_op @ s - expected) <= 1e-9
         assert machine.clone_residual <= 1e-9 and machine.trace_residual <= 1e-9
 
     @pytest.mark.parametrize("gap_exponent", [6, 7, 8, 8.5])
@@ -390,17 +378,17 @@ class TestApplyMachine:
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])
         trials = 100_000
-        wins = success_verdicts(machine, states[0], 304, trials)
+        wins = success_verdicts(machine, Ket(states[0]), 304, trials)
         assert abs(wins.mean() - 0.5) < three_sigma_binomial(0.5, trials)
 
     def test_success_output_is_exact_copies(self):
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])
         rng = SeededRng(305)
-        target = tensor_power(states[1], 2)
+        target = Ket(tensor_power(states[1], 2))
         seen = 0
         while seen < 20:
-            success, out = apply_machine(machine, states[1], rng)
+            success, out = apply_machine(machine, Ket(states[1]), rng)
             if success:
                 seen += 1
                 assert abs(abs(inner_product(out, target)) - 1.0) < 1e-9
@@ -421,7 +409,7 @@ class TestIllegalCloner:
     def all_states(self):
         plus = Ket.normalized([1, 1])
         minus = Ket.normalized([1, -1])
-        return (KET0, KET1, plus, minus)
+        return state_rows((KET0, KET1, plus, minus))
 
     def test_clonable_label_copies(self):
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)

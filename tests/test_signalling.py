@@ -18,7 +18,7 @@ from pqclone.pqcm import (
     construct_machine,
     max_uniform_gamma,
 )
-from pqclone.qcore import Ensemble, Ket, SeededRng, inner_product
+from pqclone.qcore import Ensemble, Ket, SeededRng
 from pqclone.signalling import (
     _PHASE_CHANNEL,
     _PHASE_PROTOCOL,
@@ -32,27 +32,35 @@ from pqclone.signalling import (
     column_law,
     group_sizes,
     group_verify,
-    guess_rule,
     random_message,
     run_channel,
     run_protocol,
     stats_from_tally,
 )
 
-from born import CollapseTree, haar_unitary, materialize_illegal_output, random_ket
+from born import (
+    CollapseTree,
+    basis_ket,
+    haar_unitary,
+    inner_product,
+    materialize_illegal_output,
+    random_ket,
+    state_rows,
+)
 from test_config_cli import REPO
 from oracles import (
     channel_accuracy_by_pairs,
     ensemble_certificate,
     exact_copy_column_distribution,
+    guess_rule,
     induced_members_by_kets,
     random_message_by_draws,
     three_sigma_binomial,
     two_sample_sigma,
 )
 
-KET0 = Ket.basis_state(2, 0)
-KET1 = Ket.basis_state(2, 1)
+KET0 = basis_ket(2, 0)
+KET1 = basis_ket(2, 1)
 PLUS = Ket.normalized([1, 1])
 MINUS = Ket.normalized([1, -1])
 
@@ -78,7 +86,7 @@ def illegal_config(trials=20_000, mu=48, seed=42, coefficients=None, pairs_per_b
         coefficients=coefficients,
     )
     return ProtocolConfig(
-        bob_states=(KET0, KET1),
+        bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
         mu=mu,
         trials=trials,
@@ -89,7 +97,7 @@ def illegal_config(trials=20_000, mu=48, seed=42, coefficients=None, pairs_per_b
 
 
 def legal_config(trials=5_000, mu=6, seed=43, gamma_frac=0.9, pairs_per_bit=5):
-    states = (KET0, Ket.normalized([0.5, np.sqrt(0.75)]))
+    states = state_rows((KET0, Ket.normalized([0.5, np.sqrt(0.75)])))
     gamma = gamma_frac * max_uniform_gamma(states, mu)
     machine = construct_machine(states, mu, [gamma, gamma])
     return ProtocolConfig(
@@ -114,22 +122,22 @@ class TestGroupSizes:
 
 class TestGroupVerify:
     def test_orthogonal_exact_copies_always_classified(self):
-        candidates = tuple(Ket.basis_state(3, k) for k in range(3))
+        candidates = np.eye(3, dtype=complex)
         rng = SeededRng(400)
         for l, cand in enumerate(candidates):
-            out = CloneOutput.exact_copies(l + 1, cand, 9)
+            out = CloneOutput.exact_copies(l + 1, Ket(cand), 9)
             for _ in range(20):
                 assert group_verify(out, candidates, 9, rng) == l + 1
 
     def test_junk_marker_always_phi(self):
-        candidates = (KET0, KET1, PLUS)
+        candidates = state_rows((KET0, KET1, PLUS))
         rng = SeededRng(401)
         out = CloneOutput.junk(6)
         for _ in range(50):
             assert group_verify(out, candidates, 6, rng) == PHI
 
     def test_duplicate_candidates_tie_to_phi(self):
-        candidates = (KET0, KET0, KET1)
+        candidates = state_rows((KET0, KET0, KET1))
         out = CloneOutput.exact_copies(1, KET0, 6)
         rng = SeededRng(402)
         for _ in range(50):
@@ -156,7 +164,8 @@ class TestGroupVerify:
             group_ok = np.logical_and.reduceat(hits, starts, axis=1)
             one_winner = group_ok.sum(axis=1) == 1
             cols = np.where(one_winner, group_ok.argmax(axis=1) + 1, PHI)
-            direct = [group_verify(out, candidates, mu, replay) for _ in range(1_000)]
+            rows = state_rows(candidates)
+            direct = [group_verify(out, rows, mu, replay) for _ in range(1_000)]
             assert cols[:1_000].tolist() == direct
             counts = np.bincount(np.where(cols == PHI, 3, cols - 1), minlength=4)
             for k in range(4):
@@ -166,20 +175,20 @@ class TestGroupVerify:
 
     def test_mu_below_group_count_rejected(self):
         with pytest.raises(ConfigError):
-            group_verify(CloneOutput.junk(2), (KET0, KET1, PLUS), 2, SeededRng(404))
+            group_verify(
+                CloneOutput.junk(2), state_rows((KET0, KET1, PLUS)), 2, SeededRng(404)
+            )
 
     def test_joint_exact_copies_match_product_law(self):
         # sequential collapse on a true product state reproduces the
         # independent per-clone statistics
-        candidates = (KET0, KET1, PLUS)
+        candidates = state_rows((KET0, KET1, PLUS))
         mu = 6
         joint = PLUS.amplitudes
         for _ in range(mu - 1):
             joint = np.kron(joint, PLUS.amplitudes)
         out = CloneOutput.joint_state(Ket(joint), mu, 2)
-        expected = exact_copy_column_distribution(
-            PLUS.amplitudes, [c.amplitudes for c in candidates], mu
-        )
+        expected = exact_copy_column_distribution(PLUS.amplitudes, list(candidates), mu)
         # group_verify's sequential collapse, memoized per outcome prefix;
         # the first 1 000 trials also run group_verify itself and must agree
         collapse = CollapseTree(out, candidates, mu)
@@ -589,11 +598,9 @@ class TestChannelOracle:
 def _certificate(states, basis_a, basis_b) -> float:
     # the array route, checked on the way against averaged density matrices
     # of member-by-member ensembles
-    kets, probs = induced_states(
-        np.array([s.amplitudes for s in states]), (basis_a, basis_b)
-    )
+    kets, probs = induced_states(state_rows(states), (basis_a, basis_b))
     certificate = analytic_no_signal_certificate(kets, probs)
-    shared = build_shared_state(states)
+    shared = build_shared_state(state_rows(states))
     reference = ensemble_certificate(
         *(Ensemble(induced_members_by_kets(shared, b)) for b in (basis_a, basis_b))
     )
@@ -633,7 +640,7 @@ class TestMaterialization:
             total_labels=4,
             coefficients=coefficients,
         )
-        return spec, (KET0, KET1, PLUS, MINUS)
+        return spec, state_rows((KET0, KET1, PLUS, MINUS))
 
     def test_pure_junk_materializes_to_phi(self):
         spec, all_states = self.spec_and_states(6)
@@ -646,7 +653,7 @@ class TestMaterialization:
         spec, all_states = self.spec_and_states(6)
         out_joint, embedded = materialize_illegal_output(spec, 3, all_states)
         out_product = CloneOutput.exact_copies(3, PLUS, 6)
-        candidates = (KET0, KET1, PLUS)
+        candidates = state_rows((KET0, KET1, PLUS))
         # the joint ket is tested as in test_joint_exact_copies_match_product_law
         collapse = CollapseTree(out_joint, embedded, 6)
         rng = SeededRng(412)
@@ -672,7 +679,7 @@ class TestMaterialization:
         # its roundoff
         cfg = illegal_config(mu=12)
         candidates = cfg.context.candidates
-        bound = analytic_leakage(candidates, cfg.mu)
+        bound = analytic_leakage(cfg.context.own_stay)
         law = column_law(cfg)
         probs = cfg.context.probs.ravel()
         misses = []
@@ -694,10 +701,10 @@ class TestProtocolConfigValidation:
         ids=["other-state", "phase"],
     )
     def test_machine_must_clone_bob_states(self, clonable):
-        machine = construct_machine(clonable, 4, [0.4, 0.4])
+        machine = construct_machine(state_rows(clonable), 4, [0.4, 0.4])
         with pytest.raises(ConfigError) as err:
             ProtocolConfig(
-                bob_states=(KET0, KET1),
+                bob_states=state_rows((KET0, KET1)),
                 a2_basis=AliceBasis.fourier(2),
                 mu=4,
                 trials=10,
@@ -713,7 +720,7 @@ class TestProtocolConfigValidation:
 
     @pytest.mark.parametrize(
         "bob_states",
-        [(Ket.basis_state(1, 0),), (KET0, Ket.basis_state(3, 1))],
+        [[[1.0]], [[1.0, 0.0], [0.0, 1.0, 0.0]]],
         ids=["one-state", "ragged"],
     )
     def test_bob_states_must_be_n_states_of_dimension_n(self, bob_states):
@@ -729,11 +736,34 @@ class TestProtocolConfigValidation:
                 seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "first",
+        [[2.0, 0.0], [np.nan, 0.0], [1.0 + 1e-9, 0.0], [0.0, np.inf]],
+        ids=["norm-2", "nan", "off-by-1e-9", "inf"],
+    )
+    def test_bob_states_must_be_unit_vectors(self, first):
+        # the laws take unit states; a norm-2 state would still give rows summing to 1
+        def build(bob_states):
+            return ProtocolConfig(
+                bob_states=bob_states,
+                a2_basis=AliceBasis.fourier(2),
+                mu=4,
+                trials=10,
+                pairs_per_bit=1,
+                machine=IllegalClonerSpec((1, 2, 3), 4, 4),
+                seed=1,
+            )
+
+        with pytest.raises(ConfigError) as err:
+            build([first, [0.0, 1.0]])
+        assert "\n" not in str(err.value)
+        assert build([[1.0 + 1e-11, 0.0], [0.0, 1.0]]).n == 2
+
     def test_machine_copy_count_must_match(self):
-        machine = construct_machine((KET0, KET1), 2, [1.0, 1.0])
+        machine = construct_machine(state_rows((KET0, KET1)), 2, [1.0, 1.0])
         with pytest.raises(ConfigError):
             ProtocolConfig(
-                bob_states=(KET0, KET1),
+                bob_states=state_rows((KET0, KET1)),
                 a2_basis=AliceBasis.fourier(2),
                 mu=4,
                 trials=10,
