@@ -20,12 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import config as config_mod
-from . import pqcm, qcore, signalling
+from . import pqcm, signalling
 from .errors import FeasibilityError, PqcloneError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
+
+# (record key, setting, vote) of each P(vote | setting), in stdout order
+_VOTE_RATES = tuple((f"p{v}_a{s + 1}", s, v) for s in (0, 1) for v in (0, 1))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,18 +86,6 @@ def _stats_record(
         "mu": run.mu,
         "seed": run.seed,
         "trials_per_setting": run.trials,
-        "classified_a1": stats.classified[0],
-        "classified_a2": stats.classified[1],
-        "discard_rate_a1": stats.discard_rate[0],
-        "discard_rate_a2": stats.discard_rate[1],
-        "p0_a1": stats.p0_a1,
-        "stderr_p0_a1": stats.stderr_p0_a1,
-        "p1_a1": stats.p1_a1,
-        "stderr_p1_a1": stats.stderr_p1_a1,
-        "p0_a2": stats.p0_a2,
-        "stderr_p0_a2": stats.stderr_p0_a2,
-        "p1_a2": stats.p1_a2,
-        "stderr_p1_a2": stats.stderr_p1_a2,
         "accuracy": stats.accuracy,
         "leakage": stats.leakage,
         "no_signal_certificate": certificate,
@@ -104,10 +95,24 @@ def _stats_record(
         "channel_pairs_per_bit": run.pairs_per_bit,
     }
     labels = [f"b{j}" for j in range(1, stats.n + 2)] + ["phi"]
-    for setting in (0, 1):
+    for setting, a in enumerate(("a1", "a2")):
+        record[f"classified_{a}"] = stats.classified[setting]
+        record[f"discard_rate_{a}"] = stats.discard_rate[setting]
         for label, value in zip(labels, stats.p_col[setting]):
-            record[f"p_a{setting + 1}_{label}"] = float(value)
+            record[f"p_{a}_{label}"] = float(value)
+    for key, setting, vote in _VOTE_RATES:
+        record[key] = float(stats.p_vote[setting, vote])
+        record[f"stderr_{key}"] = float(stats.stderr[setting, vote])
     return record
+
+
+def _per_state(gammas: list, n: int) -> list:
+    """One efficiency per state; a single value is used for all N."""
+    if len(gammas) == 1:
+        gammas = gammas * n
+    if len(gammas) != n:
+        raise PqcloneError(f"need 1 or {n} gamma values, got {len(gammas)}")
+    return gammas
 
 
 def cmd_feasibility(args) -> int:
@@ -115,20 +120,12 @@ def cmd_feasibility(args) -> int:
     m = args.copies
     report: dict = {"n_states": len(states), "dim": states.shape[1], "copies": m}
     legal = pqcm.FactoredSet.of(states, m)
+    one_or_n = args.gamma or [1.0]
     if args.max_uniform:
-        gamma = legal.gamma_max
-        gammas = [gamma] * len(states)
-        report["gamma_max"] = gamma
-    else:
-        gammas = args.gamma if args.gamma else [1.0] * len(states)
-        if len(gammas) == 1:
-            gammas = gammas * len(states)
-        if len(gammas) != len(states):
-            raise PqcloneError(
-                f"need 1 or {len(states)} gamma values, got {len(gammas)}"
-            )
-    min_eig = float(np.linalg.eigvalsh(legal.feasibility_matrix(gammas))[0])
-    feasible = bool(min_eig >= -qcore.PSD_TOL)
+        report["gamma_max"] = legal.gamma_max
+        one_or_n = [report["gamma_max"]]
+    gammas = _per_state(one_or_n, len(states))
+    feasible, min_eig = legal.gram_verdict(gammas)
     report["gammas"] = [float(g) for g in gammas]
     report["min_eigenvalue"] = min_eig
     report["feasible"] = feasible
@@ -143,16 +140,12 @@ def cmd_feasibility(args) -> int:
 
 def cmd_construct(args) -> int:
     states = config_mod.load_states(args.states_file)
-    gammas = args.gamma
-    if len(gammas) == 1:
-        gammas = gammas * len(states)
-    if len(gammas) != len(states):
-        raise PqcloneError(f"need 1 or {len(states)} gamma values, got {len(gammas)}")
+    gammas = _per_state(args.gamma, len(states))
     legal = pqcm.FactoredSet.of(states, args.copies)
     try:
         machine = legal.machine(gammas)
     except FeasibilityError as exc:
-        min_eig = float(np.linalg.eigvalsh(legal.feasibility_matrix(gammas))[0])
+        _, min_eig = legal.gram_verdict(gammas)
         print(f"infeasible: {exc}", file=sys.stderr)
         print(f"min_eigenvalue: {min_eig!r}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -209,10 +202,7 @@ def cmd_signal_test(args) -> int:
         _dump_json(record, stats_path)
 
     print(f"classified: A1={stats.classified[0]} A2={stats.classified[1]}")
-    print(
-        f"p0_a1={stats.p0_a1!r} p1_a1={stats.p1_a1!r} "
-        f"p0_a2={stats.p0_a2!r} p1_a2={stats.p1_a2!r}"
-    )
+    print(" ".join(f"{key}={record[key]!r}" for key, _, _ in _VOTE_RATES))
     print(f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits")
     print(f"no_signal_certificate: {certificate!r}")
     print(f"wrote: {tally_path} {stats_path}")

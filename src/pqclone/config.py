@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entangle, pqcm, qcore, signalling
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, NormalizationError
 
 FORMATS = ("csv", "json")
 
@@ -55,14 +55,12 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
             values = [float(t) for t in tokens]
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
-        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan input
+        with np.errstate(invalid="ignore"):  # 1j * inf
             amps = np.array(values[0::2]) + 1j * np.array(values[1::2])
-            norm = np.linalg.norm(amps)
-        if not np.isfinite(norm):
-            raise ConfigError(f"{source}:{lineno}: state norm is not finite")
-        if norm < 1e-12:
-            raise ConfigError(f"{source}:{lineno}: state has zero norm")
-        states.append(amps / norm)
+        try:
+            states.append(qcore.normalize(amps))
+        except NormalizationError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
     if dim is None:
         raise ConfigError(f"{source}: no dimension line found")
     if not states:
@@ -118,9 +116,7 @@ class RunConfig:
 
     def __post_init__(self):
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            qcore.require_int(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         for name, kinds, what in _TYPED_FIELDS:
@@ -183,16 +179,7 @@ def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
         states = load_states(path)
     else:
         states = [pairs_to_ket(p) for p in config.bob_states]
-    n = len(states)
-    if n < 2:
-        raise ConfigError(f"need at least two Bob states, got {n}")
-    # the run stacks Bob's N states into one N x N array
-    for state in states:
-        if state.size != n:
-            raise DimensionError(
-                f"Bob states must have dimension {n}, got {state.size}"
-            )
-    return qcore.state_set(states)
+    return qcore.bob_state_set(states)
 
 
 def _real(value, what: str) -> float:

@@ -87,12 +87,8 @@ def build_shared_state(bob_states: np.ndarray) -> SharedState:
     orthogonal or independent; the joint state has norm 1 regardless
     because Alice's labels are orthonormal.
     """
-    bob_states = qcore.state_set(bob_states)
-    n, dim = bob_states.shape
-    if n < 2:
-        raise DimensionError("need at least two states to share")
-    if dim != n:
-        raise DimensionError(f"Bob states must have dimension {n}, got {dim}")
+    bob_states = qcore.bob_state_set(bob_states)
+    n = len(bob_states)
     return SharedState(Ket(bob_states.reshape(-1) / np.sqrt(n)), bob_states, n)
 
 

@@ -42,7 +42,7 @@ class FeasibilityError(PqcloneError):
 
 
 class ConditioningError(PqcloneError):
-    """A state set is too close to dependence for a numerically meaningful machine."""
+    """A machine is too ill-conditioned for an accurate column law."""
 
 
 class LabelError(PqcloneError):

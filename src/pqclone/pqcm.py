@@ -35,7 +35,6 @@ import numpy as np
 
 from . import qcore
 from .errors import (
-    ConditioningError,
     ConfigError,
     DimensionError,
     FeasibilityError,
@@ -44,7 +43,6 @@ from .errors import (
 )
 from .qcore import Ket, SeededRng
 
-COND_LIMIT = 1e12  # a backstop: the rank rule already caps cond(B) near 3.2e4
 _MACHINE_TOL = 1e-9
 
 
@@ -177,9 +175,9 @@ class FactoredSet:
     It holds B (the states as columns), the Gram matrix X = B*B, the
     pseudo-inverse B^+ from one thin SVD of B, and the N x N factor R of
     the M-fold product columns C = Q R (``_product_factor``). ``gamma_max``,
-    ``feasibility_matrix`` and ``machine`` all read these, so a run that
-    needs the largest uniform efficiency and the machine built at it
-    checks and factors the set once. Build one with ``FactoredSet.of``.
+    ``feasibility_matrix``, ``gram_verdict`` and ``machine`` all read these,
+    so a run that needs the largest uniform efficiency and the machine built
+    at it checks and factors the set once. Build one with ``FactoredSet.of``.
     """
 
     states: np.ndarray  # (N, dim), one state per row, read-only
@@ -191,11 +189,11 @@ class FactoredSet:
 
     @classmethod
     def of(cls, states: np.ndarray, m: int) -> "FactoredSet":
-        """Check the set's independence and conditioning, and factor it.
+        """Check the set's independence and factor it.
 
         ``states`` holds one state per row. Raises RankError when the set is
-        dependent under the rank rule (``qcore.independent_gram``),
-        ConditioningError when cond(B) exceeds ``COND_LIMIT``.
+        dependent under the rank rule (``qcore.independent_gram``), which
+        also caps cond(B) near 3.2e4.
         """
         if m < 2:
             raise ConfigError(f"copy count must be at least 2, got {m}")
@@ -203,11 +201,6 @@ class FactoredSet:
         b_mat = np.ascontiguousarray(states.T)
         gram = qcore.independent_gram(b_mat)
         u_mat, singulars, vh_mat = np.linalg.svd(b_mat, full_matrices=False)
-        if singulars[0] / singulars[-1] > COND_LIMIT:
-            raise ConditioningError(
-                f"state matrix condition number {singulars[0] / singulars[-1]:.3e} "
-                f"exceeds {COND_LIMIT:.0e}"
-            )
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T
         return cls(states, m, b_mat, gram, pinv, _product_factor(b_mat, m))
 
@@ -238,6 +231,12 @@ class FactoredSet:
         feas = self.gram - (d[:, None] * self.gram**self.copies) * d[None, :]
         return (feas + feas.conj().T) / 2.0
 
+    def gram_verdict(self, gammas: Sequence[float]) -> tuple[bool, float]:
+        """Whether ``gammas`` meet the Gram condition, and the smallest
+        eigenvalue of the feasibility matrix that decides it."""
+        min_eig = float(np.linalg.eigvalsh(self.feasibility_matrix(gammas))[0])
+        return min_eig >= -qcore.PSD_TOL, min_eig
+
     def machine(self, gammas: Sequence[float]) -> PqcmMachine:
         """Build and verify the success/failure Kraus pair for ``gammas``.
 
@@ -259,8 +258,8 @@ class FactoredSet:
         Gram condition or a check fails.
         """
         gammas = tuple(float(g) for g in gammas)
-        min_eig = float(np.linalg.eigvalsh(self.feasibility_matrix(gammas))[0])
-        if min_eig < -qcore.PSD_TOL:
+        feasible, min_eig = self.gram_verdict(gammas)
+        if not feasible:
             raise FeasibilityError(
                 f"requested efficiencies are infeasible (min eigenvalue {min_eig:.3e})"
             )
@@ -318,9 +317,9 @@ def construct_machine(
     states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
     """Build and verify the success/failure Kraus pair for the given set
-    (checks in ``FactoredSet.machine``). Raises RankError or
-    ConditioningError for a set too close to dependence, FeasibilityError
-    when the Gram condition or a check fails.
+    (checks in ``FactoredSet.machine``). Raises RankError for a set too
+    close to dependence, FeasibilityError when the Gram condition or a
+    check fails.
     """
     return FactoredSet.of(states, m).machine(gammas)
 

@@ -40,15 +40,21 @@ def _frozen(values, dtype=np.complex128) -> np.ndarray:
     return arr
 
 
+def require_int(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is an ``int`` (a ``bool`` is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def normalize(values) -> np.ndarray:
     """``values`` as a unit complex vector; raises on a (near-)zero or infinite norm."""
     arr = np.asarray(values, dtype=np.complex128)
     with np.errstate(over="ignore"):
         n = np.linalg.norm(arr)
     if not np.isfinite(n):
-        raise NormalizationError("cannot normalize a vector of non-finite norm")
+        raise NormalizationError("state norm is not finite")
     if n < 1e-12:
-        raise NormalizationError("cannot normalize a zero vector")
+        raise NormalizationError("state has zero norm")
     return arr / n
 
 
@@ -63,6 +69,21 @@ def state_set(states) -> np.ndarray:
     if arr.ndim != 2:
         raise DimensionError(f"a state set is an (N, d) array, got shape {arr.shape}")
     return arr
+
+
+def bob_state_set(states) -> np.ndarray:
+    """Bob's N >= 2 states of dimension N as one ``state_set``; raises
+    DimensionError otherwise. Each state's length is checked before the
+    stack, so a ragged list gets the dimension message too."""
+    n = len(states)
+    if n < 2:
+        raise DimensionError(f"need at least two Bob states, got {n}")
+    for state in states:
+        if np.size(state) != n:
+            raise DimensionError(
+                f"Bob states must have dimension {n}, got {np.size(state)}"
+            )
+    return state_set(states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,12 +175,9 @@ class SeededRng:
         # a key outside uint64, or not an int, would wrap, truncate or
         # round into another seed's stream
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if isinstance(value, bool) or not isinstance(value, int) or not (
-                0 <= value < 2**64
-            ):
-                raise ConfigError(
-                    f"stream {name} must be an integer in [0, 2**64), got {value!r}"
-                )
+            require_int(f"stream {name}", value)
+            if not 0 <= value < 2**64:
+                raise ConfigError(f"stream {name} must lie in [0, 2**64), got {value}")
 
     @cached_property
     def _gen(self) -> Generator:

@@ -16,19 +16,20 @@ copies of a state. Both machines' laws mix exact-copy column laws built
 from it, the illegal cloner's by branch weights and a legal machine's by
 |beta|^2, and the analytic leakage bound reads their own-column stays.
 ``cell_votes`` gives Bob's vote for each cell (B_1..B_N vote 0, B_{N+1}
-votes 1, PHI and discards abstain); the channel's vote law and the bit
-statistics of a tally both read it.
+votes 1, PHI and discards abstain) as a one-hot matrix, so one matrix
+product turns cells into votes: the channel's vote law, a tally's vote
+rates and its exact vote counts are all cells times ``cell_votes``.
 
 ``column_law`` gives the exact probability of every (Alice outcome, Bob
 cell) pair for both of Alice's settings. Pairs are i.i.d., so protocol
 and channel runs draw only counts from that table: one multinomial per
 setting for the tally, and one (0-votes, 1-votes, abstentions) multinomial
 per message bit for the channel. Every setting and phase has its own
-counter-based stream keyed by (seed, phase, setting), so a run's output is
-a pure function of its seed, and its cost does not grow with the number of
-pairs. A ``ProtocolConfig`` holds Bob's states as one read-only ``(N, N)``
-array and builds its law and its ``RunContext`` once, on first use; every
-stage of a run reads those same read-only values.
+counter-based stream keyed by the seed and a fixed stream id, so a run's
+output is a pure function of its seed, and its cost does not grow with the
+number of pairs. A ``ProtocolConfig`` holds Bob's states as one read-only
+``(N, N)`` array and builds its law and its ``RunContext`` once, on first
+use; every stage of a run reads those same read-only values.
 """
 
 from __future__ import annotations
@@ -59,32 +60,17 @@ from .pqcm import (
 from .qcore import SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
-ABSTAIN = 2  # Bob's vote for PHI and discarded pairs: no verdict
 
-_PHASE_PROTOCOL = 0
-_PHASE_CHANNEL = 1
-_PHASE_VOTE = 2
-_PHASE_MESSAGE = 3
-
-# Stream ids pack (phase, setting) into one 64-bit Philox key word.
-_PHASE_BITS = 60
-_SETTING_BITS = 4
+# The stream id (second Philox key word) of each of a run's streams; the
+# protocol and channel streams add the setting, 0 for A1 and 1 for A2.
+_PROTOCOL_STREAM = 0
+_CHANNEL_STREAM = 16
+_VOTE_STREAM = 32
+_MESSAGE_STREAM = 48
 
 # Roundoff band below zero that column_law clips to zero; any entry lower
 # than -LAW_TOL means the law was not computed accurately and is an error.
 LAW_TOL = 1e-12
-
-
-def _stream_id(phase: int, setting: int) -> int:
-    for name, value, bits in (
-        ("phase", phase, _PHASE_BITS),
-        ("setting", setting, _SETTING_BITS),
-    ):
-        if not 0 <= value < 1 << bits:
-            raise ConfigError(
-                f"stream {name} {value} does not fit its {bits}-bit field"
-            )
-    return (phase << _SETTING_BITS) | setting
 
 
 def group_sizes(mu: int, n_groups: int) -> list[int]:
@@ -195,39 +181,26 @@ def group_verify(
 def cell_votes(n: int) -> np.ndarray:
     """Bob's vote for every cell of a law row: the one decoding rule.
 
-    Cells 0..N-1 (columns B_1..B_N) vote 0, cell N (column B_{N+1}) votes 1,
-    and cells N+1 (PHI) and N+2 (a discarded cloner failure) abstain. A
-    vote indexes the (0-votes, 1-votes, abstentions) triple, so an
-    abstention is ``ABSTAIN`` = 2. The array is read-only.
+    Row c of this read-only one-hot ``(N+3, 3)`` matrix marks cell c's vote
+    among (0, 1, abstain): cells 0..N-1 (columns B_1..B_N) vote 0, cell N
+    (B_{N+1}) votes 1, and N+1 (PHI) and N+2 (a discarded cloner failure)
+    abstain. Cell masses or counts times this matrix give vote totals.
     """
-    votes = np.full(n + 3, ABSTAIN)
-    votes[:n] = 0
-    votes[n] = 1
+    votes = np.eye(3, dtype=np.int64)[[0] * n + [1, 2, 2]]
     votes.setflags(write=False)
     return votes
 
 
-def _vote_totals(cells: np.ndarray, n: int) -> np.ndarray:
-    """[0-votes, 1-votes, abstentions] totals of each setting's law cells.
-
-    Row s of ``cells`` holds setting s's B_1..B_{N+1}, PHI and, optionally,
-    the discard cell. One bincount adds each cell, in cell order, to row
-    s's total of its ``cell_votes`` vote.
-    """
-    votes = cell_votes(n)[: cells.shape[1]]
-    bins = np.append(votes, votes + 3)  # setting 1 counts in bins 3..5
-    return np.bincount(bins, weights=cells.ravel(), minlength=6).reshape(2, 3)
-
-
 @dataclass(frozen=True, eq=False)
 class TallyTable:
-    """Empirical column counts per preparation, plus per-setting totals."""
+    """Empirical column counts per preparation, plus discards per setting.
+
+    The per-setting sizes, tuples of Python ints, are derived from these.
+    """
 
     n: int
     counts: np.ndarray  # shape (2N, N+2); last column is PHI
-    classified: tuple  # events classified per setting
     discards: tuple  # cloner failures discarded per setting
-    trials: tuple  # pairs drawn per setting
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -237,33 +210,47 @@ class TallyTable:
             )
         if np.any(counts < 0):
             raise ConfigError("tally counts must be nonnegative")
+        discards = tuple(self.discards)
+        for value in discards:
+            qcore.require_int("discards", value)
+        if len(discards) != 2 or min(discards) < 0:
+            raise ConfigError(f"need two nonnegative discard counts, got {discards}")
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "discards", discards)
+
+    @cached_property
+    def classified(self) -> tuple:
+        """Pairs classified per setting: the sum of that setting's counts."""
+        return tuple(int(total) for total in self.counts.reshape(2, -1).sum(axis=1))
+
+    @cached_property
+    def trials(self) -> tuple:
+        """Pairs drawn per setting: classified plus discarded."""
+        return tuple(c + d for c, d in zip(self.classified, self.discards))
 
 
 @dataclass(frozen=True, eq=False)
 class SignalStats:
-    """Estimated conditional column probabilities and the derived bit rates."""
+    """Estimated conditional column probabilities and the derived bit rates.
+
+    Each array is read-only, with one row per setting (0 for A1, 1 for A2).
+    """
 
     n: int
     p_col: np.ndarray  # shape (2, N+2): P(column | setting), last column PHI
-    p0_a1: float
-    p1_a1: float
-    p0_a2: float
-    p1_a2: float
-    stderr_p0_a1: float
-    stderr_p1_a1: float
-    stderr_p0_a2: float
-    stderr_p1_a2: float
+    p_vote: np.ndarray  # shape (2, 2): P(vote | setting), vote 0 or 1
+    stderr: np.ndarray  # shape (2, 2): binomial standard error of p_vote
     accuracy: float  # correct guesses / non-abstain guesses, both settings pooled
     classified: tuple
     discard_rate: tuple
     leakage: float  # analytic misclassification bound for exact copies
 
     def __post_init__(self):
-        p = np.asarray(self.p_col, dtype=float)
-        p.setflags(write=False)
-        object.__setattr__(self, "p_col", p)
+        for name in ("p_col", "p_vote", "stderr"):
+            array = np.array(getattr(self, name), dtype=float)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,12 +270,10 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        bob_states = qcore.state_set(self.bob_states)
-        n, dim = bob_states.shape
-        if n < 2:
-            raise DimensionError("need at least two Bob states")
-        if dim != n:
-            raise DimensionError(f"Bob states must have dimension {n}, got {dim}")
+        for name in ("mu", "trials", "pairs_per_bit"):
+            qcore.require_int(name, getattr(self, name))
+        bob_states = qcore.bob_state_set(self.bob_states)
+        n = len(bob_states)
         # the laws take unit states; a NaN norm fails this test too
         norms = [math.sqrt(np.vdot(state, state).real) for state in bob_states]
         if not all(abs(norm - 1.0) <= qcore.NORM_TOL for norm in norms):
@@ -572,18 +557,12 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
     counts = np.zeros((2 * n, n + 2), dtype=np.int64)
     discards = []
     for setting in (0, 1):
-        rng = SeededRng(config.seed, _stream_id(_PHASE_PROTOCOL, setting))
+        rng = SeededRng(config.seed, _PROTOCOL_STREAM + setting)
         hits = rng.multinomial(config.trials, law[setting].ravel()).reshape(n, n + 3)
         counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
         discards.append(int(hits[:, n + 2].sum()))
 
-    tally = TallyTable(
-        n=n,
-        counts=counts,
-        classified=tuple(config.trials - d for d in discards),
-        discards=tuple(discards),
-        trials=(config.trials, config.trials),
-    )
+    tally = TallyTable(n=n, counts=counts, discards=tuple(discards))
     leakage = analytic_leakage(config.context.own_stay)
     stats = stats_from_tally(tally, leakage)
     return tally, stats
@@ -601,38 +580,26 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     columns = tally.counts.reshape(2, n, n + 2).sum(axis=1)
     totals = np.array(tally.classified, dtype=float)
     p_col = columns / totals[:, None]
+    votes = cell_votes(n)[: n + 2]
 
     # P(vote | setting), setting s sending bit s, and its standard error
-    rates = _vote_totals(p_col, n)
+    rates = (p_col @ votes)[:, :2]
     errors = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / totals[:, None])
-    (p0_a1, p1_a1, _), (p0_a2, p1_a2, _) = rates.tolist()
-    (se0_a1, se1_a1, _), (se0_a2, se1_a2, _) = errors.tolist()
 
     # exact int64 vote counts per setting; the settings combine as Python
     # ints, since both together can exceed int64
-    is_vote = cell_votes(n)[: n + 2, None] == np.arange(3)
-    counts = (columns @ is_vote).tolist()
-    correct = counts[0][0] + counts[1][1]
-    decided = sum(counts[0][:ABSTAIN]) + sum(counts[1][:ABSTAIN])
-    accuracy = correct / decided if decided else 0.5
+    (zeros_a1, ones_a1, _), (zeros_a2, ones_a2, _) = (columns @ votes).tolist()
+    decided = zeros_a1 + ones_a1 + zeros_a2 + ones_a2
+    accuracy = (zeros_a1 + ones_a2) / decided if decided else 0.5
 
     return SignalStats(
         n=n,
         p_col=p_col,
-        p0_a1=p0_a1,
-        p1_a1=p1_a1,
-        p0_a2=p0_a2,
-        p1_a2=p1_a2,
-        stderr_p0_a1=se0_a1,
-        stderr_p1_a1=se1_a1,
-        stderr_p0_a2=se0_a2,
-        stderr_p1_a2=se1_a2,
+        p_vote=rates,
+        stderr=errors,
         accuracy=accuracy,
         classified=tally.classified,
-        discard_rate=(
-            tally.discards[0] / tally.trials[0],
-            tally.discards[1] / tally.trials[1],
-        ),
+        discard_rate=tuple(d / t for d, t in zip(tally.discards, tally.trials)),
         leakage=leakage,
     )
 
@@ -698,23 +665,21 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     bits = np.asarray(message_bits, dtype=np.int64)
     if np.any((bits != 0) & (bits != 1)):
         raise ConfigError("message bits must be 0 or 1")
-    law = config.law
-    n = config.n
-    vote_laws = _vote_totals(law.sum(axis=1), n)
+    vote_laws = config.law.sum(axis=1) @ cell_votes(config.n)
     votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):
         where = np.flatnonzero(bits == setting)
-        rng = SeededRng(config.seed, _stream_id(_PHASE_CHANNEL, setting))
+        rng = SeededRng(config.seed, _CHANNEL_STREAM + setting)
         votes[where] = rng.multinomial(
             config.pairs_per_bit, vote_laws[setting], where.size
         )
-    vote_rng = SeededRng(config.seed, _stream_id(_PHASE_VOTE, 0))
+    vote_rng = SeededRng(config.seed, _VOTE_STREAM)
     return channel_accuracy(bits, votes, config.pairs_per_bit, vote_rng)
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
     """Deterministic uniformly random bit string for channel demos."""
-    rng = SeededRng(seed, _stream_id(_PHASE_MESSAGE, 0))
+    rng = SeededRng(seed, _MESSAGE_STREAM)
     return tuple((rng.uniforms(n_bits) < 0.5).astype(np.int64).tolist())
 
 

@@ -452,7 +452,7 @@ def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
 
 def random_message_by_draws(seed: int, n_bits: int) -> tuple:
     """The channel demo's message, one ``random()`` draw per bit."""
-    rng = SeededRng(seed, signalling._stream_id(signalling._PHASE_MESSAGE, 0))
+    rng = SeededRng(seed, signalling._MESSAGE_STREAM)
     return tuple(int(rng.random() < 0.5) for _ in range(n_bits))
 
 
@@ -460,10 +460,11 @@ def guess_rule(column: int, n: int) -> int | None:
     """Bob's vote for one column, read from ``signalling.cell_votes``.
 
     Columns 1..N mean bit 0, column N+1 means bit 1, and the junk column
-    gives no verdict (None, an abstention).
+    gives no verdict (None, an abstention). The cell's one-hot row marks
+    its vote among (0, 1, abstain).
     """
     if not 0 <= column <= n + 1:
         raise ConfigError(f"column {column} outside 1..{n + 1}")
     cell = n + 1 if column == signalling.PHI else column - 1
-    vote = int(signalling.cell_votes(n)[cell])
-    return None if vote == signalling.ABSTAIN else vote
+    (vote,) = np.flatnonzero(signalling.cell_votes(n)[cell])
+    return None if vote == 2 else int(vote)

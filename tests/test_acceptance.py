@@ -92,19 +92,19 @@ def test_criterion_1_first_basis_column_structure(illegal_run):
     # the forbidden column stays empty and the first-set mass is >= 0.999
     tally, stats = illegal_run
     assert tally.classified[0] == 100_000
-    assert stats.p1_a1 <= 1e-4
-    assert stats.p0_a1 >= 0.999
-    report(1, f"p1_a1={stats.p1_a1}, p0_a1={stats.p0_a1:.6f}")
+    assert stats.p_vote[0, 1] <= 1e-4
+    assert stats.p_vote[0, 0] >= 0.999
+    report(1, f"p1_a1={stats.p_vote[0, 1]}, p0_a1={stats.p_vote[0, 0]:.6f}")
 
 
 def test_criterion_2_second_basis_reveals_the_extra_state(illegal_run):
     tally, stats = illegal_run
     assert tally.classified[1] == 100_000
-    assert stats.stderr_p1_a2 > 0
-    significance = stats.p1_a2 / stats.stderr_p1_a2
+    assert stats.stderr[1, 1] > 0
+    significance = stats.p_vote[1, 1] / stats.stderr[1, 1]
     assert significance >= 5.0
-    assert stats.p0_a2 <= 1.0 - stats.p1_a2 + 3.0 * stats.stderr_p1_a2
-    report(2, f"p1_a2={stats.p1_a2:.5f} at {significance:.0f} sigma")
+    assert stats.p_vote[1, 0] <= 1.0 - stats.p_vote[1, 1] + 3.0 * stats.stderr[1, 1]
+    report(2, f"p1_a2={stats.p_vote[1, 1]:.5f} at {significance:.0f} sigma")
 
 
 def test_criterion_3_legal_machines_never_signal():
@@ -128,10 +128,9 @@ def test_criterion_3_legal_machines_never_signal():
             seed=9000 + instance,
         )
         _, stats = run_protocol(config)
-        sigma = two_sample_sigma(
-            stats.p1_a1, stats.classified[0], stats.p1_a2, stats.classified[1]
-        )
-        diff = abs(stats.p1_a2 - stats.p1_a1)
+        (_, p1_a1), (_, p1_a2) = stats.p_vote
+        sigma = two_sample_sigma(p1_a1, stats.classified[0], p1_a2, stats.classified[1])
+        diff = abs(p1_a2 - p1_a1)
         assert diff <= 3.0 * sigma, f"instance {instance}: diff {diff}, sigma {sigma}"
         context = config.context
         certificate = analytic_no_signal_certificate(context.kets, context.probs)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from pqclone import qcore
 from pqclone.errors import (
-    ConditioningError,
     FeasibilityError,
     LabelError,
     NormalizationError,
     RankError,
 )
 from pqclone.pqcm import (
+    FactoredSet,
     IllegalClonerSpec,
     apply_machine,
     construct_machine,
@@ -137,10 +137,7 @@ class TestClosedFormGamma:
         gamma = max_uniform_gamma(states, m)
         assert abs(gamma - gamma_by_bisection(states.T, m)) <= 1e-8
         # the boundary itself is feasible: a machine exists at exactly gamma
-        try:
-            machine = construct_machine(states, m, [gamma] * n)
-        except ConditioningError:
-            assume(False)
+        machine = construct_machine(states, m, [gamma] * n)
         assert machine.gammas == (gamma,) * n
 
 
@@ -355,6 +352,26 @@ class TestFeasibilityEquivalence:
             max_uniform_gamma(states, 2)
         with pytest.raises(RankError):
             construct_machine(states, 2, [0.5, 0.5])
+
+    def test_rank_rule_bounds_the_condition_number(self):
+        # the rank rule is the one conditioning check: pairs of overlap
+        # 1 - 10**-k have cond(B) ~ sqrt(2 * 10**k), and every pair the
+        # factorization accepts lies within 3.2e4, every one past 3.3e4 fails
+        verdicts = []
+        for k in range(2, 15):
+            states = overlap_pair(1.0 - 10.0**-k)
+            cond = np.linalg.cond(states.T)
+            try:
+                FactoredSet.of(states, 2)
+                accepted = True
+            except RankError:
+                accepted = False
+            if accepted:
+                assert cond <= 3.2e4, (k, cond)
+            if cond >= 3.3e4:
+                assert not accepted, (k, cond)
+            verdicts.append(accepted)
+        assert verdicts == [True] * 7 + [False] * 6
 
 
 def success_verdicts(machine, state: Ket, seed: int, trials: int) -> np.ndarray:

@@ -20,12 +20,11 @@ from pqclone.pqcm import (
 )
 from pqclone.qcore import Ensemble, Ket, SeededRng
 from pqclone.signalling import (
-    _PHASE_CHANNEL,
-    _PHASE_PROTOCOL,
+    _CHANNEL_STREAM,
+    _PROTOCOL_STREAM,
     PHI,
     ProtocolConfig,
     TallyTable,
-    _stream_id,
     analytic_leakage,
     analytic_no_signal_certificate,
     channel_accuracy,
@@ -235,16 +234,9 @@ def tallies(draw):
         draw(st.lists(st.integers(0, high), min_size=cells, max_size=cells)),
         dtype=np.int64,
     ).reshape(2 * n, n + 2)
-    classified = tuple(int(counts[s * n : (s + 1) * n].sum()) for s in (0, 1))
-    assume(min(classified) > 0)
+    assume(min(counts[:n].sum(), counts[n:].sum()) > 0)
     discards = tuple(draw(st.integers(0, high)) for _ in (0, 1))
-    return TallyTable(
-        n=n,
-        counts=counts,
-        classified=classified,
-        discards=discards,
-        trials=tuple(c + d for c, d in zip(classified, discards)),
-    )
+    return TallyTable(n=n, counts=counts, discards=discards)
 
 
 class TestStatsFromTally:
@@ -261,23 +253,41 @@ class TestStatsFromTally:
                     tally.counts[row, cell]
                 )
         stats = stats_from_tally(tally, 0.0)
-        for s, (p0, p1) in enumerate(
-            ((stats.p0_a1, stats.p1_a1), (stats.p0_a2, stats.p1_a2))
-        ):
+        for s, (p0, p1) in enumerate(stats.p_vote):
             total = tally.classified[s]
             assert sum(votes[s]) == total
             assert p0 == pytest.approx(votes[s][0] / total, rel=0, abs=1e-12)
             assert p1 == pytest.approx(votes[s][1] / total, rel=0, abs=1e-12)
-        for p, se, total in (
-            (stats.p0_a1, stats.stderr_p0_a1, tally.classified[0]),
-            (stats.p1_a1, stats.stderr_p1_a1, tally.classified[0]),
-            (stats.p0_a2, stats.stderr_p0_a2, tally.classified[1]),
-            (stats.p1_a2, stats.stderr_p1_a2, tally.classified[1]),
-        ):
-            assert se == np.sqrt(max(p * (1.0 - p), 0.0) / total)
+            for p, se in zip((p0, p1), stats.stderr[s]):
+                assert se == np.sqrt(max(p * (1.0 - p), 0.0) / total)
         correct = votes[0][0] + votes[1][1]
         decided = sum(votes[0][:2]) + sum(votes[1][:2])
         assert stats.accuracy == (correct / decided if decided else 0.5)
+
+
+    def test_sizes_are_derived_from_the_counts(self):
+        # sizes given beside the counts could disagree with them
+        counts = np.zeros((4, 4), dtype=np.int64)
+        counts[0, 0] = counts[1, 1] = counts[2, 2] = counts[3, 3] = 5
+        tally = TallyTable(n=2, counts=counts, discards=(3, 0))
+        assert tally.classified == (10, 10) and tally.trials == (13, 10)
+        assert all(type(size) is int for size in tally.classified + tally.trials)
+        stats = stats_from_tally(tally, 0.0)
+        np.testing.assert_array_equal(stats.p_col.sum(axis=1), [1.0, 1.0])
+        assert stats.p_vote[0, 0] == 1.0 and stats.discard_rate == (3 / 13, 0.0)
+        with pytest.raises(TypeError):
+            TallyTable(
+                n=2, counts=counts, classified=(5, 5), discards=(0, 0), trials=(3, 3)
+            )
+
+    @pytest.mark.parametrize(
+        "discards",
+        [(0,), (-1, 0), (2.5, 0), (True, 0)],
+        ids=["one-setting", "negative", "float", "bool"],
+    )
+    def test_discards_are_two_nonnegative_integers(self, discards):
+        with pytest.raises(ConfigError):
+            TallyTable(n=2, counts=np.ones((4, 4), dtype=np.int64), discards=discards)
 
 
 class TestRunProtocol:
@@ -286,12 +296,12 @@ class TestRunProtocol:
         n = 2
         # zero-count invariant: clonable inputs never land in column N+1
         assert tally.counts[0:n, n].sum() == 0
-        assert stats.p1_a1 == 0.0
-        assert stats.p0_a1 >= 0.999
+        assert stats.p_vote[0, 1] == 0.0
+        assert stats.p_vote[0, 0] >= 0.999
         # positivity with analytic lower bound: half the A2 pairs prepare
         # the third candidate, which classifies correctly up to leakage
         lower = 0.5 * (1.0 - stats.leakage)
-        assert stats.p1_a2 >= lower - 3 * stats.stderr_p1_a2
+        assert stats.p_vote[1, 1] >= lower - 3 * stats.stderr[1, 1]
 
     def test_single_tick_rows_for_clonable_inputs(self):
         tally, _ = run_protocol(illegal_config(trials=5_000))
@@ -313,7 +323,7 @@ class TestRunProtocol:
         tally_a, stats_a = run_protocol(cfg)
         tally_b, stats_b = run_protocol(cfg)
         np.testing.assert_array_equal(tally_a.counts, tally_b.counts)
-        assert stats_a.p1_a2 == stats_b.p1_a2
+        assert stats_a.p_vote[1, 1] == stats_b.p_vote[1, 1]
 
     def test_setting_order_invariance(self):
         # each setting draws from its own stream, so drawing A2 before A1
@@ -323,7 +333,7 @@ class TestRunProtocol:
         law = column_law(cfg)
         n = cfg.n
         for setting in (1, 0):
-            rng = SeededRng(cfg.seed, _stream_id(_PHASE_PROTOCOL, setting))
+            rng = SeededRng(cfg.seed, _PROTOCOL_STREAM + setting)
             hits = rng.multinomial(cfg.trials, law[setting].ravel()).reshape(n, n + 3)
             np.testing.assert_array_equal(
                 hits[:, : n + 2], tally.counts[setting * n : (setting + 1) * n]
@@ -372,21 +382,14 @@ class TestRunProtocol:
         # at the 2**62 cap, the decided pairs of both settings reach 2**63
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = counts[2, 0] = 2**62  # A2 pairs all land in column B1
-        tally = TallyTable(
-            n=2,
-            counts=counts,
-            classified=(2**62, 2**62),
-            discards=(0, 0),
-            trials=(2**62, 2**62),
-        )
+        tally = TallyTable(n=2, counts=counts, discards=(0, 0))
         assert stats_from_tally(tally, 0.0).accuracy == 0.5
 
     def test_legal_machine_does_not_signal(self):
         tally, stats = run_protocol(legal_config(trials=8_000))
-        sigma = two_sample_sigma(
-            stats.p1_a1, stats.classified[0], stats.p1_a2, stats.classified[1]
-        )
-        assert abs(stats.p1_a2 - stats.p1_a1) <= 3 * sigma
+        (_, p1_a1), (_, p1_a2) = stats.p_vote
+        sigma = two_sample_sigma(p1_a1, stats.classified[0], p1_a2, stats.classified[1])
+        assert abs(p1_a2 - p1_a1) <= 3 * sigma
         # the whole column distribution must match across settings
         for col in range(stats.n + 2):
             s = two_sample_sigma(
@@ -472,7 +475,7 @@ class TestChannel:
         message = (1, 0, 0, 1, 1, 0, 1)
         run_channel(cfg, message)
         streams = [
-            SeededRng(cfg.seed, _stream_id(_PHASE_CHANNEL, setting))
+            SeededRng(cfg.seed, _CHANNEL_STREAM + setting)
             for setting in (0, 1)
         ]
         n = cfg.n
@@ -482,6 +485,31 @@ class TestChannel:
             expected = streams[bit].multinomial(7, vote_law)
             np.testing.assert_array_equal(votes, expected)
 
+    @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+    def test_vote_law_sums_cells_by_guess_rule(self, name, monkeypatch):
+        # the law each setting's vote draws read: every cell's mass, summed
+        # over Alice's outcomes, added in cell order to its vote's total
+        laws = []
+        draw = SeededRng.multinomial
+
+        def keeping_draw(rng, n, probabilities, size=None):
+            laws.append(np.array(probabilities))
+            return draw(rng, n, probabilities, size)
+
+        monkeypatch.setattr(SeededRng, "multinomial", keeping_draw)
+        cfg = demo_protocol(name)
+        run_channel(cfg, (0, 1))
+        n = cfg.n
+        assert len(laws) == 2
+        for setting, law in enumerate(laws):
+            expected = [0.0, 0.0, 0.0]
+            for cell, mass in enumerate(cfg.law[setting].sum(axis=0)):
+                # cell N+2 holds discarded cloner failures, which abstain
+                column = PHI if cell == n + 1 else cell + 1
+                vote = None if cell == n + 2 else guess_rule(column, n)
+                expected[2 if vote is None else vote] += mass
+            np.testing.assert_array_equal(law, expected)
+
     def test_single_pair_blocks_decompose(self):
         # pairs_per_bit = 1, all-zero message: per-block accuracy is
         # P(column <= N) plus half the abstain mass
@@ -489,7 +517,7 @@ class TestChannel:
         _, stats = run_protocol(cfg)
         message = (0,) * 4_000
         result = run_channel(cfg, message)
-        expected = stats.p0_a1 + 0.5 * stats.p_col[0, cfg.n + 1]
+        expected = stats.p_vote[0, 0] + 0.5 * stats.p_col[0, cfg.n + 1]
         sigma = two_sample_sigma(
             result.accuracy, len(message), expected, stats.classified[0]
         )
@@ -719,14 +747,29 @@ class TestProtocolConfigValidation:
             illegal_config(mu=2)
 
     @pytest.mark.parametrize(
-        "bob_states",
-        [[[1.0]], [[1.0, 0.0], [0.0, 1.0, 0.0]]],
+        "bob_states, message",
+        [
+            ([[1.0]], "need at least two Bob states, got 1"),
+            ([[1.0, 0.0], [0.0, 1.0, 0.0]], "Bob states must have dimension 2, got 3"),
+        ],
         ids=["one-state", "ragged"],
     )
-    def test_bob_states_must_be_n_states_of_dimension_n(self, bob_states):
-        # the run context stacks them into an N x N array
-        with pytest.raises(DimensionError):
-            ProtocolConfig(
+    def test_bob_states_must_be_n_states_of_dimension_n(self, bob_states, message):
+        # the run context and the shared state stack them into an N x N
+        # array; a run config, a protocol config and a shared state all
+        # refuse them with the same message
+        pairs = [[[value, 0.0] for value in state] for state in bob_states]
+        run = config_mod.RunConfig(
+            mu=4,
+            trials=10,
+            pairs_per_bit=1,
+            seed=1,
+            machine={"kind": "illegal"},
+            bob_states=pairs,
+        )
+        entry_points = {
+            "build_protocol": lambda: config_mod.build_protocol(run),
+            "ProtocolConfig": lambda: ProtocolConfig(
                 bob_states=bob_states,
                 a2_basis=AliceBasis.fourier(2),
                 mu=4,
@@ -734,7 +777,25 @@ class TestProtocolConfigValidation:
                 pairs_per_bit=1,
                 machine=IllegalClonerSpec((1, 2, 3), 4, 4),
                 seed=1,
-            )
+            ),
+            "build_shared_state": lambda: build_shared_state(bob_states),
+        }
+        for name, entry_point in entry_points.items():
+            with pytest.raises(DimensionError) as err:
+                entry_point()
+            assert str(err.value) == message, name
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.5), ("trials", True), ("pairs_per_bit", 3.7), ("mu", 48.0)],
+        ids=["trials-float", "trials-bool", "pairs_per_bit-float", "mu-float"],
+    )
+    def test_run_counts_must_be_integers(self, field, value):
+        # a float count would draw int(value) pairs but report value
+        cfg = demo_protocol("illegal_n2")
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(cfg, **{field: value})
+        assert str(err.value) == f"{field} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize(
         "first",
