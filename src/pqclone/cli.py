@@ -44,15 +44,28 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
     ]
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path``, creating its missing parent directories.
+
+    A path that cannot be written, say one under a regular file, raises
+    PqcloneError, so the command exits 1 with one line.
+    """
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise PqcloneError(f"cannot write {path}: {exc}") from None
+
+
 def _dump_json(data: dict, path: Path) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _dump_kv_csv(data: dict, path: Path) -> None:
     lines = ["key,value"]
     for key in sorted(data):
         lines.append(f"{key},{data[key]!r}" if isinstance(data[key], str) else f"{key},{data[key]}")
-    path.write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _tally_rows(tally: signalling.TallyTable) -> tuple[list[str], list[list]]:
@@ -70,7 +83,7 @@ def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(str(x) for x in row))
-        path.write_text("\n".join(lines) + "\n")
+        _write_text(path, "\n".join(lines) + "\n")
     else:
         _dump_json({"columns": header, "rows": rows}, path)
 
@@ -190,7 +203,6 @@ def cmd_signal_test(args) -> int:
     out_dir = Path(run.out)
     if not out_dir.is_absolute():
         out_dir = Path.cwd() / out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     fmt = run.format
     tally_path = out_dir / f"tally.{fmt}"
     stats_path = out_dir / f"stats.{fmt}"

@@ -153,7 +153,7 @@ def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
     if target.shape != (n,):
         raise DimensionError(f"target dimension {target.size} does not match {n}")
     bob_mat = np.ascontiguousarray(bob_states.T)  # B: the states as columns
-    qcore.independent_gram(bob_mat)
+    qcore.independent_svd(bob_mat)
     coeffs = np.linalg.lstsq(bob_mat, target, rcond=None)[0]
     residual = np.linalg.norm(bob_mat @ coeffs - target)
     if residual > _SPAN_TOL:

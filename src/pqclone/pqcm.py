@@ -10,9 +10,12 @@ A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
 principal square root of I - A*A.
 
 A state set is one read-only ``(N, d)`` array, one state per row. A
-``FactoredSet`` checks and factors it once; the largest uniform
-efficiency, the Gram verdict and the Kraus pair are all read from it,
-and ``max_uniform_gamma``, ``feasibility_matrix`` and
+``FactoredSet`` checks and factors it once, from one thin SVD of B and an
+N x N factor R with R*R = X^(M): the Cholesky factor of X^(M) when cond(B)
+lies below ``CHOLESKY_COND``, and a QR factor of the product columns
+nearer dependence, where Cholesky would lose cond(B)^2 * eps. The largest
+uniform efficiency, the Gram verdict and the Kraus pair are all read from
+it, and ``max_uniform_gamma``, ``feasibility_matrix`` and
 ``construct_machine`` are one-shot entry points over it. Every check on
 a machine runs on N x N matrices (derivation in ``FactoredSet.machine``),
 so construction never builds an N^M-dimensional array. The explicit
@@ -140,6 +143,27 @@ class CloneOutput:
         )
 
 
+# Below this cond(B), FactoredSet.of factors the Gram power X^(o M) by
+# Cholesky; from it on, it takes the QR product factor. The Cholesky route
+# loses ~cond(B)^2 * eps: against a 50-digit reference its worst relative
+# gamma_max error was 3.1e-12 for cond(B) in [200, 300) and 2.4e-10 in
+# [1000, 3000), past the 1e-10 gate that the QR route meets up to the rank
+# rule's limit (the README has the table).
+CHOLESKY_COND = 300.0
+
+
+def _cholesky_factor(gram_power: np.ndarray) -> np.ndarray:
+    """R = L* with L L* = X^(o M), the Cholesky factor of the Gram power.
+
+    X^(o M) is the Gram matrix of the M-fold product columns C, so
+    R*R = C*C and R equals the QR factor of C up to a unitary on the left:
+    every check reads R only through R*R or norms of R v. By the Schur
+    product theorem, lambda_min(X^(o M)) >= lambda_min(X) = sigma_min(B)^2,
+    so below ``CHOLESKY_COND`` the power is safely positive definite.
+    """
+    return np.linalg.cholesky(gram_power).conj().T
+
+
 def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
     """An N x N factor R of the M-fold product columns: C = Q R, Q*Q = I.
 
@@ -147,10 +171,11 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
     column-wise Kronecker product C_a (.) C_b equals
     (Q_a x Q_b)(R_a (.) R_b), so its R factor is that of R_a (.) R_b.
     Squaring from R_1 = B (Q_1 = I) reaches M in about log2(M) QR steps,
-    each of a matrix with N columns and at most dim^2 rows. Unlike a
-    factor of the Gram kernel X^(o M), which rounds away the small
-    eigenvalues of a nearly dependent set, R carries C's own rounding, so
-    R W is as accurate as the explicit C W.
+    each of a matrix with N columns and at most dim^2 rows. Unlike
+    ``_cholesky_factor``, which starts from X^(o M) with its small
+    eigenvalues already rounded, R carries C's own rounding, so R W is as
+    accurate as the explicit C W. It costs N^2 x N QRs, so ``FactoredSet.of``
+    takes it only at or above ``CHOLESKY_COND``.
     """
     n = b_mat.shape[1]
 
@@ -172,9 +197,12 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
 class FactoredSet:
     """One factorization of an independent state set, for M copies.
 
-    It holds B (the states as columns), the Gram matrix X = B*B, the
-    pseudo-inverse B^+ from one thin SVD of B, and the N x N factor R of
-    the M-fold product columns C = Q R (``_product_factor``). ``gamma_max``,
+    It holds B (the states as columns), the Gram matrix X = B*B and its
+    entrywise power X^(o M), the pseudo-inverse B^+ from one thin SVD of B,
+    and an N x N factor R of the M-fold product columns C, with
+    R*R = C*C = X^(o M). The SVD also gives cond(B): below ``CHOLESKY_COND``
+    R is the Cholesky factor of X^(o M) (``_cholesky_factor``), otherwise
+    the QR factor of C (``_product_factor``). ``gamma_max``,
     ``feasibility_matrix``, ``gram_verdict`` and ``machine`` all read these,
     so a run that needs the largest uniform efficiency and the machine built
     at it checks and factors the set once. Build one with ``FactoredSet.of``.
@@ -184,37 +212,45 @@ class FactoredSet:
     copies: int
     b_mat: np.ndarray  # B, shape (dim, N)
     gram: np.ndarray  # X = B*B, shape (N, N)
+    gram_power: np.ndarray  # X^(o M), shape (N, N)
     pinv: np.ndarray  # B^+, shape (N, dim)
-    product_factor: np.ndarray  # R with C = Q R, shape (N, N)
+    product_factor: np.ndarray  # R with R*R = X^(o M), shape (N, N)
 
     @classmethod
     def of(cls, states: np.ndarray, m: int) -> "FactoredSet":
         """Check the set's independence and factor it.
 
         ``states`` holds one state per row. Raises RankError when the set is
-        dependent under the rank rule (``qcore.independent_gram``), which
+        dependent under the rank rule (``qcore.independent_svd``), which
         also caps cond(B) near 3.2e4.
         """
         if m < 2:
             raise ConfigError(f"copy count must be at least 2, got {m}")
         states = qcore.state_set(states)
         b_mat = np.ascontiguousarray(states.T)
-        gram = qcore.independent_gram(b_mat)
-        u_mat, singulars, vh_mat = np.linalg.svd(b_mat, full_matrices=False)
+        u_mat, singulars, vh_mat = qcore.independent_svd(b_mat)
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T
-        return cls(states, m, b_mat, gram, pinv, _product_factor(b_mat, m))
+        gram = b_mat.conj().T @ b_mat
+        gram = (gram + gram.conj().T) / 2.0
+        gram_power = gram**m
+        if singulars[0] < CHOLESKY_COND * singulars[-1]:
+            factor = _cholesky_factor(gram_power)
+        else:
+            factor = _product_factor(b_mat, m)
+        return cls(states, m, b_mat, gram, gram_power, pinv, factor)
 
     @property
     def gamma_max(self) -> float:
         """Largest uniform efficiency keeping the feasibility matrix PSD.
 
         X - gamma X^(o M) >= 0 says |B v|^2 >= gamma |C v|^2 = gamma |R v|^2
-        for every v. B has full column rank, so v = B^+ u runs over all of C^N
+        for every v, on either branch of ``of``, since R*R = X^(o M). B has
+        full column rank, so v = B^+ u runs over all of C^N
         as u runs over the range of B, and the condition is
         |u|^2 >= gamma |K u|^2 with K = R B^+. The largest such gamma is
         min(1, 1 / lambda_max(K K*)) in closed form. K K* = R X^-1 R* has
         the spectrum of X^(-1/2) X^(o M) X^(-1/2), but K is formed from R
-        and one SVD of B, so no step squares cond(B).
+        and one SVD of B, so no step past R squares cond(B).
         """
         k_mat = self.product_factor @ self.pinv
         lam_max = float(np.linalg.eigvalsh(k_mat @ k_mat.conj().T)[-1])
@@ -228,7 +264,7 @@ class FactoredSet:
         if bad:
             raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
         d = np.sqrt(np.asarray(gammas, dtype=float))
-        feas = self.gram - (d[:, None] * self.gram**self.copies) * d[None, :]
+        feas = self.gram - (d[:, None] * self.gram_power) * d[None, :]
         return (feas + feas.conj().T) / 2.0
 
     def gram_verdict(self, gammas: Sequence[float]) -> tuple[bool, float]:
@@ -243,9 +279,9 @@ class FactoredSet:
         Success operator A = C D B^+ with B the matrix of input columns,
         C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
         failure operator F = principal square root of I - A*A. Every check
-        runs on N x N matrices, from W = D B^+ and the factor C = Q R
-        (Q with orthonormal columns, never formed). Then A = C W = Q G with
-        G = R W, so:
+        runs on N x N matrices, from W = D B^+ and the factor R. Since
+        R*R = C*C, C = Q R with Q = C R^-1 of orthonormal columns (never
+        formed). Then A = C W = Q G with G = R W, so:
 
           * A*A = G*G, and I - A*A must be PSD (trace preservation);
           * A B - C D = Q R V with V = W B - D, so the clone residual of
@@ -365,7 +401,11 @@ class IllegalClonerSpec:
     coefficients: Mapping[int, tuple] | None = None  # label -> (c array, d)
 
     def __post_init__(self):
-        labels = tuple(sorted(int(x) for x in self.clonable_labels))
+        qcore.require_int("copies", self.copies)
+        qcore.require_int("total_labels", self.total_labels)
+        for label in self.clonable_labels:
+            qcore.require_int("clonable label", label)
+        labels = tuple(sorted(self.clonable_labels))
         if not labels:
             raise LabelError("need at least one clonable label")
         if len(set(labels)) != len(labels):
@@ -376,7 +416,7 @@ class IllegalClonerSpec:
             )
         coeffs = {}
         for key, (c_vec, d_val) in (self.coefficients or {}).items():
-            key = int(key)
+            qcore.require_int("coefficient label", key)
             if key in labels or not 1 <= key <= self.total_labels:
                 raise LabelError(f"coefficients given for non-unclonable label {key}")
             c_arr = np.asarray(c_vec, dtype=np.complex128)
@@ -395,20 +435,30 @@ class IllegalClonerSpec:
         object.__setattr__(self, "clonable_labels", labels)
         object.__setattr__(self, "coefficients", coeffs)
 
-    def branch_probabilities(self, label: int) -> np.ndarray:
-        """|c|^2 per clonable branch plus the junk weight, for one input label.
+    @cached_property
+    def branch_weights(self) -> np.ndarray:
+        """Row k-1 holds |c|^2 per clonable branch plus the junk weight for
+        input label k; built on first read, read-only.
 
-        A clonable label is its own branch with certainty.
+        A clonable label is its own branch with certainty, and an unlisted
+        unclonable label is pure junk.
         """
-        if label in self.coefficients:
-            c_arr, d_val = self.coefficients[label]
-            return np.concatenate([np.abs(c_arr) ** 2, [abs(d_val) ** 2]])
-        probs = np.zeros(len(self.clonable_labels) + 1)
-        if label in self.clonable_labels:
-            probs[self.clonable_labels.index(label)] = 1.0
-        else:
-            probs[-1] = 1.0  # default: pure junk
-        return probs
+        n_branches = len(self.clonable_labels)
+        weights = np.zeros((self.total_labels, n_branches + 1))
+        weights[:, -1] = 1.0  # default: pure junk
+        weights[np.array(self.clonable_labels) - 1] = np.eye(n_branches, n_branches + 1)
+        for key, (c_arr, d_val) in self.coefficients.items():
+            weights[key - 1, :-1] = np.abs(c_arr) ** 2
+            weights[key - 1, -1] = abs(d_val) ** 2
+        weights.setflags(write=False)
+        return weights
+
+    def branch_probabilities(self, label: int) -> np.ndarray:
+        """|c|^2 per clonable branch plus the junk weight, for one input
+        label: a read-only row of ``branch_weights``."""
+        if not 1 <= label <= self.total_labels:
+            raise LabelError(f"label {label} outside 1..{self.total_labels}")
+        return self.branch_weights[label - 1]
 
 
 def illegal_clone(

@@ -251,25 +251,31 @@ def tensor_power(state: np.ndarray, m: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def independent_gram(b_mat: np.ndarray) -> np.ndarray:
-    """The Gram matrix X = B*B of the columns of B, checked by the rank rule.
+def independent_svd(b_mat: np.ndarray) -> tuple:
+    """The thin SVD ``(U, s, V*)`` of B, once its columns pass the rank rule.
 
-    The rank rule: every Gram eigenvalue lies above ``RANK_TOL`` times the
-    largest. The Gram eigenvalues are the squared singular values of B, so
-    the rule accepts only sets with cond(B) < RANK_TOL^(-1/2), about 3.2e4.
-    Raises RankError, naming the measured eigenvalue ratio, otherwise.
+    The rank rule: B has no more columns than rows, and its smallest squared
+    singular value lies above ``RANK_TOL`` times its largest. The squared
+    singular values are the eigenvalues of the Gram matrix X = B*B, so the
+    rule accepts only sets with cond(B) < RANK_TOL^(-1/2), about 3.2e4. A thin
+    SVD has only min(d, N) singular values, so a set of more states than
+    dimensions is refused before it. Raises RankError, naming the measured
+    Gram eigenvalue ratio, otherwise.
     """
-    gram = b_mat.conj().T @ b_mat
-    gram = (gram + gram.conj().T) / 2.0
-    eigs = np.linalg.eigvalsh(gram)
-    if not eigs[0] > RANK_TOL * eigs[-1]:
-        ratio = eigs[0] / eigs[-1] if eigs[-1] > 0 else 0.0
-        raise RankError(
-            f"{len(eigs)} states of dimension {b_mat.shape[0]} are dependent under "
-            f"the rank rule: Gram eigenvalue ratio {ratio:.2e} is not above "
-            f"RANK_TOL {RANK_TOL:.0e}"
-        )
-    return gram
+    dim, n_states = b_mat.shape
+    ratio = 0.0  # N > d: dependent whatever the d singular values say
+    if not np.isfinite(b_mat).all():
+        ratio = float("nan")
+    elif n_states <= dim:
+        svd = np.linalg.svd(b_mat, full_matrices=False)
+        singulars = svd[1]
+        ratio = float(singulars[-1] / singulars[0]) ** 2 if singulars[0] > 0 else 0.0
+        if ratio > RANK_TOL:
+            return svd
+    raise RankError(
+        f"{n_states} states of dimension {dim} are dependent under the rank "
+        f"rule: Gram eigenvalue ratio {ratio:.2e} is not above RANK_TOL {RANK_TOL:.0e}"
+    )
 
 
 def is_psd(matrix: np.ndarray, tol: float = PSD_TOL) -> bool:

@@ -328,8 +328,8 @@ class ProtocolConfig:
     # fresh config (or a dataclasses.replace copy) always builds its own.
     @cached_property
     def context(self) -> RunContext:
-        """``prepare_context(self)``, built on first use."""
-        return prepare_context(self)
+        """Bob's side of this run (``prepare_context``), built on first use."""
+        return prepare_context(self.bob_states, self.a2_basis, self.mu)
 
     @cached_property
     def law(self) -> np.ndarray:
@@ -345,27 +345,40 @@ class RunContext:
     after Alice's outcome m under setting s (0 for A1, 1 for A2), with
     probability ``probs[s, m]``. ``preparations`` lists the 2N states
     B_1..B_2N (A1's outcomes, then A2's), and ``candidates`` its first N+1,
-    B_1..B_{N+1}; both are views of ``kets``. ``own_stay[l]`` is the
-    probability that mu exact copies of candidate l reach column l
-    (``_own_stay``); the legal law and the leakage bound both read it.
+    B_1..B_{N+1}; both are views of ``kets``. The exact-copy tables are
+    over all 2N preparations: ``hit[j, i]`` is the probability that group j
+    all-succeeds on mu exact copies of B_{i+1} (``group_hits``), exactly 1
+    where B_{i+1} is candidate j itself, and ``stay[l, i]`` that every group
+    but l fails on them (``_stay``). The illegal law reads both, and the
+    legal law and the leakage bound read ``own_stay``.
     """
 
     kets: np.ndarray  # (2, N, N)
     probs: np.ndarray  # (2, N)
     preparations: np.ndarray  # (2N, N)
     candidates: np.ndarray  # (N+1, N)
-    own_stay: np.ndarray  # (N+1,)
+    hit: np.ndarray  # (N+1, 2N)
+    stay: np.ndarray  # (N+1, 2N)
+
+    @property
+    def own_stay(self) -> np.ndarray:
+        """stay[l, l]: mu exact copies of candidate l reach column l, since
+        group l passes on them and every other group must fail; (N+1,)."""
+        return self.stay.diagonal()
 
 
-def prepare_context(config: ProtocolConfig) -> RunContext:
-    """Bob's induced ensembles under A1 and A2, from ``induced_states``.
+def prepare_context(
+    bob_states: np.ndarray, a2_basis: AliceBasis, mu: int
+) -> RunContext:
+    """Bob's induced ensembles under A1 and A2, from ``induced_states``, and
+    the exact-copy tables of mu copies over them.
 
     Candidate B_{N+1} is the state of A2's first outcome. When that outcome
     has probability 0, no pair ever prepares it, so the run is refused.
     """
-    n = config.n
-    bases = (AliceBasis.computational(n), config.a2_basis)
-    kets, probs = induced_states(config.bob_states, bases)
+    n = len(bob_states)
+    bases = (AliceBasis.computational(n), a2_basis)
+    kets, probs = induced_states(bob_states, bases)
     if probs[1, 0] == 0.0:
         raise ConfigError(
             f"candidate B{n + 1} is not prepared: Alice's first A2 outcome "
@@ -375,8 +388,12 @@ def prepare_context(config: ProtocolConfig) -> RunContext:
     probs.setflags(write=False)
     preparations = kets.reshape(2 * n, n)
     candidates = preparations[: n + 1]
-    own_stay = _own_stay(candidates, config.mu)  # a diagonal view: read-only
-    return RunContext(kets, probs, preparations, candidates, own_stay)
+    hit = group_hits(candidates, preparations, mu)
+    np.fill_diagonal(hit, 1.0)  # candidate l passes its own group's tests
+    stay = _stay(hit)
+    hit.setflags(write=False)
+    stay.setflags(write=False)
+    return RunContext(kets, probs, preparations, candidates, hit, stay)
 
 
 @lru_cache
@@ -409,13 +426,6 @@ def group_hits(candidates: np.ndarray, states: np.ndarray, mu: int) -> np.ndarra
 def _stay(hit: np.ndarray) -> np.ndarray:
     """stay[l, i] = prod_{j != l} (1 - hit[j, i]): every group but l fails."""
     return (1.0 - hit)[_others(hit.shape[0])].prod(axis=1)
-
-
-def _own_stay(candidates: np.ndarray, mu: int) -> np.ndarray:
-    """stay[l] = prod_{j != l} (1 - hit[j, l]): mu exact copies of candidate
-    l reach column l, since group l passes on them and every other must fail.
-    """
-    return _stay(group_hits(candidates, candidates, mu)).diagonal()
 
 
 def _legal_rows(
@@ -465,20 +475,19 @@ def _legal_rows(
 
 
 def _illegal_rows(
-    spec: IllegalClonerSpec, probs: np.ndarray, ctx: RunContext, mu: int
+    spec: IllegalClonerSpec, probs: np.ndarray, ctx: RunContext
 ) -> np.ndarray:
     """Law rows of the label-aware cloner over the 2N members, N+3 cells each.
 
     Member m, of probability ``probs[m]``, carries label m+1. Each branch
     of its output is either mu exact copies of one clonable state or junk,
     and the row mixes the branches' column laws by the label's branch
-    weights. The groups test exact copies independently, so column l needs
-    group l to all-succeed and every other group to fail, and PHI takes
-    the rest; junk always lands in PHI. A clonable state that is itself
-    candidate l passes group l's tests with certainty, so its hit there is
-    exactly 1. The device never reports failure, so the discard cell is 0.
-    Raises ConfigError when a clonable label names a member of probability
-    0, whose state no pair prepares.
+    weights (``spec.branch_weights``). The groups test exact copies
+    independently, so column l needs group l to all-succeed and every other
+    group to fail, ``ctx.hit * ctx.stay``, and PHI takes the rest; junk
+    always lands in PHI. The device never reports failure, so the discard
+    cell is 0. Raises ConfigError when a clonable label names a member of
+    probability 0, whose state no pair prepares.
     """
     k = ctx.candidates.shape[0]
     labels = np.array(spec.clonable_labels)
@@ -487,15 +496,11 @@ def _illegal_rows(
         raise ConfigError(
             f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
         )
-    hit = group_hits(ctx.candidates, ctx.preparations[labels - 1], mu)
-    own = np.flatnonzero(labels <= k)
-    hit[labels[own] - 1, own] = 1.0
     branch_laws = np.zeros((labels.size + 1, k + 2))  # junk branch last
-    branch_laws[:-1, :k] = (hit * _stay(hit)).T
+    branch_laws[:-1, :k] = (ctx.hit * ctx.stay)[:, labels - 1].T
     branch_laws[:-1, k] = 1.0 - branch_laws[:-1, :k].sum(axis=1)
     branch_laws[-1, k] = 1.0
-    weights = np.array([spec.branch_probabilities(m + 1) for m in range(probs.size)])
-    return probs[:, None] * (weights @ branch_laws)
+    return probs[:, None] * (spec.branch_weights @ branch_laws)
 
 
 def _clip_law(raw: np.ndarray) -> np.ndarray:
@@ -527,7 +532,7 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     n = config.n
     probs = ctx.probs.reshape(2 * n)
     if isinstance(config.machine, IllegalClonerSpec):
-        raw = _illegal_rows(config.machine, probs, ctx, config.mu)
+        raw = _illegal_rows(config.machine, probs, ctx)
     else:
         raw = _legal_rows(config.machine, probs, ctx, config.mu)
     return _clip_law(raw.reshape(2, n, n + 3))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pqclone import cli
-from pqclone.entangle import AliceBasis, induced_states, target_to_basis
+from pqclone.entangle import AliceBasis, target_to_basis
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
     IllegalClonerSpec,
@@ -23,12 +23,11 @@ from pqclone.qcore import PSD_TOL, Ket, SeededRng, is_psd, tensor_power
 from pqclone.signalling import (
     PHI,
     ProtocolConfig,
-    RunContext,
     _legal_rows,
-    _own_stay,
     analytic_no_signal_certificate,
     column_law,
     group_verify,
+    prepare_context,
     random_message,
     run_channel,
     run_protocol,
@@ -376,13 +375,9 @@ def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
     The stand-in machine carries only the efficiencies, so Gamma may break
     the Gram condition, where no Kraus pair exists.
     """
-    n = len(states)
-    kets, probs = induced_states(states, (AliceBasis.computational(n), a2_basis))
-    preparations = kets.reshape(2 * n, n)
-    candidates = preparations[: n + 1]
-    ctx = RunContext(kets, probs, preparations, candidates, _own_stay(candidates, mu))
+    ctx = prepare_context(states, a2_basis, mu)
     stand_in = SimpleNamespace(gammas=np.asarray(gammas))
-    return _legal_rows(stand_in, probs.ravel(), ctx, mu), probs
+    return _legal_rows(stand_in, ctx.probs.ravel(), ctx, mu), ctx.probs
 
 
 def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():

@@ -25,7 +25,6 @@ from pqclone.qcore import Ket, SeededRng
 from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
-    RunContext,
     _clip_law,
     _illegal_rows,
     _legal_rows,
@@ -33,7 +32,6 @@ from pqclone.signalling import (
     _MESSAGE_STREAM,
     _PROTOCOL_STREAM,
     _VOTE_STREAM,
-    _own_stay,
     column_law,
     group_sizes,
     prepare_context,
@@ -183,9 +181,9 @@ class TestRunContext:
         )
         if probs[1, 0] == 0.0:  # candidate B_{N+1} is never prepared
             with pytest.raises(ConfigError):
-                prepare_context(config)
+                config.context
             return
-        ctx = prepare_context(config)
+        ctx = config.context
         np.testing.assert_array_equal(ctx.kets, kets)
         np.testing.assert_array_equal(ctx.probs, probs)
         np.testing.assert_array_equal(ctx.preparations, kets.reshape(2 * n, n))
@@ -214,7 +212,7 @@ class TestLawProperties:
     def test_gram_rows_match_contracted_success_branch(self, config):
         # mixture-form rows against inclusion-exclusion on the explicit N^mu
         # success branch A psi_m; the appended A2 member has probability 0
-        ctx = prepare_context(config)
+        ctx = config.context
         n = config.n
         kets = np.vstack([ctx.preparations, np.eye(1, n)])
         probs = np.append(ctx.probs.ravel(), 0.0)
@@ -269,7 +267,7 @@ class TestLawProperties:
     def test_illegal_rows_mix_exact_copy_laws(self, config):
         law = column_law(config)
         spec = config.machine
-        ctx = prepare_context(config)
+        ctx = config.context
         candidates = list(ctx.candidates)
         shared = build_shared_state(config.bob_states)
         n = config.n
@@ -314,15 +312,8 @@ class TestLawProperties:
         assume(np.linalg.cond(states) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
         stand_in = SimpleNamespace(gammas=gammas)
-        kets, probs = induced_states(
-            states, (AliceBasis.computational(n), _haar_basis(n, rng))
-        )
-        preparations = kets.reshape(2 * n, n)
-        candidates = preparations[: n + 1]
-        ctx = RunContext(
-            kets, probs, preparations, candidates, _own_stay(candidates, mu)
-        )
-        rows = _legal_rows(stand_in, probs.ravel(), ctx, mu)
+        ctx = prepare_context(states, _haar_basis(n, rng), mu)
+        rows = _legal_rows(stand_in, ctx.probs.ravel(), ctx, mu)
         a1_cells, a2_cells = rows[:n].sum(axis=0), rows[n:].sum(axis=0)
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
 
@@ -334,10 +325,11 @@ class TestLawProperties:
         # below 0 for _clip_law to clip
         n = config.n
         ctx = config.context
-        legal = not isinstance(config.machine, IllegalClonerSpec)
-        raw = (_legal_rows if legal else _illegal_rows)(
-            config.machine, ctx.probs.ravel(), ctx, config.mu
-        )
+        probs = ctx.probs.ravel()
+        if isinstance(config.machine, IllegalClonerSpec):
+            raw = _illegal_rows(config.machine, probs, ctx)
+        else:
+            raw = _legal_rows(config.machine, probs, ctx, config.mu)
         assert raw[:, : n + 1].min() >= 0.0
         np.testing.assert_array_equal(
             column_law(config)[:, :, : n + 1], raw.reshape(2, n, n + 3)[:, :, : n + 1]
@@ -354,12 +346,16 @@ class TestLawProperties:
     # cond(B) 3.0e4 and 2.6e4, at gamma_max
     @example(n=2, extra_copies=5, seed=3, log_spread=-4.4, frac=1.0)
     @example(n=3, extra_copies=1, seed=1, log_spread=-4.0, frac=1.0)
+    # cond(B) 293.6 and 324.4: one on each side of pqcm.CHOLESKY_COND
+    @example(n=3, extra_copies=5, seed=2, log_spread=-1.8, frac=1.0)
+    @example(n=3, extra_copies=5, seed=1, log_spread=-2.1, frac=1.0)
     def test_legal_law_matches_50_digit_reference(
         self, n, extra_copies, seed, log_spread, frac
     ):
         # states spread by 10**log_spread about one ray reach cond(B) up to
-        # the rank rule's limit (~3.2e4); the float law stays within LAW_TOL
-        # of the law computed at 50 digits from the same float inputs
+        # the rank rule's limit (~3.2e4), across both branches of the
+        # product factor; the float law stays within LAW_TOL of the law
+        # computed at 50 digits from the same float inputs
         rng = SeededRng(seed)
         mu = n + extra_copies
         ray = random_ket(n, rng).amplitudes

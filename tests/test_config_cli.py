@@ -288,6 +288,35 @@ class TestCliConstruct:
         assert not out.exists()
 
 
+class TestCliOutPath:
+    ARGV = {
+        "feasibility": ["feasibility", str(CONFIGS / "states_legal_n2.txt"), "-M", "6",
+                        "--max-uniform"],
+        "construct": ["construct", str(CONFIGS / "states_overlap_n2.txt"), "-M", "3",
+                      "--gamma", "0.4"],
+        "signal-test": ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials",
+                        "400"],
+    }
+
+    @pytest.mark.parametrize("command", ["feasibility", "construct"])
+    def test_out_creates_missing_directories(self, tmp_path, command):
+        out = tmp_path / "fresh" / "a" / "r.json"
+        assert cli.main(self.ARGV[command] + ["--out", str(out)]) == 0
+        assert json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
+    def test_unusable_out_exits_1_with_one_line(self, tmp_path, capsys, command):
+        # the output directory would have to be a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker if command == "signal-test" else blocker / "r.json"
+        code = cli.main(self.ARGV[command] + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {blocker}/")
+        assert len(err.splitlines()) == 1
+
+
 class TestCliSignalTest:
     def run_demo(self, tmp_path, fmt, out_name, trials="400"):
         out_dir = tmp_path / out_name
@@ -556,21 +585,39 @@ class TestCliSignalTest:
 
     def test_one_factorization_per_legal_run(self, tmp_path, monkeypatch):
         # gamma_max and the machine built at gamma_scale * gamma_max are read
-        # from one factored set: one rank check and one product factor
+        # from one factored set: one rank check and one product factor, on
+        # the branch that cond(B) picks. legal_n2's cond(B) is 1.7; a pair of
+        # overlap 1 - 1e-6 has cond(B) 1.4e3, past pqcm.CHOLESKY_COND
+        close = json.loads((CONFIGS / "legal_n2.json").read_text())
+        del close["states_file"]
+        overlap = 1.0 - 1e-6
+        close["bob_states"] = [
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[overlap, 0.0], [np.sqrt(1.0 - overlap**2), 0.0]],
+        ]
+        (tmp_path / "close_pair.json").write_text(json.dumps(close))
         calls = []
-        for module, name in ((qcore, "independent_gram"), (pqcm, "_product_factor")):
+        for module, name in (
+            (qcore, "independent_svd"),
+            (pqcm, "_cholesky_factor"),
+            (pqcm, "_product_factor"),
+        ):
 
             def counting(*args, _name=name, _original=getattr(module, name)):
                 calls.append(_name)
                 return _original(*args)
 
             monkeypatch.setattr(module, name, counting)
-        code = cli.main(
-            ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
-        assert sorted(calls) == ["_product_factor", "independent_gram"]
+        for config, factor in (
+            (CONFIGS / "legal_n2.json", "_cholesky_factor"),
+            (tmp_path / "close_pair.json", "_product_factor"),
+        ):
+            calls.clear()
+            code = cli.main(
+                ["signal-test", str(config), "--trials", "400", "--out", str(tmp_path)]
+            )
+            assert code == 0
+            assert sorted(calls) == [factor, "independent_svd"]
 
     def test_generators_per_run(self, tmp_path, monkeypatch):
         # the argvs of the bench/run.py workloads: 2 protocol, 2 channel and
@@ -667,7 +714,8 @@ class TestCliSignalTest:
         assert built == []
 
     def test_own_column_stays_once_per_legal_run(self, tmp_path, monkeypatch):
-        # the law and the leakage bound read one run context's stays
+        # both laws and the leakage bound read one run context's exact-copy
+        # tables, so a legal or an illegal run computes them once
         calls = []
         group_hits = signalling.group_hits
 
@@ -676,12 +724,14 @@ class TestCliSignalTest:
             return group_hits(*args)
 
         monkeypatch.setattr(signalling, "group_hits", counting_hits)
-        code = cli.main(
-            ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "400",
-             "--out", str(tmp_path)]
-        )
-        assert code == 0
-        assert len(calls) == 1
+        for config in ("legal_n2.json", "illegal_n2.json"):
+            calls.clear()
+            code = cli.main(
+                ["signal-test", str(CONFIGS / config), "--trials", "400",
+                 "--out", str(tmp_path)]
+            )
+            assert code == 0
+            assert len(calls) == 1
 
 
 class TestSharedParser:

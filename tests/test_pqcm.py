@@ -1,20 +1,23 @@
 """Feasibility analysis, machine construction, illegal cloner."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from pqclone import qcore
+from pqclone import pqcm, qcore
 from pqclone.errors import (
+    ConfigError,
     FeasibilityError,
     LabelError,
     NormalizationError,
     RankError,
 )
 from pqclone.pqcm import (
+    CHOLESKY_COND,
     FactoredSet,
     IllegalClonerSpec,
     apply_machine,
@@ -157,6 +160,27 @@ def near_dependent_set(n: int, cond: float, real: bool, rng: SeededRng) -> np.nd
     return (b_mat / np.linalg.norm(b_mat, axis=0)).astype(complex)
 
 
+def factored_with_branch(states: np.ndarray, m: int) -> tuple[FactoredSet, str]:
+    """``FactoredSet.of(states, m)`` and the branch that built its factor R:
+    'cholesky' (``_cholesky_factor``) or 'qr' (``_product_factor``)."""
+    with mock.patch.object(
+        pqcm, "_cholesky_factor", wraps=pqcm._cholesky_factor
+    ) as cholesky, mock.patch.object(
+        pqcm, "_product_factor", wraps=pqcm._product_factor
+    ) as qr:
+        legal = FactoredSet.of(states, m)
+    assert cholesky.call_count + qr.call_count == 1
+    return legal, "cholesky" if cholesky.called else "qr"
+
+
+def near_orthogonal_set(n: int, rng: SeededRng) -> np.ndarray:
+    """n unit states of dimension n, each e_k plus a 5 % complex Gaussian
+    perturbation, one per row: cond(B) stays below about 10."""
+    noise = rng.normals(n * n) + 1j * rng.normals(n * n)
+    states = np.eye(n) + 0.05 * noise.reshape(n, n)
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
 class TestGammaMaxAccuracy:
     @settings(deadline=None, max_examples=60, derandomize=True)
     @given(
@@ -168,18 +192,41 @@ class TestGammaMaxAccuracy:
     )
     @example(n=3, m=4, log_cond=4.3, real=True, seed=7)
     @example(n=2, m=6, log_cond=4.5, real=False, seed=3)
+    # cond(B) 294.7 and 305.5: one on each side of CHOLESKY_COND
+    @example(n=3, m=5, log_cond=2.5, real=False, seed=7)
+    @example(n=3, m=5, log_cond=2.5, real=False, seed=1)
     def test_near_dependent_sets_match_50_digit_reference(
         self, n, m, log_cond, real, seed
     ):
         # whitening by X^(-1/2) loses cond(B)^2 * eps (1e-7 at cond 3e4);
-        # K = R B^+ keeps the error near cond(B) * eps
+        # K = R B^+ keeps the error near cond(B) * eps on the QR branch, and
+        # the Cholesky branch's cond(B)^2 * eps stays small below its gate
         b_mat = near_dependent_set(n, 10.0**log_cond, real, SeededRng(seed))
         try:
-            gamma = max_uniform_gamma(b_mat.T, m)
+            legal, branch = factored_with_branch(b_mat.T, m)
         except RankError:
             assume(False)
+        cond = np.linalg.cond(b_mat)
+        if abs(cond / CHOLESKY_COND - 1.0) > 1e-9:  # clear of the gate's rounding
+            assert branch == ("cholesky" if cond < CHOLESKY_COND else "qr")
         reference = gamma_max_high_precision(b_mat, m)
-        assert abs(gamma - reference) <= 1e-10 * reference
+        assert abs(legal.gamma_max - reference) <= 1e-10 * reference
+
+    @pytest.mark.parametrize("n, m", [(16, 128), (32, 64), (64, 128)])
+    def test_branches_agree_on_near_orthogonal_sets(self, n, m):
+        # where the Cholesky branch runs, the QR factor of the same set gives
+        # the same R*R = X^(o M) and the same gamma_max
+        legal, branch = factored_with_branch(near_orthogonal_set(n, SeededRng(n)), m)
+        assert branch == "cholesky"
+        qr = dataclasses.replace(
+            legal, product_factor=pqcm._product_factor(legal.b_mat, m)
+        )
+        for factored in (legal, qr):
+            r_mat = factored.product_factor
+            np.testing.assert_allclose(
+                r_mat.conj().T @ r_mat, legal.gram_power, rtol=0, atol=1e-13
+            )
+        assert abs(legal.gamma_max - qr.gamma_max) <= 1e-12 * qr.gamma_max
 
 
 class TestConstructMachine:
@@ -470,6 +517,45 @@ class TestIllegalCloner:
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)
         with pytest.raises(LabelError):
             illegal_clone(spec, 5, self.all_states(), SeededRng(314))
+        with pytest.raises(LabelError):
+            spec.branch_probabilities(0)
+
+    def test_branch_weights_one_row_per_label(self):
+        # clonable labels are their own branch, listed labels their |c|^2 and
+        # |d|^2, and unlisted unclonable labels pure junk
+        c = np.sqrt(0.5) * np.array([0.6, 0.0, 0.8j])
+        spec = IllegalClonerSpec(
+            clonable_labels=(4, 1, 3),
+            copies=8,
+            total_labels=6,
+            coefficients={2: (c, np.sqrt(0.5))},
+        )
+        expected = [
+            [1, 0, 0, 0],
+            [0.18, 0, 0.32, 0.5],
+            [0, 1, 0, 0],
+            [0, 0, 1, 0],
+            [0, 0, 0, 1],
+            [0, 0, 0, 1],
+        ]
+        np.testing.assert_allclose(spec.branch_weights, expected, rtol=0, atol=1e-15)
+        assert not spec.branch_weights.flags.writeable
+        for label in range(1, 7):
+            np.testing.assert_array_equal(
+                spec.branch_probabilities(label), spec.branch_weights[label - 1]
+            )
+
+    def test_non_integer_labels_refused(self):
+        # a float label or coefficient key would otherwise name another label
+        with pytest.raises(ConfigError, match="clonable label must be an integer"):
+            IllegalClonerSpec(clonable_labels=(1.7, 2, 3), copies=4, total_labels=4)
+        with pytest.raises(ConfigError, match="coefficient label must be an integer"):
+            IllegalClonerSpec(
+                clonable_labels=(1, 2, 3),
+                copies=4,
+                total_labels=4,
+                coefficients={4.9: (np.zeros(3), 1.0)},
+            )
 
     def test_coefficient_normalization_enforced(self):
         with pytest.raises(NormalizationError):

@@ -17,6 +17,7 @@ from pqclone.errors import (
     EmptyInputError,
     HermiticityError,
     NormalizationError,
+    RankError,
 )
 from pqclone.qcore import (
     Ensemble,
@@ -165,6 +166,26 @@ class TestGramAndRank:
     def test_rank_counts(self):
         assert rank_with_tolerance([KET0, KET1]) == 2
         assert rank_with_tolerance([KET0, PLUS, KET1]) == 2
+
+    def test_rank_rule_refuses_more_states_than_dimensions(self):
+        # the thin SVD of this 2 x 3 B has two singular values of order 1,
+        # yet three states in dimension 2 are always dependent
+        b_mat = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, -1.0]], dtype=complex)
+        assert np.linalg.svd(b_mat, compute_uv=False).min() > 0.5
+        dependent = r"3 states of dimension 2 .* ratio 0\.00e\+00"
+        with pytest.raises(RankError, match=dependent):
+            qcore.independent_svd(b_mat)
+
+    def test_rank_rule_names_the_gram_eigenvalue_ratio(self):
+        b_mat = np.array([[1.0, 1.0], [0.0, 1e-5]], dtype=complex)
+        b_mat /= np.linalg.norm(b_mat, axis=0)
+        ratio = "ratio 2.50e-11 is not above RANK_TOL 1e-09"
+        with pytest.raises(RankError, match=ratio):
+            qcore.independent_svd(b_mat)
+        with pytest.raises(RankError, match="ratio nan"):
+            qcore.independent_svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        _, singulars, _ = qcore.independent_svd(np.eye(3, 2))
+        np.testing.assert_array_equal(singulars, [1.0, 1.0])
 
     def test_gram_always_psd(self):
         rng = SeededRng(103)
