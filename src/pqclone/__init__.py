@@ -9,21 +9,7 @@ API for running the argument; everything else lives in the submodules.
 """
 
 from .entangle import AliceBasis
-from .errors import (
-    BasisError,
-    CapacityError,
-    ConditioningError,
-    ConfigError,
-    DimensionError,
-    EmptyInputError,
-    FeasibilityError,
-    HermiticityError,
-    LabelError,
-    NormalizationError,
-    PqcloneError,
-    RankError,
-    SpanError,
-)
+from .errors import ConfigError, FeasibilityError, PqcloneError, RankError
 from .pqcm import (
     FactoredSet,
     IllegalClonerSpec,

@@ -142,12 +142,12 @@ def cmd_feasibility(args) -> int:
     report["gammas"] = [float(g) for g in gammas]
     report["min_eigenvalue"] = min_eig
     report["feasible"] = feasible
+    if args.out:  # first, so a failed write prints no verdict
+        _dump_json(report, Path(args.out))
     print(f"feasible: {feasible}")
     print(f"min_eigenvalue: {min_eig!r}")
     if args.max_uniform:
         print(f"gamma_max: {report['gamma_max']!r}")
-    if args.out:
-        _dump_json(report, Path(args.out))
     return EXIT_OK if feasible else EXIT_INFEASIBLE
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import entangle, pqcm, qcore, signalling
-from .errors import ConfigError, NormalizationError
+from .errors import ConfigError
 
 FORMATS = ("csv", "json")
 
@@ -59,7 +59,7 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
             amps = np.array(values[0::2]) + 1j * np.array(values[1::2])
         try:
             states.append(qcore.normalize(amps))
-        except NormalizationError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
     if dim is None:
         raise ConfigError(f"{source}: no dimension line found")
@@ -75,15 +75,6 @@ def load_states(path: str | Path) -> np.ndarray:
     except OSError as exc:
         raise ConfigError(f"cannot read states file {path}: {exc}") from None
     return parse_states_text(text, source=str(path))
-
-
-def pairs_to_ket(pairs) -> np.ndarray:
-    """[re, im] amplitude pairs as a unit 1-D complex array."""
-    try:
-        arr = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed amplitude pairs: {exc}") from None
-    return qcore.normalize(arr)
 
 
 _INT_FIELDS = ("mu", "trials", "pairs_per_bit", "seed", "message_bits")
@@ -178,7 +169,7 @@ def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
             path = base_dir / path
         states = load_states(path)
     else:
-        states = [pairs_to_ket(p) for p in config.bob_states]
+        states = [pairs_to_ket(p, "bob_states entry") for p in config.bob_states]
     return qcore.bob_state_set(states)
 
 
@@ -204,6 +195,12 @@ def _complex(pair, what: str) -> complex:
     return complex(_real(pair[0], what), _real(pair[1], what))
 
 
+def pairs_to_ket(pairs, what: str) -> np.ndarray:
+    """A list of [re, im] amplitude pairs as a unit 1-D complex array."""
+    amps = [_complex(pair, f"{what} amplitude") for pair in _list(pairs, what)]
+    return qcore.normalize(amps)
+
+
 def _required(spec: dict, key: str, what: str):
     if key not in spec:
         raise ConfigError(f"{what} needs a {key!r} entry")
@@ -218,10 +215,11 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
         return entangle.AliceBasis.fourier(n)
     if kind == "vectors":
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
-        columns = qcore.state_set([pairs_to_ket(v) for v in vectors]).T
+        kets = [pairs_to_ket(v, "a2 vectors entry") for v in vectors]
+        columns = qcore.state_set(kets).T
         return entangle.AliceBasis(columns, "A2")
     if kind == "target":
-        target = pairs_to_ket(_required(spec, "state", "a2"))
+        target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")
         return entangle.target_to_basis(target, bob_states)
     raise ConfigError(f"unknown a2 kind {kind!r}")
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import qcore
-from .errors import BasisError, DimensionError, SpanError
+from .errors import ConfigError
 from .qcore import Ensemble, Ket, SeededRng
 
 _SPAN_TOL = 1e-9
@@ -38,14 +38,19 @@ class AliceBasis:
     label: str
 
     def __post_init__(self):
-        matrix = qcore._frozen(self.matrix)
+        try:
+            matrix = qcore._frozen(self.matrix)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"a basis is a matrix of complex numbers: {exc}"
+            ) from None
         if matrix.ndim != 2 or matrix.size == 0:
-            raise BasisError(f"a basis is a matrix of columns, got {matrix.shape}")
+            raise ConfigError(f"a basis is a matrix of columns, got {matrix.shape}")
         qcore._check_orthonormal(matrix, matrix.shape[1])
         if self.label not in ("A1", "A2"):
-            raise BasisError(f"unknown basis label {self.label!r}")
+            raise ConfigError(f"unknown basis label {self.label!r}")
         if self.label == "A1" and not np.array_equal(matrix, np.eye(len(matrix))):
-            raise BasisError("label A1 requires the computational basis")
+            raise ConfigError("label A1 requires the computational basis")
         object.__setattr__(self, "matrix", matrix)
 
     @property
@@ -108,7 +113,7 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     probs = np.empty((len(bases), n))
     for s, basis in enumerate(bases):
         if basis.dim != n:
-            raise BasisError(f"basis dimension {basis.dim} does not match {n}")
+            raise ConfigError(f"basis dimension {basis.dim} does not match {n}")
         if basis.label == "A1":
             states[s] = bob
             probs[s] = 1.0 / n
@@ -151,13 +156,13 @@ def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
     """
     n = len(bob_states)
     if target.shape != (n,):
-        raise DimensionError(f"target dimension {target.size} does not match {n}")
+        raise ConfigError(f"target dimension {target.size} does not match {n}")
     bob_mat = np.ascontiguousarray(bob_states.T)  # B: the states as columns
     qcore.independent_svd(bob_mat)
     coeffs = np.linalg.lstsq(bob_mat, target, rcond=None)[0]
     residual = np.linalg.norm(bob_mat @ coeffs - target)
     if residual > _SPAN_TOL:
-        raise SpanError(f"target lies outside the span (residual {residual:.2e})")
+        raise ConfigError(f"target lies outside the span (residual {residual:.2e})")
     vectors = [qcore.normalize(coeffs.conj())]
     for k in range(n):
         candidate = np.zeros(n, dtype=np.complex128)

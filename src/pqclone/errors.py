@@ -1,53 +1,27 @@
-"""Exception hierarchy shared by all pqclone modules."""
+"""The four exceptions of pqclone, one per thing a caller can do about it.
+
+A cloning request fails in one of two ways the physics allows: the set is
+(too close to) linearly dependent, so no exact work on it is possible
+(``RankError``), or the efficiencies break the Gram condition, so no machine
+exists (``FeasibilityError``). Every malformed or out-of-range input is a
+``ConfigError``; the base class also carries I/O failures.
+"""
 
 
 class PqcloneError(Exception):
-    """Base class for all pqclone errors."""
-
-
-class DimensionError(PqcloneError):
-    """Operands have incompatible or unfactorable dimensions."""
-
-
-class CapacityError(PqcloneError):
-    """A joint space would exceed the configured amplitude cap."""
-
-
-class EmptyInputError(PqcloneError):
-    """An operation received an empty state list."""
-
-
-class HermiticityError(PqcloneError):
-    """A matrix expected to be Hermitian is not, within tolerance."""
-
-
-class BasisError(PqcloneError):
-    """A measurement basis is not orthonormal or does not span the space."""
-
-
-class NormalizationError(PqcloneError):
-    """A vector or coefficient set violates its normalization contract."""
-
-
-class SpanError(PqcloneError):
-    """A target state lies outside the span of the given states."""
-
-
-class RankError(PqcloneError):
-    """A state set expected to be linearly independent is not."""
-
-
-class FeasibilityError(PqcloneError):
-    """Requested cloning efficiencies admit no trace-non-increasing machine."""
-
-
-class ConditioningError(PqcloneError):
-    """A machine is too ill-conditioned for an accurate column law."""
-
-
-class LabelError(PqcloneError):
-    """A preparation label is outside the valid range."""
+    """Base class for all pqclone errors; also raised when a file cannot be written."""
 
 
 class ConfigError(PqcloneError):
-    """A protocol or run configuration violates its invariants."""
+    """An input is malformed or out of range: a shape, dimension, label,
+    normalization, basis, count or configuration value."""
+
+
+class RankError(PqcloneError):
+    """A state set is too close to linear dependence for exact work: the
+    rank rule refuses it, or its column law falls below roundoff."""
+
+
+class FeasibilityError(PqcloneError):
+    """Requested cloning efficiencies admit no trace-non-increasing machine,
+    or a built machine fails its verification."""

@@ -30,6 +30,7 @@ a random branch of the general output decomposition.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -37,13 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import (
-    ConfigError,
-    DimensionError,
-    FeasibilityError,
-    LabelError,
-    NormalizationError,
-)
+from .errors import ConfigError, FeasibilityError
 from .qcore import Ket, SeededRng
 
 _MACHINE_TOL = 1e-9
@@ -131,7 +126,7 @@ class CloneOutput:
         cls, state: Ket, copies: int, clone_dim: int, lead_dim: int = 1
     ) -> "CloneOutput":
         if state.dim != lead_dim * clone_dim**copies:
-            raise DimensionError(
+            raise ConfigError(
                 f"joint dim {state.dim} != {lead_dim} * {clone_dim}**{copies}"
             )
         return cls(
@@ -150,6 +145,11 @@ class CloneOutput:
 # [1000, 3000), past the 1e-10 gate that the QR route meets up to the rank
 # rule's limit (the README has the table).
 CHOLESKY_COND = 300.0
+
+# A unit state's Gram diagonal is 1 to within a few eps, and X^(o M) raises
+# that roundoff to (1 + eps)^M: about 5e-7 at this cap, and an overflow (with
+# a wrong verdict) near M = 2**62.
+MAX_COPIES = 2**30
 
 
 def _cholesky_factor(gram_power: np.ndarray) -> np.ndarray:
@@ -224,8 +224,11 @@ class FactoredSet:
         dependent under the rank rule (``qcore.independent_svd``), which
         also caps cond(B) near 3.2e4.
         """
+        qcore.require_int("copy count", m)
         if m < 2:
             raise ConfigError(f"copy count must be at least 2, got {m}")
+        if m > MAX_COPIES:
+            raise ConfigError(f"copy count must be at most 2**30, got {m}")
         states = qcore.state_set(states)
         b_mat = np.ascontiguousarray(states.T)
         u_mat, singulars, vh_mat = qcore.independent_svd(b_mat)
@@ -256,14 +259,28 @@ class FactoredSet:
         lam_max = float(np.linalg.eigvalsh(k_mat @ k_mat.conj().T)[-1])
         return min(1.0, 1.0 / lam_max)
 
-    def feasibility_matrix(self, gammas: Sequence[float]) -> np.ndarray:
-        """X - D X^(o M) D, whose positive semidefiniteness decides clonability."""
-        if len(gammas) != len(self.states):
+    def _efficiencies(self, gammas: Sequence[float]) -> tuple:
+        """``gammas`` as one float per state, each in [0, 1]; raises
+        ConfigError for anything else, a bool or a string included."""
+        try:
+            values = tuple(gammas)
+        except TypeError:
+            raise ConfigError(
+                f"efficiencies must be a sequence, got {gammas!r}"
+            ) from None
+        if len(values) != len(self.states):
             raise ConfigError("need one efficiency per state")
-        bad = [g for g in gammas if not 0.0 <= g <= 1.0]  # also catches nan
+        for g in values:
+            if isinstance(g, (bool, np.bool_)) or not isinstance(g, numbers.Real):
+                raise ConfigError(f"efficiencies must be real numbers, got {g!r}")
+        bad = [g for g in values if not 0.0 <= g <= 1.0]  # also catches nan
         if bad:
             raise ConfigError(f"efficiencies must lie in [0, 1], got {bad[0]!r}")
-        d = np.sqrt(np.asarray(gammas, dtype=float))
+        return tuple(float(g) for g in values)
+
+    def feasibility_matrix(self, gammas: Sequence[float]) -> np.ndarray:
+        """X - D X^(o M) D, whose positive semidefiniteness decides clonability."""
+        d = np.sqrt(np.array(self._efficiencies(gammas)))
         feas = self.gram - (d[:, None] * self.gram_power) * d[None, :]
         return (feas + feas.conj().T) / 2.0
 
@@ -293,7 +310,7 @@ class FactoredSet:
         ``kraus_success`` is first read. Raises FeasibilityError when the
         Gram condition or a check fails.
         """
-        gammas = tuple(float(g) for g in gammas)
+        gammas = self._efficiencies(gammas)
         feasible, min_eig = self.gram_verdict(gammas)
         if not feasible:
             raise FeasibilityError(
@@ -370,7 +387,7 @@ def apply_machine(
     branch back in the input space, flagged by the returned bool.
     """
     if state.dim != machine.dim:
-        raise DimensionError(
+        raise ConfigError(
             f"input dimension {state.dim} does not match machine {machine.dim}"
         )
     success_branch = machine.kraus_success @ state.amplitudes
@@ -403,31 +420,55 @@ class IllegalClonerSpec:
     def __post_init__(self):
         qcore.require_int("copies", self.copies)
         qcore.require_int("total_labels", self.total_labels)
-        for label in self.clonable_labels:
+        try:
+            labels = tuple(self.clonable_labels)
+        except TypeError:
+            raise ConfigError(
+                f"clonable labels must be a sequence, got {self.clonable_labels!r}"
+            ) from None
+        for label in labels:
             qcore.require_int("clonable label", label)
-        labels = tuple(sorted(self.clonable_labels))
+        labels = tuple(sorted(labels))
         if not labels:
-            raise LabelError("need at least one clonable label")
+            raise ConfigError("need at least one clonable label")
         if len(set(labels)) != len(labels):
-            raise LabelError("clonable labels must be distinct")
+            raise ConfigError("clonable labels must be distinct")
         if labels[0] < 1 or labels[-1] > self.total_labels:
-            raise LabelError(
+            raise ConfigError(
                 f"labels must lie in 1..{self.total_labels}, got {labels}"
             )
+        entries = self.coefficients or {}
+        if not isinstance(entries, Mapping):
+            raise ConfigError(
+                f"coefficients must map labels to (c, d), got {entries!r}"
+            )
         coeffs = {}
-        for key, (c_vec, d_val) in (self.coefficients or {}).items():
+        for key, entry in entries.items():
             qcore.require_int("coefficient label", key)
             if key in labels or not 1 <= key <= self.total_labels:
-                raise LabelError(f"coefficients given for non-unclonable label {key}")
-            c_arr = np.asarray(c_vec, dtype=np.complex128)
+                raise ConfigError(f"coefficients given for non-unclonable label {key}")
+            try:
+                c_vec, d_val = entry
+                c_arr = np.asarray(c_vec)
+                numeric = c_arr.dtype.kind in "iufc" and (
+                    isinstance(d_val, numbers.Number) and not isinstance(d_val, bool)
+                )
+            except (TypeError, ValueError):  # not a pair, or a ragged c
+                numeric = False
+            if not numeric:
+                raise ConfigError(
+                    f"coefficients for label {key} must be a (c array, d) pair "
+                    f"of numbers, got {entry!r}"
+                )
             if c_arr.shape != (len(labels),):
-                raise DimensionError(
+                raise ConfigError(
                     f"need {len(labels)} branch amplitudes, got {c_arr.shape}"
                 )
+            c_arr = c_arr.astype(np.complex128)
             d_c = complex(d_val)
             total = float(np.sum(np.abs(c_arr) ** 2) + abs(d_c) ** 2)
-            if abs(total - 1.0) > 1e-10:
-                raise NormalizationError(
+            if not abs(total - 1.0) <= 1e-10:  # NaN fails too
+                raise ConfigError(
                     f"branch amplitudes for label {key} sum to {total!r}, not 1"
                 )
             c_arr.setflags(write=False)
@@ -457,7 +498,7 @@ class IllegalClonerSpec:
         """|c|^2 per clonable branch plus the junk weight, for one input
         label: a read-only row of ``branch_weights``."""
         if not 1 <= label <= self.total_labels:
-            raise LabelError(f"label {label} outside 1..{self.total_labels}")
+            raise ConfigError(f"label {label} outside 1..{self.total_labels}")
         return self.branch_weights[label - 1]
 
 
@@ -476,11 +517,11 @@ def illegal_clone(
     product.
     """
     if len(all_states) != spec.total_labels:
-        raise LabelError(
+        raise ConfigError(
             f"expected {spec.total_labels} preparation states, got {len(all_states)}"
         )
     if not 1 <= input_label <= spec.total_labels:
-        raise LabelError(
+        raise ConfigError(
             f"label {input_label} outside 1..{spec.total_labels}"
         )
     if input_label in spec.clonable_labels:

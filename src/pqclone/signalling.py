@@ -49,7 +49,7 @@ from . import qcore
 # attributes of this module, and the per-pair Born-rule reference in the
 # tests calls the first four here: keep all of them reachable here.
 from .entangle import AliceBasis, alice_measure, induced_states
-from .errors import ConditioningError, ConfigError, DimensionError
+from .errors import ConfigError, RankError
 from .pqcm import (
     CloneOutput,
     IllegalClonerSpec,
@@ -146,7 +146,7 @@ def group_verify(
             start += size
     elif clones.kind == "joint":
         if candidates.shape[1] != clones.clone_dim:
-            raise DimensionError(
+            raise ConfigError(
                 f"candidate dim {candidates.shape[1]} does not match clone dim "
                 f"{clones.clone_dim}"
             )
@@ -205,7 +205,7 @@ class TallyTable:
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (2 * self.n, self.n + 2):
-            raise DimensionError(
+            raise ConfigError(
                 f"tally shape {counts.shape} does not match n={self.n}"
             )
         if np.any(counts < 0):
@@ -286,6 +286,8 @@ class ProtocolConfig:
             value = getattr(self, name)
             if not 1 <= value <= 2**62:
                 raise ConfigError(f"{name} must lie in [1, 2**62], got {value}")
+        if not isinstance(self.a2_basis, AliceBasis):
+            raise ConfigError(f"a2_basis must be an AliceBasis, got {self.a2_basis!r}")
         if self.a2_basis.dim != n:
             raise ConfigError("alternate basis dimension does not match state count")
         if isinstance(self.machine, PqcmMachine):
@@ -507,7 +509,7 @@ def _clip_law(raw: np.ndarray) -> np.ndarray:
     """Clip roundoff in [-LAW_TOL, 0) to zero; anything lower is an error."""
     low = float(raw.min())
     if not low >= -LAW_TOL:
-        raise ConditioningError(
+        raise RankError(
             f"column law entry {low:.3e} lies below -{LAW_TOL:.0e}; "
             "the machine is too ill-conditioned for an accurate law"
         )
@@ -667,9 +669,11 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     bits of one setting take consecutive draws from that setting's stream,
     in message order.
     """
-    bits = np.asarray(message_bits, dtype=np.int64)
-    if np.any((bits != 0) & (bits != 1)):
+    bits = np.asarray(message_bits)
+    # checked before the cast, which would truncate a bit of 0.5 to 0
+    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
         raise ConfigError("message bits must be 0 or 1")
+    bits = bits.astype(np.int64)
     vote_laws = config.law.sum(axis=1) @ cell_votes(config.n)
     votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):

@@ -16,12 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from pqclone.errors import (
-    CapacityError,
-    DimensionError,
-    HermiticityError,
-    LabelError,
-)
+from pqclone.errors import ConfigError
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
 from pqclone.qcore import (
     MAX_DIM,
@@ -41,7 +36,7 @@ HERM_TOL = 1e-10
 def basis_ket(dim: int, index: int) -> Ket:
     """The computational basis state |index> of dimension ``dim``."""
     if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} outside dimension {dim}")
+        raise ConfigError(f"basis index {index} outside dimension {dim}")
     arr = np.zeros(dim, dtype=np.complex128)
     arr[index] = 1.0
     return Ket(arr)
@@ -66,9 +61,9 @@ class HermitianOperator:
     def __post_init__(self):
         arr = _frozen(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError("operator entries must form a square matrix")
+            raise ConfigError("operator entries must form a square matrix")
         if np.max(np.abs(arr - arr.conj().T)) > HERM_TOL:
-            raise HermiticityError("matrix is not Hermitian within tolerance")
+            raise ConfigError("matrix is not Hermitian within tolerance")
         object.__setattr__(self, "entries", arr)
 
     @property
@@ -97,7 +92,7 @@ class HermitianOperator:
 def inner_product(a: Ket, b: Ket) -> complex:
     """<a|b>, conjugate-linear in the first argument."""
     if a.dim != b.dim:
-        raise DimensionError(f"inner product of dims {a.dim} and {b.dim}")
+        raise ConfigError(f"inner product of dims {a.dim} and {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
@@ -123,7 +118,7 @@ def rank_with_tolerance(states: Sequence[Ket], tol: float = RANK_TOL) -> int:
 def trace_distance(rho: HermitianOperator, sigma: HermitianOperator) -> float:
     """(1/2) sum |eig(rho - sigma)|: operational distinguishability."""
     if rho.dim != sigma.dim:
-        raise DimensionError("trace distance needs equal dimensions")
+        raise ConfigError("trace distance needs equal dimensions")
     diff = HermitianOperator.from_matrix(rho.entries - sigma.entries)
     return float(0.5 * np.sum(np.abs(hermitian_eigenvalues(diff))))
 
@@ -157,7 +152,7 @@ def tensor(a: Ket, b: Ket) -> Ket:
     """Kronecker product; the left factor is the slow (row-major) index."""
     out_dim = a.dim * b.dim
     if out_dim > MAX_DIM:
-        raise CapacityError(f"tensor dimension {out_dim} exceeds cap {MAX_DIM}")
+        raise ConfigError(f"tensor dimension {out_dim} exceeds cap {MAX_DIM}")
     return Ket(np.kron(a.amplitudes, b.amplitudes))
 
 
@@ -171,7 +166,7 @@ def partial_trace(
     """
     d_a, d_b = dims
     if rho.dim != d_a * d_b:
-        raise DimensionError(f"cannot factor dim {rho.dim} as {d_a} x {d_b}")
+        raise ConfigError(f"cannot factor dim {rho.dim} as {d_a} x {d_b}")
     tensor4 = rho.entries.reshape(d_a, d_b, d_a, d_b)
     if keep == "B":
         reduced = np.einsum("ijil->jl", tensor4)
@@ -213,11 +208,11 @@ def materialize_illegal_output(
     the enlarged clone space, one per row.
     """
     if len(all_states) != spec.total_labels:
-        raise LabelError(
+        raise ConfigError(
             f"expected {spec.total_labels} preparation states, got {len(all_states)}"
         )
     if not 1 <= input_label <= spec.total_labels:
-        raise LabelError(f"label {input_label} outside 1..{spec.total_labels}")
+        raise ConfigError(f"label {input_label} outside 1..{spec.total_labels}")
     candidates = all_states[np.array(spec.clonable_labels) - 1]
     n = candidates.shape[1]
     k = len(candidates)
@@ -225,7 +220,7 @@ def materialize_illegal_output(
     lead_dim = k + 1
     total_dim = lead_dim * clone_dim**spec.copies
     if total_dim > MAX_DIM:
-        raise CapacityError(
+        raise ConfigError(
             f"materialized dimension {total_dim} exceeds cap {MAX_DIM}"
         )
 

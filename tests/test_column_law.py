@@ -14,7 +14,7 @@ from pqclone.entangle import (
     induced_states,
     target_to_basis,
 )
-from pqclone.errors import ConditioningError, ConfigError, RankError
+from pqclone.errors import ConfigError, RankError
 from pqclone.pqcm import (
     FactoredSet,
     IllegalClonerSpec,
@@ -387,9 +387,9 @@ class TestLawProperties:
     def test_clip_only_inside_roundoff_band(self):
         raw = np.array([[[0.5, -0.5 * LAW_TOL, 0.5]]])
         np.testing.assert_array_equal(_clip_law(raw), [[[0.5, 0.0, 0.5]]])
-        with pytest.raises(ConditioningError):
+        with pytest.raises(RankError, match="too ill-conditioned for an accurate law"):
             _clip_law(np.array([[[0.5, -2.0 * LAW_TOL, 0.5]]]))
-        with pytest.raises(ConditioningError):
+        with pytest.raises(RankError, match="column law entry nan lies below"):
             _clip_law(np.array([[[0.5, np.nan, 0.5]]]))
 
 

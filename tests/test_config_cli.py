@@ -311,10 +311,11 @@ class TestCliOutPath:
         blocker.write_text("")
         out = blocker if command == "signal-test" else blocker / "r.json"
         code = cli.main(self.ARGV[command] + ["--out", str(out)])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 1
-        assert err.startswith(f"error: cannot write {blocker}/")
-        assert len(err.splitlines()) == 1
+        assert captured.err.startswith(f"error: cannot write {blocker}/")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""  # no verdict for a report never written
 
 
 class TestCliSignalTest:
@@ -438,6 +439,47 @@ class TestCliSignalTest:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    # Every [re, im] amplitude takes the rule of the machine coefficients:
+    # JSON true/false used to be read as 1/0 here, and a string amplitude
+    # gave a message that named no field.
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (
+                {"bob_states": [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+                "bob_states entry amplitude must be a finite number, got True",
+            ),
+            (
+                {"bob_states": [[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+                "bob_states entry amplitude must be a finite number, got '1'",
+            ),
+            (
+                {"bob_states": [[1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]]},
+                "bob_states entry amplitude must be an [re, im] pair, got 1.0",
+            ),
+            (
+                {"a2": {"kind": "vectors", "vectors": [
+                    [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}},
+                "a2 vectors entry amplitude must be a finite number, got True",
+            ),
+            (
+                {"a2": {"kind": "target", "state": [[1.0, False], [0.0, 0.0]]}},
+                "a2 state amplitude must be a finite number, got False",
+            ),
+        ],
+        ids=["bob-bool", "bob-string", "bob-bare-number", "vectors-bool", "state-bool"],
+    )
+    def test_amplitudes_take_one_rule(self, tmp_path, capsys, changes, message):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data.update(changes, out=str(tmp_path / "out"))
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_machine_on_other_states_exits_1_with_one_line(
@@ -945,12 +987,61 @@ class TestCliFuzz:
         assert_clean_exit(argv)
 
     @FUZZ
+    @example(command="construct", states="states_legal_n2.txt", copies="100000000",
+             gammas=["0.5"], max_uniform=False, out="missing")
+    @example(command="feasibility", states="states_overlap_n2.txt", copies="1",
+             gammas=[], max_uniform=True, out="under-file")
+    @given(
+        command=st.sampled_from(["feasibility", "construct"]),
+        states=st.sampled_from(
+            ["states_orthogonal_n2.txt", "states_overlap_n2.txt", "states_legal_n2.txt"]
+        ),
+        copies=st.sampled_from(["0", "1", "-3", "100000000", "2", "3"]),
+        # one or N = 2 values, and the wrong counts 0 and 3
+        gammas=st.lists(
+            st.sampled_from(["nan", "inf", "-0.1", "1.5", "0.5", "0.2"]), max_size=3
+        ),
+        max_uniform=st.booleans(),
+        out=st.sampled_from([None, "missing", "under-file"]),
+    )
+    def test_feasibility_and_construct_argv(
+        self, tmp_path_factory, command, states, copies, gammas, max_uniform, out
+    ):
+        work = tmp_path_factory.mktemp("argv")
+        argv = [command, str(CONFIGS / states), "-M", copies]
+        for gamma in gammas or (["0.5"] if command == "construct" else []):
+            argv += ["--gamma", gamma]
+        if max_uniform and command == "feasibility":
+            argv.append("--max-uniform")
+        if out == "under-file":
+            (work / "blocker").write_text("")
+            argv += ["--out", str(work / "blocker" / "r.json")]
+        elif out == "missing" or command == "construct":
+            argv += ["--out", str(work / "no" / "such" / "r.json")]
+        assert_clean_exit(argv)
+
+    @FUZZ
     @example(text="null")
     @example(text=_illegal_config(machine={"kind": "illegal", "clonable_labels": []}))
     @example(text=_illegal_config(bob_states=[]))
     @example(
         text=_illegal_config(
             bob_states=[[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        )
+    )
+    @example(
+        text=_illegal_config(
+            bob_states=[[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        )
+    )
+    @example(
+        text=_illegal_config(
+            bob_states=[[["1", 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        )
+    )
+    @example(
+        text=_illegal_config(
+            a2={"kind": "target", "state": [[True, False], [0.0, 0.0]]}
         )
     )
     @given(text=malformed_config_texts())

@@ -12,7 +12,7 @@ from pqclone.entangle import (
     induced_ensemble,
     target_to_basis,
 )
-from pqclone.errors import BasisError, DimensionError, RankError
+from pqclone.errors import ConfigError, RankError
 from pqclone.qcore import Ket, SeededRng
 
 from born import (
@@ -57,7 +57,7 @@ class TestAliceBasis:
         assert basis.dim == 3
 
     def test_a1_must_be_computational(self):
-        with pytest.raises(BasisError):
+        with pytest.raises(ConfigError, match="label A1 requires the computational basis"):
             hadamard = state_rows((Ket.normalized([1, 1]), Ket.normalized([1, -1])))
             AliceBasis(hadamard.T, "A1")
 
@@ -66,8 +66,17 @@ class TestAliceBasis:
         np.testing.assert_allclose(mat.conj().T @ mat, np.eye(4), atol=1e-12)
 
     def test_non_orthonormal_rejected(self):
-        with pytest.raises(BasisError):
+        with pytest.raises(ConfigError, match="basis is not orthonormal within tolerance"):
             AliceBasis(state_rows((KET0, Ket.normalized([1, 1]))).T, "A2")
+
+    def test_nan_matrix_rejected(self):
+        # max|X*X - I| > tol is False for NaN, so a NaN basis used to pass
+        with pytest.raises(ConfigError, match="basis is not orthonormal within tolerance"):
+            AliceBasis(np.full((2, 2), np.nan), "A2")
+
+    def test_non_numeric_matrix_rejected(self):
+        with pytest.raises(ConfigError, match="a basis is a matrix of complex numbers"):
+            AliceBasis("x", "A2")
 
 
 class TestBuildSharedState:
@@ -100,7 +109,7 @@ class TestBuildSharedState:
         assert np.linalg.norm(shared.joint.amplitudes - rebuilt) <= 1e-12
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ConfigError, match="Bob states must have dimension 2, got 3"):
             build_shared_state([KET0.amplitudes, basis_ket(3, 0).amplitudes])
 
 

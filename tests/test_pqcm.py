@@ -9,13 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqclone import pqcm, qcore
-from pqclone.errors import (
-    ConfigError,
-    FeasibilityError,
-    LabelError,
-    NormalizationError,
-    RankError,
-)
+from pqclone.errors import ConfigError, FeasibilityError, RankError
 from pqclone.pqcm import (
     CHOLESKY_COND,
     FactoredSet,
@@ -103,6 +97,35 @@ class TestMaxUniformGamma:
             two_state_gamma_closed_form(s, 2), abs=1e-6 + slack
         )
         assert max_uniform_gamma(states, 10_000) <= 1e-3
+
+    def test_copy_count_must_be_an_integer(self):
+        # a fractional count used to give gamma_max for "2.5 copies"
+        states = overlap_pair(0.5)
+        with pytest.raises(ConfigError, match="copy count must be an integer, got 2.5"):
+            max_uniform_gamma(states, 2.5)
+        with pytest.raises(ConfigError, match="copy count must be an integer, got 2.5"):
+            FactoredSet.of(states, 2.5)
+        with pytest.raises(ConfigError, match="copy count must be an integer, got '3'"):
+            FactoredSet.of(states, "3")
+        with pytest.raises(ConfigError, match="copy count must be at least 2, got 1"):
+            FactoredSet.of(states, 1)
+
+    def test_copy_count_capped(self):
+        # past the cap the unit Gram diagonal's (1 + eps)^M overflows, and the
+        # verdict was "infeasible" with gamma_max 1.0
+        states = overlap_pair(0.5)
+        assert FactoredSet.of(states, pqcm.MAX_COPIES).copies == pqcm.MAX_COPIES
+        with pytest.raises(ConfigError, match=r"copy count must be at most 2\*\*30"):
+            FactoredSet.of(states, 2**62)
+
+    def test_efficiencies_must_be_numbers(self):
+        states = overlap_pair(0.5)
+        with pytest.raises(ConfigError, match="efficiencies must be a sequence, got None"):
+            feasibility_matrix(states, 3, None)
+        with pytest.raises(ConfigError, match="efficiencies must be real numbers, got 'a'"):
+            feasibility_matrix(states, 3, ["a", "b"])
+        with pytest.raises(ConfigError, match="efficiencies must be real numbers, got True"):
+            FactoredSet.of(states, 3).machine([True, 0.5])
 
     def test_monotone_in_gamma(self):
         states = overlap_pair(0.5)
@@ -515,9 +538,9 @@ class TestIllegalCloner:
 
     def test_label_out_of_range(self):
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)
-        with pytest.raises(LabelError):
+        with pytest.raises(ConfigError, match=r"label 5 outside 1\.\.4"):
             illegal_clone(spec, 5, self.all_states(), SeededRng(314))
-        with pytest.raises(LabelError):
+        with pytest.raises(ConfigError, match=r"label 0 outside 1\.\.4"):
             spec.branch_probabilities(0)
 
     def test_branch_weights_one_row_per_label(self):
@@ -557,8 +580,36 @@ class TestIllegalCloner:
                 coefficients={4.9: (np.zeros(3), 1.0)},
             )
 
+    def test_nan_branch_amplitude_refused(self):
+        # abs(nan - 1) > tol is False, so a NaN amplitude used to pass
+        with pytest.raises(ConfigError, match="branch amplitudes for label 4 sum to nan"):
+            IllegalClonerSpec(
+                clonable_labels=(1, 2, 3),
+                copies=8,
+                total_labels=4,
+                coefficients={4: (np.array([np.nan, 0.0, 0.0]), 0.0)},
+            )
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"clonable_labels": None}, "clonable labels must be a sequence, got None"),
+            ({"coefficients": [1]}, r"coefficients must map labels to \(c, d\), got \[1\]"),
+            ({"coefficients": {4: 5}}, "coefficients for label 4 must be a .* got 5"),
+            (
+                {"coefficients": {4: ("abc", 0)}},
+                r"coefficients for label 4 must be a .* got \('abc', 0\)",
+            ),
+        ],
+        ids=["labels-none", "coefficients-list", "entry-int", "entry-string"],
+    )
+    def test_malformed_spec_refused(self, changes, message):
+        fields = {"clonable_labels": (1, 2, 3), "copies": 8, "total_labels": 4}
+        with pytest.raises(ConfigError, match=message):
+            IllegalClonerSpec(**{**fields, **changes})
+
     def test_coefficient_normalization_enforced(self):
-        with pytest.raises(NormalizationError):
+        with pytest.raises(ConfigError, match="branch amplitudes for label 4 sum to 1.62, not 1"):
             IllegalClonerSpec(
                 clonable_labels=(1, 2, 3),
                 copies=8,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pqclone import config as config_mod
 from pqclone import signalling
 from pqclone.entangle import AliceBasis, build_shared_state, induced_states
-from pqclone.errors import ConfigError, DimensionError
+from pqclone.errors import ConfigError
 from pqclone.pqcm import (
     CloneOutput,
     IllegalClonerSpec,
@@ -622,6 +622,12 @@ class TestChannelOracle:
         with pytest.raises(ConfigError):
             run_channel(illegal_config(trials=1, pairs_per_bit=3), (0, 2, 1))
 
+    @pytest.mark.parametrize("message", [[0.5], [1, 0.5], ["1"], [None]])
+    def test_run_channel_rejects_non_integer_bits(self, message):
+        # a cast to int64 first used to send 0.5 as the bit 0
+        with pytest.raises(ConfigError, match="message bits must be 0 or 1"):
+            run_channel(illegal_config(trials=1, pairs_per_bit=3), message)
+
 
 def _certificate(states, basis_a, basis_b) -> float:
     # the array route, checked on the way against averaged density matrices
@@ -781,7 +787,7 @@ class TestProtocolConfigValidation:
             "build_shared_state": lambda: build_shared_state(bob_states),
         }
         for name, entry_point in entry_points.items():
-            with pytest.raises(DimensionError) as err:
+            with pytest.raises(ConfigError) as err:
                 entry_point()
             assert str(err.value) == message, name
 
