@@ -32,10 +32,10 @@ _VOTE_RATES = tuple((f"p{v}_a{s + 1}", s, v) for s in (0, 1) for v in (0, 1))
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage; 2 is reserved for "infeasible" here
+    # argparse exits 2 on bad usage, after a usage text; here, as for every
+    # other bad input, it exits 1 with one line (2 means "infeasible")
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
 def _matrix_to_pairs(matrix: np.ndarray) -> list:
@@ -62,23 +62,14 @@ def _dump_json(data: dict, path: Path) -> None:
 
 
 def _dump_kv_csv(data: dict, path: Path) -> None:
-    lines = ["key,value"]
-    for key in sorted(data):
-        lines.append(f"{key},{data[key]!r}" if isinstance(data[key], str) else f"{key},{data[key]}")
+    lines = ["key,value"] + [f"{key},{data[key]}" for key in sorted(data)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _tally_rows(tally: signalling.TallyTable) -> tuple[list[str], list[list]]:
+def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
     n = tally.n
     header = ["input"] + [f"B{j}" for j in range(1, n + 2)] + ["phi"]
-    rows = []
-    for i in range(2 * n):
-        rows.append([f"B{i + 1}"] + [int(c) for c in tally.counts[i]])
-    return header, rows
-
-
-def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
-    header, rows = _tally_rows(tally)
+    rows = [[f"B{i + 1}"] + row for i, row in enumerate(tally.counts.tolist())]
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:

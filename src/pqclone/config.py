@@ -291,7 +291,6 @@ def build_protocol(
     return signalling.ProtocolConfig(
         bob_states=bob_states,
         a2_basis=a2_basis,
-        mu=config.mu,
         trials=config.trials,
         pairs_per_bit=config.pairs_per_bit,
         machine=machine,

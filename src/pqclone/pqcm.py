@@ -220,8 +220,9 @@ class FactoredSet:
     def of(cls, states: np.ndarray, m: int) -> "FactoredSet":
         """Check the set's independence and factor it.
 
-        ``states`` holds one state per row. Raises RankError when the set is
-        dependent under the rank rule (``qcore.independent_svd``), which
+        ``states`` holds one unit state per row; any other norm raises
+        ConfigError (``qcore.require_unit``). Raises RankError when the set
+        is dependent under the rank rule (``qcore.independent_svd``), which
         also caps cond(B) near 3.2e4.
         """
         qcore.require_int("copy count", m)
@@ -230,6 +231,7 @@ class FactoredSet:
         if m > MAX_COPIES:
             raise ConfigError(f"copy count must be at most 2**30, got {m}")
         states = qcore.state_set(states)
+        qcore.require_unit(states, "clonable states")
         b_mat = np.ascontiguousarray(states.T)
         u_mat, singulars, vh_mat = qcore.independent_svd(b_mat)
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T

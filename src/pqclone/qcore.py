@@ -11,6 +11,7 @@ generator is built on its first draw.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +45,15 @@ def require_count(name: str, value) -> None:
     require_int(name, value)
     if not 0 <= value <= 2**62:
         raise ConfigError(f"{name} must lie in [0, 2**62], got {value}")
+
+
+def require_unit(states: np.ndarray, what: str) -> None:
+    """Raise ConfigError unless every row of ``states`` has norm 1 within
+    ``NORM_TOL``; a NaN or infinite norm fails too. The Gram condition and
+    the laws are stated for unit states."""
+    norms = [math.sqrt(np.vdot(state, state).real) for state in states]
+    if not all(abs(norm - 1.0) <= NORM_TOL for norm in norms):
+        raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
 
 
 def normalize(values) -> np.ndarray:

@@ -34,7 +34,6 @@ use; every stage of a run reads those same read-only values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -195,19 +194,16 @@ def cell_votes(n: int) -> np.ndarray:
 class TallyTable:
     """Empirical column counts per preparation, plus discards per setting.
 
-    The per-setting sizes, tuples of Python ints, are derived from these.
+    N and the per-setting sizes, tuples of Python ints, are derived from these.
     """
 
-    n: int
     counts: np.ndarray  # shape (2N, N+2); last column is PHI
     discards: tuple  # cloner failures discarded per setting
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (2 * self.n, self.n + 2):
-            raise ConfigError(
-                f"tally shape {counts.shape} does not match n={self.n}"
-            )
+        if counts.ndim != 2 or counts.shape[0] != 2 * (counts.shape[1] - 2):
+            raise ConfigError(f"tally shape {counts.shape} is not (2N, N+2)")
         if np.any(counts < 0):
             raise ConfigError("tally counts must be nonnegative")
         discards = tuple(self.discards)
@@ -218,6 +214,10 @@ class TallyTable:
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "discards", discards)
+
+    @property
+    def n(self) -> int:
+        return self.counts.shape[1] - 2
 
     @cached_property
     def classified(self) -> tuple:
@@ -237,7 +237,6 @@ class SignalStats:
     Each array is read-only, with one row per setting (0 for A1, 1 for A2).
     """
 
-    n: int
     p_col: np.ndarray  # shape (2, N+2): P(column | setting), last column PHI
     p_vote: np.ndarray  # shape (2, 2): P(vote | setting), vote 0 or 1
     stderr: np.ndarray  # shape (2, 2): binomial standard error of p_vote
@@ -252,32 +251,36 @@ class SignalStats:
             array.setflags(write=False)
             object.__setattr__(self, name, array)
 
+    @property
+    def n(self) -> int:
+        return self.p_col.shape[1] - 2
+
 
 @dataclass(frozen=True, eq=False)
 class ProtocolConfig:
     """Everything one signalling run needs, including its random seed.
 
     ``bob_states`` holds Bob's N unit states of dimension N as the rows of
-    one read-only array.
+    one read-only array. The copy count ``mu`` is the machine's own.
     """
 
     bob_states: np.ndarray
     a2_basis: AliceBasis
-    mu: int
     trials: int
     pairs_per_bit: int
     machine: PqcmMachine | IllegalClonerSpec
     seed: int
 
     def __post_init__(self):
-        for name in ("mu", "trials", "pairs_per_bit"):
+        for name in ("trials", "pairs_per_bit"):
             qcore.require_int(name, getattr(self, name))
         bob_states = qcore.bob_state_set(self.bob_states)
         n = len(bob_states)
-        # the laws take unit states; a NaN norm fails this test too
-        norms = [math.sqrt(np.vdot(state, state).real) for state in bob_states]
-        if not all(abs(norm - 1.0) <= qcore.NORM_TOL for norm in norms):
-            raise ConfigError(f"Bob states must be unit vectors, got norms {norms}")
+        qcore.require_unit(bob_states, "Bob states")
+        if not isinstance(self.machine, (PqcmMachine, IllegalClonerSpec)):
+            raise ConfigError("machine must be a PqcmMachine or IllegalClonerSpec")
+        # a PqcmMachine built by hand, not by FactoredSet, has an unchecked count
+        qcore.require_int("mu", self.mu)
         if self.mu < n + 1:
             raise ConfigError(f"mu must be at least N+1 = {n + 1}, got {self.mu}")
         # numpy's multinomial takes n < 2**63, and every int64 count stays at
@@ -291,36 +294,25 @@ class ProtocolConfig:
         if self.a2_basis.dim != n:
             raise ConfigError("alternate basis dimension does not match state count")
         if isinstance(self.machine, PqcmMachine):
-            if self.machine.copies != self.mu:
-                raise ConfigError(
-                    f"machine produces {self.machine.copies} copies, "
-                    f"config wants {self.mu}"
-                )
-            if self.machine.dim != n or len(self.machine.clonable) != n:
-                raise ConfigError(
-                    "machine dimension and clonable set size must match "
-                    f"the state count {n}"
-                )
             # the legal law takes the clonable states to be B_1..B_N
-            gap = np.abs(self.machine.clonable - bob_states).max()
+            clonable = self.machine.clonable
+            same_shape = clonable.shape == bob_states.shape
+            gap = np.abs(clonable - bob_states).max() if same_shape else np.inf
             if not gap <= 1e-12:
                 raise ConfigError(
                     f"machine clones other states than Bob's (amplitude gap {gap:.1e})"
                 )
-        elif isinstance(self.machine, IllegalClonerSpec):
-            if self.machine.copies != self.mu:
-                raise ConfigError(
-                    f"cloner promises {self.machine.copies} copies, "
-                    f"config wants {self.mu}"
-                )
-            if self.machine.total_labels != 2 * n:
-                raise ConfigError(
-                    f"cloner expects {self.machine.total_labels} labels, "
-                    f"run has {2 * n}"
-                )
-        else:
-            raise ConfigError("machine must be a PqcmMachine or IllegalClonerSpec")
+        elif self.machine.total_labels != 2 * n:
+            raise ConfigError(
+                f"cloner expects {self.machine.total_labels} labels, run has {2 * n}"
+            )
         object.__setattr__(self, "bob_states", bob_states)
+
+    @property
+    def mu(self) -> int:
+        """The copy count, the machine's own: the Gram condition is stated
+        for the copies the machine makes."""
+        return self.machine.copies
 
     @property
     def n(self) -> int:
@@ -347,26 +339,27 @@ class RunContext:
     after Alice's outcome m under setting s (0 for A1, 1 for A2), with
     probability ``probs[s, m]``. ``preparations`` lists the 2N states
     B_1..B_2N (A1's outcomes, then A2's), and ``candidates`` its first N+1,
-    B_1..B_{N+1}; both are views of ``kets``. The exact-copy tables are
-    over all 2N preparations: ``hit[j, i]`` is the probability that group j
-    all-succeeds on mu exact copies of B_{i+1} (``group_hits``), exactly 1
-    where B_{i+1} is candidate j itself, and ``stay[l, i]`` that every group
-    but l fails on them (``_stay``). The illegal law reads both, and the
-    legal law and the leakage bound read ``own_stay``.
+    B_1..B_{N+1}; both are views of ``kets``. The exact-copy table is over
+    all 2N preparations: ``only[l, i]`` is the probability that group l
+    alone all-succeeds on mu exact copies of B_{i+1}, that is column l's
+    share of them, ``hit[l, i] * stay[l, i]``. ``hit[j, i]`` is the
+    probability that group j all-succeeds on them (``group_hits``), and
+    ``stay[l, i]`` that every group but l fails (``_stay``). The illegal law
+    reads ``only``, and the legal law and the leakage bound ``own_stay``.
     """
 
     kets: np.ndarray  # (2, N, N)
     probs: np.ndarray  # (2, N)
     preparations: np.ndarray  # (2N, N)
     candidates: np.ndarray  # (N+1, N)
-    hit: np.ndarray  # (N+1, 2N)
-    stay: np.ndarray  # (N+1, 2N)
+    only: np.ndarray  # (N+1, 2N)
 
     @property
     def own_stay(self) -> np.ndarray:
-        """stay[l, l]: mu exact copies of candidate l reach column l, since
-        group l passes on them and every other group must fail; (N+1,)."""
-        return self.stay.diagonal()
+        """only[l, l] = stay[l, l]: mu exact copies of candidate l reach
+        column l, since group l passes on them (hit[l, l] is exactly 1) and
+        every other group must fail; (N+1,)."""
+        return self.only.diagonal()
 
 
 def prepare_context(
@@ -392,10 +385,9 @@ def prepare_context(
     candidates = preparations[: n + 1]
     hit = group_hits(candidates, preparations, mu)
     np.fill_diagonal(hit, 1.0)  # candidate l passes its own group's tests
-    stay = _stay(hit)
-    hit.setflags(write=False)
-    stay.setflags(write=False)
-    return RunContext(kets, probs, preparations, candidates, hit, stay)
+    only = hit * _stay(hit)
+    only.setflags(write=False)
+    return RunContext(kets, probs, preparations, candidates, only)
 
 
 @lru_cache
@@ -486,7 +478,7 @@ def _illegal_rows(
     and the row mixes the branches' column laws by the label's branch
     weights (``spec.branch_weights``). The groups test exact copies
     independently, so column l needs group l to all-succeed and every other
-    group to fail, ``ctx.hit * ctx.stay``, and PHI takes the rest; junk
+    group to fail, ``ctx.only``, and PHI takes the rest; junk
     always lands in PHI. The device never reports failure, so the discard
     cell is 0. Raises ConfigError when a clonable label names a member of
     probability 0, whose state no pair prepares.
@@ -499,7 +491,7 @@ def _illegal_rows(
             f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
         )
     branch_laws = np.zeros((labels.size + 1, k + 2))  # junk branch last
-    branch_laws[:-1, :k] = (ctx.hit * ctx.stay)[:, labels - 1].T
+    branch_laws[:-1, :k] = ctx.only[:, labels - 1].T
     branch_laws[:-1, k] = 1.0 - branch_laws[:-1, :k].sum(axis=1)
     branch_laws[-1, k] = 1.0
     return probs[:, None] * (spec.branch_weights @ branch_laws)
@@ -569,7 +561,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
         counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
         discards.append(int(hits[:, n + 2].sum()))
 
-    tally = TallyTable(n=n, counts=counts, discards=tuple(discards))
+    tally = TallyTable(counts=counts, discards=tuple(discards))
     leakage = analytic_leakage(config.context.own_stay)
     stats = stats_from_tally(tally, leakage)
     return tally, stats
@@ -600,7 +592,6 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     accuracy = (zeros_a1 + ones_a2) / decided if decided else 0.5
 
     return SignalStats(
-        n=n,
         p_col=p_col,
         p_vote=rates,
         stderr=errors,

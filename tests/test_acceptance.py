@@ -62,7 +62,6 @@ def illegal_demo_config(trials: int, mu: int = 48, seed: int = 42, pairs_per_bit
     return ProtocolConfig(
         bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
-        mu=mu,
         trials=trials,
         pairs_per_bit=pairs_per_bit,
         machine=IllegalClonerSpec(
@@ -120,7 +119,6 @@ def test_criterion_3_legal_machines_never_signal():
         config = ProtocolConfig(
             bob_states=states,
             a2_basis=a2,
-            mu=mu,
             trials=4_000,
             pairs_per_bit=1,
             machine=machine,
@@ -163,7 +161,6 @@ def test_criterion_4_channel_demonstration():
     legal = ProtocolConfig(
         bob_states=states,
         a2_basis=AliceBasis.fourier(2),
-        mu=mu,
         trials=1,
         pairs_per_bit=3,
         machine=machine,
@@ -285,7 +282,6 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
             config = ProtocolConfig(
                 bob_states=all_states[:2],
                 a2_basis=AliceBasis.fourier(2),
-                mu=mu,
                 trials=1,
                 pairs_per_bit=1,
                 machine=exact_spec,

@@ -91,7 +91,7 @@ class TestApiFuzz:
     @given(
         which=st.integers(0, 1),
         field=st.sampled_from(
-            ["bob_states", "a2_basis", "mu", "trials", "pairs_per_bit", "machine", "seed"]
+            ["bob_states", "a2_basis", "trials", "pairs_per_bit", "machine", "seed"]
         ),
         value=st.sampled_from(
             JUNK + STATES + [AliceBasis.fourier(3), AliceBasis.fourier(2), 2**62, 2**64]

@@ -82,7 +82,6 @@ def legal_instances(draw, max_n=3, target_a2=False):
     return ProtocolConfig(
         bob_states=states,
         a2_basis=a2_basis,
-        mu=mu,
         trials=1,
         pairs_per_bit=1,
         machine=machine,
@@ -112,7 +111,6 @@ def illegal_instances(draw):
     return ProtocolConfig(
         bob_states=states,
         a2_basis=_haar_basis(n, rng),
-        mu=mu,
         trials=1,
         pairs_per_bit=1,
         machine=spec,
@@ -173,7 +171,6 @@ class TestRunContext:
         config = ProtocolConfig(
             bob_states=states,
             a2_basis=a2_basis,
-            mu=n + 1,
             trials=1,
             pairs_per_bit=1,
             machine=IllegalClonerSpec(tuple(range(1, n + 2)), n + 1, 2 * n),
@@ -372,7 +369,6 @@ class TestLawProperties:
         config = ProtocolConfig(
             bob_states=states,
             a2_basis=_haar_basis(n, rng),
-            mu=mu,
             trials=1,
             pairs_per_bit=1,
             machine=legal.machine([frac * legal.gamma_max] * n),
@@ -398,7 +394,6 @@ def _legal(states, mu, seed):
     return ProtocolConfig(
         bob_states=states,
         a2_basis=AliceBasis.fourier(len(states)),
-        mu=mu,
         trials=1,
         pairs_per_bit=1,
         machine=construct_machine(states, mu, [gamma] * len(states)),
@@ -416,7 +411,6 @@ def _illegal_mixed(mu, seed):
     return ProtocolConfig(
         bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
-        mu=mu,
         trials=1,
         pairs_per_bit=1,
         machine=spec,

@@ -757,7 +757,7 @@ class TestCliSignalTest:
 
     def test_own_column_stays_once_per_legal_run(self, tmp_path, monkeypatch):
         # both laws and the leakage bound read one run context's exact-copy
-        # tables, so a legal or an illegal run computes them once
+        # table, so a legal or an illegal run computes it once
         calls = []
         group_hits = signalling.group_hits
 
@@ -991,15 +991,26 @@ class TestCliFuzz:
              gammas=["0.5"], max_uniform=False, out="missing")
     @example(command="feasibility", states="states_overlap_n2.txt", copies="1",
              gammas=[], max_uniform=True, out="under-file")
+    # argparse refuses these itself, with one line too
+    @example(command="feasibility", states="states_overlap_n2.txt", copies="2.5",
+             gammas=[], max_uniform=False, out=None)
+    @example(command="construct", states="states_overlap_n2.txt", copies="2",
+             gammas=["x"], max_uniform=False, out=None)
+    @example(command="feasibility", states=None, copies="2",
+             gammas=[], max_uniform=False, out=None)
+    @example(command="no-such-command", states="states_overlap_n2.txt", copies="2",
+             gammas=[], max_uniform=False, out=None)
     @given(
-        command=st.sampled_from(["feasibility", "construct"]),
+        command=st.sampled_from(["feasibility", "construct", "no-such-command"]),
+        # None leaves out the states file
         states=st.sampled_from(
-            ["states_orthogonal_n2.txt", "states_overlap_n2.txt", "states_legal_n2.txt"]
+            ["states_orthogonal_n2.txt", "states_overlap_n2.txt", "states_legal_n2.txt",
+             None]
         ),
-        copies=st.sampled_from(["0", "1", "-3", "100000000", "2", "3"]),
+        copies=st.sampled_from(["0", "1", "-3", "100000000", "2", "3", "2.5"]),
         # one or N = 2 values, and the wrong counts 0 and 3
         gammas=st.lists(
-            st.sampled_from(["nan", "inf", "-0.1", "1.5", "0.5", "0.2"]), max_size=3
+            st.sampled_from(["nan", "inf", "-0.1", "1.5", "0.5", "0.2", "x"]), max_size=3
         ),
         max_uniform=st.booleans(),
         out=st.sampled_from([None, "missing", "under-file"]),
@@ -1008,7 +1019,7 @@ class TestCliFuzz:
         self, tmp_path_factory, command, states, copies, gammas, max_uniform, out
     ):
         work = tmp_path_factory.mktemp("argv")
-        argv = [command, str(CONFIGS / states), "-M", copies]
+        argv = [command, *([str(CONFIGS / states)] if states else []), "-M", copies]
         for gamma in gammas or (["0.5"] if command == "construct" else []):
             argv += ["--gamma", gamma]
         if max_uniform and command == "feasibility":

@@ -118,6 +118,29 @@ class TestMaxUniformGamma:
         with pytest.raises(ConfigError, match=r"copy count must be at most 2\*\*30"):
             FactoredSet.of(states, 2**62)
 
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            FactoredSet.of,
+            max_uniform_gamma,
+            lambda states, m: feasibility_matrix(states, m, [0.5, 0.5]),
+            lambda states, m: construct_machine(states, m, [0.5, 0.5]),
+        ],
+        ids=[
+            "FactoredSet.of", "max_uniform_gamma", "feasibility_matrix", "construct_machine"
+        ],
+    )
+    @pytest.mark.parametrize(
+        "scale, states",
+        [(2, np.eye(2)), (3, overlap_pair(SQ2))],
+        ids=["2-eye", "3-overlap"],
+    )
+    def test_states_must_be_unit_vectors(self, entry_point, scale, states):
+        # the Gram condition is stated for unit states: 2 * eye(2) gave
+        # gamma_max 0.25 where the unit pair gives 1.0
+        with pytest.raises(ConfigError, match="clonable states must be unit vectors"):
+            entry_point(scale * states, 2)
+
     def test_efficiencies_must_be_numbers(self):
         states = overlap_pair(0.5)
         with pytest.raises(ConfigError, match="efficiencies must be a sequence, got None"):

@@ -87,7 +87,6 @@ def illegal_config(trials=20_000, mu=48, seed=42, coefficients=None, pairs_per_b
     return ProtocolConfig(
         bob_states=state_rows((KET0, KET1)),
         a2_basis=AliceBasis.fourier(2),
-        mu=mu,
         trials=trials,
         pairs_per_bit=pairs_per_bit,
         machine=spec,
@@ -102,7 +101,6 @@ def legal_config(trials=5_000, mu=6, seed=43, gamma_frac=0.9, pairs_per_bit=5):
     return ProtocolConfig(
         bob_states=states,
         a2_basis=AliceBasis.fourier(2),
-        mu=mu,
         trials=trials,
         pairs_per_bit=pairs_per_bit,
         machine=machine,
@@ -236,7 +234,7 @@ def tallies(draw):
     ).reshape(2 * n, n + 2)
     assume(min(counts[:n].sum(), counts[n:].sum()) > 0)
     discards = tuple(draw(st.integers(0, high)) for _ in (0, 1))
-    return TallyTable(n=n, counts=counts, discards=discards)
+    return TallyTable(counts=counts, discards=discards)
 
 
 class TestStatsFromTally:
@@ -269,7 +267,7 @@ class TestStatsFromTally:
         # sizes given beside the counts could disagree with them
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = counts[1, 1] = counts[2, 2] = counts[3, 3] = 5
-        tally = TallyTable(n=2, counts=counts, discards=(3, 0))
+        tally = TallyTable(counts=counts, discards=(3, 0))
         assert tally.classified == (10, 10) and tally.trials == (13, 10)
         assert all(type(size) is int for size in tally.classified + tally.trials)
         stats = stats_from_tally(tally, 0.0)
@@ -277,7 +275,7 @@ class TestStatsFromTally:
         assert stats.p_vote[0, 0] == 1.0 and stats.discard_rate == (3 / 13, 0.0)
         with pytest.raises(TypeError):
             TallyTable(
-                n=2, counts=counts, classified=(5, 5), discards=(0, 0), trials=(3, 3)
+                counts=counts, classified=(5, 5), discards=(0, 0), trials=(3, 3)
             )
 
     @pytest.mark.parametrize(
@@ -287,7 +285,7 @@ class TestStatsFromTally:
     )
     def test_discards_are_two_nonnegative_integers(self, discards):
         with pytest.raises(ConfigError):
-            TallyTable(n=2, counts=np.ones((4, 4), dtype=np.int64), discards=discards)
+            TallyTable(counts=np.ones((4, 4), dtype=np.int64), discards=discards)
 
 
 class TestRunProtocol:
@@ -382,7 +380,7 @@ class TestRunProtocol:
         # at the 2**62 cap, the decided pairs of both settings reach 2**63
         counts = np.zeros((4, 4), dtype=np.int64)
         counts[0, 0] = counts[2, 0] = 2**62  # A2 pairs all land in column B1
-        tally = TallyTable(n=2, counts=counts, discards=(0, 0))
+        tally = TallyTable(counts=counts, discards=(0, 0))
         assert stats_from_tally(tally, 0.0).accuracy == 0.5
 
     def test_legal_machine_does_not_signal(self):
@@ -740,7 +738,6 @@ class TestProtocolConfigValidation:
             ProtocolConfig(
                 bob_states=state_rows((KET0, KET1)),
                 a2_basis=AliceBasis.fourier(2),
-                mu=4,
                 trials=10,
                 pairs_per_bit=1,
                 machine=machine,
@@ -751,6 +748,40 @@ class TestProtocolConfigValidation:
     def test_mu_lower_bound(self):
         with pytest.raises(ConfigError):
             illegal_config(mu=2)
+
+    def test_mu_is_the_machine_copy_count(self):
+        # the run has no copy count of its own to disagree with the machine's
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig(
+                bob_states=state_rows((KET0, KET1)),
+                a2_basis=AliceBasis.fourier(2),
+                trials=10,
+                pairs_per_bit=1,
+                machine=IllegalClonerSpec((1, 2, 3), 2, 4),
+                seed=1,
+            )
+        assert str(err.value) == "mu must be at least N+1 = 3, got 2"
+        for protocol, mu in ((illegal_config(mu=12), 12), (legal_config(mu=6), 6)):
+            assert protocol.mu == protocol.machine.copies == mu
+        # a hand-built machine's count goes through the integer rule
+        machine = dataclasses.replace(protocol.machine, copies=6.5)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(protocol, machine=machine)
+        assert str(err.value) == "mu must be an integer, got 6.5"
+
+    def test_machine_on_states_of_another_shape(self):
+        # three clonable states of dimension 3 against Bob's two of dimension 2
+        machine = construct_machine(np.eye(3), 4, [0.5, 0.5, 0.5])
+        with pytest.raises(ConfigError) as err:
+            ProtocolConfig(
+                bob_states=state_rows((KET0, KET1)),
+                a2_basis=AliceBasis.fourier(2),
+                trials=10,
+                pairs_per_bit=1,
+                machine=machine,
+                seed=1,
+            )
+        assert str(err.value).startswith("machine clones other states than Bob's")
 
     @pytest.mark.parametrize(
         "bob_states, message",
@@ -778,7 +809,6 @@ class TestProtocolConfigValidation:
             "ProtocolConfig": lambda: ProtocolConfig(
                 bob_states=bob_states,
                 a2_basis=AliceBasis.fourier(2),
-                mu=4,
                 trials=10,
                 pairs_per_bit=1,
                 machine=IllegalClonerSpec((1, 2, 3), 4, 4),
@@ -793,8 +823,8 @@ class TestProtocolConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("trials", 2.5), ("trials", True), ("pairs_per_bit", 3.7), ("mu", 48.0)],
-        ids=["trials-float", "trials-bool", "pairs_per_bit-float", "mu-float"],
+        [("trials", 2.5), ("trials", True), ("pairs_per_bit", 3.7)],
+        ids=["trials-float", "trials-bool", "pairs_per_bit-float"],
     )
     def test_run_counts_must_be_integers(self, field, value):
         # a float count would draw int(value) pairs but report value
@@ -814,7 +844,6 @@ class TestProtocolConfigValidation:
             return ProtocolConfig(
                 bob_states=bob_states,
                 a2_basis=AliceBasis.fourier(2),
-                mu=4,
                 trials=10,
                 pairs_per_bit=1,
                 machine=IllegalClonerSpec((1, 2, 3), 4, 4),
@@ -827,12 +856,12 @@ class TestProtocolConfigValidation:
         assert build([[1.0 + 1e-11, 0.0], [0.0, 1.0]]).n == 2
 
     def test_machine_copy_count_must_match(self):
+        # mu is the machine's copy count, so two copies for N = 2 are too few
         machine = construct_machine(state_rows((KET0, KET1)), 2, [1.0, 1.0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"mu must be at least N\+1 = 3, got 2"):
             ProtocolConfig(
                 bob_states=state_rows((KET0, KET1)),
                 a2_basis=AliceBasis.fourier(2),
-                mu=4,
                 trials=10,
                 pairs_per_bit=1,
                 machine=machine,
