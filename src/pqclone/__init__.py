@@ -13,6 +13,7 @@ from .errors import ConfigError, FeasibilityError, PqcloneError, RankError
 from .pqcm import (
     FactoredSet,
     IllegalClonerSpec,
+    PqcmMachine,
     construct_machine,
     feasibility_matrix,
     max_uniform_gamma,

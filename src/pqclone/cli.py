@@ -147,7 +147,7 @@ def cmd_construct(args) -> int:
     gammas = _per_state(args.gamma, len(states))
     legal = pqcm.FactoredSet.of(states, args.copies)
     try:
-        machine = legal.machine(gammas)
+        machine = pqcm.PqcmMachine(legal, gammas)
     except FeasibilityError as exc:
         _, min_eig = legal.gram_verdict(gammas)
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -252,14 +252,9 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
     if kind == "illegal":
         labels = spec.get("clonable_labels")
         if labels is None:
-            labels = list(range(1, n + 2))
-        for label in _list(labels, "machine clonable_labels"):
-            if isinstance(label, bool) or not isinstance(label, int):
-                raise ConfigError(
-                    f"machine clonable_labels must hold integers, got {label!r}"
-                )
+            labels = range(1, n + 2)
         return pqcm.IllegalClonerSpec(
-            clonable_labels=tuple(labels),
+            clonable_labels=labels,
             copies=config.mu,
             total_labels=2 * n,
             coefficients=_resolve_coefficients(spec) or None,
@@ -277,7 +272,7 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
                 gamma = legal.gamma_max
                 gamma *= _real(spec.get("gamma_scale", 1.0), "machine gamma_scale")
             gammas = [_real(gamma, "machine uniform_gamma")] * n
-        return legal.machine(gammas)
+        return pqcm.PqcmMachine(legal, gammas)
     raise ConfigError(f"unknown machine kind {kind!r}")
 
 

@@ -14,13 +14,13 @@ A state set is one read-only ``(N, d)`` array, one state per row. A
 N x N factor R with R*R = X^(M): the Cholesky factor of X^(M) when cond(B)
 lies below ``CHOLESKY_COND``, and a QR factor of the product columns
 nearer dependence, where Cholesky would lose cond(B)^2 * eps. The largest
-uniform efficiency, the Gram verdict and the Kraus pair are all read from
-it, and ``max_uniform_gamma``, ``feasibility_matrix`` and
-``construct_machine`` are one-shot entry points over it. Every check on
-a machine runs on N x N matrices (derivation in ``FactoredSet.machine``),
-so construction never builds an N^M-dimensional array. The explicit
-N^M x N operator A is built only when ``kraus_success`` is first read,
-and its own clone and trace residuals are checked then.
+uniform efficiency, the Gram verdict, the Kraus pair and the legal law
+are all read from it, and ``max_uniform_gamma``, ``feasibility_matrix``
+and ``construct_machine`` are one-shot entry points over it. A
+``PqcmMachine`` is a factored set plus its efficiencies, checked on N x N
+matrices when constructed, so construction never builds an
+N^M-dimensional array. The explicit N^M x N operator A is built only when
+``kraus_success`` is first read, and its own residuals are checked then.
 
 The module also models the deliberately nonphysical "illegal" cloner of
 the signalling argument: a label-aware device that claims to clone N+1
@@ -31,7 +31,7 @@ a random branch of the general output decomposition.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -42,50 +42,6 @@ from .errors import ConfigError, FeasibilityError
 from .qcore import Ket, SeededRng
 
 _MACHINE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class PqcmMachine:
-    """A success/failure Kraus pair cloning a fixed state set.
-
-    The residuals are those of the N x N checks in ``FactoredSet.machine``.
-    """
-
-    clonable: np.ndarray  # (N, dim), one state per row, linearly independent
-    copies: int
-    gammas: tuple  # of float, per-state success probabilities
-    kraus_fail: np.ndarray  # shape (N, N)
-    clone_residual: float  # max_i ||A|B_i> - sqrt(g_i)|B_i>^(xM)||
-    trace_residual: float  # max-entry |A*A + F*F - I|
-
-    @property
-    def dim(self) -> int:
-        return self.clonable.shape[1]
-
-    @cached_property
-    def kraus_success(self) -> np.ndarray:
-        """The explicit success operator A = C D B^+, shape (N**copies, N).
-
-        Built on first read, which checks its clone residual and, with
-        ``kraus_fail``, its trace residual against the same tolerance as
-        construction; the array is read-only.
-        """
-        b_mat = np.ascontiguousarray(self.clonable.T)
-        c_mat = np.column_stack(
-            [qcore.tensor_power(s, self.copies) for s in self.clonable]
-        )
-        target = c_mat * np.sqrt(np.asarray(self.gammas))[None, :]  # C D
-        a_op = target @ np.linalg.pinv(b_mat)
-        clone = float(np.max(np.linalg.norm(a_op @ b_mat - target, axis=0)))
-        f_op = self.kraus_fail
-        total = a_op.conj().T @ a_op + f_op.conj().T @ f_op  # A*A + F*F
-        trace = float(np.max(np.abs(total - np.eye(self.dim))))
-        if clone > _MACHINE_TOL or trace > _MACHINE_TOL:
-            raise FeasibilityError(
-                f"explicit success operator fails its checks "
-                f"(clone residual {clone:.3e}, trace residual {trace:.3e})"
-            )
-        return qcore._frozen(a_op)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +102,9 @@ class CloneOutput:
 # rule's limit (the README has the table).
 CHOLESKY_COND = 300.0
 
-# A unit state's Gram diagonal is 1 to within a few eps, and X^(o M) raises
-# that roundoff to (1 + eps)^M: about 5e-7 at this cap, and an overflow (with
-# a wrong verdict) near M = 2**62.
+# A unit state's norm is 1 to within a few eps. FactoredSet.of sets the Gram
+# diagonal to exactly 1, but the QR product factor still raises that roundoff
+# to (1 + eps)^M: about 5e-7 at this cap.
 MAX_COPIES = 2**30
 
 
@@ -203,9 +159,10 @@ class FactoredSet:
     R*R = C*C = X^(o M). The SVD also gives cond(B): below ``CHOLESKY_COND``
     R is the Cholesky factor of X^(o M) (``_cholesky_factor``), otherwise
     the QR factor of C (``_product_factor``). ``gamma_max``,
-    ``feasibility_matrix``, ``gram_verdict`` and ``machine`` all read these,
-    so a run that needs the largest uniform efficiency and the machine built
-    at it checks and factors the set once. Build one with ``FactoredSet.of``.
+    ``feasibility_matrix``, ``gram_verdict``, a ``PqcmMachine`` and its
+    column law all read these, so a run that needs the largest uniform
+    efficiency and the machine built at it checks and factors the set once.
+    Build one with ``FactoredSet.of``.
     """
 
     states: np.ndarray  # (N, dim), one state per row, read-only
@@ -237,6 +194,7 @@ class FactoredSet:
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T
         gram = b_mat.conj().T @ b_mat
         gram = (gram + gram.conj().T) / 2.0
+        np.fill_diagonal(gram, 1.0)  # unit states; X^(o M) would raise roundoff
         gram_power = gram**m
         if singulars[0] < CHOLESKY_COND * singulars[-1]:
             factor = _cholesky_factor(gram_power)
@@ -292,40 +250,57 @@ class FactoredSet:
         min_eig = float(np.linalg.eigvalsh(self.feasibility_matrix(gammas))[0])
         return min_eig >= -qcore.PSD_TOL, min_eig
 
-    def machine(self, gammas: Sequence[float]) -> PqcmMachine:
-        """Build and verify the success/failure Kraus pair for ``gammas``.
 
-        Success operator A = C D B^+ with B the matrix of input columns,
-        C the matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i));
-        failure operator F = principal square root of I - A*A. Every check
-        runs on N x N matrices, from W = D B^+ and the factor R. Since
-        R*R = C*C, C = Q R with Q = C R^-1 of orthonormal columns (never
-        formed). Then A = C W = Q G with G = R W, so:
+@dataclass(frozen=True, eq=False)
+class PqcmMachine:
+    """A success/failure Kraus pair: a factored set and one efficiency per state.
 
-          * A*A = G*G, and I - A*A must be PSD (trace preservation);
-          * A B - C D = Q R V with V = W B - D, so the clone residual of
-            state i is the norm of column i of R V;
-          * the trace residual is max |A*A + F*F - I|.
+    Construction verifies it, a ``dataclasses.replace`` copy included.
+    Success operator A = C D B^+ with B the matrix of input columns, C the
+    matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i)); failure
+    operator F = principal square root of I - A*A. The efficiencies must
+    lie in [0, 1] and meet the Gram condition, and every check runs on
+    N x N matrices, from W = D B^+ and the factor R. Since R*R = C*C,
+    C = Q R with Q = C R^-1 of orthonormal columns (never formed). Then
+    A = C W = Q G with G = R W, so:
 
-        Both residuals must lie within ``_MACHINE_TOL``. The explicit A is
-        built, and its own clone and trace residuals checked, when
-        ``kraus_success`` is first read. Raises FeasibilityError when the
-        Gram condition or a check fails.
-        """
-        gammas = self._efficiencies(gammas)
-        feasible, min_eig = self.gram_verdict(gammas)
+      * A*A = G*G, and I - A*A must be PSD (trace preservation);
+      * A B - C D = Q R V with V = W B - D, so the clone residual of
+        state i is the norm of column i of R V;
+      * the trace residual is max |A*A + F*F - I|.
+
+    Both residuals must lie within ``_MACHINE_TOL``. Raises ConfigError
+    for a ``factored`` that is not a ``FactoredSet`` or for malformed
+    efficiencies, and FeasibilityError when the Gram condition or a check
+    fails.
+    """
+
+    factored: FactoredSet
+    gammas: tuple  # of float, per-state success probabilities
+    kraus_fail: np.ndarray = field(init=False)  # shape (N, N)
+    clone_residual: float = field(init=False)  # max_i ||A|B_i> - sqrt(g_i)|B_i>^(xM)||
+    trace_residual: float = field(init=False)  # max-entry |A*A + F*F - I|
+
+    def __post_init__(self):
+        legal = self.factored
+        if not isinstance(legal, FactoredSet):
+            raise ConfigError(
+                f"a machine needs a FactoredSet, got {type(legal).__name__}"
+            )
+        gammas = legal._efficiencies(self.gammas)
+        feasible, min_eig = legal.gram_verdict(gammas)
         if not feasible:
             raise FeasibilityError(
                 f"requested efficiencies are infeasible (min eigenvalue {min_eig:.3e})"
             )
 
         d_vec = np.sqrt(np.asarray(gammas))
-        w_mat = d_vec[:, None] * self.pinv  # A = C W
-        r_mat = self.product_factor  # C = Q R
+        w_mat = d_vec[:, None] * legal.pinv  # A = C W
+        r_mat = legal.product_factor  # C = Q R
         g_mat = r_mat @ w_mat  # A = Q G
         success_gram = g_mat.conj().T @ g_mat  # A*A
 
-        eye = np.eye(self.b_mat.shape[0])
+        eye = np.eye(self.dim)
         gap = eye - success_gram
         eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
         if eigvals[0] < -qcore.PSD_TOL:
@@ -335,7 +310,7 @@ class FactoredSet:
             )
         f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
 
-        v_mat = w_mat @ self.b_mat - np.diag(d_vec)  # A B - C D = Q R V
+        v_mat = w_mat @ legal.b_mat - np.diag(d_vec)  # A B - C D = Q R V
         clone_residual = float(np.max(np.linalg.norm(r_mat @ v_mat, axis=0)))
         trace_residual = float(
             np.max(np.abs(success_gram + f_op.conj().T @ f_op - eye))
@@ -345,14 +320,47 @@ class FactoredSet:
                 f"machine verification failed (clone residual {clone_residual:.3e}, "
                 f"trace residual {trace_residual:.3e})"
             )
-        return PqcmMachine(
-            clonable=self.states,
-            copies=self.copies,
-            gammas=gammas,
-            kraus_fail=qcore._frozen(f_op),
-            clone_residual=clone_residual,
-            trace_residual=trace_residual,
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "kraus_fail", qcore._frozen(f_op))
+        object.__setattr__(self, "clone_residual", clone_residual)
+        object.__setattr__(self, "trace_residual", trace_residual)
+
+    @property
+    def clonable(self) -> np.ndarray:
+        return self.factored.states
+
+    @property
+    def copies(self) -> int:
+        return self.factored.copies
+
+    @property
+    def dim(self) -> int:
+        return self.factored.states.shape[1]
+
+    @cached_property
+    def kraus_success(self) -> np.ndarray:
+        """The explicit success operator A = C D B^+, shape (N**copies, N).
+
+        Built on first read from the factored B and B^+, which checks its
+        clone residual and, with ``kraus_fail``, its trace residual against
+        the same tolerance as construction; the array is read-only.
+        """
+        legal = self.factored
+        c_mat = np.column_stack(
+            [qcore.tensor_power(s, self.copies) for s in legal.states]
         )
+        target = c_mat * np.sqrt(np.asarray(self.gammas))[None, :]  # C D
+        a_op = target @ legal.pinv
+        clone = float(np.max(np.linalg.norm(a_op @ legal.b_mat - target, axis=0)))
+        f_op = self.kraus_fail
+        total = a_op.conj().T @ a_op + f_op.conj().T @ f_op  # A*A + F*F
+        trace = float(np.max(np.abs(total - np.eye(self.dim))))
+        if clone > _MACHINE_TOL or trace > _MACHINE_TOL:
+            raise FeasibilityError(
+                f"explicit success operator fails its checks "
+                f"(clone residual {clone:.3e}, trace residual {trace:.3e})"
+            )
+        return qcore._frozen(a_op)
 
 
 def feasibility_matrix(
@@ -372,11 +380,10 @@ def construct_machine(
     states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
     """Build and verify the success/failure Kraus pair for the given set
-    (checks in ``FactoredSet.machine``). Raises RankError for a set too
-    close to dependence, FeasibilityError when the Gram condition or a
-    check fails.
+    (checks in ``PqcmMachine``). Raises RankError for a set too close to
+    dependence, FeasibilityError when the Gram condition or a check fails.
     """
-    return FactoredSet.of(states, m).machine(gammas)
+    return PqcmMachine(FactoredSet.of(states, m), gammas)
 
 
 def apply_machine(

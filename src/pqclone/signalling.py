@@ -279,8 +279,6 @@ class ProtocolConfig:
         qcore.require_unit(bob_states, "Bob states")
         if not isinstance(self.machine, (PqcmMachine, IllegalClonerSpec)):
             raise ConfigError("machine must be a PqcmMachine or IllegalClonerSpec")
-        # a PqcmMachine built by hand, not by FactoredSet, has an unchecked count
-        qcore.require_int("mu", self.mu)
         if self.mu < n + 1:
             raise ConfigError(f"mu must be at least N+1 = {n + 1}, got {self.mu}")
         # numpy's multinomial takes n < 2**63, and every int64 count stays at
@@ -423,7 +421,7 @@ def _stay(hit: np.ndarray) -> np.ndarray:
 
 
 def _legal_rows(
-    machine: PqcmMachine, probs: np.ndarray, ctx: RunContext, mu: int
+    machine: PqcmMachine, probs: np.ndarray, ctx: RunContext
 ) -> np.ndarray:
     """Law rows of a Kraus machine over the members, N+3 cells each.
 
@@ -437,7 +435,7 @@ def _legal_rows(
         beta_m = sqrt(p_m) D B^-1 psi_m.
 
     An A1 member is B_n itself, so its beta is sqrt(p_n gamma_n) e_n; only
-    A2's members solve B beta = psi. "Only group l all-succeeds" is the
+    A2's members read the factored B^+. "Only group l all-succeeds" is the
     projector P_l (x) prod_{j != l} (I - P_j), with P_j = |B_j><B_j|^(x g_j)
     for j <= N. The factor I - P_i annihilates |B_i>^(x g_i), so every term
     of Phi_m but the i = l one vanishes, and so does every cross term:
@@ -448,19 +446,17 @@ def _legal_rows(
     for every member, since each term of Phi_m fails some group j <= N.
     Coherence enters only through the success mass
     ||Phi_m||^2 = beta_m^H X^(o mu) beta_m, with X = B^H B the Gram matrix
-    and o the entrywise power: PHI takes what the columns leave of it, and
-    the discard cell takes p_m - success.
+    and o the entrywise power (``machine.factored.gram_power``): PHI takes
+    what the columns leave of it, and the discard cell takes p_m - success.
     """
     k = ctx.candidates.shape[0]
     n = k - 1
-    states = ctx.candidates[:n].T  # B: the clonable states as columns
+    legal = machine.factored
     beta = np.zeros((n, probs.size), dtype=complex)
     beta[:, :n] = np.eye(n)
-    beta[:, n:] = np.linalg.solve(states, ctx.preparations[n:].T)
+    beta[:, n:] = legal.pinv @ ctx.preparations[n:].T
     beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(probs)[None, :]
-    gram = states.conj().T @ states
-    np.fill_diagonal(gram, 1.0)  # unit kets: X^(o mu) would scale roundoff by mu
-    success = np.einsum("im,ij,jm->m", beta.conj(), gram**mu, beta).real
+    success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
     rows = np.zeros((probs.size, k + 2))  # column N+1 stays 0
     rows[:, :n] = (np.abs(beta) ** 2 * ctx.own_stay[:n, None]).T
     rows[:, k] = success - rows[:, :n].sum(axis=1)  # PHI
@@ -528,7 +524,7 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     if isinstance(config.machine, IllegalClonerSpec):
         raw = _illegal_rows(config.machine, probs, ctx)
     else:
-        raw = _legal_rows(config.machine, probs, ctx, config.mu)
+        raw = _legal_rows(config.machine, probs, ctx)
     return _clip_law(raw.reshape(2, n, n + 3))
 
 

@@ -13,6 +13,7 @@ from pqclone import cli
 from pqclone.entangle import AliceBasis, target_to_basis
 from pqclone.errors import FeasibilityError, RankError
 from pqclone.pqcm import (
+    FactoredSet,
     IllegalClonerSpec,
     construct_machine,
     feasibility_matrix,
@@ -368,12 +369,14 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
 def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
     """``_legal_rows`` over A1 then A2 for any diagonal Gamma, and the probs.
 
-    The stand-in machine carries only the efficiencies, so Gamma may break
-    the Gram condition, where no Kraus pair exists.
+    The stand-in machine carries only the factored set and the efficiencies,
+    so Gamma may break the Gram condition, where no Kraus pair exists.
     """
     ctx = prepare_context(states, a2_basis, mu)
-    stand_in = SimpleNamespace(gammas=np.asarray(gammas))
-    return _legal_rows(stand_in, ctx.probs.ravel(), ctx, mu), ctx.probs
+    stand_in = SimpleNamespace(
+        factored=FactoredSet.of(states, mu), gammas=np.asarray(gammas)
+    )
+    return _legal_rows(stand_in, ctx.probs.ravel(), ctx), ctx.probs
 
 
 def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():

@@ -20,6 +20,7 @@ from pqclone import (
     FactoredSet,
     IllegalClonerSpec,
     PqcloneError,
+    PqcmMachine,
     SeededRng,
     column_law,
     feasibility_matrix,
@@ -119,7 +120,7 @@ class TestApiFuzz:
             legal = FactoredSet.of(states, m)
             legal.gamma_max
             legal.gram_verdict(gammas)
-            legal.machine(gammas)
+            PqcmMachine(legal, gammas)
 
         returns_or_raises_pqclone_error(factor_and_read)
 

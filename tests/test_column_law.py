@@ -18,6 +18,7 @@ from pqclone.errors import ConfigError, RankError
 from pqclone.pqcm import (
     FactoredSet,
     IllegalClonerSpec,
+    PqcmMachine,
     construct_machine,
     max_uniform_gamma,
 )
@@ -217,7 +218,7 @@ class TestLawProperties:
             preparations=kets, candidates=ctx.candidates, own_stay=ctx.own_stay
         )
         np.testing.assert_allclose(
-            _legal_rows(config.machine, probs, stand_in, config.mu),
+            _legal_rows(config.machine, probs, stand_in),
             contracted_legal_rows(
                 config.machine.kraus_success, kets, probs, ctx.candidates, config.mu
             ),
@@ -301,16 +302,17 @@ class TestLawProperties:
         # The legal law is linear in Bob's state, so A1 and A2 leave him the
         # same cell marginals for every diagonal Gamma, infeasible ones up to
         # 2 gamma_max included; the Gram condition only keeps the discard cell
-        # >= 0. The stand-in carries just what _legal_rows reads: no Kraus pair
-        # is built.
+        # >= 0. The stand-in carries just what _legal_rows reads, the factored
+        # set and the efficiencies: no Kraus pair is built.
         rng = SeededRng(seed)
         mu = n + extra_copies
         states = state_rows([random_ket(n, rng) for _ in range(n)])
         assume(np.linalg.cond(states) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
-        stand_in = SimpleNamespace(gammas=gammas)
+        legal = FactoredSet.of(states, mu)
+        stand_in = SimpleNamespace(factored=legal, gammas=gammas)
         ctx = prepare_context(states, _haar_basis(n, rng), mu)
-        rows = _legal_rows(stand_in, ctx.probs.ravel(), ctx, mu)
+        rows = _legal_rows(stand_in, ctx.probs.ravel(), ctx)
         a1_cells, a2_cells = rows[:n].sum(axis=0), rows[n:].sum(axis=0)
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
 
@@ -326,7 +328,7 @@ class TestLawProperties:
         if isinstance(config.machine, IllegalClonerSpec):
             raw = _illegal_rows(config.machine, probs, ctx)
         else:
-            raw = _legal_rows(config.machine, probs, ctx, config.mu)
+            raw = _legal_rows(config.machine, probs, ctx)
         assert raw[:, : n + 1].min() >= 0.0
         np.testing.assert_array_equal(
             column_law(config)[:, :, : n + 1], raw.reshape(2, n, n + 3)[:, :, : n + 1]
@@ -371,7 +373,7 @@ class TestLawProperties:
             a2_basis=_haar_basis(n, rng),
             trials=1,
             pairs_per_bit=1,
-            machine=legal.machine([frac * legal.gamma_max] * n),
+            machine=PqcmMachine(legal, [frac * legal.gamma_max] * n),
             seed=0,
         )
         reference = high_precision_legal_law(

@@ -403,15 +403,17 @@ class TestCliSignalTest:
         assert not (tmp_path / "out").exists()
 
     # One case per malformed value inside "machine" or "a2"; each used to
-    # end in a raw ValueError, TypeError, KeyError or IndexError.
+    # end in a raw ValueError, TypeError, KeyError or IndexError. The
+    # message names the field, or for clonable labels the rule of
+    # IllegalClonerSpec, which takes them as they are.
     @pytest.mark.parametrize(
-        "name, field, value",
+        "name, field, value, prefix",
         [
-            ("legal_n2.json", "machine", {"kind": "legal", "uniform_gamma": "x"}),
-            ("legal_n2.json", "machine", {"kind": "legal", "gamma_scale": "x"}),
-            ("legal_n2.json", "machine", {"kind": "legal", "gammas": ["x", 0.1]}),
-            ("legal_n2.json", "a2", {"kind": "vectors", "vectors": 3}),
-            ("legal_n2.json", "a2", {"kind": "target"}),
+            ("legal_n2.json", "machine", {"kind": "legal", "uniform_gamma": "x"}, None),
+            ("legal_n2.json", "machine", {"kind": "legal", "gamma_scale": "x"}, None),
+            ("legal_n2.json", "machine", {"kind": "legal", "gammas": ["x", 0.1]}, None),
+            ("legal_n2.json", "a2", {"kind": "vectors", "vectors": 3}, None),
+            ("legal_n2.json", "a2", {"kind": "target"}, None),
             (
                 "illegal_n2.json",
                 "machine",
@@ -421,12 +423,28 @@ class TestCliSignalTest:
                         "4": {"c": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]], "d": "x"}
                     },
                 },
+                None,
+            ),
+            (
+                "illegal_n2.json",
+                "machine",
+                {"kind": "illegal", "clonable_labels": 5},
+                "error: clonable labels must be a sequence, got 5",
+            ),
+            (
+                "illegal_n2.json",
+                "machine",
+                {"kind": "illegal", "clonable_labels": [1.5, 2, 3]},
+                "error: clonable label must be an integer, got 1.5",
             ),
         ],
-        ids=["uniform_gamma", "gamma_scale", "gammas", "vectors", "target", "d"],
+        ids=[
+            "uniform_gamma", "gamma_scale", "gammas", "vectors", "target", "d",
+            "labels-not-a-list", "labels-float",
+        ],
     )
     def test_malformed_nested_value_exits_1_with_one_line(
-        self, tmp_path, capsys, name, field, value
+        self, tmp_path, capsys, name, field, value, prefix
     ):
         data = json.loads((CONFIGS / name).read_text())
         data["out"] = str(tmp_path / "out")
@@ -438,7 +456,8 @@ class TestCliSignalTest:
         code = cli.main(["signal-test", str(cfg), "--trials", "10"])
         err = capsys.readouterr().err
         assert code == 1
-        assert err.startswith(f"error: {field} ") and len(err.splitlines()) == 1
+        assert err.startswith(prefix or f"error: {field} ")
+        assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
     # Every [re, im] amplitude takes the rule of the machine coefficients:

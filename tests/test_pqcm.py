@@ -14,6 +14,7 @@ from pqclone.pqcm import (
     CHOLESKY_COND,
     FactoredSet,
     IllegalClonerSpec,
+    PqcmMachine,
     apply_machine,
     construct_machine,
     feasibility_matrix,
@@ -148,7 +149,7 @@ class TestMaxUniformGamma:
         with pytest.raises(ConfigError, match="efficiencies must be real numbers, got 'a'"):
             feasibility_matrix(states, 3, ["a", "b"])
         with pytest.raises(ConfigError, match="efficiencies must be real numbers, got True"):
-            FactoredSet.of(states, 3).machine([True, 0.5])
+            PqcmMachine(FactoredSet.of(states, 3), [True, 0.5])
 
     def test_monotone_in_gamma(self):
         states = overlap_pair(0.5)
@@ -296,9 +297,26 @@ class TestConstructMachine:
     def test_explicit_operator_checked_with_failure_operator(self):
         machine = construct_machine(overlap_pair(SQ2), 2, [0.5, 0.5])
         assert machine.kraus_success.shape == (4, 2)
-        skewed = dataclasses.replace(machine, kraus_fail=1.01 * machine.kraus_fail)
+        # F is derived on construction, so a skewed one is forced onto a
+        # fresh machine whose explicit A has not been read yet
+        skewed = dataclasses.replace(machine)
+        object.__setattr__(skewed, "kraus_fail", 1.01 * machine.kraus_fail)
         with pytest.raises(FeasibilityError, match="trace residual"):
             skewed.kraus_success
+
+    def test_replaced_efficiencies_are_verified_again(self):
+        # a replace() copy is constructed, so forged efficiencies are refused
+        # with their own fault, not when the law is built
+        machine = construct_machine(overlap_pair(SQ2), 4, [0.3, 0.3])
+        with pytest.raises(ConfigError, match=r"efficiencies must lie in \[0, 1\]"):
+            dataclasses.replace(machine, gammas=(5.0, 5.0))
+        with pytest.raises(FeasibilityError, match="infeasible"):
+            dataclasses.replace(machine, gammas=(0.99, 0.99))
+        with pytest.raises(ConfigError, match="needs a FactoredSet, got ndarray"):
+            PqcmMachine(overlap_pair(SQ2), (0.3, 0.3))
+        copy = dataclasses.replace(machine, gammas=(0.2, 0.3))
+        assert copy.gammas == (0.2, 0.3) and copy.factored is machine.factored
+        assert copy.clonable is machine.clonable and copy.copies == 4
 
     def test_success_operator_is_trace_non_increasing(self):
         rng = SeededRng(301)

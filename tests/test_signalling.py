@@ -763,11 +763,13 @@ class TestProtocolConfigValidation:
         assert str(err.value) == "mu must be at least N+1 = 3, got 2"
         for protocol, mu in ((illegal_config(mu=12), 12), (legal_config(mu=6), 6)):
             assert protocol.mu == protocol.machine.copies == mu
-        # a hand-built machine's count goes through the integer rule
-        machine = dataclasses.replace(protocol.machine, copies=6.5)
+        # a legal machine's count is its factored set's, checked there, and
+        # the run's lower bound holds for it too
+        assert protocol.machine.copies == protocol.machine.factored.copies
+        machine = construct_machine(protocol.bob_states, 2, [0.5, 0.5])
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(protocol, machine=machine)
-        assert str(err.value) == "mu must be an integer, got 6.5"
+        assert str(err.value) == "mu must be at least N+1 = 3, got 2"
 
     def test_machine_on_states_of_another_shape(self):
         # three clonable states of dimension 3 against Bob's two of dimension 2
