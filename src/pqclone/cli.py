@@ -123,7 +123,7 @@ def cmd_feasibility(args) -> int:
     states = config_mod.load_states(args.states_file)
     m = args.copies
     report: dict = {"n_states": len(states), "dim": states.shape[1], "copies": m}
-    legal = pqcm.FactoredSet.of(states, m)
+    legal = pqcm.FactoredSet(states, m)
     one_or_n = args.gamma or [1.0]
     if args.max_uniform:
         report["gamma_max"] = legal.gamma_max
@@ -145,7 +145,7 @@ def cmd_feasibility(args) -> int:
 def cmd_construct(args) -> int:
     states = config_mod.load_states(args.states_file)
     gammas = _per_state(args.gamma, len(states))
-    legal = pqcm.FactoredSet.of(states, args.copies)
+    legal = pqcm.FactoredSet(states, args.copies)
     try:
         machine = pqcm.PqcmMachine(legal, gammas)
     except FeasibilityError as exc:

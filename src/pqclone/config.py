@@ -260,7 +260,7 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
             coefficients=_resolve_coefficients(spec) or None,
         )
     if kind == "legal":
-        legal = pqcm.FactoredSet.of(bob_states, config.mu)
+        legal = pqcm.FactoredSet(bob_states, config.mu)
         if "gammas" in spec:
             gammas = [
                 _real(g, "machine gammas entry")

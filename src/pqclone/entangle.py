@@ -21,8 +21,6 @@ from . import qcore
 from .errors import ConfigError
 from .qcore import Ensemble, Ket, SeededRng
 
-_SPAN_TOL = 1e-9
-
 
 @dataclass(frozen=True, eq=False)
 class AliceBasis:
@@ -149,20 +147,20 @@ def alice_measure(
 def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
     """Alternate basis whose first outcome steers Bob into ``target``.
 
-    ``bob_states`` holds |B_n> as row n. Writes target = sum_n c_n |B_n>
-    and sets a_1[n] = conj(c_n)/||c||, so the induced member-1 state equals
-    the target up to global phase. The remaining vectors are completed by
-    modified Gram-Schmidt over the computational basis in index order.
+    ``bob_states`` holds |B_n> as row n: N states of dimension N
+    (``qcore.bob_state_set``) that pass the rank rule, so B is square and
+    invertible and every target lies in its span. Solves target = B c from
+    the rank rule's SVD of B and sets a_1[n] = conj(c_n)/||c||, so the
+    induced member-1 state equals the target up to global phase. The
+    remaining vectors are completed by modified Gram-Schmidt over the
+    computational basis in index order.
     """
+    bob_states = qcore.bob_state_set(bob_states)
     n = len(bob_states)
-    if target.shape != (n,):
-        raise ConfigError(f"target dimension {target.size} does not match {n}")
-    bob_mat = np.ascontiguousarray(bob_states.T)  # B: the states as columns
-    qcore.independent_svd(bob_mat)
-    coeffs = np.linalg.lstsq(bob_mat, target, rcond=None)[0]
-    residual = np.linalg.norm(bob_mat @ coeffs - target)
-    if residual > _SPAN_TOL:
-        raise ConfigError(f"target lies outside the span (residual {residual:.2e})")
+    if np.shape(target) != (n,):
+        raise ConfigError(f"target dimension {np.size(target)} does not match {n}")
+    u_mat, singulars, vh_mat = qcore.independent_svd(bob_states.T)
+    coeffs = (vh_mat.conj().T / singulars) @ (u_mat.conj().T @ target)  # B^-1 t
     vectors = [qcore.normalize(coeffs.conj())]
     for k in range(n):
         candidate = np.zeros(n, dtype=np.complex128)

@@ -10,10 +10,11 @@ A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
 principal square root of I - A*A.
 
 A state set is one read-only ``(N, d)`` array, one state per row. A
-``FactoredSet`` checks and factors it once, from one thin SVD of B and an
-N x N factor R with R*R = X^(M): the Cholesky factor of X^(M) when cond(B)
-lies below ``CHOLESKY_COND``, and a QR factor of the product columns
-nearer dependence, where Cholesky would lose cond(B)^2 * eps. The largest
+``FactoredSet`` is a state set and a copy count; constructing one checks
+and factors the set once, from one thin SVD of B and an N x N factor R
+with R*R = X^(M): the Cholesky factor of X^(M) when cond(B) lies below
+``CHOLESKY_COND``, and a QR factor of the product columns nearer
+dependence, where Cholesky would lose cond(B)^2 * eps. The largest
 uniform efficiency, the Gram verdict, the Kraus pair and the legal law
 are all read from it, and ``max_uniform_gamma``, ``feasibility_matrix``
 and ``construct_machine`` are one-shot entry points over it. A
@@ -94,7 +95,7 @@ class CloneOutput:
         )
 
 
-# Below this cond(B), FactoredSet.of factors the Gram power X^(o M) by
+# Below this cond(B), FactoredSet factors the Gram power X^(o M) by
 # Cholesky; from it on, it takes the QR product factor. The Cholesky route
 # loses ~cond(B)^2 * eps: against a 50-digit reference its worst relative
 # gamma_max error was 3.1e-12 for cond(B) in [200, 300) and 2.4e-10 in
@@ -102,7 +103,7 @@ class CloneOutput:
 # rule's limit (the README has the table).
 CHOLESKY_COND = 300.0
 
-# A unit state's norm is 1 to within a few eps. FactoredSet.of sets the Gram
+# A unit state's norm is 1 to within a few eps. FactoredSet sets the Gram
 # diagonal to exactly 1, but the QR product factor still raises that roundoff
 # to (1 + eps)^M: about 5e-7 at this cap.
 MAX_COPIES = 2**30
@@ -130,7 +131,7 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
     each of a matrix with N columns and at most dim^2 rows. Unlike
     ``_cholesky_factor``, which starts from X^(o M) with its small
     eigenvalues already rounded, R carries C's own rounding, so R W is as
-    accurate as the explicit C W. It costs N^2 x N QRs, so ``FactoredSet.of``
+    accurate as the explicit C W. It costs N^2 x N QRs, so ``FactoredSet``
     takes it only at or above ``CHOLESKY_COND``.
     """
     n = b_mat.shape[1]
@@ -153,41 +154,42 @@ def _product_factor(b_mat: np.ndarray, m: int) -> np.ndarray:
 class FactoredSet:
     """One factorization of an independent state set, for M copies.
 
-    It holds B (the states as columns), the Gram matrix X = B*B and its
-    entrywise power X^(o M), the pseudo-inverse B^+ from one thin SVD of B,
-    and an N x N factor R of the M-fold product columns C, with
-    R*R = C*C = X^(o M). The SVD also gives cond(B): below ``CHOLESKY_COND``
-    R is the Cholesky factor of X^(o M) (``_cholesky_factor``), otherwise
-    the QR factor of C (``_product_factor``). ``gamma_max``,
-    ``feasibility_matrix``, ``gram_verdict``, a ``PqcmMachine`` and its
-    column law all read these, so a run that needs the largest uniform
-    efficiency and the machine built at it checks and factors the set once.
-    Build one with ``FactoredSet.of``.
+    Its two fields are the states, one unit state per row, and the copy
+    count M, an integer in [2, ``MAX_COPIES``]. Construction checks both,
+    a ``dataclasses.replace`` copy included, and derives the rest: B (the
+    states as columns), the Gram matrix X = B*B and its entrywise power
+    X^(o M), the pseudo-inverse B^+ from one thin SVD of B, and an N x N
+    factor R of the M-fold product columns C, with R*R = C*C = X^(o M). The
+    SVD also gives cond(B): below ``CHOLESKY_COND`` R is the Cholesky factor
+    of X^(o M) (``_cholesky_factor``), otherwise the QR factor of C
+    (``_product_factor``). ``gamma_max``, ``feasibility_matrix``,
+    ``gram_verdict``, a ``PqcmMachine`` and its column law all read these,
+    so a run that needs the largest uniform efficiency and the machine
+    built at it checks and factors the set once.
+
+    A state of any other norm, or a copy count that is not such an
+    integer, raises ConfigError (``qcore.require_unit``,
+    ``qcore.require_int``). Raises RankError when the set is dependent
+    under the rank rule (``qcore.independent_svd``), which also caps
+    cond(B) near 3.2e4.
     """
 
     states: np.ndarray  # (N, dim), one state per row, read-only
     copies: int
-    b_mat: np.ndarray  # B, shape (dim, N)
-    gram: np.ndarray  # X = B*B, shape (N, N)
-    gram_power: np.ndarray  # X^(o M), shape (N, N)
-    pinv: np.ndarray  # B^+, shape (N, dim)
-    product_factor: np.ndarray  # R with R*R = X^(o M), shape (N, N)
+    b_mat: np.ndarray = field(init=False)  # B, shape (dim, N)
+    gram: np.ndarray = field(init=False)  # X = B*B, shape (N, N)
+    gram_power: np.ndarray = field(init=False)  # X^(o M), shape (N, N)
+    pinv: np.ndarray = field(init=False)  # B^+, shape (N, dim)
+    product_factor: np.ndarray = field(init=False)  # R with R*R = X^(o M), (N, N)
 
-    @classmethod
-    def of(cls, states: np.ndarray, m: int) -> "FactoredSet":
-        """Check the set's independence and factor it.
-
-        ``states`` holds one unit state per row; any other norm raises
-        ConfigError (``qcore.require_unit``). Raises RankError when the set
-        is dependent under the rank rule (``qcore.independent_svd``), which
-        also caps cond(B) near 3.2e4.
-        """
+    def __post_init__(self):
+        m = self.copies
         qcore.require_int("copy count", m)
         if m < 2:
             raise ConfigError(f"copy count must be at least 2, got {m}")
         if m > MAX_COPIES:
             raise ConfigError(f"copy count must be at most 2**30, got {m}")
-        states = qcore.state_set(states)
+        states = qcore.state_set(self.states)
         qcore.require_unit(states, "clonable states")
         b_mat = np.ascontiguousarray(states.T)
         u_mat, singulars, vh_mat = qcore.independent_svd(b_mat)
@@ -200,14 +202,19 @@ class FactoredSet:
             factor = _cholesky_factor(gram_power)
         else:
             factor = _product_factor(b_mat, m)
-        return cls(states, m, b_mat, gram, gram_power, pinv, factor)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "b_mat", b_mat)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "gram_power", gram_power)
+        object.__setattr__(self, "pinv", pinv)
+        object.__setattr__(self, "product_factor", factor)
 
     @property
     def gamma_max(self) -> float:
         """Largest uniform efficiency keeping the feasibility matrix PSD.
 
         X - gamma X^(o M) >= 0 says |B v|^2 >= gamma |C v|^2 = gamma |R v|^2
-        for every v, on either branch of ``of``, since R*R = X^(o M). B has
+        for every v, on either branch of R, since R*R = X^(o M). B has
         full column rank, so v = B^+ u runs over all of C^N
         as u runs over the range of B, and the condition is
         |u|^2 >= gamma |K u|^2 with K = R B^+. The largest such gamma is
@@ -367,13 +374,13 @@ def feasibility_matrix(
     states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> np.ndarray:
     """X - D X^(M) D, whose positive semidefiniteness decides clonability."""
-    return FactoredSet.of(states, m).feasibility_matrix(gammas)
+    return FactoredSet(states, m).feasibility_matrix(gammas)
 
 
 def max_uniform_gamma(states: np.ndarray, m: int) -> float:
     """Largest uniform efficiency keeping the feasibility matrix PSD
     (closed form in ``FactoredSet.gamma_max``)."""
-    return FactoredSet.of(states, m).gamma_max
+    return FactoredSet(states, m).gamma_max
 
 
 def construct_machine(
@@ -383,7 +390,7 @@ def construct_machine(
     (checks in ``PqcmMachine``). Raises RankError for a set too close to
     dependence, FeasibilityError when the Gram condition or a check fails.
     """
-    return PqcmMachine(FactoredSet.of(states, m), gammas)
+    return PqcmMachine(FactoredSet(states, m), gammas)
 
 
 def apply_machine(
@@ -503,13 +510,6 @@ class IllegalClonerSpec:
         weights.setflags(write=False)
         return weights
 
-    def branch_probabilities(self, label: int) -> np.ndarray:
-        """|c|^2 per clonable branch plus the junk weight, for one input
-        label: a read-only row of ``branch_weights``."""
-        if not 1 <= label <= self.total_labels:
-            raise ConfigError(f"label {label} outside 1..{self.total_labels}")
-        return self.branch_weights[label - 1]
-
 
 def illegal_clone(
     spec: IllegalClonerSpec,
@@ -537,8 +537,7 @@ def illegal_clone(
         return CloneOutput.exact_copies(
             input_label, Ket(all_states[input_label - 1]), spec.copies
         )
-    probs = spec.branch_probabilities(input_label)
-    branch = rng.choice(probs)
+    branch = rng.choice(spec.branch_weights[input_label - 1])
     if branch == len(spec.clonable_labels):
         return CloneOutput.junk(spec.copies)
     out_label = spec.clonable_labels[branch]

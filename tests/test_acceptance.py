@@ -374,7 +374,7 @@ def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
     """
     ctx = prepare_context(states, a2_basis, mu)
     stand_in = SimpleNamespace(
-        factored=FactoredSet.of(states, mu), gammas=np.asarray(gammas)
+        factored=FactoredSet(states, mu), gammas=np.asarray(gammas)
     )
     return _legal_rows(stand_in, ctx.probs.ravel(), ctx), ctx.probs
 

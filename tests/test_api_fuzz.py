@@ -117,7 +117,7 @@ class TestApiFuzz:
     )
     def test_factored_set(self, states, m, gammas):
         def factor_and_read():
-            legal = FactoredSet.of(states, m)
+            legal = FactoredSet(states, m)
             legal.gamma_max
             legal.gram_verdict(gammas)
             PqcmMachine(legal, gammas)

@@ -277,7 +277,7 @@ class TestLawProperties:
                     weights = np.zeros(len(spec.clonable_labels) + 1)
                     weights[spec.clonable_labels.index(label)] = 1.0
                 else:
-                    weights = spec.branch_probabilities(label)
+                    weights = spec.branch_weights[label - 1]
                 expected = np.zeros(n + 2)
                 expected[n + 1] = weights[-1]  # junk branch
                 for w, clonable in zip(weights, spec.clonable_labels):
@@ -309,7 +309,7 @@ class TestLawProperties:
         states = state_rows([random_ket(n, rng) for _ in range(n)])
         assume(np.linalg.cond(states) < 1e3)
         gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
-        legal = FactoredSet.of(states, mu)
+        legal = FactoredSet(states, mu)
         stand_in = SimpleNamespace(factored=legal, gammas=gammas)
         ctx = prepare_context(states, _haar_basis(n, rng), mu)
         rows = _legal_rows(stand_in, ctx.probs.ravel(), ctx)
@@ -365,7 +365,7 @@ class TestLawProperties:
             ]
         )
         try:
-            legal = FactoredSet.of(states, mu)
+            legal = FactoredSet(states, mu)
         except RankError:
             assume(False)
         config = ProtocolConfig(

@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pqclone import pqcm, qcore
+from pqclone.config import load_states
+from pqclone.entangle import AliceBasis
 from pqclone.errors import ConfigError, FeasibilityError, RankError
 from pqclone.pqcm import (
     CHOLESKY_COND,
@@ -22,6 +24,7 @@ from pqclone.pqcm import (
     max_uniform_gamma,
 )
 from pqclone.qcore import Ket, SeededRng, is_psd, tensor_power
+from pqclone.signalling import ProtocolConfig
 
 from born import basis_ket, inner_product, random_ket, state_rows
 from oracles import (
@@ -32,6 +35,7 @@ from oracles import (
     two_state_gamma_by_bisection,
     two_state_gamma_closed_form,
 )
+from test_config_cli import CONFIGS
 
 KET0 = basis_ket(2, 0)
 KET1 = basis_ket(2, 1)
@@ -105,30 +109,30 @@ class TestMaxUniformGamma:
         with pytest.raises(ConfigError, match="copy count must be an integer, got 2.5"):
             max_uniform_gamma(states, 2.5)
         with pytest.raises(ConfigError, match="copy count must be an integer, got 2.5"):
-            FactoredSet.of(states, 2.5)
+            FactoredSet(states, 2.5)
         with pytest.raises(ConfigError, match="copy count must be an integer, got '3'"):
-            FactoredSet.of(states, "3")
+            FactoredSet(states, "3")
         with pytest.raises(ConfigError, match="copy count must be at least 2, got 1"):
-            FactoredSet.of(states, 1)
+            FactoredSet(states, 1)
 
     def test_copy_count_capped(self):
         # past the cap the unit Gram diagonal's (1 + eps)^M overflows, and the
         # verdict was "infeasible" with gamma_max 1.0
         states = overlap_pair(0.5)
-        assert FactoredSet.of(states, pqcm.MAX_COPIES).copies == pqcm.MAX_COPIES
+        assert FactoredSet(states, pqcm.MAX_COPIES).copies == pqcm.MAX_COPIES
         with pytest.raises(ConfigError, match=r"copy count must be at most 2\*\*30"):
-            FactoredSet.of(states, 2**62)
+            FactoredSet(states, 2**62)
 
     @pytest.mark.parametrize(
         "entry_point",
         [
-            FactoredSet.of,
+            FactoredSet,
             max_uniform_gamma,
             lambda states, m: feasibility_matrix(states, m, [0.5, 0.5]),
             lambda states, m: construct_machine(states, m, [0.5, 0.5]),
         ],
         ids=[
-            "FactoredSet.of", "max_uniform_gamma", "feasibility_matrix", "construct_machine"
+            "FactoredSet", "max_uniform_gamma", "feasibility_matrix", "construct_machine"
         ],
     )
     @pytest.mark.parametrize(
@@ -149,7 +153,7 @@ class TestMaxUniformGamma:
         with pytest.raises(ConfigError, match="efficiencies must be real numbers, got 'a'"):
             feasibility_matrix(states, 3, ["a", "b"])
         with pytest.raises(ConfigError, match="efficiencies must be real numbers, got True"):
-            PqcmMachine(FactoredSet.of(states, 3), [True, 0.5])
+            PqcmMachine(FactoredSet(states, 3), [True, 0.5])
 
     def test_monotone_in_gamma(self):
         states = overlap_pair(0.5)
@@ -208,14 +212,14 @@ def near_dependent_set(n: int, cond: float, real: bool, rng: SeededRng) -> np.nd
 
 
 def factored_with_branch(states: np.ndarray, m: int) -> tuple[FactoredSet, str]:
-    """``FactoredSet.of(states, m)`` and the branch that built its factor R:
+    """``FactoredSet(states, m)`` and the branch that built its factor R:
     'cholesky' (``_cholesky_factor``) or 'qr' (``_product_factor``)."""
     with mock.patch.object(
         pqcm, "_cholesky_factor", wraps=pqcm._cholesky_factor
     ) as cholesky, mock.patch.object(
         pqcm, "_product_factor", wraps=pqcm._product_factor
     ) as qr:
-        legal = FactoredSet.of(states, m)
+        legal = FactoredSet(states, m)
     assert cholesky.call_count + qr.call_count == 1
     return legal, "cholesky" if cholesky.called else "qr"
 
@@ -260,14 +264,15 @@ class TestGammaMaxAccuracy:
         assert abs(legal.gamma_max - reference) <= 1e-10 * reference
 
     @pytest.mark.parametrize("n, m", [(16, 128), (32, 64), (64, 128)])
-    def test_branches_agree_on_near_orthogonal_sets(self, n, m):
+    def test_branches_agree_on_near_orthogonal_sets(self, n, m, monkeypatch):
         # where the Cholesky branch runs, the QR factor of the same set gives
         # the same R*R = X^(o M) and the same gamma_max
-        legal, branch = factored_with_branch(near_orthogonal_set(n, SeededRng(n)), m)
+        states = near_orthogonal_set(n, SeededRng(n))
+        legal, branch = factored_with_branch(states, m)
         assert branch == "cholesky"
-        qr = dataclasses.replace(
-            legal, product_factor=pqcm._product_factor(legal.b_mat, m)
-        )
+        monkeypatch.setattr(pqcm, "CHOLESKY_COND", 0.0)  # every set takes QR
+        qr, branch = factored_with_branch(states, m)
+        assert branch == "qr"
         for factored in (legal, qr):
             r_mat = factored.product_factor
             np.testing.assert_allclose(
@@ -317,6 +322,31 @@ class TestConstructMachine:
         copy = dataclasses.replace(machine, gammas=(0.2, 0.3))
         assert copy.gammas == (0.2, 0.3) and copy.factored is machine.factored
         assert copy.clonable is machine.clonable and copy.copies == 4
+
+    def test_replaced_copy_count_is_factored_again(self):
+        # a replace() copy used to keep the M = 6 Gram power and factor under
+        # copies=3, and its run's law lay 0.025 from the honest M = 3 law
+        states = load_states(CONFIGS / "states_legal_n2.txt")
+        legal = FactoredSet(states, 6)
+        copy = dataclasses.replace(legal, copies=3)
+        honest = FactoredSet(states, 3)
+        np.testing.assert_array_equal(copy.gram_power, copy.gram**3)
+        assert copy.gamma_max == honest.gamma_max
+        gammas = [0.9 * legal.gamma_max] * 2
+
+        def law(factored: FactoredSet) -> np.ndarray:
+            return ProtocolConfig(
+                bob_states=states,
+                a2_basis=AliceBasis.fourier(2),
+                trials=1,
+                pairs_per_bit=1,
+                machine=PqcmMachine(factored, gammas),
+                seed=0,
+            ).law
+
+        np.testing.assert_array_equal(law(copy), law(honest))
+        with pytest.raises(ConfigError, match="copy count must be an integer, got 2.5"):
+            dataclasses.replace(legal, copies=2.5)
 
     def test_success_operator_is_trace_non_increasing(self):
         rng = SeededRng(301)
@@ -473,7 +503,7 @@ class TestFeasibilityEquivalence:
             states = overlap_pair(1.0 - 10.0**-k)
             cond = np.linalg.cond(states.T)
             try:
-                FactoredSet.of(states, 2)
+                FactoredSet(states, 2)
                 accepted = True
             except RankError:
                 accepted = False
@@ -564,7 +594,7 @@ class TestIllegalCloner:
         )
         trials = 100_000
         # illegal_clone picks its branch with one uniform, by SeededRng.choice
-        edges = np.cumsum(spec.branch_probabilities(4))
+        edges = np.cumsum(spec.branch_weights[3])
         edges[-1] = max(edges[-1], 1.0)
         branches = np.searchsorted(edges, SeededRng(313).uniforms(trials), side="right")
         labels = spec.clonable_labels + (None,)  # the last branch is junk
@@ -582,7 +612,7 @@ class TestIllegalCloner:
         with pytest.raises(ConfigError, match=r"label 5 outside 1\.\.4"):
             illegal_clone(spec, 5, self.all_states(), SeededRng(314))
         with pytest.raises(ConfigError, match=r"label 0 outside 1\.\.4"):
-            spec.branch_probabilities(0)
+            illegal_clone(spec, 0, self.all_states(), SeededRng(314))
 
     def test_branch_weights_one_row_per_label(self):
         # clonable labels are their own branch, listed labels their |c|^2 and
@@ -604,10 +634,6 @@ class TestIllegalCloner:
         ]
         np.testing.assert_allclose(spec.branch_weights, expected, rtol=0, atol=1e-15)
         assert not spec.branch_weights.flags.writeable
-        for label in range(1, 7):
-            np.testing.assert_array_equal(
-                spec.branch_probabilities(label), spec.branch_weights[label - 1]
-            )
 
     def test_non_integer_labels_refused(self):
         # a float label or coefficient key would otherwise name another label
