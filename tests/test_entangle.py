@@ -109,7 +109,7 @@ class TestBuildSharedState:
         assert np.linalg.norm(shared.joint.amplitudes - rebuilt) <= 1e-12
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ConfigError, match="Bob states must have dimension 2"):
+        with pytest.raises(ConfigError, match="Bob states must have dimension 2, got 3"):
             build_shared_state([KET0.amplitudes, basis_ket(3, 0).amplitudes])
 
 
@@ -252,7 +252,7 @@ class TestTargetToBasis:
     def test_states_of_another_dimension_rejected(self):
         # two states of dimension 3 passed the rank rule, then the solve
         # raised a raw LinAlgError; Bob's N states must have dimension N
-        with pytest.raises(ConfigError, match="Bob states must have dimension 2"):
+        with pytest.raises(ConfigError, match="Bob states must have dimension 2, got 3"):
             target_to_basis(np.array([1, 0]), [[1, 0, 0], [0, 1, 0]])
 
     def test_second_set_is_linearly_dependent_on_first(self):
