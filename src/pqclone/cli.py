@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,21 +45,67 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
     ]
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path``, creating its missing parent directories.
+# the open of an output file: created if missing, truncated if present
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+_JSON_SCALARS = (str, int, float, type(None))  # a bool is an int
 
-    A path that cannot be written, say one under a regular file, raises
-    PqcloneError, so the command exits 1 with one line.
+
+@functools.cache
+def _items_json(depth: int) -> json.JSONEncoder:
+    """The C JSON encoder with the item separator of
+    ``json.dumps(indent=2, sort_keys=True)`` at nesting ``depth``.
+
+    ``json.dumps`` runs its pure-Python encoder when given an indent, and
+    the C one takes none, so the indent is folded into the separator. The
+    items of a list or dict of scalars come out exactly as ``json.dumps``
+    lays them out at that depth."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, creating its missing parent directories.
+
+    The file is opened first; the parents are made only when that open
+    finds one missing. A path that cannot be written, say one under a
+    regular file, raises PqcloneError, so the command exits 1 with one line.
     """
+    data = memoryview(text.encode())
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        try:
+            fd = os.open(path, _CREATE, 0o666)
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(path, _CREATE, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise PqcloneError(f"cannot write {path}: {exc}") from None
 
 
+def _json_text(data: dict) -> str:
+    """``data`` as JSON text, indented by 2 with sorted keys, plus a newline."""
+    if data and all(isinstance(value, _JSON_SCALARS) for value in data.values()):
+        return "{\n  " + _items_json(1).encode(data)[1:-1] + "\n}\n"
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _tally_json(header: list, rows: list) -> str:
+    """``_json_text({"columns": header, "rows": rows})`` for a nonempty
+    header and nonempty rows of scalars, each list from the C encoder."""
+    body = ",\n    ".join(
+        "[\n      " + _items_json(3).encode(row)[1:-1] + "\n    ]" for row in rows
+    )
+    return (
+        '{\n  "columns": [\n    ' + _items_json(2).encode(header)[1:-1]
+        + '\n  ],\n  "rows": [\n    ' + body + "\n  ]\n}\n"
+    )
+
+
 def _dump_json(data: dict, path: Path) -> None:
-    _write_text(path, json.dumps(data, indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(data))
 
 
 def _dump_kv_csv(data: dict, path: Path) -> None:
@@ -76,7 +123,7 @@ def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
             lines.append(",".join(str(x) for x in row))
         _write_text(path, "\n".join(lines) + "\n")
     else:
-        _dump_json({"columns": header, "rows": rows}, path)
+        _write_text(path, _tally_json(header, rows))
 
 
 def _stats_record(
@@ -204,11 +251,14 @@ def cmd_signal_test(args) -> int:
     else:
         _dump_json(record, stats_path)
 
-    print(f"classified: A1={stats.classified[0]} A2={stats.classified[1]}")
-    print(" ".join(f"{key}={record[key]!r}" for key, _, _ in _VOTE_RATES))
-    print(f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits")
-    print(f"no_signal_certificate: {certificate!r}")
-    print(f"wrote: {tally_path} {stats_path}")
+    summary = (
+        f"classified: A1={stats.classified[0]} A2={stats.classified[1]}",
+        " ".join(f"{key}={record[key]!r}" for key, _, _ in _VOTE_RATES),
+        f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits",
+        f"no_signal_certificate: {certificate!r}",
+        f"wrote: {tally_path} {stats_path}",
+    )
+    sys.stdout.write("\n".join(summary) + "\n")  # one write
     return EXIT_OK
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +23,52 @@ from . import entangle, pqcm, qcore, signalling
 from .errors import ConfigError
 
 FORMATS = ("csv", "json")
+_READ_CHUNK = 1 << 16  # bytes per os.read of an input file; a config fits in one
+
+
+def _read_text(path: Path, what: str) -> str:
+    """The text of the file at ``path``: its bytes, read through the file
+    descriptor with no text layer, decoded as UTF-8 whatever the locale.
+    A file that cannot be read or is not UTF-8 raises ConfigError,
+    ``cannot read {what} {path}: ...``."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        return b"".join(chunks).decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 
 def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
-    """Parse a states file into unit rows; errors carry the line number."""
+    """Parse a states file into unit rows; errors carry the line number.
+
+    The rows are read as one array and normalized in one call. When lines
+    hold several faults, the first line's is reported, as a line-by-line
+    parse would.
+    """
     dim: int | None = None
-    states: list[np.ndarray] = []
+    values: list[float] = []  # every state's numbers, in file order
+    linenos: list[int] = []  # the line of each state
+
+    def unit_rows() -> np.ndarray:
+        pairs = np.array(values).reshape(len(linenos), dim, 2)
+        with np.errstate(invalid="ignore"):  # 1j * inf
+            amps = pairs[..., 0] + 1j * pairs[..., 1]
+        try:
+            return qcore.normalize(amps)
+        except ConfigError:  # name the first line whose norm is bad
+            for lineno, row in zip(linenos, amps):
+                try:
+                    qcore.normalize(row)
+                except ConfigError as exc:
+                    raise ConfigError(f"{source}:{lineno}: {exc}") from None
+            raise
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,35 +88,30 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
             if dim < 1:
                 raise ConfigError(f"{source}:{lineno}: dimension must be positive")
             continue
+        # before a line's fault, an earlier state's bad norm is reported
         if len(tokens) != 2 * dim:
+            unit_rows()
             raise ConfigError(
                 f"{source}:{lineno}: expected {2 * dim} numbers "
                 f"(re/im pairs for dimension {dim}), got {len(tokens)}"
             )
         try:
-            values = [float(t) for t in tokens]
+            numbers = list(map(float, tokens))
         except ValueError as exc:
+            unit_rows()
             raise ConfigError(f"{source}:{lineno}: {exc}") from None
-        with np.errstate(invalid="ignore"):  # 1j * inf
-            amps = np.array(values[0::2]) + 1j * np.array(values[1::2])
-        try:
-            states.append(qcore.normalize(amps))
-        except ConfigError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from None
+        values += numbers
+        linenos.append(lineno)
     if dim is None:
         raise ConfigError(f"{source}: no dimension line found")
-    if not states:
+    if not linenos:
         raise ConfigError(f"{source}: no states found")
-    return qcore.state_set(states)
+    return qcore.state_set(unit_rows())
 
 
 def load_states(path: str | Path) -> np.ndarray:
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read states file {path}: {exc}") from None
-    return parse_states_text(text, source=str(path))
+    return parse_states_text(_read_text(path, "states file"), source=str(path))
 
 
 _INT_FIELDS = ("mu", "trials", "pairs_per_bit", "seed", "message_bits")
@@ -148,18 +185,14 @@ class RunConfig:
     def loads(cls, text: str) -> "RunConfig":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # besides JSONDecodeError: an int of too many digits, deep nesting
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        return cls.loads(text)
+        return cls.loads(_read_text(Path(path), "config"))
 
 
 def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
@@ -169,18 +202,19 @@ def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
             path = base_dir / path
         states = load_states(path)
     else:
-        states = [pairs_to_ket(p, "bob_states entry") for p in config.bob_states]
+        states = _state_rows(config.bob_states, "bob_states entry")
     return qcore.bob_state_set(states)
 
 
 def _real(value, what: str) -> float:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not math.isfinite(value)
-    ):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
 def _list(value, what: str) -> list:
@@ -201,6 +235,38 @@ def pairs_to_ket(pairs, what: str) -> np.ndarray:
     return qcore.normalize(amps)
 
 
+def _amplitude_array(rows: list) -> np.ndarray | None:
+    """``rows`` as one exact ``(N, d)`` complex array when every row is a
+    list of d [re, im] lists of finite ints and floats; None otherwise.
+    Each check is one pass over all rows, pairs or values."""
+    if not rows or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    pairs = list(chain.from_iterable(rows))
+    if not pairs or set(map(type, pairs)) != {list} or set(map(len, pairs)) != {2}:
+        return None
+    values = list(chain.from_iterable(pairs))
+    if not set(map(type, values)) <= {int, float}:  # a bool is neither
+        return None
+    try:
+        numbers = np.array(values, dtype=np.float64)
+    except OverflowError:  # an int beyond the float range
+        return None
+    if not np.isfinite(numbers).all():
+        return None
+    return numbers.view(np.complex128).reshape(len(rows), -1)
+
+
+def _state_rows(rows: list, what: str):
+    """States given as lists of [re, im] amplitude pairs, as unit rows
+    normalized in one call. Rows that fail ``_amplitude_array``'s checks
+    go through ``pairs_to_ket`` one by one, which names the first bad
+    value and reports what a row-by-row parse would."""
+    amps = _amplitude_array(rows)
+    if amps is None:
+        return [pairs_to_ket(row, what) for row in rows]
+    return qcore.normalize(amps)
+
+
 def _required(spec: dict, key: str, what: str):
     if key not in spec:
         raise ConfigError(f"{what} needs a {key!r} entry")
@@ -215,8 +281,7 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
         return entangle.AliceBasis.fourier(n)
     if kind == "vectors":
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
-        kets = [pairs_to_ket(v, "a2 vectors entry") for v in vectors]
-        columns = qcore.state_set(kets).T
+        columns = qcore.state_set(_state_rows(vectors, "a2 vectors entry")).T
         return entangle.AliceBasis(columns, "A2")
     if kind == "target":
         target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")

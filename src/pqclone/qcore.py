@@ -56,16 +56,29 @@ def require_unit(states: np.ndarray, what: str) -> None:
         raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
 
 
+def _self_dots(x: np.ndarray):
+    """The dot product of ``x``, or of each row of a stack, with itself:
+    one BLAS dot per row, as ``np.linalg.norm`` computes for one vector, so
+    a row of a stack normalizes to the same bits as that row alone."""
+    if x.ndim < 2:
+        return x.dot(x)
+    return (x[..., None, :] @ x[..., None])[..., 0, 0]
+
+
 def normalize(values) -> np.ndarray:
-    """``values`` as a unit complex vector; raises on a (near-)zero or infinite norm."""
+    """``values`` as a unit complex vector, or a stack of them, one per row.
+
+    Raises on a (near-)zero or infinite norm, naming the first such row's fault.
+    """
     arr = np.asarray(values, dtype=np.complex128)
     with np.errstate(over="ignore"):
-        n = np.linalg.norm(arr)
-    if not np.isfinite(n):
-        raise ConfigError("state norm is not finite")
-    if n < 1e-12:
-        raise ConfigError("state has zero norm")
-    return arr / n
+        norms = np.sqrt(_self_dots(arr.real) + _self_dots(arr.imag))
+    for norm in np.ravel(norms).tolist():
+        if not math.isfinite(norm):
+            raise ConfigError("state norm is not finite")
+        if norm < 1e-12:
+            raise ConfigError("state has zero norm")
+    return arr / (norms[..., None] if arr.ndim > 1 else norms)
 
 
 def state_set(states) -> np.ndarray:

@@ -55,6 +55,11 @@ class TestStatesFile:
         with pytest.raises(ConfigError, match="zero norm"):
             parse_states_text("2\n0 0 0 0\n")
 
+    @pytest.mark.parametrize("later", ["1 0 x 0", "1 0 0", "0 0 0 0"])
+    def test_first_faulty_line_is_reported(self, later):
+        with pytest.raises(ConfigError, match=r"^s\.txt:3: state has zero norm$"):
+            parse_states_text(f"2\n1 0 0 0\n0 0 0 0\n{later}\n", source="s.txt")
+
     def test_missing_dimension(self):
         with pytest.raises(ConfigError):
             parse_states_text("# only comments\n")
@@ -288,6 +293,103 @@ class TestCliConstruct:
         assert not out.exists()
 
 
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+
+
+class TestJsonLayout:
+    """Every JSON output is ``json.dumps(indent=2, sort_keys=True)`` plus a
+    newline, whichever encoder writes it."""
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @example(data={})
+    @example(
+        data={
+            "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
+            "neg_zero": -0.0, "huge": 1e308, "tiny": 5e-324, "int63": 2**63,
+            "int70": -(2**70), "t": True, "f": False, "none": None,
+            "text": 'say "hi"\\ \n\t\u00e9\u2603\U0001f600',
+        }
+    )
+    @example(data={"nested": {"a": [1, 2.5]}, "b": 1})
+    @given(
+        data=st.dictionaries(
+            st.text(),
+            JSON_SCALARS
+            | st.lists(JSON_SCALARS, max_size=3)
+            | st.dictionaries(st.text(), JSON_SCALARS, max_size=2),
+        )
+    )
+    def test_text_is_the_documented_layout(self, data):
+        assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @example(header=["input", "B1", "B2", "B3", "phi"], rows=[["B1", 3, 0, 0, 2**63]])
+    @given(
+        header=st.lists(st.text(), min_size=1, max_size=6),
+        rows=st.lists(st.lists(JSON_SCALARS, min_size=1, max_size=6), min_size=1),
+    )
+    def test_tally_text_is_the_documented_layout(self, header, rows):
+        tally = {"columns": header, "rows": rows}
+        expected = json.dumps(tally, indent=2, sort_keys=True) + "\n"
+        assert cli._tally_json(header, rows) == expected
+
+
+class TestStateRows:
+    # pairs_to_ket, one row at a time, is the reference for the array path
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(1, 5),
+        d=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        ints=st.booleans(),
+    )
+    def test_array_path_matches_row_by_row(self, n, d, seed, ints):
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n, d, 2)) * 10.0 ** rng.uniform(-3, 3)
+        rows = values.tolist()
+        if ints:  # JSON integers, among them one beyond int64
+            rows[0][0] = [2**70, -3]
+        expected = np.array([config_mod.pairs_to_ket(row, "x") for row in rows])
+        got = config_mod._state_rows(rows, "x")
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+class TestCliInputPath:
+    # (argv before the input file, argv after it, what the message names)
+    COMMANDS = {
+        "signal-test": (["signal-test"], ["--out", "out"], "config"),
+        "feasibility": (["feasibility"], ["-M", "2"], "states file"),
+    }
+
+    @pytest.mark.parametrize("command", ["signal-test", "feasibility"])
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"mu": 4\xff}', "'utf-8' codec can't decode byte 0xff in position 8"),
+            (None, "[Errno 2] No such file or directory"),
+        ],
+        ids=["not-utf8", "missing"],
+    )
+    def test_unreadable_input_exits_1_with_one_line(
+        self, tmp_path, capsys, command, content, reason
+    ):
+        before, after, what = self.COMMANDS[command]
+        path = tmp_path / "input"
+        if content is not None:
+            path.write_bytes(content)
+        assert cli.main(before + [str(path)] + after) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {what} {path}: {reason}")
+        assert len(err.splitlines()) == 1
+
+
 class TestCliOutPath:
     ARGV = {
         "feasibility": ["feasibility", str(CONFIGS / "states_legal_n2.txt"), "-M", "6",
@@ -298,11 +400,14 @@ class TestCliOutPath:
                         "400"],
     }
 
-    @pytest.mark.parametrize("command", ["feasibility", "construct"])
+    @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
     def test_out_creates_missing_directories(self, tmp_path, command):
         out = tmp_path / "fresh" / "a" / "r.json"
         assert cli.main(self.ARGV[command] + ["--out", str(out)]) == 0
-        assert json.loads(out.read_text())
+        # signal-test takes --out as its output directory
+        written = [out / "tally.json", out / "stats.json"]
+        for path in written if command == "signal-test" else [out]:
+            assert json.loads(path.read_text())
 
     @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
     def test_unusable_out_exits_1_with_one_line(self, tmp_path, capsys, command):
@@ -352,6 +457,10 @@ class TestCliSignalTest:
 
     def test_reruns_are_byte_identical(self, tmp_path):
         d1 = self.run_demo(tmp_path, "json", "run1")
+        # the rerun writes over longer files, so it must truncate them
+        (tmp_path / "run2").mkdir()
+        for name in ("tally.json", "stats.json"):
+            (tmp_path / "run2" / name).write_text("x" * 10_000)
         d2 = self.run_demo(tmp_path, "json", "run2")
         for name in ("tally.json", "stats.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
@@ -479,6 +588,10 @@ class TestCliSignalTest:
                 "bob_states entry amplitude must be an [re, im] pair, got 1.0",
             ),
             (
+                {"bob_states": [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+                f"bob_states entry amplitude must be a finite number, got {10**400}",
+            ),
+            (
                 {"a2": {"kind": "vectors", "vectors": [
                     [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [True, 0.0]]]}},
                 "a2 vectors entry amplitude must be a finite number, got True",
@@ -488,7 +601,10 @@ class TestCliSignalTest:
                 "a2 state amplitude must be a finite number, got False",
             ),
         ],
-        ids=["bob-bool", "bob-string", "bob-bare-number", "vectors-bool", "state-bool"],
+        ids=[
+            "bob-bool", "bob-string", "bob-bare-number", "bob-huge-int", "vectors-bool",
+            "state-bool",
+        ],
     )
     def test_amplitudes_take_one_rule(self, tmp_path, capsys, changes, message):
         data = json.loads((CONFIGS / "illegal_n2.json").read_text())
@@ -972,6 +1088,11 @@ def assert_clean_exit(argv) -> None:
         assert not caught, [str(w.message) for w in caught]
 
 
+def _write_input(path: Path, text: str | bytes) -> None:
+    """Write an input file; bytes stand for one that is not UTF-8."""
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
+
+
 def _illegal_config(**changes) -> str:
     data = json.loads((CONFIGS / "illegal_n2.json").read_text())
     return json.dumps({**data, **changes})
@@ -988,6 +1109,9 @@ class TestCliFuzz:
 
     @FUZZ
     @example(text="2\n1 0 nan 0\n0 0 1 0\n", command=["feasibility", "--max-uniform"])
+    @example(
+        text=b"2\n1 0 0 0\n0 0 1 0 # \xff\n", command=["feasibility", "--max-uniform"]
+    )
     @example(text="2\n1e308 0 1e308 0\n0 0 1 0\n", command=["construct", "--gamma", "0.5"])
     @given(
         text=malformed_states_texts(),
@@ -999,7 +1123,7 @@ class TestCliFuzz:
     def test_malformed_states_files(self, tmp_path_factory, text, command):
         work = tmp_path_factory.mktemp("states")
         states = work / "states.txt"
-        states.write_text(text)
+        _write_input(states, text)
         argv = [command[0], str(states), *command[1:]]
         if command[0] == "construct":
             argv += ["--out", str(work / "machine.json")]
@@ -1052,6 +1176,9 @@ class TestCliFuzz:
 
     @FUZZ
     @example(text="null")
+    @example(text=b'{"mu": 4\xff}')
+    @example(text='{"mu": ' + "1" * 5000 + "}")
+    @example(text="[" * 100_000)
     @example(text=_illegal_config(machine={"kind": "illegal", "clonable_labels": []}))
     @example(text=_illegal_config(bob_states=[]))
     @example(
@@ -1078,5 +1205,5 @@ class TestCliFuzz:
     def test_malformed_configs(self, tmp_path_factory, text):
         work = tmp_path_factory.mktemp("config")
         cfg = work / "config.json"
-        cfg.write_text(text)
+        _write_input(cfg, text)
         assert_clean_exit(["signal-test", str(cfg), "--out", str(work / "out")])

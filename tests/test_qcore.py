@@ -56,6 +56,42 @@ class TestKet:
             KET0.amplitudes[0] = 5.0
 
 
+class TestNormalize:
+    # the arithmetic of one vector, np.linalg.norm then a division, is the
+    # reference every row of a stack must reproduce bit for bit
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        d=st.sampled_from([1, 2, 3, 5, 16, 64]),
+        scale=st.floats(-6, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_rows_match_one_vector_arithmetic(self, n, d, scale, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        stack *= 10.0**scale
+        stack[0, 0] = complex(-0.0, stack[0, 0].imag)
+        expected = np.array([row / np.linalg.norm(row) for row in stack])
+        got = qcore.normalize(stack)
+        assert got.shape == (n, d)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        one = qcore.normalize(stack[-1])
+        assert np.array_equal(one.view(np.uint64), expected[-1].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "stack, message",
+        [
+            ([[1, 0], [0, 0], [np.inf, 0]], "state has zero norm"),
+            ([[1, 0], [np.nan, 0], [0, 0]], "state norm is not finite"),
+            ([[1e308, 1e308], [0, 1]], "state norm is not finite"),
+            ([[]], "state has zero norm"),
+        ],
+    )
+    def test_stack_names_first_bad_row(self, stack, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            qcore.normalize(stack)
+
+
 class TestInnerProduct:
     def test_identity_case(self):
         assert inner_product(KET0, KET0) == pytest.approx(1.0)
