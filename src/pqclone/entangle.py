@@ -122,7 +122,7 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
         states[s] = np.eye(1, n)  # |0>, kept by zero-probability members
         states[s, live] = raw[live] / np.sqrt(norm_sq[live])[:, None]
         prob = np.where(live, norm_sq / n, 0.0)
-        probs[s] = prob / prob.sum()
+        probs[s] = prob / np.add.reduce(prob)
     return states, probs
 
 

@@ -315,12 +315,12 @@ class PqcmMachine:
                 f"success operator exceeds trace preservation "
                 f"(min eigenvalue {eigvals[0]:.3e})"
             )
-        f_op = (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.conj().T
+        f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
 
         v_mat = w_mat @ legal.b_mat - np.diag(d_vec)  # A B - C D = Q R V
-        clone_residual = float(np.max(np.linalg.norm(r_mat @ v_mat, axis=0)))
+        clone_residual = float(np.linalg.norm(r_mat @ v_mat, axis=0).max())
         trace_residual = float(
-            np.max(np.abs(success_gram + f_op.conj().T @ f_op - eye))
+            np.abs(success_gram + f_op.conj().T @ f_op - eye).max()
         )
         if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
             raise FeasibilityError(

@@ -204,7 +204,7 @@ class TallyTable:
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 2 or counts.shape[0] != 2 * (counts.shape[1] - 2):
             raise ConfigError(f"tally shape {counts.shape} is not (2N, N+2)")
-        if np.any(counts < 0):
+        if np.count_nonzero(counts < 0):
             raise ConfigError("tally counts must be nonnegative")
         discards = tuple(self.discards)
         for value in discards:
@@ -222,12 +222,13 @@ class TallyTable:
     @cached_property
     def classified(self) -> tuple:
         """Pairs classified per setting: the sum of that setting's counts."""
-        return tuple(int(total) for total in self.counts.reshape(2, -1).sum(axis=1))
+        return tuple(np.add.reduce(self.counts.reshape(2, -1), axis=1).tolist())
 
     @cached_property
     def trials(self) -> tuple:
         """Pairs drawn per setting: classified plus discarded."""
-        return tuple(c + d for c, d in zip(self.classified, self.discards))
+        classified, discards = self.classified, self.discards
+        return (classified[0] + discards[0], classified[1] + discards[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +418,7 @@ def group_hits(candidates: np.ndarray, states: np.ndarray, mu: int) -> np.ndarra
 
 def _stay(hit: np.ndarray) -> np.ndarray:
     """stay[l, i] = prod_{j != l} (1 - hit[j, i]): every group but l fails."""
-    return (1.0 - hit)[_others(hit.shape[0])].prod(axis=1)
+    return np.multiply.reduce((1.0 - hit)[_others(hit.shape[0])], axis=1)
 
 
 def _legal_rows(
@@ -459,7 +460,7 @@ def _legal_rows(
     success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
     rows = np.zeros((probs.size, k + 2))  # column N+1 stays 0
     rows[:, :n] = (np.abs(beta) ** 2 * ctx.own_stay[:n, None]).T
-    rows[:, k] = success - rows[:, :n].sum(axis=1)  # PHI
+    rows[:, k] = success - np.add.reduce(rows[:, :n], axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
 
@@ -488,7 +489,7 @@ def _illegal_rows(
         )
     branch_laws = np.zeros((labels.size + 1, k + 2))  # junk branch last
     branch_laws[:-1, :k] = ctx.only[:, labels - 1].T
-    branch_laws[:-1, k] = 1.0 - branch_laws[:-1, :k].sum(axis=1)
+    branch_laws[:-1, k] = 1.0 - np.add.reduce(branch_laws[:-1, :k], axis=1)
     branch_laws[-1, k] = 1.0
     return probs[:, None] * (spec.branch_weights @ branch_laws)
 
@@ -501,7 +502,7 @@ def _clip_law(raw: np.ndarray) -> np.ndarray:
             f"column law entry {low:.3e} lies below -{LAW_TOL:.0e}; "
             "the machine is too ill-conditioned for an accurate law"
         )
-    law = np.clip(raw, 0.0, None)
+    law = np.maximum(raw, 0.0)
     law.setflags(write=False)
     return law
 
@@ -555,7 +556,7 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
         rng = SeededRng(config.seed, _PROTOCOL_STREAM + setting)
         hits = rng.multinomial(config.trials, law[setting].ravel()).reshape(n, n + 3)
         counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
-        discards.append(int(hits[:, n + 2].sum()))
+        discards.append(int(np.add.reduce(hits[:, n + 2])))
 
     tally = TallyTable(counts=counts, discards=tuple(discards))
     leakage = analytic_leakage(config.context.own_stay)
@@ -566,14 +567,15 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
 def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     """Conditional column probabilities and bit rates from raw counts."""
     n = tally.n
+    classified = tally.classified
     for setting in (0, 1):
-        if tally.classified[setting] == 0:
+        if classified[setting] == 0:
             raise ConfigError(
                 f"no cloner successes for setting A{setting + 1}; cannot estimate"
             )
     # exact int64 column counts per setting, each within 2**62
-    columns = tally.counts.reshape(2, n, n + 2).sum(axis=1)
-    totals = np.array(tally.classified, dtype=float)
+    columns = np.add.reduce(tally.counts.reshape(2, n, n + 2), axis=1)
+    totals = np.array(classified, dtype=float)
     p_col = columns / totals[:, None]
     votes = cell_votes(n)[: n + 2]
 
@@ -586,14 +588,15 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
     (zeros_a1, ones_a1, _), (zeros_a2, ones_a2, _) = (columns @ votes).tolist()
     decided = zeros_a1 + ones_a1 + zeros_a2 + ones_a2
     accuracy = (zeros_a1 + ones_a2) / decided if decided else 0.5
+    discards, trials = tally.discards, tally.trials
 
     return SignalStats(
         p_col=p_col,
         p_vote=rates,
         stderr=errors,
         accuracy=accuracy,
-        classified=tally.classified,
-        discard_rate=tuple(d / t for d, t in zip(tally.discards, tally.trials)),
+        classified=classified,
+        discard_rate=(discards[0] / trials[0], discards[1] / trials[1]),
         leakage=leakage,
     )
 
@@ -629,13 +632,15 @@ def channel_accuracy(
         raise ConfigError("need one row of (0-votes, 1-votes, abstentions) per bit")
     if sent.size == 0:
         raise ConfigError("no message bits to decode")
-    if np.any((sent != 0) & (sent != 1)):
+    # a bit is 0 or 1 when every nonzero bit is a 1
+    if np.count_nonzero(sent) != np.count_nonzero(sent == 1):
         raise ConfigError("sent bits must be 0 or 1")
-    if np.any(votes < 0) or np.any(votes.sum(axis=1) != pairs_per_bit):
+    row_sums = np.add.reduce(votes, axis=1)
+    if votes.min() < 0 or np.count_nonzero(row_sums != pairs_per_bit):
         raise ConfigError("vote counts must be nonnegative and sum to pairs_per_bit")
     zeros, ones = votes[:, 0], votes[:, 1]
     decoded = (ones > zeros).astype(np.int64)
-    ties = np.flatnonzero(ones == zeros)
+    ties = (ones == zeros).nonzero()[0]
     if ties.size:  # a tie-free message never builds its vote stream
         decoded[ties] = rng.uniforms(ties.size) < 0.5
     return ChannelResult(
@@ -657,20 +662,24 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     in message order.
     """
     bits = np.asarray(message_bits)
-    # checked before the cast, which would truncate a bit of 0.5 to 0
-    if bits.dtype.kind not in "biuf" or np.any((bits != 0) & (bits != 1)):
+    if bits.dtype.kind not in "biuf":
         raise ConfigError("message bits must be 0 or 1")
-    bits = bits.astype(np.int64)
-    vote_laws = config.law.sum(axis=1) @ cell_votes(config.n)
-    votes = np.empty((bits.size, 3), dtype=np.int64)
+    flat = bits.reshape(-1)  # channel_accuracy refuses any other shape
+    where = ((flat == 0).nonzero()[0], (flat == 1).nonzero()[0])  # per setting
+    # every bit is 0 or 1, checked before the cast, which would truncate 0.5 to 0
+    if where[0].size + where[1].size != flat.size:
+        raise ConfigError("message bits must be 0 or 1")
+    vote_laws = np.add.reduce(config.law, axis=1) @ cell_votes(config.n)
+    votes = np.empty((flat.size, 3), dtype=np.int64)
     for setting in (0, 1):
-        where = np.flatnonzero(bits == setting)
         rng = SeededRng(config.seed, _CHANNEL_STREAM + setting)
-        votes[where] = rng.multinomial(
-            config.pairs_per_bit, vote_laws[setting], where.size
+        votes[where[setting]] = rng.multinomial(
+            config.pairs_per_bit, vote_laws[setting], where[setting].size
         )
     vote_rng = SeededRng(config.seed, _VOTE_STREAM)
-    return channel_accuracy(bits, votes, config.pairs_per_bit, vote_rng)
+    return channel_accuracy(
+        bits.astype(np.int64), votes, config.pairs_per_bit, vote_rng
+    )
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:
@@ -690,4 +699,4 @@ def analytic_no_signal_certificate(kets: np.ndarray, probs: np.ndarray) -> float
     alone sends no information. It never sees the cloner.
     """
     rho = (kets.transpose(0, 2, 1) * probs[:, None, :]) @ kets.conj()
-    return float(0.5 * np.abs(np.linalg.eigvalsh(rho[0] - rho[1])).sum())
+    return float(0.5 * np.add.reduce(np.abs(np.linalg.eigvalsh(rho[0] - rho[1]))))

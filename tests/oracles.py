@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from pqclone import signalling
+from pqclone import qcore, signalling
 from pqclone.entangle import AliceBasis, build_shared_state
 from pqclone.errors import ConfigError
 from pqclone.pqcm import CloneOutput, IllegalClonerSpec
@@ -448,6 +448,38 @@ def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
         raise ConfigError("no complete blocks to decode")
     hits = sum(int(s == d) for s, d in zip(sent, decoded))
     return hits / len(sent), tuple(sent), tuple(decoded), coin_flips
+
+
+def multinomial_by_support(gen, n: int, probabilities, size=None) -> np.ndarray:
+    """``SeededRng.multinomial`` as it always gathers the cells of positive
+    mass, draws over them from the numpy generator ``gen`` and scatters the
+    counts into zeros, whether or not a cell is zero; same checks, same
+    messages."""
+    qcore.require_count("multinomial draw count", n)
+    if size is not None:
+        qcore.require_count("multinomial size", size)
+    try:
+        probabilities = np.asarray(probabilities, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(
+            "multinomial probabilities must be nonnegative numbers"
+        ) from None
+    if probabilities.ndim != 1:
+        raise ConfigError("multinomial probabilities must be one vector")
+    support = np.flatnonzero(probabilities > 0)
+    if np.count_nonzero(probabilities) != support.size:
+        raise ConfigError("multinomial probabilities must be nonnegative numbers")
+    mass = probabilities[support]
+    mass *= 0.5 ** (mass.size - 1).bit_length()
+    total = mass.sum()
+    if not 0 < total < np.inf:
+        raise ConfigError(
+            f"multinomial probabilities must have finite positive mass, got {total}"
+        )
+    shape = probabilities.shape if size is None else (size,) + probabilities.shape
+    counts = np.zeros(shape, dtype=np.int64)
+    counts[..., support] = gen.multinomial(n, mass / total, size)
+    return counts
 
 
 def random_message_by_draws(seed: int, n_bits: int) -> tuple:

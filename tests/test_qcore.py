@@ -34,7 +34,7 @@ from born import (
     tensor,
     trace_distance,
 )
-from oracles import char_poly_roots, three_sigma_binomial
+from oracles import char_poly_roots, multinomial_by_support, three_sigma_binomial
 
 KET0 = basis_ket(2, 0)
 KET1 = basis_ket(2, 1)
@@ -498,6 +498,56 @@ class TestSeededRng:
         with pytest.raises(ConfigError) as err:
             SeededRng(120).multinomial(10, probs)
         assert "\n" not in str(err.value)
+
+    # a cell is 0 or a float from the smallest subnormal to 1e300
+    CELL = st.one_of(st.just(0.0), st.floats(5e-324, 1e300))
+
+    @settings(deadline=None, max_examples=300, derandomize=True)
+    @given(
+        key=st.tuples(KEY, KEY),
+        n=st.integers(0, 10**12),
+        probs=st.lists(CELL, min_size=1, max_size=20),
+        size=st.sampled_from([None, 0, 1, 7]),
+    )
+    # every cell positive; a leading, an inner and a trailing zero; subnormal
+    # and huge cells; no mass at all
+    @example(key=(0, 0), n=200, probs=[0.3, 0.3, 0.4], size=7)
+    @example(key=(1, 2), n=200, probs=[0.0, 0.5, 0.5], size=None)
+    @example(key=(1, 2), n=200, probs=[0.5, 0.0, 0.5], size=1)
+    @example(key=(1, 2), n=10**12, probs=[0.5, 0.5, 0.0], size=7)
+    @example(key=(3, 4), n=9, probs=[5e-324, 1e-310, 1e300], size=None)
+    @example(key=(3, 4), n=9, probs=[1e300] * 20, size=0)
+    @example(key=(5, 6), n=9, probs=[0.0, 0.0], size=None)
+    def test_multinomial_matches_support_reference(self, key, n, probs, size):
+        # the draw over every cell when all are positive, and the scatter
+        # otherwise, give the counts of the reference that always scatters
+        gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
+        try:
+            expected = multinomial_by_support(gen, n, probs, size)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as err:
+                SeededRng(*key).multinomial(n, probs, size)
+            assert str(err.value) == str(exc)
+            return
+        counts = SeededRng(*key).multinomial(n, probs, size)
+        assert counts.dtype == np.int64 and counts.shape == expected.shape
+        np.testing.assert_array_equal(counts, expected)
+
+    @pytest.mark.parametrize(
+        "probs",
+        [[np.nan, 0.5, 0.5], [0.5, np.nan], [np.nan], [-0.1, 0.6, 0.5],
+         [0.5, -0.0, -1e-300], [np.inf, 1.0], [1.0, np.inf], [-np.inf, 1.0],
+         [0.0, 0.0, 0.0], [0.0], [], [[0.5, 0.5]], [[0.5], [0.5]], 0.5, "x",
+         [None, 1.0]],
+    )
+    @pytest.mark.parametrize("size", [None, 3])
+    def test_multinomial_refusals_match_support_reference(self, probs, size):
+        gen = Generator(Philox(key=np.array([120, 0], dtype=np.uint64)))
+        with pytest.raises(ConfigError) as expected:
+            multinomial_by_support(gen, 10, probs, size)
+        with pytest.raises(ConfigError) as err:
+            SeededRng(120).multinomial(10, probs, size)
+        assert str(err.value) == str(expected.value)
 
     def test_multinomial_draws_when_the_sum_overflows(self):
         # finite cells whose float64 sum overflows draw like their ratios;
