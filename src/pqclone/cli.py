@@ -5,8 +5,7 @@ cloning is infeasible, 1 on any other error. ``signal-test`` outputs are
 byte-identical for a fixed seed.
 
 The argument parser is built once per process, on the first ``main`` call,
-and reused by every later call; parsing never changes it. An argv that
-names a command goes straight to that command's parser.
+and reused by every later call; parsing never changes it.
 """
 
 from __future__ import annotations
@@ -46,9 +45,8 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
     ]
 
 
-# the open of an output file: created if missing, overwritten in place if
-# present (_write_text cuts it to the new bytes)
-_CREATE = os.O_WRONLY | os.O_CREAT
+# the open of an output file: created if missing, truncated if present
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _JSON_SCALARS = (str, int, float, type(None))  # a bool is an int
 
 
@@ -68,15 +66,10 @@ def _write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, creating its missing parent directories.
 
     The file is opened first; the parents are made only when that open
-    finds one missing. An existing file is overwritten in place, not
-    truncated first, and then cut to the new bytes if it was longer: on
-    ext4, truncating a file to zero and writing it again cost several times
-    as much. The write is not atomic. A path that cannot be written, say one
-    under a regular file, raises PqcloneError, so the command exits 1 with
-    one line.
+    finds one missing. A path that cannot be written, say one under a
+    regular file, raises PqcloneError, so the command exits 1 with one line.
     """
     data = memoryview(text.encode())
-    size = len(data)
     try:
         try:
             fd = os.open(path, _CREATE, 0o666)
@@ -86,9 +79,6 @@ def _write_text(path: Path, text: str) -> None:
         try:
             while data:
                 data = data[os.write(fd, data) :]
-            # a FIFO or a device reports size 0, so only a longer file is cut
-            if os.fstat(fd).st_size > size:
-                os.ftruncate(fd, size)
         finally:
             os.close(fd)
     except OSError as exc:
@@ -273,9 +263,8 @@ def cmd_signal_test(args) -> int:
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The one parser of this process and each command's own parser, by
-    command name, built on first use."""
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = _Parser(
         prog="pqclone",
         description=(
@@ -316,33 +305,13 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     p_sig.add_argument("--out")
     p_sig.set_defaults(func=cmd_signal_test)
 
-    return parser, {"feasibility": p_feas, "construct": p_con, "signal-test": p_sig}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use."""
-    return _parsers()[0]
-
-
-def _parse_argv(argv) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, in one pass when ``argv`` names a
-    command: that command's parser reads the rest, as the top-level parser
-    would hand it on, without the top-level pass over every argument. An
-    empty argv, ``-h`` and an unknown command go to the top-level parser."""
-    parser, commands = _parsers()
-    if argv is None:
-        argv = sys.argv[1:]
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+    return parser
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parse_argv(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

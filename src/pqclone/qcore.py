@@ -239,10 +239,8 @@ class SeededRng:
 
         Only cells of positive mass are drawn over, renormalized: numpy gives
         its last cell whatever count the others leave, so roundoff would
-        otherwise put counts in a trailing zero-mass cell. When every cell is
-        positive, numpy's counts are the result; otherwise they are scattered
-        into zeros at the positive cells. NaN, infinite or negative cells, or
-        no mass at all, raise ``ConfigError``.
+        otherwise put counts in a trailing zero-mass cell. NaN, infinite or
+        negative cells, or no mass at all, raise ``ConfigError``.
         """
         require_count("multinomial draw count", n)
         if size is not None:
@@ -256,28 +254,22 @@ class SeededRng:
         if probabilities.ndim != 1:
             raise ConfigError("multinomial probabilities must be one vector")
         support = (probabilities > 0).nonzero()[0]
-        full = support.size == probabilities.size
-        if full:
-            mass = probabilities
         # NaN and negative cells are nonzero but not positive
-        elif np.count_nonzero(probabilities) != support.size:
+        if np.count_nonzero(probabilities) != support.size:
             raise ConfigError("multinomial probabilities must be nonnegative numbers")
-        else:
-            mass = probabilities[support]
+        mass = probabilities[support]
         # scaling by a power of two is exact, so the renormalized cells are
         # unchanged; one at least the cell count keeps a finite vector's sum
         # (and every partial sum) within float range
-        mass = mass * 0.5 ** (support.size - 1).bit_length()
+        mass *= 0.5 ** (mass.size - 1).bit_length()
         total = np.add.reduce(mass)
         if not 0 < total < np.inf:
             raise ConfigError(
                 f"multinomial probabilities must have finite positive mass, got {total}"
             )
-        drawn = self._gen.multinomial(n, mass / total, size)
-        if full:
-            return drawn
-        counts = np.zeros(drawn.shape[:-1] + probabilities.shape, dtype=np.int64)
-        counts[..., support] = drawn
+        shape = probabilities.shape if size is None else (size,) + probabilities.shape
+        counts = np.zeros(shape, dtype=np.int64)
+        counts[..., support] = self._gen.multinomial(n, mass / total, size)
         return counts
 
 

@@ -451,10 +451,10 @@ def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
 
 
 def multinomial_by_support(gen, n: int, probabilities, size=None) -> np.ndarray:
-    """``SeededRng.multinomial`` as it always gathers the cells of positive
+    """``SeededRng.multinomial`` written with numpy's Python-level wrappers
+    (``np.flatnonzero``, ``ndarray.sum``): it gathers the cells of positive
     mass, draws over them from the numpy generator ``gen`` and scatters the
-    counts into zeros, whether or not a cell is zero; same checks, same
-    messages."""
+    counts into zeros; same checks, same messages."""
     qcore.require_count("multinomial draw count", n)
     if size is not None:
         qcore.require_count("multinomial size", size)

@@ -409,38 +409,6 @@ class TestCliOutPath:
         for path in written if command == "signal-test" else [out]:
             assert json.loads(path.read_text())
 
-    def test_existing_outputs_are_overwritten_in_place(self, tmp_path, capsys):
-        argv = self.ARGV["signal-test"]
-        assert cli.main(argv + ["--out", str(tmp_path / "fresh")]) == 0
-        expected = {
-            name: (tmp_path / "fresh" / name).read_bytes()
-            for name in ("tally.json", "stats.json")
-        }
-        out = tmp_path / "out"
-        out.mkdir()
-        # a longer tally, with a second hard link and its own mode, and a
-        # stats.json that is a symlink to a longer file elsewhere
-        tally = out / "tally.json"
-        tally.write_text("x" * 10_000)
-        tally.chmod(0o600)
-        twin = tmp_path / "twin.json"
-        twin.hardlink_to(tally)
-        target = tmp_path / "elsewhere.json"
-        target.write_text("y" * 10_000)
-        (out / "stats.json").symlink_to(target)
-        inode = tally.stat().st_ino
-
-        assert cli.main(argv + ["--out", str(out)]) == 0
-        assert tally.read_bytes() == twin.read_bytes() == expected["tally.json"]
-        assert tally.stat().st_ino == inode
-        assert tally.stat().st_mode & 0o777 == 0o600
-        assert (out / "stats.json").is_symlink()
-        assert target.read_bytes() == expected["stats.json"]
-
-    def test_out_may_be_a_device(self, capsys):
-        # /dev/null reports size 0, so it is written and never cut
-        assert cli.main(self.ARGV["feasibility"] + ["--out", "/dev/null"]) == 0
-
     @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
     def test_unusable_out_exits_1_with_one_line(self, tmp_path, capsys, command):
         # the output directory would have to be a regular file
@@ -964,53 +932,6 @@ class TestSharedParser:
         assert gammas() == [1.0, 1.0]  # the default, not the last --gamma
         assert gammas("--gamma", "0.5") == [0.5, 0.5]  # appends do not pile up
         assert cli.build_parser().parse_args(["feasibility", states]).gamma is None
-
-    STATES = str(CONFIGS / "states_overlap_n2.txt")
-    CONFIG = str(CONFIGS / "illegal_n2.json")
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["feasibility", STATES],
-            ["feasibility", STATES, "-M", "3", "--gamma", "0.2", "--gamma", "0.4",
-             "--max", "--out", "r.json"],
-            ["feasibility", "--copies=4", STATES],
-            ["feasibility"],
-            ["feasibility", STATES, "-M", "2.5"],
-            ["feasibility", STATES, "--gamma", "x"],
-            ["feasibility", STATES, "--tol", "0"],
-            ["feasibility", "-h"],
-            ["construct", STATES, "--gamma", "0.4", "--out", "m.json"],
-            ["construct", STATES, "--gamma", "0.4"],
-            ["construct", "--out", "m.json", "--gamma", "0.4"],
-            ["construct", STATES, "-M", "x", "--gamma", "0.4", "--out", "m.json"],
-            ["construct", STATES, "--gamma", "0.4", "--out", "m.json", "extra"],
-            ["construct", "--help"],
-            ["signal-test", CONFIG, "--seed", "7", "--trials", "2000",
-             "--pairs-per-bit", "200", "--mu", "48", "--format", "csv", "--out", "o"],
-            ["signal-test", CONFIG, "--seed=-1"],
-            ["signal-test"],
-            ["signal-test", CONFIG, "--trials", "2e3"],
-            ["signal-test", CONFIG, "--format", "xml"],
-            ["signal-test", CONFIG, "--unknown"],
-            ["signal-test", "-h"],
-            ["no-such-command", STATES],
-            ["--copies", "3", "feasibility", STATES],
-            [],
-            ["-h"],
-        ],
-    )
-    def test_one_pass_matches_the_top_level_parse(self, capsys, argv):
-        # exit code, stdout, stderr and the parsed namespace are those of
-        # the top-level parser handing the command's arguments on
-        def outcome(parse):
-            try:
-                result = vars(parse(argv))
-            except SystemExit as exc:
-                result = exc.code
-            return result, capsys.readouterr()
-
-        assert outcome(cli._parse_argv) == outcome(cli.build_parser().parse_args)
 
     def test_run_after_usage_error_and_help_is_unchanged(self, tmp_path, capsys):
         argv = ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "500",

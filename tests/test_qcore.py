@@ -519,8 +519,8 @@ class TestSeededRng:
     @example(key=(3, 4), n=9, probs=[1e300] * 20, size=0)
     @example(key=(5, 6), n=9, probs=[0.0, 0.0], size=None)
     def test_multinomial_matches_support_reference(self, key, n, probs, size):
-        # the draw over every cell when all are positive, and the scatter
-        # otherwise, give the counts of the reference that always scatters
+        # the ndarray methods and the direct reduction give the counts of
+        # the reference written with np.flatnonzero and .sum()
         gen = Generator(Philox(key=np.array(key, dtype=np.uint64)))
         try:
             expected = multinomial_by_support(gen, n, probs, size)
