@@ -47,7 +47,9 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 
 # the open of an output file: created if missing, truncated if present
 _CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-_JSON_SCALARS = (str, int, float, type(None))  # a bool is an int
+# the value types the C encoder writes as json.dumps does; a subclass, such
+# as a numpy float, takes json.dumps itself
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -87,7 +89,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _json_text(data: dict) -> str:
     """``data`` as JSON text, indented by 2 with sorted keys, plus a newline."""
-    if data and all(isinstance(value, _JSON_SCALARS) for value in data.values()):
+    if data and _JSON_SCALARS.issuperset(map(type, data.values())):
         return "{\n  " + _items_json(1).encode(data)[1:-1] + "\n}\n"
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -166,7 +168,16 @@ def _per_state(gammas: list, n: int) -> list:
     return gammas
 
 
+def _out_file(out: str | None) -> Path | None:
+    """The ``--out`` file of ``feasibility`` or ``construct``, if any; an
+    empty path names no file and is refused."""
+    if out == "":
+        raise PqcloneError("no output file (--out is empty)")
+    return None if out is None else Path(out)
+
+
 def cmd_feasibility(args) -> int:
+    out = _out_file(args.out)
     states = config_mod.load_states(args.states_file)
     m = args.copies
     report: dict = {"n_states": len(states), "dim": states.shape[1], "copies": m}
@@ -180,8 +191,8 @@ def cmd_feasibility(args) -> int:
     report["gammas"] = [float(g) for g in gammas]
     report["min_eigenvalue"] = min_eig
     report["feasible"] = feasible
-    if args.out:  # first, so a failed write prints no verdict
-        _dump_json(report, Path(args.out))
+    if out is not None:  # first, so a failed write prints no verdict
+        _dump_json(report, out)
     print(f"feasible: {feasible}")
     print(f"min_eigenvalue: {min_eig!r}")
     if args.max_uniform:
@@ -190,6 +201,7 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    out = _out_file(args.out)
     states = config_mod.load_states(args.states_file)
     gammas = _per_state(args.gamma, len(states))
     legal = pqcm.FactoredSet(states, args.copies)
@@ -209,7 +221,7 @@ def cmd_construct(args) -> int:
         "clone_residual": machine.clone_residual,
         "trace_residual": machine.trace_residual,
     }
-    _dump_json(dump, Path(args.out))
+    _dump_json(dump, out)
     print(f"wrote machine to {args.out}")
     print(f"clone_residual: {machine.clone_residual!r}")
     print(f"trace_residual: {machine.trace_residual!r}")
@@ -226,7 +238,7 @@ def cmd_signal_test(args) -> int:
             overrides[name] = value
     # replace() re-runs RunConfig's checks on every overridden field
     run = dataclasses.replace(run, **overrides)
-    if run.out is None:
+    if not run.out:  # unset or empty
         raise PqcloneError("no output directory (set 'out' in config or pass --out)")
 
     protocol = config_mod.build_protocol(run, base_dir)
@@ -277,10 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas = sub.add_parser("feasibility", help="PSD verdict for a cloning request")
     p_feas.add_argument("states_file")
     p_feas.add_argument("--copies", "-M", type=int, default=2)
-    p_feas.add_argument(
+    # --max-uniform decides at gamma_max, so it takes no --gamma
+    p_gammas = p_feas.add_mutually_exclusive_group()
+    p_gammas.add_argument(
         "--gamma", type=float, action="append", help="efficiency (repeat per state)"
     )
-    p_feas.add_argument(
+    p_gammas.add_argument(
         "--max-uniform",
         action="store_true",
         help="largest feasible uniform gamma, in closed form",

@@ -641,7 +641,7 @@ def channel_accuracy(
     zeros, ones = votes[:, 0], votes[:, 1]
     decoded = (ones > zeros).astype(np.int64)
     ties = (ones == zeros).nonzero()[0]
-    if ties.size:  # a tie-free message never builds its vote stream
+    if ties.size:  # a tie-free message never draws from its vote stream
         decoded[ties] = rng.uniforms(ties.size) < 0.5
     return ChannelResult(
         accuracy=int(np.count_nonzero(sent == decoded)) / sent.size,

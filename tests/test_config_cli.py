@@ -231,6 +231,21 @@ class TestCliFeasibility:
         assert code == 1
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags", [["--gamma", "0.99", "--max-uniform"], ["--max-uniform", "--gamma", "0.99"]]
+    )
+    def test_gamma_and_max_uniform_exclude_each_other(self, flags, capsys):
+        # --max-uniform decides at gamma_max, so it would drop the --gamma
+        code = cli.main(
+            ["feasibility", str(CONFIGS / "states_overlap_n2.txt"), "-M", "3"] + flags
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: argument ")
+        assert "not allowed with argument" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     def test_tol_is_an_unknown_argument(self, capsys):
         # gamma_max is a closed form, so there is no tolerance to set
         code = cli.main(
@@ -317,16 +332,31 @@ class TestJsonLayout:
         }
     )
     @example(data={"nested": {"a": [1, 2.5]}, "b": 1})
+    # a numpy float is a float, but only exact Python scalars take the C encoder
+    @example(data={"np": np.float64(0.1), "t": True, "none": None})
     @given(
         data=st.dictionaries(
             st.text(),
             JSON_SCALARS
+            | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
             | st.lists(JSON_SCALARS, max_size=3)
             | st.dictionaries(st.text(), JSON_SCALARS, max_size=2),
         )
     )
     def test_text_is_the_documented_layout(self, data):
         assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+    def test_only_python_scalars_take_the_c_encoder(self, monkeypatch):
+        calls = []
+        dumps = json.dumps
+        monkeypatch.setattr(
+            json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k)
+        )
+        record = {"a": 1, "b": 0.5, "c": "x", "d": True, "e": None}
+        cli._json_text(record)
+        assert calls == []
+        cli._json_text({**record, "f": np.float64(0.5)})
+        assert len(calls) == 1
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @example(header=["input", "B1", "B2", "B3", "phi"], rows=[["B1", 3, 0, 0, 2**63]])
@@ -421,6 +451,33 @@ class TestCliOutPath:
         assert captured.err.startswith(f"error: cannot write {blocker}/")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""  # no verdict for a report never written
+
+
+    @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
+    def test_empty_out_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, command):
+        # an empty path would name the working directory
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(self.ARGV[command] + ["--out", ""])
+        captured = capsys.readouterr()
+        assert code == 1
+        what = "directory" if command == "signal-test" else "file"
+        assert captured.err.startswith(f"error: no output {what} (")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def test_empty_out_in_config_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        data = json.loads((CONFIGS / "legal_n2.json").read_text())
+        data["out"] = ""
+        cfg = tmp_path / "empty_out.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "400"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: no output directory (set 'out' in config or pass --out)\n"
+        )
+        assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
 
 
 class TestCliSignalTest:
@@ -797,25 +854,29 @@ class TestCliSignalTest:
             assert sorted(calls) == [factor, "independent_svd"]
 
     def test_generators_per_run(self, tmp_path, monkeypatch):
-        # the argvs of the bench/run.py workloads: 2 protocol, 2 channel and
-        # 1 message stream draw; the vote stream only when a bit ties
+        # the argvs of the bench/run.py workloads: a run builds no generator;
+        # 2 protocol, 2 channel and 1 message stream re-key the shared one,
+        # and the vote stream only when a bit ties
         workloads = [
             (CONFIGS / "illegal_n2.json", 2000, 200),
             (CONFIGS / "legal_n2.json", 2000, 50),
             (REPO / "bench" / "legal_n3_wide.json", 600, 20),
         ]
         built = []
-        generator = qcore.Generator
-
-        def counting_generator(bit_generator):
-            built.append(bit_generator)
-            return generator(bit_generator)
-
-        monkeypatch.setattr(qcore, "Generator", counting_generator)
+        for name in ("Generator", "Philox"):
+            made = getattr(qcore, name)
+            monkeypatch.setattr(
+                qcore, name, lambda *a, made=made: built.append(a) or made(*a)
+            )
+        rekeys = []
+        rekey = qcore._rekey
+        monkeypatch.setattr(
+            qcore, "_rekey", lambda *key: rekeys.append(key) or rekey(*key)
+        )
         seen = set()
         for path, trials, pairs_per_bit in workloads:
             for seed in (0, 57, 122):
-                built.clear()
+                rekeys.clear()
                 code = cli.main(
                     ["signal-test", str(path), "--seed", str(seed), "--trials",
                      str(trials), "--pairs-per-bit", str(pairs_per_bit),
@@ -823,8 +884,12 @@ class TestCliSignalTest:
                 )
                 assert code == 0
                 stats = json.loads((tmp_path / "stats.json").read_text())
-                assert len(built) == 5 + (stats["channel_coin_flips"] > 0)
-                seen.add(len(built))
+                tie = stats["channel_coin_flips"] > 0
+                # protocol, message, channel and, on a tie, vote streams
+                stream_ids = [0, 1, 48, 16, 17] + [32] * tie
+                assert rekeys == [(seed, stream_id) for stream_id in stream_ids]
+                seen.add(len(rekeys))
+        assert built == []
         assert seen == {5, 6}  # these seeds cover both a tie and none
 
     def test_one_law_per_run(self, tmp_path, monkeypatch):

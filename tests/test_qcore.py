@@ -1,6 +1,8 @@
 """Quantum primitive layer: states, operators, sampling, spectral analysis."""
 
 import copy
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -452,32 +454,114 @@ class TestSeededRng:
         assert rng.random() == ref.random()
 
     def test_construction_draws_nothing(self, monkeypatch):
-        built = []
-        philox = qcore.Philox
-
-        def counting_philox(*args, **kwargs):
-            built.append(args)
-            return philox(*args, **kwargs)
-
-        monkeypatch.setattr(qcore, "Philox", counting_philox)
+        keys = []
+        rekey = qcore._rekey
+        monkeypatch.setattr(qcore, "_rekey", lambda *key: keys.append(key) or rekey(*key))
         rng = SeededRng(118, 5)
-        assert built == [] and "_gen" not in vars(rng)
+        assert keys == [] and qcore._holder() is not rng
         first = rng.uniforms(3)
         second = rng.uniforms(3)
-        assert len(built) == 1  # one generator, built on the first draw
+        # one re-key, on the first draw; the stream keeps the generator
+        assert keys == [(118, 5)] and qcore._holder() is rng
         np.testing.assert_array_equal(
             np.concatenate([first, second]), SeededRng(118, 5).uniforms(6)
         )
 
     @pytest.mark.parametrize("draws", [0, 3])
     def test_deepcopy_replays_the_same_draws(self, draws):
+        # a copy of a stream that holds the generator, or never drew
         rng = SeededRng(119, 2)
         if draws:
             rng.uniforms(draws)
-        assert ("_gen" in vars(rng)) == bool(draws)
+        assert (qcore._holder() is rng) == bool(draws)
         twin = copy.deepcopy(rng)
         np.testing.assert_array_equal(twin.uniforms(5), rng.uniforms(5))
         np.testing.assert_array_equal(twin.normals(4), rng.normals(4))
+
+    def test_deepcopy_after_handover_replays_the_same_draws(self):
+        rng, other = SeededRng(119, 3), SeededRng(119, 4)
+        rng.uniforms(3)
+        other.uniforms(1)  # rng hands the generator over
+        assert qcore._holder() is other
+        twin = copy.deepcopy(rng)
+        expected = Generator(Philox(key=np.array([119, 3], dtype=np.uint64)))
+        expected.random(3)
+        rest = expected.random(5)
+        np.testing.assert_array_equal(twin.uniforms(5), rest)
+        np.testing.assert_array_equal(rng.uniforms(5), rest)
+
+    KINDS = ["random", "uniforms", "normals", "choice", "multinomial"]
+
+    @staticmethod
+    def draw(rng, kind, probs, size):
+        """One draw of ``kind`` from a stream, or from a generator when
+        ``rng`` is a numpy ``Generator``."""
+        own = isinstance(rng, Generator)
+        if kind == "random":
+            return rng.random()
+        if kind == "uniforms":
+            return rng.random(size or 0) if own else rng.uniforms(size or 0)
+        if kind == "normals":
+            return rng.standard_normal(size or 0) if own else rng.normals(size or 0)
+        probs = probs / probs.sum()
+        if kind == "choice":
+            if not own:
+                return rng.choice(probs)
+            edges = np.cumsum(probs)
+            edges[-1] = max(edges[-1], 1.0)
+            return int(np.searchsorted(edges, rng.random(), side="right"))
+        return rng.multinomial(1_000, probs, size)
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(
+        keys=st.lists(st.tuples(KEY, KEY), min_size=2, max_size=4, unique=True),
+        steps=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.sampled_from(KINDS),
+                st.sampled_from([None, 1, 3]),
+            ),
+            max_size=25,
+        ),
+        probs=st.lists(st.floats(0.01, 1.0), min_size=1, max_size=4),
+    )
+    @example(
+        keys=[(0, 0), (0, 1)],
+        steps=[(0, "uniforms", 3), (1, "multinomial", None), (0, "normals", 1),
+               (1, "choice", None), (0, "multinomial", 3), (1, "random", None)],
+        probs=[0.5, 0.25, 0.25],
+    )
+    def test_interleaved_streams_match_their_own_generators(self, keys, steps, probs):
+        # live streams that take the generator from each other draw what a
+        # generator of their own would
+        probs = np.array(probs)
+        rngs = [SeededRng(*key) for key in keys]
+        refs = [Generator(Philox(key=np.array(key, dtype=np.uint64))) for key in keys]
+        for which, kind, size in steps:
+            which %= len(keys)
+            np.testing.assert_array_equal(
+                self.draw(rngs[which], kind, probs, size),
+                self.draw(refs[which], kind, probs, size),
+            )
+
+    def test_threads_draw_their_own_streams(self):
+        def draws(stream_id):
+            rng = SeededRng(122, stream_id)
+            return np.concatenate([rng.uniforms(3) for _ in range(2_000)])
+
+        # more threads than a CI runner has cores, switching every few draws,
+        # so the streams take the generator from each other many times
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(draws, stream_id) for stream_id in range(4)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for stream_id, result in enumerate(results):
+            gen = Generator(Philox(key=np.array([122, stream_id], dtype=np.uint64)))
+            np.testing.assert_array_equal(result, gen.random(6_000))
 
     @pytest.mark.parametrize(
         "seed, stream_id",

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqclone import config as config_mod
-from pqclone import signalling
+from pqclone import qcore, signalling
 from pqclone.entangle import AliceBasis, build_shared_state, induced_states
 from pqclone.errors import ConfigError
 from pqclone.pqcm import (
@@ -426,11 +426,14 @@ class TestChannel:
         assert result.accuracy == 1.0
         assert result.coin_flips == 0
 
-    def test_tie_free_message_leaves_vote_stream_unbuilt(self):
+    def test_tie_free_message_leaves_vote_stream_unbuilt(self, monkeypatch):
+        # the vote stream never draws, so it never re-keys the shared generator
+        rekeys = []
+        monkeypatch.setattr(qcore, "_rekey", lambda *key: rekeys.append(key))
         rng = SeededRng(408)
         result = channel_accuracy(np.array([0, 1]), np.array([[2, 1, 0], [0, 2, 1]]), 3, rng)
         assert result.coin_flips == 0
-        assert "_gen" not in vars(rng)
+        assert rekeys == [] and qcore._holder() is not rng
 
     def test_all_abstain_block_is_coin_flip(self):
         votes = np.array([[0, 0, 4]])
