@@ -187,14 +187,14 @@ def cmd_feasibility(args) -> int:
         report["gamma_max"] = legal.gamma_max
         one_or_n = [report["gamma_max"]]
     gammas = _per_state(one_or_n, len(states))
-    feasible, min_eig = legal.gram_verdict(gammas)
+    feasible, least = legal.gram_verdict(gammas)
     report["gammas"] = [float(g) for g in gammas]
-    report["min_eigenvalue"] = min_eig
+    report["least_discard_mass"] = least
     report["feasible"] = feasible
     if out is not None:  # first, so a failed write prints no verdict
         _dump_json(report, out)
     print(f"feasible: {feasible}")
-    print(f"min_eigenvalue: {min_eig!r}")
+    print(f"least_discard_mass: {least!r}")
     if args.max_uniform:
         print(f"gamma_max: {report['gamma_max']!r}")
     return EXIT_OK if feasible else EXIT_INFEASIBLE
@@ -204,13 +204,10 @@ def cmd_construct(args) -> int:
     out = _out_file(args.out)
     states = config_mod.load_states(args.states_file)
     gammas = _per_state(args.gamma, len(states))
-    legal = pqcm.FactoredSet(states, args.copies)
     try:
-        machine = pqcm.PqcmMachine(legal, gammas)
-    except FeasibilityError as exc:
-        _, min_eig = legal.gram_verdict(gammas)
+        machine = pqcm.construct_machine(states, args.copies, gammas)
+    except FeasibilityError as exc:  # its text carries the least discard mass
         print(f"infeasible: {exc}", file=sys.stderr)
-        print(f"min_eigenvalue: {min_eig!r}", file=sys.stderr)
         return EXIT_INFEASIBLE
     dump = {
         "dim": machine.dim,

@@ -7,7 +7,8 @@ A*A + F*F = I. Such an A exists exactly when the Gram-matrix condition
 X - D X^(M) D >= 0 holds, with X the Gram matrix, X^(M) its entrywise
 M-th power, and D = diag(sqrt(gamma_i)). The success operator is
 A = C D B^+ (B = input columns, C = M-fold product columns) and F is the
-principal square root of I - A*A.
+principal square root of I - A*A. As B*(I - A*A)B = X - D X^(M) D, the
+verdict reads it as: the least discard probability min 1 - |A u|^2 is >= 0.
 
 A state set is one read-only ``(N, d)`` array, one state per row. A
 ``FactoredSet`` is a state set and a copy count; constructing one checks
@@ -42,7 +43,7 @@ from . import qcore
 from .errors import ConfigError, FeasibilityError
 from .qcore import Ket, SeededRng
 
-_MACHINE_TOL = 1e-9
+_MACHINE_TOL = 1e-9  # 2 * PSD_TOL: an admitted trace defect leaves room for rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,10 +163,11 @@ class FactoredSet:
     factor R of the M-fold product columns C, with R*R = C*C = X^(o M). The
     SVD also gives cond(B): below ``CHOLESKY_COND`` R is the Cholesky factor
     of X^(o M) (``_cholesky_factor``), otherwise the QR factor of C
-    (``_product_factor``). ``gamma_max``, ``feasibility_matrix``,
-    ``gram_verdict``, a ``PqcmMachine`` and its column law all read these,
-    so a run that needs the largest uniform efficiency and the machine
-    built at it checks and factors the set once.
+    (``_product_factor``). ``gamma_max``, ``gram_verdict`` and a
+    ``PqcmMachine`` decide feasibility from one number, the peak success
+    probability of G = R D B^+ (``_verdict``), and they, the column law
+    and ``feasibility_matrix`` read these, so a run that needs the largest
+    uniform efficiency and the machine built at it factors the set once.
 
     A state of any other norm, or a copy count that is not such an
     integer, raises ConfigError (``qcore.require_unit``,
@@ -211,20 +213,16 @@ class FactoredSet:
 
     @property
     def gamma_max(self) -> float:
-        """Largest uniform efficiency keeping the feasibility matrix PSD.
+        """Largest uniform efficiency meeting the Gram condition.
 
-        X - gamma X^(o M) >= 0 says |B v|^2 >= gamma |C v|^2 = gamma |R v|^2
-        for every v, on either branch of R, since R*R = X^(o M). B has
-        full column rank, so v = B^+ u runs over all of C^N
-        as u runs over the range of B, and the condition is
-        |u|^2 >= gamma |K u|^2 with K = R B^+. The largest such gamma is
-        min(1, 1 / lambda_max(K K*)) in closed form. K K* = R X^-1 R* has
-        the spectrum of X^(-1/2) X^(o M) X^(-1/2), but K is formed from R
-        and one SVD of B, so no step past R squares cond(B).
+        At uniform gamma, G = sqrt(gamma) K with K = R B^+ (``_verdict``), so
+        gamma is feasible up to min(1, 1 / lambda_max(K K*)). K K* = R X^-1 R*
+        has the spectrum of X^(-1/2) X^(o M) X^(-1/2), but K is formed from
+        R and one SVD of B, so no step past R squares cond(B).
         """
-        k_mat = self.product_factor @ self.pinv
-        lam_max = float(np.linalg.eigvalsh(k_mat @ k_mat.conj().T)[-1])
-        return min(1.0, 1.0 / lam_max)
+        # 1 - peak is exact for peak in [0.5, 2**53), so this reads peak itself
+        peak = 1.0 - self._verdict((1.0,) * len(self.states))[1]
+        return min(1.0, 1.0 / peak)
 
     def _efficiencies(self, gammas: Sequence[float]) -> tuple:
         """``gammas`` as one float per state, each in [0, 1]; raises
@@ -246,16 +244,29 @@ class FactoredSet:
         return tuple(float(g) for g in values)
 
     def feasibility_matrix(self, gammas: Sequence[float]) -> np.ndarray:
-        """X - D X^(o M) D, whose positive semidefiniteness decides clonability."""
+        """X - D X^(o M) D, PSD when clonable; a diagnostic, not the verdict."""
         d = np.sqrt(np.array(self._efficiencies(gammas)))
         feas = self.gram - (d[:, None] * self.gram_power) * d[None, :]
         return (feas + feas.conj().T) / 2.0
 
     def gram_verdict(self, gammas: Sequence[float]) -> tuple[bool, float]:
-        """Whether ``gammas`` meet the Gram condition, and the smallest
-        eigenvalue of the feasibility matrix that decides it."""
-        min_eig = float(np.linalg.eigvalsh(self.feasibility_matrix(gammas))[0])
-        return min_eig >= -qcore.PSD_TOL, min_eig
+        """Whether ``gammas`` meet the Gram condition, and the least discard
+        probability over unit inputs that decides it (``_verdict``)."""
+        return self._verdict(self._efficiencies(gammas))[:2]
+
+    def _verdict(self, gammas: tuple) -> tuple:
+        """(feasible, least, W, G) for checked efficiencies: W = D B^+, G = R W.
+
+        A = C W = Q G (``PqcmMachine``): a unit input u succeeds with
+        probability |G u|^2, so least = 1 - lambda_max(G G*) is the least
+        discard probability, negative exactly when X - D X^(o M) D =
+        B*(I - G*G)B is not PSD. ``qcore.PSD_TOL`` bounds that probability,
+        whose scale, unlike the matrix's, does not shrink with sigma_min(B)^2.
+        """
+        w_mat = np.sqrt(np.asarray(gammas))[:, None] * self.pinv
+        g_mat = self.product_factor @ w_mat
+        least = 1.0 - float(np.linalg.eigvalsh(g_mat @ g_mat.conj().T)[-1])
+        return least >= -qcore.PSD_TOL, least, w_mat, g_mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,19 +277,19 @@ class PqcmMachine:
     Success operator A = C D B^+ with B the matrix of input columns, C the
     matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i)); failure
     operator F = principal square root of I - A*A. The efficiencies must
-    lie in [0, 1] and meet the Gram condition, and every check runs on
+    lie in [0, 1] and pass the set's Gram verdict, and every check runs on
     N x N matrices, from W = D B^+ and the factor R. Since R*R = C*C,
     C = Q R with Q = C R^-1 of orthonormal columns (never formed). Then
-    A = C W = Q G with G = R W, so:
+    A = C W = Q G with G = R W, the verdict's G, so:
 
-      * A*A = G*G, and I - A*A must be PSD (trace preservation);
+      * A*A = G*G, and F is the root of I - G*G, its eigenvalues clamped at 0;
       * A B - C D = Q R V with V = W B - D, so the clone residual of
         state i is the norm of column i of R V;
       * the trace residual is max |A*A + F*F - I|.
 
     Both residuals must lie within ``_MACHINE_TOL``. Raises ConfigError
     for a ``factored`` that is not a ``FactoredSet`` or for malformed
-    efficiencies, and FeasibilityError when the Gram condition or a check
+    efficiencies, and FeasibilityError when the Gram verdict or a check
     fails.
     """
 
@@ -295,29 +306,21 @@ class PqcmMachine:
                 f"a machine needs a FactoredSet, got {type(legal).__name__}"
             )
         gammas = legal._efficiencies(self.gammas)
-        feasible, min_eig = legal.gram_verdict(gammas)
+        feasible, least, w_mat, g_mat = legal._verdict(gammas)  # A = C W = Q G
         if not feasible:
             raise FeasibilityError(
-                f"requested efficiencies are infeasible (min eigenvalue {min_eig:.3e})"
+                f"requested efficiencies are infeasible "
+                f"(least_discard_mass: {least!r})"
             )
-
-        d_vec = np.sqrt(np.asarray(gammas))
-        w_mat = d_vec[:, None] * legal.pinv  # A = C W
-        r_mat = legal.product_factor  # C = Q R
-        g_mat = r_mat @ w_mat  # A = Q G
         success_gram = g_mat.conj().T @ g_mat  # A*A
 
         eye = np.eye(self.dim)
         gap = eye - success_gram
         eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-        if eigvals[0] < -qcore.PSD_TOL:
-            raise FeasibilityError(
-                f"success operator exceeds trace preservation "
-                f"(min eigenvalue {eigvals[0]:.3e})"
-            )
         f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
 
-        v_mat = w_mat @ legal.b_mat - np.diag(d_vec)  # A B - C D = Q R V
+        r_mat = legal.product_factor  # C = Q R
+        v_mat = w_mat @ legal.b_mat - np.diag(np.sqrt(gammas))  # A B - C D = Q R V
         clone_residual = float(np.linalg.norm(r_mat @ v_mat, axis=0).max())
         trace_residual = float(
             np.abs(success_gram + f_op.conj().T @ f_op - eye).max()
@@ -373,12 +376,12 @@ class PqcmMachine:
 def feasibility_matrix(
     states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> np.ndarray:
-    """X - D X^(M) D, whose positive semidefiniteness decides clonability."""
+    """X - D X^(M) D, a diagnostic: ``FactoredSet.gram_verdict`` decides."""
     return FactoredSet(states, m).feasibility_matrix(gammas)
 
 
 def max_uniform_gamma(states: np.ndarray, m: int) -> float:
-    """Largest uniform efficiency keeping the feasibility matrix PSD
+    """Largest uniform efficiency meeting the Gram condition
     (closed form in ``FactoredSet.gamma_max``)."""
     return FactoredSet(states, m).gamma_max
 

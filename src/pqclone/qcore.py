@@ -25,7 +25,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .errors import ConfigError, RankError
 
 NORM_TOL = 1e-10
-PSD_TOL = 1e-9
+PSD_TOL = 5e-10  # a discard probability down to -PSD_TOL reads as 0 (pqcm)
 RANK_TOL = 1e-9
 MAX_DIM = 2**24
 

@@ -410,6 +410,9 @@ def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():
         least = float(discards[n])
         assert abs(least - eigvals[0]) <= 1e-12
         assert discards.min() >= least - 1e-12  # no member discards less
+        # the library's Gram verdict reads this same least discard mass
+        verdict_least = FactoredSet(states, mu).gram_verdict(gammas)[1]
+        assert abs(least - verdict_least) <= 1e-12
         feasible = is_psd(feasibility_matrix(states, mu, gammas))
         assert (least >= -PSD_TOL) == feasible == (factor < 1.0)
         verdicts.append(f"{factor} gamma_max: {least:+.3f}")

@@ -161,7 +161,7 @@ class TestCliFeasibility:
         out = capsys.readouterr().out
         assert code == 0
         assert "feasible: True" in out
-        assert "min_eigenvalue: 0.0" in out
+        assert "least_discard_mass: 0.0" in out
 
     def test_max_uniform_value(self, capsys):
         code = cli.main(
@@ -289,7 +289,7 @@ class TestCliConstruct:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "min_eigenvalue" in err
+        assert "least_discard_mass" in err
         assert not out.exists()
 
 
@@ -315,6 +315,45 @@ JSON_SCALARS = (
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text()
 )
+
+
+class TestCliVerdictAgreement:
+    # feasibility and construct decide from one least discard probability,
+    # so they exit alike on every side of gamma_max, the verdict's edge
+    # 1 + PSD_TOL included, where construct's explicit operator must still
+    # pass its residual checks
+    FACTORS = tuple(
+        1.0 + sign * step for step in (1e-9, 1e-6, 1e-3, 0.1) for sign in (-1, 1)
+    ) + (1.0 + qcore.PSD_TOL,)
+
+    @pytest.mark.parametrize("copies", [2, 3, 6])
+    @pytest.mark.parametrize("gap_exponent", [None, 2, 4, 6, 7, 8])
+    def test_feasibility_and_construct_exit_alike(
+        self, tmp_path, capsys, copies, gap_exponent
+    ):
+        # the demo overlap pair, then pairs of overlap 1 - 10^-k, whose
+        # cond(B) ~ sqrt(2 * 10^k) runs up to the rank rule's limit at k = 8
+        if gap_exponent is None:
+            path = CONFIGS / "states_overlap_n2.txt"
+        else:
+            s = 1.0 - 10.0**-gap_exponent
+            path = tmp_path / "pair.txt"
+            path.write_text(f"2\n1 0 0 0\n{s!r} 0 {(1 - s * s) ** 0.5!r} 0\n")
+        gmax = pqcm.FactoredSet(load_states(path), copies).gamma_max
+        out = tmp_path / "machine.json"
+        codes = []
+        for factor in self.FACTORS:
+            argv = [str(path), "-M", str(copies), "--gamma", repr(factor * gmax)]
+            feasibility = cli.main(["feasibility"] + argv)
+            construct = cli.main(["construct"] + argv + ["--out", str(out)])
+            assert construct == 0 or not out.exists()
+            out.unlink(missing_ok=True)
+            codes.append((factor, feasibility, construct))
+        capsys.readouterr()
+        assert all(f == c for _, f, c in codes), codes
+        # below gamma_max feasible; past the tolerance's edge infeasible
+        assert [f for factor, f, _ in codes if factor < 1.0] == [0] * 4
+        assert [f for factor, f, _ in codes if factor > 1.0 + 1e-9] == [2] * 3
 
 
 class TestJsonLayout:

@@ -514,6 +514,38 @@ class TestFeasibilityEquivalence:
             verdicts.append(accepted)
         assert verdicts == [True] * 7 + [False] * 6
 
+    @settings(deadline=None, max_examples=80, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        m=st.integers(3, 8),
+        seed=st.integers(0, 2**32 - 1),
+        gap=st.sampled_from([None, 1e-2, 1e-3]),
+        factor=st.floats(0.3, 1.5),
+    )
+    @example(n=2, m=3, seed=7, gap=1e-3, factor=1.0 + 1e-9)
+    @example(n=2, m=3, seed=7, gap=1e-3, factor=1.0 + qcore.PSD_TOL)
+    @example(n=3, m=8, seed=8, gap=1e-2, factor=1.0 + 1e-6)
+    def test_one_verdict_decides_construction(self, n, m, seed, gap, factor):
+        # gram_verdict and PqcmMachine read one least discard probability,
+        # and a machine the verdict admits passes its explicit checks too
+        assume(m > n)
+        states = np.array(independent_set(n, SeededRng(seed)))
+        if gap is not None:  # a near-parallel pair, cond(B) ~ 1 / gap
+            pair = states[0] + gap * states[1]
+            states[1] = pair / np.linalg.norm(pair)
+        legal = FactoredSet(states, m)
+        gmax = legal.gamma_max
+        gamma = min(1.0, factor * gmax)
+        feasible, least = legal.gram_verdict([gamma] * n)
+        try:
+            PqcmMachine(legal, [gamma] * n).kraus_success
+            built = True
+        except FeasibilityError:
+            built = False
+        assert built == feasible, (least, factor)
+        # at uniform gamma the peak success probability is gamma / gamma_max
+        assert abs(least - (1.0 - gamma / gmax)) <= 1e-12
+
 
 def success_verdicts(machine, state: Ket, seed: int, trials: int) -> np.ndarray:
     """The success flags of ``trials`` apply_machine calls on one stream.
