@@ -1,10 +1,11 @@
 """The four exceptions of pqclone, one per thing a caller can do about it.
 
-A cloning request fails in one of two ways the physics allows: the set is
-(too close to) linearly dependent, so no exact work on it is possible
-(``RankError``), or the efficiencies break the Gram condition, so no machine
-exists (``FeasibilityError``). Every malformed or out-of-range input is a
-``ConfigError``; the base class also carries I/O failures.
+A cloning request fails in one of two ways: the set is (too close to)
+linearly dependent, so no accurate work on it is possible (``RankError``,
+also raised when a law or a machine fails its numerical check), or the
+efficiencies break the Gram condition, so no machine exists
+(``FeasibilityError``, and nothing else). Every malformed or out-of-range
+input is a ``ConfigError``; the base class also carries I/O failures.
 """
 
 
@@ -18,10 +19,11 @@ class ConfigError(PqcloneError):
 
 
 class RankError(PqcloneError):
-    """A state set is too close to linear dependence for exact work: the
-    rank rule refuses it, or its column law falls below roundoff."""
+    """A state set is too close to linear dependence for accurate work: the
+    rank rule refuses it, its column law falls below roundoff, or a machine
+    the Gram verdict admits fails its clone or trace residual check."""
 
 
 class FeasibilityError(PqcloneError):
-    """Requested cloning efficiencies admit no trace-non-increasing machine,
-    or a built machine fails its verification."""
+    """Requested cloning efficiencies admit no trace-non-increasing machine:
+    the Gram verdict refuses them."""

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import qcore
-from .errors import ConfigError, FeasibilityError
+from .errors import ConfigError, FeasibilityError, RankError
 from .qcore import Ket, SeededRng
 
 _MACHINE_TOL = 1e-9  # 2 * PSD_TOL: an admitted trace defect leaves room for rounding
@@ -289,8 +289,9 @@ class PqcmMachine:
 
     Both residuals must lie within ``_MACHINE_TOL``. Raises ConfigError
     for a ``factored`` that is not a ``FactoredSet`` or for malformed
-    efficiencies, and FeasibilityError when the Gram verdict or a check
-    fails.
+    efficiencies, FeasibilityError when the Gram verdict refuses them, and
+    RankError when a residual check fails: the verdict admitted the
+    efficiencies, so the machine was not computed accurately.
     """
 
     factored: FactoredSet
@@ -326,7 +327,7 @@ class PqcmMachine:
             np.abs(success_gram + f_op.conj().T @ f_op - eye).max()
         )
         if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
-            raise FeasibilityError(
+            raise RankError(
                 f"machine verification failed (clone residual {clone_residual:.3e}, "
                 f"trace residual {trace_residual:.3e})"
             )
@@ -353,7 +354,8 @@ class PqcmMachine:
 
         Built on first read from the factored B and B^+, which checks its
         clone residual and, with ``kraus_fail``, its trace residual against
-        the same tolerance as construction; the array is read-only.
+        the same tolerance as construction, raising RankError as
+        construction does; the array is read-only.
         """
         legal = self.factored
         c_mat = np.column_stack(
@@ -366,7 +368,7 @@ class PqcmMachine:
         total = a_op.conj().T @ a_op + f_op.conj().T @ f_op  # A*A + F*F
         trace = float(np.max(np.abs(total - np.eye(self.dim))))
         if clone > _MACHINE_TOL or trace > _MACHINE_TOL:
-            raise FeasibilityError(
+            raise RankError(
                 f"explicit success operator fails its checks "
                 f"(clone residual {clone:.3e}, trace residual {trace:.3e})"
             )
@@ -391,7 +393,8 @@ def construct_machine(
 ) -> PqcmMachine:
     """Build and verify the success/failure Kraus pair for the given set
     (checks in ``PqcmMachine``). Raises RankError for a set too close to
-    dependence, FeasibilityError when the Gram condition or a check fails.
+    dependence or a machine that fails a check, FeasibilityError when the
+    Gram condition fails.
     """
     return PqcmMachine(FactoredSet(states, m), gammas)
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from numpy.random.bit_generator import ISeedSequence
 
 from .errors import ConfigError, RankError
 
@@ -162,33 +161,13 @@ class Ensemble:
         return self.members[0][0].dim
 
 
-class _FixedKey(ISeedSequence):
-    """A seed sequence that hands Philox one fixed key and nothing else.
-
-    ``Philox(key=...)`` first seeds a throwaway ``SeedSequence`` from OS
-    entropy and then overwrites its key; given this adapter, Philox asks it
-    for its two key words instead. Both routes leave key ``words`` and
-    counter 0, so they give the same stream.
-    """
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(
-                f"a fixed Philox key gives 2 uint64 words, not {n_words} {np.dtype(dtype)}"
-            )
-        return self.words
-
-
 # The process's one generator, lent to one stream at a time and built once,
-# here. A stream re-keys it by writing its key into _COUNTER_0, the state a
-# newly built Philox(key=...) starts from, and assigning that state; Python
-# ints carry the whole uint64 key range into the state setter.
-_PHILOX = Philox(_FixedKey(np.zeros(2, dtype=np.uint64)))
+# here. Its seed is never drawn from: SeedSequence(0) reads no OS entropy,
+# and every stream re-keys the generator before its first draw, by writing
+# its key into _COUNTER_0, the state a newly built Philox(key=...) starts
+# from, and assigning that state; Python ints carry the whole uint64 key
+# range into the state setter.
+_PHILOX = Philox(0)
 _GENERATOR = Generator(_PHILOX)
 _COUNTER_0 = {
     "bit_generator": "Philox",

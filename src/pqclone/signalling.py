@@ -12,9 +12,14 @@ information.
 
 Two rules are defined once here and read everywhere else. ``group_hits``
 gives the probability that each verification group all-succeeds on exact
-copies of a state. Both machines' laws mix exact-copy column laws built
-from it, the illegal cloner's by branch weights and a legal machine's by
-|beta|^2, and the analytic leakage bound reads their own-column stays.
+copies of a state. Both machines emit mixtures of exact-copy branches, so
+one builder (``_law_rows``) forms every law row by mixing the exact-copy
+column laws built from it by branch masses, and the analytic leakage
+bound reads their own-column stays. The machines differ only in those
+masses. A legal machine's, summed over Alice's outcomes, are Gamma/N
+under either of her settings, so Bob's cells cannot tell them apart. The
+illegal cloner gives branch B_{N+1} mass only under A2, and that mass is
+the readable bit.
 ``cell_votes`` gives Bob's vote for each cell (B_1..B_N vote 0, B_{N+1}
 votes 1, PHI and discards abstain) as a one-hot matrix, so one matrix
 product turns cells into votes: the channel's vote law, a tally's vote
@@ -343,8 +348,10 @@ class RunContext:
     alone all-succeeds on mu exact copies of B_{i+1}, that is column l's
     share of them, ``hit[l, i] * stay[l, i]``. ``hit[j, i]`` is the
     probability that group j all-succeeds on them (``group_hits``), and
-    ``stay[l, i]`` that every group but l fails (``_stay``). The illegal law
-    reads ``only``, and the legal law and the leakage bound ``own_stay``.
+    ``stay[l, i]`` that every group but l fails (``_stay``). The law reads
+    ``only``: column i is the exact-copy law that a branch of mu copies of
+    B_{i+1} contributes (``_law_rows``). The leakage bound reads
+    ``own_stay``.
     """
 
     kets: np.ndarray  # (2, N, N)
@@ -421,77 +428,82 @@ def _stay(hit: np.ndarray) -> np.ndarray:
     return np.multiply.reduce((1.0 - hit)[_others(hit.shape[0])], axis=1)
 
 
-def _legal_rows(
-    machine: PqcmMachine, probs: np.ndarray, ctx: RunContext
-) -> np.ndarray:
-    """Law rows of a Kraus machine over the members, N+3 cells each.
+def _branches(
+    machine: PqcmMachine | IllegalClonerSpec, probs: np.ndarray, ctx: RunContext
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A machine's output over the members as (branches, mass, success).
 
-    Member m has state ``ctx.preparations[m]`` and probability ``probs[m]``;
-    the first N members are A1's, the rest A2's. The clonable states |B_i>
-    are the candidates B_1..B_N. The machine is A = C D B^-1, with C the
-    matrix of their mu-fold powers and D = diag(sqrt(gamma_i)), so the
-    success branch of member m is
+    ``branches`` are the columns of ``ctx.only`` whose mu exact copies the
+    output holds, ``mass[m, b]`` is branch b's mass in member m, and
+    ``success[m]`` member m's success mass. Member m has state
+    ``ctx.preparations[m]`` and probability ``probs[m]``; the first N are
+    A1's, the rest A2's.
+
+    The label-aware cloner's branches are its clonable labels: member m
+    (label m+1) yields copies of label b with mass p_m |c_b|^2
+    (``spec.branch_weights``) and junk otherwise, and never reports
+    failure, so its success mass is p_m. Raises ConfigError when a
+    clonable label names a member of probability 0, which no pair prepares.
+
+    A Kraus machine's branches are the candidates B_1..B_N. It is
+    A = C D B^-1, with C the matrix of their mu-fold powers and
+    D = diag(sqrt(gamma_i)), so member m's success branch is
 
         Phi_m = sqrt(p_m) A psi_m = sum_i beta_{m,i} |B_i>^(x mu),
-        beta_m = sqrt(p_m) D B^-1 psi_m.
+        beta_m = sqrt(p_m) D B^-1 psi_m,
 
-    An A1 member is B_n itself, so its beta is sqrt(p_n gamma_n) e_n; only
-    A2's members read the factored B^+. "Only group l all-succeeds" is the
-    projector P_l (x) prod_{j != l} (I - P_j), with P_j = |B_j><B_j|^(x g_j)
-    for j <= N. The factor I - P_i annihilates |B_i>^(x g_i), so every term
-    of Phi_m but the i = l one vanishes, and so does every cross term:
-
-        P(column l, m) = |beta_{m,l}|^2 prod_{j != l} (1 - hit[j, l]),
-
-    the exact-copy law of candidate l mixed by |beta_m|^2. Column N+1 is 0
-    for every member, since each term of Phi_m fails some group j <= N.
-    Coherence enters only through the success mass
-    ||Phi_m||^2 = beta_m^H X^(o mu) beta_m, with X = B^H B the Gram matrix
-    and o the entrywise power (``machine.factored.gram_power``): PHI takes
-    what the columns leave of it, and the discard cell takes p_m - success.
+    with masses |beta_{m,i}|^2. An A1 member is B_n itself, so its beta is
+    sqrt(p_n gamma_n) e_n; only A2's read the factored B^+. Coherence
+    enters only the success mass ||Phi_m||^2 = beta_m^H X^(o mu) beta_m,
+    with X = B^H B and o the entrywise power (``factored.gram_power``).
     """
-    k = ctx.candidates.shape[0]
-    n = k - 1
+    if isinstance(machine, IllegalClonerSpec):
+        labels = np.array(machine.clonable_labels)
+        unprepared = labels[probs[labels - 1] == 0.0]
+        if unprepared.size:
+            raise ConfigError(
+                f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
+            )
+        # junk copies nothing: its mass reaches PHI as success minus the cells
+        mass = probs[:, None] * machine.branch_weights[:, :-1]
+        return labels - 1, mass, probs
+    n = ctx.only.shape[0] - 1
     legal = machine.factored
     beta = np.zeros((n, probs.size), dtype=complex)
     beta[:, :n] = np.eye(n)
     beta[:, n:] = legal.pinv @ ctx.preparations[n:].T
     beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(probs)[None, :]
     success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
-    rows = np.zeros((probs.size, k + 2))  # column N+1 stays 0
-    rows[:, :n] = (np.abs(beta) ** 2 * ctx.own_stay[:n, None]).T
-    rows[:, k] = success - np.add.reduce(rows[:, :n], axis=1)  # PHI
+    return np.arange(n), (np.abs(beta) ** 2).T, success
+
+
+def _law_rows(
+    machine: PqcmMachine | IllegalClonerSpec, probs: np.ndarray, ctx: RunContext
+) -> np.ndarray:
+    """Law rows of either machine over the members, N+3 cells each.
+
+    Each row mixes exact-copy laws by the branch masses of ``_branches``:
+    column l of member m is sum_b mass[m, b] only[l, b], PHI takes what the
+    columns leave of the success mass, and the discard cell p_m - success.
+    The illegal cloner's output is a true mixture; its junk lands in PHI.
+
+    A Kraus machine's branches are coherent, yet the rule holds. "Only
+    group l all-succeeds" is P_l (x) prod_{j != l} (I - P_j), with
+    P_j = |B_j><B_j|^(x g_j) for j <= N. I - P_i annihilates
+    |B_i>^(x g_i), so every term of Phi_m but i = l vanishes, and so does
+    every cross term: P(column l, m) = |beta_{m,l}|^2 only[l, l], the
+    exact-copy law of candidate l mixed by |beta_m|^2. Column N+1 is 0, as
+    each term of Phi_m fails some group j <= N. Both zeros are exact in
+    the table: ``only[l, j]`` is exactly 0 for candidates j != l, since
+    hit[j, j] is exactly 1.
+    """
+    branches, mass, success = _branches(machine, probs, ctx)
+    k = ctx.only.shape[0]
+    rows = np.empty((probs.size, k + 2))
+    rows[:, :k] = mass @ ctx.only[:, branches].T
+    rows[:, k] = success - np.add.reduce(rows[:, :k], axis=1)  # PHI
     rows[:, k + 1] = probs - success  # discarded cloner failures
     return rows
-
-
-def _illegal_rows(
-    spec: IllegalClonerSpec, probs: np.ndarray, ctx: RunContext
-) -> np.ndarray:
-    """Law rows of the label-aware cloner over the 2N members, N+3 cells each.
-
-    Member m, of probability ``probs[m]``, carries label m+1. Each branch
-    of its output is either mu exact copies of one clonable state or junk,
-    and the row mixes the branches' column laws by the label's branch
-    weights (``spec.branch_weights``). The groups test exact copies
-    independently, so column l needs group l to all-succeed and every other
-    group to fail, ``ctx.only``, and PHI takes the rest; junk
-    always lands in PHI. The device never reports failure, so the discard
-    cell is 0. Raises ConfigError when a clonable label names a member of
-    probability 0, whose state no pair prepares.
-    """
-    k = ctx.candidates.shape[0]
-    labels = np.array(spec.clonable_labels)
-    unprepared = labels[probs[labels - 1] == 0.0]
-    if unprepared.size:
-        raise ConfigError(
-            f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
-        )
-    branch_laws = np.zeros((labels.size + 1, k + 2))  # junk branch last
-    branch_laws[:-1, :k] = ctx.only[:, labels - 1].T
-    branch_laws[:-1, k] = 1.0 - np.add.reduce(branch_laws[:-1, :k], axis=1)
-    branch_laws[-1, k] = 1.0
-    return probs[:, None] * (spec.branch_weights @ branch_laws)
 
 
 def _clip_law(raw: np.ndarray) -> np.ndarray:
@@ -514,18 +526,14 @@ def column_law(config: ProtocolConfig) -> np.ndarray:
     setting 0 the label basis A1 and 1 the alternate basis A2. Cells
     0..N are columns B_1..B_{N+1}, cell N+1 is PHI, and cell N+2 is a
     cloner failure that Bob discards. Each setting sums to 1. Alice's row
-    law is the context's member probabilities; the cells of a row come from
-    the machine's success branch (legal) or from the branch-weighted
-    exact-copy laws (illegal). Both build one row per member of the
-    2N-member list A1 then A2, reshaped per setting.
+    law is the context's member probabilities, and each row mixes the
+    exact-copy laws of the machine's branches (``_law_rows``), one row per
+    member of the 2N-member list A1 then A2, reshaped per setting.
     """
     ctx = config.context
     n = config.n
     probs = ctx.probs.reshape(2 * n)
-    if isinstance(config.machine, IllegalClonerSpec):
-        raw = _illegal_rows(config.machine, probs, ctx)
-    else:
-        raw = _legal_rows(config.machine, probs, ctx)
+    raw = _law_rows(config.machine, probs, ctx)
     return _clip_law(raw.reshape(2, n, n + 3))
 
 

@@ -24,7 +24,7 @@ from pqclone.qcore import PSD_TOL, Ket, SeededRng, is_psd, tensor_power
 from pqclone.signalling import (
     PHI,
     ProtocolConfig,
-    _legal_rows,
+    _law_rows,
     analytic_no_signal_certificate,
     column_law,
     group_verify,
@@ -367,7 +367,7 @@ def test_criterion_8_cli_byte_determinism(tmp_path, monkeypatch):
 
 
 def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
-    """``_legal_rows`` over A1 then A2 for any diagonal Gamma, and the probs.
+    """``_law_rows`` over A1 then A2 for any diagonal Gamma, and the probs.
 
     The stand-in machine carries only the factored set and the efficiencies,
     so Gamma may break the Gram condition, where no Kraus pair exists.
@@ -376,7 +376,7 @@ def legal_rows_for_any_gammas(states, a2_basis, mu, gammas):
     stand_in = SimpleNamespace(
         factored=FactoredSet(states, mu), gammas=np.asarray(gammas)
     )
-    return _legal_rows(stand_in, ctx.probs.ravel(), ctx), ctx.probs
+    return _law_rows(stand_in, ctx.probs.ravel(), ctx), ctx.probs
 
 
 def test_criterion_9_blind_by_linearity_and_physical_by_gram_condition():

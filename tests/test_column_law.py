@@ -1,5 +1,6 @@
 """The exact column law: properties, the Born-rule reference, stream keys."""
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pqclone.config import RunConfig, build_protocol
 from pqclone.entangle import (
     AliceBasis,
     build_shared_state,
@@ -26,9 +28,9 @@ from pqclone.qcore import Ket, SeededRng
 from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
+    _branches,
     _clip_law,
-    _illegal_rows,
-    _legal_rows,
+    _law_rows,
     _CHANNEL_STREAM,
     _MESSAGE_STREAM,
     _PROTOCOL_STREAM,
@@ -47,6 +49,7 @@ from oracles import (
     trajectory_tally,
 )
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 KET0 = basis_ket(2, 0)
 KET1 = basis_ket(2, 1)
 
@@ -214,11 +217,9 @@ class TestLawProperties:
         n = config.n
         kets = np.vstack([ctx.preparations, np.eye(1, n)])
         probs = np.append(ctx.probs.ravel(), 0.0)
-        stand_in = SimpleNamespace(
-            preparations=kets, candidates=ctx.candidates, own_stay=ctx.own_stay
-        )
+        stand_in = SimpleNamespace(preparations=kets, only=ctx.only)
         np.testing.assert_allclose(
-            _legal_rows(config.machine, probs, stand_in),
+            _law_rows(config.machine, probs, stand_in),
             contracted_legal_rows(
                 config.machine.kraus_success, kets, probs, ctx.candidates, config.mu
             ),
@@ -302,7 +303,7 @@ class TestLawProperties:
         # The legal law is linear in Bob's state, so A1 and A2 leave him the
         # same cell marginals for every diagonal Gamma, infeasible ones up to
         # 2 gamma_max included; the Gram condition only keeps the discard cell
-        # >= 0. The stand-in carries just what _legal_rows reads, the factored
+        # >= 0. The stand-in carries just what _law_rows reads, the factored
         # set and the efficiencies: no Kraus pair is built.
         rng = SeededRng(seed)
         mu = n + extra_copies
@@ -312,9 +313,54 @@ class TestLawProperties:
         legal = FactoredSet(states, mu)
         stand_in = SimpleNamespace(factored=legal, gammas=gammas)
         ctx = prepare_context(states, _haar_basis(n, rng), mu)
-        rows = _legal_rows(stand_in, ctx.probs.ravel(), ctx)
+        rows = _law_rows(stand_in, ctx.probs.ravel(), ctx)
         a1_cells, a2_cells = rows[:n].sum(axis=0), rows[n:].sum(axis=0)
         np.testing.assert_allclose(a1_cells, a2_cells, rtol=0, atol=1e-12)
+
+    @PROPERTY
+    @given(
+        n=st.integers(2, 4),
+        extra_copies=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+    )
+    def test_legal_branch_masses_sum_to_gamma_over_n(
+        self, n, extra_copies, seed, fractions
+    ):
+        # The identity behind blindness: Bob's state averaged over Alice's
+        # outcomes is B B*/N under either setting, so the branch masses
+        # |beta|^2 summed over her outcomes are Gamma/N, and the success
+        # masses sum to sum(gamma)/N, since X^(o mu) has a unit diagonal.
+        # It holds for every diagonal Gamma, infeasible ones included.
+        rng = SeededRng(seed)
+        mu = n + extra_copies
+        states = state_rows([random_ket(n, rng) for _ in range(n)])
+        assume(np.linalg.cond(states) < 1e3)
+        gammas = np.array(fractions[:n]) * max_uniform_gamma(states, mu)
+        stand_in = SimpleNamespace(factored=FactoredSet(states, mu), gammas=gammas)
+        ctx = prepare_context(states, _haar_basis(n, rng), mu)
+        branches, mass, success = _branches(stand_in, ctx.probs.ravel(), ctx)
+        np.testing.assert_array_equal(branches, np.arange(n))  # B_1..B_N
+        for setting in (0, 1):
+            members = slice(setting * n, (setting + 1) * n)
+            np.testing.assert_allclose(
+                mass[members].sum(axis=0), gammas / n, rtol=0, atol=1e-12
+            )
+            assert abs(success[members].sum() - gammas.sum() / n) <= 1e-12
+
+    def test_illegal_branch_b_n_plus_1_has_mass_only_under_a2(self):
+        # the illegal cloner's readable bit, in its branch masses: label 3
+        # (B_3, A2's first outcome) is clonable, so only A2 puts mass on it
+        run = RunConfig.load(CONFIGS / "illegal_n2.json")
+        config = build_protocol(run, CONFIGS)
+        ctx = config.context
+        branches, mass, success = _branches(
+            config.machine, ctx.probs.ravel(), ctx
+        )
+        np.testing.assert_array_equal(branches, [0, 1, 2])
+        assert mass[:2, 2].sum() == 0.0
+        assert mass[2:, 2].sum() == 0.5
+        np.testing.assert_array_equal(success, ctx.probs.ravel())
 
     @PROPERTY
     @given(st.one_of(legal_instances(max_n=4), illegal_instances()))
@@ -325,10 +371,7 @@ class TestLawProperties:
         n = config.n
         ctx = config.context
         probs = ctx.probs.ravel()
-        if isinstance(config.machine, IllegalClonerSpec):
-            raw = _illegal_rows(config.machine, probs, ctx)
-        else:
-            raw = _legal_rows(config.machine, probs, ctx)
+        raw = _law_rows(config.machine, probs, ctx)
         assert raw[:, : n + 1].min() >= 0.0
         np.testing.assert_array_equal(
             column_law(config)[:, :, : n + 1], raw.reshape(2, n, n + 3)[:, :, : n + 1]

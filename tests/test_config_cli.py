@@ -292,6 +292,24 @@ class TestCliConstruct:
         assert "least_discard_mass" in err
         assert not out.exists()
 
+    def test_failed_verification_exits_1_not_infeasible(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # gamma 0.4 lies below gamma_max 0.453, so the Gram verdict admits
+        # it; a residual check that fails is a numerical fault, not an
+        # infeasible request: exit 1 with one line, and no machine written
+        monkeypatch.setattr(pqcm, "_MACHINE_TOL", 0.0)
+        out = tmp_path / "machine.json"
+        code = cli.main(
+            ["construct", str(CONFIGS / "states_overlap_n2.txt"), "-M", "3",
+             "--gamma", "0.4", "--out", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: machine verification failed")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
     @pytest.mark.parametrize(
         "extra", [["--gamma", "nan"], ["--gamma", "2"], ["-M", "1", "--gamma", "0.5"]]

@@ -306,7 +306,7 @@ class TestConstructMachine:
         # fresh machine whose explicit A has not been read yet
         skewed = dataclasses.replace(machine)
         object.__setattr__(skewed, "kraus_fail", 1.01 * machine.kraus_fail)
-        with pytest.raises(FeasibilityError, match="trace residual"):
+        with pytest.raises(RankError, match="trace residual"):
             skewed.kraus_success
 
     def test_replaced_efficiencies_are_verified_again(self):
