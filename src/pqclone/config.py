@@ -24,19 +24,29 @@ from .errors import ConfigError
 
 FORMATS = ("csv", "json")
 _READ_CHUNK = 1 << 16  # bytes per os.read of an input file; a config fits in one
+# the most bytes an input file may hold: far above any real states file (N =
+# 192 states of dimension 192 take ~1.5 MiB as text), and low enough that an
+# endless input such as /dev/zero is refused before it exhausts memory
+_READ_CAP = 1 << 26
 
 
 def _read_text(path: Path, what: str) -> str:
     """The text of the file at ``path``: its bytes, read through the file
     descriptor with no text layer, decoded as UTF-8 whatever the locale.
-    A file that cannot be read or is not UTF-8 raises ConfigError,
-    ``cannot read {what} {path}: ...``."""
+    A file that cannot be read, holds more than ``_READ_CAP`` bytes or is
+    not UTF-8 raises ConfigError, ``cannot read {what} {path}: ...``."""
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
             chunks = []
+            size = 0
             while chunk := os.read(fd, _READ_CHUNK):
                 chunks.append(chunk)
+                size += len(chunk)
+                if size > _READ_CAP:
+                    raise ConfigError(
+                        f"cannot read {what} {path}: more than {_READ_CAP} bytes"
+                    )
         finally:
             os.close(fd)
         return b"".join(chunks).decode("utf-8")

@@ -646,6 +646,16 @@ def channel_accuracy(
     row_sums = np.add.reduce(votes, axis=1)
     if votes.min() < 0 or np.count_nonzero(row_sums != pairs_per_bit):
         raise ConfigError("vote counts must be nonnegative and sum to pairs_per_bit")
+    return _majority(sent, votes, rng)
+
+
+def _majority(sent: np.ndarray, votes: np.ndarray, rng: SeededRng) -> ChannelResult:
+    """The majority rule that ``channel_accuracy`` and ``run_channel`` share.
+
+    ``sent`` is a non-empty int64 vector of 0s and 1s and ``votes`` its
+    (0-votes, 1-votes, abstentions) rows, as ``channel_accuracy`` checks;
+    ``run_channel``'s draws guarantee the votes by construction.
+    """
     zeros, ones = votes[:, 0], votes[:, 1]
     decoded = (ones > zeros).astype(np.int64)
     ties = (ones == zeros).nonzero()[0]
@@ -668,26 +678,28 @@ def run_channel(config: ProtocolConfig, message_bits: Sequence[int]) -> ChannelR
     bit's votes are one multinomial draw from its setting's vote law. The
     bits of one setting take consecutive draws from that setting's stream,
     in message order.
+
+    The message must be one flat, non-empty sequence of numbers, each 0 or
+    1. The votes need no check: each row is a multinomial draw of
+    ``pairs_per_bit`` pairs, so the majority rule decodes them directly.
     """
     bits = np.asarray(message_bits)
     if bits.dtype.kind not in "biuf":
         raise ConfigError("message bits must be 0 or 1")
-    flat = bits.reshape(-1)  # channel_accuracy refuses any other shape
-    where = ((flat == 0).nonzero()[0], (flat == 1).nonzero()[0])  # per setting
+    if bits.ndim != 1 or bits.size == 0:
+        raise ConfigError("the message must be one flat, non-empty sequence of bits")
+    where = ((bits == 0).nonzero()[0], (bits == 1).nonzero()[0])  # per setting
     # every bit is 0 or 1, checked before the cast, which would truncate 0.5 to 0
-    if where[0].size + where[1].size != flat.size:
+    if where[0].size + where[1].size != bits.size:
         raise ConfigError("message bits must be 0 or 1")
     vote_laws = np.add.reduce(config.law, axis=1) @ cell_votes(config.n)
-    votes = np.empty((flat.size, 3), dtype=np.int64)
+    votes = np.empty((bits.size, 3), dtype=np.int64)
     for setting in (0, 1):
         rng = SeededRng(config.seed, _CHANNEL_STREAM + setting)
         votes[where[setting]] = rng.multinomial(
             config.pairs_per_bit, vote_laws[setting], where[setting].size
         )
-    vote_rng = SeededRng(config.seed, _VOTE_STREAM)
-    return channel_accuracy(
-        bits.astype(np.int64), votes, config.pairs_per_bit, vote_rng
-    )
+    return _majority(bits.astype(np.int64), votes, SeededRng(config.seed, _VOTE_STREAM))
 
 
 def random_message(seed: int, n_bits: int) -> tuple[int, ...]:

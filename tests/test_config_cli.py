@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import time
 import warnings
 from pathlib import Path
 
@@ -475,6 +476,30 @@ class TestCliInputPath:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {what} {path}: {reason}")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+    @pytest.mark.parametrize("command", ["signal-test", "feasibility"])
+    def test_endless_input_exits_1_with_one_line(self, tmp_path, capsys, command):
+        # the read stops once it passes the cap instead of exhausting memory
+        before, _, what = self.COMMANDS[command]
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        code = cli.main(before + ["/dev/zero", "--out", str(out)])
+        elapsed = time.perf_counter() - start
+        assert code == 1
+        err = capsys.readouterr().err
+        cap = config_mod._READ_CAP
+        assert err == f"error: cannot read {what} /dev/zero: more than {cap} bytes\n"
+        assert elapsed < 30 and not out.exists()
+
+    def test_read_cap_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(config_mod, "_READ_CAP", 8)
+        path = tmp_path / "input"
+        path.write_bytes(b"12345678")
+        assert config_mod._read_text(path, "config") == "12345678"
+        path.write_bytes(b"123456789")
+        with pytest.raises(ConfigError, match="^cannot read config .*: more than 8 bytes$"):
+            config_mod._read_text(path, "config")
 
 
 class TestCliOutPath:

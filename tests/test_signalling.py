@@ -22,6 +22,7 @@ from pqclone.qcore import Ensemble, Ket, SeededRng
 from pqclone.signalling import (
     _CHANNEL_STREAM,
     _PROTOCOL_STREAM,
+    _VOTE_STREAM,
     PHI,
     ProtocolConfig,
     TallyTable,
@@ -465,13 +466,13 @@ class TestChannel:
         # bit k's votes are the next draw of its setting's stream, whatever
         # the bits of the other setting
         drawn = []
-        decode = signalling.channel_accuracy
+        decode = signalling._majority
 
-        def keeping_decode(sent, votes, pairs_per_bit, rng):
+        def keeping_decode(sent, votes, rng):
             drawn.append(votes)
-            return decode(sent, votes, pairs_per_bit, rng)
+            return decode(sent, votes, rng)
 
-        monkeypatch.setattr(signalling, "channel_accuracy", keeping_decode)
+        monkeypatch.setattr(signalling, "_majority", keeping_decode)
         cfg = legal_config(pairs_per_bit=7)
         message = (1, 0, 0, 1, 1, 0, 1)
         run_channel(cfg, message)
@@ -485,6 +486,34 @@ class TestChannel:
             vote_law = [cells[:n].sum(), cells[n], cells[n + 1 :].sum()]
             expected = streams[bit].multinomial(7, vote_law)
             np.testing.assert_array_equal(votes, expected)
+
+    @pytest.mark.parametrize(
+        "name, pairs_per_bit",
+        [(name, None) for name in sorted(DEMO_CONFIGS)]
+        + [(name, k) for name in ("illegal_n2", "legal_n2") for k in (1, 2)],
+    )
+    def test_run_channel_decodes_as_channel_accuracy(self, name, pairs_per_bit, monkeypatch):
+        # run_channel skips the public decoder's checks, not its rule: the
+        # votes it drew, decoded by channel_accuracy with a fresh vote
+        # stream, give the same result, coin flips included
+        caught = []
+        decode = signalling._majority
+
+        def keeping_decode(sent, votes, rng):
+            caught.append((sent, votes))
+            return decode(sent, votes, rng)
+
+        monkeypatch.setattr(signalling, "_majority", keeping_decode)
+        changes = {} if pairs_per_bit is None else {"pairs_per_bit": pairs_per_bit}
+        cfg = demo_protocol(name, **changes)
+        message = random_message(cfg.seed, 400)
+        result = run_channel(cfg, message)
+        [(sent, votes)] = caught
+        vote_rng = SeededRng(cfg.seed, _VOTE_STREAM)
+        assert result == channel_accuracy(sent, votes, cfg.pairs_per_bit, vote_rng)
+        assert result.sent == message
+        if pairs_per_bit is not None:
+            assert result.coin_flips > 0
 
     @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
     def test_vote_law_sums_cells_by_guess_rule(self, name, monkeypatch):
@@ -618,6 +647,12 @@ class TestChannelOracle:
                 pairs_per_bit,
                 SeededRng(413),
             )
+
+    @pytest.mark.parametrize("message", [(), ((0, 1), (1, 0))], ids=["empty", "2-d"])
+    def test_run_channel_rejects_a_message_not_flat_and_non_empty(self, message):
+        # run_channel checks the message's shape itself, before any draw
+        with pytest.raises(ConfigError, match="one flat, non-empty sequence of bits"):
+            run_channel(illegal_config(trials=1, pairs_per_bit=3), message)
 
     def test_run_channel_rejects_non_binary_message(self):
         with pytest.raises(ConfigError):
