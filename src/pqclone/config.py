@@ -36,8 +36,12 @@ def _read_text(path: Path, what: str) -> str:
     A file that cannot be read, holds more than ``_READ_CAP`` bytes or is
     not UTF-8 raises ConfigError, ``cannot read {what} {path}: ...``."""
     try:
-        fd = os.open(path, os.O_RDONLY)
+        # a FIFO with no writer opens at once and reads as empty, where a
+        # blocking open would wait for a writer for ever; the reads block,
+        # so a pipe whose writer is slow is still read in full
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         try:
+            os.set_blocking(fd, True)
             chunks = []
             size = 0
             while chunk := os.read(fd, _READ_CHUNK):
@@ -179,10 +183,7 @@ class RunConfig:
     def from_dict(cls, data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _check_keys(data, set(cls.__dataclass_fields__), "config")
         missing = {"mu", "trials", "pairs_per_bit", "seed", "machine"} - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
@@ -283,9 +284,37 @@ def _required(spec: dict, key: str, what: str):
     return spec[key]
 
 
+# the keys each kind of "machine" and "a2" object takes
+_MACHINE_KEYS = {
+    "illegal": {"kind", "clonable_labels", "coefficients"},
+    "legal": {"kind", "gammas", "uniform_gamma", "gamma_scale"},
+}
+_A2_KEYS = {
+    "fourier": {"kind"},
+    "vectors": {"kind", "vectors"},
+    "target": {"kind", "state"},
+}
+
+
+def _check_keys(spec: dict, allowed: set, what: str) -> None:
+    unknown = set(spec) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+
+
+def _kind(spec: dict, kinds: dict, what: str) -> str:
+    """The ``kind`` of a ``machine`` or ``a2`` object, once it is one of
+    ``kinds`` and the object holds only keys that kind takes."""
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    _check_keys(spec, kinds[kind], what)
+    return kind
+
+
 def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasis:
     spec = config.a2
-    kind = spec.get("kind")
+    kind = _kind(spec, _A2_KEYS, "a2")
     n = len(bob_states)
     if kind == "fourier":
         return entangle.AliceBasis.fourier(n)
@@ -293,10 +322,8 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
         columns = qcore.state_set(_state_rows(vectors, "a2 vectors entry")).T
         return entangle.AliceBasis(columns, "A2")
-    if kind == "target":
-        target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")
-        return entangle.target_to_basis(target, bob_states)
-    raise ConfigError(f"unknown a2 kind {kind!r}")
+    target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")
+    return entangle.target_to_basis(target, bob_states)
 
 
 def _resolve_coefficients(spec: dict) -> dict:
@@ -313,6 +340,7 @@ def _resolve_coefficients(spec: dict) -> dict:
             raise ConfigError(f"{what}: label is not an integer") from None
         if not isinstance(entry, dict):
             raise ConfigError(f"{what} must be an object, got {entry!r}")
+        _check_keys(entry, {"c", "d"}, what)
         c_pairs = _list(_required(entry, "c", what), f"{what}.c")
         c = np.array([_complex(pair, f"{what}.c entry") for pair in c_pairs])
         d = _complex(_required(entry, "d", what), f"{what}.d")
@@ -322,7 +350,7 @@ def _resolve_coefficients(spec: dict) -> dict:
 
 def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
     spec = config.machine
-    kind = spec.get("kind")
+    kind = _kind(spec, _MACHINE_KEYS, "machine")
     n = len(bob_states)
     if kind == "illegal":
         labels = spec.get("clonable_labels")
@@ -334,21 +362,24 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
             total_labels=2 * n,
             coefficients=_resolve_coefficients(spec) or None,
         )
-    if kind == "legal":
-        legal = pqcm.FactoredSet(bob_states, config.mu)
-        if "gammas" in spec:
-            gammas = [
-                _real(g, "machine gammas entry")
-                for g in _list(spec["gammas"], "machine gammas")
-            ]
-        else:
-            gamma = spec.get("uniform_gamma", "max")
-            if gamma == "max":
-                gamma = legal.gamma_max
-                gamma *= _real(spec.get("gamma_scale", 1.0), "machine gamma_scale")
-            gammas = [_real(gamma, "machine uniform_gamma")] * n
-        return pqcm.PqcmMachine(legal, gammas)
-    raise ConfigError(f"unknown machine kind {kind!r}")
+    beside = sorted({"uniform_gamma", "gamma_scale"} & set(spec))
+    if "gammas" in spec and beside:
+        raise ConfigError(f"machine gammas cannot be given with {beside}")
+    gamma = spec.get("uniform_gamma", "max")
+    if "gamma_scale" in spec and gamma != "max":
+        raise ConfigError('machine gamma_scale scales only uniform_gamma "max"')
+    legal = pqcm.FactoredSet(bob_states, config.mu)
+    if "gammas" in spec:
+        gammas = [
+            _real(g, "machine gammas entry")
+            for g in _list(spec["gammas"], "machine gammas")
+        ]
+    else:
+        if gamma == "max":
+            gamma = legal.gamma_max
+            gamma *= _real(spec.get("gamma_scale", 1.0), "machine gamma_scale")
+        gammas = [_real(gamma, "machine uniform_gamma")] * n
+    return pqcm.PqcmMachine(legal, gammas)
 
 
 def build_protocol(

@@ -348,10 +348,10 @@ class RunContext:
     alone all-succeeds on mu exact copies of B_{i+1}, that is column l's
     share of them, ``hit[l, i] * stay[l, i]``. ``hit[j, i]`` is the
     probability that group j all-succeeds on them (``group_hits``), and
-    ``stay[l, i]`` that every group but l fails (``_stay``). The law reads
-    ``only``: column i is the exact-copy law that a branch of mu copies of
-    B_{i+1} contributes (``_law_rows``). The leakage bound reads
-    ``own_stay``.
+    ``stay[l, i]`` that every group but l fails (``_stay``, built in
+    O(N^2) memory). The law reads ``only``: column i is the exact-copy law
+    that a branch of mu copies of B_{i+1} contributes (``_law_rows``). The
+    leakage bound reads ``own_stay``.
     """
 
     kets: np.ndarray  # (2, N, N)
@@ -397,14 +397,6 @@ def prepare_context(
 
 
 @lru_cache
-def _others(k: int) -> np.ndarray:
-    """Row l lists every group index except l; the array is read-only."""
-    others = np.array([[j for j in range(k) if j != l] for l in range(k)], dtype=int)
-    others.setflags(write=False)
-    return others
-
-
-@lru_cache
 def _sizes(mu: int, n_groups: int) -> np.ndarray:
     """``group_sizes`` as a read-only column, one row per group."""
     sizes = np.array(group_sizes(mu, n_groups))[:, None]
@@ -424,8 +416,14 @@ def group_hits(candidates: np.ndarray, states: np.ndarray, mu: int) -> np.ndarra
 
 
 def _stay(hit: np.ndarray) -> np.ndarray:
-    """stay[l, i] = prod_{j != l} (1 - hit[j, i]): every group but l fails."""
-    return np.multiply.reduce((1.0 - hit)[_others(hit.shape[0])], axis=1)
+    """stay[l, i] = prod_{j != l} (1 - hit[j, i]): every group but l fails.
+    One product over ascending j, masked at j = l, of ``1 - hit`` seen k
+    times through np.broadcast_to's zero-stride view, so O(N^2) memory."""
+    k = hit.shape[0]
+    miss = 1.0 - hit
+    view = np.ndarray((k, *miss.shape), miss.dtype, miss, strides=(0, *miss.strides))
+    others = ~np.eye(k, dtype=bool)[:, :, None]
+    return np.multiply.reduce(view, axis=1, initial=1.0, where=others)
 
 
 def _branches(

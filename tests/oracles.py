@@ -181,6 +181,19 @@ def exact_copy_column_distribution(
     return cols
 
 
+def stay_by_gather(hit: np.ndarray) -> np.ndarray:
+    """stay[l, i] = prod_{j != l} (1 - hit[j, i]) by an explicit gather.
+
+    Row l of the index table lists every j but l in ascending order, so
+    ``(1 - hit)[others]`` is a (k, k-1, m) copy whose product over axis 1
+    takes each (l, i)'s factors in that order. Cubic memory: a reference
+    for tests, not for large tables.
+    """
+    k = hit.shape[0]
+    others = np.array([[j for j in range(k) if j != l] for l in range(k)], dtype=int)
+    return np.multiply.reduce((1.0 - hit)[others.reshape(k, k - 1)], axis=1)
+
+
 def _group_bras(candidates, sizes) -> list:
     """<c_j|^(x g_j) per verification group (candidate c_j as row j), as one
     flat vector each."""

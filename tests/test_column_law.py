@@ -1,5 +1,6 @@
 """The exact column law: properties, the Born-rule reference, stream keys."""
 
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -24,13 +25,14 @@ from pqclone.pqcm import (
     construct_machine,
     max_uniform_gamma,
 )
-from pqclone.qcore import Ket, SeededRng
+from pqclone.qcore import Ket, SeededRng, normalize
 from pqclone.signalling import (
     LAW_TOL,
     ProtocolConfig,
     _branches,
     _clip_law,
     _law_rows,
+    _stay,
     _CHANNEL_STREAM,
     _MESSAGE_STREAM,
     _PROTOCOL_STREAM,
@@ -46,6 +48,7 @@ from oracles import (
     exact_copy_column_distribution,
     high_precision_legal_law,
     induced_members_by_kets,
+    stay_by_gather,
     trajectory_tally,
 )
 
@@ -189,6 +192,32 @@ class TestRunContext:
         np.testing.assert_array_equal(ctx.probs, probs)
         np.testing.assert_array_equal(ctx.preparations, kets.reshape(2 * n, n))
         np.testing.assert_array_equal(ctx.candidates, kets.reshape(2 * n, n)[: n + 1])
+
+    def test_stay_matches_the_gather_bit_for_bit(self):
+        # the masked product takes each (l, i)'s factors in the gather's order
+        rng = np.random.default_rng(11)
+        for n in range(1, 129):
+            shape = (n + 1, 2 * n)
+            hit = rng.random(shape) ** rng.integers(1, 9, size=(n + 1, 1))
+            hit[rng.random(shape) < 0.1] = 0.0
+            hit[rng.random(shape) < 0.1] = 1.0
+            stay, reference = _stay(hit), stay_by_gather(hit)
+            assert stay.shape == shape
+            assert np.array_equal(stay.view(np.uint64), reference.view(np.uint64)), n
+
+    def test_table_memory_is_quadratic_in_n(self):
+        # at this size an (N+1) x N x 2N gather of the table traces ~110 MiB
+        n, mu = 192, 384
+        rng = np.random.default_rng(n)
+        states = normalize(rng.standard_normal((n, n, 2)) @ [1.0, 1j])
+        a2_basis = AliceBasis.fourier(n)
+        tracemalloc.start()
+        try:
+            prepare_context(states, a2_basis, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestLawProperties:

@@ -4,6 +4,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -492,6 +496,54 @@ class TestCliInputPath:
         assert err == f"error: cannot read {what} /dev/zero: more than {cap} bytes\n"
         assert elapsed < 30 and not out.exists()
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no os.mkfifo")
+    @pytest.mark.parametrize("command", ["signal-test", "feasibility"])
+    def test_fifo_with_no_writer_exits_1_with_one_line(self, tmp_path, command):
+        # a blocking open would wait for a writer for ever: run it in a child
+        # whose timeout fails a hang instead of the whole suite
+        before, after, _ = self.COMMANDS[command]
+        fifo = tmp_path / "input"
+        os.mkfifo(fifo)
+        paths = [str(REPO / "src"), os.environ.get("PYTHONPATH")]
+        path = os.pathsep.join(filter(None, paths))
+        result = subprocess.run(
+            [sys.executable, "-m", "pqclone", *before, str(fifo), *after],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="no /dev/fd")
+    def test_pipe_with_a_late_writer_is_read_in_full(self, tmp_path, monkeypatch):
+        # the writer starts after 0.5 s and sends the config in two parts
+        monkeypatch.chdir(tmp_path)
+        text = (CONFIGS / "illegal_n2.json").read_bytes()
+        read_end, write_end = os.pipe()
+
+        def write_late():
+            for part in (text[:100], text[100:]):
+                time.sleep(0.5)
+                os.write(write_end, part)
+            os.close(write_end)
+
+        writer = threading.Thread(target=write_late)
+        writer.start()
+        try:
+            code = cli.main(["signal-test", f"/dev/fd/{read_end}", "--out", "pipe"])
+        finally:
+            writer.join()
+            os.close(read_end)
+        assert code == 0
+        assert cli.main(["signal-test", str(CONFIGS / "illegal_n2.json"), "--out", "file"]) == 0
+        for name in ("tally.json", "stats.json"):
+            assert Path("pipe", name).read_bytes() == Path("file", name).read_bytes()
+
     def test_read_cap_is_inclusive(self, tmp_path, monkeypatch):
         monkeypatch.setattr(config_mod, "_READ_CAP", 8)
         path = tmp_path / "input"
@@ -706,6 +758,92 @@ class TestCliSignalTest:
         assert code == 1
         assert err.startswith(prefix or f"error: {field} ")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    # One case per key a "machine", "a2" or coefficient object does not
+    # take; each used to be ignored without a word, and the run exited 0.
+    @pytest.mark.parametrize(
+        "name, field, value, message",
+        [
+            (
+                "legal_n2.json",
+                "machine",
+                {"kind": "legal", "uniform_gamma": "max", "gama_scale": 0.5},
+                "unknown machine keys: ['gama_scale']",
+            ),
+            (
+                "legal_n2.json",
+                "machine",
+                {"kind": "legal", "uniform_gamma": 0.1, "gamma_scale": 0.5},
+                'machine gamma_scale scales only uniform_gamma "max"',
+            ),
+            (
+                "legal_n2.json",
+                "machine",
+                {"kind": "legal", "gammas": [0.1, 0.1], "uniform_gamma": 0.1},
+                "machine gammas cannot be given with ['uniform_gamma']",
+            ),
+            (
+                "legal_n2.json",
+                "machine",
+                {"kind": "legal", "gammas": [0.1, 0.1], "gamma_scale": 0.5},
+                "machine gammas cannot be given with ['gamma_scale']",
+            ),
+            (
+                "legal_n2.json",
+                "machine",
+                {"kind": "legal", "clonable_labels": [1, 2, 3]},
+                "unknown machine keys: ['clonable_labels']",
+            ),
+            (
+                "illegal_n2.json",
+                "machine",
+                {"kind": "illegal", "uniform_gamma": "max"},
+                "unknown machine keys: ['uniform_gamma']",
+            ),
+            (
+                "illegal_n2.json",
+                "machine",
+                {
+                    "kind": "illegal",
+                    "coefficients": {
+                        "4": {"c": [[0.5, 0.0]] * 3, "d": [0.5, 0.0], "e": 1}
+                    },
+                },
+                "unknown machine coefficients['4'] keys: ['e']",
+            ),
+            (
+                "illegal_n2.json",
+                "a2",
+                {"kind": "fourier", "state": [[1.0, 0.0], [0.0, 0.0]]},
+                "unknown a2 keys: ['state']",
+            ),
+            (
+                "illegal_n2.json",
+                "a2",
+                {"kind": "target", "state": [[1.0, 0.0], [1.0, 0.0]], "vectors": []},
+                "unknown a2 keys: ['vectors']",
+            ),
+        ],
+        ids=[
+            "typo", "scale-beside-number", "gammas-beside-uniform",
+            "gammas-beside-scale", "labels-on-legal", "gamma-on-illegal",
+            "coefficient-entry", "fourier", "target",
+        ],
+    )
+    def test_stray_nested_key_exits_1_with_one_line(
+        self, tmp_path, capsys, name, field, value, message
+    ):
+        data = json.loads((CONFIGS / name).read_text())
+        data["out"] = str(tmp_path / "out")
+        data.pop("states_file", None)
+        data["bob_states"] = [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]]]
+        data[field] = value
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     # Every [re, im] amplitude takes the rule of the machine coefficients:
