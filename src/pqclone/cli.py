@@ -4,25 +4,31 @@ Exit codes: 0 on success (and feasible verdicts), 2 when the requested
 cloning is infeasible, 1 on any other error. ``signal-test`` outputs are
 byte-identical for a fixed seed.
 
-The argument parser is built once per process, on the first ``main`` call,
-and reused by every later call; parsing never changes it.
+Arguments are read against one table, ``_PQCLONE``: a row per command
+with its positional and its options, each option with its converter.
+``parse_args`` reads argv in one left-to-right pass (``--opt value``,
+``--opt=value``, ``-M3``, a unique prefix of a long flag, the last value
+winning), and the -h text is laid out from the same rows. Every usage
+error is one ``error:`` line on stderr and exit 1.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import json
 import os
+import re
 import sys
+import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 
 from . import config as config_mod
 from . import pqcm, signalling
-from .errors import FeasibilityError, PqcloneError
+from .errors import ConfigError, FeasibilityError, PqcloneError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -30,13 +36,6 @@ EXIT_INFEASIBLE = 2
 
 # (record key, setting, vote) of each P(vote | setting), in stdout order
 _VOTE_RATES = tuple((f"p{v}_a{s + 1}", s, v) for s in (0, 1) for v in (0, 1))
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage, after a usage text; here, as for every
-    # other bad input, it exits 1 with one line (2 means "infeasible")
-    def error(self, message):
-        self.exit(EXIT_ERROR, f"error: {message}\n")
 
 
 def _matrix_to_pairs(matrix: np.ndarray) -> list:
@@ -271,62 +270,296 @@ def cmd_signal_test(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use."""
-    parser = _Parser(
-        prog="pqclone",
-        description=(
-            "Probabilistic quantum cloning: feasibility analysis, explicit "
-            "machine construction, and no-signalling experiments."
+@dataclasses.dataclass
+class _Option:
+    """One option of a command: its spellings and how its value is read."""
+
+    flags: tuple  # the first, a long flag, names the attribute and the usage
+    convert: type | None  # int, float or str of the value; None makes a switch
+    help: str
+    default: object = None
+    repeat: bool = False  # each use appends its value to a list
+    required: bool = False
+    choices: tuple = ()
+
+    def __post_init__(self):
+        self.dest = self.flags[0][2:].replace("-", "_")  # the attribute it sets
+        self.name = "/".join(self.flags)  # as usage errors name it
+
+
+_HELP = _Option(("-h", "--help"), None, "show this help message and exit")
+
+
+@dataclasses.dataclass
+class _Command:
+    """One row of the command table: a command, its positional and its options.
+
+    The top level is a row too; its positional is the command, and the rest
+    of argv after it is that command's.
+    """
+
+    name: str
+    help: str
+    positional: str
+    options: tuple = ()
+    exclusive: tuple = ()  # dests of which at most one may be given
+    run: object = None  # cmd_* of the command
+    commands: tuple = ()  # the rows of the top level
+
+    def __post_init__(self):
+        self.flags = {f: opt for opt in (_HELP, *self.options) for f in opt.flags}
+        self.defaults = {opt.dest: opt.default for opt in self.options}
+        self.by_name = {command.name: command for command in self.commands}
+
+
+class _Help(Exception):
+    """-h or --help: print the help of the command in ``args[0]`` and exit 0."""
+
+
+_COPIES = _Option(("--copies", "-M"), int, "copies M per input state (default 2)", 2)
+_PQCLONE = _Command(
+    "pqclone",
+    "Probabilistic quantum cloning: feasibility analysis, explicit machine "
+    "construction, and no-signalling experiments.",
+    "command",
+    commands=(
+        _Command(
+            "feasibility",
+            "PSD verdict for a cloning request",
+            "states_file",
+            (
+                _COPIES,
+                _Option(("--gamma",), float, "efficiency (repeat per state)", repeat=True),
+                _Option(
+                    ("--max-uniform",), None,
+                    "largest feasible uniform gamma, in closed form", False,
+                ),
+                _Option(("--out",), str, "also write a JSON report here"),
+            ),
+            # --max-uniform decides at gamma_max, so it takes no --gamma
+            exclusive=("gamma", "max_uniform"),
+            run=cmd_feasibility,
         ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+        _Command(
+            "construct",
+            "build and dump an explicit machine",
+            "states_file",
+            (
+                _COPIES,
+                _Option(
+                    ("--gamma",), float, "efficiency (repeat per state)",
+                    repeat=True, required=True,
+                ),
+                _Option(("--out",), str, "write the machine here as JSON", required=True),
+            ),
+            run=cmd_construct,
+        ),
+        _Command(
+            "signal-test",
+            "run the two-basis signalling protocol",
+            "config",
+            (
+                _Option(("--seed",), int, "overrides the config's seed"),
+                _Option(("--trials",), int, "overrides the config's trials"),
+                _Option(("--mu",), int, "overrides the config's mu"),
+                _Option(("--pairs-per-bit",), int, "overrides the config's pairs_per_bit"),
+                _Option(
+                    ("--format",), str, "overrides the config's format",
+                    choices=config_mod.FORMATS,
+                ),
+                _Option(("--out",), str, "overrides the config's out"),
+            ),
+            run=cmd_signal_test,
+        ),
+    ),
+)
 
-    p_feas = sub.add_parser("feasibility", help="PSD verdict for a cloning request")
-    p_feas.add_argument("states_file")
-    p_feas.add_argument("--copies", "-M", type=int, default=2)
-    # --max-uniform decides at gamma_max, so it takes no --gamma
-    p_gammas = p_feas.add_mutually_exclusive_group()
-    p_gammas.add_argument(
-        "--gamma", type=float, action="append", help="efficiency (repeat per state)"
-    )
-    p_gammas.add_argument(
-        "--max-uniform",
-        action="store_true",
-        help="largest feasible uniform gamma, in closed form",
-    )
-    p_feas.add_argument("--out", help="also write a JSON report here")
-    p_feas.set_defaults(func=cmd_feasibility)
+# a token that reads as a negative number is a value, not an option
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    p_con = sub.add_parser("construct", help="build and dump an explicit machine")
-    p_con.add_argument("states_file")
-    p_con.add_argument("--copies", "-M", type=int, default=2)
-    p_con.add_argument("--gamma", type=float, action="append", required=True)
-    p_con.add_argument("--out", required=True)
-    p_con.set_defaults(func=cmd_construct)
 
-    p_sig = sub.add_parser("signal-test", help="run the two-basis signalling protocol")
-    p_sig.add_argument("config")
-    p_sig.add_argument("--seed", type=int)
-    p_sig.add_argument("--trials", type=int)
-    p_sig.add_argument("--mu", type=int)
-    p_sig.add_argument("--pairs-per-bit", type=int, dest="pairs_per_bit")
-    p_sig.add_argument("--format", choices=config_mod.FORMATS)
-    p_sig.add_argument("--out")
-    p_sig.set_defaults(func=cmd_signal_test)
+def _match(arg: str, flags: dict):
+    """What ``arg`` is among ``flags``: None for a positional, else
+    ``(option, attached value or None)``, option None for an unknown one.
 
-    return parser
+    A long flag may be cut to a unique prefix and take its value after "="
+    (``--se=5``); a short flag may take it attached (``-M3``, ``-M=3``).
+    """
+    if arg[:1] != "-":
+        return None
+    if arg in flags:
+        return flags[arg], None
+    if len(arg) == 1:
+        return None
+    flag, eq, value = arg.partition("=")
+    if eq and flag in flags:
+        return flags[flag], value
+    if arg[1] != "-":  # a short flag, its value attached
+        hits = [arg[:2]] if arg[:2] in flags else []
+        value = arg[2:]
+    else:  # a prefix of long flags
+        hits = [f for f in flags if f.startswith(flag)]
+        value = value if eq else None
+    if len(hits) > 1:
+        raise ConfigError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    if hits:
+        return flags[hits[0]], value
+    if " " in arg or _NEGATIVE.match(arg):
+        return None
+    return None, None
+
+
+def _parse(command: _Command, argv: list, extras: list) -> types.SimpleNamespace:
+    """``command``'s values from ``argv``, read left to right; an unknown
+    option and a surplus positional go to ``extras``.
+
+    The last value of an option wins, or with ``repeat`` each is appended.
+    After the first "--" every token is a positional; that "--" is dropped
+    when it stands beside the positional's token and is surplus otherwise.
+    """
+    values = dict(command.defaults)
+    given: dict = {}  # dest: option, of each option used
+    positional = None
+    taken_at = -1  # the index just past the positional's token
+    rest = False  # past the first "--"
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if not rest and arg == "--":
+            rest = True
+            if positional is None or taken_at == i - 1:
+                continue
+        hit = None if rest else _match(arg, command.flags)
+        if hit is None:
+            if positional is not None:
+                extras.append(arg)
+            elif command.commands:
+                if arg not in command.by_name:
+                    choices = ", ".join(map(repr, command.by_name))
+                    raise ConfigError(
+                        f"argument {command.positional}: invalid choice: {arg!r} "
+                        f"(choose from {choices})"
+                    )
+                return _parse(command.by_name[arg], argv[i:], extras)
+            else:
+                positional, taken_at = arg, i
+            continue
+        option, value = hit
+        if option is None:
+            extras.append(arg)
+            continue
+        if option.convert is None:
+            if value is not None:
+                raise ConfigError(
+                    f"argument {option.name}: ignored explicit argument {value!r}"
+                )
+            if option is _HELP:
+                raise _Help(command)
+            value = True
+        else:
+            if value is None:
+                if i == len(argv) or argv[i] == "--" or _match(argv[i], command.flags):
+                    raise ConfigError(f"argument {option.name}: expected one argument")
+                value = argv[i]
+                i += 1
+            try:
+                value = option.convert(value)
+            except ValueError:
+                raise ConfigError(
+                    f"argument {option.name}: invalid {option.convert.__name__} "
+                    f"value: {value!r}"
+                ) from None
+            if option.choices and value not in option.choices:
+                raise ConfigError(
+                    f"argument {option.name}: invalid choice: {value!r} "
+                    f"(choose from {', '.join(map(repr, option.choices))})"
+                )
+        if option.dest in command.exclusive:
+            for other in map(given.get, command.exclusive):
+                if other is not None and other is not option:
+                    raise ConfigError(
+                        f"argument {option.name}: not allowed with argument {other.name}"
+                    )
+        given[option.dest] = option
+        if option.repeat:
+            value = [*(values[option.dest] or ()), value]
+        values[option.dest] = value
+    missing = [command.positional] if positional is None else []
+    missing += [o.name for o in command.options if o.required and o.dest not in given]
+    if missing:
+        raise ConfigError(f"the following arguments are required: {', '.join(missing)}")
+    values[command.positional] = positional
+    return types.SimpleNamespace(command=command.name, func=command.run, **values)
+
+
+def parse_args(argv: list) -> types.SimpleNamespace:
+    """The command of ``argv`` and its values, read by the command table.
+
+    Its ``func`` runs the command. Bad usage raises ConfigError with the one
+    line to print; -h or --help raises ``_Help``.
+    """
+    extras: list = []
+    args = _parse(_PQCLONE, argv, extras)
+    if extras:
+        raise ConfigError(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _help_text(command: _Command) -> str:
+    """The -h text of ``command``, laid out from its row of the table."""
+    if command.commands:
+        prog = command.name
+        usage = ["[-h]", "{" + ",".join(command.by_name) + "} ..."]
+        entries = [("commands", [(c.name, c.help) for c in command.commands])]
+    else:
+        prog = f"pqclone {command.name}"
+        usage = ["[-h]"]
+        group = [o for o in command.options if o.dest in command.exclusive]
+        for option in command.options:
+            if option in group[1:]:
+                continue
+            text = " | ".join(map(_spelled, group)) if option in group else _spelled(option)
+            usage.append(text if option.required else f"[{text}]")
+        usage.append(command.positional)
+        entries = [("positional arguments", [(command.positional, "")])]
+    options = [
+        (", ".join(_spelled(o, flag) for flag in o.flags), o.help)
+        for o in (_HELP, *command.options)
+    ]
+    lines, line = [], f"usage: {prog}"
+    for word in usage:
+        if len(line) + 1 + len(word) > 79:
+            lines.append(line)
+            line = " " * len(f"usage: {prog}")
+        line += " " + word
+    lines += [line, "", *textwrap.wrap(command.help, 79)]
+    for title, rows in entries + [("options", options)]:
+        lines += ["", f"{title}:"]
+        for left, right in rows:
+            if len(left) >= 22 and right:
+                lines += [f"  {left}", " " * 24 + right]
+            else:
+                lines.append(f"  {left:<22}{right}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def _spelled(option: _Option, flag: str | None = None) -> str:
+    """``flag`` (the first by default) as help writes it, with its value's name."""
+    flag = flag or option.flags[0]
+    if option.convert is None:
+        return flag
+    metavar = "{" + ",".join(option.choices) + "}" if option.choices else option.dest.upper()
+    return f"{flag} {metavar}"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except _Help as shown:
+        sys.stdout.write(_help_text(shown.args[0]))
+        return EXIT_OK
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

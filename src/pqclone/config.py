@@ -328,7 +328,7 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
 
 def _resolve_coefficients(spec: dict) -> dict:
     """Illegal-cloner branch amplitudes: label -> (c array, d)."""
-    entries = spec.get("coefficients") or {}
+    entries = spec.get("coefficients", {})
     if not isinstance(entries, dict):
         raise ConfigError(f"machine coefficients must be an object, got {entries!r}")
     coefficients = {}
@@ -353,11 +353,8 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
     kind = _kind(spec, _MACHINE_KEYS, "machine")
     n = len(bob_states)
     if kind == "illegal":
-        labels = spec.get("clonable_labels")
-        if labels is None:
-            labels = range(1, n + 2)
         return pqcm.IllegalClonerSpec(
-            clonable_labels=labels,
+            clonable_labels=spec.get("clonable_labels", range(1, n + 2)),
             copies=config.mu,
             total_labels=2 * n,
             coefficients=_resolve_coefficients(spec) or None,

@@ -846,6 +846,32 @@ class TestCliSignalTest:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
+    # A falsy non-object "coefficients" or a null "clonable_labels" used to
+    # mean "none given", and the run exited 0.
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("coefficients", [], "machine coefficients must be an object, got []"),
+            ("coefficients", False, "machine coefficients must be an object, got False"),
+            ("coefficients", 0, "machine coefficients must be an object, got 0"),
+            ("coefficients", "", "machine coefficients must be an object, got ''"),
+            ("coefficients", None, "machine coefficients must be an object, got None"),
+            ("clonable_labels", None, "clonable labels must be a sequence, got None"),
+        ],
+    )
+    def test_empty_machine_entry_exits_1_with_one_line(
+        self, tmp_path, capsys, key, value, message
+    ):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data["machine"] = {"kind": "illegal", key: value}
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     # Every [re, im] amplitude takes the rule of the machine coefficients:
     # JSON true/false used to be read as 1/0 here, and a string amplitude
     # gave a message that named no field.
@@ -1197,10 +1223,8 @@ class TestCliSignalTest:
 
 
 class TestSharedParser:
-    """``cli.main`` reuses one parser, so no call may leak into the next."""
-
-    def test_one_parser_per_process(self):
-        assert cli.build_parser() is cli.build_parser()
+    """Every ``cli.main`` call reads the one command table, so no call may
+    leak into the next."""
 
     def test_gamma_values_do_not_carry_over(self, tmp_path, capsys):
         states = str(CONFIGS / "states_overlap_n2.txt")
@@ -1216,7 +1240,7 @@ class TestSharedParser:
         assert gammas("--gamma", "0.2", "--gamma", "0.4") == [0.2, 0.4]
         assert gammas() == [1.0, 1.0]  # the default, not the last --gamma
         assert gammas("--gamma", "0.5") == [0.5, 0.5]  # appends do not pile up
-        assert cli.build_parser().parse_args(["feasibility", states]).gamma is None
+        assert cli.parse_args(["feasibility", states]).gamma is None
 
     def test_run_after_usage_error_and_help_is_unchanged(self, tmp_path, capsys):
         argv = ["signal-test", str(CONFIGS / "legal_n2.json"), "--trials", "500",
@@ -1269,6 +1293,199 @@ class TestSharedParser:
         assert code == 1
         assert err.startswith(f"error: {message} ") and len(err.splitlines()) == 1
         assert not out_dir.exists()
+
+
+# The values of each command when no option is given.
+ARGV_DEFAULTS = {
+    "feasibility": {"copies": 2, "gamma": None, "max_uniform": False, "out": None},
+    "construct": {"copies": 2, "gamma": None, "out": None},
+    "signal-test": {
+        "seed": None, "trials": None, "mu": None, "pairs_per_bit": None,
+        "format": None, "out": None,
+    },
+}
+CHOICES = "(choose from 'feasibility', 'construct', 'signal-test')"
+
+# Each argv with the result argparse gave it, before the command table took
+# its place: the values that differ from ARGV_DEFAULTS, the one stderr line
+# of a refusal (after "error: "), or None for help.
+ARGV_TABLE = [
+    (["signal-test", "cfg.json"], {"config": "cfg.json"}),
+    # a unique prefix stands for its flag
+    (["signal-test", "cfg.json", "--se", "5"], {"config": "cfg.json", "seed": 5}),
+    (["signal-test", "cfg.json", "--p", "3"], {"config": "cfg.json", "pairs_per_bit": 3}),
+    (["signal-test", "cfg.json", "--f", "csv"], {"config": "cfg.json", "format": "csv"}),
+    (["feasibility", "s.txt", "--co", "4"], {"states_file": "s.txt", "copies": 4}),
+    (["feasibility", "s.txt", "--c=4"], {"states_file": "s.txt", "copies": 4}),
+    # a value after "=", or attached to a short flag
+    (["signal-test", "cfg.json", "--seed=5"], {"config": "cfg.json", "seed": 5}),
+    (["signal-test", "cfg.json", "--pairs-per-bit=2"], {"config": "cfg.json", "pairs_per_bit": 2}),
+    (["feasibility", "s.txt", "-M3"], {"states_file": "s.txt", "copies": 3}),
+    (["feasibility", "s.txt", "-M=3"], {"states_file": "s.txt", "copies": 3}),
+    (["feasibility", "s.txt", "-M", "3"], {"states_file": "s.txt", "copies": 3}),
+    (["signal-test", "cfg.json", "--out="], {"config": "cfg.json", "out": ""}),
+    # options before the positional
+    (
+        ["signal-test", "--seed", "5", "--format", "csv", "cfg.json"],
+        {"config": "cfg.json", "seed": 5, "format": "csv"},
+    ),
+    (["feasibility", "--gamma", "0.5", "s.txt"], {"states_file": "s.txt", "gamma": [0.5]}),
+    # a negative number is a value, other tokens with a leading "-" are not
+    (["signal-test", "cfg.json", "--seed", "-1"], {"config": "cfg.json", "seed": -1}),
+    (["signal-test", "--seed=-5", "cfg.json"], {"config": "cfg.json", "seed": -5}),
+    (["feasibility", "s.txt", "--gamma", "-0.5"], {"states_file": "s.txt", "gamma": [-0.5]}),
+    (["feasibility", "s.txt", "-M", "-3"], {"states_file": "s.txt", "copies": -3}),
+    (["feasibility", "s.txt", "--gamma", "-inf"], "argument --gamma: expected one argument"),
+    (["feasibility", "s.txt", "--gamma", "-1e-3"], "argument --gamma: expected one argument"),
+    (["signal-test", "cfg.json", "-1"], "unrecognized arguments: -1"),
+    # the last value wins; --gamma repeats
+    (["signal-test", "cfg.json", "--seed", "1", "--seed", "2"], {"config": "cfg.json", "seed": 2}),
+    (["signal-test", "cfg.json", "--out", "a", "--out", "b"], {"config": "cfg.json", "out": "b"}),
+    (
+        ["feasibility", "s.txt", "--gamma", "0.5", "--gam", "0.6", "--g=0.7"],
+        {"states_file": "s.txt", "gamma": [0.5, 0.6, 0.7]},
+    ),
+    (
+        ["feasibility", "s.txt", "--max-uniform", "--max-uniform"],
+        {"states_file": "s.txt", "max_uniform": True},
+    ),
+    (
+        ["construct", "s.txt", "-M", "3", "--gamma", "0.4", "--out", "m.json"],
+        {"states_file": "s.txt", "copies": 3, "gamma": [0.4], "out": "m.json"},
+    ),
+    (
+        ["signal-test", "cfg.json", "--trials", "10", "--mu", "4", "--pairs-per-bit", "2",
+         "--format", "json", "--out", "o"],
+        {"config": "cfg.json", "trials": 10, "mu": 4, "pairs_per_bit": 2,
+         "format": "json", "out": "o"},
+    ),
+    # int() and float() read the values
+    (["signal-test", "cfg.json", "--seed", "1_000"], {"config": "cfg.json", "seed": 1000}),
+    (["signal-test", "cfg.json", "--seed", " 7 "], {"config": "cfg.json", "seed": 7}),
+    (["signal-test", "cfg.json", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["signal-test", "cfg.json", "--trials", "1e3"], "argument --trials: invalid int value: '1e3'"),
+    (["signal-test", "cfg.json", "--seed="], "argument --seed: invalid int value: ''"),
+    (["feasibility", "s.txt", "-M", "2.5"], "argument --copies/-M: invalid int value: '2.5'"),
+    (["feasibility", "s.txt", "-Mx"], "argument --copies/-M: invalid int value: 'x'"),
+    (["feasibility", "s.txt", "--gamma", "x"], "argument --gamma: invalid float value: 'x'"),
+    (
+        ["signal-test", "cfg.json", "--format", "xml"],
+        "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+    ),
+    # an option with no value
+    (["signal-test", "cfg.json", "--seed"], "argument --seed: expected one argument"),
+    (["feasibility", "s.txt", "--out", "--seed"], "argument --out: expected one argument"),
+    (["signal-test", "cfg.json", "--out", "--seed"], "argument --out: expected one argument"),
+    (["signal-test", "--seed", "--", "cfg.json"], "argument --seed: expected one argument"),
+    (
+        ["feasibility", "s.txt", "--max-uniform=1"],
+        "argument --max-uniform: ignored explicit argument '1'",
+    ),
+    # after "--" every token is a positional
+    (["signal-test", "--", "--x"], {"config": "--x"}),
+    (["signal-test", "cfg.json", "--"], {"config": "cfg.json"}),
+    (["signal-test", "cfg.json", "--", "--x"], "unrecognized arguments: --x"),
+    (["signal-test", "cfg.json", "--seed", "5", "--"], "unrecognized arguments: --"),
+    (["signal-test", "cfg.json", "--", "--", "x"], "unrecognized arguments: -- x"),
+    (["signal-test", "-", "--seed", "1"], {"config": "-", "seed": 1}),
+    (["signal-test", "-x y"], {"config": "-x y"}),
+    # what is missing, in table order
+    ([], "the following arguments are required: command"),
+    (["--"], "the following arguments are required: command"),
+    (["signal-test"], "the following arguments are required: config"),
+    (["signal-test", "--seed", "5"], "the following arguments are required: config"),
+    (["construct", "s.txt", "--gamma", "0.5"], "the following arguments are required: --out"),
+    (["construct", "s.txt"], "the following arguments are required: --gamma, --out"),
+    (["construct"], "the following arguments are required: states_file, --gamma, --out"),
+    # --gamma and --max-uniform exclude each other
+    (
+        ["feasibility", "s.txt", "--max", "--gamma", "0.5"],
+        "argument --gamma: not allowed with argument --max-uniform",
+    ),
+    (
+        ["feasibility", "s.txt", "--gamma", "1", "--max-uniform", "-M", "x"],
+        "argument --max-uniform: not allowed with argument --gamma",
+    ),
+    (
+        ["feasibility", "s.txt", "-M", "x", "--max-uniform", "--gamma", "1"],
+        "argument --copies/-M: invalid int value: 'x'",
+    ),
+    # unknown commands and options
+    (["bogus"], f"argument command: invalid choice: 'bogus' {CHOICES}"),
+    (["bogus", "-h"], f"argument command: invalid choice: 'bogus' {CHOICES}"),
+    (["signal", "cfg.json"], f"argument command: invalid choice: 'signal' {CHOICES}"),
+    ([""], f"argument command: invalid choice: '' {CHOICES}"),
+    (["--x"], "the following arguments are required: command"),
+    (["--x", "signal-test", "cfg.json", "--y"], "unrecognized arguments: --x --y"),
+    (["signal-test", "cfg.json", "--x", "5"], "unrecognized arguments: --x 5"),
+    (["signal-test", "--x", "5", "cfg.json"], "unrecognized arguments: --x cfg.json"),
+    (["signal-test", "cfg.json", "extra"], "unrecognized arguments: extra"),
+    (["signal-test", "cfg.json", "-M", "3"], "unrecognized arguments: -M 3"),
+    (["feasibility", "s.txt", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
+    (
+        ["construct", "s.txt", "--gamma", "0.5", "--max", "--out", "x"],
+        "unrecognized arguments: --max",
+    ),
+    (
+        ["signal-test", "--=5", "cfg.json"],
+        "ambiguous option: --=5 could match --help, --seed, --trials, --mu, "
+        "--pairs-per-bit, --format, --out",
+    ),
+    # help, unless an error comes first
+    (["--help"], None),
+    (["--he"], None),
+    (["signal-test", "cfg.json", "-h"], None),
+    (["signal-test", "-h", "--seed", "x"], None),
+    (["signal-test", "--x", "-h"], None),
+    (["feasibility", "--he"], None),
+    (["construct", "-h"], None),
+    (["signal-test", "--seed", "x", "-h"], "argument --seed: invalid int value: 'x'"),
+    (["signal-test", "--help=x"], "argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+class TestArgvTable:
+    """The command table reads argv as argparse did."""
+
+    @pytest.mark.parametrize("argv, expected", ARGV_TABLE, ids=[str(a) for a, _ in ARGV_TABLE])
+    def test_argv_reads_as_before(self, argv, expected, capsys):
+        if isinstance(expected, dict):
+            args = vars(cli.parse_args(argv))
+            command = argv[0]
+            assert args.pop("func").__name__ == "cmd_" + command.replace("-", "_")
+            assert args == {"command": command, **ARGV_DEFAULTS[command], **expected}
+            return
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        if expected is None:
+            assert code == 0 and captured.err == ""
+            assert captured.out.startswith("usage: pqclone")
+        else:
+            assert code == 1 and captured.out == ""
+            assert captured.err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("command", [[], ["feasibility"], ["construct"], ["signal-test"]])
+    def test_help_lists_every_flag_of_the_command(self, command, capsys):
+        assert cli.main([*command, "--help"]) == 0
+        out = capsys.readouterr().out
+        usage = "usage: " + " ".join(["pqclone", *command])
+        assert out.startswith(usage + " [-h] ")
+        row = cli._PQCLONE.by_name[command[0]] if command else cli._PQCLONE
+        for option in row.options:
+            assert all(flag in out for flag in option.flags)
+        for name in row.by_name:
+            assert f"\n  {name} " in out
+
+    def test_import_loads_no_argparse(self):
+        # the command table replaced argparse, and with it argparse's import
+        # of gettext, in every CLI process
+        code = "import sys, pqclone.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"
 
 
 # Values that are wrong for some field: mistyped, non-finite, out of range.
@@ -1386,8 +1603,8 @@ def _illegal_config(**changes) -> str:
 class TestCliFuzz:
     """Malformed input files through ``cli.main``, all in this one process.
 
-    Every case shares the one parser. None may escape as an exception, and
-    exit 1 must come with exactly one line on stderr.
+    Every case reads the one command table. None may escape as an exception,
+    and exit 1 must come with exactly one line on stderr.
     """
 
     FUZZ = settings(deadline=None, max_examples=200, derandomize=True)
@@ -1419,7 +1636,7 @@ class TestCliFuzz:
              gammas=["0.5"], max_uniform=False, out="missing")
     @example(command="feasibility", states="states_overlap_n2.txt", copies="1",
              gammas=[], max_uniform=True, out="under-file")
-    # argparse refuses these itself, with one line too
+    # the command table refuses these itself, with one line too
     @example(command="feasibility", states="states_overlap_n2.txt", copies="2.5",
              gammas=[], max_uniform=False, out=None)
     @example(command="construct", states="states_overlap_n2.txt", copies="2",
@@ -1458,6 +1675,48 @@ class TestCliFuzz:
         elif out == "missing" or command == "construct":
             argv += ["--out", str(work / "no" / "such" / "r.json")]
         assert_clean_exit(argv)
+
+    @FUZZ
+    @example(config="illegal_n2.json", options={"--seed": "-1"}, joined=False, first=True,
+             out_kind="dir")
+    @example(config="legal_n2.json", options={"--format": "xml"}, joined=True, first=False,
+             out_kind="dir")
+    @example(config="illegal_n2.json", options={"--trials": ""}, joined=False, first=False,
+             out_kind="under-file")
+    @given(
+        config=st.sampled_from(["illegal_n2.json", "legal_n2.json"]),
+        # good values and bad: out of range, not a number, empty
+        options=st.fixed_dictionaries({}, optional={
+            "--seed": st.sampled_from(
+                ["0", "7", "18446744073709551615", "18446744073709551616", "-1", "1.5",
+                 "x", ""]
+            ),
+            "--trials": st.sampled_from(
+                ["10", "500", "0", "-3", "4611686018427387905", "1e3", "x", ""]
+            ),
+            "--mu": st.sampled_from(["1", "2", "6", "0", "-2", "2.0", "x"]),
+            "--pairs-per-bit": st.sampled_from(["1", "3", "0", "-1", "x"]),
+            "--format": st.sampled_from(["json", "csv", "xml", "JSON", ""]),
+        }),
+        # "--opt=value" or "--opt value"
+        joined=st.booleans(),
+        # the config before the options or after them
+        first=st.booleans(),
+        out_kind=st.sampled_from(["dir", "", "under-file"]),
+    )
+    def test_signal_test_argv(
+        self, tmp_path_factory, config, options, joined, first, out_kind
+    ):
+        work = tmp_path_factory.mktemp("signal")
+        if out_kind == "under-file":
+            (work / "blocker").write_text("")
+        out = {"dir": str(work / "out"), "": "", "under-file": str(work / "blocker" / "out")}
+        options = {**options, "--out": out[out_kind]}
+        tokens = []
+        for flag, value in options.items():
+            tokens += [f"{flag}={value}"] if joined else [flag, value]
+        path = [str(CONFIGS / config)]
+        assert_clean_exit(["signal-test", *(path + tokens if first else tokens + path)])
 
     @FUZZ
     @example(text="null")
