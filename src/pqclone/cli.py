@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import json
 import os
-import re
 import sys
 import textwrap
 import types
@@ -115,9 +114,12 @@ def _dump_kv_csv(data: dict, path: Path) -> None:
 
 
 def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
+    # the file view: a row per preparation B1..B2N, A1's outcomes then A2's,
+    # and a column per Bob cell but the discards, which stats reports
     n = tally.n
     header = ["input"] + [f"B{j}" for j in range(1, n + 2)] + ["phi"]
-    rows = [[f"B{i + 1}"] + row for i, row in enumerate(tally.counts.tolist())]
+    counts = tally.cells[:, :, : n + 2].reshape(2 * n, n + 2).tolist()
+    rows = [[f"B{i + 1}"] + row for i, row in enumerate(counts)]
     if fmt == "csv":
         lines = [",".join(header)]
         for row in rows:
@@ -374,9 +376,6 @@ _PQCLONE = _Command(
     ),
 )
 
-# a token that reads as a negative number is a value, not an option
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
 
 def _match(arg: str, flags: dict):
     """What ``arg`` is among ``flags``: None for a positional, else
@@ -384,6 +383,7 @@ def _match(arg: str, flags: dict):
 
     A long flag may be cut to a unique prefix and take its value after "="
     (``--se=5``); a short flag may take it attached (``-M3``, ``-M=3``).
+    Any other token that ``float()`` reads (``-1e-3``, ``-inf``) is a value.
     """
     if arg[:1] != "-":
         return None
@@ -404,9 +404,11 @@ def _match(arg: str, flags: dict):
         raise ConfigError(f"ambiguous option: {arg} could match {', '.join(hits)}")
     if hits:
         return flags[hits[0]], value
-    if " " in arg or _NEGATIVE.match(arg):
+    try:
+        float(arg)
         return None
-    return None, None
+    except ValueError:
+        return None if " " in arg else (None, None)
 
 
 def _parse(command: _Command, argv: list, extras: list) -> types.SimpleNamespace:

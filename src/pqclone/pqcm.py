@@ -64,7 +64,6 @@ class CloneOutput:
 
     kind: str  # 'copies' | 'junk' | 'joint'
     copies: int
-    success: bool = True
     label: int | None = None
     single: Ket | None = None
     state: Ket | None = None

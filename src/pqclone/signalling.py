@@ -197,37 +197,37 @@ def cell_votes(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TallyTable:
-    """Empirical column counts per preparation, plus discards per setting.
+    """Each setting's multinomial draw over the ``column_law`` cells.
 
-    N and the per-setting sizes, tuples of Python ints, are derived from these.
+    ``cells[s, m, c]`` counts pairs of setting s, Alice outcome m and Bob
+    cell c, the last cell being discarded cloner failures. N and the
+    per-setting sizes, tuples of Python ints, are derived from it.
     """
 
-    counts: np.ndarray  # shape (2N, N+2); last column is PHI
-    discards: tuple  # cloner failures discarded per setting
+    cells: np.ndarray  # shape (2, N, N+3)
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.ndim != 2 or counts.shape[0] != 2 * (counts.shape[1] - 2):
-            raise ConfigError(f"tally shape {counts.shape} is not (2N, N+2)")
-        if np.count_nonzero(counts < 0):
+        cells = np.asarray(self.cells, dtype=np.int64)
+        if cells.ndim != 3 or cells.shape != (2, cells.shape[1], cells.shape[1] + 3):
+            raise ConfigError(f"tally shape {cells.shape} is not (2, N, N+3)")
+        if np.count_nonzero(cells < 0):
             raise ConfigError("tally counts must be nonnegative")
-        discards = tuple(self.discards)
-        for value in discards:
-            qcore.require_int("discards", value)
-        if len(discards) != 2 or min(discards) < 0:
-            raise ConfigError(f"need two nonnegative discard counts, got {discards}")
-        counts.setflags(write=False)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "discards", discards)
+        cells.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
 
     @property
     def n(self) -> int:
-        return self.counts.shape[1] - 2
+        return self.cells.shape[1]
 
     @cached_property
     def classified(self) -> tuple:
-        """Pairs classified per setting: the sum of that setting's counts."""
-        return tuple(np.add.reduce(self.counts.reshape(2, -1), axis=1).tolist())
+        """Pairs classified per setting: the counts of its cells but the last."""
+        return tuple(np.add.reduce(self.cells[:, :, :-1], axis=(1, 2)).tolist())
+
+    @cached_property
+    def discards(self) -> tuple:
+        """Cloner failures discarded per setting: the counts of its last cell."""
+        return tuple(np.add.reduce(self.cells[:, :, -1], axis=1).tolist())
 
     @cached_property
     def trials(self) -> tuple:
@@ -555,16 +555,12 @@ def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:
     seed and does not depend on the order the settings are drawn in.
     """
     law = config.law
-    n = config.n
-    counts = np.zeros((2 * n, n + 2), dtype=np.int64)
-    discards = []
+    cells = np.empty(law.shape, dtype=np.int64)
     for setting in (0, 1):
         rng = SeededRng(config.seed, _PROTOCOL_STREAM + setting)
-        hits = rng.multinomial(config.trials, law[setting].ravel()).reshape(n, n + 3)
-        counts[setting * n : (setting + 1) * n] = hits[:, : n + 2]
-        discards.append(int(np.add.reduce(hits[:, n + 2])))
-
-    tally = TallyTable(counts=counts, discards=tuple(discards))
+        draw = rng.multinomial(config.trials, law[setting].ravel())
+        cells[setting] = draw.reshape(law.shape[1:])
+    tally = TallyTable(cells)
     leakage = analytic_leakage(config.context.own_stay)
     stats = stats_from_tally(tally, leakage)
     return tally, stats
@@ -579,19 +575,19 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
             raise ConfigError(
                 f"no cloner successes for setting A{setting + 1}; cannot estimate"
             )
-    # exact int64 column counts per setting, each within 2**62
-    columns = np.add.reduce(tally.counts.reshape(2, n, n + 2), axis=1)
+    # exact int64 cell counts per setting, each within 2**62
+    cells = np.add.reduce(tally.cells, axis=1)
     totals = np.array(classified, dtype=float)
-    p_col = columns / totals[:, None]
-    votes = cell_votes(n)[: n + 2]
+    p_col = cells[:, : n + 2] / totals[:, None]
+    votes = cell_votes(n)
 
     # P(vote | setting), setting s sending bit s, and its standard error
-    rates = (p_col @ votes)[:, :2]
+    rates = (p_col @ votes[: n + 2])[:, :2]
     errors = np.sqrt(np.maximum(rates * (1.0 - rates), 0.0) / totals[:, None])
 
     # exact int64 vote counts per setting; the settings combine as Python
     # ints, since both together can exceed int64
-    (zeros_a1, ones_a1, _), (zeros_a2, ones_a2, _) = (columns @ votes).tolist()
+    (zeros_a1, ones_a1, _), (zeros_a2, ones_a2, _) = (cells @ votes).tolist()
     decided = zeros_a1 + ones_a1 + zeros_a2 + ones_a2
     accuracy = (zeros_a1 + ones_a2) / decided if decided else 0.5
     discards, trials = tally.discards, tally.trials

@@ -237,6 +237,19 @@ class TestCliFeasibility:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "value, shown", [("-1e-3", "-0.001"), ("-inf", "-inf"), ("-1E+2", "-100.0")]
+    )
+    def test_a_negative_number_is_the_value_refused(self, value, shown, capsys):
+        # any token float() reads is a value, so the efficiency check names it
+        code = cli.main(
+            ["feasibility", str(CONFIGS / "states_overlap_n2.txt"), "-M", "3",
+             "--gamma", value]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: efficiencies must lie in [0, 1], got {shown}\n"
+
+    @pytest.mark.parametrize(
         "flags", [["--gamma", "0.99", "--max-uniform"], ["--max-uniform", "--gamma", "0.99"]]
     )
     def test_gamma_and_max_uniform_exclude_each_other(self, flags, capsys):
@@ -430,6 +443,33 @@ class TestJsonLayout:
         tally = {"columns": header, "rows": rows}
         expected = json.dumps(tally, indent=2, sort_keys=True) + "\n"
         assert cli._tally_json(header, rows) == expected
+
+    def test_tally_file_is_the_writers_view_of_the_cells(self, tmp_path):
+        # one row per preparation, A1's then A2's; the discard cell is left out
+        cells = [
+            [[1, 2, 0, 3, 40], [0, 5, 6, 0, 41]],
+            [[8, 0, 9, 1, 42], [0, 0, 0, 2**62, 43]],
+        ]
+        tally = signalling.TallyTable(np.array(cells))
+        cli._write_tally(tally, tmp_path / "tally.csv", "csv")
+        assert (tmp_path / "tally.csv").read_bytes() == (
+            b"input,B1,B2,B3,phi\n"
+            b"B1,1,2,0,3\n"
+            b"B2,0,5,6,0\n"
+            b"B3,8,0,9,1\n"
+            b"B4,0,0,0,4611686018427387904\n"
+        )
+        cli._write_tally(tally, tmp_path / "tally.json", "json")
+        rows = ["  [\n      " + ",\n      ".join(row) + "\n    ]" for row in (
+            ['"B1"', "1", "2", "0", "3"],
+            ['"B2"', "0", "5", "6", "0"],
+            ['"B3"', "8", "0", "9", "1"],
+            ['"B4"', "0", "0", "0", "4611686018427387904"],
+        )]
+        assert (tmp_path / "tally.json").read_text() == (
+            '{\n  "columns": [\n    "input",\n    "B1",\n    "B2",\n    "B3",\n'
+            '    "phi"\n  ],\n  "rows": [\n  ' + ",\n  ".join(rows) + "\n  ]\n}\n"
+        )
 
 
 class TestStateRows:
@@ -1307,8 +1347,9 @@ ARGV_DEFAULTS = {
 CHOICES = "(choose from 'feasibility', 'construct', 'signal-test')"
 
 # Each argv with the result argparse gave it, before the command table took
-# its place: the values that differ from ARGV_DEFAULTS, the one stderr line
-# of a refusal (after "error: "), or None for help.
+# its place, but for the two rows marked below: the values that differ from
+# ARGV_DEFAULTS, the one stderr line of a refusal (after "error: "), or None
+# for help.
 ARGV_TABLE = [
     (["signal-test", "cfg.json"], {"config": "cfg.json"}),
     # a unique prefix stands for its flag
@@ -1335,8 +1376,10 @@ ARGV_TABLE = [
     (["signal-test", "--seed=-5", "cfg.json"], {"config": "cfg.json", "seed": -5}),
     (["feasibility", "s.txt", "--gamma", "-0.5"], {"states_file": "s.txt", "gamma": [-0.5]}),
     (["feasibility", "s.txt", "-M", "-3"], {"states_file": "s.txt", "copies": -3}),
-    (["feasibility", "s.txt", "--gamma", "-inf"], "argument --gamma: expected one argument"),
-    (["feasibility", "s.txt", "--gamma", "-1e-3"], "argument --gamma: expected one argument"),
+    # argparse refused these two with "argument --gamma: expected one argument",
+    # which named the wrong fault: any token float() reads is a number
+    (["feasibility", "s.txt", "--gamma", "-inf"], {"states_file": "s.txt", "gamma": [-np.inf]}),
+    (["feasibility", "s.txt", "--gamma", "-1e-3"], {"states_file": "s.txt", "gamma": [-1e-3]}),
     (["signal-test", "cfg.json", "-1"], "unrecognized arguments: -1"),
     # the last value wins; --gamma repeats
     (["signal-test", "cfg.json", "--seed", "1", "--seed", "2"], {"config": "cfg.json", "seed": 2}),

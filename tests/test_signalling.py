@@ -227,15 +227,14 @@ class TestGuessRule:
 def tallies(draw):
     """A random tally for N = 2..4, each setting's counts within the 2**62 cap."""
     n = draw(st.integers(2, 4))
-    cells = 2 * n * (n + 2)
-    high = draw(st.sampled_from([3, 1_000, 2**62 // (n * (n + 2))]))
-    counts = np.array(
-        draw(st.lists(st.integers(0, high), min_size=cells, max_size=cells)),
+    size = 2 * n * (n + 3)
+    high = draw(st.sampled_from([3, 1_000, 2**62 // (n * (n + 3))]))
+    cells = np.array(
+        draw(st.lists(st.integers(0, high), min_size=size, max_size=size)),
         dtype=np.int64,
-    ).reshape(2 * n, n + 2)
-    assume(min(counts[:n].sum(), counts[n:].sum()) > 0)
-    discards = tuple(draw(st.integers(0, high)) for _ in (0, 1))
-    return TallyTable(counts=counts, discards=discards)
+    ).reshape(2, n, n + 3)
+    assume(cells[:, :, :-1].sum(axis=(1, 2)).min() > 0)
+    return TallyTable(cells)
 
 
 class TestStatsFromTally:
@@ -245,12 +244,9 @@ class TestStatsFromTally:
         # setting s sends bit s; every cell's count goes to guess_rule's vote
         n = tally.n
         votes = [[0, 0, 0], [0, 0, 0]]  # 0-votes, 1-votes, abstentions
-        for row in range(2 * n):
-            for cell in range(n + 2):
-                vote = guess_rule(PHI if cell == n + 1 else cell + 1, n)
-                votes[row // n][2 if vote is None else vote] += int(
-                    tally.counts[row, cell]
-                )
+        for (setting, _, cell), count in np.ndenumerate(tally.cells[:, :, : n + 2]):
+            vote = guess_rule(PHI if cell == n + 1 else cell + 1, n)
+            votes[setting][2 if vote is None else vote] += int(count)
         stats = stats_from_tally(tally, 0.0)
         for s, (p0, p1) in enumerate(stats.p_vote):
             total = tally.classified[s]
@@ -266,27 +262,36 @@ class TestStatsFromTally:
 
     def test_sizes_are_derived_from_the_counts(self):
         # sizes given beside the counts could disagree with them
-        counts = np.zeros((4, 4), dtype=np.int64)
-        counts[0, 0] = counts[1, 1] = counts[2, 2] = counts[3, 3] = 5
-        tally = TallyTable(counts=counts, discards=(3, 0))
+        cells = np.zeros((2, 2, 5), dtype=np.int64)
+        cells[0, 0, 0] = cells[0, 1, 1] = cells[1, 0, 2] = cells[1, 1, 3] = 5
+        cells[0, 1, 4] = 3  # discarded
+        tally = TallyTable(cells)
         assert tally.classified == (10, 10) and tally.trials == (13, 10)
         assert all(type(size) is int for size in tally.classified + tally.trials)
         stats = stats_from_tally(tally, 0.0)
         np.testing.assert_array_equal(stats.p_col.sum(axis=1), [1.0, 1.0])
         assert stats.p_vote[0, 0] == 1.0 and stats.discard_rate == (3 / 13, 0.0)
         with pytest.raises(TypeError):
-            TallyTable(
-                counts=counts, classified=(5, 5), discards=(0, 0), trials=(3, 3)
-            )
+            TallyTable(cells, discards=(0, 0))
+        with pytest.raises(TypeError):
+            TallyTable(cells=cells, classified=(5, 5), trials=(3, 3))
 
     @pytest.mark.parametrize(
-        "discards",
-        [(0,), (-1, 0), (2.5, 0), (True, 0)],
-        ids=["one-setting", "negative", "float", "bool"],
+        "shape",
+        [(4, 4), (2, 2, 4), (2, 2, 6), (3, 2, 5), (1, 2, 5), (2, 2, 5, 1), (2, 5)],
+        ids=["file-view", "no-discard-cell", "extra-cell", "three-settings",
+             "one-setting", "four-axes", "one-draw"],
     )
-    def test_discards_are_two_nonnegative_integers(self, discards):
-        with pytest.raises(ConfigError):
-            TallyTable(counts=np.ones((4, 4), dtype=np.int64), discards=discards)
+    def test_cells_of_another_shape_are_refused(self, shape):
+        with pytest.raises(ConfigError, match="is not \\(2, N, N\\+3\\)"):
+            TallyTable(np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 1, 4)], ids=["cell", "discard"])
+    def test_a_negative_count_is_refused(self, where):
+        cells = np.ones((2, 2, 5), dtype=np.int64)
+        cells[where] = -1
+        with pytest.raises(ConfigError, match="nonnegative"):
+            TallyTable(cells)
 
 
 class TestRunProtocol:
@@ -294,7 +299,7 @@ class TestRunProtocol:
         tally, stats = run_protocol(illegal_config(trials=10_000))
         n = 2
         # zero-count invariant: clonable inputs never land in column N+1
-        assert tally.counts[0:n, n].sum() == 0
+        assert tally.cells[0, :, n].sum() == 0
         assert stats.p_vote[0, 1] == 0.0
         assert stats.p_vote[0, 0] >= 0.999
         # positivity with analytic lower bound: half the A2 pairs prepare
@@ -306,22 +311,21 @@ class TestRunProtocol:
         tally, _ = run_protocol(illegal_config(trials=5_000))
         n = 2
         for row in range(n + 1):
-            own = tally.counts[row, row]
-            assert tally.counts[row].sum() == own + tally.counts[row, n + 1]
+            draw = tally.cells[divmod(row, n)]  # preparation B_{row+1}
+            assert draw.sum() == draw[row] + draw[n + 1]
 
     def test_tally_row_sums_match_classified(self):
         tally, stats = run_protocol(illegal_config(trials=5_000))
         n = 2
         for setting in (0, 1):
-            rows = tally.counts[setting * n : (setting + 1) * n]
-            assert rows.sum() == tally.classified[setting]
+            assert tally.cells[setting, :, : n + 2].sum() == tally.classified[setting]
         np.testing.assert_allclose(stats.p_col.sum(axis=1), 1.0, atol=1e-12)
 
     def test_determinism_same_seed(self):
         cfg = illegal_config(trials=3_000)
         tally_a, stats_a = run_protocol(cfg)
         tally_b, stats_b = run_protocol(cfg)
-        np.testing.assert_array_equal(tally_a.counts, tally_b.counts)
+        np.testing.assert_array_equal(tally_a.cells, tally_b.cells)
         assert stats_a.p_vote[1, 1] == stats_b.p_vote[1, 1]
 
     def test_setting_order_invariance(self):
@@ -334,10 +338,7 @@ class TestRunProtocol:
         for setting in (1, 0):
             rng = SeededRng(cfg.seed, _PROTOCOL_STREAM + setting)
             hits = rng.multinomial(cfg.trials, law[setting].ravel()).reshape(n, n + 3)
-            np.testing.assert_array_equal(
-                hits[:, : n + 2], tally.counts[setting * n : (setting + 1) * n]
-            )
-            assert hits[:, n + 2].sum() == tally.discards[setting]
+            np.testing.assert_array_equal(hits, tally.cells[setting])
 
     @pytest.mark.parametrize(
         "name, zero_cells", [("illegal_n2", 13), ("legal_n2", 6), ("legal_n3_wide", 12)]
@@ -346,16 +347,10 @@ class TestRunProtocol:
         cfg = demo_protocol(name, trials=10**12)
         tally, _ = run_protocol(cfg)
         law = cfg.law
-        n = cfg.n
         assert np.count_nonzero(law == 0.0) == zero_cells
-        for setting in (0, 1):
-            rows = slice(setting * n, (setting + 1) * n)
-            counts = tally.counts[rows]
-            assert np.all(counts[law[setting][:, : n + 2] == 0.0] == 0)
-            if not law[setting][:, n + 2].any():
-                assert tally.discards[setting] == 0
-            assert counts.sum() == tally.classified[setting]
-            assert tally.classified[setting] + tally.discards[setting] == 10**12
+        assert np.all(tally.cells[law == 0.0] == 0)
+        assert tally.trials == (10**12, 10**12)
+        assert np.array_equal(tally.cells.sum(axis=(1, 2)), [10**12, 10**12])
 
     @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
     def test_counts_fit_the_law(self, name):
@@ -364,14 +359,10 @@ class TestRunProtocol:
         trials = 10**9
         cfg = demo_protocol(name, trials=trials, seed=600)
         tally, _ = run_protocol(cfg)
-        n = cfg.n
         for setting in (0, 1):
-            law = cfg.law[setting]
-            prob = np.append(law[:, : n + 2].ravel(), law[:, n + 2].sum())
-            observed = np.append(
-                tally.counts[setting * n : (setting + 1) * n].ravel(),
-                tally.discards[setting],
-            )
+            law, cells = cfg.law[setting], tally.cells[setting]
+            prob = np.append(law[:, :-1].ravel(), law[:, -1].sum())
+            observed = np.append(cells[:, :-1].ravel(), cells[:, -1].sum())
             mean = trials * prob
             fit = mean >= 5.0
             z = (observed[fit] - mean[fit]) / np.sqrt(mean[fit] * (1.0 - prob[fit]))
@@ -379,9 +370,9 @@ class TestRunProtocol:
 
     def test_settings_sum_without_int64_overflow(self):
         # at the 2**62 cap, the decided pairs of both settings reach 2**63
-        counts = np.zeros((4, 4), dtype=np.int64)
-        counts[0, 0] = counts[2, 0] = 2**62  # A2 pairs all land in column B1
-        tally = TallyTable(counts=counts, discards=(0, 0))
+        cells = np.zeros((2, 2, 5), dtype=np.int64)
+        cells[0, 0, 0] = cells[1, 0, 0] = 2**62  # A2 pairs all land in column B1
+        tally = TallyTable(cells)
         assert stats_from_tally(tally, 0.0).accuracy == 0.5
 
     def test_legal_machine_does_not_signal(self):
