@@ -21,7 +21,6 @@ import os
 import sys
 import textwrap
 import types
-from pathlib import Path
 
 import numpy as np
 
@@ -62,7 +61,7 @@ def _items_json(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: str, text: str) -> None:
     """Write ``text`` to ``path`` as UTF-8, creating its missing parent directories.
 
     The file is opened first; the parents are made only when that open
@@ -74,7 +73,7 @@ def _write_text(path: Path, text: str) -> None:
         try:
             fd = os.open(path, _CREATE, 0o666)
         except FileNotFoundError:
-            path.parent.mkdir(parents=True, exist_ok=True)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
             fd = os.open(path, _CREATE, 0o666)
         try:
             while data:
@@ -104,16 +103,16 @@ def _tally_json(header: list, rows: list) -> str:
     )
 
 
-def _dump_json(data: dict, path: Path) -> None:
+def _dump_json(data: dict, path: str) -> None:
     _write_text(path, _json_text(data))
 
 
-def _dump_kv_csv(data: dict, path: Path) -> None:
+def _dump_kv_csv(data: dict, path: str) -> None:
     lines = ["key,value"] + [f"{key},{data[key]}" for key in sorted(data)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_tally(tally: signalling.TallyTable, path: Path, fmt: str) -> None:
+def _write_tally(tally: signalling.TallyTable, path: str, fmt: str) -> None:
     # the file view: a row per preparation B1..B2N, A1's outcomes then A2's,
     # and a column per Bob cell but the discards, which stats reports
     n = tally.n
@@ -169,12 +168,23 @@ def _per_state(gammas: list, n: int) -> list:
     return gammas
 
 
-def _out_file(out: str | None) -> Path | None:
+def _out_file(out: str | None) -> str | None:
     """The ``--out`` file of ``feasibility`` or ``construct``, if any; an
     empty path names no file and is refused."""
     if out == "":
         raise PqcloneError("no output file (--out is empty)")
-    return None if out is None else Path(out)
+    return out
+
+
+def _path_text(path: str) -> str:
+    """``path`` spelt as ``str(pathlib.PurePosixPath(path))``: empty and "."
+    parts dropped, ".." kept, and a leading "//" kept apart from "/" or
+    "///", as POSIX leaves its meaning to the system."""
+    parts = [part for part in path.split("/") if part and part != "."]
+    root = ""
+    if path.startswith("/"):
+        root = "//" if path.startswith("//") and path[2:3] != "/" else "/"
+    return root + "/".join(parts) or "."
 
 
 def cmd_feasibility(args) -> int:
@@ -228,14 +238,14 @@ def cmd_construct(args) -> int:
 
 def cmd_signal_test(args) -> int:
     run = config_mod.RunConfig.load(args.config)
-    base_dir = Path(args.config).parent
+    base_dir = os.path.dirname(args.config)
     overrides = {}
     for name in ("seed", "trials", "mu", "pairs_per_bit", "format", "out"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value
-    # replace() re-runs RunConfig's checks on every overridden field
-    run = dataclasses.replace(run, **overrides)
+    # a new RunConfig re-runs its checks on every field, the overridden ones too
+    run = config_mod.RunConfig(**{**vars(run), **overrides})
     if not run.out:  # unset or empty
         raise PqcloneError("no output directory (set 'out' in config or pass --out)")
 
@@ -248,12 +258,12 @@ def cmd_signal_test(args) -> int:
     message = signalling.random_message(run.seed, run.message_bits)
     channel = signalling.run_channel(protocol, message)
 
-    out_dir = Path(run.out)
-    if not out_dir.is_absolute():
-        out_dir = Path.cwd() / out_dir
+    # an absolute out replaces the working directory; the printed paths
+    # keep pathlib's spelling, so "--out ./x/" prints CWD/x/tally.json
+    out_dir = _path_text(os.path.join(os.getcwd(), run.out))
     fmt = run.format
-    tally_path = out_dir / f"tally.{fmt}"
-    stats_path = out_dir / f"stats.{fmt}"
+    tally_path = os.path.join(out_dir, f"tally.{fmt}")
+    stats_path = os.path.join(out_dir, f"stats.{fmt}")
     _write_tally(tally, tally_path, fmt)
     record = _stats_record(stats, certificate, channel, run)
     if fmt == "csv":

@@ -15,7 +15,6 @@ import math
 import os
 from dataclasses import asdict, dataclass, field
 from itertools import chain
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +29,7 @@ _READ_CHUNK = 1 << 16  # bytes per os.read of an input file; a config fits in on
 _READ_CAP = 1 << 26
 
 
-def _read_text(path: Path, what: str) -> str:
+def _read_text(path: str, what: str) -> str:
     """The text of the file at ``path``: its bytes, read through the file
     descriptor with no text layer, decoded as UTF-8 whatever the locale.
     A file that cannot be read, holds more than ``_READ_CAP`` bytes or is
@@ -123,9 +122,10 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
     return qcore.state_set(unit_rows())
 
 
-def load_states(path: str | Path) -> np.ndarray:
-    path = Path(path)
-    return parse_states_text(_read_text(path, "states file"), source=str(path))
+def load_states(path: str | os.PathLike) -> np.ndarray:
+    """The states file at ``path``; its errors name the path as given."""
+    path = os.fspath(path)
+    return parse_states_text(_read_text(path, "states file"), source=path)
 
 
 _INT_FIELDS = ("mu", "trials", "pairs_per_bit", "seed", "message_bits")
@@ -202,16 +202,14 @@ class RunConfig:
         return cls.from_dict(data)
 
     @classmethod
-    def load(cls, path: str | Path) -> "RunConfig":
-        return cls.loads(_read_text(Path(path), "config"))
+    def load(cls, path: str | os.PathLike) -> "RunConfig":
+        return cls.loads(_read_text(os.fspath(path), "config"))
 
 
-def _resolve_states(config: RunConfig, base_dir: Path) -> np.ndarray:
+def _resolve_states(config: RunConfig, base_dir: str) -> np.ndarray:
     if config.states_file is not None:
-        path = Path(config.states_file)
-        if not path.is_absolute():
-            path = base_dir / path
-        states = load_states(path)
+        # an absolute states_file replaces base_dir
+        states = load_states(os.path.join(base_dir, config.states_file))
     else:
         states = _state_rows(config.bob_states, "bob_states entry")
     return qcore.bob_state_set(states)
@@ -380,10 +378,12 @@ def _resolve_machine(config: RunConfig, bob_states: np.ndarray):
 
 
 def build_protocol(
-    config: RunConfig, base_dir: str | Path = "."
+    config: RunConfig, base_dir: str | os.PathLike = "."
 ) -> signalling.ProtocolConfig:
-    """Turn a plain-data run config into a ready-to-run protocol config."""
-    bob_states = _resolve_states(config, Path(base_dir))
+    """Turn a plain-data run config into a ready-to-run protocol config.
+
+    A relative ``states_file`` is read from ``base_dir``."""
+    bob_states = _resolve_states(config, os.fspath(base_dir))
     a2_basis = _resolve_a2(config, bob_states)
     machine = _resolve_machine(config, bob_states)
     return signalling.ProtocolConfig(

@@ -197,7 +197,8 @@ class FactoredSet:
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T
         gram = b_mat.conj().T @ b_mat
         gram = (gram + gram.conj().T) / 2.0
-        np.fill_diagonal(gram, 1.0)  # unit states; X^(o M) would raise roundoff
+        # unit states; X^(o M) would raise the diagonal's roundoff
+        gram.flat[:: len(states) + 1] = 1.0
         gram_power = gram**m
         if singulars[0] < CHOLESKY_COND * singulars[-1]:
             factor = _cholesky_factor(gram_power)
@@ -319,9 +320,12 @@ class PqcmMachine:
         eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
         f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
 
-        r_mat = legal.product_factor  # C = Q R
-        v_mat = w_mat @ legal.b_mat - np.diag(np.sqrt(gammas))  # A B - C D = Q R V
-        clone_residual = float(np.linalg.norm(r_mat @ v_mat, axis=0).max())
+        v_mat = w_mat @ legal.b_mat  # A B - C D = Q R V, V = W B - D
+        v_mat.flat[:: len(gammas) + 1] -= np.sqrt(gammas)
+        rv_mat = legal.product_factor @ v_mat  # C = Q R
+        # the column norms as np.linalg.norm(rv_mat, axis=0) computes them
+        column_norms = np.sqrt(np.add.reduce((rv_mat.conj() * rv_mat).real, axis=0))
+        clone_residual = float(column_norms.max())
         trace_residual = float(
             np.abs(success_gram + f_op.conj().T @ f_op - eye).max()
         )

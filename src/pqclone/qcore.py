@@ -84,7 +84,23 @@ def normalize(values) -> np.ndarray:
 
 
 def state_set(states) -> np.ndarray:
-    """A state set as one read-only complex ``(N, d)`` array, one state per row."""
+    """A state set as one read-only complex ``(N, d)`` array, one state per row.
+
+    An exact ``np.ndarray`` that already is one, C-ordered, read-only and
+    owning its data, is returned as it is, so the stages of a run share one
+    array; anything else, a read-only view of a writable array included, is
+    copied.
+    """
+    if (
+        type(states) is np.ndarray
+        and states.dtype == np.complex128
+        and states.ndim == 2
+        and states.size
+        and states.flags.c_contiguous
+        and not states.flags.writeable
+        and states.flags.owndata
+    ):
+        return states
     try:
         arr = _frozen(states)
     except (TypeError, ValueError) as exc:  # say, ragged rows or None
@@ -108,11 +124,13 @@ def bob_state_set(states) -> np.ndarray:
         ) from None
     if n < 2:
         raise ConfigError(f"need at least two Bob states, got {n}")
-    for state in states:
-        if np.size(state) != n:
-            raise ConfigError(
-                f"Bob states must have dimension {n}, got {np.size(state)}"
-            )
+    if isinstance(states, np.ndarray) and states.ndim == 2:
+        sizes = (states.shape[1],)  # the width of every row
+    else:
+        sizes = map(np.size, states)
+    for size in sizes:
+        if size != n:
+            raise ConfigError(f"Bob states must have dimension {n}, got {size}")
     return state_set(states)
 
 

@@ -201,13 +201,18 @@ class TallyTable:
 
     ``cells[s, m, c]`` counts pairs of setting s, Alice outcome m and Bob
     cell c, the last cell being discarded cloner failures. N and the
-    per-setting sizes, tuples of Python ints, are derived from it.
+    per-setting sizes, tuples of Python ints, are derived from it. Counts
+    of a non-integer dtype raise ConfigError: a cast to int64 would
+    truncate 2.5 and count True as 1.
     """
 
     cells: np.ndarray  # shape (2, N, N+3)
 
     def __post_init__(self):
-        cells = np.asarray(self.cells, dtype=np.int64)
+        cells = np.asarray(self.cells)
+        if cells.dtype.kind not in "iu":
+            raise ConfigError(f"tally counts must be integers, got dtype {cells.dtype}")
+        cells = cells.astype(np.int64, copy=False)
         if cells.ndim != 3 or cells.shape != (2, cells.shape[1], cells.shape[1] + 3):
             raise ConfigError(f"tally shape {cells.shape} is not (2, N, N+3)")
         if np.count_nonzero(cells < 0):
@@ -282,7 +287,13 @@ class ProtocolConfig:
             qcore.require_int(name, getattr(self, name))
         bob_states = qcore.bob_state_set(self.bob_states)
         n = len(bob_states)
-        qcore.require_unit(bob_states, "Bob states")
+        # a legal machine's FactoredSet has checked this very read-only array
+        shared = (
+            isinstance(self.machine, PqcmMachine)
+            and self.machine.clonable is bob_states
+        )
+        if not shared:
+            qcore.require_unit(bob_states, "Bob states")
         if not isinstance(self.machine, (PqcmMachine, IllegalClonerSpec)):
             raise ConfigError("machine must be a PqcmMachine or IllegalClonerSpec")
         if self.mu < n + 1:
@@ -297,7 +308,13 @@ class ProtocolConfig:
             raise ConfigError(f"a2_basis must be an AliceBasis, got {self.a2_basis!r}")
         if self.a2_basis.dim != n:
             raise ConfigError("alternate basis dimension does not match state count")
-        if isinstance(self.machine, PqcmMachine):
+        if isinstance(self.machine, IllegalClonerSpec):
+            if self.machine.total_labels != 2 * n:
+                raise ConfigError(
+                    f"cloner expects {self.machine.total_labels} labels, "
+                    f"run has {2 * n}"
+                )
+        elif not shared:
             # the legal law takes the clonable states to be B_1..B_N
             clonable = self.machine.clonable
             same_shape = clonable.shape == bob_states.shape
@@ -306,10 +323,6 @@ class ProtocolConfig:
                 raise ConfigError(
                     f"machine clones other states than Bob's (amplitude gap {gap:.1e})"
                 )
-        elif self.machine.total_labels != 2 * n:
-            raise ConfigError(
-                f"cloner expects {self.machine.total_labels} labels, run has {2 * n}"
-            )
         object.__setattr__(self, "bob_states", bob_states)
 
     @property

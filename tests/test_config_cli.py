@@ -10,7 +10,7 @@ import sys
 import threading
 import time
 import warnings
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 import pytest
@@ -134,6 +134,20 @@ class TestRunConfig:
             protocol = build_protocol(run, CONFIGS)
             assert isinstance(protocol.machine, machine_type)
             assert protocol.n == 2
+
+    @pytest.mark.parametrize("kind", [str, Path])
+    def test_paths_may_be_str_or_path(self, kind):
+        run = RunConfig.load(kind(CONFIGS / "legal_n2.json"))
+        assert run == RunConfig.loads((CONFIGS / "legal_n2.json").read_text())
+        states = load_states(kind(CONFIGS / "states_legal_n2.txt"))
+        protocol = build_protocol(run, kind(CONFIGS))
+        np.testing.assert_array_equal(protocol.bob_states, states)
+
+    def test_an_error_names_a_path_as_given(self, tmp_path):
+        path = f"{tmp_path}/.//missing.txt"
+        with pytest.raises(ConfigError) as err:
+            load_states(path)
+        assert str(err.value).startswith(f"cannot read states file {path}: ")
 
     def test_target_a2_round_trips_through_protocol(self):
         run = RunConfig(
@@ -626,6 +640,23 @@ class TestCliOutPath:
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""  # no verdict for a report never written
 
+
+    @pytest.mark.parametrize("out", [".", "./x/", "x//y", "../x"])
+    def test_printed_paths_keep_pathlib_spelling(self, tmp_path, monkeypatch, capsys, out):
+        # the wrote: line spells each file as Path.cwd() / out / name does
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(self.ARGV["signal-test"] + ["--out", out]) == 0
+        written = [Path.cwd() / out / name for name in ("tally.json", "stats.json")]
+        assert capsys.readouterr().out.splitlines()[-1] == "wrote: {} {}".format(*written)
+        for path in written:
+            assert os.path.samefile(path, os.path.join(out, path.name))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.text(alphabet="/.a", max_size=12))
+    def test_path_text_is_pathlib_spelling(self, path):
+        assert cli._path_text(path) == str(PurePosixPath(path))
 
     @pytest.mark.parametrize("command", ["feasibility", "construct", "signal-test"])
     def test_empty_out_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys, command):

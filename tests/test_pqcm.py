@@ -287,6 +287,29 @@ class TestConstructMachine:
         np.testing.assert_allclose(machine.kraus_fail, 0.0, atol=1e-10)
         assert machine.clone_residual < 1e-10
 
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        extra=st.integers(0, 2),
+        m=st.integers(2, 5),
+        frac=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_clone_residual_is_linalg_norm_bit_for_bit(self, n, extra, m, frac, seed):
+        # R V's column norms, V = W B - D, are numpy's own for axis=0
+        rng = SeededRng(seed)
+        states = state_rows([random_ket(n + extra, rng) for _ in range(n)])
+        try:
+            legal = FactoredSet(states, m)
+        except RankError:
+            assume(False)
+        gammas = [frac * legal.gamma_max] * n
+        machine = pqcm.PqcmMachine(legal, gammas)
+        w_mat = legal._verdict(machine.gammas)[2]
+        v_mat = w_mat @ legal.b_mat - np.diag(np.sqrt(machine.gammas))
+        expected = np.linalg.norm(legal.product_factor @ v_mat, axis=0).max()
+        assert machine.clone_residual == expected  # exact: a norm is never NaN or -0
+
     def test_invariants_verified_directly(self):
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])

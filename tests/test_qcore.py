@@ -171,6 +171,62 @@ class TestTensor:
                 np.testing.assert_array_equal(tensor_power(k.amplitudes, m), chain)
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+class _Sub(np.ndarray):
+    pass
+
+
+def _owned_subclass():
+    arr = np.ndarray.__new__(_Sub, (2, 2), dtype=np.complex128)
+    arr[...] = np.eye(2)
+    return _frozen(arr)
+
+
+class TestStateSet:
+    def test_a_frozen_state_set_is_shared(self):
+        # the stages of a run take the one array and copy none
+        states = qcore.state_set([[1.0, 0.0], [0.6, 0.8]])
+        assert qcore.state_set(states) is states
+        assert qcore.bob_state_set(states) is states
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.eye(2, dtype=np.complex128),
+            lambda: _frozen(np.eye(2)),
+            lambda: _frozen(np.asfortranarray([[1.0, 0.0], [0.6, 0.8]], complex)),
+            lambda: _frozen(np.eye(2, dtype=np.complex128)[:]),
+            _owned_subclass,
+            lambda: [[1.0, 0.0], [0.0, 1.0]],
+        ],
+        ids=["writable", "real", "fortran", "read-only-view", "subclass", "list"],
+    )
+    def test_anything_else_is_copied_once(self, make):
+        source = make()
+        states = qcore.state_set(source)
+        assert states is not source
+        assert type(states) is np.ndarray and states.dtype == np.complex128
+        flags = states.flags
+        assert flags.c_contiguous and not flags.writeable and flags.owndata
+        np.testing.assert_array_equal(states, np.asarray(source))
+        assert qcore.state_set(states) is states
+
+    def test_a_read_only_view_does_not_follow_its_base(self):
+        base = np.eye(2, dtype=np.complex128)
+        states = qcore.state_set(_frozen(base[:]))
+        base[0, 0] = 5.0
+        assert states[0, 0] == 1.0
+
+    def test_bob_state_width_is_checked_on_an_array(self):
+        states = qcore.state_set(np.eye(3, 2))
+        with pytest.raises(ConfigError, match="^Bob states must have dimension 3, got 2$"):
+            qcore.bob_state_set(states)
+
+
 class TestGramAndRank:
     def test_orthonormal_pair(self):
         np.testing.assert_allclose(

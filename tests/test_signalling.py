@@ -293,6 +293,33 @@ class TestStatsFromTally:
         with pytest.raises(ConfigError, match="nonnegative"):
             TallyTable(cells)
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            np.full((2, 2, 5), 2.5),
+            np.full((2, 2, 5), 2.0),
+            np.ones((2, 2, 5), dtype=bool),
+            np.ones((2, 2, 5), dtype=object),
+        ],
+        ids=["float", "whole-float", "bool", "object"],
+    )
+    def test_counts_that_are_not_integers_are_refused(self, cells):
+        # an int64 cast would truncate 2.5 and count True as 1
+        with pytest.raises(ConfigError) as err:
+            TallyTable(cells)
+        assert str(err.value) == f"tally counts must be integers, got dtype {cells.dtype}"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [np.full((2, 2, 5), 3, dtype=np.int32), np.full((2, 2, 5), 3).tolist()],
+        ids=["int32", "int-list"],
+    )
+    def test_integer_counts_are_cast_to_int64(self, cells):
+        tally = TallyTable(cells)
+        assert tally.cells.dtype == np.int64 and not tally.cells.flags.writeable
+        np.testing.assert_array_equal(tally.cells, np.full((2, 2, 5), 3))
+        assert tally.classified == (24, 24)
+
 
 class TestRunProtocol:
     def test_illegal_structure(self):
@@ -773,6 +800,59 @@ class TestProtocolConfigValidation:
                 seed=1,
             )
         assert "Bob's" in str(err.value) and "\n" not in str(err.value)
+
+    def _legal(self, bob_states, machine):
+        return ProtocolConfig(
+            bob_states=bob_states,
+            a2_basis=AliceBasis.fourier(2),
+            trials=10,
+            pairs_per_bit=1,
+            machine=machine,
+            seed=1,
+        )
+
+    def test_a_legal_run_shares_one_checked_state_set(self, monkeypatch):
+        # the machine's factored set checks Bob's array; the protocol
+        # config takes that same array and checks it no second time
+        calls = []
+        require_unit = qcore.require_unit
+
+        def counted(states, what):
+            calls.append(what)
+            require_unit(states, what)
+
+        monkeypatch.setattr(qcore, "require_unit", counted)
+        legal = demo_protocol("legal_n2")
+        assert legal.machine.clonable is legal.bob_states
+        assert calls == ["clonable states"]
+        calls.clear()
+        demo_protocol("illegal_n2")
+        assert calls == ["Bob states"]
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-11], ids=["copy", "gap-1e-11"])
+    def test_another_clonable_array_is_compared(self, gap):
+        # a legal machine on an equal but separate array is checked against
+        # Bob's, and refused above an amplitude gap of 1e-12
+        clonable = state_rows((KET0, Ket.normalized([0.6, 0.8])))
+        machine = construct_machine(clonable, 4, [0.4, 0.4])
+        other = np.array(machine.clonable)
+        other[1] = [0.6 - gap, np.sqrt(1 - (0.6 - gap) ** 2)]
+        bob_states = qcore.state_set(other)
+        assert bob_states is not machine.clonable
+        if gap == 0.0:
+            assert self._legal(bob_states, machine).bob_states is bob_states
+            return
+        with pytest.raises(ConfigError) as err:
+            self._legal(bob_states, machine)
+        assert str(err.value) == (
+            "machine clones other states than Bob's (amplitude gap 1.0e-11)"
+        )
+
+    def test_a_frozen_non_unit_state_set_is_refused(self):
+        # a shared read-only array skips no check when no factored set took it
+        bob_states = qcore.state_set([[2.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ConfigError, match="^Bob states must be unit vectors"):
+            self._legal(bob_states, IllegalClonerSpec((1, 2, 3), 4, 4))
 
     def test_mu_lower_bound(self):
         with pytest.raises(ConfigError):
