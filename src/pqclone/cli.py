@@ -66,7 +66,8 @@ def _write_text(path: str, text: str) -> None:
 
     The file is opened first; the parents are made only when that open
     finds one missing. A path that cannot be written, say one under a
-    regular file, raises PqcloneError, so the command exits 1 with one line.
+    regular file or one with a NUL in it, raises PqcloneError, so the
+    command exits 1 with one line.
     """
     data = memoryview(text.encode())
     try:
@@ -80,7 +81,7 @@ def _write_text(path: str, text: str) -> None:
                 data = data[os.write(fd, data) :]
         finally:
             os.close(fd)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise PqcloneError(f"cannot write {path}: {exc}") from None
 
 

@@ -32,8 +32,9 @@ _READ_CAP = 1 << 26
 def _read_text(path: str, what: str) -> str:
     """The text of the file at ``path``: its bytes, read through the file
     descriptor with no text layer, decoded as UTF-8 whatever the locale.
-    A file that cannot be read, holds more than ``_READ_CAP`` bytes or is
-    not UTF-8 raises ConfigError, ``cannot read {what} {path}: ...``."""
+    A file that cannot be read (a path with a NUL in it included), holds
+    more than ``_READ_CAP`` bytes or is not UTF-8 raises ConfigError,
+    ``cannot read {what} {path}: ...``."""
     try:
         # a FIFO with no writer opens at once and reads as empty, where a
         # blocking open would wait for a writer for ever; the reads block,
@@ -53,7 +54,7 @@ def _read_text(path: str, what: str) -> str:
         finally:
             os.close(fd)
         return b"".join(chunks).decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # a NUL in the path, or not UTF-8
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
 
 

@@ -46,55 +46,6 @@ from .qcore import Ket, SeededRng
 _MACHINE_TOL = 1e-9  # 2 * PSD_TOL: an admitted trace defect leaves room for rounding
 
 
-@dataclass(frozen=True, eq=False)
-class CloneOutput:
-    """What a cloner hands to the verification stage.
-
-    Three shapes arise:
-      * ``copies``: mu exact copies of a labeled single-system state,
-        kept as (label, single-copy ket) so the joint product is never
-        materialized;
-      * ``junk``: a state with zero overlap with every candidate on every
-        clone slot, so each projective test fails with certainty;
-      * ``joint``: an explicit joint ket over ``copies`` clone factors of
-        dimension ``clone_dim`` (optionally behind an untouched leading
-        register of dimension ``lead_dim``), measured by sequential
-        collapse.
-    """
-
-    kind: str  # 'copies' | 'junk' | 'joint'
-    copies: int
-    label: int | None = None
-    single: Ket | None = None
-    state: Ket | None = None
-    clone_dim: int | None = None
-    lead_dim: int = 1
-
-    @classmethod
-    def exact_copies(cls, label: int, single: Ket, copies: int) -> "CloneOutput":
-        return cls(kind="copies", copies=copies, label=label, single=single)
-
-    @classmethod
-    def junk(cls, copies: int) -> "CloneOutput":
-        return cls(kind="junk", copies=copies)
-
-    @classmethod
-    def joint_state(
-        cls, state: Ket, copies: int, clone_dim: int, lead_dim: int = 1
-    ) -> "CloneOutput":
-        if state.dim != lead_dim * clone_dim**copies:
-            raise ConfigError(
-                f"joint dim {state.dim} != {lead_dim} * {clone_dim}**{copies}"
-            )
-        return cls(
-            kind="joint",
-            copies=copies,
-            state=state,
-            clone_dim=clone_dim,
-            lead_dim=lead_dim,
-        )
-
-
 # Below this cond(B), FactoredSet factors the Gram power X^(o M) by
 # Cholesky; from it on, it takes the QR product factor. The Cholesky route
 # loses ~cond(B)^2 * eps: against a 50-digit reference its worst relative
@@ -521,35 +472,23 @@ class IllegalClonerSpec:
 
 
 def illegal_clone(
-    spec: IllegalClonerSpec,
-    input_label: int,
-    all_states: np.ndarray,
-    rng: SeededRng,
-) -> CloneOutput:
+    spec: IllegalClonerSpec, input_label: int, rng: SeededRng
+) -> int | None:
     """Run the label-aware cloner on one preparation.
 
-    ``all_states`` holds the preparation of label k as row k-1. Clonable
-    labels yield mu exact copies with certainty. Unclonable labels yield a
-    sampled branch of the output decomposition: either mu exact copies of
-    some clonable state, or the junk marker orthogonal to every candidate
-    product.
+    Returns the clonable label whose mu exact copies come out, or None for
+    the junk marker, a state orthogonal to every candidate product.
+    Clonable labels yield themselves with certainty and draw nothing.
+    Unclonable labels sample a branch of the output decomposition with one
+    ``rng.choice`` draw.
     """
-    if len(all_states) != spec.total_labels:
-        raise ConfigError(
-            f"expected {spec.total_labels} preparation states, got {len(all_states)}"
-        )
     if not 1 <= input_label <= spec.total_labels:
         raise ConfigError(
             f"label {input_label} outside 1..{spec.total_labels}"
         )
     if input_label in spec.clonable_labels:
-        return CloneOutput.exact_copies(
-            input_label, Ket(all_states[input_label - 1]), spec.copies
-        )
+        return input_label
     branch = rng.choice(spec.branch_weights[input_label - 1])
     if branch == len(spec.clonable_labels):
-        return CloneOutput.junk(spec.copies)
-    out_label = spec.clonable_labels[branch]
-    return CloneOutput.exact_copies(
-        out_label, Ket(all_states[out_label - 1]), spec.copies
-    )
+        return None
+    return spec.clonable_labels[branch]

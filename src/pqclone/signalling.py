@@ -54,13 +54,7 @@ from . import qcore
 # tests calls the first four here: keep all of them reachable here.
 from .entangle import AliceBasis, alice_measure, induced_states
 from .errors import ConfigError, RankError
-from .pqcm import (
-    CloneOutput,
-    IllegalClonerSpec,
-    PqcmMachine,
-    apply_machine,
-    illegal_clone,
-)
+from .pqcm import IllegalClonerSpec, PqcmMachine, apply_machine, illegal_clone
 from .qcore import SeededRng
 
 PHI = 0  # sentinel column: no single verification group succeeded
@@ -83,98 +77,33 @@ def group_sizes(mu: int, n_groups: int) -> list[int]:
     return [base + 1] * extra + [base] * (n_groups - extra)
 
 
-def _measure_clone(
-    vec: np.ndarray,
-    lead_dim: int,
-    clone_dim: int,
-    copies: int,
-    clone_idx: int,
-    onto: np.ndarray,
-    rng: SeededRng,
-) -> tuple[bool, np.ndarray]:
-    """Binary Born-rule projection of one clone factor, with collapse."""
-    pre = lead_dim * clone_dim**clone_idx
-    post = clone_dim ** (copies - clone_idx - 1)
-    block = vec.reshape(pre, clone_dim, post)
-    amp = np.einsum("d,pdq->pq", onto.conj(), block)
-    p_succ = min(float(np.real(np.vdot(amp, amp))), 1.0)
-    success = rng.random() < p_succ
-    if success:
-        collapsed = np.einsum("d,pq->pdq", onto, amp).reshape(-1)
-    else:
-        collapsed = (block - np.einsum("d,pq->pdq", onto, amp)).reshape(-1)
-    norm = np.linalg.norm(collapsed)
-    if norm < 1e-15:
-        # a zero branch is reachable only through roundoff at p in {0, 1}
-        return success, vec
-    return success, collapsed / norm
-
-
 def group_verify(
-    clones: CloneOutput, candidates: np.ndarray, mu: int, rng: SeededRng
+    single: np.ndarray | None, candidates: np.ndarray, mu: int, rng: SeededRng
 ) -> int:
     """Classify a cloner output into a candidate column or the junk column.
 
-    ``candidates`` holds one state per row. The mu claimed copies are split
-    into one group per candidate (earlier groups one larger when mu is not
-    divisible). Every clone in group l is tested by a binary projective
-    measurement onto candidate l. The verdict is column l (1-based) when
-    group l alone is all-success, and
-    PHI when no group or more than one group is.
-
-    Product-form outputs are tested clone by clone with independent
-    draws; joint outputs are measured by sequential collapse; the junk
-    marker fails every projection by construction.
+    ``single`` is one state, meaning mu exact copies of it, or None for the
+    junk marker. ``candidates`` holds one state per row. The mu copies are
+    split into one group per candidate (earlier groups one larger when mu
+    is not divisible). Every clone in group l is tested by a binary
+    projective measurement onto candidate l, clone by clone with one
+    uniform each. The verdict is column l (1-based) when group l alone is
+    all-success, and PHI when no group or more than one group is. The junk
+    marker fails every projection, so it returns PHI without a draw.
     """
     n_groups = len(candidates)
     if mu < n_groups:
         raise ConfigError(f"need at least {n_groups} copies, got {mu}")
-    if clones.copies != mu:
-        raise ConfigError(
-            f"clone record carries {clones.copies} copies, expected {mu}"
-        )
-    sizes = group_sizes(mu, n_groups)
-
-    if clones.kind == "junk":
+    if single is None:
         return PHI
-
-    if clones.kind == "copies":
-        single = clones.single.amplitudes
-        overlaps = [abs(complex(np.vdot(c, single))) ** 2 for c in candidates]
-        thresholds = np.repeat(overlaps, sizes)
-        hits = rng.uniforms(mu) < thresholds
-        all_success = []
-        start = 0
-        for size in sizes:
-            all_success.append(bool(np.all(hits[start : start + size])))
-            start += size
-    elif clones.kind == "joint":
-        if candidates.shape[1] != clones.clone_dim:
-            raise ConfigError(
-                f"candidate dim {candidates.shape[1]} does not match clone dim "
-                f"{clones.clone_dim}"
-            )
-        vec = clones.state.amplitudes
-        all_success = []
-        clone_idx = 0
-        for l, size in enumerate(sizes):
-            group_ok = True
-            for _ in range(size):
-                ok, vec = _measure_clone(
-                    vec,
-                    clones.lead_dim,
-                    clones.clone_dim,
-                    mu,
-                    clone_idx,
-                    candidates[l],
-                    rng,
-                )
-                group_ok = group_ok and ok
-                clone_idx += 1
-            all_success.append(group_ok)
-    else:
-        raise ConfigError(f"unknown clone record kind {clones.kind!r}")
-
+    sizes = group_sizes(mu, n_groups)
+    overlaps = [abs(complex(np.vdot(c, single))) ** 2 for c in candidates]
+    hits = rng.uniforms(mu) < np.repeat(overlaps, sizes)
+    all_success = []
+    start = 0
+    for size in sizes:
+        all_success.append(bool(np.all(hits[start : start + size])))
+        start += size
     winners = [l for l, ok in enumerate(all_success) if ok]
     if len(winners) == 1:
         return winners[0] + 1
@@ -203,7 +132,8 @@ class TallyTable:
     cell c, the last cell being discarded cloner failures. N and the
     per-setting sizes, tuples of Python ints, are derived from it. Counts
     of a non-integer dtype raise ConfigError: a cast to int64 would
-    truncate 2.5 and count True as 1.
+    truncate 2.5 and count True as 1. The tally keeps a read-only int64
+    copy, so the caller's array stays as it was.
     """
 
     cells: np.ndarray  # shape (2, N, N+3)
@@ -212,7 +142,7 @@ class TallyTable:
         cells = np.asarray(self.cells)
         if cells.dtype.kind not in "iu":
             raise ConfigError(f"tally counts must be integers, got dtype {cells.dtype}")
-        cells = cells.astype(np.int64, copy=False)
+        cells = cells.astype(np.int64)
         if cells.ndim != 3 or cells.shape != (2, cells.shape[1], cells.shape[1] + 3):
             raise ConfigError(f"tally shape {cells.shape} is not (2, N, N+3)")
         if np.count_nonzero(cells < 0):
@@ -628,40 +558,15 @@ class ChannelResult:
     coin_flips: int  # bits decided by coin flip (a tie, all-abstain included)
 
 
-def channel_accuracy(
-    sent: np.ndarray, votes: np.ndarray, pairs_per_bit: int, rng: SeededRng
-) -> ChannelResult:
+def _majority(sent: np.ndarray, votes: np.ndarray, rng: SeededRng) -> ChannelResult:
     """Majority-vote decoding of per-bit vote counts.
 
-    ``sent`` holds the message bits, and row k of ``votes`` the (0-votes,
-    1-votes, abstentions) of bit k's ``pairs_per_bit`` pairs. A bit decodes
-    to 1 when its 1-votes outnumber its 0-votes. Ties, all-abstain bits
-    included, are decided by a fair coin, one uniform each in bit order,
-    and counted in ``coin_flips``.
-    """
-    if pairs_per_bit < 1:
-        raise ConfigError("pairs_per_bit must be at least 1")
-    sent = np.asarray(sent, dtype=np.int64)
-    votes = np.asarray(votes, dtype=np.int64)
-    if sent.ndim != 1 or votes.shape != (sent.size, 3):
-        raise ConfigError("need one row of (0-votes, 1-votes, abstentions) per bit")
-    if sent.size == 0:
-        raise ConfigError("no message bits to decode")
-    # a bit is 0 or 1 when every nonzero bit is a 1
-    if np.count_nonzero(sent) != np.count_nonzero(sent == 1):
-        raise ConfigError("sent bits must be 0 or 1")
-    row_sums = np.add.reduce(votes, axis=1)
-    if votes.min() < 0 or np.count_nonzero(row_sums != pairs_per_bit):
-        raise ConfigError("vote counts must be nonnegative and sum to pairs_per_bit")
-    return _majority(sent, votes, rng)
-
-
-def _majority(sent: np.ndarray, votes: np.ndarray, rng: SeededRng) -> ChannelResult:
-    """The majority rule that ``channel_accuracy`` and ``run_channel`` share.
-
-    ``sent`` is a non-empty int64 vector of 0s and 1s and ``votes`` its
-    (0-votes, 1-votes, abstentions) rows, as ``channel_accuracy`` checks;
-    ``run_channel``'s draws guarantee the votes by construction.
+    ``sent`` is a non-empty int64 vector of 0s and 1s, and row k of
+    ``votes`` the (0-votes, 1-votes, abstentions) of bit k's pairs, as
+    ``run_channel`` draws them. A bit decodes to 1 when its 1-votes
+    outnumber its 0-votes. Ties, all-abstain bits included, are decided by
+    a fair coin, one uniform each in bit order, and counted in
+    ``coin_flips``.
     """
     zeros, ones = votes[:, 0], votes[:, 1]
     decoded = (ones > zeros).astype(np.int64)

@@ -4,9 +4,10 @@ Random states and unitaries for instance generation, computational basis
 kets, kets stacked into the library's ``(N, d)`` state arrays, config
 amplitude pairs, Hermitian operators with their spectra, Gram matrices,
 the rank count and trace distances, explicit tensor products and partial
-traces, a full-system Born measurement, the illegal cloner's output
-materialized as one joint ket, and a memoized replay of
-``signalling.group_verify``'s sequential collapse on such a ket.
+traces, a full-system Born measurement, a joint clone ket (``JointKet``)
+and its verification by sequential collapse (``joint_verify``, and
+``CollapseTree``, a memoized replay of it), and the illegal cloner's
+output materialized as one joint ket.
 The library computes laws in closed form on state arrays; these are the
 explicit constructions it is checked against.
 """
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from pqclone.errors import ConfigError
-from pqclone.pqcm import CloneOutput, IllegalClonerSpec
+from pqclone.pqcm import IllegalClonerSpec
 from pqclone.qcore import (
     MAX_DIM,
     RANK_TOL,
@@ -26,9 +27,10 @@ from pqclone.qcore import (
     SeededRng,
     _check_orthonormal,
     _frozen,
+    normalize,
     state_set,
 )
-from pqclone.signalling import PHI, _measure_clone, group_sizes
+from pqclone.signalling import PHI, group_sizes
 
 HERM_TOL = 1e-10
 
@@ -193,9 +195,90 @@ def born_measure(state: Ket, basis: Sequence[Ket], rng: SeededRng) -> tuple[int,
     return outcome, basis[outcome]
 
 
+@dataclass(frozen=True, eq=False)
+class JointKet:
+    """One joint ket over ``copies`` clone factors of dimension ``clone_dim``,
+    behind an untouched leading register of dimension ``lead_dim``; the
+    amplitudes are read-only and the leading register is the slowest index.
+    """
+
+    state: np.ndarray
+    copies: int
+    clone_dim: int
+    lead_dim: int = 1
+
+    def __post_init__(self):
+        state = _frozen(self.state)
+        if state.shape != (self.lead_dim * self.clone_dim**self.copies,):
+            raise ConfigError(
+                f"joint shape {state.shape} != {self.lead_dim} * "
+                f"{self.clone_dim}**{self.copies}"
+            )
+        object.__setattr__(self, "state", state)
+
+
+def _project(joint: JointKet, vec: np.ndarray, clone_idx: int, onto: np.ndarray):
+    """(success probability, block, amp) of projecting clone ``clone_idx`` of
+    ``vec`` onto ``onto``: ``block`` is ``vec`` with that factor as its middle
+    axis and ``amp`` the factor's overlap with ``onto``."""
+    pre = joint.lead_dim * joint.clone_dim**clone_idx
+    post = joint.clone_dim ** (joint.copies - clone_idx - 1)
+    block = vec.reshape(pre, joint.clone_dim, post)
+    amp = np.einsum("d,pdq->pq", onto.conj(), block)
+    return min(float(np.real(np.vdot(amp, amp))), 1.0), block, amp
+
+
+def _collapse(vec, block, amp, onto, success: bool) -> np.ndarray:
+    """``vec`` after a clone test with this outcome, renormalized."""
+    if success:
+        collapsed = np.einsum("d,pq->pdq", onto, amp).reshape(-1)
+    else:
+        collapsed = (block - np.einsum("d,pq->pdq", onto, amp)).reshape(-1)
+    norm = np.linalg.norm(collapsed)
+    if norm < 1e-15:
+        # a zero branch is reachable only through roundoff at p in {0, 1}
+        return vec
+    return collapsed / norm
+
+
+def _verdict(outcomes, sizes) -> int:
+    """Column l (1-based) when group l alone is all-success, else PHI."""
+    winners = []
+    start = 0
+    for l, size in enumerate(sizes):
+        if all(outcomes[start : start + size]):
+            winners.append(l)
+        start += size
+    return winners[0] + 1 if len(winners) == 1 else PHI
+
+
+def _targets(candidates: np.ndarray, sizes) -> list:
+    """The candidate each clone is projected onto, in clone order."""
+    return [c for c, size in zip(candidates, sizes) for _ in range(size)]
+
+
+def joint_verify(joint: JointKet, candidates: np.ndarray, rng: SeededRng) -> int:
+    """``signalling.group_verify``'s rule on one joint ket, by sequential collapse.
+
+    Clone i of the mu = ``joint.copies`` clones is tested against the
+    candidate of its group (``group_sizes``) with one ``rng.random()`` draw,
+    in clone order, and the ket collapses onto the outcome before the next
+    test.
+    """
+    sizes = group_sizes(joint.copies, len(candidates))
+    vec = joint.state
+    outcomes = []
+    for clone_idx, onto in enumerate(_targets(candidates, sizes)):
+        p_succ, block, amp = _project(joint, vec, clone_idx, onto)
+        success = rng.random() < p_succ
+        vec = _collapse(vec, block, amp, onto, success)
+        outcomes.append(success)
+    return _verdict(outcomes, sizes)
+
+
 def materialize_illegal_output(
     spec: IllegalClonerSpec, input_label: int, all_states: np.ndarray
-) -> tuple[CloneOutput, np.ndarray]:
+) -> tuple[JointKet, np.ndarray]:
     """Build the output decomposition as one explicit joint ket.
 
     Branches are kept exactly decoherent: each clonable branch lives
@@ -204,7 +287,7 @@ def materialize_illegal_output(
     that level so each projective test fails with certainty. Measuring
     the result clone by clone therefore reproduces the branch-sampling
     statistics. ``all_states`` holds the preparation of label k as row
-    k-1. Returns the joint record plus the candidate states embedded into
+    k-1. Returns the joint ket plus the candidate states embedded into
     the enlarged clone space, one per row.
     """
     if len(all_states) != spec.total_labels:
@@ -250,78 +333,45 @@ def materialize_illegal_output(
             product = np.kron(product, factor)
         vec[flag * block : (flag + 1) * block] = amps[flag] * product
 
-    out = CloneOutput.joint_state(
-        Ket.normalized(vec), spec.copies, clone_dim, lead_dim=lead_dim
-    )
-    return out, embedded
-
-
-class _Forced:
-    """A stand-in stream whose one draw forces a clone test's outcome."""
-
-    def __init__(self, success: bool):
-        self.draw = -1.0 if success else 2.0  # below / above any probability
-
-    def random(self) -> float:
-        return self.draw
+    return JointKet(normalize(vec), spec.copies, clone_dim, lead_dim), embedded
 
 
 class CollapseTree:
-    """``group_verify`` on one joint ket, memoized per outcome prefix.
+    """``joint_verify`` on one joint ket, memoized per outcome prefix.
 
-    The joint path of ``group_verify`` tests clone after clone, one
-    ``rng.random()`` draw each, and collapses the ket after every test. The
-    next test's success probability depends only on the outcomes so far,
-    so a run of mu clones has at most 2^mu prefixes. Each prefix's
-    collapsed ket and success probability are computed once, with the same
-    arithmetic as ``_measure_clone``, so ``verdict`` reaches the same
-    column as ``group_verify`` from the same stream.
+    ``joint_verify`` tests clone after clone, one ``rng.random()`` draw
+    each, and collapses the ket after every test. The next test's success
+    probability depends only on the outcomes so far, so a run of mu clones
+    has at most 2^mu prefixes. Each prefix's projection and collapsed ket
+    are computed once, by the same ``_project`` and ``_collapse``, so
+    ``verdict`` reaches the same column as ``joint_verify`` from the same
+    stream.
     """
 
-    def __init__(self, clones: CloneOutput, candidates: np.ndarray, mu: int):
-        if clones.kind != "joint" or clones.copies != mu:
-            raise ValueError("need a joint clone record of mu copies")
-        self.clones = clones
-        self.mu = mu
-        self.sizes = group_sizes(mu, len(candidates))
-        self.onto = [c for c, size in zip(candidates, self.sizes) for _ in range(size)]
-        self.kets = {(): clones.state.amplitudes}  # prefix -> collapsed ket
-        self.thresholds = {}  # prefix -> success probability of the next test
+    def __init__(self, joint: JointKet, candidates: np.ndarray):
+        self.joint = joint
+        self.sizes = group_sizes(joint.copies, len(candidates))
+        self.onto = _targets(candidates, self.sizes)
+        self.kets = {(): joint.state}  # prefix -> collapsed ket
+        self.tests = {}  # prefix -> _project of the next clone test
 
-    def _threshold(self, prefix: tuple) -> float:
-        if prefix not in self.thresholds:
-            clones, idx = self.clones, len(prefix)
-            pre = clones.lead_dim * clones.clone_dim**idx
-            post = clones.clone_dim ** (self.mu - idx - 1)
-            block = self.kets[prefix].reshape(pre, clones.clone_dim, post)
-            amp = np.einsum("d,pdq->pq", self.onto[idx].conj(), block)
-            self.thresholds[prefix] = min(float(np.real(np.vdot(amp, amp))), 1.0)
-        return self.thresholds[prefix]
-
-    def _child(self, prefix: tuple, success: bool) -> tuple:
-        child = prefix + (success,)
-        if child not in self.kets:
-            clones, idx = self.clones, len(prefix)
-            _, self.kets[child] = _measure_clone(
-                self.kets[prefix],
-                clones.lead_dim,
-                clones.clone_dim,
-                self.mu,
-                idx,
-                self.onto[idx],
-                _Forced(success),
+    def _test(self, prefix: tuple) -> tuple:
+        if prefix not in self.tests:
+            idx = len(prefix)
+            self.tests[prefix] = _project(
+                self.joint, self.kets[prefix], idx, self.onto[idx]
             )
-        return child
+        return self.tests[prefix]
 
     def verdict(self, rng: SeededRng) -> int:
-        """The column ``group_verify`` returns for this ket and stream."""
+        """The column ``joint_verify`` returns for this ket and stream."""
         prefix = ()
-        for u in rng.uniforms(self.mu):
-            prefix = self._child(prefix, bool(u < self._threshold(prefix)))
-        winners = []
-        start = 0
-        for l, size in enumerate(self.sizes):
-            if all(prefix[start : start + size]):
-                winners.append(l)
-            start += size
-        return winners[0] + 1 if len(winners) == 1 else PHI
+        for u in rng.uniforms(self.joint.copies):
+            p_succ, block, amp = self._test(prefix)
+            child = prefix + (bool(u < p_succ),)
+            if child not in self.kets:
+                self.kets[child] = _collapse(
+                    self.kets[prefix], block, amp, self.onto[len(prefix)], child[-1]
+                )
+            prefix = child
+        return _verdict(prefix, self.sizes)

@@ -18,10 +18,10 @@ import numpy as np
 from pqclone import qcore, signalling
 from pqclone.entangle import AliceBasis, build_shared_state
 from pqclone.errors import ConfigError
-from pqclone.pqcm import CloneOutput, IllegalClonerSpec
+from pqclone.pqcm import IllegalClonerSpec
 from pqclone.qcore import Ket, SeededRng
 
-from born import average_density, basis_ket, trace_distance
+from born import JointKet, average_density, basis_ket, joint_verify, trace_distance
 
 
 def char_poly_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -339,15 +339,15 @@ def high_precision_legal_law(
     return law
 
 
-def projected_column_law(clones: CloneOutput, candidates, mu: int) -> np.ndarray:
-    """[P(col 1..K), P(PHI)] of a joint clone record, without sampling.
+def projected_column_law(joint: JointKet, candidates) -> np.ndarray:
+    """[P(col 1..K), P(PHI)] of a joint clone ket, without sampling.
 
     The group projectors are applied to the explicit joint ket by
     inclusion-exclusion, and the leading (flag) register is summed out.
     """
-    sizes = split_sizes(mu, len(candidates))
-    phi = clones.state.amplitudes.reshape(
-        (clones.lead_dim,) + tuple(clones.clone_dim**g for g in sizes)
+    sizes = split_sizes(joint.copies, len(candidates))
+    phi = joint.state.reshape(
+        (joint.lead_dim,) + tuple(joint.clone_dim**g for g in sizes)
     )
     only = _only_group_masses(phi, _group_bras(candidates, sizes)).sum(axis=0)
     return np.append(only, 1.0 - only.sum())
@@ -391,14 +391,14 @@ def run_one_pair(config, ctx, setting: int, rng: SeededRng):
     outcome, bob_state = signalling.alice_measure(ctx.shared, ctx.bases[setting], rng)
     row = setting * config.n + outcome
     if isinstance(config.machine, IllegalClonerSpec):
-        out = signalling.illegal_clone(config.machine, row + 1, ctx.all_states, rng)
-    else:
-        success, ket = signalling.apply_machine(config.machine, bob_state, rng)
-        if not success:
-            return row, None
-        out = CloneOutput.joint_state(ket, config.mu, config.n)
-    column = signalling.group_verify(out, ctx.candidates, config.mu, rng)
-    return row, column
+        label = signalling.illegal_clone(config.machine, row + 1, rng)
+        single = None if label is None else ctx.all_states[label - 1]
+        return row, signalling.group_verify(single, ctx.candidates, config.mu, rng)
+    success, ket = signalling.apply_machine(config.machine, bob_state, rng)
+    if not success:
+        return row, None
+    joint = JointKet(ket.amplitudes, config.mu, config.n)
+    return row, joint_verify(joint, ctx.candidates, rng)
 
 
 def trajectory_tally(config, setting: int, trials: int, seed: int) -> np.ndarray:

@@ -38,6 +38,7 @@ from born import (
     CollapseTree,
     basis_ket,
     haar_unitary,
+    joint_verify,
     materialize_illegal_output,
     random_ket,
     rank_with_tolerance,
@@ -291,24 +292,25 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
             p = config.context.probs[1, 1]
             row = column_law(config)[1, 1, :4] / p
             joint, embedded = materialize_illegal_output(exact_spec, 4, all_states)
-            projected = projected_column_law(joint, embedded, mu)
+            projected = projected_column_law(joint, embedded)
             gap = float(np.max(np.abs(projected - row)))
             assert gap <= 1e-12, f"mu={mu}: {projected} vs {row}"
             worst_exact = max(worst_exact, gap)
 
         joint, embedded = materialize_illegal_output(spec, 4, all_states)
-        # group_verify's sequential collapse, memoized per outcome prefix;
-        # the first 1 000 trials also run group_verify itself and must agree
-        collapse = CollapseTree(joint, embedded, mu)
+        # joint_verify's sequential collapse, memoized per outcome prefix;
+        # the first 1 000 trials also run joint_verify itself and must agree
+        collapse = CollapseTree(joint, embedded)
         freq = np.zeros((2, 4))
         for t in range(trials):
             col = collapse.verdict(SeededRng(seed, t))
             if t < 1_000:
-                assert col == group_verify(joint, embedded, mu, SeededRng(seed, t))
+                assert col == joint_verify(joint, embedded, SeededRng(seed, t))
             freq[0, 3 if col == PHI else col - 1] += 1
             rng = SeededRng(seed + 1, t)
-            out = illegal_clone(spec, 4, all_states, rng)
-            col = group_verify(out, all_states[:3], mu, rng)
+            label = illegal_clone(spec, 4, rng)
+            single = None if label is None else all_states[label - 1]
+            col = group_verify(single, all_states[:3], mu, rng)
             freq[1, 3 if col == PHI else col - 1] += 1
         freq /= trials
         for k in range(4):
@@ -324,7 +326,7 @@ def test_criterion_7_materialized_joint_matches_branch_sampling():
         )
         rng = SeededRng(912)
         assert all(
-            group_verify(joint_junk, embedded_junk, mu, rng) == PHI for _ in range(50)
+            joint_verify(joint_junk, embedded_junk, rng) == PHI for _ in range(50)
         )
     report(
         7,

@@ -52,7 +52,8 @@ from oracles import (
     trajectory_tally,
 )
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+CONFIGS = REPO / "configs"
 KET0 = basis_ket(2, 0)
 KET1 = basis_ket(2, 1)
 
@@ -527,6 +528,50 @@ def test_law_matches_born_rule_trajectories(case):
         assert mean.min() >= 5.0
         z = (counts[~zero] - mean) / np.sqrt(mean * (1.0 - p[~zero]))
         assert np.abs(z).max() <= 5.0, f"{case} A{setting + 1}: z = {z}"
+
+
+# The Born-rule reference's exact verdicts, as (trials, A1 counts, A2
+# counts) of trajectory_tally at seed 1: the three benchmark configs, and
+# the mixed illegal cloner, whose unclonable label draws a branch and whose
+# overlapping candidates draw every clone test
+PINNED_TRAJECTORIES = {
+    "illegal_n2": (
+        300,
+        [[167, 0, 0, 0, 0], [0, 133, 0, 0, 0]],
+        [[0, 0, 144, 0, 0], [0, 0, 0, 156, 0]],
+    ),
+    "illegal_n2_mu6_mixed": (
+        300,
+        [[122, 0, 0, 45, 0], [0, 106, 0, 27, 0]],
+        [[0, 0, 90, 54, 0], [35, 42, 21, 58, 0]],
+    ),
+    "legal_n2": (
+        300,
+        [[38, 0, 0, 44, 85], [0, 19, 0, 35, 79]],
+        [[9, 17, 0, 38, 157], [10, 18, 0, 43, 8]],
+    ),
+    "legal_n3_wide": (
+        60,
+        [[3, 0, 0, 0, 5, 15], [0, 3, 0, 0, 1, 16], [0, 0, 1, 0, 3, 13]],
+        [[0, 0, 1, 0, 4, 28], [0, 2, 0, 0, 3, 8], [1, 1, 2, 0, 3, 7]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_TRAJECTORIES))
+def test_born_rule_trajectories_are_pinned(case):
+    # any change to a draw or a verdict of the per-pair reference moves
+    # these counts, where the z-bound above would let it pass
+    if case == "illegal_n2_mu6_mixed":
+        config = _illegal_mixed(6, 0)
+    else:
+        folder = REPO / "bench" if case == "legal_n3_wide" else CONFIGS
+        path = folder / f"{case}.json"
+        config = build_protocol(RunConfig.load(path), path.parent)
+    trials, *expected = PINNED_TRAJECTORIES[case]
+    for setting in (0, 1):
+        counts = trajectory_tally(config, setting, trials, seed=1)
+        np.testing.assert_array_equal(counts, expected[setting])
 
 
 class TestStreamId:

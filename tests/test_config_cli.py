@@ -684,6 +684,39 @@ class TestCliOutPath:
         )
         assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("legal_n2", "states_file", "st\0.txt", "cannot read states file {dir}/st\0.txt"),
+            ("illegal_n2", "out", "a\0b", "cannot write {dir}/a\0b/tally.json"),
+        ],
+        ids=["states_file", "out"],
+    )
+    def test_nul_in_a_config_path_exits_1_with_one_line(
+        self, tmp_path, monkeypatch, capsys, name, key, value, message
+    ):
+        # os.open refuses a NUL with ValueError, not OSError
+        monkeypatch.chdir(tmp_path)
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data[key] = value
+        cfg = tmp_path / "nul.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "400"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            "error: " + message.format(dir=tmp_path) + ": embedded null byte\n"
+        )
+        assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
+
+    def test_nul_in_out_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(self.ARGV["feasibility"] + ["--out", "x\0y"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: cannot write x\0y: embedded null byte\n"
+        assert captured.out == "" and list(tmp_path.iterdir()) == []
+
 
 class TestCliSignalTest:
     def run_demo(self, tmp_path, fmt, out_name, trials="400"):

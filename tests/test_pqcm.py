@@ -619,24 +619,17 @@ class TestApplyMachine:
 
 
 class TestIllegalCloner:
-    def all_states(self):
-        plus = Ket.normalized([1, 1])
-        minus = Ket.normalized([1, -1])
-        return state_rows((KET0, KET1, plus, minus))
-
-    def test_clonable_label_copies(self):
+    def test_clonable_label_copies_itself_without_a_draw(self):
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)
         rng = SeededRng(311)
-        out = illegal_clone(spec, 3, self.all_states(), rng)
-        assert out.kind == "copies"
-        assert out.label == 3 and out.copies == 8
+        assert illegal_clone(spec, 3, rng) == 3
+        np.testing.assert_array_equal(rng.uniforms(3), SeededRng(311).uniforms(3))
 
     def test_default_junk_branch(self):
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)
         rng = SeededRng(312)
         for _ in range(50):
-            out = illegal_clone(spec, 4, self.all_states(), rng)
-            assert out.kind == "junk"
+            assert illegal_clone(spec, 4, rng) is None
 
     def test_uniform_branch_frequencies(self):
         c = np.sqrt([1 / 3, 1 / 3, 1 / 3])
@@ -653,9 +646,7 @@ class TestIllegalCloner:
         branches = np.searchsorted(edges, SeededRng(313).uniforms(trials), side="right")
         labels = spec.clonable_labels + (None,)  # the last branch is junk
         rng = SeededRng(313)
-        replay = [
-            illegal_clone(spec, 4, self.all_states(), rng).label for _ in range(1_000)
-        ]
+        replay = [illegal_clone(spec, 4, rng) for _ in range(1_000)]
         assert replay == [labels[b] for b in branches[:1_000]]
         counts = np.bincount(branches, minlength=4)
         for l in range(3):
@@ -664,9 +655,9 @@ class TestIllegalCloner:
     def test_label_out_of_range(self):
         spec = IllegalClonerSpec(clonable_labels=(1, 2, 3), copies=8, total_labels=4)
         with pytest.raises(ConfigError, match=r"label 5 outside 1\.\.4"):
-            illegal_clone(spec, 5, self.all_states(), SeededRng(314))
+            illegal_clone(spec, 5, SeededRng(314))
         with pytest.raises(ConfigError, match=r"label 0 outside 1\.\.4"):
-            illegal_clone(spec, 0, self.all_states(), SeededRng(314))
+            illegal_clone(spec, 0, SeededRng(314))
 
     def test_branch_weights_one_row_per_label(self):
         # clonable labels are their own branch, listed labels their |c|^2 and

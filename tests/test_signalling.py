@@ -12,23 +12,18 @@ from pqclone import config as config_mod
 from pqclone import qcore, signalling
 from pqclone.entangle import AliceBasis, build_shared_state, induced_states
 from pqclone.errors import ConfigError
-from pqclone.pqcm import (
-    CloneOutput,
-    IllegalClonerSpec,
-    construct_machine,
-    max_uniform_gamma,
-)
+from pqclone.pqcm import IllegalClonerSpec, construct_machine, max_uniform_gamma
 from pqclone.qcore import Ensemble, Ket, SeededRng
 from pqclone.signalling import (
     _CHANNEL_STREAM,
     _PROTOCOL_STREAM,
     _VOTE_STREAM,
     PHI,
+    _majority,
     ProtocolConfig,
     TallyTable,
     analytic_leakage,
     analytic_no_signal_certificate,
-    channel_accuracy,
     column_law,
     group_sizes,
     group_verify,
@@ -40,9 +35,11 @@ from pqclone.signalling import (
 
 from born import (
     CollapseTree,
+    JointKet,
     basis_ket,
     haar_unitary,
     inner_product,
+    joint_verify,
     materialize_illegal_output,
     random_ket,
     state_rows,
@@ -123,23 +120,20 @@ class TestGroupVerify:
         candidates = np.eye(3, dtype=complex)
         rng = SeededRng(400)
         for l, cand in enumerate(candidates):
-            out = CloneOutput.exact_copies(l + 1, Ket(cand), 9)
             for _ in range(20):
-                assert group_verify(out, candidates, 9, rng) == l + 1
+                assert group_verify(cand, candidates, 9, rng) == l + 1
 
     def test_junk_marker_always_phi(self):
         candidates = state_rows((KET0, KET1, PLUS))
         rng = SeededRng(401)
-        out = CloneOutput.junk(6)
         for _ in range(50):
-            assert group_verify(out, candidates, 6, rng) == PHI
+            assert group_verify(None, candidates, 6, rng) == PHI
 
     def test_duplicate_candidates_tie_to_phi(self):
         candidates = state_rows((KET0, KET0, KET1))
-        out = CloneOutput.exact_copies(1, KET0, 6)
         rng = SeededRng(402)
         for _ in range(50):
-            assert group_verify(out, candidates, 6, rng) == PHI
+            assert group_verify(KET0.amplitudes, candidates, 6, rng) == PHI
 
     def test_column_frequencies_match_independent_group_law(self):
         candidates = (KET0, KET1, PLUS)
@@ -147,11 +141,10 @@ class TestGroupVerify:
         sizes = group_sizes(mu, len(candidates))
         rng = SeededRng(403)
         trials = 100_000
-        for label, single in ((3, PLUS), (1, KET0)):
+        for single in (PLUS, KET0):
             expected = exact_copy_column_distribution(
                 single.amplitudes, [c.amplitudes for c in candidates], mu
             )
-            out = CloneOutput.exact_copies(label, single, mu)
             # group_verify draws mu uniforms per trial; row t of one
             # (trials, mu) draw holds trial t's, so the verdicts are the same
             replay = copy.deepcopy(rng)
@@ -163,7 +156,9 @@ class TestGroupVerify:
             one_winner = group_ok.sum(axis=1) == 1
             cols = np.where(one_winner, group_ok.argmax(axis=1) + 1, PHI)
             rows = state_rows(candidates)
-            direct = [group_verify(out, rows, mu, replay) for _ in range(1_000)]
+            direct = [
+                group_verify(single.amplitudes, rows, mu, replay) for _ in range(1_000)
+            ]
             assert cols[:1_000].tolist() == direct
             counts = np.bincount(np.where(cols == PHI, 3, cols - 1), minlength=4)
             for k in range(4):
@@ -173,9 +168,21 @@ class TestGroupVerify:
 
     def test_mu_below_group_count_rejected(self):
         with pytest.raises(ConfigError):
-            group_verify(
-                CloneOutput.junk(2), state_rows((KET0, KET1, PLUS)), 2, SeededRng(404)
-            )
+            group_verify(None, state_rows((KET0, KET1, PLUS)), 2, SeededRng(404))
+
+    @pytest.mark.parametrize("mu", [3, 9])
+    def test_draws_mu_uniforms_for_copies_and_none_for_junk(self, mu):
+        # junk leaves the stream where it was; exact copies take exactly mu
+        # uniforms from it, whatever their verdict
+        candidates = state_rows((KET0, KET1, PLUS))
+        following = SeededRng(415).uniforms(mu + 4)
+        rng = SeededRng(415)
+        assert group_verify(None, candidates, mu, rng) == PHI
+        np.testing.assert_array_equal(rng.uniforms(4), following[:4])
+        for single in (KET0, PLUS, MINUS):
+            rng = SeededRng(415)
+            group_verify(single.amplitudes, candidates, mu, rng)
+            np.testing.assert_array_equal(rng.uniforms(4), following[mu:])
 
     def test_joint_exact_copies_match_product_law(self):
         # sequential collapse on a true product state reproduces the
@@ -185,17 +192,17 @@ class TestGroupVerify:
         joint = PLUS.amplitudes
         for _ in range(mu - 1):
             joint = np.kron(joint, PLUS.amplitudes)
-        out = CloneOutput.joint_state(Ket(joint), mu, 2)
+        out = JointKet(joint, mu, 2)
         expected = exact_copy_column_distribution(PLUS.amplitudes, list(candidates), mu)
-        # group_verify's sequential collapse, memoized per outcome prefix;
-        # the first 1 000 trials also run group_verify itself and must agree
-        collapse = CollapseTree(out, candidates, mu)
+        # joint_verify's sequential collapse, memoized per outcome prefix;
+        # the first 1 000 trials also run joint_verify itself and must agree
+        collapse = CollapseTree(out, candidates)
         rng = SeededRng(405)
         trials = 20_000
         counts = np.zeros(4)
         for t in range(trials):
             if t < 1_000:
-                direct = group_verify(out, candidates, mu, copy.deepcopy(rng))
+                direct = joint_verify(out, candidates, copy.deepcopy(rng))
             col = collapse.verdict(rng)
             if t < 1_000:
                 assert col == direct
@@ -320,6 +327,16 @@ class TestStatsFromTally:
         np.testing.assert_array_equal(tally.cells, np.full((2, 2, 5), 3))
         assert tally.classified == (24, 24)
 
+    def test_the_callers_array_stays_its_own(self):
+        # the tally freezes its own copy, so the caller may still write to
+        # an int64 array it passed, and doing so leaves the tally as it was
+        cells = np.ones((2, 2, 5), dtype=np.int64)
+        tally = TallyTable(cells)
+        assert cells.flags.writeable and not tally.cells.flags.writeable
+        cells[0, 0, 0] = 7
+        np.testing.assert_array_equal(tally.cells, np.ones((2, 2, 5)))
+        assert tally.classified == (8, 8)
+
 
 class TestRunProtocol:
     def test_illegal_structure(self):
@@ -440,7 +457,7 @@ class TestChannel:
         # per-pair votes (0, 0, 1) and (1, abstain, 1) as per-bit counts
         sent = np.array([0, 1])
         votes = np.array([[2, 1, 0], [0, 2, 1]])
-        result = channel_accuracy(sent, votes, 3, SeededRng(406))
+        result = _majority(sent, votes, SeededRng(406))
         assert result.decoded == (0, 1)
         assert result.accuracy == 1.0
         assert result.coin_flips == 0
@@ -450,13 +467,13 @@ class TestChannel:
         rekeys = []
         monkeypatch.setattr(qcore, "_rekey", lambda *key: rekeys.append(key))
         rng = SeededRng(408)
-        result = channel_accuracy(np.array([0, 1]), np.array([[2, 1, 0], [0, 2, 1]]), 3, rng)
+        result = _majority(np.array([0, 1]), np.array([[2, 1, 0], [0, 2, 1]]), rng)
         assert result.coin_flips == 0
         assert rekeys == [] and qcore._holder() is not rng
 
     def test_all_abstain_block_is_coin_flip(self):
         votes = np.array([[0, 0, 4]])
-        result = channel_accuracy(np.array([1]), votes, 4, SeededRng(407))
+        result = _majority(np.array([1]), votes, SeededRng(407))
         assert result.coin_flips == 1
         assert result.decoded[0] in (0, 1)
 
@@ -510,10 +527,10 @@ class TestChannel:
         [(name, None) for name in sorted(DEMO_CONFIGS)]
         + [(name, k) for name in ("illegal_n2", "legal_n2") for k in (1, 2)],
     )
-    def test_run_channel_decodes_as_channel_accuracy(self, name, pairs_per_bit, monkeypatch):
-        # run_channel skips the public decoder's checks, not its rule: the
-        # votes it drew, decoded by channel_accuracy with a fresh vote
-        # stream, give the same result, coin flips included
+    def test_run_channel_decodes_as_per_pair_reference(self, name, pairs_per_bit, monkeypatch):
+        # the votes run_channel drew, spread back into one vote per pair and
+        # decoded pair by pair with a fresh vote stream, give the same
+        # result, coin flips included
         caught = []
         decode = signalling._majority
 
@@ -527,8 +544,21 @@ class TestChannel:
         message = random_message(cfg.seed, 400)
         result = run_channel(cfg, message)
         [(sent, votes)] = caught
-        vote_rng = SeededRng(cfg.seed, _VOTE_STREAM)
-        assert result == channel_accuracy(sent, votes, cfg.pairs_per_bit, vote_rng)
+        pairs = [
+            (bit, vote)
+            for bit, counts in zip(sent.tolist(), votes.tolist())
+            for vote, count in zip((0, 1, None), counts)
+            for _ in range(count)
+        ]
+        reference = channel_accuracy_by_pairs(
+            pairs, cfg.pairs_per_bit, SeededRng(cfg.seed, _VOTE_STREAM)
+        )
+        assert (
+            result.accuracy,
+            result.sent,
+            result.decoded,
+            result.coin_flips,
+        ) == reference
         assert result.sent == message
         if pairs_per_bit is not None:
             assert result.coin_flips > 0
@@ -617,10 +647,9 @@ class TestChannelOracle:
             for start in range(0, len(votes), pairs_per_bit)
         ]
         counts = [[block.count(v) for v in (0, 1, None)] for block in blocks]
-        result = channel_accuracy(
-            np.array(sent[::pairs_per_bit]),
-            np.array(counts),
-            pairs_per_bit,
+        result = _majority(
+            np.array(sent[::pairs_per_bit], dtype=np.int64),
+            np.array(counts, dtype=np.int64),
             SeededRng(seed, 2),
         )
         reference = channel_accuracy_by_pairs(
@@ -637,34 +666,6 @@ class TestChannelOracle:
     @given(st.integers(0, 2**64 - 1), st.integers(0, 300))
     def test_random_message_matches_per_draw_reference(self, seed, n_bits):
         assert random_message(seed, n_bits) == random_message_by_draws(seed, n_bits)
-
-    @pytest.mark.parametrize(
-        "sent, votes, pairs_per_bit",
-        [
-            ([0, 0], [[2, 0, 0], [1, 0, 0]], 2),  # a bit's counts miss a pair
-            ([], np.zeros((0, 3)), 3),  # no bits
-            ([2], [[1, 1, 0]], 2),  # a bit other than 0 or 1
-            ([0], [[3, -1, 0]], 2),  # a negative vote count
-            ([0, 1], [[1, 0, 0]], 1),  # one count row for two bits
-            ([0], [[0, 0, 0]], 0),  # no pairs per bit
-        ],
-        ids=[
-            "ragged",
-            "empty",
-            "non-binary-bit",
-            "bad-vote",
-            "length-mismatch",
-            "zero-pairs-per-bit",
-        ],
-    )
-    def test_bad_streams_rejected(self, sent, votes, pairs_per_bit):
-        with pytest.raises(ConfigError):
-            channel_accuracy(
-                np.array(sent, dtype=np.int64),
-                np.array(votes, dtype=np.int64),
-                pairs_per_bit,
-                SeededRng(413),
-            )
 
     @pytest.mark.parametrize("message", [(), ((0, 1), (1, 0))], ids=["empty", "2-d"])
     def test_run_channel_rejects_a_message_not_flat_and_non_empty(self, message):
@@ -735,26 +736,25 @@ class TestMaterialization:
         out, embedded = materialize_illegal_output(spec, 4, all_states)
         rng = SeededRng(411)
         for _ in range(40):
-            assert group_verify(out, embedded, 6, rng) == PHI
+            assert joint_verify(out, embedded, rng) == PHI
 
     def test_clonable_label_matches_product_record(self):
         spec, all_states = self.spec_and_states(6)
         out_joint, embedded = materialize_illegal_output(spec, 3, all_states)
-        out_product = CloneOutput.exact_copies(3, PLUS, 6)
         candidates = state_rows((KET0, KET1, PLUS))
         # the joint ket is tested as in test_joint_exact_copies_match_product_law
-        collapse = CollapseTree(out_joint, embedded, 6)
+        collapse = CollapseTree(out_joint, embedded)
         rng = SeededRng(412)
         trials = 8_000
         freq = np.zeros((2, 4))
         for t in range(trials):
             if t < 1_000:
-                direct = group_verify(out_joint, embedded, 6, copy.deepcopy(rng))
+                direct = joint_verify(out_joint, embedded, copy.deepcopy(rng))
             col = collapse.verdict(rng)
             if t < 1_000:
                 assert col == direct
             freq[0, 3 if col == PHI else col - 1] += 1
-            col = group_verify(out_product, candidates, 6, rng)
+            col = group_verify(PLUS.amplitudes, candidates, 6, rng)
             freq[1, 3 if col == PHI else col - 1] += 1
         freq /= trials
         for k in range(4):
