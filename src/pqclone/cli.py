@@ -21,12 +21,13 @@ import os
 import sys
 import textwrap
 import types
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import config as config_mod
 from . import pqcm, signalling
-from .errors import ConfigError, FeasibilityError, PqcloneError
+from .errors import ConfigError, FeasibilityError, PqcloneError, shown_path
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,7 +68,7 @@ def _write_text(path: str, text: str) -> None:
     The file is opened first; the parents are made only when that open
     finds one missing. A path that cannot be written, say one under a
     regular file or one with a NUL in it, raises PqcloneError, so the
-    command exits 1 with one line.
+    command exits 1 with one line (``shown_path``).
     """
     data = memoryview(text.encode())
     try:
@@ -82,35 +83,33 @@ def _write_text(path: str, text: str) -> None:
         finally:
             os.close(fd)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
-        raise PqcloneError(f"cannot write {path}: {exc}") from None
+        raise PqcloneError(f"cannot write {shown_path(path)}: {exc}") from None
 
 
-def _json_text(data: dict) -> str:
-    """``data`` as JSON text, indented by 2 with sorted keys, plus a newline."""
-    if data and _JSON_SCALARS.issuperset(map(type, data.values())):
-        return "{\n  " + _items_json(1).encode(data)[1:-1] + "\n}\n"
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-
-def _tally_json(header: list, rows: list) -> str:
-    """``_json_text({"columns": header, "rows": rows})`` for a nonempty
-    header and nonempty rows of scalars, each list from the C encoder."""
-    body = ",\n    ".join(
-        "[\n      " + _items_json(3).encode(row)[1:-1] + "\n    ]" for row in rows
-    )
-    return (
-        '{\n  "columns": [\n    ' + _items_json(2).encode(header)[1:-1]
-        + '\n  ],\n  "rows": [\n    ' + body + "\n  ]\n}\n"
-    )
-
-
-def _dump_json(data: dict, path: str) -> None:
-    _write_text(path, _json_text(data))
-
-
-def _dump_kv_csv(data: dict, path: str) -> None:
-    lines = ["key,value"] + [f"{key},{data[key]}" for key in sorted(data)]
-    _write_text(path, "\n".join(lines) + "\n")
+def _json_text(data, depth: int = 0) -> str:
+    """``data`` as ``json.dumps(indent=2, sort_keys=True)`` lays it out at
+    nesting ``depth``, plus a newline at depth 0: a flat list or dict in one
+    ``_items_json`` call, a nested one item by item with its str keys escaped
+    by the C encoder, and any other value (a numpy float, say) by json.dumps."""
+    is_dict = isinstance(data, dict)
+    indent = "  " * (depth + 1)
+    if not is_dict and not isinstance(data, (list, tuple)):
+        text = _items_json(0).encode(data) if type(data) in _JSON_SCALARS else json.dumps(data)
+    elif not data:
+        text = "{}" if is_dict else "[]"
+    else:
+        if _JSON_SCALARS.issuperset(map(type, data.values() if is_dict else data)):
+            items = _items_json(depth + 1).encode(data)[1:-1]
+        elif is_dict:
+            items = (",\n" + indent).join(
+                f"{encode_basestring_ascii(key)}: {_json_text(value, depth + 1)}"
+                for key, value in sorted(data.items())
+            )
+        else:
+            items = (",\n" + indent).join(_json_text(v, depth + 1) for v in data)
+        start, end = "{}" if is_dict else "[]"
+        text = f"{start}\n{indent}{items}\n{indent[2:]}{end}"
+    return text if depth else text + "\n"
 
 
 def _write_tally(tally: signalling.TallyTable, path: str, fmt: str) -> None:
@@ -126,7 +125,7 @@ def _write_tally(tally: signalling.TallyTable, path: str, fmt: str) -> None:
             lines.append(",".join(str(x) for x in row))
         _write_text(path, "\n".join(lines) + "\n")
     else:
-        _write_text(path, _tally_json(header, rows))
+        _write_text(path, _json_text({"columns": header, "rows": rows}))
 
 
 def _stats_record(
@@ -204,7 +203,7 @@ def cmd_feasibility(args) -> int:
     report["least_discard_mass"] = least
     report["feasible"] = feasible
     if out is not None:  # first, so a failed write prints no verdict
-        _dump_json(report, out)
+        _write_text(out, _json_text(report))
     print(f"feasible: {feasible}")
     print(f"least_discard_mass: {least!r}")
     if args.max_uniform:
@@ -230,7 +229,7 @@ def cmd_construct(args) -> int:
         "clone_residual": machine.clone_residual,
         "trace_residual": machine.trace_residual,
     }
-    _dump_json(dump, out)
+    _write_text(out, _json_text(dump))
     print(f"wrote machine to {args.out}")
     print(f"clone_residual: {machine.clone_residual!r}")
     print(f"trace_residual: {machine.trace_residual!r}")
@@ -268,9 +267,10 @@ def cmd_signal_test(args) -> int:
     _write_tally(tally, tally_path, fmt)
     record = _stats_record(stats, certificate, channel, run)
     if fmt == "csv":
-        _dump_kv_csv(record, stats_path)
+        lines = ["key,value"] + [f"{key},{record[key]}" for key in sorted(record)]
+        _write_text(stats_path, "\n".join(lines) + "\n")
     else:
-        _dump_json(record, stats_path)
+        _write_text(stats_path, _json_text(record))
 
     summary = (
         f"classified: A1={stats.classified[0]} A2={stats.classified[1]}",

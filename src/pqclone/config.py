@@ -3,7 +3,7 @@
 A states file is hand-writable plain text: comments start with '#', the
 first data line is the dimension, and every following data line is one
 state as interleaved real/imaginary amplitude pairs; it parses into one
-read-only ``(N, d)`` array of unit rows. A run config is a JSON document of
+``(N, d)`` array of unit rows. A run config is a JSON document of
 plain values; ``RunConfig`` mirrors it field for field so that
 parse(serialize(c)) == c exactly.
 """
@@ -19,7 +19,7 @@ from itertools import chain
 import numpy as np
 
 from . import entangle, pqcm, qcore, signalling
-from .errors import ConfigError
+from .errors import ConfigError, shown_path
 
 FORMATS = ("csv", "json")
 _READ_CHUNK = 1 << 16  # bytes per os.read of an input file; a config fits in one
@@ -34,7 +34,8 @@ def _read_text(path: str, what: str) -> str:
     descriptor with no text layer, decoded as UTF-8 whatever the locale.
     A file that cannot be read (a path with a NUL in it included), holds
     more than ``_READ_CAP`` bytes or is not UTF-8 raises ConfigError,
-    ``cannot read {what} {path}: ...``."""
+    ``cannot read {what} {shown_path(path)}: ...``."""
+    shown = shown_path(os.fspath(path))
     try:
         # a FIFO with no writer opens at once and reads as empty, where a
         # blocking open would wait for a writer for ever; the reads block,
@@ -49,13 +50,13 @@ def _read_text(path: str, what: str) -> str:
                 size += len(chunk)
                 if size > _READ_CAP:
                     raise ConfigError(
-                        f"cannot read {what} {path}: more than {_READ_CAP} bytes"
+                        f"cannot read {what} {shown}: more than {_READ_CAP} bytes"
                     )
         finally:
             os.close(fd)
         return b"".join(chunks).decode("utf-8")
     except (OSError, ValueError) as exc:  # a NUL in the path, or not UTF-8
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {shown}: {exc}") from None
 
 
 def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
@@ -65,6 +66,7 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
     hold several faults, the first line's is reported, as a line-by-line
     parse would.
     """
+    source = shown_path(source)
     dim: int | None = None
     values: list[float] = []  # every state's numbers, in file order
     linenos: list[int] = []  # the line of each state
@@ -120,11 +122,11 @@ def parse_states_text(text: str, source: str = "<string>") -> np.ndarray:
         raise ConfigError(f"{source}: no dimension line found")
     if not linenos:
         raise ConfigError(f"{source}: no states found")
-    return qcore.state_set(unit_rows())
+    return unit_rows()
 
 
 def load_states(path: str | os.PathLike) -> np.ndarray:
-    """The states file at ``path``; its errors name the path as given."""
+    """The states file at ``path``; its errors name it by ``shown_path``."""
     path = os.fspath(path)
     return parse_states_text(_read_text(path, "states file"), source=path)
 
@@ -319,7 +321,8 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
         return entangle.AliceBasis.fourier(n)
     if kind == "vectors":
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
-        columns = qcore.state_set(_state_rows(vectors, "a2 vectors entry")).T
+        rows = _state_rows(vectors, "a2 vectors entry")
+        columns = qcore.state_set(rows, "a2 vectors").T
         return entangle.AliceBasis(columns, "A2")
     target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")
     return entangle.target_to_basis(target, bob_states)

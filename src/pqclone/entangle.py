@@ -86,9 +86,9 @@ class SharedState:
 def build_shared_state(bob_states: np.ndarray) -> SharedState:
     """Construct (1/sqrt(N)) sum_n |n>_A |B_n> for Bob's states, one per row.
 
-    The Bob states must be normalized and of dimension N but need not be
-    orthogonal or independent; the joint state has norm 1 regardless
-    because Alice's labels are orthonormal.
+    Bob's states must be N unit states of dimension N (``qcore.bob_state_set``)
+    but need not be orthogonal or independent; the joint state has norm 1
+    regardless because Alice's labels are orthonormal.
     """
     bob_states = qcore.bob_state_set(bob_states)
     n = len(bob_states)
@@ -147,7 +147,7 @@ def alice_measure(
 def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
     """Alternate basis whose first outcome steers Bob into ``target``.
 
-    ``bob_states`` holds |B_n> as row n: N states of dimension N
+    ``bob_states`` holds |B_n> as row n: N unit states of dimension N
     (``qcore.bob_state_set``) that pass the rank rule, so B is square and
     invertible and every target lies in its span. Solves target = B c from
     the rank rule's SVD of B and sets a_1[n] = conj(c_n)/||c||, so the

@@ -27,3 +27,9 @@ class RankError(PqcloneError):
 class FeasibilityError(PqcloneError):
     """Requested cloning efficiencies admit no trace-non-increasing machine:
     the Gram verdict refuses them."""
+
+
+def shown_path(path: str) -> str:
+    """``path`` as error lines spell it: its ``repr`` unless every character is
+    printable, so a newline or a NUL neither breaks the line nor goes out raw."""
+    return path if path.isprintable() else repr(path)

@@ -120,7 +120,7 @@ class FactoredSet:
     uniform efficiency and the machine built at it factors the set once.
 
     A state of any other norm, or a copy count that is not such an
-    integer, raises ConfigError (``qcore.require_unit``,
+    integer, raises ConfigError (``qcore.state_set``,
     ``qcore.require_int``). Raises RankError when the set is dependent
     under the rank rule (``qcore.independent_svd``), which also caps
     cond(B) near 3.2e4.
@@ -141,8 +141,7 @@ class FactoredSet:
             raise ConfigError(f"copy count must be at least 2, got {m}")
         if m > MAX_COPIES:
             raise ConfigError(f"copy count must be at most 2**30, got {m}")
-        states = qcore.state_set(self.states)
-        qcore.require_unit(states, "clonable states")
+        states = qcore.state_set(self.states, "clonable states")
         b_mat = np.ascontiguousarray(states.T)
         u_mat, singulars, vh_mat = qcore.independent_svd(b_mat)
         pinv = (vh_mat.conj().T / singulars) @ u_mat.conj().T

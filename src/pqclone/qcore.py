@@ -49,15 +49,6 @@ def require_count(name: str, value) -> None:
         raise ConfigError(f"{name} must lie in [0, 2**62], got {value}")
 
 
-def require_unit(states: np.ndarray, what: str) -> None:
-    """Raise ConfigError unless every row of ``states`` has norm 1 within
-    ``NORM_TOL``; a NaN or infinite norm fails too. The Gram condition and
-    the laws are stated for unit states."""
-    norms = [math.sqrt(np.vdot(state, state).real) for state in states]
-    if not all(abs(norm - 1.0) <= NORM_TOL for norm in norms):
-        raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
-
-
 def _self_dots(x: np.ndarray):
     """The dot product of ``x``, or of each row of a stack, with itself:
     one BLAS dot per row, as ``np.linalg.norm`` computes for one vector, so
@@ -83,24 +74,12 @@ def normalize(values) -> np.ndarray:
     return arr / (norms[..., None] if arr.ndim > 1 else norms)
 
 
-def state_set(states) -> np.ndarray:
-    """A state set as one read-only complex ``(N, d)`` array, one state per row.
-
-    An exact ``np.ndarray`` that already is one, C-ordered, read-only and
-    owning its data, is returned as it is, so the stages of a run share one
-    array; anything else, a read-only view of a writable array included, is
-    copied.
+def state_set(states, what: str) -> np.ndarray:
+    """A state set as a new read-only, C-ordered complex ``(N, d)`` array,
+    one state per row, so its owner holds a copy no later write reaches.
+    Raises ConfigError, naming the set ``what``, unless every row has norm
+    1 within ``NORM_TOL`` (NaN fails): the laws are stated for unit states.
     """
-    if (
-        type(states) is np.ndarray
-        and states.dtype == np.complex128
-        and states.ndim == 2
-        and states.size
-        and states.flags.c_contiguous
-        and not states.flags.writeable
-        and states.flags.owndata
-    ):
-        return states
     try:
         arr = _frozen(states)
     except (TypeError, ValueError) as exc:  # say, ragged rows or None
@@ -109,11 +88,14 @@ def state_set(states) -> np.ndarray:
         raise ConfigError("a state set needs at least one nonempty state")
     if arr.ndim != 2:
         raise ConfigError(f"a state set is an (N, d) array, got shape {arr.shape}")
+    norms = [math.sqrt(np.vdot(state, state).real) for state in arr]
+    if not all(abs(norm - 1.0) <= NORM_TOL for norm in norms):
+        raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
     return arr
 
 
 def bob_state_set(states) -> np.ndarray:
-    """Bob's N >= 2 states of dimension N as one ``state_set``; raises
+    """Bob's N >= 2 unit states of dimension N as one ``state_set``; raises
     ConfigError otherwise. Each state's length is checked before the
     stack, so a ragged list gets the dimension message too."""
     try:
@@ -124,14 +106,10 @@ def bob_state_set(states) -> np.ndarray:
         ) from None
     if n < 2:
         raise ConfigError(f"need at least two Bob states, got {n}")
-    if isinstance(states, np.ndarray) and states.ndim == 2:
-        sizes = (states.shape[1],)  # the width of every row
-    else:
-        sizes = map(np.size, states)
-    for size in sizes:
+    for size in map(np.size, states):
         if size != n:
             raise ConfigError(f"Bob states must have dimension {n}, got {size}")
-    return state_set(states)
+    return state_set(states, "Bob states")
 
 
 @dataclass(frozen=True, eq=False)

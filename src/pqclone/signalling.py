@@ -202,7 +202,7 @@ class ProtocolConfig:
     """Everything one signalling run needs, including its random seed.
 
     ``bob_states`` holds Bob's N unit states of dimension N as the rows of
-    one read-only array. The copy count ``mu`` is the machine's own.
+    one read-only array of its own. The copy count ``mu`` is the machine's own.
     """
 
     bob_states: np.ndarray
@@ -213,17 +213,8 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("trials", "pairs_per_bit"):
-            qcore.require_int(name, getattr(self, name))
         bob_states = qcore.bob_state_set(self.bob_states)
         n = len(bob_states)
-        # a legal machine's FactoredSet has checked this very read-only array
-        shared = (
-            isinstance(self.machine, PqcmMachine)
-            and self.machine.clonable is bob_states
-        )
-        if not shared:
-            qcore.require_unit(bob_states, "Bob states")
         if not isinstance(self.machine, (PqcmMachine, IllegalClonerSpec)):
             raise ConfigError("machine must be a PqcmMachine or IllegalClonerSpec")
         if self.mu < n + 1:
@@ -232,6 +223,7 @@ class ProtocolConfig:
         # most 2**62, so counts of one setting sum without overflow
         for name in ("trials", "pairs_per_bit"):
             value = getattr(self, name)
+            qcore.require_int(name, value)
             if not 1 <= value <= 2**62:
                 raise ConfigError(f"{name} must lie in [1, 2**62], got {value}")
         if not isinstance(self.a2_basis, AliceBasis):
@@ -244,7 +236,7 @@ class ProtocolConfig:
                     f"cloner expects {self.machine.total_labels} labels, "
                     f"run has {2 * n}"
                 )
-        elif not shared:
+        else:
             # the legal law takes the clonable states to be B_1..B_N
             clonable = self.machine.clonable
             same_shape = clonable.shape == bob_states.shape

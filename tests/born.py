@@ -100,7 +100,7 @@ def inner_product(a: Ket, b: Ket) -> complex:
 
 def gram_matrix(states: Sequence[Ket]) -> HermitianOperator:
     """Matrix of pairwise inner products X[i,j] = <i|j>; Hermitian PSD."""
-    mat = state_set([s.amplitudes for s in states]).T  # the states as columns
+    mat = state_set([s.amplitudes for s in states], "Gram states").T  # as columns
     return HermitianOperator.from_matrix(mat.conj().T @ mat)
 
 

@@ -41,12 +41,11 @@ class TestStatesFile:
         states = parse_states_text("2\n3 0 4 0\n")
         assert np.linalg.norm(states[0]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_states_are_one_read_only_array(self):
+    def test_states_are_one_array(self):
+        # the parser's caller owns the array; the stages that keep it copy it
         states = parse_states_text("3\n1 0 0 0 0 0\n0 0 3 0 0 4\n")
         assert states.shape == (2, 3) and states.dtype == np.complex128
         np.testing.assert_allclose(states[1], [0, 0.6, 0.8j], rtol=0, atol=1e-15)
-        with pytest.raises(ValueError):
-            states[0, 0] = 0.0
 
     def test_wrong_token_count_reports_line(self):
         with pytest.raises(ConfigError, match=":3:"):
@@ -59,6 +58,12 @@ class TestStatesFile:
     def test_zero_norm_rejected(self):
         with pytest.raises(ConfigError, match="zero norm"):
             parse_states_text("2\n0 0 0 0\n")
+
+    def test_a_zero_state_exits_1_with_one_line_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "states.txt"
+        path.write_text("2\n1 0 0 0\n0 0 0 0\n")
+        assert cli.main(["feasibility", str(path), "-M", "2"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:3: state has zero norm\n"
 
     @pytest.mark.parametrize("later", ["1 0 x 0", "1 0 0", "0 0 0 0"])
     def test_first_faulty_line_is_reported(self, later):
@@ -456,7 +461,7 @@ class TestJsonLayout:
     def test_tally_text_is_the_documented_layout(self, header, rows):
         tally = {"columns": header, "rows": rows}
         expected = json.dumps(tally, indent=2, sort_keys=True) + "\n"
-        assert cli._tally_json(header, rows) == expected
+        assert cli._json_text(tally) == expected
 
     def test_tally_file_is_the_writers_view_of_the_cells(self, tmp_path):
         # one row per preparation, A1's then A2's; the discard cell is left out
@@ -687,15 +692,16 @@ class TestCliOutPath:
     @pytest.mark.parametrize(
         "name, key, value, message",
         [
-            ("legal_n2", "states_file", "st\0.txt", "cannot read states file {dir}/st\0.txt"),
-            ("illegal_n2", "out", "a\0b", "cannot write {dir}/a\0b/tally.json"),
+            ("legal_n2", "states_file", "st\0.txt", "cannot read states file {!r}"),
+            ("illegal_n2", "out", "a\0b", "cannot write {!r}"),
         ],
         ids=["states_file", "out"],
     )
     def test_nul_in_a_config_path_exits_1_with_one_line(
         self, tmp_path, monkeypatch, capsys, name, key, value, message
     ):
-        # os.open refuses a NUL with ValueError, not OSError
+        # os.open refuses a NUL with ValueError, not OSError; the path is
+        # spelt by its repr, so no raw control byte reaches stderr
         monkeypatch.chdir(tmp_path)
         data = json.loads((CONFIGS / f"{name}.json").read_text())
         data[key] = value
@@ -704,9 +710,11 @@ class TestCliOutPath:
         code = cli.main(["signal-test", str(cfg), "--trials", "400"])
         captured = capsys.readouterr()
         assert code == 1
+        path = os.path.join(tmp_path, value) + ("/tally.json" if key == "out" else "")
         assert captured.err == (
-            "error: " + message.format(dir=tmp_path) + ": embedded null byte\n"
+            "error: " + message.format(path) + ": embedded null byte\n"
         )
+        assert captured.err[:-1].isprintable()  # one line, no raw NUL
         assert captured.out == "" and list(tmp_path.iterdir()) == [cfg]
 
     def test_nul_in_out_exits_1_with_one_line(self, tmp_path, monkeypatch, capsys):
@@ -714,8 +722,59 @@ class TestCliOutPath:
         code = cli.main(self.ARGV["feasibility"] + ["--out", "x\0y"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: cannot write x\0y: embedded null byte\n"
+        assert captured.err == "error: cannot write 'x\\x00y': embedded null byte\n"
         assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+    def _blocker(self, tmp_path):
+        # a regular file with a newline in its name, so a path under it
+        # cannot be written
+        blocker = tmp_path / "blo\ncker"
+        blocker.write_text("")
+        return str(blocker)
+
+    def test_newline_in_a_states_file_path_exits_1_with_one_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        data = json.loads((CONFIGS / "legal_n2.json").read_text())
+        data["states_file"] = "st\n.txt"
+        cfg = tmp_path / "nl.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["signal-test", str(cfg), "--trials", "400"]) == 1
+        path = repr(os.path.join(tmp_path, "st\n.txt"))
+        assert capsys.readouterr().err == (
+            f"error: cannot read states file {path}: "
+            f"[Errno 2] No such file or directory: {path}\n"
+        )
+
+    def test_newline_in_an_input_path_exits_1_with_one_line(self, tmp_path, capsys):
+        path = str(tmp_path / "no\nsuch.txt")
+        assert cli.main(["feasibility", path, "-M", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot read states file {path!r}: "
+            f"[Errno 2] No such file or directory: {path!r}\n"
+        )
+
+    @pytest.mark.parametrize("command", ["feasibility", "signal-test"])
+    def test_newline_in_an_out_path_exits_1_with_one_line(self, tmp_path, capsys, command):
+        blocker = self._blocker(tmp_path)
+        out = blocker if command == "signal-test" else os.path.join(blocker, "r.json")
+        assert cli.main(self.ARGV[command] + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        written = os.path.join(blocker, "tally.json" if command == "signal-test" else "r.json")
+        assert captured.err == (
+            f"error: cannot write {written!r}: [Errno 20] Not a directory: {written!r}\n"
+        )
+        assert captured.out == ""
+
+    def test_a_nonprintable_states_file_path_is_spelt_by_repr_at_every_line(self):
+        # the PATH:LINE: prefix of a parse error, like a read error
+        with pytest.raises(ConfigError) as err:
+            parse_states_text("2\n1 0 x 0\n", source="s\t.txt")
+        assert str(err.value) == "'s\\t.txt':2: could not convert string to float: 'x'"
+        with pytest.raises(ConfigError) as err:
+            parse_states_text("# none\n", source="s\u00e9.txt")
+        assert str(err.value) == "s\u00e9.txt: no dimension line found"  # printable
 
 
 class TestCliSignalTest:

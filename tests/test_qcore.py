@@ -187,15 +187,10 @@ def _owned_subclass():
 
 
 class TestStateSet:
-    def test_a_frozen_state_set_is_shared(self):
-        # the stages of a run take the one array and copy none
-        states = qcore.state_set([[1.0, 0.0], [0.6, 0.8]])
-        assert qcore.state_set(states) is states
-        assert qcore.bob_state_set(states) is states
-
     @pytest.mark.parametrize(
         "make",
         [
+            lambda: qcore.state_set([[1.0, 0.0], [0.6, 0.8]], "states"),
             lambda: np.eye(2, dtype=np.complex128),
             lambda: _frozen(np.eye(2)),
             lambda: _frozen(np.asfortranarray([[1.0, 0.0], [0.6, 0.8]], complex)),
@@ -203,28 +198,59 @@ class TestStateSet:
             _owned_subclass,
             lambda: [[1.0, 0.0], [0.0, 1.0]],
         ],
-        ids=["writable", "real", "fortran", "read-only-view", "subclass", "list"],
+        ids=["state-set", "writable", "real", "fortran", "read-only-view", "subclass",
+             "list"],
     )
-    def test_anything_else_is_copied_once(self, make):
+    def test_every_input_is_copied(self, make):
+        # each owner holds a copy of its own, a checked state set's included
         source = make()
-        states = qcore.state_set(source)
-        assert states is not source
-        assert type(states) is np.ndarray and states.dtype == np.complex128
-        flags = states.flags
-        assert flags.c_contiguous and not flags.writeable and flags.owndata
-        np.testing.assert_array_equal(states, np.asarray(source))
-        assert qcore.state_set(states) is states
+        for states in (qcore.state_set(source, "states"), qcore.bob_state_set(source)):
+            assert states is not source
+            assert type(states) is np.ndarray and states.dtype == np.complex128
+            flags = states.flags
+            assert flags.c_contiguous and not flags.writeable and flags.owndata
+            np.testing.assert_array_equal(states, np.asarray(source))
 
     def test_a_read_only_view_does_not_follow_its_base(self):
         base = np.eye(2, dtype=np.complex128)
-        states = qcore.state_set(_frozen(base[:]))
+        states = qcore.state_set(_frozen(base[:]), "states")
         base[0, 0] = 5.0
         assert states[0, 0] == 1.0
 
+    def test_a_state_set_written_after_its_check_does_not_reach_the_copy(self):
+        source = qcore.state_set([[1.0, 0.0], [0.6, 0.8]], "states")
+        states = qcore.state_set(source, "states")
+        source.setflags(write=True)
+        source[1] = [0.0, 2.0]
+        np.testing.assert_array_equal(states, [[1.0, 0.0], [0.6, 0.8]])
+        with pytest.raises(ConfigError, match=r"^states must be unit vectors, got norms \[1\.0, 2\.0\]$"):
+            qcore.state_set(source, "states")
+
+    @pytest.mark.parametrize(
+        "rows, norms",
+        [
+            ([[2.0, 0.0], [0.0, 1.0]], "[2.0, 1.0]"),
+            ([[1.0, 0.0], [0.0, 1.0 + 2e-10]], "[1.0, 1.0000000002]"),
+            ([[1.0, 0.0], [np.nan, 0.0]], "[1.0, nan]"),
+            ([[1.0, 0.0], [np.inf, 0.0]], "[1.0, nan]"),  # inf * conj(inf)
+        ],
+        ids=["two", "off-by-2e-10", "nan", "inf"],
+    )
+    def test_a_row_that_is_not_unit_is_refused_naming_the_set(self, rows, norms):
+        with pytest.raises(ConfigError) as err:
+            qcore.state_set(rows, "clonable states")
+        assert str(err.value) == f"clonable states must be unit vectors, got norms {norms}"
+        with pytest.raises(ConfigError) as err:
+            qcore.bob_state_set(rows)
+        assert str(err.value) == f"Bob states must be unit vectors, got norms {norms}"
+
+    def test_a_norm_within_norm_tol_passes(self):
+        row = [0.0, 1.0 + 0.5 * qcore.NORM_TOL]
+        np.testing.assert_array_equal(qcore.state_set([[1.0, 0.0], row], "s")[1], row)
+
     def test_bob_state_width_is_checked_on_an_array(self):
-        states = qcore.state_set(np.eye(3, 2))
         with pytest.raises(ConfigError, match="^Bob states must have dimension 3, got 2$"):
-            qcore.bob_state_set(states)
+            qcore.bob_state_set(_frozen(np.eye(3, 2)))
 
 
 class TestGramAndRank:

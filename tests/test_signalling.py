@@ -10,9 +10,19 @@ from hypothesis import strategies as st
 
 from pqclone import config as config_mod
 from pqclone import qcore, signalling
-from pqclone.entangle import AliceBasis, build_shared_state, induced_states
+from pqclone.entangle import (
+    AliceBasis,
+    build_shared_state,
+    induced_states,
+    target_to_basis,
+)
 from pqclone.errors import ConfigError
-from pqclone.pqcm import IllegalClonerSpec, construct_machine, max_uniform_gamma
+from pqclone.pqcm import (
+    FactoredSet,
+    IllegalClonerSpec,
+    construct_machine,
+    max_uniform_gamma,
+)
 from pqclone.qcore import Ensemble, Ket, SeededRng
 from pqclone.signalling import (
     _CHANNEL_STREAM,
@@ -811,23 +821,42 @@ class TestProtocolConfigValidation:
             seed=1,
         )
 
-    def test_a_legal_run_shares_one_checked_state_set(self, monkeypatch):
-        # the machine's factored set checks Bob's array; the protocol
-        # config takes that same array and checks it no second time
-        calls = []
-        require_unit = qcore.require_unit
+    def test_each_stage_holds_its_own_copy(self):
+        # the factored set, the machine and the protocol config each hold a
+        # read-only copy, none of them the caller's array
+        states = state_rows((KET0, Ket.normalized([0.5, np.sqrt(0.75)])))
+        machine = construct_machine(states, 6, [0.3, 0.3])
+        legal = self._legal(states, machine)
+        owned = (machine.factored.states, machine.clonable, legal.bob_states)
+        assert owned[0] is not states and owned[2] is not states
+        assert owned[2] is not owned[1]
+        before = states.copy()
+        states[1] = [0.6, 0.8]  # reaches none of them
+        for array in owned:
+            np.testing.assert_array_equal(array, before)
+            assert not array.flags.writeable
 
-        def counted(states, what):
-            calls.append(what)
-            require_unit(states, what)
-
-        monkeypatch.setattr(qcore, "require_unit", counted)
-        legal = demo_protocol("legal_n2")
-        assert legal.machine.clonable is legal.bob_states
-        assert calls == ["clonable states"]
-        calls.clear()
-        demo_protocol("illegal_n2")
-        assert calls == ["Bob states"]
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0.0, 2.0], "Bob states must be unit vectors, got norms [1.0, 2.0]"),
+            ([0.6, 0.8], "machine clones other states than Bob's (amplitude gap 1.0e-01)"),
+        ],
+        ids=["not-unit", "other-unit-state"],
+    )
+    def test_a_state_set_written_after_the_machine_is_refused(self, row, message):
+        # an owning array can be made writable, rewritten and frozen again:
+        # the protocol config checks it again instead of trusting its identity
+        states = qcore.bob_state_set(
+            config_mod.load_states(REPO / "configs" / "states_legal_n2.txt")
+        )
+        machine = construct_machine(states, 6, [0.3, 0.3])
+        states.setflags(write=True)
+        states[1] = row
+        states.setflags(write=False)
+        with pytest.raises(ConfigError) as err:
+            self._legal(states, machine)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("gap", [0.0, 1e-11], ids=["copy", "gap-1e-11"])
     def test_another_clonable_array_is_compared(self, gap):
@@ -837,10 +866,10 @@ class TestProtocolConfigValidation:
         machine = construct_machine(clonable, 4, [0.4, 0.4])
         other = np.array(machine.clonable)
         other[1] = [0.6 - gap, np.sqrt(1 - (0.6 - gap) ** 2)]
-        bob_states = qcore.state_set(other)
-        assert bob_states is not machine.clonable
+        bob_states = qcore.state_set(other, "Bob states")
         if gap == 0.0:
-            assert self._legal(bob_states, machine).bob_states is bob_states
+            legal = self._legal(bob_states, machine)
+            np.testing.assert_array_equal(legal.bob_states, bob_states)
             return
         with pytest.raises(ConfigError) as err:
             self._legal(bob_states, machine)
@@ -849,10 +878,27 @@ class TestProtocolConfigValidation:
         )
 
     def test_a_frozen_non_unit_state_set_is_refused(self):
-        # a shared read-only array skips no check when no factored set took it
-        bob_states = qcore.state_set([[2.0, 0.0], [0.0, 1.0]])
+        bob_states = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
+        bob_states.setflags(write=False)
         with pytest.raises(ConfigError, match="^Bob states must be unit vectors"):
             self._legal(bob_states, IllegalClonerSpec((1, 2, 3), 4, 4))
+
+    @pytest.mark.parametrize(
+        "refuse, role",
+        [
+            (lambda rows: ProtocolConfig(
+                rows, AliceBasis.fourier(2), 10, 1, IllegalClonerSpec((1, 2, 3), 4, 4), 1
+            ), "Bob states"),
+            (build_shared_state, "Bob states"),
+            (lambda rows: target_to_basis(np.array([1.0, 0.0]), rows), "Bob states"),
+            (lambda rows: FactoredSet(rows, 3), "clonable states"),
+        ],
+        ids=["protocol-config", "shared-state", "target-basis", "factored-set"],
+    )
+    def test_each_refusal_is_one_line_naming_its_role(self, refuse, role):
+        with pytest.raises(ConfigError) as err:
+            refuse(np.array([[1.0, 0.0], [0.0, 3.0]]))
+        assert str(err.value) == f"{role} must be unit vectors, got norms [1.0, 3.0]"
 
     def test_mu_lower_bound(self):
         with pytest.raises(ConfigError):
