@@ -230,7 +230,7 @@ def cmd_construct(args) -> int:
         "trace_residual": machine.trace_residual,
     }
     _write_text(out, _json_text(dump))
-    print(f"wrote machine to {args.out}")
+    print(f"wrote machine to {shown_path(args.out)}")
     print(f"clone_residual: {machine.clone_residual!r}")
     print(f"trace_residual: {machine.trace_residual!r}")
     return EXIT_OK
@@ -277,7 +277,7 @@ def cmd_signal_test(args) -> int:
         " ".join(f"{key}={record[key]!r}" for key, _, _ in _VOTE_RATES),
         f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits",
         f"no_signal_certificate: {certificate!r}",
-        f"wrote: {tally_path} {stats_path}",
+        f"wrote: {shown_path(tally_path)} {shown_path(stats_path)}",
     )
     sys.stdout.write("\n".join(summary) + "\n")  # one write
     return EXIT_OK

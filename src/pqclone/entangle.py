@@ -107,7 +107,7 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     norm gets probability 0 and the placeholder state |0>.
     """
     n = bob.shape[0]
-    states = np.empty((len(bases), n, n), dtype=np.complex128)
+    states = np.zeros((len(bases), n, n), dtype=np.complex128)
     probs = np.empty((len(bases), n))
     for s, basis in enumerate(bases):
         if basis.dim != n:
@@ -117,11 +117,12 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
             probs[s] = 1.0 / n
             continue
         raw = basis.matrix.T.conj() @ bob
+        # einsum, not add.reduce of |raw|^2: the two differ in the last bit
         norm_sq = np.einsum("mk,mk->m", raw.conj(), raw).real
         live = norm_sq > 1e-24
-        states[s] = np.eye(1, n)  # |0>, kept by zero-probability members
-        states[s, live] = raw[live] / np.sqrt(norm_sq[live])[:, None]
-        prob = np.where(live, norm_sq / n, 0.0)
+        states[s, :, 0] = 1.0  # |0>, kept by zero-probability members
+        np.divide(raw, np.sqrt(norm_sq)[:, None], out=states[s], where=live[:, None])
+        prob = np.divide(norm_sq, n, out=np.zeros(n), where=live)
         probs[s] = prob / np.add.reduce(prob)
     return states, probs
 

@@ -462,7 +462,9 @@ class IllegalClonerSpec:
         n_branches = len(self.clonable_labels)
         weights = np.zeros((self.total_labels, n_branches + 1))
         weights[:, -1] = 1.0  # default: pure junk
-        weights[np.array(self.clonable_labels) - 1] = np.eye(n_branches, n_branches + 1)
+        for branch, label in enumerate(self.clonable_labels):
+            weights[label - 1, branch] = 1.0
+            weights[label - 1, -1] = 0.0
         for key, (c_arr, d_val) in self.coefficients.items():
             weights[key - 1, :-1] = np.abs(c_arr) ** 2
             weights[key - 1, -1] = abs(d_val) ** 2

@@ -39,7 +39,7 @@ use; every stage of a run reads those same read-only values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
@@ -130,13 +130,18 @@ class TallyTable:
 
     ``cells[s, m, c]`` counts pairs of setting s, Alice outcome m and Bob
     cell c, the last cell being discarded cloner failures. N and the
-    per-setting sizes, tuples of Python ints, are derived from it. Counts
+    per-setting sizes, tuples of Python ints set at construction, are
+    derived from it: ``classified`` counts each setting's cells but the
+    last, ``discards`` its last cell, and ``trials`` is their sum. Counts
     of a non-integer dtype raise ConfigError: a cast to int64 would
     truncate 2.5 and count True as 1. The tally keeps a read-only int64
     copy, so the caller's array stays as it was.
     """
 
     cells: np.ndarray  # shape (2, N, N+3)
+    classified: tuple = field(init=False)
+    discards: tuple = field(init=False)
+    trials: tuple = field(init=False)
 
     def __post_init__(self):
         cells = np.asarray(self.cells)
@@ -145,30 +150,22 @@ class TallyTable:
         cells = cells.astype(np.int64)
         if cells.ndim != 3 or cells.shape != (2, cells.shape[1], cells.shape[1] + 3):
             raise ConfigError(f"tally shape {cells.shape} is not (2, N, N+3)")
-        if np.count_nonzero(cells < 0):
+        if np.minimum.reduce(cells, axis=None, initial=0) < 0:
             raise ConfigError("tally counts must be nonnegative")
         cells.setflags(write=False)
+        per_cell = np.add.reduce(cells, axis=1)  # (2, N+3)
+        classified = tuple(np.add.reduce(per_cell[:, :-1], axis=1).tolist())
+        discards = tuple(per_cell[:, -1].tolist())
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "classified", classified)
+        object.__setattr__(self, "discards", discards)
+        object.__setattr__(
+            self, "trials", (classified[0] + discards[0], classified[1] + discards[1])
+        )
 
     @property
     def n(self) -> int:
         return self.cells.shape[1]
-
-    @cached_property
-    def classified(self) -> tuple:
-        """Pairs classified per setting: the counts of its cells but the last."""
-        return tuple(np.add.reduce(self.cells[:, :, :-1], axis=(1, 2)).tolist())
-
-    @cached_property
-    def discards(self) -> tuple:
-        """Cloner failures discarded per setting: the counts of its last cell."""
-        return tuple(np.add.reduce(self.cells[:, :, -1], axis=1).tolist())
-
-    @cached_property
-    def trials(self) -> tuple:
-        """Pairs drawn per setting: classified plus discarded."""
-        classified, discards = self.classified, self.discards
-        return (classified[0] + discards[0], classified[1] + discards[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,10 +322,20 @@ def prepare_context(
     preparations = kets.reshape(2 * n, n)
     candidates = preparations[: n + 1]
     hit = group_hits(candidates, preparations, mu)
-    np.fill_diagonal(hit, 1.0)  # candidate l passes its own group's tests
+    hit.flat[:: hit.shape[1] + 1] = 1.0  # candidate l passes its own group's tests
     only = hit * _stay(hit)
     only.setflags(write=False)
     return RunContext(kets, probs, preparations, candidates, only)
+
+
+@lru_cache
+def _others(k: int) -> np.ndarray:
+    """The read-only ``(k, k, 1)`` mask of j != l that ``_stay`` reduces under."""
+    others = np.empty((k, k, 1), dtype=bool)
+    others.fill(True)
+    others.flat[:: k + 1] = False
+    others.setflags(write=False)
+    return others
 
 
 @lru_cache
@@ -357,17 +364,16 @@ def _stay(hit: np.ndarray) -> np.ndarray:
     k = hit.shape[0]
     miss = 1.0 - hit
     view = np.ndarray((k, *miss.shape), miss.dtype, miss, strides=(0, *miss.strides))
-    others = ~np.eye(k, dtype=bool)[:, :, None]
-    return np.multiply.reduce(view, axis=1, initial=1.0, where=others)
+    return np.multiply.reduce(view, axis=1, initial=1.0, where=_others(k))
 
 
 def _branches(
     machine: PqcmMachine | IllegalClonerSpec, probs: np.ndarray, ctx: RunContext
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | slice, np.ndarray, np.ndarray]:
     """A machine's output over the members as (branches, mass, success).
 
-    ``branches`` are the columns of ``ctx.only`` whose mu exact copies the
-    output holds, ``mass[m, b]`` is branch b's mass in member m, and
+    ``branches`` selects the columns of ``ctx.only`` whose mu exact copies
+    the output holds, ``mass[m, b]`` is branch b's mass in member m, and
     ``success[m]`` member m's success mass. Member m has state
     ``ctx.preparations[m]`` and probability ``probs[m]``; the first N are
     A1's, the rest A2's.
@@ -378,7 +384,8 @@ def _branches(
     failure, so its success mass is p_m. Raises ConfigError when a
     clonable label names a member of probability 0, which no pair prepares.
 
-    A Kraus machine's branches are the candidates B_1..B_N. It is
+    A Kraus machine's branches are the candidates B_1..B_N, the first N
+    columns, so it selects them by a slice and the law reads a view. It is
     A = C D B^-1, with C the matrix of their mu-fold powers and
     D = diag(sqrt(gamma_i)), so member m's success branch is
 
@@ -391,23 +398,22 @@ def _branches(
     with X = B^H B and o the entrywise power (``factored.gram_power``).
     """
     if isinstance(machine, IllegalClonerSpec):
-        labels = np.array(machine.clonable_labels)
-        unprepared = labels[probs[labels - 1] == 0.0]
-        if unprepared.size:
-            raise ConfigError(
-                f"clonable label {unprepared[0]} names an Alice outcome of probability 0"
-            )
+        for label in machine.clonable_labels:
+            if probs[label - 1] == 0.0:
+                raise ConfigError(
+                    f"clonable label {label} names an Alice outcome of probability 0"
+                )
         # junk copies nothing: its mass reaches PHI as success minus the cells
         mass = probs[:, None] * machine.branch_weights[:, :-1]
-        return labels - 1, mass, probs
+        return np.array(machine.clonable_labels) - 1, mass, probs
     n = ctx.only.shape[0] - 1
     legal = machine.factored
     beta = np.zeros((n, probs.size), dtype=complex)
-    beta[:, :n] = np.eye(n)
+    beta.flat[:: probs.size + 1] = 1.0  # identity block over the A1 members
     beta[:, n:] = legal.pinv @ ctx.preparations[n:].T
     beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(probs)[None, :]
     success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
-    return np.arange(n), (np.abs(beta) ** 2).T, success
+    return slice(0, n), (np.abs(beta) ** 2).T, success
 
 
 def _law_rows(
@@ -441,7 +447,7 @@ def _law_rows(
 
 def _clip_law(raw: np.ndarray) -> np.ndarray:
     """Clip roundoff in [-LAW_TOL, 0) to zero; anything lower is an error."""
-    low = float(raw.min())
+    low = float(np.minimum.reduce(raw, axis=None))
     if not low >= -LAW_TOL:
         raise RankError(
             f"column law entry {low:.3e} lies below -{LAW_TOL:.0e}; "
@@ -478,7 +484,7 @@ def analytic_leakage(own_stay: np.ndarray) -> float:
     all-succeeding with probability hit[j, l]. The bound is
     1 - min_l prod_{j != l} (1 - hit[j, l]).
     """
-    return float(1.0 - own_stay.min())
+    return float(1.0 - np.minimum.reduce(own_stay))
 
 
 def run_protocol(config: ProtocolConfig) -> tuple[TallyTable, SignalStats]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from pqclone import qcore, signalling
 from pqclone.entangle import AliceBasis, build_shared_state
-from pqclone.errors import ConfigError
+from pqclone.errors import ConfigError, RankError
 from pqclone.pqcm import IllegalClonerSpec
 from pqclone.qcore import Ket, SeededRng
 
@@ -192,6 +192,82 @@ def stay_by_gather(hit: np.ndarray) -> np.ndarray:
     k = hit.shape[0]
     others = np.array([[j for j in range(k) if j != l] for l in range(k)], dtype=int)
     return np.multiply.reduce((1.0 - hit)[others.reshape(k, k - 1)], axis=1)
+
+
+def induced_states_by_scatter(bob: np.ndarray, bases) -> tuple:
+    """``entangle.induced_states`` as first written: an ``np.eye`` placeholder,
+    a boolean scatter of the live rows and ``np.where`` for the probabilities.
+    The same float operations, so the same bits."""
+    n = bob.shape[0]
+    states = np.empty((len(bases), n, n), dtype=np.complex128)
+    probs = np.empty((len(bases), n))
+    for s, basis in enumerate(bases):
+        if basis.label == "A1":
+            states[s] = bob
+            probs[s] = 1.0 / n
+            continue
+        raw = basis.matrix.T.conj() @ bob
+        norm_sq = np.einsum("mk,mk->m", raw.conj(), raw).real
+        live = norm_sq > 1e-24
+        states[s] = np.eye(1, n)
+        states[s, live] = raw[live] / np.sqrt(norm_sq[live])[:, None]
+        prob = np.where(live, norm_sq / n, 0.0)
+        probs[s] = prob / np.add.reduce(prob)
+    return states, probs
+
+
+def law_by_gather(config) -> SimpleNamespace:
+    """A config's context arrays and column law as first written.
+
+    The forms ``signalling`` replaced by basic indexing: the boolean-scatter
+    ``induced_states_by_scatter``, ``np.fill_diagonal`` on the hit table, a
+    ``~np.eye`` mask for the stay product, the ``np.eye`` identity block
+    and ``np.arange`` gather of a Kraus machine's branches, the ``np.eye``
+    scatter of the label-aware cloner's branch weights, and ``.min()``.
+    Returns ``kets``, ``probs``, ``only`` and ``law``.
+    """
+    n, mu, machine = config.n, config.mu, config.machine
+    bases = (AliceBasis.computational(n), config.a2_basis)
+    kets, probs = induced_states_by_scatter(config.bob_states, bases)
+    if probs[1, 0] == 0.0:
+        raise ConfigError(f"candidate B{n + 1} is not prepared")
+    preparations = kets.reshape(2 * n, n)
+    hit = signalling.group_hits(preparations[: n + 1], preparations, mu)
+    np.fill_diagonal(hit, 1.0)
+    k = hit.shape[0]
+    miss = 1.0 - hit
+    view = np.ndarray((k, *miss.shape), miss.dtype, miss, strides=(0, *miss.strides))
+    others = ~np.eye(k, dtype=bool)[:, :, None]
+    only = hit * np.multiply.reduce(view, axis=1, initial=1.0, where=others)
+    flat_probs = probs.reshape(2 * n)
+    if isinstance(machine, IllegalClonerSpec):
+        labels = np.array(machine.clonable_labels)
+        if np.count_nonzero(flat_probs[labels - 1] == 0.0):
+            raise ConfigError("a clonable label names an outcome of probability 0")
+        weights = np.zeros((machine.total_labels, labels.size + 1))
+        weights[:, -1] = 1.0
+        weights[labels - 1] = np.eye(labels.size, labels.size + 1)
+        for key, (c_arr, d_val) in machine.coefficients.items():
+            weights[key - 1, :-1] = np.abs(c_arr) ** 2
+            weights[key - 1, -1] = abs(d_val) ** 2
+        branches, success = labels - 1, flat_probs
+        mass = flat_probs[:, None] * weights[:, :-1]
+    else:
+        legal = machine.factored
+        beta = np.zeros((n, 2 * n), dtype=complex)
+        beta[:, :n] = np.eye(n)
+        beta[:, n:] = legal.pinv @ preparations[n:].T
+        beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(flat_probs)[None, :]
+        success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
+        branches, mass = np.arange(n), (np.abs(beta) ** 2).T
+    rows = np.empty((2 * n, k + 2))
+    rows[:, :k] = mass @ only[:, branches].T
+    rows[:, k] = success - np.add.reduce(rows[:, :k], axis=1)
+    rows[:, k + 1] = flat_probs - success
+    raw = rows.reshape(2, n, n + 3)
+    if not raw.min() >= -signalling.LAW_TOL:
+        raise RankError("column law entry below -LAW_TOL")
+    return SimpleNamespace(kets=kets, probs=probs, only=only, law=np.maximum(raw, 0.0))
 
 
 def _group_bras(candidates, sizes) -> list:

@@ -48,6 +48,8 @@ from oracles import (
     exact_copy_column_distribution,
     high_precision_legal_law,
     induced_members_by_kets,
+    induced_states_by_scatter,
+    law_by_gather,
     stay_by_gather,
     trajectory_tally,
 )
@@ -149,6 +151,42 @@ def steering_cases(draw):
     return states, AliceBasis.fourier(n)
 
 
+@st.composite
+def steered_configs(draw):
+    """A ``steering_cases`` pair under the label-aware cloner, with any N+1
+    clonable labels and branch mixing or not, or, when Bob's states are
+    independent, under a legal machine."""
+    states, a2_basis = draw(steering_cases())
+    n = len(states)
+    mu = draw(st.integers(n + 1, 6))
+    if draw(st.booleans()) and np.linalg.cond(states) < 1e3:
+        gamma = draw(st.floats(0.05, 0.95)) * max_uniform_gamma(states, mu)
+        machine = construct_machine(states, mu, [gamma] * n)
+    else:
+        labels = draw(
+            st.lists(st.integers(1, 2 * n), min_size=n + 1, max_size=n + 1, unique=True)
+        )
+        coefficients = {}
+        if draw(st.booleans()):
+            rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
+            for label in set(range(1, 2 * n + 1)) - set(labels):
+                amps = normalize(rng.normals(n + 2) + 1j * rng.normals(n + 2))
+                coefficients[label] = (amps[: n + 1], amps[n + 1])
+        machine = IllegalClonerSpec(tuple(labels), mu, 2 * n, coefficients or None)
+    return ProtocolConfig(
+        bob_states=states,
+        a2_basis=a2_basis,
+        trials=1,
+        pairs_per_bit=1,
+        machine=machine,
+        seed=0,
+    )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def assert_is_distribution(law: np.ndarray) -> None:
     assert law.min() >= 0.0  # column_law clips only inside [-LAW_TOL, 0)
     np.testing.assert_allclose(law.sum(axis=(1, 2)), 1.0, rtol=0, atol=1e-12)
@@ -205,6 +243,28 @@ class TestRunContext:
             stay, reference = _stay(hit), stay_by_gather(hit)
             assert stay.shape == shape
             assert np.array_equal(stay.view(np.uint64), reference.view(np.uint64)), n
+
+    @settings(deadline=None, max_examples=120, derandomize=True)
+    @given(steered_configs())
+    def test_law_path_matches_the_gather_forms_bit_for_bit(self, config):
+        # the context and law on basic indexing against the fancy gathers,
+        # boolean scatters and np.eye forms they replaced; the one-ray kind
+        # has zero-probability members, and so placeholder states
+        n = config.n
+        bases = (AliceBasis.computational(n), config.a2_basis)
+        kets, probs = induced_states(config.bob_states, bases)
+        ref_kets, ref_probs = induced_states_by_scatter(config.bob_states, bases)
+        assert same_bits(kets, ref_kets) and same_bits(probs, ref_probs)
+        try:
+            reference = law_by_gather(config)
+        except (ConfigError, RankError) as exc:
+            with pytest.raises(type(exc)):
+                config.law
+            return
+        ctx = config.context
+        for name in ("kets", "probs", "only"):
+            assert same_bits(getattr(ctx, name), getattr(reference, name)), name
+        assert same_bits(config.law, reference.law)
 
     def test_table_memory_is_quadratic_in_n(self):
         # at this size an (N+1) x N x 2N gather of the table traces ~110 MiB
@@ -370,7 +430,8 @@ class TestLawProperties:
         stand_in = SimpleNamespace(factored=FactoredSet(states, mu), gammas=gammas)
         ctx = prepare_context(states, _haar_basis(n, rng), mu)
         branches, mass, success = _branches(stand_in, ctx.probs.ravel(), ctx)
-        np.testing.assert_array_equal(branches, np.arange(n))  # B_1..B_N
+        # the selected columns are those of B_1..B_N
+        np.testing.assert_array_equal(ctx.only[:, branches], ctx.only[:, :n])
         for setting in (0, 1):
             members = slice(setting * n, (setting + 1) * n)
             np.testing.assert_allclose(

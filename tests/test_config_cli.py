@@ -767,6 +767,30 @@ class TestCliOutPath:
         )
         assert captured.out == ""
 
+    def test_newline_in_signal_test_out_prints_one_wrote_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the wrote: line spells each written file as error lines spell a path
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.ARGV["signal-test"] + ["--out", "a\nb"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        out = os.path.join(tmp_path, "a\nb")
+        written = [os.path.join(out, name) for name in ("tally.json", "stats.json")]
+        assert len(lines) == 5
+        assert lines[-1] == "wrote: {!r} {!r}".format(*written)
+        for path in written:
+            assert json.loads(Path(path).read_text())
+
+    def test_newline_in_construct_out_prints_one_wrote_line(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(self.ARGV["construct"] + ["--out", "m\n.json"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[0] == "wrote machine to 'm\\n.json'"
+        assert json.loads((tmp_path / "m\n.json").read_text())
+
     def test_a_nonprintable_states_file_path_is_spelt_by_repr_at_every_line(self):
         # the PATH:LINE: prefix of a parse error, like a read error
         with pytest.raises(ConfigError) as err:

@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -293,6 +295,27 @@ class TestStatsFromTally:
         with pytest.raises(TypeError):
             TallyTable(cells=cells, classified=(5, 5), trials=(3, 3))
 
+    def test_sizes_survive_copy_pickle_and_replace(self):
+        # the sizes are fields set at construction, so a copy carries them
+        # and a replace copy recomputes them from its own counts
+        cells = np.arange(20, dtype=np.int64).reshape(2, 2, 5)
+        tally = TallyTable(cells)
+        sizes = (tally.classified, tally.discards, tally.trials)
+        assert sizes == ((32, 112), (13, 33), (45, 145))
+        for other in (
+            copy.deepcopy(tally),
+            pickle.loads(pickle.dumps(tally)),
+            dataclasses.replace(tally),
+        ):
+            assert (other.classified, other.discards, other.trials) == sizes
+            np.testing.assert_array_equal(other.cells, cells)
+        doubled = dataclasses.replace(tally, cells=2 * cells)
+        assert (doubled.classified, doubled.discards, doubled.trials) == (
+            (64, 224), (26, 66), (90, 290)
+        )
+        with pytest.raises(ValueError):
+            dataclasses.replace(tally, classified=(0, 0))
+
     @pytest.mark.parametrize(
         "shape",
         [(4, 4), (2, 2, 4), (2, 2, 6), (3, 2, 5), (1, 2, 5), (2, 2, 5, 1), (2, 5)],
@@ -346,6 +369,50 @@ class TestStatsFromTally:
         cells[0, 0, 0] = 7
         np.testing.assert_array_equal(tally.cells, np.ones((2, 2, 5)))
         assert tally.classified == (8, 8)
+
+
+# numpy's Python-level helpers (np.eye, np.where, np.fill_diagonal, .min(),
+# np.count_nonzero, ...): right after a garbage collection, the first call
+# into each costs tens of µs, so the law path keeps to basic indexing and
+# ufuncs. einsumfunc is not listed: np.einsum's norms keep the law's bits.
+_NUMPY_HELPERS = {"twodim_base", "index_tricks", "fromnumeric", "methods", "numeric",
+                  "multiarray"}
+
+
+def numpy_helper_calls(action) -> list:
+    """module.function of every numpy helper frame that ``action()`` enters."""
+    entered = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            module = frame.f_globals.get("__name__", "")
+            stem = module.rsplit(".", 1)[-1].strip("_").removesuffix("_impl")
+            if module.startswith("numpy.") and stem in _NUMPY_HELPERS:
+                entered.append(f"{module}.{frame.f_code.co_name}")
+
+    sys.setprofile(hook)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return entered
+
+
+class TestLawPathFrames:
+    def test_the_hook_sees_a_numpy_helper(self):
+        assert numpy_helper_calls(lambda: np.eye(2)) != []
+
+    @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+    def test_a_fresh_law_and_tally_enter_no_numpy_helper(self, name):
+        demo_protocol(name).law  # fills the per-size caches, as a first run does
+        config = demo_protocol(name)
+        cells = np.zeros((2, config.n, config.n + 3), dtype=np.int64)
+
+        def law_and_tally():
+            config.law
+            TallyTable(cells)
+
+        assert numpy_helper_calls(law_and_tally) == []
 
 
 class TestRunProtocol:
