@@ -21,7 +21,6 @@ import os
 import sys
 import textwrap
 import types
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -45,9 +44,6 @@ def _matrix_to_pairs(matrix: np.ndarray) -> list:
 
 # the open of an output file: created if missing, truncated if present
 _CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-# the value types the C encoder writes as json.dumps does; a subclass, such
-# as a numpy float, takes json.dumps itself
-_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.cache
@@ -60,6 +56,14 @@ def _items_json(depth: int) -> json.JSONEncoder:
     items of a list or dict of scalars come out exactly as ``json.dumps``
     lays them out at that depth."""
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+
+
+def _flat_json(data, depth: int) -> str:
+    """A nonempty flat list or dict of scalars as ``json.dumps(indent=2,
+    sort_keys=True)`` lays it out at nesting ``depth``, in one C-encoder call."""
+    text = _items_json(depth + 1).encode(data)
+    indent = "\n" + "  " * depth
+    return f"{text[0]}{indent}  {text[1:-1]}{indent}{text[-1]}"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -86,32 +90,6 @@ def _write_text(path: str, text: str) -> None:
         raise PqcloneError(f"cannot write {shown_path(path)}: {exc}") from None
 
 
-def _json_text(data, depth: int = 0) -> str:
-    """``data`` as ``json.dumps(indent=2, sort_keys=True)`` lays it out at
-    nesting ``depth``, plus a newline at depth 0: a flat list or dict in one
-    ``_items_json`` call, a nested one item by item with its str keys escaped
-    by the C encoder, and any other value (a numpy float, say) by json.dumps."""
-    is_dict = isinstance(data, dict)
-    indent = "  " * (depth + 1)
-    if not is_dict and not isinstance(data, (list, tuple)):
-        text = _items_json(0).encode(data) if type(data) in _JSON_SCALARS else json.dumps(data)
-    elif not data:
-        text = "{}" if is_dict else "[]"
-    else:
-        if _JSON_SCALARS.issuperset(map(type, data.values() if is_dict else data)):
-            items = _items_json(depth + 1).encode(data)[1:-1]
-        elif is_dict:
-            items = (",\n" + indent).join(
-                f"{encode_basestring_ascii(key)}: {_json_text(value, depth + 1)}"
-                for key, value in sorted(data.items())
-            )
-        else:
-            items = (",\n" + indent).join(_json_text(v, depth + 1) for v in data)
-        start, end = "{}" if is_dict else "[]"
-        text = f"{start}\n{indent}{items}\n{indent[2:]}{end}"
-    return text if depth else text + "\n"
-
-
 def _write_tally(tally: signalling.TallyTable, path: str, fmt: str) -> None:
     # the file view: a row per preparation B1..B2N, A1's outcomes then A2's,
     # and a column per Bob cell but the discards, which stats reports
@@ -120,12 +98,18 @@ def _write_tally(tally: signalling.TallyTable, path: str, fmt: str) -> None:
     counts = tally.cells[:, :, : n + 2].reshape(2 * n, n + 2).tolist()
     rows = [[f"B{i + 1}"] + row for i, row in enumerate(counts)]
     if fmt == "csv":
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(x) for x in row))
-        _write_text(path, "\n".join(lines) + "\n")
+        text = "\n".join(",".join(map(str, row)) for row in [header, *rows]) + "\n"
     else:
-        _write_text(path, _json_text({"columns": header, "rows": rows}))
+        text = _tally_json(header, rows)
+    _write_text(path, text)
+
+
+def _tally_json(header: list, rows: list) -> str:
+    """``json.dumps({"columns": header, "rows": rows}, indent=2, sort_keys=True)``
+    plus a newline, for flat rows."""
+    columns = _flat_json(header, 1)
+    rows_text = ",\n    ".join(_flat_json(row, 2) for row in rows)
+    return f'{{\n  "columns": {columns},\n  "rows": [\n    {rows_text}\n  ]\n}}\n'
 
 
 def _stats_record(
@@ -203,7 +187,7 @@ def cmd_feasibility(args) -> int:
     report["least_discard_mass"] = least
     report["feasible"] = feasible
     if out is not None:  # first, so a failed write prints no verdict
-        _write_text(out, _json_text(report))
+        _write_text(out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"feasible: {feasible}")
     print(f"least_discard_mass: {least!r}")
     if args.max_uniform:
@@ -229,7 +213,7 @@ def cmd_construct(args) -> int:
         "clone_residual": machine.clone_residual,
         "trace_residual": machine.trace_residual,
     }
-    _write_text(out, _json_text(dump))
+    _write_text(out, json.dumps(dump, indent=2, sort_keys=True) + "\n")
     print(f"wrote machine to {shown_path(args.out)}")
     print(f"clone_residual: {machine.clone_residual!r}")
     print(f"trace_residual: {machine.trace_residual!r}")
@@ -270,7 +254,7 @@ def cmd_signal_test(args) -> int:
         lines = ["key,value"] + [f"{key},{record[key]}" for key in sorted(record)]
         _write_text(stats_path, "\n".join(lines) + "\n")
     else:
-        _write_text(stats_path, _json_text(record))
+        _write_text(stats_path, _flat_json(record, 0) + "\n")
 
     summary = (
         f"classified: A1={stats.classified[0]} A2={stats.classified[1]}",

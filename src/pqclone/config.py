@@ -340,6 +340,10 @@ def _resolve_coefficients(spec: dict) -> dict:
             label = int(key)
         except ValueError:
             raise ConfigError(f"{what}: label is not an integer") from None
+        # int() also reads " 4", "+4", "04" and "4_0", so two keys could name
+        # one label and the later entry would replace the earlier
+        if str(label) != key:
+            raise ConfigError(f"{what}: label must be written {str(label)!r}")
         if not isinstance(entry, dict):
             raise ConfigError(f"{what} must be an object, got {entry!r}")
         _check_keys(entry, {"c", "d"}, what)

@@ -129,16 +129,18 @@ class TallyTable:
     """Each setting's multinomial draw over the ``column_law`` cells.
 
     ``cells[s, m, c]`` counts pairs of setting s, Alice outcome m and Bob
-    cell c, the last cell being discarded cloner failures. N and the
-    per-setting sizes, tuples of Python ints set at construction, are
-    derived from it: ``classified`` counts each setting's cells but the
-    last, ``discards`` its last cell, and ``trials`` is their sum. Counts
-    of a non-integer dtype raise ConfigError: a cast to int64 would
-    truncate 2.5 and count True as 1. The tally keeps a read-only int64
-    copy, so the caller's array stays as it was.
+    cell c, the last cell being discarded cloner failures. Everything else
+    is derived from it at construction: N, ``cell_totals[s, c]`` (cell c
+    summed over Alice's outcomes, read-only int64) and the per-setting
+    sizes, tuples of Python ints. ``classified`` counts each setting's
+    cells but the last, ``discards`` its last cell, and ``trials`` is
+    their sum. Counts of a non-integer dtype raise ConfigError: a cast to
+    int64 would truncate 2.5 and count True as 1. The tally keeps a
+    read-only int64 copy, so the caller's array stays as it was.
     """
 
     cells: np.ndarray  # shape (2, N, N+3)
+    cell_totals: np.ndarray = field(init=False)  # shape (2, N+3)
     classified: tuple = field(init=False)
     discards: tuple = field(init=False)
     trials: tuple = field(init=False)
@@ -153,10 +155,12 @@ class TallyTable:
         if np.minimum.reduce(cells, axis=None, initial=0) < 0:
             raise ConfigError("tally counts must be nonnegative")
         cells.setflags(write=False)
-        per_cell = np.add.reduce(cells, axis=1)  # (2, N+3)
-        classified = tuple(np.add.reduce(per_cell[:, :-1], axis=1).tolist())
-        discards = tuple(per_cell[:, -1].tolist())
+        totals = np.add.reduce(cells, axis=1)
+        totals.setflags(write=False)
+        classified = tuple(np.add.reduce(totals[:, :-1], axis=1).tolist())
+        discards = tuple(totals[:, -1].tolist())
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "cell_totals", totals)
         object.__setattr__(self, "classified", classified)
         object.__setattr__(self, "discards", discards)
         object.__setattr__(
@@ -516,8 +520,7 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
             raise ConfigError(
                 f"no cloner successes for setting A{setting + 1}; cannot estimate"
             )
-    # exact int64 cell counts per setting, each within 2**62
-    cells = np.add.reduce(tally.cells, axis=1)
+    cells = tally.cell_totals  # exact int64 counts, each within 2**62
     totals = np.array(classified, dtype=float)
     p_col = cells[:, : n + 2] / totals[:, None]
     votes = cell_votes(n)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqclone import cli, pqcm, qcore, signalling
+from pqclone import cli, entangle, pqcm, qcore, signalling
 from pqclone import config as config_mod
 from pqclone.config import RunConfig, build_protocol, load_states, parse_states_text
 from pqclone.errors import ConfigError
@@ -28,6 +28,8 @@ from born import ket_to_pairs, random_ket
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+# branch amplitudes of label 4, the one unclonable label of an N = 2 illegal cloner
+COEFFICIENT = {"c": [[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]], "d": [0.8, 0.0]}
 
 
 class TestStatesFile:
@@ -153,6 +155,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as err:
             load_states(path)
         assert str(err.value).startswith(f"cannot read states file {path}: ")
+
+    def test_a2_vectors_give_the_law_of_the_basis_they_list(self):
+        run = RunConfig.load(CONFIGS / "legal_n2.json")
+        fourier = entangle.AliceBasis.fourier(2).matrix
+        vectors = {"kind": "vectors", "vectors": [ket_to_pairs(Ket(a)) for a in fourier.T]}
+        listed = build_protocol(dataclasses.replace(run, a2=vectors), CONFIGS)
+        # the listed vectors are normalized again, which may move the last bit
+        np.testing.assert_allclose(listed.a2_basis.matrix, fourier, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            listed.law, build_protocol(run, CONFIGS).law, rtol=0, atol=1e-15
+        )
+
+    def test_illegal_coefficients_read_from_a_config(self):
+        run = RunConfig.load(CONFIGS / "illegal_n2.json")
+        machine = {**run.machine, "coefficients": {"4": COEFFICIENT}}
+        protocol = build_protocol(dataclasses.replace(run, machine=machine))
+        spec = IllegalClonerSpec((1, 2, 3), 48, 4, {4: (np.array([0.6, 0, 0]), 0.8)})
+        np.testing.assert_array_equal(
+            protocol.machine.branch_weights, spec.branch_weights
+        )
 
     def test_target_a2_round_trips_through_protocol(self):
         run = RunConfig(
@@ -413,44 +435,36 @@ class TestCliVerdictAgreement:
 
 class TestJsonLayout:
     """Every JSON output is ``json.dumps(indent=2, sort_keys=True)`` plus a
-    newline, whichever encoder writes it."""
+    newline: the stats record and each tally row are one flat layout, and
+    the feasibility report and machine dump come from json.dumps itself."""
+
+    FLAT_SCALARS = JSON_SCALARS | st.floats(allow_nan=True, allow_infinity=True).map(
+        np.float64
+    )
 
     @settings(deadline=None, max_examples=300, derandomize=True)
-    @example(data={})
     @example(
         data={
             "nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"),
             "neg_zero": -0.0, "huge": 1e308, "tiny": 5e-324, "int63": 2**63,
             "int70": -(2**70), "t": True, "f": False, "none": None,
             "text": 'say "hi"\\ \n\t\u00e9\u2603\U0001f600',
-        }
+        },
+        depth=0,
     )
-    @example(data={"nested": {"a": [1, 2.5]}, "b": 1})
-    # a numpy float is a float, but only exact Python scalars take the C encoder
-    @example(data={"np": np.float64(0.1), "t": True, "none": None})
+    @example(data=[1, 2.5], depth=2)
+    # a numpy float is a float subclass, which the C encoder writes by float's repr
+    @example(data={"np": np.float64(0.1), "t": True, "none": None}, depth=0)
     @given(
-        data=st.dictionaries(
-            st.text(),
-            JSON_SCALARS
-            | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
-            | st.lists(JSON_SCALARS, max_size=3)
-            | st.dictionaries(st.text(), JSON_SCALARS, max_size=2),
-        )
+        data=st.dictionaries(st.text(), FLAT_SCALARS, min_size=1)
+        | st.lists(FLAT_SCALARS, min_size=1),
+        depth=st.integers(0, 3),
     )
-    def test_text_is_the_documented_layout(self, data):
-        assert cli._json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
-
-    def test_only_python_scalars_take_the_c_encoder(self, monkeypatch):
-        calls = []
-        dumps = json.dumps
-        monkeypatch.setattr(
-            json, "dumps", lambda *a, **k: calls.append(a) or dumps(*a, **k)
-        )
-        record = {"a": 1, "b": 0.5, "c": "x", "d": True, "e": None}
-        cli._json_text(record)
-        assert calls == []
-        cli._json_text({**record, "f": np.float64(0.5)})
-        assert len(calls) == 1
+    def test_flat_text_is_the_documented_layout(self, data, depth):
+        # json.dumps nests a flat container by indenting each of its lines,
+        # and its text holds no raw newline
+        expected = json.dumps(data, indent=2, sort_keys=True)
+        assert cli._flat_json(data, depth) == expected.replace("\n", "\n" + "  " * depth)
 
     @settings(deadline=None, max_examples=200, derandomize=True)
     @example(header=["input", "B1", "B2", "B3", "phi"], rows=[["B1", 3, 0, 0, 2**63]])
@@ -461,7 +475,7 @@ class TestJsonLayout:
     def test_tally_text_is_the_documented_layout(self, header, rows):
         tally = {"columns": header, "rows": rows}
         expected = json.dumps(tally, indent=2, sort_keys=True) + "\n"
-        assert cli._json_text(tally) == expected
+        assert cli._tally_json(header, rows) == expected
 
     def test_tally_file_is_the_writers_view_of_the_cells(self, tmp_path):
         # one row per preparation, A1's then A2's; the discard cell is left out
@@ -843,6 +857,23 @@ class TestCliSignalTest:
         for name in ("tally.json", "stats.json"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_infeasible_machine_exits_2_with_one_line(self, tmp_path, capsys):
+        # gamma_scale 1.1 asks for efficiencies past gamma_max
+        data = json.loads((CONFIGS / "legal_n2.json").read_text())
+        data["machine"]["gamma_scale"] = 1.1
+        data["states_file"] = str(CONFIGS / data["states_file"])
+        data["out"] = str(tmp_path / "out")
+        cfg = tmp_path / "infeasible.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(
+            "error: requested efficiencies are infeasible (least_discard_mass: -0.1"
+        )
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_missing_out_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "no_out.json"
         data = json.loads((CONFIGS / "illegal_n2.json").read_text())
@@ -874,6 +905,7 @@ class TestCliSignalTest:
             ("bob_states", "x"),
             ("states_file", 3),
             ("format", ["json"]),
+            ("format", "xml"),
             ("out", 5),
         ],
     )
@@ -924,10 +956,16 @@ class TestCliSignalTest:
                 {"kind": "illegal", "clonable_labels": [1.5, 2, 3]},
                 "error: clonable label must be an integer, got 1.5",
             ),
+            (
+                "illegal_n2.json",
+                "machine",
+                {"kind": "illegal", "coefficients": {"4": 5}},
+                "error: machine coefficients['4'] must be an object, got 5\n",
+            ),
         ],
         ids=[
             "uniform_gamma", "gamma_scale", "gammas", "vectors", "target", "d",
-            "labels-not-a-list", "labels-float",
+            "labels-not-a-list", "labels-float", "coefficient-not-an-object",
         ],
     )
     def test_malformed_nested_value_exits_1_with_one_line(
@@ -1001,6 +1039,12 @@ class TestCliSignalTest:
             ),
             (
                 "illegal_n2.json",
+                "machine",
+                {"kind": "illegal", "coefficients": {"four": COEFFICIENT}},
+                "machine coefficients['four']: label is not an integer",
+            ),
+            (
+                "illegal_n2.json",
                 "a2",
                 {"kind": "fourier", "state": [[1.0, 0.0], [0.0, 0.0]]},
                 "unknown a2 keys: ['state']",
@@ -1015,7 +1059,7 @@ class TestCliSignalTest:
         ids=[
             "typo", "scale-beside-number", "gammas-beside-uniform",
             "gammas-beside-scale", "labels-on-legal", "gamma-on-illegal",
-            "coefficient-entry", "fourier", "target",
+            "coefficient-entry", "coefficient-label", "fourier", "target",
         ],
     )
     def test_stray_nested_key_exits_1_with_one_line(
@@ -1031,6 +1075,30 @@ class TestCliSignalTest:
         code = cli.main(["signal-test", str(cfg), "--trials", "10"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    # A coefficient label is read from its plain decimal spelling only. int()
+    # also read " 4", "+4", "04" and "\u0664" as 4 and "4_0" as 40, so two
+    # keys could name one label, and the later entry replaced the earlier.
+    @pytest.mark.parametrize(
+        "keys, label",
+        [
+            ([" 4"], "4"), (["+4"], "4"), (["04"], "4"), (["\u0664"], "4"),
+            (["4_0"], "40"), (["4", " 4"], "4"),
+        ],
+        ids=["space", "plus", "zero", "arabic-indic", "underscore", "collision"],
+    )
+    def test_coefficient_label_spelt_otherwise_exits_1(self, tmp_path, capsys, keys, label):
+        data = json.loads((CONFIGS / "illegal_n2.json").read_text())
+        data["out"] = str(tmp_path / "out")
+        data["machine"]["coefficients"] = dict.fromkeys(keys, COEFFICIENT)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(data))
+        code = cli.main(["signal-test", str(cfg), "--trials", "10"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: machine coefficients[{keys[-1]!r}]: label must be written {label!r}\n"
+        )
         assert not (tmp_path / "out").exists()
 
     # A falsy non-object "coefficients" or a null "clonable_labels" used to

@@ -10,6 +10,7 @@ from pqclone.entangle import (
     alice_measure,
     build_shared_state,
     induced_ensemble,
+    induced_states,
     target_to_basis,
 )
 from pqclone.errors import ConfigError, RankError
@@ -114,6 +115,11 @@ class TestBuildSharedState:
 
 
 class TestInducedEnsemble:
+    def test_basis_of_another_dimension_rejected(self):
+        bob = state_rows([KET0, KET1])
+        with pytest.raises(ConfigError, match="^basis dimension 3 does not match 2$"):
+            induced_states(bob, (AliceBasis.computational(2), AliceBasis.fourier(3)))
+
     def test_a1_reproduces_bob_states_exactly(self):
         rng = SeededRng(201)
         states = [random_ket(3, rng) for _ in range(3)]
@@ -254,6 +260,9 @@ class TestTargetToBasis:
         # raised a raw LinAlgError; Bob's N states must have dimension N
         with pytest.raises(ConfigError, match="Bob states must have dimension 2, got 3"):
             target_to_basis(np.array([1, 0]), [[1, 0, 0], [0, 1, 0]])
+        # and the target has N amplitudes, one per Bob state
+        with pytest.raises(ConfigError, match="^target dimension 3 does not match 2$"):
+            target_to_basis(np.array([1, 0, 0]), state_rows([KET0, KET1]))
 
     def test_second_set_is_linearly_dependent_on_first(self):
         # every alternate-basis preparation stays inside the original span

@@ -606,6 +606,11 @@ class TestApplyMachine:
                 seen += 1
                 assert abs(abs(inner_product(out, target)) - 1.0) < 1e-9
 
+    def test_input_of_another_dimension_refused(self):
+        machine = construct_machine(overlap_pair(SQ2), 2, [0.5, 0.5])
+        with pytest.raises(ConfigError, match="^input dimension 3 does not match machine 2$"):
+            apply_machine(machine, basis_ket(3, 0), SeededRng(306))
+
     def test_nonclonable_input_success_probability(self):
         states = overlap_pair(SQ2)
         machine = construct_machine(states, 2, [0.5, 0.5])
@@ -712,13 +717,24 @@ class TestIllegalCloner:
                 {"coefficients": {4: ("abc", 0)}},
                 r"coefficients for label 4 must be a .* got \('abc', 0\)",
             ),
+            ({"clonable_labels": (1, 2, 2)}, "^clonable labels must be distinct$"),
+            (
+                {"coefficients": {3: (np.zeros(3), 1.0)}},
+                "^coefficients given for non-unclonable label 3$",
+            ),
+            (
+                {"coefficients": {4: (np.array([0.6, 0.0]), 0.8)}},
+                r"^need 3 branch amplitudes, got \(2,\)$",
+            ),
         ],
-        ids=["labels-none", "coefficients-list", "entry-int", "entry-string"],
+        ids=["labels-none", "coefficients-list", "entry-int", "entry-string",
+             "labels-repeated", "clonable-label", "c-too-short"],
     )
     def test_malformed_spec_refused(self, changes, message):
         fields = {"clonable_labels": (1, 2, 3), "copies": 8, "total_labels": 4}
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message) as err:
             IllegalClonerSpec(**{**fields, **changes})
+        assert "\n" not in str(err.value)
 
     def test_coefficient_normalization_enforced(self):
         with pytest.raises(ConfigError, match="branch amplitudes for label 4 sum to 1.62, not 1"):

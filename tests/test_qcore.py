@@ -736,3 +736,34 @@ class TestEnsemble:
         np.testing.assert_allclose(
             average_density(ens).entries, np.eye(2) / 2, atol=1e-14
         )
+
+
+BELL = Ket.normalized([1, 0, 0, 1])
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: Ket(np.zeros(0)), "a ket must be a nonempty 1-D amplitude vector"),
+        (lambda: Ensemble(()), "an ensemble needs at least one member"),
+        (
+            lambda: Ensemble(((KET0, 0.5), (basis_ket(3, 0), 0.5))),
+            "ensemble members must share one dimension",
+        ),
+        (lambda: tensor_power(KET0.amplitudes, 0), "tensor power needs m >= 1"),
+        (
+            lambda: measure_subsystem(BELL, (2, 3), "A", np.eye(2), SeededRng(114)),
+            "cannot factor dim 4 as 2 x 3",
+        ),
+        (
+            lambda: measure_subsystem(BELL, (2, 2), "C", np.eye(2), SeededRng(114)),
+            "subsystem must be 'A' or 'B'",
+        ),
+    ],
+    ids=["empty-ket", "empty-ensemble", "mixed-ensemble", "power-0",
+         "unfactored-dims", "subsystem-C"],
+)
+def test_malformed_input_is_refused_with_one_line(refuse, message):
+    with pytest.raises(ConfigError) as err:
+        refuse()
+    assert str(err.value) == message

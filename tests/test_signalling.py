@@ -296,12 +296,16 @@ class TestStatsFromTally:
             TallyTable(cells=cells, classified=(5, 5), trials=(3, 3))
 
     def test_sizes_survive_copy_pickle_and_replace(self):
-        # the sizes are fields set at construction, so a copy carries them
-        # and a replace copy recomputes them from its own counts
+        # the sizes and cell totals are fields set at construction, so a copy
+        # carries them and a replace copy recomputes them from its own counts
         cells = np.arange(20, dtype=np.int64).reshape(2, 2, 5)
         tally = TallyTable(cells)
         sizes = (tally.classified, tally.discards, tally.trials)
         assert sizes == ((32, 112), (13, 33), (45, 145))
+        totals = [[5, 7, 9, 11, 13], [25, 27, 29, 31, 33]]
+        np.testing.assert_array_equal(tally.cell_totals, totals)
+        assert tally.cell_totals.dtype == np.int64
+        assert not tally.cell_totals.flags.writeable
         for other in (
             copy.deepcopy(tally),
             pickle.loads(pickle.dumps(tally)),
@@ -309,12 +313,15 @@ class TestStatsFromTally:
         ):
             assert (other.classified, other.discards, other.trials) == sizes
             np.testing.assert_array_equal(other.cells, cells)
+            np.testing.assert_array_equal(other.cell_totals, totals)
         doubled = dataclasses.replace(tally, cells=2 * cells)
         assert (doubled.classified, doubled.discards, doubled.trials) == (
             (64, 224), (26, 66), (90, 290)
         )
-        with pytest.raises(ValueError):
-            dataclasses.replace(tally, classified=(0, 0))
+        np.testing.assert_array_equal(doubled.cell_totals, 2 * np.array(totals))
+        for name in ("classified", "cell_totals"):
+            with pytest.raises(ValueError):
+                dataclasses.replace(tally, **{name: tally.cell_totals})
 
     @pytest.mark.parametrize(
         "shape",
@@ -325,6 +332,17 @@ class TestStatsFromTally:
     def test_cells_of_another_shape_are_refused(self, shape):
         with pytest.raises(ConfigError, match="is not \\(2, N, N\\+3\\)"):
             TallyTable(np.ones(shape, dtype=np.int64))
+
+    @pytest.mark.parametrize("setting", [0, 1])
+    def test_a_setting_with_no_classified_pair_is_refused(self, setting):
+        # its rates would divide by zero
+        cells = np.ones((2, 2, 5), dtype=np.int64)
+        cells[setting, :, :-1] = 0
+        with pytest.raises(ConfigError) as err:
+            stats_from_tally(TallyTable(cells), 0.0)
+        assert str(err.value) == (
+            f"no cloner successes for setting A{setting + 1}; cannot estimate"
+        )
 
     @pytest.mark.parametrize("where", [(0, 0, 0), (1, 1, 4)], ids=["cell", "discard"])
     def test_a_negative_count_is_refused(self, where):
@@ -1056,6 +1074,27 @@ class TestProtocolConfigValidation:
         with pytest.raises(ConfigError) as err:
             dataclasses.replace(cfg, **{field: value})
         assert str(err.value) == f"{field} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (
+                "a2_basis",
+                AliceBasis.fourier(3),
+                "alternate basis dimension does not match state count",
+            ),
+            (
+                "machine",
+                IllegalClonerSpec((1, 2, 3), 48, 6),
+                "cloner expects 6 labels, run has 4",
+            ),
+        ],
+        ids=["a2-basis", "cloner-labels"],
+    )
+    def test_parts_built_for_another_state_count(self, field, value, message):
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(demo_protocol("illegal_n2"), **{field: value})
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "first",
