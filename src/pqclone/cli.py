@@ -113,6 +113,7 @@ def _tally_json(header: list, rows: list) -> str:
 
 
 def _stats_record(
+    tally: signalling.TallyTable,
     stats: signalling.SignalStats,
     certificate: float,
     channel: signalling.ChannelResult,
@@ -133,7 +134,7 @@ def _stats_record(
     }
     labels = [f"b{j}" for j in range(1, stats.n + 2)] + ["phi"]
     for setting, a in enumerate(("a1", "a2")):
-        record[f"classified_{a}"] = stats.classified[setting]
+        record[f"classified_{a}"] = tally.classified[setting]
         record[f"discard_rate_{a}"] = stats.discard_rate[setting]
         for label, value in zip(labels, stats.p_col[setting]):
             record[f"p_{a}_{label}"] = float(value)
@@ -249,7 +250,7 @@ def cmd_signal_test(args) -> int:
     tally_path = os.path.join(out_dir, f"tally.{fmt}")
     stats_path = os.path.join(out_dir, f"stats.{fmt}")
     _write_tally(tally, tally_path, fmt)
-    record = _stats_record(stats, certificate, channel, run)
+    record = _stats_record(tally, stats, certificate, channel, run)
     if fmt == "csv":
         lines = ["key,value"] + [f"{key},{record[key]}" for key in sorted(record)]
         _write_text(stats_path, "\n".join(lines) + "\n")
@@ -257,7 +258,7 @@ def cmd_signal_test(args) -> int:
         _write_text(stats_path, _flat_json(record, 0) + "\n")
 
     summary = (
-        f"classified: A1={stats.classified[0]} A2={stats.classified[1]}",
+        f"classified: A1={tally.classified[0]} A2={tally.classified[1]}",
         " ".join(f"{key}={record[key]!r}" for key, _, _ in _VOTE_RATES),
         f"channel_accuracy: {channel.accuracy!r} over {len(channel.sent)} bits",
         f"no_signal_certificate: {certificate!r}",

@@ -323,7 +323,7 @@ def _resolve_a2(config: RunConfig, bob_states: np.ndarray) -> entangle.AliceBasi
         vectors = _list(_required(spec, "vectors", "a2"), "a2 vectors")
         rows = _state_rows(vectors, "a2 vectors entry")
         columns = qcore.state_set(rows, "a2 vectors").T
-        return entangle.AliceBasis(columns, "A2")
+        return entangle.AliceBasis(columns)
     target = pairs_to_ket(_required(spec, "state", "a2"), "a2 state")
     return entangle.target_to_basis(target, bob_states)
 
@@ -336,6 +336,9 @@ def _resolve_coefficients(spec: dict) -> dict:
     coefficients = {}
     for key, entry in entries.items():
         what = f"machine coefficients[{key!r}]"
+        # a config's keys are JSON strings; a Python caller may pass others
+        if not isinstance(key, str):
+            raise ConfigError(f"{what}: label is not a string")
         try:
             label = int(key)
         except ValueError:

@@ -12,7 +12,7 @@ unitary with its vectors as columns; only the Born-rule reference
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -27,13 +27,14 @@ class AliceBasis:
     """An orthonormal measurement basis on Alice's register.
 
     ``matrix`` is one read-only unitary holding the basis vectors as
-    columns. Label 'A1' is reserved for the exact computational basis; any
-    other orthonormal basis carries label 'A2'. The computational and
-    Fourier bases depend on N only, so each is built and checked once per N.
+    columns; it is the whole basis. ``is_identity`` records, once, whether
+    it is exactly the computational basis, whose outcomes steer Bob into
+    his own states (``induced_states``). The computational and Fourier
+    bases depend on N only, so each is built and checked once per N.
     """
 
     matrix: np.ndarray
-    label: str
+    is_identity: bool = field(init=False)
 
     def __post_init__(self):
         try:
@@ -45,11 +46,9 @@ class AliceBasis:
         if matrix.ndim != 2 or matrix.size == 0:
             raise ConfigError(f"a basis is a matrix of columns, got {matrix.shape}")
         qcore._check_orthonormal(matrix, matrix.shape[1])
-        if self.label not in ("A1", "A2"):
-            raise ConfigError(f"unknown basis label {self.label!r}")
-        if self.label == "A1" and not np.array_equal(matrix, np.eye(len(matrix))):
-            raise ConfigError("label A1 requires the computational basis")
         object.__setattr__(self, "matrix", matrix)
+        identity = np.array_equal(matrix, np.eye(len(matrix)))
+        object.__setattr__(self, "is_identity", identity)
 
     @property
     def dim(self) -> int:
@@ -58,7 +57,7 @@ class AliceBasis:
     @classmethod
     @lru_cache
     def computational(cls, n: int) -> "AliceBasis":
-        return cls(np.eye(n), "A1")
+        return cls(np.eye(n))
 
     @classmethod
     @lru_cache
@@ -66,21 +65,21 @@ class AliceBasis:
         """Default alternate basis: a_m[k] = exp(2*pi*i*m*k/n)/sqrt(n)."""
         grid = np.arange(n)
         phases = 2j * np.pi * grid * grid[:, None] / n  # [k, m] = (2 pi m) k / n
-        return cls(np.exp(phases) / np.sqrt(n), "A2")
+        return cls(np.exp(phases) / np.sqrt(n))
 
     @classmethod
     def from_unitary(cls, matrix: np.ndarray) -> "AliceBasis":
-        """Basis from unitary columns; labeled A2."""
-        return cls(matrix, "A2")
+        """Basis from unitary columns."""
+        return cls(matrix)
 
 
 @dataclass(frozen=True, eq=False)
 class SharedState:
-    """The entangled resource pairing Alice's labels with Bob's states."""
+    """The entangled resource pairing Alice's labels, one per Bob state, with
+    Bob's states; Alice's register has dimension ``len(bob_states)``."""
 
     joint: Ket
     bob_states: np.ndarray  # (N, N), one state per row
-    alice_dim: int
 
 
 def build_shared_state(bob_states: np.ndarray) -> SharedState:
@@ -91,8 +90,8 @@ def build_shared_state(bob_states: np.ndarray) -> SharedState:
     regardless because Alice's labels are orthonormal.
     """
     bob_states = qcore.bob_state_set(bob_states)
-    n = len(bob_states)
-    return SharedState(Ket(bob_states.reshape(-1) / np.sqrt(n)), bob_states, n)
+    joint = Ket(bob_states.reshape(-1) / np.sqrt(len(bob_states)))
+    return SharedState(joint, bob_states)
 
 
 def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
@@ -102,9 +101,10 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     is the state Bob holds after Alice's outcome m, and ``probs[s, m]`` its
     probability. Member m has unnormalized state sum_n <a_m|n> |B_n>, so
     the rows are conj(a_m)^T B, one matrix product per basis, and its
-    probability is its squared norm divided by N. For A1 this is exactly
-    Bob's own states, each with probability 1/N. A member of (near-)zero
-    norm gets probability 0 and the placeholder state |0>.
+    probability is its squared norm divided by N. For the exact identity
+    (A1) this is Bob's own states, taken as they are, each with probability
+    1/N. A member of (near-)zero norm gets probability 0 and the placeholder
+    state |0>.
     """
     n = bob.shape[0]
     states = np.zeros((len(bases), n, n), dtype=np.complex128)
@@ -112,7 +112,7 @@ def induced_states(bob: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     for s, basis in enumerate(bases):
         if basis.dim != n:
             raise ConfigError(f"basis dimension {basis.dim} does not match {n}")
-        if basis.label == "A1":
+        if basis.is_identity:
             states[s] = bob
             probs[s] = 1.0 / n
             continue
@@ -141,7 +141,7 @@ def alice_measure(
     shared: SharedState, basis: AliceBasis, rng: SeededRng
 ) -> tuple[int, Ket]:
     """Measure Alice's register; return her outcome and Bob's conditional state."""
-    n = shared.alice_dim
+    n = len(shared.bob_states)
     return qcore.measure_subsystem(shared.joint, (n, n), "A", basis.matrix, rng)
 
 
@@ -173,4 +173,4 @@ def target_to_basis(target: np.ndarray, bob_states: np.ndarray) -> AliceBasis:
             vectors.append(candidate / norm)
         if len(vectors) == n:
             break
-    return AliceBasis(np.column_stack(vectors), "A2")
+    return AliceBasis(np.column_stack(vectors))

@@ -263,10 +263,6 @@ class SeededRng:
         with _LOCK:
             return self._lend().random(n)
 
-    def normals(self, n: int) -> np.ndarray:
-        with _LOCK:
-            return self._lend().standard_normal(n)
-
     def choice(self, probabilities: np.ndarray) -> int:
         """Sample an index from a probability vector with one uniform draw."""
         edges = np.cumsum(probabilities)

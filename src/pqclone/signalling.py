@@ -176,15 +176,15 @@ class TallyTable:
 class SignalStats:
     """Estimated conditional column probabilities and the derived bit rates.
 
-    Each array is read-only, with one row per setting (0 for A1, 1 for A2).
+    Each array is read-only, with one row per setting (0 for A1, 1 for A2);
+    the classified counts behind them are the tally's.
     """
 
     p_col: np.ndarray  # shape (2, N+2): P(column | setting), last column PHI
     p_vote: np.ndarray  # shape (2, 2): P(vote | setting), vote 0 or 1
     stderr: np.ndarray  # shape (2, 2): binomial standard error of p_vote
     accuracy: float  # correct guesses / non-abstain guesses, both settings pooled
-    classified: tuple
-    discard_rate: tuple
+    discard_rate: tuple  # discards / trials per setting
     leakage: float  # analytic misclassification bound for exact copies
 
     def __post_init__(self):
@@ -277,10 +277,10 @@ class RunContext:
 
     Every state is one row. Row m of ``kets[s]`` is the state Bob holds
     after Alice's outcome m under setting s (0 for A1, 1 for A2), with
-    probability ``probs[s, m]``. ``preparations`` lists the 2N states
-    B_1..B_2N (A1's outcomes, then A2's), and ``candidates`` its first N+1,
-    B_1..B_{N+1}; both are views of ``kets``. The exact-copy table is over
-    all 2N preparations: ``only[l, i]`` is the probability that group l
+    probability ``probs[s, m]``. Read as one list, ``kets`` holds the 2N
+    preparations B_1..B_2N (A1's outcomes, then A2's), and its first N+1
+    are the candidates B_1..B_{N+1}. The exact-copy table is over all 2N
+    preparations: ``only[l, i]`` is the probability that group l
     alone all-succeeds on mu exact copies of B_{i+1}, that is column l's
     share of them, ``hit[l, i] * stay[l, i]``. ``hit[j, i]`` is the
     probability that group j all-succeeds on them (``group_hits``), and
@@ -292,8 +292,6 @@ class RunContext:
 
     kets: np.ndarray  # (2, N, N)
     probs: np.ndarray  # (2, N)
-    preparations: np.ndarray  # (2N, N)
-    candidates: np.ndarray  # (N+1, N)
     only: np.ndarray  # (N+1, 2N)
 
     @property
@@ -323,13 +321,12 @@ def prepare_context(
         )
     kets.setflags(write=False)
     probs.setflags(write=False)
-    preparations = kets.reshape(2 * n, n)
-    candidates = preparations[: n + 1]
-    hit = group_hits(candidates, preparations, mu)
+    preparations = kets.reshape(2 * n, n)  # B_1..B_2N; the first N+1 are candidates
+    hit = group_hits(preparations[: n + 1], preparations, mu)
     hit.flat[:: hit.shape[1] + 1] = 1.0  # candidate l passes its own group's tests
     only = hit * _stay(hit)
     only.setflags(write=False)
-    return RunContext(kets, probs, preparations, candidates, only)
+    return RunContext(kets, probs, only)
 
 
 @lru_cache
@@ -378,9 +375,9 @@ def _branches(
 
     ``branches`` selects the columns of ``ctx.only`` whose mu exact copies
     the output holds, ``mass[m, b]`` is branch b's mass in member m, and
-    ``success[m]`` member m's success mass. Member m has state
-    ``ctx.preparations[m]`` and probability ``probs[m]``; the first N are
-    A1's, the rest A2's.
+    ``success[m]`` member m's success mass. Member m has probability
+    ``probs[m]``; the first N are A1's, with states ``ctx.kets[0]``, and
+    the rest A2's, with states ``ctx.kets[1]``.
 
     The label-aware cloner's branches are its clonable labels: member m
     (label m+1) yields copies of label b with mass p_m |c_b|^2
@@ -414,7 +411,7 @@ def _branches(
     legal = machine.factored
     beta = np.zeros((n, probs.size), dtype=complex)
     beta.flat[:: probs.size + 1] = 1.0  # identity block over the A1 members
-    beta[:, n:] = legal.pinv @ ctx.preparations[n:].T
+    beta[:, n:] = legal.pinv @ ctx.kets[1].T
     beta *= np.sqrt(machine.gammas)[:, None] * np.sqrt(probs)[None, :]
     success = np.einsum("im,ij,jm->m", beta.conj(), legal.gram_power, beta).real
     return slice(0, n), (np.abs(beta) ** 2).T, success
@@ -541,7 +538,6 @@ def stats_from_tally(tally: TallyTable, leakage: float) -> SignalStats:
         p_vote=rates,
         stderr=errors,
         accuracy=accuracy,
-        classified=classified,
         discard_rate=(discards[0] / trials[0], discards[1] / trials[1]),
         leakage=leakage,
     )

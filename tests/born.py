@@ -1,6 +1,7 @@
 """Born-rule building blocks that only the tests use.
 
-Random states and unitaries for instance generation, computational basis
+Standard normals drawn on a library stream (``normals``), random states
+and unitaries built from them for instance generation, computational basis
 kets, kets stacked into the library's ``(N, d)`` state arrays, config
 amplitude pairs, Hermitian operators with their spectra, Gram matrices,
 the rank count and trace distances, explicit tensor products and partial
@@ -17,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from pqclone import qcore
 from pqclone.errors import ConfigError
 from pqclone.pqcm import IllegalClonerSpec
 from pqclone.qcore import (
@@ -134,16 +136,27 @@ def average_density(ensemble: Ensemble) -> HermitianOperator:
     return HermitianOperator.from_matrix(rho)
 
 
+def normals(rng: SeededRng, n: int) -> np.ndarray:
+    """``n`` standard normals, the next draws of ``rng``'s stream.
+
+    The stream lends the shared generator under the library's lock, as its
+    own draws do, so the numbers depend only on the stream's seed, id and
+    draws so far.
+    """
+    with qcore._LOCK:
+        return rng._lend().standard_normal(n)
+
+
 def random_ket(dim: int, rng: SeededRng) -> Ket:
     """A ket with independent complex-normal amplitudes, normalized."""
-    re = rng.normals(dim)
-    im = rng.normals(dim)
+    re = normals(rng, dim)
+    im = normals(rng, dim)
     return Ket.normalized(re + 1j * im)
 
 
 def haar_unitary(dim: int, rng: SeededRng) -> np.ndarray:
     """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = (rng.normals(dim * dim) + 1j * rng.normals(dim * dim)).reshape(dim, dim)
+    z = (normals(rng, dim * dim) + 1j * normals(rng, dim * dim)).reshape(dim, dim)
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
     phases /= np.abs(phases)

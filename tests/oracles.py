@@ -126,12 +126,12 @@ def induced_members_by_kets(shared, basis) -> list:
     """Bob's (state, probability) members for one Alice basis, one at a time.
 
     Member m has unnormalized state sum_n <a_m|n> |B_n> and probability its
-    squared norm over N, renormalized; under A1 exactly (|B_n>, 1/N). A
-    member of squared norm at most 1e-24 gets probability 0 and the
-    placeholder |0>.
+    squared norm over N, renormalized; under the exact identity (A1),
+    exactly (|B_n>, 1/N). A member of squared norm at most 1e-24 gets
+    probability 0 and the placeholder |0>.
     """
-    n = shared.alice_dim
-    if basis.label == "A1":
+    n = len(shared.bob_states)
+    if np.array_equal(basis.matrix, np.eye(n)):
         return [(Ket(s), 1.0 / n) for s in shared.bob_states]
     bob_mat = np.column_stack(list(shared.bob_states))
     members = []
@@ -202,7 +202,7 @@ def induced_states_by_scatter(bob: np.ndarray, bases) -> tuple:
     states = np.empty((len(bases), n, n), dtype=np.complex128)
     probs = np.empty((len(bases), n))
     for s, basis in enumerate(bases):
-        if basis.label == "A1":
+        if np.array_equal(basis.matrix, np.eye(n)):
             states[s] = bob
             probs[s] = 1.0 / n
             continue
@@ -448,11 +448,13 @@ def born_context(config) -> SimpleNamespace:
     candidate rows.
     """
     ctx = config.context
+    n = config.n
+    preparations = ctx.kets.reshape(2 * n, n)
     return SimpleNamespace(
         shared=build_shared_state(ctx.kets[0]),
-        bases=(AliceBasis.computational(config.n), config.a2_basis),
-        all_states=ctx.preparations,
-        candidates=ctx.candidates,
+        bases=(AliceBasis.computational(n), config.a2_basis),
+        all_states=preparations,
+        candidates=preparations[: n + 1],
     )
 
 

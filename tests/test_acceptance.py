@@ -126,9 +126,9 @@ def test_criterion_3_legal_machines_never_signal():
             machine=machine,
             seed=9000 + instance,
         )
-        _, stats = run_protocol(config)
+        tally, stats = run_protocol(config)
         (_, p1_a1), (_, p1_a2) = stats.p_vote
-        sigma = two_sample_sigma(p1_a1, stats.classified[0], p1_a2, stats.classified[1])
+        sigma = two_sample_sigma(p1_a1, tally.classified[0], p1_a2, tally.classified[1])
         diff = abs(p1_a2 - p1_a1)
         assert diff <= 3.0 * sigma, f"instance {instance}: diff {diff}, sigma {sigma}"
         context = config.context

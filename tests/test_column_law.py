@@ -42,7 +42,7 @@ from pqclone.signalling import (
     prepare_context,
 )
 
-from born import basis_ket, haar_unitary, random_ket, state_rows
+from born import basis_ket, haar_unitary, normals, random_ket, state_rows
 from oracles import (
     contracted_legal_rows,
     exact_copy_column_distribution,
@@ -109,7 +109,7 @@ def illegal_instances(draw):
     coefficients = {}
     if draw(st.booleans()):
         for label in range(n + 2, 2 * n + 1):
-            amps = rng.normals(n + 2) + 1j * rng.normals(n + 2)
+            amps = normals(rng, n + 2) + 1j * normals(rng, n + 2)
             amps /= np.linalg.norm(amps)
             coefficients[label] = (amps[: n + 1], amps[n + 1])
     spec = IllegalClonerSpec(
@@ -170,7 +170,7 @@ def steered_configs(draw):
         if draw(st.booleans()):
             rng = SeededRng(draw(st.integers(0, 2**32 - 1)))
             for label in set(range(1, 2 * n + 1)) - set(labels):
-                amps = normalize(rng.normals(n + 2) + 1j * rng.normals(n + 2))
+                amps = normalize(normals(rng, n + 2) + 1j * normals(rng, n + 2))
                 coefficients[label] = (amps[: n + 1], amps[n + 1])
         machine = IllegalClonerSpec(tuple(labels), mu, 2 * n, coefficients or None)
     return ProtocolConfig(
@@ -229,8 +229,6 @@ class TestRunContext:
         ctx = config.context
         np.testing.assert_array_equal(ctx.kets, kets)
         np.testing.assert_array_equal(ctx.probs, probs)
-        np.testing.assert_array_equal(ctx.preparations, kets.reshape(2 * n, n))
-        np.testing.assert_array_equal(ctx.candidates, kets.reshape(2 * n, n)[: n + 1])
 
     def test_stay_matches_the_gather_bit_for_bit(self):
         # the masked product takes each (l, i)'s factors in the gather's order
@@ -305,13 +303,14 @@ class TestLawProperties:
         # success branch A psi_m; the appended A2 member has probability 0
         ctx = config.context
         n = config.n
-        kets = np.vstack([ctx.preparations, np.eye(1, n)])
+        kets = np.vstack([ctx.kets.reshape(2 * n, n), np.eye(1, n)])
         probs = np.append(ctx.probs.ravel(), 0.0)
-        stand_in = SimpleNamespace(preparations=kets, only=ctx.only)
+        # A1's members, then A2's with the appended one
+        stand_in = SimpleNamespace(kets=(kets[:n], kets[n:]), only=ctx.only)
         np.testing.assert_allclose(
             _law_rows(config.machine, probs, stand_in),
             contracted_legal_rows(
-                config.machine.kraus_success, kets, probs, ctx.candidates, config.mu
+                config.machine.kraus_success, kets, probs, kets[: n + 1], config.mu
             ),
             rtol=0,
             atol=1e-12,
@@ -338,7 +337,7 @@ class TestLawProperties:
         law = column_law(config)
         n = config.n
         ctx = config.context
-        target = ctx.candidates[n]
+        target = ctx.kets[1, 0]  # candidate B_{N+1}
         overlaps = np.array(
             [abs(np.vdot(b, target)) for b in config.bob_states]
         )
@@ -357,9 +356,10 @@ class TestLawProperties:
         law = column_law(config)
         spec = config.machine
         ctx = config.context
-        candidates = list(ctx.candidates)
-        shared = build_shared_state(config.bob_states)
         n = config.n
+        preparations = ctx.kets.reshape(2 * n, n)
+        candidates = list(preparations[: n + 1])
+        shared = build_shared_state(config.bob_states)
         bases = (AliceBasis.computational(n), config.a2_basis)
         for setting, basis in enumerate(bases):
             for m, (_, p) in enumerate(induced_ensemble(shared, basis).members):
@@ -372,7 +372,7 @@ class TestLawProperties:
                 expected = np.zeros(n + 2)
                 expected[n + 1] = weights[-1]  # junk branch
                 for w, clonable in zip(weights, spec.clonable_labels):
-                    single = ctx.preparations[clonable - 1]
+                    single = preparations[clonable - 1]
                     expected += w * exact_copy_column_distribution(
                         single, candidates, config.mu
                     )

@@ -847,6 +847,37 @@ class TestCliSignalTest:
             parsed = json.loads(stats_csv[key])
             assert parsed == value
 
+    def test_stats_file_reads_the_tally_file(self, tmp_path):
+        # every per-setting count, discard rate and column rate in stats.json
+        # is its setting's rows of tally.json, at a seed where the settings'
+        # counts and discards differ, so one setting's value cannot stand in
+        # for the other's
+        out = tmp_path / "out"
+        code = cli.main(
+            ["signal-test", str(CONFIGS / "legal_n2.json"), "--seed", "3",
+             "--out", str(out)]
+        )
+        assert code == 0
+        tally = json.loads((out / "tally.json").read_text())
+        stats = json.loads((out / "stats.json").read_text())
+        n, trials = stats["n"], stats["trials_per_setting"]
+        labels = [label.lower() for label in tally["columns"][1:]]
+        checked = set()
+        for setting, a in enumerate(("a1", "a2")):
+            rows = tally["rows"][setting * n : (setting + 1) * n]
+            columns = [sum(row[j] for row in rows) for j in range(1, len(labels) + 1)]
+            classified = sum(columns)
+            assert stats[f"classified_{a}"] == classified
+            assert stats[f"discard_rate_{a}"] == (trials - classified) / trials
+            for label, count in zip(labels, columns):
+                assert stats[f"p_{a}_{label}"] == count / classified
+            checked |= {f"classified_{a}", f"discard_rate_{a}"}
+            checked |= {f"p_{a}_{label}" for label in labels}
+        assert stats["classified_a1"] != stats["classified_a2"]
+        assert stats["p_a1_b1"] != stats["p_a2_b1"]
+        per_setting = ("classified_a", "discard_rate_a", "p_a")
+        assert checked == {key for key in stats if key.startswith(per_setting)}
+
     def test_reruns_are_byte_identical(self, tmp_path):
         d1 = self.run_demo(tmp_path, "json", "run1")
         # the rerun writes over longer files, so it must truncate them
@@ -984,6 +1015,16 @@ class TestCliSignalTest:
         assert err.startswith(prefix or f"error: {field} ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    # A Python caller can pass a coefficient key that JSON cannot spell; a
+    # None key used to end in int()'s raw TypeError.
+    @pytest.mark.parametrize("key", [None, 4, 4.0, (4,), b"4"])
+    def test_coefficient_key_that_is_not_a_string_is_refused(self, key):
+        run = RunConfig.load(CONFIGS / "illegal_n2.json")
+        machine = {"kind": "illegal", "coefficients": {key: COEFFICIENT}}
+        with pytest.raises(ConfigError) as err:
+            build_protocol(dataclasses.replace(run, machine=machine), CONFIGS)
+        assert str(err.value) == f"machine coefficients[{key!r}]: label is not a string"
 
     # One case per key a "machine", "a2" or coefficient object does not
     # take; each used to be ignored without a word, and the run exited 0.

@@ -52,15 +52,15 @@ def orthonormal_span(states) -> np.ndarray:
 
 
 class TestAliceBasis:
-    def test_computational_label(self):
-        basis = AliceBasis.computational(3)
-        assert basis.label == "A1"
-        assert basis.dim == 3
-
-    def test_a1_must_be_computational(self):
-        with pytest.raises(ConfigError, match="label A1 requires the computational basis"):
-            hadamard = state_rows((Ket.normalized([1, 1]), Ket.normalized([1, -1])))
-            AliceBasis(hadamard.T, "A1")
+    def test_identity_is_read_off_the_matrix(self):
+        # a basis is its unitary; only the exact identity is the computational
+        # basis, however it was built
+        assert AliceBasis.computational(3).is_identity
+        assert AliceBasis.computational(3).dim == 3
+        assert AliceBasis.from_unitary(np.eye(2)).is_identity
+        assert not AliceBasis.fourier(2).is_identity
+        assert not AliceBasis.from_unitary(np.eye(2)[::-1]).is_identity
+        assert not AliceBasis.from_unitary(np.diag([1.0, -1.0])).is_identity
 
     def test_fourier_is_orthonormal(self):
         mat = AliceBasis.fourier(4).matrix
@@ -68,16 +68,16 @@ class TestAliceBasis:
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(ConfigError, match="basis is not orthonormal within tolerance"):
-            AliceBasis(state_rows((KET0, Ket.normalized([1, 1]))).T, "A2")
+            AliceBasis(state_rows((KET0, Ket.normalized([1, 1]))).T)
 
     def test_nan_matrix_rejected(self):
         # max|X*X - I| > tol is False for NaN, so a NaN basis used to pass
         with pytest.raises(ConfigError, match="basis is not orthonormal within tolerance"):
-            AliceBasis(np.full((2, 2), np.nan), "A2")
+            AliceBasis(np.full((2, 2), np.nan))
 
     def test_non_numeric_matrix_rejected(self):
         with pytest.raises(ConfigError, match="a basis is a matrix of complex numbers"):
-            AliceBasis("x", "A2")
+            AliceBasis("x")
 
 
 class TestBuildSharedState:
@@ -129,6 +129,18 @@ class TestInducedEnsemble:
             np.testing.assert_array_equal(state.amplitudes, states[n].amplitudes)
             assert prob == 1.0 / 3
 
+    def test_an_identity_a2_steers_by_the_exact_rule(self):
+        # an alternate basis that is the identity steers Bob into his own
+        # states, bit for bit, like A1; the general rule's norms are off in
+        # the last bit for most of these sets
+        identity = AliceBasis.from_unitary(np.eye(3))
+        for seed in range(200, 210):
+            rng = SeededRng(seed)
+            bob = state_rows([random_ket(3, rng) for _ in range(3)])
+            kets, probs = induced_states(bob, (identity,))
+            np.testing.assert_array_equal(kets[0], bob)
+            np.testing.assert_array_equal(probs[0], np.full(3, 1.0 / 3))
+
     def test_fourier_on_bell_gives_plus_minus(self):
         shared = build_shared_state(state_rows([KET0, KET1]))
         ens = induced_ensemble(shared, AliceBasis.fourier(2))
@@ -177,7 +189,7 @@ def measured_outcomes(shared, basis, rng, trials: int) -> np.ndarray:
     outcomes are checked against ``alice_measure`` on a copy of the stream.
     """
     replay = copy.deepcopy(rng)
-    n = shared.alice_dim
+    n = len(shared.bob_states)
     conditionals = basis.matrix.conj().T @ shared.joint.amplitudes.reshape(n, n)
     probs = np.sum(np.abs(conditionals) ** 2, axis=1)
     probs /= probs.sum()

@@ -26,7 +26,7 @@ from pqclone.pqcm import (
 from pqclone.qcore import Ket, SeededRng, is_psd, tensor_power
 from pqclone.signalling import ProtocolConfig
 
-from born import basis_ket, inner_product, random_ket, state_rows
+from born import basis_ket, inner_product, normals, random_ket, state_rows
 from oracles import (
     gamma_by_bisection,
     gamma_max_high_precision,
@@ -170,7 +170,7 @@ class TestMaxUniformGamma:
         for trial in range(12):
             n = 2 + trial % 3
             states = state_rows(
-                [Ket.normalized(np.abs(rng.normals(n))) for _ in range(n)]
+                [Ket.normalized(np.abs(normals(rng, n))) for _ in range(n)]
             )
             if np.linalg.svd(states, compute_uv=False)[-1] < 1e-3:
                 continue
@@ -201,9 +201,9 @@ def near_dependent_set(n: int, cond: float, real: bool, rng: SeededRng) -> np.nd
     cond(B) somewhat."""
 
     def unitary():
-        z = rng.normals(n * n).reshape(n, n)
+        z = normals(rng, n * n).reshape(n, n)
         if not real:
-            z = z + 1j * rng.normals(n * n).reshape(n, n)
+            z = z + 1j * normals(rng, n * n).reshape(n, n)
         q, r = np.linalg.qr(z)
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -227,7 +227,7 @@ def factored_with_branch(states: np.ndarray, m: int) -> tuple[FactoredSet, str]:
 def near_orthogonal_set(n: int, rng: SeededRng) -> np.ndarray:
     """n unit states of dimension n, each e_k plus a 5 % complex Gaussian
     perturbation, one per row: cond(B) stays below about 10."""
-    noise = rng.normals(n * n) + 1j * rng.normals(n * n)
+    noise = normals(rng, n * n) + 1j * normals(rng, n * n)
     states = np.eye(n) + 0.05 * noise.reshape(n, n)
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 

@@ -388,6 +388,18 @@ class TestStatsFromTally:
         np.testing.assert_array_equal(tally.cells, np.ones((2, 2, 5)))
         assert tally.classified == (8, 8)
 
+    def test_no_vote_at_all_is_a_coin_flip(self):
+        # every classified pair lands in PHI, so no pair votes and Bob can
+        # only guess; discards are not pairs that vote either
+        n = 2
+        cells = np.zeros((2, n, n + 3), dtype=np.int64)
+        cells[:, :, n + 1] = 7  # PHI
+        cells[1, 0, n + 2] = 3  # discarded
+        stats = stats_from_tally(TallyTable(cells), 0.0)
+        assert stats.accuracy == 0.5
+        np.testing.assert_array_equal(stats.p_vote, np.zeros((2, 2)))
+        np.testing.assert_array_equal(stats.p_col[:, n + 1], [1.0, 1.0])
+
 
 # numpy's Python-level helpers (np.eye, np.where, np.fill_diagonal, .min(),
 # np.count_nonzero, ...): right after a garbage collection, the first call
@@ -517,15 +529,15 @@ class TestRunProtocol:
     def test_legal_machine_does_not_signal(self):
         tally, stats = run_protocol(legal_config(trials=8_000))
         (_, p1_a1), (_, p1_a2) = stats.p_vote
-        sigma = two_sample_sigma(p1_a1, stats.classified[0], p1_a2, stats.classified[1])
+        sigma = two_sample_sigma(p1_a1, tally.classified[0], p1_a2, tally.classified[1])
         assert abs(p1_a2 - p1_a1) <= 3 * sigma
         # the whole column distribution must match across settings
         for col in range(stats.n + 2):
             s = two_sample_sigma(
                 stats.p_col[0, col],
-                stats.classified[0],
+                tally.classified[0],
                 stats.p_col[1, col],
-                stats.classified[1],
+                tally.classified[1],
             )
             assert abs(stats.p_col[0, col] - stats.p_col[1, col]) <= 4 * s + 1e-12
 
@@ -687,12 +699,12 @@ class TestChannel:
         # pairs_per_bit = 1, all-zero message: per-block accuracy is
         # P(column <= N) plus half the abstain mass
         cfg = illegal_config(trials=10_000, pairs_per_bit=1, seed=45)
-        _, stats = run_protocol(cfg)
+        tally, stats = run_protocol(cfg)
         message = (0,) * 4_000
         result = run_channel(cfg, message)
         expected = stats.p_vote[0, 0] + 0.5 * stats.p_col[0, cfg.n + 1]
         sigma = two_sample_sigma(
-            result.accuracy, len(message), expected, stats.classified[0]
+            result.accuracy, len(message), expected, tally.classified[0]
         )
         assert abs(result.accuracy - expected) <= 3 * sigma + 1e-9
 
@@ -861,7 +873,7 @@ class TestMaterialization:
         # law's clonable rows exactly, and in the independent group law to
         # its roundoff
         cfg = illegal_config(mu=12)
-        candidates = cfg.context.candidates
+        candidates = cfg.context.kets.reshape(2 * cfg.n, cfg.n)[: cfg.n + 1]
         bound = analytic_leakage(cfg.context.own_stay)
         law = column_law(cfg)
         probs = cfg.context.probs.ravel()
