@@ -21,7 +21,9 @@ class ConfigError(PqcloneError):
 class RankError(PqcloneError):
     """A state set is too close to linear dependence for accurate work: the
     rank rule refuses it, its column law falls below roundoff, or a machine
-    the Gram verdict admits fails its clone or trace residual check."""
+    the Gram verdict admits fails a residual check: its clone residual when
+    it is constructed, its trace residual when its failure operator is
+    first read."""
 
 
 class FeasibilityError(PqcloneError):

@@ -21,8 +21,9 @@ are all read from it, and ``max_uniform_gamma``, ``feasibility_matrix``
 and ``construct_machine`` are one-shot entry points over it. A
 ``PqcmMachine`` is a factored set plus its efficiencies, checked on N x N
 matrices when constructed, so construction never builds an
-N^M-dimensional array. The explicit N^M x N operator A is built only when
-``kraus_success`` is first read, and its own residuals are checked then.
+N^M-dimensional array. The failure operator F is built only when
+``kraus_fail`` or ``trace_residual`` is first read, and the explicit
+N^M x N operator A only when ``kraus_success`` is, each checked then.
 
 The module also models the deliberately nonphysical "illegal" cloner of
 the signalling argument: a label-aware device that claims to clone N+1
@@ -204,8 +205,13 @@ class FactoredSet:
         probability over unit inputs that decides it (``_verdict``)."""
         return self._verdict(self._efficiencies(gammas))[:2]
 
+    def _success_factor(self, gammas: tuple) -> tuple:
+        """(W, G) for checked efficiencies: W = D B^+ and G = R W (A = Q G)."""
+        w_mat = np.sqrt(np.asarray(gammas))[:, None] * self.pinv
+        return w_mat, self.product_factor @ w_mat
+
     def _verdict(self, gammas: tuple) -> tuple:
-        """(feasible, least, W, G) for checked efficiencies: W = D B^+, G = R W.
+        """(feasible, least, W, G) for checked efficiencies (``_success_factor``).
 
         A = C W = Q G (``PqcmMachine``): a unit input u succeeds with
         probability |G u|^2, so least = 1 - lambda_max(G G*) is the least
@@ -213,8 +219,7 @@ class FactoredSet:
         B*(I - G*G)B is not PSD. ``qcore.PSD_TOL`` bounds that probability,
         whose scale, unlike the matrix's, does not shrink with sigma_min(B)^2.
         """
-        w_mat = np.sqrt(np.asarray(gammas))[:, None] * self.pinv
-        g_mat = self.product_factor @ w_mat
+        w_mat, g_mat = self._success_factor(gammas)
         least = 1.0 - float(np.linalg.eigvalsh(g_mat @ g_mat.conj().T)[-1])
         return least >= -qcore.PSD_TOL, least, w_mat, g_mat
 
@@ -223,11 +228,9 @@ class FactoredSet:
 class PqcmMachine:
     """A success/failure Kraus pair: a factored set and one efficiency per state.
 
-    Construction verifies it, a ``dataclasses.replace`` copy included.
     Success operator A = C D B^+ with B the matrix of input columns, C the
     matrix of M-fold tensor-power columns, and D = diag(sqrt(g_i)); failure
-    operator F = principal square root of I - A*A. The efficiencies must
-    lie in [0, 1] and pass the set's Gram verdict, and every check runs on
+    operator F = principal square root of I - A*A. Every check runs on
     N x N matrices, from W = D B^+ and the factor R. Since R*R = C*C,
     C = Q R with Q = C R^-1 of orthonormal columns (never formed). Then
     A = C W = Q G with G = R W, the verdict's G, so:
@@ -237,18 +240,24 @@ class PqcmMachine:
         state i is the norm of column i of R V;
       * the trace residual is max |A*A + F*F - I|.
 
-    Both residuals must lie within ``_MACHINE_TOL``. Raises ConfigError
-    for a ``factored`` that is not a ``FactoredSet`` or for malformed
-    efficiencies, FeasibilityError when the Gram verdict refuses them, and
-    RankError when a residual check fails: the verdict admitted the
-    efficiencies, so the machine was not computed accurately.
+    Construction, a ``dataclasses.replace`` copy included, checks what the
+    column law reads: the efficiencies must lie in [0, 1] and pass the
+    set's Gram verdict, and the clone residual, which checks the B^+ the
+    law's branch masses go through, must lie within ``_MACHINE_TOL``. F
+    and the trace residual are built on the first read of ``kraus_fail``
+    or ``trace_residual``, which checks the trace residual against the
+    same tolerance (twice ``PSD_TOL``, so an admitted machine's trace
+    defect fits); a run that reads only the law never builds them.
+
+    Raises ConfigError for a ``factored`` that is not a ``FactoredSet`` or
+    for malformed efficiencies, FeasibilityError when the Gram verdict
+    refuses them, and RankError when a residual check fails: the verdict
+    admitted the efficiencies, so the machine was not computed accurately.
     """
 
     factored: FactoredSet
     gammas: tuple  # of float, per-state success probabilities
-    kraus_fail: np.ndarray = field(init=False)  # shape (N, N)
     clone_residual: float = field(init=False)  # max_i ||A|B_i> - sqrt(g_i)|B_i>^(xM)||
-    trace_residual: float = field(init=False)  # max-entry |A*A + F*F - I|
 
     def __post_init__(self):
         legal = self.factored
@@ -257,37 +266,57 @@ class PqcmMachine:
                 f"a machine needs a FactoredSet, got {type(legal).__name__}"
             )
         gammas = legal._efficiencies(self.gammas)
-        feasible, least, w_mat, g_mat = legal._verdict(gammas)  # A = C W = Q G
+        feasible, least, w_mat, _ = legal._verdict(gammas)  # A = C W
         if not feasible:
             raise FeasibilityError(
                 f"requested efficiencies are infeasible "
                 f"(least_discard_mass: {least!r})"
             )
-        success_gram = g_mat.conj().T @ g_mat  # A*A
-
-        eye = np.eye(self.dim)
-        gap = eye - success_gram
-        eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
-        f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
-
         v_mat = w_mat @ legal.b_mat  # A B - C D = Q R V, V = W B - D
         v_mat.flat[:: len(gammas) + 1] -= np.sqrt(gammas)
         rv_mat = legal.product_factor @ v_mat  # C = Q R
         # the column norms as np.linalg.norm(rv_mat, axis=0) computes them
         column_norms = np.sqrt(np.add.reduce((rv_mat.conj() * rv_mat).real, axis=0))
         clone_residual = float(column_norms.max())
+        if clone_residual > _MACHINE_TOL:
+            raise RankError(
+                f"machine verification failed (clone residual {clone_residual:.3e})"
+            )
+        object.__setattr__(self, "gammas", gammas)
+        object.__setattr__(self, "clone_residual", clone_residual)
+
+    @property
+    def kraus_fail(self) -> np.ndarray:
+        """The failure operator F, shape (N, N), read-only (``_failure``)."""
+        return self._failure[0]
+
+    @property
+    def trace_residual(self) -> float:
+        """max-entry |A*A + F*F - I| (``_failure``)."""
+        return self._failure[1]
+
+    @cached_property
+    def _failure(self) -> tuple:
+        """(F, trace residual), built from G = R D B^+ on first read.
+
+        F is the root of I - G*G from one N x N ``eigh``, its eigenvalues
+        clamped at 0. Raises RankError when the trace residual exceeds
+        ``_MACHINE_TOL``, and then keeps nothing, so every read raises.
+        """
+        g_mat = self.factored._success_factor(self.gammas)[1]
+        success_gram = g_mat.conj().T @ g_mat  # A*A
+        eye = np.eye(self.dim)
+        gap = eye - success_gram
+        eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+        f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
         trace_residual = float(
             np.abs(success_gram + f_op.conj().T @ f_op - eye).max()
         )
-        if clone_residual > _MACHINE_TOL or trace_residual > _MACHINE_TOL:
+        if trace_residual > _MACHINE_TOL:
             raise RankError(
-                f"machine verification failed (clone residual {clone_residual:.3e}, "
-                f"trace residual {trace_residual:.3e})"
+                f"machine verification failed (trace residual {trace_residual:.3e})"
             )
-        object.__setattr__(self, "gammas", gammas)
-        object.__setattr__(self, "kraus_fail", qcore._frozen(f_op))
-        object.__setattr__(self, "clone_residual", clone_residual)
-        object.__setattr__(self, "trace_residual", trace_residual)
+        return qcore._frozen(f_op), trace_residual
 
     @property
     def clonable(self) -> np.ndarray:
@@ -344,10 +373,10 @@ def max_uniform_gamma(states: np.ndarray, m: int) -> float:
 def construct_machine(
     states: np.ndarray, m: int, gammas: Sequence[float]
 ) -> PqcmMachine:
-    """Build and verify the success/failure Kraus pair for the given set
-    (checks in ``PqcmMachine``). Raises RankError for a set too close to
-    dependence or a machine that fails a check, FeasibilityError when the
-    Gram condition fails.
+    """Build the success/failure Kraus pair for the given set (checks in
+    ``PqcmMachine``). Raises RankError for a set too close to dependence or
+    a machine that fails its clone residual check, FeasibilityError when
+    the Gram condition fails.
     """
     return PqcmMachine(FactoredSet(states, m), gammas)
 

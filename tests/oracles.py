@@ -122,6 +122,27 @@ def two_state_gamma_closed_form(s: float, m: int) -> float:
     return (1.0 - s) / (1.0 - s**m)
 
 
+def failure_operator_at_construction(factored, gammas: tuple) -> tuple:
+    """(F, trace residual) by the arithmetic a machine's construction used
+    when it built F eagerly, kept step for step so the lazy build can be
+    compared with it bit for bit.
+
+    ``gammas`` are the machine's checked efficiencies. G = R D B^+ from
+    the set's factor R and pseudo-inverse, F = the root of I - G^H G from
+    one ``eigh`` with its eigenvalues clamped at 0, and the trace residual
+    is max |G^H G + F^H F - I|.
+    """
+    w_mat = np.sqrt(np.asarray(gammas))[:, None] * factored.pinv
+    g_mat = factored.product_factor @ w_mat
+    success_gram = g_mat.conj().T @ g_mat
+    eye = np.eye(factored.states.shape[1])
+    gap = eye - success_gram
+    eigvals, eigvecs = np.linalg.eigh((gap + gap.conj().T) / 2.0)
+    f_op = (eigvecs * np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.conj().T
+    trace = float(np.abs(success_gram + f_op.conj().T @ f_op - eye).max())
+    return f_op, trace
+
+
 def induced_members_by_kets(shared, basis) -> list:
     """Bob's (state, probability) members for one Alice basis, one at a time.
 

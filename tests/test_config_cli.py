@@ -369,6 +369,30 @@ class TestCliConstruct:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_failed_trace_check_on_first_read_exits_1(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # construction passes and the dump's first read of F fails its trace
+        # check, before anything is written: exit 1 with one line, no file
+        eigh = np.linalg.eigh
+
+        def skewed_eigh(a):
+            vals, vecs = eigh(a)
+            return vals, 1.01 * vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        out = tmp_path / "new" / "machine.json"
+        code = cli.main(
+            ["construct", str(CONFIGS / "states_overlap_n2.txt"), "-M", "3",
+             "--gamma", "0.4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(
+            "error: machine verification failed (trace residual "
+        )
+        assert len(captured.err.splitlines()) == 1
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize(
         "extra", [["--gamma", "nan"], ["--gamma", "2"], ["-M", "1", "--gamma", "0.5"]]

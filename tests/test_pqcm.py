@@ -1,6 +1,8 @@
 """Feasibility analysis, machine construction, illegal cloner."""
 
+import copy
 import dataclasses
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from pqclone.signalling import ProtocolConfig
 
 from born import basis_ket, inner_product, normals, random_ket, state_rows
 from oracles import (
+    failure_operator_at_construction,
     gamma_by_bisection,
     gamma_max_high_precision,
     three_sigma_binomial,
@@ -325,10 +328,11 @@ class TestConstructMachine:
     def test_explicit_operator_checked_with_failure_operator(self):
         machine = construct_machine(overlap_pair(SQ2), 2, [0.5, 0.5])
         assert machine.kraus_success.shape == (4, 2)
-        # F is derived on construction, so a skewed one is forced onto a
-        # fresh machine whose explicit A has not been read yet
+        # F is checked on its own first read, so a skewed one is forced into
+        # the cache of a fresh machine whose explicit A has not been read yet
         skewed = dataclasses.replace(machine)
-        object.__setattr__(skewed, "kraus_fail", 1.01 * machine.kraus_fail)
+        failure = (1.01 * machine.kraus_fail, machine.trace_residual)
+        object.__setattr__(skewed, "_failure", failure)
         with pytest.raises(RankError, match="trace residual"):
             skewed.kraus_success
 
@@ -404,6 +408,178 @@ class TestConstructMachine:
         for s, g in zip(states, machine.gammas):
             expected = np.sqrt(g) * tensor_power(s, 2)
             assert np.linalg.norm(machine.kraus_success @ s - expected) < 1e-9
+
+
+def rotated_set(
+    n: int, dim: int, cond: float, real: bool, rng: SeededRng
+) -> np.ndarray:
+    """``near_dependent_set``'s n unit columns, turned into dimension ``dim``
+    >= n by a random unitary; one state per row."""
+    b_mat = near_dependent_set(n, cond, real, rng)
+    if dim > n:
+        z = normals(rng, dim * dim) + 1j * normals(rng, dim * dim)
+        unitary = np.linalg.qr(z.reshape(dim, dim))[0]
+        b_mat = unitary[:, :n] @ b_mat
+    return b_mat.T
+
+
+def along_ray(legal: FactoredSet, shape, factor: float) -> list:
+    """Efficiencies t * shape, at ``factor`` times the ray's largest t.
+
+    Feasibility is monotone along a ray: G scales by sqrt(t), so the peak
+    success probability by t. The ray ends where the peak reaches 1 or an
+    efficiency reaches 1; for a uniform shape its end is ``gamma_max``.
+    Per-state efficiencies each below ``gamma_max`` can still be far
+    infeasible on a near-dependent set.
+    """
+    peak = 1.0 - legal.gram_verdict(shape)[1]
+    end = min(1.0 / peak, 1.0 / max(shape))
+    return [min(1.0, factor * end * f) for f in shape]
+
+
+def pickled(machine: PqcmMachine) -> PqcmMachine:
+    return pickle.loads(pickle.dumps(machine))
+
+
+class TestFailureOperator:
+    # F and the trace residual are built on first read, bit for bit as
+    # oracles.failure_operator_at_construction builds them
+
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "per-state"])
+    @pytest.mark.parametrize(
+        "log_cond, branch", [(0.5, "cholesky"), (3.0, "qr")], ids=["cholesky", "qr"]
+    )
+    def test_each_factor_branch_keeps_its_bits(self, log_cond, branch, uniform):
+        states = rotated_set(3, 3, 10.0**log_cond, False, SeededRng(11))
+        legal, taken = factored_with_branch(states, 4)
+        assert taken == branch
+        shape = (1.0, 1.0, 1.0) if uniform else (1.0, 0.5, 0.8)
+        machine = PqcmMachine(legal, along_ray(legal, shape, 0.9))
+        f_op, trace = failure_operator_at_construction(legal, machine.gammas)
+        assert machine.kraus_fail.tobytes() == f_op.tobytes()
+        assert machine.trace_residual == trace
+        assert not machine.kraus_fail.flags.writeable
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        extra=st.integers(0, 1),
+        m=st.integers(2, 8),
+        log_cond=st.floats(0.0, 4.5),
+        real=st.booleans(),
+        uniform=st.booleans(),
+        shape=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+        factor=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, extra=0, m=3, log_cond=3.0, real=True, uniform=True,
+             shape=[1.0] * 4, factor=0.9, seed=5)
+    @example(n=3, extra=1, m=5, log_cond=3.5, real=False, uniform=False,
+             shape=[1.0, 0.3, 0.7, 0.05], factor=1.0, seed=6)
+    def test_lazy_failure_operator_keeps_its_bits(
+        self, n, extra, m, log_cond, real, uniform, shape, factor, seed
+    ):
+        states = rotated_set(n, n + extra, 10.0**log_cond, real, SeededRng(seed))
+        try:
+            legal = FactoredSet(states, m)
+        except RankError:
+            assume(False)
+        shape = [1.0] * n if uniform else shape[:n]
+        machine = PqcmMachine(legal, along_ray(legal, shape, factor))
+        f_op, trace = failure_operator_at_construction(legal, machine.gammas)
+        assert machine.kraus_fail.tobytes() == f_op.tobytes()
+        assert machine.trace_residual == trace
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(
+        n=st.integers(2, 4),
+        extra=st.integers(0, 1),
+        m=st.integers(2, 8),
+        log_cond=st.floats(0.0, 4.5),
+        real=st.booleans(),
+        uniform=st.booleans(),
+        shape=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+        factor=st.one_of(st.floats(0.0, 1.0 - 1e-9), st.just(1.0 + 4e-10)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=2, extra=0, m=3, log_cond=3.0, real=True, uniform=True,
+             shape=[1.0] * 4, factor=1.0 + 4e-10, seed=5)
+    @example(n=3, extra=1, m=8, log_cond=4.3, real=False, uniform=False,
+             shape=[1.0, 0.2, 0.6, 0.9], factor=1.0 + 4e-10, seed=7)
+    @example(n=4, extra=0, m=6, log_cond=2.0, real=False, uniform=True,
+             shape=[1.0] * 4, factor=1.0 - 1e-9, seed=8)
+    def test_no_verdict_is_lost(
+        self, n, extra, m, log_cond, real, uniform, shape, factor, seed
+    ):
+        # construction leaves the trace check to F's first read, and no
+        # admitted machine fails it: the verdict's PSD_TOL is half the
+        # residual's tolerance, and an admitted trace defect is the negative
+        # least discard mass, if any, plus rounding; efficiencies run along a
+        # ray up to (1 - 1e-9) times its end, or just past it, at (1 + 4e-10)
+        states = rotated_set(n, n + extra, 10.0**log_cond, real, SeededRng(seed))
+        try:
+            legal = FactoredSet(states, m)
+        except RankError:
+            assume(False)
+        gammas = along_ray(legal, [1.0] * n if uniform else shape[:n], factor)
+        feasible, least = legal.gram_verdict(gammas)
+        try:
+            machine = PqcmMachine(legal, gammas)
+        except FeasibilityError:
+            assert not feasible
+            return
+        assert feasible
+        assert machine.trace_residual <= max(0.0, -least) + 1e-12
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+    @pytest.mark.parametrize(
+        "copier",
+        [copy.copy, copy.deepcopy, pickled, dataclasses.replace],
+        ids=["copy", "deepcopy", "pickle", "replace"],
+    )
+    @pytest.mark.parametrize("overlap", [SQ2, 1.0 - 1e-6], ids=["cholesky", "qr"])
+    def test_copies_give_the_same_failure_operator(self, overlap, copier, read_first):
+        legal = FactoredSet(overlap_pair(overlap), 3)
+        machine = PqcmMachine(legal, along_ray(legal, (1.0, 0.6), 0.9))
+        f_op, trace = failure_operator_at_construction(legal, machine.gammas)
+        if read_first:
+            machine.kraus_fail
+        twin = copier(machine)
+        for each in (twin, machine):
+            assert each.kraus_fail.tobytes() == f_op.tobytes()
+            assert each.trace_residual == trace
+
+    def test_failure_operator_cannot_be_given(self):
+        machine = construct_machine(overlap_pair(SQ2), 3, [0.4, 0.4])
+        for name in ("kraus_fail", "trace_residual"):
+            with pytest.raises(TypeError, match=name):
+                dataclasses.replace(machine, **{name: machine.kraus_fail})
+            with pytest.raises(TypeError, match=name):
+                PqcmMachine(machine.factored, machine.gammas, **{name: 0.0})
+            with pytest.raises(AttributeError):
+                setattr(machine, name, 0.0)
+        with pytest.raises(ValueError, match="clone_residual"):
+            dataclasses.replace(machine, clone_residual=0.0)
+
+    def test_failed_trace_check_raises_on_every_read(self, monkeypatch):
+        # a skewed eigh skews F; construction calls no eigh, so it passes,
+        # and each read that needs F raises and keeps nothing
+        eigh, calls = np.linalg.eigh, []
+
+        def skewed_eigh(a):
+            calls.append(a.shape)
+            vals, vecs = eigh(a)
+            return vals, 1.01 * vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+        machine = construct_machine(overlap_pair(SQ2), 2, [0.5, 0.5])
+        assert calls == [] and machine.clone_residual <= 1e-12
+        message = r"verification failed \(trace residual"
+        for name in ("kraus_fail", "trace_residual", "kraus_success", "kraus_fail"):
+            with pytest.raises(RankError, match=message):
+                getattr(machine, name)
+        assert calls == [(2, 2)] * 4
+        assert set(vars(machine)) == {"factored", "gammas", "clone_residual"}
 
 
 def gram_form_success(states, m: int, gammas) -> np.ndarray:

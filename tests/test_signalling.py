@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pqclone import config as config_mod
-from pqclone import qcore, signalling
+from pqclone import cli, qcore, signalling
 from pqclone.entangle import (
     AliceBasis,
     build_shared_state,
@@ -548,15 +548,33 @@ class TestRunProtocol:
 
     def test_run_never_builds_the_explicit_success_operator(self):
         # the law reads only the clonable set and the gammas, so a full run
-        # on the N=3, mu=8 config leaves the 6561 x 3 operator unbuilt
+        # on the N=3, mu=8 config leaves the 6561 x 3 operator unbuilt, and
+        # the failure operator F and its trace residual too
         cfg = demo_protocol("legal_n3_wide")
         run_protocol(cfg)
         run_channel(cfg, random_message(cfg.seed, 40))
         machine = cfg.machine
-        assert "kraus_success" not in machine.__dict__
+        assert set(machine.__dict__) == {"factored", "gammas", "clone_residual"}
         kraus = machine.kraus_success  # built and checked on first read
         assert kraus.shape == (3**8, 3) and not kraus.flags.writeable
         assert machine.__dict__["kraus_success"] is kraus
+        fail, trace = machine.__dict__["_failure"]  # A's check reads F
+        assert machine.kraus_fail is fail and machine.trace_residual == trace
+
+    @pytest.mark.parametrize("name", ["legal_n2", "legal_n3_wide"])
+    def test_signal_test_calls_no_eigh(self, name, tmp_path, monkeypatch):
+        # F is the one eigh of a legal machine, and no signal-test reads it
+        calls, eigh = [], np.linalg.eigh
+
+        def counted_eigh(a, *args):
+            calls.append(a.shape)
+            return eigh(a, *args)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        out = tmp_path / "run"
+        code = cli.main(["signal-test", str(DEMO_CONFIGS[name]), "--out", str(out)])
+        assert code == 0 and (out / "stats.json").exists()
+        assert calls == []
 
 
 class TestChannel:
