@@ -209,13 +209,18 @@ class RunConfig:
         return cls.loads(_read_text(os.fspath(path), "config"))
 
 
-def _resolve_states(config: RunConfig, base_dir: str) -> np.ndarray:
+def _resolve_states(config: RunConfig, base_dir: str):
+    """Bob's states as new unit rows, once they pass the dimension checks
+    (``qcore.require_bob_dimensions``), which precede the a2 and machine
+    errors. Nothing else holds them, and each owner that keeps them, the
+    ``FactoredSet`` and the ``ProtocolConfig``, copies and checks them."""
     if config.states_file is not None:
         # an absolute states_file replaces base_dir
         states = load_states(os.path.join(base_dir, config.states_file))
     else:
         states = _state_rows(config.bob_states, "bob_states entry")
-    return qcore.bob_state_set(states)
+    qcore.require_bob_dimensions(states)
+    return states
 
 
 def _real(value, what: str) -> float:
@@ -249,8 +254,10 @@ def pairs_to_ket(pairs, what: str) -> np.ndarray:
 
 def _amplitude_array(rows: list) -> np.ndarray | None:
     """``rows`` as one exact ``(N, d)`` complex array when every row is a
-    list of d [re, im] lists of finite ints and floats; None otherwise.
-    Each check is one pass over all rows, pairs or values."""
+    list of d [re, im] lists of ints and floats within the float range;
+    None otherwise. Each check is one pass over all rows, pairs or values.
+    A NaN or infinite value is left to ``normalize``, whose norm is then
+    not finite."""
     if not rows or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
         return None
     pairs = list(chain.from_iterable(rows))
@@ -263,20 +270,22 @@ def _amplitude_array(rows: list) -> np.ndarray | None:
         numbers = np.array(values, dtype=np.float64)
     except OverflowError:  # an int beyond the float range
         return None
-    if not np.isfinite(numbers).all():
-        return None
     return numbers.view(np.complex128).reshape(len(rows), -1)
 
 
 def _state_rows(rows: list, what: str):
     """States given as lists of [re, im] amplitude pairs, as unit rows
-    normalized in one call. Rows that fail ``_amplitude_array``'s checks
-    go through ``pairs_to_ket`` one by one, which names the first bad
-    value and reports what a row-by-row parse would."""
+    normalized in one call. Rows that fail ``_amplitude_array``'s checks,
+    or whose stacked ``normalize`` raises, go through ``pairs_to_ket`` one
+    by one, which names the first bad value and reports what a row-by-row
+    parse would."""
     amps = _amplitude_array(rows)
-    if amps is None:
-        return [pairs_to_ket(row, what) for row in rows]
-    return qcore.normalize(amps)
+    if amps is not None:
+        try:
+            return qcore.normalize(amps)
+        except ConfigError:  # name the first bad value, as parse_states_text does
+            pass
+    return [pairs_to_ket(row, what) for row in rows]
 
 
 def _required(spec: dict, key: str, what: str):

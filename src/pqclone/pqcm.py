@@ -277,7 +277,7 @@ class PqcmMachine:
         rv_mat = legal.product_factor @ v_mat  # C = Q R
         # the column norms as np.linalg.norm(rv_mat, axis=0) computes them
         column_norms = np.sqrt(np.add.reduce((rv_mat.conj() * rv_mat).real, axis=0))
-        clone_residual = float(column_norms.max())
+        clone_residual = float(np.maximum.reduce(column_norms))
         if clone_residual > _MACHINE_TOL:
             raise RankError(
                 f"machine verification failed (clone residual {clone_residual:.3e})"

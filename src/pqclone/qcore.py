@@ -66,7 +66,7 @@ def normalize(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     with np.errstate(over="ignore"):
         norms = np.sqrt(_self_dots(arr.real) + _self_dots(arr.imag))
-    for norm in np.ravel(norms).tolist():
+    for norm in norms.ravel().tolist():
         if not math.isfinite(norm):
             raise ConfigError("state norm is not finite")
         if norm < 1e-12:
@@ -79,6 +79,11 @@ def state_set(states, what: str) -> np.ndarray:
     one state per row, so its owner holds a copy no later write reaches.
     Raises ConfigError, naming the set ``what``, unless every row has norm
     1 within ``NORM_TOL`` (NaN fails): the laws are stated for unit states.
+
+    One ``_self_dots`` pass, the squared norms ``normalize`` reads, accepts
+    the set when every row has |norm^2 - 1| <= ``NORM_TOL``, a margin that
+    implies the norm rule; any other set is decided, and its message
+    spelt, by each row's ``np.vdot`` norm.
     """
     try:
         arr = _frozen(states)
@@ -88,16 +93,21 @@ def state_set(states, what: str) -> np.ndarray:
         raise ConfigError("a state set needs at least one nonempty state")
     if arr.ndim != 2:
         raise ConfigError(f"a state set is an (N, d) array, got shape {arr.shape}")
+    with np.errstate(over="ignore"):
+        squares = _self_dots(arr.view(np.float64))  # C order: re, im in turn
+    if np.maximum.reduce(abs(squares - 1.0)) <= NORM_TOL:  # NaN fails
+        return arr
     norms = [math.sqrt(np.vdot(state, state).real) for state in arr]
     if not all(abs(norm - 1.0) <= NORM_TOL for norm in norms):
         raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
     return arr
 
 
-def bob_state_set(states) -> np.ndarray:
-    """Bob's N >= 2 unit states of dimension N as one ``state_set``; raises
-    ConfigError otherwise. Each state's length is checked before the
-    stack, so a ragged list gets the dimension message too."""
+def require_bob_dimensions(states) -> None:
+    """Raise ConfigError unless ``states`` holds N >= 2 states, each of
+    dimension N. An array's width is read from its shape; each state's
+    length is read for any other input, so a ragged list gets the
+    dimension message too."""
     try:
         n = len(states)
     except TypeError:
@@ -106,9 +116,20 @@ def bob_state_set(states) -> np.ndarray:
         ) from None
     if n < 2:
         raise ConfigError(f"need at least two Bob states, got {n}")
-    for size in map(np.size, states):
+    if isinstance(states, np.ndarray) and states.ndim == 2:
+        sizes = states.shape[1:]
+    else:
+        sizes = map(np.size, states)
+    for size in sizes:
         if size != n:
             raise ConfigError(f"Bob states must have dimension {n}, got {size}")
+
+
+def bob_state_set(states) -> np.ndarray:
+    """Bob's N >= 2 unit states of dimension N as one ``state_set``; raises
+    ConfigError otherwise, a dimension fault (``require_bob_dimensions``)
+    before the stack."""
+    require_bob_dimensions(states)
     return state_set(states, "Bob states")
 
 
@@ -294,11 +315,11 @@ class SeededRng:
             ) from None
         if probabilities.ndim != 1:
             raise ConfigError("multinomial probabilities must be one vector")
-        support = (probabilities > 0).nonzero()[0]
-        # NaN and negative cells are nonzero but not positive
-        if np.count_nonzero(probabilities) != support.size:
-            raise ConfigError("multinomial probabilities must be nonnegative numbers")
+        # every nonzero cell must be positive: NaN and negative cells fail
+        support = probabilities.nonzero()[0]
         mass = probabilities[support]
+        if not np.minimum.reduce(mass, initial=np.inf) > 0:
+            raise ConfigError("multinomial probabilities must be nonnegative numbers")
         # scaling by a power of two is exact, so the renormalized cells are
         # unchanged; one at least the cell count keeps a finite vector's sum
         # (and every partial sum) within float range
@@ -346,7 +367,7 @@ def independent_svd(b_mat: np.ndarray) -> tuple:
     """
     dim, n_states = b_mat.shape
     ratio = 0.0  # N > d: dependent whatever the d singular values say
-    if not np.isfinite(b_mat).all():
+    if not np.logical_and.reduce(np.isfinite(b_mat), axis=None):
         ratio = float("nan")
     elif n_states <= dim:
         svd = np.linalg.svd(b_mat, full_matrices=False)

@@ -240,8 +240,9 @@ class ProtocolConfig:
         else:
             # the legal law takes the clonable states to be B_1..B_N
             clonable = self.machine.clonable
-            same_shape = clonable.shape == bob_states.shape
-            gap = np.abs(clonable - bob_states).max() if same_shape else np.inf
+            gap = np.inf
+            if clonable.shape == bob_states.shape:
+                gap = np.maximum.reduce(np.abs(clonable - bob_states), axis=None)
             if not gap <= 1e-12:
                 raise ConfigError(
                     f"machine clones other states than Bob's (amplitude gap {gap:.1e})"
@@ -571,7 +572,7 @@ def _majority(sent: np.ndarray, votes: np.ndarray, rng: SeededRng) -> ChannelRes
     if ties.size:  # a tie-free message never draws from its vote stream
         decoded[ties] = rng.uniforms(ties.size) < 0.5
     return ChannelResult(
-        accuracy=int(np.count_nonzero(sent == decoded)) / sent.size,
+        accuracy=(sent == decoded).nonzero()[0].size / sent.size,
         sent=tuple(sent.tolist()),
         decoded=tuple(decoded.tolist()),
         coin_flips=int(ties.size),

@@ -11,6 +11,7 @@ column-by-column vote rule) so that a test never validates code against
 itself.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -560,6 +561,42 @@ def channel_accuracy_by_pairs(pair_results, pairs_per_bit: int, rng: SeededRng):
         raise ConfigError("no complete blocks to decode")
     hits = sum(int(s == d) for s, d in zip(sent, decoded))
     return hits / len(sent), tuple(sent), tuple(decoded), coin_flips
+
+
+def state_set_by_rows(states, what: str) -> np.ndarray:
+    """``qcore.state_set`` with the unit rule row by row: each row's norm
+    from its own ``np.vdot``, refused unless it lies within ``NORM_TOL`` of
+    1; the same read-only copy, the same checks, the same messages."""
+    try:
+        arr = np.array(states, dtype=np.complex128, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"a state set must be an (N, d) array: {exc}") from None
+    if arr.size == 0:
+        raise ConfigError("a state set needs at least one nonempty state")
+    if arr.ndim != 2:
+        raise ConfigError(f"a state set is an (N, d) array, got shape {arr.shape}")
+    norms = [math.sqrt(np.vdot(state, state).real) for state in arr]
+    if not all(abs(norm - 1.0) <= qcore.NORM_TOL for norm in norms):
+        raise ConfigError(f"{what} must be unit vectors, got norms {norms}")
+    arr.setflags(write=False)
+    return arr
+
+
+def bob_state_set_by_rows(states) -> np.ndarray:
+    """``qcore.bob_state_set`` reading every state's length with ``np.size``,
+    an array's rows included, before ``state_set_by_rows``."""
+    try:
+        n = len(states)
+    except TypeError:
+        raise ConfigError(
+            f"Bob states must be a list of states, got {states!r}"
+        ) from None
+    if n < 2:
+        raise ConfigError(f"need at least two Bob states, got {n}")
+    for size in map(np.size, states):
+        if size != n:
+            raise ConfigError(f"Bob states must have dimension {n}, got {size}")
+    return state_set_by_rows(states, "Bob states")
 
 
 def multinomial_by_support(gen, n: int, probabilities, size=None) -> np.ndarray:

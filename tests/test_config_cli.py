@@ -142,6 +142,22 @@ class TestRunConfig:
             assert isinstance(protocol.machine, machine_type)
             assert protocol.n == 2
 
+    @pytest.mark.parametrize(
+        "path", [CONFIGS / "illegal_n2.json", CONFIGS / "legal_n2.json",
+                 REPO / "bench" / "legal_n3_wide.json"],
+        ids=["illegal_n2", "legal_n2", "legal_n3_wide"],
+    )
+    def test_each_owner_keeps_its_own_copy(self, path):
+        # the protocol and a legal machine's factored set each copy and gate
+        # Bob's states, so no write to one reaches the other
+        protocol = build_protocol(RunConfig.load(path), path.parent)
+        owned = [protocol.bob_states]
+        if isinstance(protocol.machine, PqcmMachine):
+            owned.append(protocol.machine.clonable)
+        for states in owned:
+            assert not states.flags.writeable and states.flags.owndata
+        assert not any(np.shares_memory(owned[0], other) for other in owned[1:])
+
     @pytest.mark.parametrize("kind", [str, Path])
     def test_paths_may_be_str_or_path(self, kind):
         run = RunConfig.load(kind(CONFIGS / "legal_n2.json"))
@@ -548,6 +564,37 @@ class TestStateRows:
         got = config_mod._state_rows(rows, "x")
         assert isinstance(got, np.ndarray)
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    # the second of illegal_n2's rows replaced by a bad one: every message
+    # names the first bad value, or the first row whose norm is bad
+    ENTRY = "bob_states entry amplitude must be"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("[[0.0, 0.0], [NaN, 0.0]]", f"{ENTRY} a finite number, got nan"),
+            ("[[0.0, 0.0], [Infinity, 0.0]]", f"{ENTRY} a finite number, got inf"),
+            ("[[0.0, 0.0], [1e200, 0.0]]", "state norm is not finite"),
+            ("[[1e200, 0.0], [NaN, 0.0]]", f"{ENTRY} a finite number, got nan"),
+            (f"[[0.0, 0.0], [{10**400}, 0.0]]",
+             f"{ENTRY} a finite number, got {10**400}"),
+            ("[[0.0, 0.0], [0.0, 0.0]]", "state has zero norm"),
+            ("[[0.0, 0.0], [true, 0.0]]", f"{ENTRY} a finite number, got True"),
+            ("[[1.0, 0.0]]", "Bob states must have dimension 2, got 1"),
+            ("[[0.0, 0.0], [1.0, 0.0, 0.0]]",
+             f"{ENTRY} an [re, im] pair, got [1.0, 0.0, 0.0]"),
+        ],
+        ids=["nan", "inf", "1e200", "1e200-then-nan", "10**400", "zero", "bool",
+             "ragged", "three-numbers"],
+    )
+    def test_a_bad_bob_states_row_gets_its_message(self, row, message):
+        text = (CONFIGS / "illegal_n2.json").read_text()
+        good = "[[0.0, 0.0], [1.0, 0.0]]"
+        assert text.count(good) == 1
+        run = RunConfig.loads(text.replace(good, row))
+        with pytest.raises(ConfigError) as err:
+            build_protocol(run)
+        assert str(err.value) == message
 
 
 class TestCliInputPath:

@@ -37,7 +37,13 @@ from born import (
     tensor,
     trace_distance,
 )
-from oracles import char_poly_roots, multinomial_by_support, three_sigma_binomial
+from oracles import (
+    bob_state_set_by_rows,
+    char_poly_roots,
+    multinomial_by_support,
+    state_set_by_rows,
+    three_sigma_binomial,
+)
 
 KET0 = basis_ket(2, 0)
 KET1 = basis_ket(2, 1)
@@ -252,6 +258,58 @@ class TestStateSet:
     def test_bob_state_width_is_checked_on_an_array(self):
         with pytest.raises(ConfigError, match="^Bob states must have dimension 3, got 2$"):
             qcore.bob_state_set(_frozen(np.eye(3, 2)))
+
+    # rows scaled to norm 1 + k NORM_TOL, near both edges of the rule, with
+    # one NaN, infinite, huge or zero entry or row; a RuntimeWarning fails
+    # the test (pyproject's filterwarnings)
+    @settings(deadline=None, max_examples=200, derandomize=True)
+    @given(
+        n=st.integers(1, 64),
+        extra=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.floats(-3.0, 3.0),
+        scaled=st.integers(0, 64),
+        special=st.sampled_from([None, "zero row", np.nan, np.inf, -np.inf, 1e200]),
+        imag=st.booleans(),
+        where=st.integers(0, 2**16),
+        as_list=st.booleans(),
+    )
+    @example(n=3, extra=0, seed=1, k=1.5, scaled=1, special=None, imag=False,
+             where=0, as_list=False)
+    @example(n=2, extra=0, seed=2, k=-1.9, scaled=2, special=None, imag=False,
+             where=0, as_list=True)
+    @example(n=4, extra=0, seed=3, k=0.9, scaled=4, special=None, imag=False,
+             where=0, as_list=False)
+    def test_every_verdict_and_message_is_the_per_row_rule(
+        self, n, extra, seed, k, scaled, special, imag, where, as_list
+    ):
+        rng = np.random.default_rng(seed)
+        shape = (n, n + extra)
+        rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        rows[:scaled] *= 1.0 + k * qcore.NORM_TOL
+        if special == "zero row":
+            rows[where % n] = 0.0
+        elif special is not None:
+            rows.flat[where % rows.size] = complex(0.0, special) if imag else special
+        source = rows.tolist() if as_list else rows
+        def named(gate):
+            return lambda states: gate(states, "states")
+
+        for gate, oracle in (
+            (named(qcore.state_set), named(state_set_by_rows)),
+            (qcore.bob_state_set, bob_state_set_by_rows),
+        ):
+            try:
+                expected = oracle(source)
+            except ConfigError as exc:
+                with pytest.raises(ConfigError) as err:
+                    gate(source)
+                assert str(err.value) == str(exc)
+                continue
+            got = gate(source)
+            assert not got.flags.writeable
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestGramAndRank:

@@ -445,6 +445,21 @@ class TestLawPathFrames:
         assert numpy_helper_calls(law_and_tally) == []
 
 
+    @pytest.mark.parametrize("name", sorted(DEMO_CONFIGS))
+    def test_a_warm_signal_test_enters_no_numpy_helper(self, name, tmp_path):
+        # set-up, the state gates and the sampler keep the law path's rule
+        path = DEMO_CONFIGS[name]
+        argv = ["signal-test", str(path), "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 0  # fills the per-size caches
+        codes = []
+        assert numpy_helper_calls(lambda: codes.append(cli.main(argv))) == []
+        assert codes == [0]
+        run = config_mod.RunConfig.load(path)
+        assert numpy_helper_calls(
+            lambda: config_mod.build_protocol(run, path.parent)
+        ) == []
+
+
 class TestRunProtocol:
     def test_illegal_structure(self):
         tally, stats = run_protocol(illegal_config(trials=10_000))
